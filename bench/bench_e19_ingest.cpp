@@ -1,8 +1,7 @@
-// E19 — staged ingest pipeline throughput: the end-to-end message path
-// (epoll transport → parallel decode+verify prologue → sequential
-// protocol stage → batched signing over pooled encode buffers, see
-// docs/INGEST.md) against the BENCH_e17-era configuration (the strictly
-// sequential W=1/B=1 message path, staged ingest off).
+// E19 — staged ingest throughput: the end-to-end message path (epoll
+// transport → parallel decode+verify prologue → sequential protocol
+// stage, see docs/INGEST.md) against the BENCH_e17-era configuration
+// (the strictly sequential W=1/B=1 message path, staged ingest off).
 //
 // Larger groups than E17's n=4 headline: n=7 (f=2) and n=10 (f=3), on
 // both wall-clock substrates (threads and tcp) — certificate sizes and
@@ -19,8 +18,9 @@
 // Acceptance (tracked in BENCH_e19.json, encoded in the exit status): at
 // every (substrate, n) cell, the staged pipeline at W=4/B=4 commits
 // ≥ 1.5× the commands/sec of the E17-configuration baseline.  A third,
-// informational row per cell isolates the ingest stage itself: W=4/B=4
-// with staged ingest forced off.
+// informational row per cell isolates the prologue itself: W=4/B=4
+// with staged ingest forced off.  The report records nproc and the build
+// type, since both decide what the prologue's worker threads can buy.
 //
 // Every run also re-checks the equivalence claim: all_committed,
 // stores_agree, and the staged/sequential runs of a cell must end with
@@ -38,6 +38,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_json.hpp"
 #include "faults/scenario.hpp"
@@ -300,6 +302,9 @@ int main(int argc, char** argv) {
       .field("scheme", scheme_name(scheme))
       .field("commands", commands)
       .field("reps", static_cast<std::uint64_t>(reps))
+      .field("nproc", static_cast<std::uint64_t>(
+                          sysconf(_SC_NPROCESSORS_ONLN)))
+      .field("build_type", MODUBFT_BUILD_TYPE)
       .field("min_speedup_vs_e17_baseline", min_speedup)
       .field("all_committed", all_ok)
       .field("accepted", accepted);

@@ -5,8 +5,9 @@
 # Every binary encodes its acceptance headline in the exit status
 # (e15: cache speedup ≥ 3× at n=7 rounds=10; e17: threads W4B4 ≥ 2× the
 # W1B1 commits/sec; e18: checkpointing retains ≥ 60% throughput and every
-# kill/restart rejoins; e19: staged ingest ≥ 1.5× the E17-configuration
-# baseline at n=7/n=10 on both wall-clock substrates; e20: every client
+# kill/restart rejoins; e19: W4B4 with the staged prologue ≥ 1.5× the
+# W1B1 E17-configuration baseline at n=7/n=10 on both wall-clock
+# substrates, with the W4B4 sequential row alongside; e20: every client
 # cell settles its whole script exactly once and the overload cells shed
 # with BUSY while queue_peak stays within n × max_pending), so this
 # script fails loudly on a regression.

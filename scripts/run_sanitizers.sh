@@ -31,14 +31,14 @@
 # threads/tcp labels so the TSan pass exercises the node-thread dormancy
 # loop, the restart handoff of actor/timers/rng, and the shared
 # CachingVerifier surviving across a replica's two lives.
-# The staged ingest pipeline (docs/INGEST.md) adds the newest customers:
-# epoll_chaos_test (label `tcp`) drives the epoll receive loop through
-# link kills, wire noise, slow-reader backpressure and burst batch
-# dispatch, and perf_smoke_ingest plus the staged-ingest cases in
-# smr_pipeline_test / substrate_equivalence_test (labels `threads`/`tcp`)
-# run prologue workers against the shared verify cache under TSan — the
-# decode-on-worker handoff and the pooled encode buffers are exactly
-# where a lifetime or ordering bug would corrupt frames silently.
+# Staged ingest (docs/INGEST.md) adds two more: epoll_chaos_test (label
+# `tcp`) drives the epoll receive loop through link kills, wire noise,
+# slow-reader backpressure and burst batch dispatch, and
+# perf_smoke_ingest plus the staged-ingest cases in smr_pipeline_test /
+# substrate_equivalence_test (labels `threads`/`tcp`) run prologue
+# workers against the shared verify cache under TSan — the
+# decode-on-worker handoff, where each job borrows a frame of the batch
+# and decodes its own copy, is exactly where a lifetime bug would hide.
 # The client/service layer (docs/CLIENT.md) rides both passes:
 # client_test and the client chaos campaign (client_chaos_test, labels
 # `threads`/`tcp`) run reply-dropping/-delaying/-forging attackers against

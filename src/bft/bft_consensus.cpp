@@ -14,8 +14,7 @@ BftProcess::BftProcess(BftConfig config, Value proposal,
       vcache_(!config.verify_cache ? nullptr
               : config.shared_verify_cache
                   ? config.shared_verify_cache
-                  : std::make_shared<crypto::CachingVerifier>(
-                        verifier, config.verify_cache_capacity)),
+                  : std::make_shared<crypto::CachingVerifier>(verifier)),
       signature_(signer,
                  vcache_ ? std::shared_ptr<const crypto::Verifier>(vcache_)
                          : verifier,
@@ -35,15 +34,6 @@ BftProcess::BftProcess(BftConfig config, Value proposal,
 
 void BftProcess::send_signed(sim::Context& ctx, MessageCore core,
                              Certificate cert) {
-  // Staged egress: the owner takes (core, cert) and performs the batched
-  // sign+encode+broadcast at the end of the dispatch.  A false return
-  // leaves both arguments intact (the hook contract) and we proceed
-  // inline.  Staged sends are accounted by the owner (IngestStats), not
-  // in send_stats_ — the instance never sees the encoded frame.
-  if (config_.egress_stage &&
-      config_.egress_stage(std::move(core), std::move(cert))) {
-    return;
-  }
   SignedMessage msg = signature_.sign(std::move(core), std::move(cert));
   Bytes frame = encode_message(msg);
   send_stats_.messages += ctx.n();

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -17,9 +16,6 @@ class VerifyPool;
 }  // namespace modubft::crypto
 
 namespace modubft::bft {
-
-struct MessageCore;
-class Certificate;
 
 /// Certification-service bound C: the maximum number of faulty processes
 /// the certification mechanism copes with.  "Usual certification mechanisms
@@ -63,11 +59,9 @@ struct BftConfig {
   /// is never re-verified by the signature scheme.  Observationally
   /// equivalent to verification without the cache — a hit requires the
   /// same signer, the same signed bytes (pinned by SHA-256) and a
-  /// byte-identical signature.
+  /// byte-identical signature.  The LRU holds
+  /// crypto::CachingVerifier::kDefaultCapacity entries.
   bool verify_cache = true;
-
-  /// Entry bound of the verified-signature LRU.
-  std::uint32_t verify_cache_capacity = 4096;
 
   /// Externally-owned verified-signature cache.  When set (and
   /// verify_cache is true) the process uses it instead of constructing a
@@ -84,21 +78,6 @@ struct BftConfig {
   /// which is synchronous, when it wants pool accounting).  One pool is
   /// typically shared by every process of a run.
   std::shared_ptr<crypto::VerifyPool> verify_pool;
-
-  /// Egress staging hook (the batched-signing half of the staged ingest
-  /// pipeline, docs/INGEST.md).  When non-null, send_signed offers every
-  /// outgoing (core, certificate) pair to the hook BEFORE signing; a true
-  /// return transfers ownership — the owner (the pipelined SMR replica,
-  /// which installs a per-instance hook) signs, encodes and broadcasts
-  /// the staged messages in staging order at the end of the current batch
-  /// dispatch, in one signing pass over pooled encode buffers.  A false
-  /// return must leave the arguments untouched: the process then signs
-  /// and broadcasts inline, exactly as without a hook.  Since staged
-  /// messages are flushed in staging order within the same dispatch,
-  /// per-sender FIFO — all the protocol assumes of the network — is
-  /// preserved, and the wire bytes are identical (signing is a pure
-  /// function of core ‖ cert digest).
-  std::function<bool(MessageCore&&, Certificate&&)> egress_stage;
 
   /// Period of the ◇M / faulty-coordinator poll.
   SimTime suspicion_poll_period = 10'000;

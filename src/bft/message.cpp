@@ -210,10 +210,6 @@ Bytes encode_message(const SignedMessage& msg) {
   return std::move(w).take();
 }
 
-void encode_message(const SignedMessage& msg, Writer& w) {
-  encode_message_into(w, msg);
-}
-
 SignedMessage decode_message(const Bytes& buf, const DecodeLimits& limits) {
   if (buf.size() > limits.max_frame_bytes)
     throw SerialError("frame exceeds size cap");

@@ -41,7 +41,6 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
-#include "common/serial.hpp"
 #include "consensus/value.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signature.hpp"
@@ -183,12 +182,6 @@ Certificate prune(const Certificate& cert);
 
 /// Full wire encoding of a SignedMessage.
 Bytes encode_message(const SignedMessage& msg);
-
-/// Appends the wire encoding of `msg` to `w` — byte-identical to
-/// concatenating encode_message(msg).  The zero-copy egress path encodes
-/// straight into a pooled buffer (slot envelope + message in one Writer)
-/// instead of materializing the message and copying it into a wrapper.
-void encode_message(const SignedMessage& msg, Writer& w);
 
 /// Limits applied while decoding adversarial input.
 struct DecodeLimits {

@@ -19,8 +19,7 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
   MODUBFT_EXPECTS(config_.retry_base > 0);
   MODUBFT_EXPECTS(config_.max_outstanding >= 1);
   MODUBFT_EXPECTS(config_.failover_after >= 1);
-  retry_cap_ = config_.retry_cap > 0 ? config_.retry_cap
-                                     : config_.retry_base * 16;
+  retry_cap_ = config_.retry_base * 16;
   contact_ = config_.contact;
 }
 

@@ -68,10 +68,9 @@ struct ClientConfig {
   std::uint32_t max_outstanding = 16;
 
   /// Retry backoff: delay starts at retry_base and doubles per attempt,
-  /// capped at retry_cap (0 = 16 × retry_base), plus jitter of up to a
-  /// quarter of the delay.
+  /// capped at 16 × retry_base, plus jitter of up to a quarter of the
+  /// delay.
   SimTime retry_base = 40'000;
-  SimTime retry_cap = 0;
 
   /// Consecutive request timeouts before rotating the contact replica.
   std::uint32_t failover_after = 2;

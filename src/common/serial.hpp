@@ -34,13 +34,6 @@ class Writer {
  public:
   Writer() = default;
 
-  /// Encodes into `reuse`'s storage: the buffer is cleared but keeps its
-  /// capacity, so a hot encode loop (or a BufferPool arena) amortizes the
-  /// allocation across frames.  The encoded bytes are identical to a
-  /// default-constructed Writer's — reuse changes where the buffer lives,
-  /// never what it contains.
-  explicit Writer(Bytes reuse) : buf_(std::move(reuse)) { buf_.clear(); }
-
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
   void u16(std::uint16_t v) {

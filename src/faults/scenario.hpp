@@ -210,7 +210,8 @@ LockstepScenarioResult run_lockstep_scenario(
 /// on process ids [n, n + count), each driving a deterministic script of
 /// `ops_per_client` operations through the REQUEST/REPLY path instead of
 /// the preloaded workload.  Scripts are a pure function of (client index,
-/// op index), so every run of the same config submits the same commands.
+/// op index) over 8 distinct keys, so every run of the same config
+/// submits the same commands.
 struct ClientLoadConfig {
   std::uint32_t count = 2;
   std::uint32_t ops_per_client = 8;
@@ -229,8 +230,6 @@ struct ClientLoadConfig {
   /// Negative-control switch: clients accept the first reply without
   /// certification (adversary harness only — forged replies must land).
   bool trust_first_reply = false;
-  /// Distinct keys the scripts touch.
-  std::uint32_t keyspace = 8;
   /// Client authentication: sign request bodies / DONE / SEQ_BOUND and
   /// verify them replica-side.  Unset = on exactly when the backend is
   /// Byzantine (forgery in the fault model), off for crash backends.
@@ -268,12 +267,11 @@ struct SmrScenarioConfig {
   /// Unset = substrate default (sim: 0 — the synchronous deterministic
   /// pool; threads/tcp: 3 workers).
   std::optional<std::uint32_t> verify_workers;
-  /// Staged ingest pipeline (smr::ReplicaConfig::staged_ingest): parallel
-  /// decode+verify prologue over each delivery batch plus batched egress
-  /// signing.  Unset = substrate default (sim: off — its event loop
-  /// dispatches one message at a time anyway; threads/tcp: on).
-  /// Observationally equivalent either way — the equivalence tests
-  /// compare the stores bit for bit.
+  /// Staged ingest (smr::ReplicaConfig::staged_ingest): a parallel
+  /// decode+verify prologue over each delivery batch.  Unset = substrate
+  /// default (sim: off — its event loop dispatches one message at a time
+  /// anyway; threads/tcp: on).  Observationally equivalent either way —
+  /// the equivalence tests compare the stores bit for bit.
   std::optional<bool> staged_ingest;
 
   // --- checkpointing / recovery (ISSUE 6) ---
@@ -283,9 +281,6 @@ struct SmrScenarioConfig {
   /// via certified state transfer; such replicas count as correct and are
   /// expected to end with the quorum's store.
   std::uint64_t checkpoint_interval = 0;
-  /// Recovery retry-timer base (µs); unset = substrate default
-  /// (sim 20 ms, threads 50 ms, tcp 100 ms).
-  std::optional<SimTime> recovery_retry_delay;
   /// Negative-control switch: recovering replicas install the first
   /// STATE_RESP without verification (adversary harness only).
   bool recovery_trust_unverified = false;

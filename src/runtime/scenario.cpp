@@ -508,11 +508,12 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   const std::set<std::uint32_t> await_done =
       checkpointing ? result.correct : std::set<std::uint32_t>{};
 
-  const SimTime retry_delay = config.recovery_retry_delay.value_or(
+  // Recovery (and missing-body fetch) retry-timer base, per substrate.
+  const SimTime retry_delay =
       config.substrate == runtime::Backend::kSim
           ? 20'000
           : (config.substrate == runtime::Backend::kThreads ? 50'000
-                                                            : 100'000));
+                                                            : 100'000);
 
   // Restarted lives of a Byzantine replica share the first life's verify
   // cache (the cross-restart boundedness satellite exercises this).
@@ -630,8 +631,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     const ProcessId id{i};
     if (config.backend == smr::Backend::kByzantine &&
         crash_specs[i].restart_at.has_value()) {
-      caches[i] = std::make_shared<crypto::CachingVerifier>(
-          keys.verifier, bft::BftConfig{}.verify_cache_capacity);
+      caches[i] = std::make_shared<crypto::CachingVerifier>(keys.verifier);
     }
 
     auto replica = std::make_unique<smr::Replica>(
@@ -661,6 +661,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   std::vector<const client::Client*> client_views(num_clients, nullptr);
   if (client_mode) {
     const ClientLoadConfig& cl = *config.clients;
+    constexpr std::uint32_t kClientKeyspace = 8;  // distinct script keys
     const SimTime retry_base = cl.retry_base.value_or(
         config.substrate == runtime::Backend::kSim
             ? 40'000
@@ -681,7 +682,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       if (client_auth) ccfg.signer = keys.signers[config.n + k].get();
       for (std::uint32_t o = 0; o < cl.ops_per_client; ++o) {
         client::ClientOp op;
-        const std::uint32_t key = (k * 7 + o * 3) % cl.keyspace;
+        const std::uint32_t key = (k * 7 + o * 3) % kClientKeyspace;
         op.key = "k" + std::to_string(key);
         if (o % 5 == 4) {
           op.op = smr::Command::Op::kDel;
@@ -770,10 +771,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     ing.max_batch = std::max(ing.max_batch, is.max_batch);
     ing.prologue_frames += is.prologue_frames;
     ing.prologue_jobs += is.prologue_jobs;
-    ing.staged_sends += is.staged_sends;
-    ing.staged_bytes += is.staged_bytes;
-    ing.sign_flushes += is.sign_flushes;
-    ing.encode_reuses += is.encode_reuses;
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
       const crypto::VerifyCacheStats cs = cache->stats();
       result.run_stats.verify.cache_hits += cs.hits;

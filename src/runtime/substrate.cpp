@@ -300,10 +300,6 @@ std::string to_json(Backend backend, const RunStats& stats) {
      << ",\"ingest_avg_batch\":" << stats.ingest.avg_batch()
      << ",\"ingest_prologue_frames\":" << stats.ingest.prologue_frames
      << ",\"ingest_prologue_jobs\":" << stats.ingest.prologue_jobs
-     << ",\"ingest_staged_sends\":" << stats.ingest.staged_sends
-     << ",\"ingest_staged_bytes\":" << stats.ingest.staged_bytes
-     << ",\"ingest_sign_flushes\":" << stats.ingest.sign_flushes
-     << ",\"ingest_encode_reuses\":" << stats.ingest.encode_reuses
      << ",\"client_clients\":" << stats.client.clients
      << ",\"client_submitted\":" << stats.client.submitted
      << ",\"client_retries\":" << stats.client.retries

@@ -120,10 +120,6 @@ struct IngestSummary {
   std::uint64_t max_batch = 0;
   std::uint64_t prologue_frames = 0;
   std::uint64_t prologue_jobs = 0;
-  std::uint64_t staged_sends = 0;
-  std::uint64_t staged_bytes = 0;
-  std::uint64_t sign_flushes = 0;
-  std::uint64_t encode_reuses = 0;
 
   double avg_batch() const {
     return batches == 0 ? 0.0

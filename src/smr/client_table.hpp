@@ -25,6 +25,11 @@
 
 namespace modubft::smr {
 
+/// Cached replies retained per client (oldest seq evicted first).  A
+/// client's outstanding window must stay at or below this bound for
+/// duplicate replay to be complete.
+inline constexpr std::uint32_t kReplyCacheDepth = 64;
+
 /// Knobs for the replica-side client service.  num_clients == 0 disables
 /// the whole layer: no client control frames are sent or accepted, and
 /// the wire traffic is byte-identical to a pre-client build.
@@ -37,11 +42,6 @@ struct ClientServiceConfig {
   /// deterministic load-shedding that keeps a flooded replica's memory
   /// bounded instead of OOMing.
   std::uint32_t max_pending = 64;
-
-  /// Cached replies retained per client (oldest seq evicted first).  A
-  /// client's outstanding window must stay at or below this bound for
-  /// duplicate replay to be complete.
-  std::uint32_t reply_cache = 64;
 
   /// Base delay of the missing-body fetch retry timer: a frontier slot
   /// whose decided command bodies have not arrived yet re-broadcasts

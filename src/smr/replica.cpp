@@ -124,8 +124,7 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
     // a warm cache, and the hit/miss statistics survive instance
     // teardown (the scenario runners read them after the run).
     if (config_.bft.verify_cache && !config_.bft.shared_verify_cache) {
-      vcache_ = std::make_shared<crypto::CachingVerifier>(
-          config_.verifier, config_.bft.verify_cache_capacity);
+      vcache_ = std::make_shared<crypto::CachingVerifier>(config_.verifier);
       config_.bft.shared_verify_cache = vcache_;
     } else {
       vcache_ = config_.bft.shared_verify_cache;
@@ -137,7 +136,6 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   }
 
   if (client_mode()) {
-    MODUBFT_EXPECTS(config_.client.reply_cache >= 1);
     MODUBFT_EXPECTS(config_.client.fetch_retry_delay > 0);
     MODUBFT_EXPECTS(config_.client.seq_window >= 1);
     // Authenticated mode needs client public keys: the shared verifier
@@ -226,24 +224,8 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
           it->second.crash_value = d.value;
         });
   }
-
-  // Per-instance config copy: the egress-staging hook must know which
-  // slot's envelope to wrap the flushed frame in, so each instance gets
-  // its own closure.  The hook declines (returns false) outside the
-  // sequential stage of a staged dispatch, which keeps on_timer / on_start
-  // sends on the immediate inline path.
-  bft::BftConfig bcfg = config_.bft;
-  if (config_.staged_ingest) {
-    bcfg.egress_stage = [this, slot](bft::MessageCore&& core,
-                                     bft::Certificate&& cert) {
-      if (!staging_active_) return false;
-      ++istats_.staged_sends;
-      staged_.push_back(StagedSend{slot, std::move(core), std::move(cert)});
-      return true;
-    };
-  }
   return std::make_unique<bft::BftProcess>(
-      std::move(bcfg), proposal, config_.signer, config_.verifier,
+      config_.bft, proposal, config_.signer, config_.verifier,
       [this, slot](ProcessId, const bft::VectorDecision& d) {
         auto it = slots_.find(slot);
         if (it == slots_.end() || it->second.decided) return;
@@ -432,7 +414,7 @@ void Replica::apply_committed_batch(sim::Context& ctx,
       auto ins = cache.emplace(seq, encode_control_reply(reply)).first;
       ctx.send(ProcessId{client}, ins->second);
       ++cstats_.replies_sent;
-      while (cache.size() > config_.client.reply_cache) {
+      while (cache.size() > kReplyCacheDepth) {
         cache.erase(cache.begin());  // oldest seq first
       }
     }
@@ -1228,36 +1210,24 @@ bool Replica::staging_ready() const {
 
 void Replica::on_batch(sim::Context& ctx,
                        std::vector<sim::Incoming>& batch) {
-  if (!staging_ready() || batch.size() < 2) {
-    // The base-class contract: sequential dispatch in arrival order.  A
-    // single-frame batch gains nothing from a prologue or a staged flush.
-    sim::Actor::on_batch(ctx, batch);
-    return;
+  // A single-frame batch gains nothing from a prologue.
+  if (staging_ready() && batch.size() >= 2) {
+    ++istats_.batches;
+    istats_.batch_messages += batch.size();
+    istats_.max_batch =
+        std::max<std::uint64_t>(istats_.max_batch, batch.size());
+    // Warm the shared cache across the whole batch.  verify_all blocks,
+    // so everything the workers wrote is visible (happens-before) when
+    // the sequential dispatch starts.  A synchronous pool (0 workers) has
+    // no parallelism to exploit — every job would run inline on this
+    // thread and duplicate work the sequential dispatch does anyway — so
+    // the prologue only runs when workers exist.
+    if (config_.bft.verify_pool->workers() > 0) ingest_prologue(batch);
   }
-  ++istats_.batches;
-  istats_.batch_messages += batch.size();
-  istats_.max_batch =
-      std::max<std::uint64_t>(istats_.max_batch, batch.size());
-
-  // Stage 1 — parallel prologue: warm the shared cache across the whole
-  // batch.  verify_all blocks, so everything the workers wrote is visible
-  // (happens-before) when the sequential stage starts.  A synchronous
-  // pool (0 workers) has no parallelism to exploit — every job would run
-  // inline on this thread and duplicate work the sequential stage does
-  // anyway — so the prologue only runs when workers exist; the batched
-  // signing and pooled-encode stages are amortizations, not parallelism,
-  // and stay on either way.
-  if (config_.bft.verify_pool->workers() > 0) ingest_prologue(batch);
-
-  // Stage 2 — sequential protocol stage, in arrival order: index i IS the
-  // ordering ticket, so observable behaviour is bit-identical to the
-  // one-message-at-a-time dispatch (docs/INGEST.md states the argument).
-  staging_active_ = true;
-  for (sim::Incoming& m : batch) on_message(ctx, m.from, m.payload);
-  staging_active_ = false;
-
-  // Stage 3 — batched signing: flush the egress staged during stage 2.
-  flush_staged(ctx);
+  // The base-class contract: sequential dispatch in arrival order, so
+  // every signed message leaves inline, in the order one-at-a-time
+  // dispatch produces (docs/INGEST.md states the argument).
+  sim::Actor::on_batch(ctx, batch);
 }
 
 void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
@@ -1302,33 +1272,6 @@ void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
   if (jobs.empty()) return;
   istats_.prologue_jobs += jobs.size();
   config_.bft.verify_pool->verify_all(std::move(jobs));
-}
-
-void Replica::flush_staged(sim::Context& ctx) {
-  if (staged_.empty()) return;
-  ++istats_.sign_flushes;
-  std::vector<StagedSend> pending = std::move(staged_);
-  staged_.clear();
-  for (StagedSend& s : pending) {
-    // One signing pass over the whole dispatch's egress, in staging order
-    // — the order the sequential path would have broadcast in, so every
-    // receiver sees the same per-sender FIFO.
-    bft::SignedMessage msg;
-    msg.core = std::move(s.core);
-    msg.cert = std::move(s.cert);
-    msg.sig = config_.signer->sign(bft::signing_bytes(msg.core, msg.cert));
-
-    // Zero-copy encode: slot envelope + message straight into a pooled
-    // buffer (byte-identical to SlotContext::frame around encode_message).
-    Writer w(encode_pool_.acquire());
-    w.u64(s.slot);
-    bft::encode_message(msg, w);
-    Bytes frame = std::move(w).take();
-    istats_.staged_bytes += frame.size();
-    ctx.broadcast(frame);
-    encode_pool_.release(std::move(frame));
-  }
-  istats_.encode_reuses = encode_pool_.stats().reuses;
 }
 
 void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {

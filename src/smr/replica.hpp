@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "bft/bft_consensus.hpp"
-#include "common/buffer_pool.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/verify_cache.hpp"
@@ -128,22 +127,18 @@ struct ReplicaConfig {
   /// trusts nobody).
   CheckpointConfig checkpoint;
 
-  /// Staged ingest (Byzantine back-end only; the tentpole of
-  /// docs/INGEST.md).  When true AND the back-end has both a verify pool
-  /// and the shared verified-signature cache, Replica::on_batch splits a
-  /// multi-frame delivery batch into two stages: a parallel PROLOGUE that
-  /// decodes every frame into a private copy and pre-verifies its
-  /// signatures (top-level and certificate members) through the shared
-  /// CachingVerifier on the pool's workers, then the sequential protocol
-  /// stage, which replays the batch in arrival order (the ordering
-  /// tickets) and hits the warm cache instead of running signature
-  /// arithmetic serially.  Outgoing messages produced during the batch
-  /// are staged and flushed in one signing+encode pass over pooled
-  /// buffers at the end of the dispatch.  Observationally equivalent to
-  /// the sequential path — the equivalence tests assert bit-identical
-  /// stores either way.  Off by default (the deterministic simulator
-  /// configuration); the scenario runner enables it on the wall-clock
-  /// substrates.
+  /// Staged ingest (Byzantine back-end only; docs/INGEST.md).  When true
+  /// AND the back-end has both a verify pool with workers and the shared
+  /// verified-signature cache, Replica::on_batch runs a parallel PROLOGUE
+  /// over a multi-frame delivery batch — it decodes every frame into a
+  /// private copy and pre-verifies its signatures (top-level and
+  /// certificate members) through the shared CachingVerifier on the
+  /// pool's workers — before the ordinary sequential dispatch, which then
+  /// hits the warm cache instead of running signature arithmetic
+  /// serially.  The prologue has no protocol effects, so the replica's
+  /// egress is frame-for-frame identical either way.  Off by default (the
+  /// deterministic simulator configuration); the scenario runner enables
+  /// it on the wall-clock substrates.
   bool staged_ingest = false;
 
   /// Replicas whose end-of-log checkpoint votes this replica must hear
@@ -210,10 +205,6 @@ struct IngestStats {
   std::uint64_t max_batch = 0;        ///< largest single dispatch
   std::uint64_t prologue_frames = 0;  ///< frames the prologue recognized
   std::uint64_t prologue_jobs = 0;    ///< decode+warm jobs run on the pool
-  std::uint64_t staged_sends = 0;     ///< egress messages deferred to flush
-  std::uint64_t staged_bytes = 0;     ///< frame bytes produced by flushes
-  std::uint64_t sign_flushes = 0;     ///< batched signing passes
-  std::uint64_t encode_reuses = 0;    ///< pooled encode buffers reused
 };
 
 /// Invoked on every commit: (slot, command applied — nullptr for a no-op
@@ -233,12 +224,10 @@ class Replica final : public sim::Actor {
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, ProcessId from,
                   const Bytes& payload) override;
-  /// Staged two-phase dispatch of a delivery batch (see
-  /// ReplicaConfig::staged_ingest): parallel decode+verify prologue, then
-  /// the sequential protocol stage in arrival order, then one batched
-  /// sign+encode flush of the staged egress.  Falls back to the base
-  /// class's sequential loop — message for message, same order — whenever
-  /// staging is disabled or inapplicable.
+  /// Staged dispatch of a delivery batch (see
+  /// ReplicaConfig::staged_ingest): the parallel decode+verify prologue
+  /// when it applies, then the base class's sequential loop — message for
+  /// message, in arrival order — either way.
   void on_batch(sim::Context& ctx,
                 std::vector<sim::Incoming>& batch) override;
   void on_timer(sim::Context& ctx, std::uint64_t timer_id) override;
@@ -303,14 +292,11 @@ class Replica final : public sim::Actor {
   }
 
   // --- staged ingest (inert unless ReplicaConfig::staged_ingest) ---
-  /// True iff on_batch may run the two-stage pipeline right now.
+  /// True iff on_batch may run the prologue right now.
   bool staging_ready() const;
   /// Parallel prologue: decode private copies of the batch's consensus
   /// frames and warm the shared verify cache through the pool.
   void ingest_prologue(const std::vector<sim::Incoming>& batch);
-  /// Batched signing: one pass over the staged egress — sign, encode into
-  /// a pooled buffer, broadcast — in staging order.
-  void flush_staged(sim::Context& ctx);
 
   // --- checkpointing / recovery (all no-ops when interval == 0) ---
   bool checkpointing() const { return config_.checkpoint.interval > 0; }
@@ -409,22 +395,6 @@ class Replica final : public sim::Actor {
   PipelineStats pstats_;
   bool stopped_ = false;
 
-  // --- staged ingest state ---
-  /// One egress message deferred by the per-instance staging hook: the
-  /// flush signs it, encodes it behind its slot envelope and broadcasts.
-  struct StagedSend {
-    std::uint64_t slot = 0;
-    bft::MessageCore core;
-    bft::Certificate cert;
-  };
-  /// True only inside the sequential stage of a staged on_batch dispatch;
-  /// the egress hooks consult it, so sends from on_timer / single-message
-  /// dispatches stay on the immediate inline path.
-  bool staging_active_ = false;
-  std::vector<StagedSend> staged_;
-  /// Encode-buffer arena for the flush (and anything else on this
-  /// replica's thread that wants buffer reuse).
-  BufferPool encode_pool_;
   IngestStats istats_;
 
   // --- checkpointing / recovery state (inert when interval == 0) ---

@@ -27,7 +27,6 @@
 #include "bft/checkpoint_cert.hpp"
 #include "bft/message.hpp"
 #include "bft/modules.hpp"
-#include "common/buffer_pool.hpp"
 #include "common/rng.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "smr/checkpoint.hpp"
@@ -107,50 +106,6 @@ TEST(FuzzDecode, MutatedFramesNeverEscapeTypedOutcome) {
   // single-bit flips inside the sig bytes still decode fine).
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
-}
-
-// Zero-copy egress property (docs/INGEST.md): encoding through an
-// appending Writer over a *reused* pooled buffer is byte-identical to the
-// one-shot encoder, no matter what the buffer previously held.  2000
-// seeded mutations drive decodable frames of varying shape through the
-// acquire → encode → release cycle; every surviving frame must re-encode
-// to exactly the bytes that decoded, behind the same slot envelope the
-// staged flush writes.
-TEST(FuzzDecode, PooledEncodeBuffersRoundTripByteIdentically) {
-  const crypto::SignatureSystem keys = test_keys();
-  const Bytes frame = bft::encode_message(sample_message(keys));
-
-  BufferPool pool;
-  MutationSpec spec;
-  spec.bitflip_prob = 0.6;
-  spec.truncate_prob = 0.1;
-  spec.splice_prob = 0.4;
-
-  std::size_t reencoded = 0;
-  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
-    Rng rng(seed);
-    const Bytes mutated = mutate_frame(frame, rng, spec);
-    const bft::DecodeOutcome out = bft::try_decode_message(mutated);
-    if (!out) continue;
-    ++reencoded;
-
-    // The staged-flush path: pooled buffer, envelope, appending encoder.
-    Writer w(pool.acquire());
-    w.u64(seed);  // stands in for the slot tag
-    bft::encode_message(out.msg, w);
-    const Bytes staged = std::move(w).take();
-
-    // The pre-staging path: one-shot encode pasted behind the envelope.
-    Writer ref;
-    ref.u64(seed);
-    ref.raw(mutated);
-    EXPECT_EQ(staged, std::move(ref).take()) << "seed " << seed;
-
-    pool.release(Bytes(staged));  // next acquire reuses this capacity
-  }
-  // The loop actually exercised reuse, not just fresh allocations.
-  EXPECT_GT(reencoded, 1u);
-  EXPECT_GT(pool.stats().reuses, 0u);
 }
 
 TEST(FuzzDecode, WireMutatorStreamIsDeterministic) {

@@ -22,6 +22,7 @@
 #include "faults/scenario.hpp"
 #include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
+#include "smr/checkpoint.hpp"
 #include "smr/replica.hpp"
 
 namespace modubft::smr {
@@ -467,10 +468,12 @@ struct DispatchResult {
 };
 
 // Feeds one replica a batch of three peer INITs for slot 0 through
-// on_batch.  Replica 0 is the round-1 coordinator, so the quorum-completing
-// INIT makes it emit a CURRENT — inline on the sequential path, via the
-// staged sign+encode flush on the staged path.
-DispatchResult dispatch_init_batch(bool staged) {
+// on_batch.  Replica 0 is the round-1 coordinator, so the
+// quorum-completing INIT makes it emit a CURRENT.  With `client_request`
+// the replica serves one client (process 4) and the batch ends with that
+// client's REQUEST, which the replica admits and broadcasts as a
+// CMD_RELAY control frame.
+DispatchResult dispatch_init_batch(bool staged, bool client_request) {
   const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 23);
   auto pool = std::make_shared<crypto::VerifyPool>(2);
 
@@ -484,6 +487,7 @@ DispatchResult dispatch_init_batch(bool staged) {
   cfg.signer = keys.signers[0].get();
   cfg.verifier = keys.verifier;
   cfg.staged_ingest = staged;
+  if (client_request) cfg.client.num_clients = 1;
   Replica replica(cfg, faults::sample_workload(), CommitFn{});
 
   RecordingContext ctx;
@@ -491,6 +495,13 @@ DispatchResult dispatch_init_batch(bool staged) {
   std::vector<sim::Incoming> batch;
   for (std::uint32_t sender : {1u, 2u, 3u}) {
     batch.push_back({ProcessId{sender}, init_frame(keys, sender, sender + 1)});
+  }
+  if (client_request) {
+    ClientRequest req;
+    req.seq = 1;
+    req.key = "alpha";
+    req.value = "7";
+    batch.push_back({ProcessId{4}, encode_control_request(req)});
   }
   replica.on_batch(ctx, batch);
 
@@ -503,43 +514,69 @@ DispatchResult dispatch_init_batch(bool staged) {
   return r;
 }
 
-// The tentpole determinism claim (docs/INGEST.md): a staged on_batch
-// dispatch emits the *byte-identical frame sequence* the sequential
-// message-for-message dispatch emits.  The prologue only warms the verify
-// cache, the sequential stage replays in arrival order, and the flush
-// re-creates each deferred frame from the same (core, cert, slot) triple
-// the inline path would have encoded.
-TEST(SmrStagedIngest, StagedDispatchBitIdenticalToSequential) {
-  const DispatchResult seq = dispatch_init_batch(false);
-  const DispatchResult stg = dispatch_init_batch(true);
-
-  // Same frames, same bytes, same order: own INIT from on_start, then the
-  // round-1 coordinator CURRENT triggered by the quorum-completing INIT.
-  ASSERT_EQ(seq.out.size(), stg.out.size());
-  ASSERT_GE(seq.out.size(), 2u);
-  for (std::size_t i = 0; i < seq.out.size(); ++i) {
-    EXPECT_EQ(seq.out[i], stg.out[i]) << "frame " << i;
+// Names an emitted frame: the BFT kind behind a consensus slot tag, or the
+// control kind behind the all-ones tag.
+std::string frame_kind(const Bytes& frame) {
+  Reader r(frame);
+  if (r.u64() == kControlSlot) {
+    return "control " + std::to_string(r.u8());
   }
+  const bft::DecodeOutcome out =
+      bft::try_decode_message(Bytes(frame.begin() + 8, frame.end()));
+  return out ? bft::kind_name(out.msg.core.kind) : "undecodable";
+}
 
-  // The sequential run never staged anything…
-  EXPECT_EQ(seq.ingest.batches, 0u);
-  EXPECT_EQ(seq.ingest.staged_sends, 0u);
+std::vector<std::string> frame_kinds(const std::vector<Bytes>& frames) {
+  std::vector<std::string> kinds;
+  for (const Bytes& f : frames) kinds.push_back(frame_kind(f));
+  return kinds;
+}
 
-  // …while the staged run ran the full three-stage dispatch: one batch of
-  // three recognized frames through the prologue, one deferred CURRENT,
-  // one signing flush over a pooled encode buffer.
-  EXPECT_EQ(stg.ingest.batches, 1u);
-  EXPECT_EQ(stg.ingest.batch_messages, 3u);
-  EXPECT_EQ(stg.ingest.max_batch, 3u);
-  EXPECT_EQ(stg.ingest.prologue_frames, 3u);
-  EXPECT_EQ(stg.ingest.prologue_jobs, 3u);
-  EXPECT_EQ(stg.ingest.staged_sends, 1u);
-  EXPECT_EQ(stg.ingest.sign_flushes, 1u);
-  EXPECT_GT(stg.ingest.staged_bytes, 0u);
+// The determinism claim (docs/INGEST.md): a staged on_batch dispatch emits
+// the *byte-identical frame sequence* the sequential message-for-message
+// dispatch emits.  The prologue only warms the verify cache, and the
+// batch is then dispatched in arrival order with every signed message
+// leaving inline — so a client REQUEST behind the quorum-completing INIT
+// leaves its CMD_RELAY after the CURRENT on both paths.
+TEST(SmrStagedIngest, StagedDispatchBitIdenticalToSequential) {
+  for (bool client_request : {false, true}) {
+    SCOPED_TRACE(client_request ? "INITs + REQUEST" : "INITs");
+    const DispatchResult seq = dispatch_init_batch(false, client_request);
+    const DispatchResult stg = dispatch_init_batch(true, client_request);
 
-  // The prologue's warming paid off: the sequential stage authenticated
-  // the three INITs against a warm cache.
-  EXPECT_GE(stg.cache.hits, 3u);
+    // Same frames, same bytes, same order: own INIT from on_start, the
+    // round-1 coordinator CURRENT triggered by the quorum-completing INIT,
+    // then the CMD_RELAY admitting the client's command.
+    std::vector<std::string> expected = {"INIT", "CURRENT"};
+    if (client_request) {
+      expected.push_back(
+          "control " +
+          std::to_string(static_cast<int>(ControlKind::kCmdRelay)));
+    }
+    EXPECT_EQ(frame_kinds(seq.out), expected);
+    EXPECT_EQ(frame_kinds(stg.out), expected);
+    ASSERT_EQ(seq.out.size(), stg.out.size());
+    for (std::size_t i = 0; i < seq.out.size(); ++i) {
+      EXPECT_EQ(seq.out[i], stg.out[i]) << "frame " << i;
+    }
+
+    // The sequential run never staged anything…
+    EXPECT_EQ(seq.ingest.batches, 0u);
+
+    // …while the staged run sent one batch through the prologue, which
+    // recognized the three INITs and left the REQUEST (control traffic)
+    // to the sequential dispatch.
+    const std::uint64_t frames = client_request ? 4 : 3;
+    EXPECT_EQ(stg.ingest.batches, 1u);
+    EXPECT_EQ(stg.ingest.batch_messages, frames);
+    EXPECT_EQ(stg.ingest.max_batch, frames);
+    EXPECT_EQ(stg.ingest.prologue_frames, 3u);
+    EXPECT_EQ(stg.ingest.prologue_jobs, 3u);
+
+    // The prologue's warming paid off: the sequential stage authenticated
+    // the three INITs against a warm cache.
+    EXPECT_GE(stg.cache.hits, 3u);
+  }
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ void BM_AuditedAttackCell(benchmark::State& state) {
     const adversary::CellOutcome cell = adversary::run_attack_cell(
         n, f, *attack, runtime::Backend::kSim, seed++,
         std::chrono::milliseconds(20'000));
-    passed += cell.pass ? 1 : 0;
+    passed += cell.pass() ? 1 : 0;
   }
   if (passed != state.iterations()) {
     state.SkipWithError("audited cell failed");

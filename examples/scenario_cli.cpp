@@ -16,7 +16,7 @@
 //   scenario_cli campaign --n 4 --f 1 --seeds 8 [--attacks a,b,...]
 //                      [--substrates sim,threads,tcp] [--base-seed 1]
 //                      [--out report.json] [--no-negative-control]
-//                      [--no-minimize] [--list] [--budget-ms 20000]
+//                      [--list] [--budget-ms 20000]
 //   scenario_cli smr   --n 4 --backend crash|byz [--f 1] [--slots 8]
 //                      [--window W] [--batch B] [--commands K]
 //                      [--verify-workers V] [--substrate sim|threads|tcp]
@@ -38,10 +38,12 @@
 //   equivocate lie-init spurious-current split-brain future-round
 //   stale-replay replay-cert truncate-cert forge-cert selective-mute
 //
-// `campaign` sweeps the adversary/ attack taxonomy over an
-// (attack × substrate × seed) grid with the wire-level safety auditor
-// tapped into every cell, minimizes failing attacks, and writes a JSON
-// report — see docs/ADVERSARY.md.
+// `campaign` sweeps both adversary/ attack families — the consensus
+// catalog under the wire-level safety auditor, and the SMR attacks under
+// live clients with a replica killed and restarted — over an
+// (attack × substrate × seed) grid, minimizes failing consensus attacks,
+// runs the negative controls, and writes a JSON report — see
+// docs/ADVERSARY.md.
 //
 // --substrate selects the execution backend (runtime::Backend): the
 // deterministic simulator (default), the threaded in-memory cluster, or
@@ -57,6 +59,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,6 +67,7 @@
 
 #include "adversary/attack.hpp"
 #include "adversary/campaign.hpp"
+#include "adversary/client_campaign.hpp"
 #include "bft/bft_consensus.hpp"
 #include "bft/config.hpp"
 #include "crypto/hmac_signer.hpp"
@@ -93,7 +97,7 @@ using namespace modubft;
             << "       scenario_cli campaign --n N --f F [--seeds K] "
                "[--attacks A,B,...] [--substrates sim,threads,tcp] "
                "[--base-seed S] [--out FILE] [--no-negative-control] "
-               "[--no-minimize] [--list] [--budget-ms MS]\n"
+               "[--list] [--budget-ms MS]\n"
             << "       scenario_cli smr   --n N --backend crash|byz [--f F] "
                "[--slots K] [--window W] [--batch B] [--commands C] "
                "[--verify-workers V] [--substrate sim|threads|tcp] "
@@ -593,8 +597,6 @@ int run_campaign_mode(int argc, char** argv) {
       cfg.budget = std::chrono::milliseconds(std::stoull(next()));
     } else if (arg == "--no-negative-control") {
       cfg.negative_control = false;
-    } else if (arg == "--no-minimize") {
-      cfg.minimize_failures = false;
     } else if (arg == "--list") {
       list_only = true;
     } else {
@@ -612,21 +614,35 @@ int run_campaign_mode(int argc, char** argv) {
       std::cout << a.name << "  [" << a.paper_class << "]  " << a.description
                 << "\n";
     }
+    if (adversary::smr_cell_fits(cfg.n, cfg.f)) {
+      for (const adversary::SmrAttackEntry& e :
+           adversary::smr_attack_catalog()) {
+        std::cout << e.name << "  [smr: " << e.paper_class << "]  "
+                  << e.description << "\n";
+      }
+    }
     return 0;
   }
 
-  const adversary::CampaignReport report = adversary::run_campaign(cfg);
+  adversary::CampaignReport report;
+  try {
+    report = adversary::run_campaign(cfg);
+  } catch (const std::invalid_argument& e) {
+    usage((std::string(e.what()) + " (see --list)").c_str());
+  }
 
   for (const adversary::CellOutcome& cell : report.cells) {
-    if (cell.pass) continue;
+    if (cell.pass()) continue;
     std::cout << "FAIL " << cell.attack << " on "
               << runtime::backend_name(cell.substrate) << " seed " << cell.seed
               << ":";
-    for (const adversary::Violation& v : cell.audit.violations) {
-      std::cout << " [" << adversary::violation_name(v.kind) << "] "
+    for (const std::string& check : cell.failed_checks()) {
+      std::cout << " [" << check << "]";
+    }
+    for (const adversary::Violation& v : cell.violations) {
+      std::cout << "\n  " << adversary::violation_name(v.kind) << ": "
                 << v.detail;
     }
-    if (!cell.termination) std::cout << " [no-termination]";
     if (!cell.minimized.empty()) std::cout << "\n  minimized: "
                                            << cell.minimized;
     std::cout << "\n";
@@ -634,15 +650,18 @@ int run_campaign_mode(int argc, char** argv) {
   std::cout << "campaign:          " << report.cells_run << " cells, "
             << report.cells_failed << " failed (n=" << report.n
             << ", f=" << report.f << ")\n";
-  if (report.negative_control_ran) {
-    std::cout << "negative control:  "
-              << (report.negative_control_flagged ? "flagged" : "MISSED");
-    for (const std::string& kind : report.negative_control_kinds) {
-      std::cout << " " << kind;
+  for (const adversary::ControlOutcome& control : report.controls) {
+    std::cout << "negative control:  " << control.name << " "
+              << (control.flagged ? "flagged" : "MISSED");
+    for (const std::string& finding : control.findings) {
+      std::cout << " " << finding;
     }
     std::cout << "\n";
   }
-  std::cout << "verdict:           " << (report.ok ? "OK" : "VIOLATIONS")
+  std::cout << "verdict:           "
+            << (report.ok                ? "OK"
+                : report.cells_run == 0 ? "NO CELLS RAN"
+                                        : "VIOLATIONS")
             << "\n";
 
   if (!out_path.empty()) {

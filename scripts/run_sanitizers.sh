@@ -25,12 +25,13 @@
 # verify_pool_test (concurrent verify_all callers hammering one
 # crypto::VerifyPool and a shared CachingVerifier) and smr_pipeline_test
 # (pipelined replicas on the threaded cluster with the pool enabled).
-# The recovery subsystem (label `recovery`) adds three more: the
-# STATE_RESP decode fuzz loop runs under ASan/UBSan inside the full
-# suite, and smr_recovery_transport_test / recovery_attack_test carry the
-# threads/tcp labels so the TSan pass exercises the node-thread dormancy
-# loop, the restart handoff of actor/timers/rng, and the shared
-# CachingVerifier surviving across a replica's two lives.
+# The recovery subsystem (label `recovery`) adds more: the STATE_RESP
+# decode fuzz loop runs under ASan/UBSan inside the full suite, and
+# smr_recovery_transport_test plus the recover-under-attack SMR cells
+# (recovery_attack_test) carry the threads/tcp labels so the TSan pass
+# exercises the node-thread dormancy loop, the restart handoff of
+# actor/timers/rng, and the shared CachingVerifier surviving across a
+# replica's two lives.
 # Staged ingest (docs/INGEST.md) adds two more: epoll_chaos_test (label
 # `tcp`) drives the epoll receive loop through link kills, wire noise,
 # slow-reader backpressure and burst batch dispatch, and
@@ -40,11 +41,15 @@
 # decode-on-worker handoff, where each job borrows a frame of the batch
 # and decodes its own copy, is exactly where a lifetime bug would hide.
 # The client/service layer (docs/CLIENT.md) rides both passes:
-# client_test and the client chaos campaign (client_chaos_test, labels
-# `threads`/`tcp`) run reply-dropping/-delaying/-forging attackers against
-# real client threads racing replica threads — retry timers, the reply
-# certifier, the client table and BUSY shedding are all cross-thread
-# state, so the TSan subset picks the campaign up automatically.
+# client_test and the SMR attack cells (client_chaos_test, labels
+# `threads`/`tcp`) run checkpoint-forging, STATE_RESP-corrupting and
+# reply-dropping/-delaying/-forging attackers against real client threads
+# racing replica threads — retry timers, the reply certifier, the client
+# table and BUSY shedding are all cross-thread state, so the TSan subset
+# picks them up automatically.  The campaign smoke
+# (adversary_campaign_smoke, labels `threads`/`tcp`) sweeps the same SMR
+# cells on every substrate plus all four negative controls in both
+# passes, and the explicit ASan/UBSan sweep below covers them too.
 # TSan and ASan cannot share a build, so it uses its own build directory
 # (build-tsan, -DMODUBFT_TSAN=ON).
 #

@@ -212,24 +212,9 @@ AuditReport SafetyAuditor::finish(const AuditEvidence& evidence) const {
   return report;
 }
 
-std::string to_json(const AuditReport& report) {
-  std::ostringstream os;
-  os << "{\"ok\":" << (report.ok ? "true" : "false")
-     << ",\"frames\":" << report.stats.frames
-     << ",\"undecodable\":" << report.stats.undecodable
-     << ",\"bad_signature\":" << report.stats.bad_signature
-     << ",\"decide_frames\":" << report.stats.decide_frames
-     << ",\"wf_currents\":" << report.stats.wf_currents
-     << ",\"equivocations\":" << report.stats.equivocations
-     << ",\"violations\":[";
-  for (std::size_t i = 0; i < report.violations.size(); ++i) {
-    const Violation& v = report.violations[i];
-    if (i) os << ",";
-    os << "{\"kind\":\"" << violation_name(v.kind) << "\",\"detail\":\""
-       << json_escape(v.detail) << "\"}";
-  }
-  os << "]}";
-  return os.str();
+std::string to_json(const Violation& violation) {
+  return std::string("{\"kind\":\"") + violation_name(violation.kind) +
+         "\",\"detail\":\"" + json_escape(violation.detail) + "\"}";
 }
 
 }  // namespace modubft::adversary

@@ -158,7 +158,7 @@ class SafetyAuditor {
       wf_currents_;
 };
 
-/// Renders a report as a JSON object (one line, no trailing newline).
-std::string to_json(const AuditReport& report);
+/// Renders a violation as a one-line JSON object (kind and detail).
+std::string to_json(const Violation& violation);
 
 }  // namespace modubft::adversary

@@ -1,11 +1,15 @@
 #include "adversary/campaign.hpp"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "adversary/broken_double.hpp"
+#include "adversary/client_campaign.hpp"
 #include "adversary/fuzzer.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
@@ -71,18 +75,22 @@ CellOutcome run_attack_cell(std::uint32_t n, std::uint32_t f,
   }
   evidence.declared_faulty = result.declared_faulty;
 
+  const AuditReport audit = auditor.finish(evidence);
   CellOutcome cell;
   cell.attack = attack.name;
   cell.substrate = substrate;
   cell.seed = seed;
-  cell.clean = result.clean;
-  cell.termination = result.termination;
-  cell.agreement = result.agreement;
-  cell.vector_validity = result.vector_validity;
-  cell.detectors_reliable = result.detectors_reliable;
-  cell.audit = auditor.finish(evidence);
-  cell.pass = cell.audit.ok && cell.termination && cell.agreement &&
-              cell.vector_validity && cell.detectors_reliable;
+  // An attack within the declared resilience must not block termination
+  // either.
+  cell.checks = {
+      {"termination", result.termination},
+      {"agreement", result.agreement},
+      {"vector_validity", result.vector_validity},
+      {"detectors_reliable", result.detectors_reliable},
+      {"audit", audit.ok},
+  };
+  cell.violations = audit.violations;
+  cell.audit = audit.stats;
   return cell;
 }
 
@@ -195,60 +203,138 @@ std::string describe_attack(const AttackSpec& attack) {
   return os.str();
 }
 
+namespace {
+
+/// Failed checks, then each violation kind once.
+std::vector<std::string> findings(const std::vector<std::string>& failed,
+                                  const std::vector<Violation>& violations) {
+  std::vector<std::string> out = failed;
+  for (const Violation& v : violations) {
+    const std::string kind = violation_name(v.kind);
+    if (std::find(out.begin(), out.end(), kind) == out.end()) {
+      out.push_back(kind);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 CampaignReport run_campaign(const CampaignConfig& config) {
   CampaignReport report;
   report.n = config.n;
   report.f = config.f;
 
+  // Resolve every name before running anything: an unknown name is the
+  // caller's mistake, never a silently smaller campaign.
+  using Attack = std::variant<const AttackSpec*, SmrAttack>;
   const std::vector<AttackSpec> catalog =
       attack_catalog(config.n, config.f);
-  std::vector<const AttackSpec*> selected;
+  const bool smr = smr_cell_fits(config.n, config.f);
+  std::vector<Attack> selected;
   if (config.attacks.empty()) {
-    for (const AttackSpec& a : catalog) selected.push_back(&a);
-  } else {
-    for (const std::string& name : config.attacks) {
-      const AttackSpec* a = find_attack(catalog, name);
-      if (a != nullptr) selected.push_back(a);
+    for (const AttackSpec& a : catalog) selected.emplace_back(&a);
+    if (smr) {
+      for (const SmrAttackEntry& e : smr_attack_catalog()) {
+        selected.emplace_back(e.kind);
+      }
+    }
+  }
+  for (const std::string& name : config.attacks) {
+    const std::optional<SmrAttack> smr_attack = find_smr_attack(name);
+    if (const AttackSpec* a = find_attack(catalog, name)) {
+      selected.emplace_back(a);
+    } else if (smr_attack && smr) {
+      selected.emplace_back(*smr_attack);
+    } else {
+      throw std::invalid_argument("unknown attack '" + name + "' for n=" +
+                                  std::to_string(config.n) +
+                                  ", f=" + std::to_string(config.f));
     }
   }
 
-  for (const AttackSpec* attack : selected) {
+  for (const Attack& attack : selected) {
     for (runtime::Backend substrate : config.substrates) {
       for (std::uint32_t s = 0; s < config.seeds; ++s) {
         const std::uint64_t seed = config.base_seed + s;
-        CellOutcome cell = run_attack_cell(config.n, config.f, *attack,
-                                           substrate, seed, config.budget);
-        ++report.cells_run;
-        if (!cell.pass) {
-          ++report.cells_failed;
-          if (config.minimize_failures) {
-            const AttackSpec minimized = minimize_attack(
-                *attack, [&](const AttackSpec& candidate) {
+        CellOutcome cell;
+        if (const auto* smr = std::get_if<SmrAttack>(&attack)) {
+          cell = run_smr_cell(config.n, config.f, *smr, substrate, seed,
+                              config.budget)
+                     .cell;
+        } else {
+          const AttackSpec& spec = *std::get<const AttackSpec*>(attack);
+          cell = run_attack_cell(config.n, config.f, spec, substrate, seed,
+                                 config.budget);
+          if (!cell.pass()) {
+            cell.minimized = describe_attack(minimize_attack(
+                spec, [&](const AttackSpec& candidate) {
                   return !run_attack_cell(config.n, config.f, candidate,
                                           substrate, seed, config.budget)
-                              .pass;
-                });
-            cell.minimized = describe_attack(minimized);
+                              .pass();
+                }));
           }
         }
+        ++report.cells_run;
+        if (!cell.pass()) ++report.cells_failed;
         report.cells.push_back(std::move(cell));
       }
     }
   }
 
   if (config.negative_control) {
-    report.negative_control_ran = true;
     const AuditReport audit =
         run_negative_control(config.n, config.f, config.base_seed);
-    report.negative_control_flagged = !audit.ok;
-    for (const Violation& v : audit.violations) {
-      report.negative_control_kinds.push_back(violation_name(v.kind));
+    report.controls.push_back(
+        {"broken-consensus", !audit.ok, findings({}, audit.violations)});
+    // The SMR controls vouch for the SMR audits, wherever those can run.
+    for (SmrControl control : kSmrControls) {
+      if (!smr) continue;
+      const CellOutcome cell =
+          run_smr_control(control, config.n, config.f, config.base_seed).cell;
+      report.controls.push_back({smr_control_name(control),
+                                 control_flagged(control, cell),
+                                 findings(cell.failed_checks(),
+                                          cell.violations)});
     }
   }
 
-  report.ok = report.cells_failed == 0 &&
-              (!report.negative_control_ran || report.negative_control_flagged);
+  report.ok = report.cells_run > 0 && report.cells_failed == 0 &&
+              std::all_of(report.controls.begin(), report.controls.end(),
+                          [](const ControlOutcome& c) { return c.flagged; });
   return report;
+}
+
+std::string to_json(const CellOutcome& cell) {
+  auto flag = [](bool b) { return b ? "true" : "false"; };
+  std::ostringstream os;
+  os << "{\"attack\":\"" << cell.attack << "\",\"substrate\":\""
+     << runtime::backend_name(cell.substrate) << "\",\"seed\":" << cell.seed
+     << ",\"pass\":" << flag(cell.pass()) << ",\"checks\":{";
+  for (std::size_t i = 0; i < cell.checks.size(); ++i) {
+    if (i) os << ",";
+    os << "\"" << cell.checks[i].first << "\":" << flag(cell.checks[i].second);
+  }
+  os << "},\"violations\":[";
+  for (std::size_t i = 0; i < cell.violations.size(); ++i) {
+    if (i) os << ",";
+    os << to_json(cell.violations[i]);
+  }
+  os << "]";
+  if (cell.audit) {
+    const AuditStats& a = *cell.audit;
+    os << ",\"audit\":{\"frames\":" << a.frames
+       << ",\"undecodable\":" << a.undecodable
+       << ",\"bad_signature\":" << a.bad_signature
+       << ",\"decide_frames\":" << a.decide_frames
+       << ",\"wf_currents\":" << a.wf_currents
+       << ",\"equivocations\":" << a.equivocations << "}";
+  }
+  if (!cell.minimized.empty()) {
+    os << ",\"minimized\":\"" << cell.minimized << "\"";
+  }
+  os << "}";
+  return os.str();
 }
 
 std::string to_json(const CampaignConfig& config,
@@ -265,36 +351,24 @@ std::string to_json(const CampaignConfig& config,
   os << "]},\n";
   os << "  \"cells\": [\n";
   for (std::size_t i = 0; i < report.cells.size(); ++i) {
-    const CellOutcome& c = report.cells[i];
-    os << "    {\"attack\": \"" << c.attack << "\", \"substrate\": \""
-       << runtime::backend_name(c.substrate) << "\", \"seed\": " << c.seed
-       << ", \"pass\": " << (c.pass ? "true" : "false")
-       << ", \"termination\": " << (c.termination ? "true" : "false")
-       << ", \"agreement\": " << (c.agreement ? "true" : "false")
-       << ", \"vector_validity\": " << (c.vector_validity ? "true" : "false")
-       << ", \"detectors_reliable\": "
-       << (c.detectors_reliable ? "true" : "false")
-       << ", \"audit\": " << to_json(c.audit);
-    if (!c.minimized.empty()) os << ", \"minimized\": \"" << c.minimized
-                                 << "\"";
-    os << "}";
-    if (i + 1 < report.cells.size()) os << ",";
-    os << "\n";
+    os << "    " << to_json(report.cells[i])
+       << (i + 1 < report.cells.size() ? ",\n" : "\n");
   }
   os << "  ],\n";
   os << "  \"summary\": {\"cells_run\": " << report.cells_run
-     << ", \"cells_failed\": " << report.cells_failed;
-  if (report.negative_control_ran) {
-    os << ", \"negative_control_flagged\": "
-       << (report.negative_control_flagged ? "true" : "false")
-       << ", \"negative_control_kinds\": [";
-    for (std::size_t i = 0; i < report.negative_control_kinds.size(); ++i) {
-      if (i) os << ", ";
-      os << "\"" << report.negative_control_kinds[i] << "\"";
+     << ", \"cells_failed\": " << report.cells_failed
+     << ", \"negative_controls\": [";
+  for (std::size_t i = 0; i < report.controls.size(); ++i) {
+    const ControlOutcome& c = report.controls[i];
+    os << (i ? ", " : "") << "{\"name\": \"" << c.name
+       << "\", \"flagged\": " << (c.flagged ? "true" : "false")
+       << ", \"findings\": [";
+    for (std::size_t k = 0; k < c.findings.size(); ++k) {
+      os << (k ? ", " : "") << "\"" << c.findings[k] << "\"";
     }
-    os << "]";
+    os << "]}";
   }
-  os << ", \"ok\": " << (report.ok ? "true" : "false") << "}\n";
+  os << "], \"ok\": " << (report.ok ? "true" : "false") << "}\n";
   os << "}\n";
   return os.str();
 }

@@ -1,12 +1,17 @@
 #include "adversary/client_campaign.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <exception>
-#include <sstream>
+#include <memory>
 #include <utility>
 
+#include "bft/checkpoint_cert.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "common/serial.hpp"
+#include "crypto/hmac_signer.hpp"
+#include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/command.hpp"
 
@@ -14,13 +19,49 @@ namespace modubft::adversary {
 
 namespace {
 
-/// True iff the frame rides the reserved control slot.
+// The one cell shape (see the header).
+constexpr std::uint32_t kClients = 2;
+constexpr std::uint32_t kOpsPerClient = 8;
+constexpr std::uint32_t kWindow = 4;
+constexpr std::uint32_t kVictim = 2;    // p3, killed and restarted
+constexpr std::uint32_t kAttacker = 1;  // p2
+
+/// Kill/restart instants (µs) per substrate, indexed by runtime::Backend
+/// (sim, threads, tcp).  The simulator drains a cell in tens of virtual
+/// ms, and its kill lands after a checkpoint certified, so every sim
+/// restart installs a certified snapshot; the wall-clock substrates need
+/// room for OS scheduling before the restart fires.
+constexpr struct {
+  SimTime kill, restart;
+} kOutage[] = {{6'000, 9'000}, {3'000, 60'000}, {5'000, 80'000}};
+
+/// Each negative control's name and the cell check its planted fault
+/// must trip, indexed by SmrControl.
+constexpr struct {
+  const char* name;
+  const char* trips;
+} kControls[] = {
+    {"unverified-install", "store_audit"},
+    {"trust-first-reply", "reply_audit"},
+    {"unauthenticated-bodies", "clients_done"},
+};
+
+/// True iff the frame rides the reserved control slot (recovery and
+/// client traffic — the only frames any SMR attack touches).
 bool is_control_frame(const Bytes& payload) {
   if (payload.size() < 9) return false;
   for (std::size_t i = 0; i < 8; ++i) {
     if (payload[i] != 0xFF) return false;
   }
   return true;
+}
+
+/// Reader positioned past the control envelope (slot + kind byte).
+Reader control_body(const Bytes& frame) {
+  Reader r(frame);
+  r.u64();
+  r.u8();
+  return r;
 }
 
 std::string render_who(std::uint32_t id) { return "p" + std::to_string(id + 1); }
@@ -30,155 +71,433 @@ std::string render_cmd(std::uint64_t id) {
          std::to_string(smr::seq_of_cmd(id));
 }
 
-}  // namespace
-
-const char* client_attack_name(ClientAttackKind kind) {
-  switch (kind) {
-    case ClientAttackKind::kNone: return "none";
-    case ClientAttackKind::kDropReplies: return "drop-replies";
-    case ClientAttackKind::kDelayReplies: return "delay-replies";
-    case ClientAttackKind::kForgeReplies: return "forge-replies";
-    case ClientAttackKind::kForgeBodies: return "forge-bodies";
-    case ClientAttackKind::kPhantomIds: return "phantom-ids";
-  }
-  return "?";
-}
-
-// -------------------------------------------------------- ClientAttacker
-
-/// Intercepts sends; everything except client-bound REPLY frames passes
-/// through byte-identical.  broadcast never carries replies (they are
-/// unicast to the owning client), so it forwards untouched.
-class ClientAttacker::AttackContext final : public sim::ForwardingContext {
+/// Actor decorator splicing one attack under a replica.  Consensus frames
+/// always pass through byte-identical — the wrapped replica keeps
+/// committing correctly — so each attack is invisible to everything but
+/// the control frames it targets.
+class SmrAttacker final : public sim::Actor {
  public:
-  AttackContext(sim::Context& base, ClientAttacker& owner)
-      : ForwardingContext(base), owner_(owner) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    if (owner_.intercept(base_, to, payload)) return;
-    base_.send(to, std::move(payload));
+  /// `self` signs forged checkpoint votes (the attacker legitimately holds
+  /// its own key); `forged_resp` answers every STATE_REQ under
+  /// forged-checkpoint; `seed` drives corrupt-state-resp's byte stomps.
+  SmrAttacker(std::unique_ptr<sim::Actor> inner, SmrAttack attack,
+              std::uint32_t n, const crypto::Signer* self, Bytes forged_resp,
+              std::uint64_t seed)
+      : inner_(std::move(inner)),
+        attack_(attack),
+        n_(n),
+        self_(self),
+        forged_resp_(std::move(forged_resp)),
+        rng_(seed) {
+    MODUBFT_EXPECTS(inner_ != nullptr && self_ != nullptr);
   }
 
-  void broadcast(const Bytes& payload) override {
-    // Relay bodies leave via broadcast, so the body forgery must hook
-    // here too; every other attack targets unicast client-bound frames.
-    if (owner_.config_.kind == ClientAttackKind::kForgeBodies) {
-      Bytes copy = payload;
-      if (owner_.forge_body(copy)) {
-        base_.broadcast(copy);
-        return;
-      }
-    }
-    base_.broadcast(payload);
+  void on_start(sim::Context& ctx) override {
+    AttackContext atk(ctx, *this);
+    inner_->on_start(atk);
+  }
+  // One held reply drains per event, so delayed replies are reordered
+  // across operations but never starved: client retries are events too.
+  void on_message(sim::Context& ctx, ProcessId from,
+                  const Bytes& payload) override {
+    release_one(ctx);
+    AttackContext atk(ctx, *this);
+    inner_->on_message(atk, from, payload);
+  }
+  void on_timer(sim::Context& ctx, std::uint64_t timer_id) override {
+    release_one(ctx);
+    AttackContext atk(ctx, *this);
+    inner_->on_timer(atk, timer_id);
   }
 
  private:
-  ClientAttacker& owner_;
+  /// Routes every outgoing control frame through intercept().
+  class AttackContext final : public sim::ForwardingContext {
+   public:
+    AttackContext(sim::Context& base, SmrAttacker& owner)
+        : ForwardingContext(base), owner_(owner) {}
+
+    void send(ProcessId to, Bytes payload) override {
+      if (is_control_frame(payload) && owner_.intercept(base_, to, payload)) {
+        return;
+      }
+      base_.send(to, std::move(payload));
+    }
+
+    void broadcast(const Bytes& payload) override {
+      if (!is_control_frame(payload)) {
+        base_.broadcast(payload);
+        return;
+      }
+      Bytes frame = payload;
+      if (!owner_.intercept(base_, std::nullopt, frame)) {
+        base_.broadcast(frame);
+      }
+    }
+
+   private:
+    SmrAttacker& owner_;
+  };
+
+  /// Attack hook for one outgoing control frame; `to` is empty for a
+  /// broadcast.  Returns true if the frame was consumed (dropped or
+  /// held); otherwise `frame`, possibly rewritten, goes on the wire.
+  bool intercept(sim::Context& ctx, std::optional<ProcessId> to,
+                 Bytes& frame);
+
+  void release_one(sim::Context& ctx) {
+    if (held_.empty()) return;
+    auto [to, frame] = std::move(held_.front());
+    held_.pop_front();
+    ctx.send(to, std::move(frame));
+  }
+
+  std::unique_ptr<sim::Actor> inner_;
+  SmrAttack attack_;
+  std::uint32_t n_;  // process ids >= n_ are clients
+  const crypto::Signer* self_;
+  Bytes forged_resp_;
+  Rng rng_;
+  std::deque<std::pair<ProcessId, Bytes>> held_;
 };
 
-ClientAttacker::ClientAttacker(std::unique_ptr<sim::Actor> inner,
-                               ClientAttackerConfig config)
-    : inner_(std::move(inner)), config_(config) {
-  MODUBFT_EXPECTS(inner_ != nullptr);
-  MODUBFT_EXPECTS(config_.n > 0);
-}
-
-bool ClientAttacker::forge_body(Bytes& payload) {
-  if (!is_control_frame(payload)) return false;
-  if (static_cast<smr::ControlKind>(payload[8]) !=
-      smr::ControlKind::kCmdRelay) {
-    return false;
-  }
+bool SmrAttacker::intercept(sim::Context& ctx, std::optional<ProcessId> to,
+                            Bytes& frame) {
+  const auto kind = static_cast<smr::ControlKind>(frame[8]);
+  const bool to_client = to && to->value >= n_;
+  const bool reply = to_client && kind == smr::ControlKind::kReply;
   try {
-    Reader r(payload);
-    r.u64();
-    r.u8();
-    smr::CmdRelay relay = smr::decode_cmd_relay(r);
-    // Corrupt the body, KEEP the client's signature: the receiver must
-    // notice the signature no longer covers the bytes.  Without the
-    // check (body-forgery negative control) this divergent body wins
-    // first-write-wins ingest and the real operation can never certify.
-    relay.value += "!forged";
-    payload = smr::encode_control_relay(relay);
-    return true;
+    switch (attack_) {
+      case SmrAttack::kForgedCheckpoint:
+        if (kind == smr::ControlKind::kCheckpointVote) {
+          // Re-sign a vote for the fabricated digest: the signature
+          // verifies (it is our key), only the claim is a lie — the shape
+          // a key-holding Byzantine replica actually produces.
+          Reader r = control_body(frame);
+          smr::CheckpointVote vote = smr::decode_checkpoint_vote(r);
+          vote.digest = forged_checkpoint_digest(vote.slot);
+          vote.sig = self_->sign(
+              bft::checkpoint_signing_bytes(vote.slot, vote.digest));
+          frame = smr::encode_control_vote(vote);
+        } else if (kind == smr::ControlKind::kStateResp) {
+          frame = forged_resp_;
+        }
+        return false;
+      case SmrAttack::kCorruptStateResp:
+        if (kind == smr::ControlKind::kStateResp) {
+          // Stomp a window past the control header so the frame still
+          // routes to the recovery decoder — that decoder is the attack
+          // surface.
+          const std::size_t body = 9;
+          const std::size_t len = std::min<std::size_t>(
+              1 + rng_.next_below(8), frame.size() - body);
+          const std::size_t start =
+              body + rng_.next_below(frame.size() - body - len + 1);
+          for (std::size_t i = 0; i < len; ++i) {
+            frame[start + i] = static_cast<std::uint8_t>(rng_.next_u64());
+          }
+        }
+        return false;
+      case SmrAttack::kDropReplies:
+        return reply;  // BUSY frames pass — shedding is not the target
+      case SmrAttack::kDelayReplies:
+        if (!reply) return false;
+        held_.emplace_back(*to, std::move(frame));
+        if (held_.size() > 3) release_one(ctx);
+        return true;
+      case SmrAttack::kForgeReplies:
+        if (reply) {
+          // Corrupt both the result and the claimed linearization point:
+          // either alone must already fail the client's content check.
+          Reader r = control_body(frame);
+          smr::ClientReply forged = smr::decode_client_reply(r);
+          forged.value += "!forged";
+          forged.slot += 1000;
+          frame = smr::encode_control_reply(forged);
+        }
+        return false;
+      case SmrAttack::kForgeBodies:
+        if (!to_client && kind == smr::ControlKind::kCmdRelay) {
+          // Broadcast relays and fetch answers alike.  Corrupt the body,
+          // KEEP the client's signature: the receiver must notice the
+          // signature no longer covers the bytes.
+          Reader r = control_body(frame);
+          smr::CmdRelay relay = smr::decode_cmd_relay(r);
+          relay.value += "!forged";
+          frame = smr::encode_control_relay(relay);
+        }
+        return false;
+      case SmrAttack::kNone:
+      case SmrAttack::kPhantomIds:  // the attack is the preloaded workload
+        return false;
+    }
   } catch (const std::exception&) {
-    return false;  // not a decodable relay: pass through
-  }
-}
-
-bool ClientAttacker::intercept(sim::Context& ctx, ProcessId to,
-                               Bytes& payload) {
-  if (config_.kind == ClientAttackKind::kNone) return false;
-  if (config_.kind == ClientAttackKind::kForgeBodies) {
-    // Replica-bound relays (fetch answers ride unicast) get the same
-    // treatment as broadcast ones; client traffic passes untouched.
-    if (to.value < config_.n) forge_body(payload);
-    return false;  // always send (possibly mutated)
-  }
-  if (to.value < config_.n) return false;  // replica-bound: never touched
-  if (!is_control_frame(payload)) return false;
-  if (static_cast<smr::ControlKind>(payload[8]) != smr::ControlKind::kReply) {
-    return false;  // BUSY frames pass — shedding is not the attack surface
-  }
-  switch (config_.kind) {
-    case ClientAttackKind::kDropReplies:
-      return true;
-    case ClientAttackKind::kDelayReplies:
-      held_.emplace_back(to, std::move(payload));
-      if (held_.size() > config_.hold_depth) release_one(ctx);
-      return true;
-    case ClientAttackKind::kForgeReplies:
-      try {
-        Reader r(payload);
-        r.u64();
-        r.u8();
-        smr::ClientReply reply = smr::decode_client_reply(r);
-        // Corrupt both the result and the claimed linearization point:
-        // either alone must already fail the client's content check.
-        reply.value += "!forged";
-        reply.slot += 1000;
-        payload = smr::encode_control_reply(reply);
-      } catch (const std::exception&) {
-        // A frame our own replica emitted failed to re-decode — pass it
-        // through; the attack only ever weakens into honesty.
-      }
-      return false;  // send the (possibly forged) frame
-    case ClientAttackKind::kForgeBodies:  // handled above
-    case ClientAttackKind::kPhantomIds:   // no wire mutation at all
-    case ClientAttackKind::kNone:
-      break;
+    // A frame our own replica emitted failed to re-decode — send it
+    // unchanged; the attack only ever weakens into honesty.
   }
   return false;
 }
 
-void ClientAttacker::release_one(sim::Context& ctx) {
-  if (held_.empty()) return;
-  auto [to, frame] = std::move(held_.front());
-  held_.pop_front();
-  ctx.send(to, std::move(frame));
+/// Builds the one cell shape, with no attacker armed yet.
+faults::SmrScenarioConfig make_scenario(std::uint32_t n, std::uint32_t f,
+                                        runtime::Backend substrate,
+                                        std::uint64_t seed,
+                                        std::chrono::milliseconds budget) {
+  MODUBFT_EXPECTS(smr_cell_fits(n, f));
+  faults::SmrScenarioConfig sc;
+  sc.n = n;
+  sc.f = f;
+  sc.seed = seed;
+  sc.substrate = substrate;
+  sc.backend = smr::Backend::kByzantine;
+  sc.window = kWindow;
+  sc.batch = 2;
+  sc.budget = budget;
+  sc.checkpoint_interval = 4;
+  faults::ClientLoadConfig load;
+  load.count = kClients;
+  load.ops_per_client = kOpsPerClient;
+  sc.clients = load;
+  // Closed-loop arrival commits thin batches, and pipelined peers racing
+  // for the same ids commit a no-op slot per concurrent op in the worst
+  // case — so budget two slots per op plus drain margin for the window.
+  // Undersizing is a liveness failure by construction: an op submitted
+  // after the fixed log filled can never commit.
+  sc.slots = 2 * kClients * kOpsPerClient + 2 * kWindow;
+
+  const auto& outage = kOutage[static_cast<std::size_t>(substrate)];
+  sc.crashes.push_back({ProcessId{kVictim}, outage.kill, outage.restart});
+
+  if (substrate == runtime::Backend::kTcp) {
+    // Every link dies at least once early on; random kills stay rare so
+    // the run finishes inside the budget.
+    faults::LinkFaultSpec spec;
+    spec.kill_prob = 0.002;
+    spec.kill_at_attempts = {3};
+    spec.max_random_faults = 4;
+    sc.link_faults.push_back(spec);
+  }
+  return sc;
 }
 
-void ClientAttacker::on_start(sim::Context& ctx) {
-  AttackContext atk(ctx, *this);
-  inner_->on_start(atk);
+/// Splices `attack` under every replica in `attackers` (restarted lives
+/// included — wrap_actor re-applies on restart) and marks them faulty.
+void arm(faults::SmrScenarioConfig& sc, SmrAttack attack,
+         const std::set<std::uint32_t>& attackers) {
+  if (attack == SmrAttack::kNone) return;
+  sc.assume_faulty = attackers;
+  if (attack == SmrAttack::kPhantomIds) {
+    // The attackers "know" bodies for fabricated client ids the rest of Π
+    // never saw — a Byzantine proposer deciding phantom ids.  One id sits
+    // just past a real client's script (only the client's signed
+    // SEQ_BOUND / CLIENT_DONE can refute it) and one sits far beyond the
+    // eligibility window (skipped arithmetically).  Open-loop arrival
+    // widens the window, so the just-past phantom parks the frontier and
+    // forces the SEQ_BOUND refutation path instead of a silent skip.
+    sc.clients->open_loop = true;
+    smr::Command just_past;
+    just_past.id = smr::make_client_cmd_id(sc.n, kOpsPerClient + 1);
+    just_past.op = smr::Command::Op::kPut;
+    just_past.key = "phantom";
+    just_past.value = "beyond-script";
+    smr::Command far_future = just_past;
+    far_future.id = smr::make_client_cmd_id(sc.n + 1, 1000);
+    far_future.value = "beyond-window";
+    for (std::uint32_t a : attackers) {
+      sc.extra_workload[a] = {just_past, far_future};
+    }
+    return;
+  }
+  // The attackers sign with the run's own keys: the HMAC system
+  // run_smr_scenario derives from (n, seed).  Shared ownership keeps the
+  // signers alive for the run's whole lifetime.
+  auto keys = std::make_shared<crypto::SignatureSystem>(
+      crypto::HmacScheme{}.make_system(sc.n, sc.seed));
+  Bytes forged_resp;
+  if (attack == SmrAttack::kForgedCheckpoint) {
+    // "Certified" by every key the attack controls — ≤ f of them in a
+    // sound cell.  It claims the log's last slot, so the fabricated state
+    // outbids every honest response.
+    std::vector<const crypto::Signer*> coalition;
+    for (std::uint32_t a : attackers) {
+      coalition.push_back(keys->signers[a].get());
+    }
+    forged_resp = forged_state_resp(sc.slots, coalition);
+  }
+  sc.wrap_actor = [attack, attackers, keys, forged_resp, n = sc.n,
+                   seed = sc.seed](ProcessId id,
+                                   std::unique_ptr<sim::Actor> inner)
+      -> std::unique_ptr<sim::Actor> {
+    if (attackers.count(id.value) == 0) return inner;
+    return std::make_unique<SmrAttacker>(
+        std::move(inner), attack, n, keys->signers[id.value].get(),
+        forged_resp, seed ^ (0x9e3779b97f4a7c15ull * (id.value + 1)));
+  };
 }
 
-void ClientAttacker::on_message(sim::Context& ctx, ProcessId from,
-                                const Bytes& payload) {
-  // One held reply drains per event, so delayed replies are reordered
-  // across operations but never starved: client retries are events too.
-  release_one(ctx);
-  AttackContext atk(ctx, *this);
-  inner_->on_message(atk, from, payload);
+/// Judges a finished run by the one cell rule.  `expected` overrides the
+/// quorum store in the store audit.
+CellOutcome judge(std::string name, const faults::SmrScenarioConfig& sc,
+                  const faults::SmrScenarioResult& r,
+                  const std::map<std::string, std::string>* expected =
+                      nullptr) {
+  std::set<std::uint32_t> restarted;
+  for (const faults::CrashSpec& c : sc.crashes) restarted.insert(c.who.value);
+  const bool recovered =
+      std::all_of(restarted.begin(), restarted.end(),
+                  [&](std::uint32_t id) { return r.recovered.count(id) > 0; });
+  std::vector<Violation> stores =
+      audit_recovered_stores(r, restarted, 2 * sc.f + 1, expected);
+  std::vector<Violation> replies = audit_client_replies(r);
+
+  CellOutcome cell;
+  cell.attack = std::move(name);
+  cell.substrate = sc.substrate;
+  cell.seed = sc.seed;
+  cell.checks = {
+      {"clean", r.clean},
+      {"all_committed", r.all_committed},
+      {"stores_agree", r.stores_agree},
+      {"clients_done", r.clients_done.size() == kClients},
+      {"recovered", recovered},
+      {"store_audit", stores.empty()},
+      {"reply_audit", replies.empty()},
+  };
+  cell.violations = std::move(stores);
+  cell.violations.insert(cell.violations.end(), replies.begin(),
+                         replies.end());
+  return cell;
 }
 
-void ClientAttacker::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
-  release_one(ctx);
-  AttackContext atk(ctx, *this);
-  inner_->on_timer(atk, timer_id);
+}  // namespace
+
+const std::vector<SmrAttackEntry>& smr_attack_catalog() {
+  static const std::vector<SmrAttackEntry> catalog = {
+      {SmrAttack::kNone, "smr-none", "control",
+       "p3 killed and restarted under client load, no attacker"},
+      {SmrAttack::kForgedCheckpoint, "forged-checkpoint",
+       "corrupted certificate",
+       "votes for a fabricated checkpoint digest and answers STATE_REQs "
+       "with a fabricated snapshot"},
+      {SmrAttack::kCorruptStateResp, "corrupt-state-resp", "wire corruption",
+       "overwrites a random byte window of every STATE_RESP"},
+      {SmrAttack::kDropReplies, "drop-replies", "muteness",
+       "swallows every REPLY it owes a client"},
+      {SmrAttack::kDelayReplies, "delay-replies", "muteness",
+       "holds REPLYs three deep, releasing one per event"},
+      {SmrAttack::kForgeReplies, "forge-replies", "value corruption",
+       "corrupts the value and slot of every REPLY"},
+      {SmrAttack::kForgeBodies, "forge-bodies", "value corruption",
+       "corrupts relayed command bodies under the client's signature"},
+      {SmrAttack::kPhantomIds, "phantom-ids", "spurious statement",
+       "proposes bodies for fabricated client ids"},
+  };
+  return catalog;
 }
 
-// ----------------------------------------------------------------- audit
+std::optional<SmrAttack> find_smr_attack(const std::string& name) {
+  for (const SmrAttackEntry& e : smr_attack_catalog()) {
+    if (name == e.name) return e.kind;
+  }
+  return std::nullopt;
+}
+
+bool smr_cell_fits(std::uint32_t n, std::uint32_t f) {
+  return f >= 1 && n >= 3 * f + 1;
+}
+
+crypto::Digest forged_checkpoint_digest(std::uint64_t slot) {
+  Writer w;
+  w.str("forged-ckpt");
+  w.u64(slot);
+  return crypto::sha256(std::move(w).take());
+}
+
+Bytes forged_state_resp(
+    std::uint64_t claim_slot,
+    const std::vector<const crypto::Signer*>& coalition) {
+  smr::Snapshot fake;
+  fake.slot = claim_slot;
+  fake.applied = claim_slot;
+  fake.data = {{"forged", "state"}};
+
+  smr::StateResp resp;
+  resp.ckpt_slot = claim_slot;
+  resp.snapshot = smr::encode_snapshot(fake);
+  const crypto::Digest digest = smr::snapshot_digest(resp.snapshot);
+  const Bytes preimage = bft::checkpoint_signing_bytes(claim_slot, digest);
+  for (const crypto::Signer* signer : coalition) {
+    resp.cert_sigs.emplace_back(signer->id().value, signer->sign(preimage));
+  }
+  return smr::encode_control_state_resp(resp);
+}
+
+SmrCellOutcome run_smr_cell(std::uint32_t n, std::uint32_t f,
+                            SmrAttack attack, runtime::Backend substrate,
+                            std::uint64_t seed,
+                            std::chrono::milliseconds budget) {
+  faults::SmrScenarioConfig sc = make_scenario(n, f, substrate, seed, budget);
+  arm(sc, attack, {kAttacker});
+  SmrCellOutcome out;
+  out.result = faults::run_smr_scenario(sc);
+  out.cell = judge(smr_attack_catalog()[static_cast<std::size_t>(attack)].name,
+                   sc, out.result);
+  return out;
+}
+
+// ----------------------------------------------------------------- audits
+
+std::vector<Violation> audit_recovered_stores(
+    const faults::SmrScenarioResult& result,
+    const std::set<std::uint32_t>& restarted, std::uint32_t quorum,
+    const std::map<std::string, std::string>* expected) {
+  std::vector<Violation> out;
+  if (restarted.empty()) return out;
+
+  // Reference store: supplied baseline, or the store the largest set of
+  // correct replicas agrees on (the recovered replica votes too — with a
+  // victim down and ≤ f attackers, the survivors alone may be < quorum).
+  const std::map<std::string, std::string>* ref = expected;
+  std::size_t support = 0;
+  if (ref == nullptr) {
+    for (const auto& [id, store] : result.stores) {
+      std::size_t count = 0;
+      for (const auto& [other_id, other] : result.stores) {
+        if (other == store) ++count;
+      }
+      if (count > support) {
+        support = count;
+        ref = &store;
+      }
+    }
+    if (ref == nullptr || support < quorum) {
+      out.push_back({ViolationKind::kRecoveredStoreMismatch,
+                     "no store is shared by a correct quorum (best support " +
+                         std::to_string(support) + " < " +
+                         std::to_string(quorum) + ")"});
+      return out;
+    }
+  }
+
+  for (std::uint32_t id : restarted) {
+    const auto it = result.stores.find(id);
+    if (it == result.stores.end()) continue;  // not a correct replica
+    if (result.recovered.count(id) == 0) {
+      out.push_back({ViolationKind::kRecoveredStoreMismatch,
+                     render_who(id) +
+                         " restarted but never installed verified state"});
+      continue;
+    }
+    if (it->second != *ref) {
+      out.push_back({ViolationKind::kRecoveredStoreMismatch,
+                     render_who(id) + " recovered with " +
+                         std::to_string(it->second.size()) +
+                         " keys differing from the quorum store (" +
+                         std::to_string(ref->size()) + " keys)"});
+    }
+  }
+  return out;
+}
 
 std::vector<Violation> audit_client_replies(
     const faults::SmrScenarioResult& result) {
@@ -225,231 +544,63 @@ std::vector<Violation> audit_client_replies(
   return out;
 }
 
-// ----------------------------------------------------------------- cells
+// --------------------------------------------------------------- controls
 
-namespace {
-
-/// Builds the scenario shared by the cell and the negative control.
-faults::SmrScenarioConfig make_scenario(const ClientCellConfig& config) {
-  faults::SmrScenarioConfig sc;
-  sc.n = config.n;
-  sc.f = config.f;
-  sc.seed = config.seed;
-  sc.substrate = config.substrate;
-  sc.backend = config.backend;
-  sc.window = config.window;
-  sc.batch = config.batch;
-  sc.budget = config.budget;
-  sc.checkpoint_interval = config.checkpoint_interval;
-
-  faults::ClientLoadConfig load;
-  load.count = config.clients;
-  load.ops_per_client = config.ops_per_client;
-  load.open_loop = config.open_loop;
-  sc.clients = load;
-
-  if (config.attack == ClientAttackKind::kPhantomIds) {
-    // The attacker replicas "know" bodies for fabricated client ids the
-    // rest of Π never saw — the model of a Byzantine proposer deciding
-    // phantom ids.  One id sits just past a real client's script (only
-    // the client's signed SEQ_BOUND / CLIENT_DONE can refute it) and one
-    // sits far beyond the eligibility window (skipped arithmetically).
-    MODUBFT_EXPECTS(config.clients >= 2);
-    smr::Command just_past;
-    just_past.id = smr::make_client_cmd_id(config.n, config.ops_per_client + 1);
-    just_past.op = smr::Command::Op::kPut;
-    just_past.key = "phantom";
-    just_past.value = "beyond-script";
-    smr::Command far_future;
-    far_future.id = smr::make_client_cmd_id(config.n + 1, 1000);
-    far_future.op = smr::Command::Op::kPut;
-    far_future.key = "phantom";
-    far_future.value = "beyond-window";
-    for (std::uint32_t a : config.attackers) {
-      sc.extra_workload[a] = {just_past, far_future};
-    }
-  }
-
-  // Closed-loop arrival commits thin batches, and pipelined peers racing
-  // for the same ids commit a no-op slot per concurrent op in the worst
-  // case — so budget two slots per op plus drain margin for the window.
-  // Undersizing is a liveness failure by construction: an op submitted
-  // after the fixed log filled can never commit.
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(config.clients) * config.ops_per_client;
-  sc.slots = 2 * total + 2 * config.window;
-
-  // Substrate-appropriate kill/restart instants: the simulator drains the
-  // whole run in a few virtual ms; the wall-clock substrates need room
-  // for OS scheduling before the restart fires.
-  SimTime kill = config.kill_at;
-  SimTime back = config.restart_at;
-  if (kill == 0) {
-    kill = config.substrate == runtime::Backend::kSim ? 1'500
-           : config.substrate == runtime::Backend::kThreads ? 3'000
-                                                            : 5'000;
-  }
-  if (back == 0) {
-    back = config.substrate == runtime::Backend::kSim ? 3'000
-           : config.substrate == runtime::Backend::kThreads ? 60'000
-                                                            : 80'000;
-  }
-  sc.crashes.push_back({ProcessId{config.victim}, kill, back});
-
-  if (config.link_chaos && config.substrate == runtime::Backend::kTcp) {
-    // Every link dies at least once early on; random kills stay rare so
-    // the run finishes inside the budget.
-    faults::LinkFaultSpec spec;
-    spec.kill_prob = 0.002;
-    spec.kill_at_attempts = {3};
-    spec.max_random_faults = 4;
-    sc.link_faults.push_back(spec);
-  }
-  sc.assume_faulty = config.attackers;
-  return sc;
+const char* smr_control_name(SmrControl control) {
+  return kControls[static_cast<std::size_t>(control)].name;
 }
 
-/// Splices ClientAttacker under every attacker replica (restarted lives
-/// included — wrap_actor re-applies on restart).
-void arm_attackers(faults::SmrScenarioConfig& sc,
-                   const ClientCellConfig& config) {
-  if (config.attack == ClientAttackKind::kNone || config.attackers.empty()) {
-    return;
-  }
-  if (config.attack == ClientAttackKind::kPhantomIds) {
-    return;  // honest wire behavior; the attack is the preloaded workload
-  }
-  sc.wrap_actor = [config](ProcessId id, std::unique_ptr<sim::Actor> inner)
-      -> std::unique_ptr<sim::Actor> {
-    if (id.value >= config.n || config.attackers.count(id.value) == 0) {
-      return inner;
+SmrCellOutcome run_smr_control(SmrControl control, std::uint32_t n,
+                               std::uint32_t f, std::uint64_t seed) {
+  const std::chrono::milliseconds budget{20'000};
+  faults::SmrScenarioConfig sc =
+      make_scenario(n, f, runtime::Backend::kSim, seed, budget);
+  std::set<std::uint32_t> everyone;
+  for (std::uint32_t i = 0; i < n; ++i) everyone.insert(i);
+
+  std::optional<SmrCellOutcome> honest;
+  switch (control) {
+    case SmrControl::kUnverifiedInstall: {
+      // The honest baseline of the same cell is the ground truth: every
+      // peer lies in the forged run, so no in-run quorum exists to vote.
+      honest = run_smr_cell(n, f, SmrAttack::kNone, runtime::Backend::kSim,
+                            seed, budget);
+      std::set<std::uint32_t> peers = everyone;
+      peers.erase(kVictim);
+      sc.recovery_trust_unverified = true;
+      arm(sc, SmrAttack::kForgedCheckpoint, peers);
+      break;
     }
-    ClientAttackerConfig acfg;
-    acfg.kind = config.attack;
-    acfg.n = config.n;
-    return std::make_unique<ClientAttacker>(std::move(inner), acfg);
-  };
-}
+    // The two client controls run without the crash: the planted
+    // violation must be attributable to the forgery alone.
+    case SmrControl::kTrustFirstReply:
+      sc.crashes.clear();
+      sc.clients->trust_first_reply = true;
+      arm(sc, SmrAttack::kForgeReplies, everyone);
+      break;
+    case SmrControl::kUnauthenticatedBodies:
+      // The corrupted body wins first-write-wins ingest on every honest
+      // replica and the wedged client retries forever, so cap the clock
+      // well below the default to fail fast.
+      sc.crashes.clear();
+      sc.clients->authenticate = false;
+      sc.max_time = 30'000'000;
+      arm(sc, SmrAttack::kForgeBodies, {kAttacker});
+      break;
+  }
 
-}  // namespace
-
-ClientCellOutcome run_client_cell(const ClientCellConfig& config) {
-  MODUBFT_EXPECTS(config.n > 0 && config.victim < config.n);
-  MODUBFT_EXPECTS(config.attackers.count(config.victim) == 0);
-  MODUBFT_EXPECTS(config.clients > 0 && config.ops_per_client > 0);
-  MODUBFT_EXPECTS(config.checkpoint_interval > 0);
-  for (std::uint32_t a : config.attackers) MODUBFT_EXPECTS(a < config.n);
-
-  faults::SmrScenarioConfig sc = make_scenario(config);
-  arm_attackers(sc, config);
-
-  ClientCellOutcome out;
+  SmrCellOutcome out;
   out.result = faults::run_smr_scenario(sc);
-  out.recovered = out.result.recovered.count(config.victim) > 0;
-  out.all_clients_done = out.result.clients_done.size() == config.clients;
-  out.violations = audit_client_replies(out.result);
-  out.pass = out.result.clean && out.result.all_committed &&
-             out.result.stores_agree && out.all_clients_done &&
-             out.recovered && out.violations.empty();
-
-  const runtime::ClientSummary& cs = out.result.run_stats.client;
-  std::ostringstream os;
-  os << client_attack_name(config.attack) << "/"
-     << runtime::backend_name(config.substrate) << " seed=" << config.seed
-     << ": " << (out.pass ? "pass" : "FAIL") << " (done="
-     << out.result.clients_done.size() << "/" << config.clients
-     << " recovered=" << (out.recovered ? "yes" : "no")
-     << " accepted=" << cs.accepted << " retries=" << cs.retries
-     << " failovers=" << cs.failovers
-     << " violations=" << out.violations.size() << ")";
-  out.detail = os.str();
+  out.cell = judge(smr_control_name(control), sc, out.result,
+                   honest ? &honest->result.store : nullptr);
   return out;
 }
 
-ClientControlOutcome run_client_negative_control(std::uint64_t seed,
-                                                 runtime::Backend substrate) {
-  // Broken configuration: EVERY replica forges its replies and the clients
-  // install the first reply without certification (trust_first_reply, a
-  // switch no correct build sets).  No crash — the planted violation must
-  // be attributable to the forgery alone.
-  ClientCellConfig forged;
-  forged.attack = ClientAttackKind::kForgeReplies;
-  forged.substrate = substrate;
-  forged.seed = seed;
-  forged.attackers.clear();
-  for (std::uint32_t i = 0; i < forged.n; ++i) forged.attackers.insert(i);
-
-  faults::SmrScenarioConfig sc = make_scenario(forged);
-  sc.crashes.clear();
-  sc.clients->trust_first_reply = true;
-  arm_attackers(sc, forged);
-
-  const faults::SmrScenarioResult result = faults::run_smr_scenario(sc);
-
-  ClientControlOutcome out;
-  for (const auto& [pid, replies] : result.client_accepted) {
-    out.accepted += replies.size();
-  }
-  out.violations = audit_client_replies(result);
-  out.flagged = std::any_of(out.violations.begin(), out.violations.end(),
-                            [](const Violation& v) {
-                              return v.kind ==
-                                     ViolationKind::kClientReplyMismatch;
-                            });
-  return out;
-}
-
-ClientBodyControlOutcome run_client_body_control(std::uint64_t seed,
-                                                 runtime::Backend substrate) {
-  // Broken configuration: one replica forges relay bodies and client
-  // authentication is forced OFF (a switch no correct Byzantine build
-  // sets).  The corrupted body then wins first-write-wins ingest on every
-  // honest replica, commits, and the owning client's content check can
-  // never assemble f+1 matching replies — so at least one client must
-  // fail to finish.  No crash: the wedge must be attributable to the
-  // forgery alone.
-  ClientCellConfig forged;
-  forged.attack = ClientAttackKind::kForgeBodies;
-  forged.substrate = substrate;
-  forged.seed = seed;
-
-  faults::SmrScenarioConfig sc = make_scenario(forged);
-  sc.crashes.clear();
-  sc.clients->authenticate = false;
-  // The run cannot end cleanly (the wedged client retries forever), so
-  // cap the clock well below the default to fail fast.
-  sc.max_time = 30'000'000;
-  arm_attackers(sc, forged);
-
-  const faults::SmrScenarioResult result = faults::run_smr_scenario(sc);
-
-  ClientBodyControlOutcome out;
-  out.clients = forged.clients;
-  out.clients_done = result.clients_done.size();
-  out.mismatched_replies = result.run_stats.client.mismatched_replies;
-  out.landed = out.clients_done < out.clients;
-  return out;
-}
-
-std::string to_json(const ClientCellOutcome& outcome) {
-  std::ostringstream os;
-  os << "{\"pass\":" << (outcome.pass ? "true" : "false")
-     << ",\"clean\":" << (outcome.result.clean ? "true" : "false")
-     << ",\"all_committed\":"
-     << (outcome.result.all_committed ? "true" : "false")
-     << ",\"clients_done\":" << outcome.result.clients_done.size()
-     << ",\"recovered\":" << (outcome.recovered ? "true" : "false")
-     << ",\"accepted\":" << outcome.result.run_stats.client.accepted
-     << ",\"retries\":" << outcome.result.run_stats.client.retries
-     << ",\"failovers\":" << outcome.result.run_stats.client.failovers
-     << ",\"sheds\":" << outcome.result.run_stats.client.sheds
-     << ",\"violations\":[";
-  for (std::size_t i = 0; i < outcome.violations.size(); ++i) {
-    if (i) os << ",";
-    os << '"' << violation_name(outcome.violations[i].kind) << '"';
-  }
-  os << "]}";
-  return os.str();
+bool control_flagged(SmrControl control, const CellOutcome& cell) {
+  const std::vector<std::string> failed = cell.failed_checks();
+  return std::find(failed.begin(), failed.end(),
+                   kControls[static_cast<std::size_t>(control)].trips) !=
+         failed.end();
 }
 
 }  // namespace modubft::adversary

@@ -1,77 +1,87 @@
-// Client-liveness chaos cells: the request/reply path vs live adversaries.
+// The SMR attack cell: the replicated service vs live adversaries.
 //
-// ISSUE 9's client layer has one safety anchor — reply certification
-// (f + 1 byte-identical replies from distinct replicas for the Byzantine
-// backend, a majority for crash) — and one liveness anchor — capped
-// retries with contact failover.  The cells aim attacks at exactly those:
+// The service has two trust anchors — the checkpoint certificate
+// (bft/checkpoint_cert.hpp) behind state transfer, and reply
+// certification (f + 1 byte-identical replies from distinct replicas)
+// behind the client path — plus one liveness anchor: capped retries with
+// contact failover.  The attacks aim at exactly those:
 //
-//   kDropReplies    The attacker replica swallows every REPLY it owes a
-//                   client.  With ≤ f attackers the honest replicas alone
-//                   form a certificate, so every operation still settles;
-//                   a client whose *contact* is the attacker must fail
-//                   over to make progress.
-//   kDelayReplies   The attacker holds its REPLYs in a FIFO and releases
-//                   one per subsequent event, reordering replies across
-//                   operations and crossing them with client retries —
-//                   the duplicate-suppression/replay path under load.
-//   kForgeReplies   The attacker decodes each outgoing REPLY, corrupts
-//                   the value and the claimed slot, re-encodes and sends.
-//                   The forgery is content-checked and tallied by the
-//                   client; it must never reach a certificate (the honest
-//                   replies disagree with it byte-for-byte).
-//   kForgeBodies    The attacker corrupts the VALUE of every CMD_RELAY it
-//                   emits (broadcast and fetch-served alike) while keeping
-//                   the client's signature.  Honest replicas must reject
-//                   the body (the signature no longer covers it) and
-//                   recover the genuine body through the fetch path — the
-//                   owning client re-serves a signed REQUEST — so every
-//                   operation still certifies against the real content.
-//   kPhantomIds     The attacker runs honest code but is preloaded with
-//                   command bodies for FABRICATED client ids: one just
-//                   past a real client's script (refutable only by the
-//                   client's signed SEQ_BOUND / CLIENT_DONE) and one far
-//                   beyond the eligibility window.  Honest replicas must
-//                   skip both deterministically instead of parking the
-//                   commit frontier on bodies that can never authenticate.
+//   forged-checkpoint   The attacker signs CHECKPOINT votes for a digest
+//                       of its own invention (valid signature, fabricated
+//                       claim) and answers STATE_REQs with a wholly
+//                       fabricated snapshot "certified" by its own key.
+//                       With ≤ f attackers the forged certificate never
+//                       reaches 2f+1 distinct signers, so the recovering
+//                       replica must reject it and recover from honest
+//                       responders.
+//   corrupt-state-resp  The attacker stomps a byte window in every
+//                       STATE_RESP body it sends: truncated/spliced
+//                       snapshots, flipped digest bytes, mangled suffix
+//                       entries.  The digest + certificate check must
+//                       reject every such frame without UB.
+//   drop-replies        The attacker swallows every REPLY it owes a
+//                       client.  The honest replicas alone form a
+//                       certificate; a client whose contact is the
+//                       attacker must fail over to make progress.
+//   delay-replies       The attacker holds its REPLYs in a FIFO and
+//                       releases one per subsequent event, reordering
+//                       replies across operations and crossing them with
+//                       client retries — the duplicate-suppression path.
+//   forge-replies       The attacker corrupts the value and the claimed
+//                       slot of every REPLY.  The client tallies the
+//                       forgery; it must never reach a certificate.
+//   forge-bodies        The attacker corrupts the VALUE of every CMD_RELAY
+//                       it emits while keeping the client's signature.
+//                       Honest replicas must reject the body and recover
+//                       the genuine one through the fetch path.
+//   phantom-ids         The attacker runs honest code but is preloaded
+//                       with bodies for FABRICATED client ids: one just
+//                       past a real client's script (refutable only by the
+//                       client's signed SEQ_BOUND / CLIENT_DONE) and one
+//                       far beyond the eligibility window.  Honest
+//                       replicas must skip both instead of parking the
+//                       commit frontier on them.  The clients run open
+//                       loop, so the just-past phantom is eligible early.
 //
-// Every cell also kills and restarts a victim replica mid-run (the
-// attacker is never the victim), so the client layer is exercised across
-// a recovery: replayed replies must come from the restored client table.
+// plus `smr-none`, the kill/restart under client load with no attack.
 //
-// A cell passes iff the run terminates cleanly, every client finishes its
-// script, the victim rejoins via verified state transfer, and the audit
-// finds no kClientReplyMismatch: each client-accepted reply names a
-// command the commit-log reference replica actually committed, at the
-// committed slot, with the committed op/key/value — and no command was
-// applied twice (exactly-once).
+// Every cell has one shape: the Byzantine back-end (W = 4, B = 2,
+// checkpoint every 4 slots) serving 2 clients × 8 operations, with p3
+// killed and restarted mid-run and p2 the attacker.  n, f, seed,
+// substrate and budget come from the campaign; every TCP cell also kills
+// links under the framing layer.  A cell passes iff the run is clean and
+// every slot committed, the stores agree and every client finished, p3
+// recovered, and both audits come back empty: audit_recovered_stores
+// (p3 ends with the correct quorum's store) and audit_client_replies
+// (every accepted reply matches the committed log, exactly once).
 //
-// The negative control runs the harness against a deliberately broken
-// configuration — every replica forges and the clients trust the first
-// reply without certification (trust_first_reply, a switch no correct
-// build sets) — and must flag kClientReplyMismatch.  A harness that
-// cannot catch the planted forgery proves nothing when it reports zero
-// violations elsewhere.
+// The negative controls plant one fault each that a correct build never
+// has, and the check it targets must fail — a harness that cannot catch
+// the planted fault proves nothing when it reports zero violations
+// elsewhere.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "adversary/auditor.hpp"
+#include "adversary/campaign.hpp"
 #include "common/bytes.hpp"
+#include "crypto/sha256.hpp"
+#include "crypto/signature.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
-#include "sim/actor.hpp"
 
 namespace modubft::adversary {
 
-enum class ClientAttackKind : std::uint8_t {
+enum class SmrAttack : std::uint8_t {
   kNone = 0,
+  kForgedCheckpoint,
+  kCorruptStateResp,
   kDropReplies,
   kDelayReplies,
   kForgeReplies,
@@ -79,141 +89,96 @@ enum class ClientAttackKind : std::uint8_t {
   kPhantomIds,
 };
 
-const char* client_attack_name(ClientAttackKind kind);
-
-/// Per-attacker knobs for ClientAttacker.
-struct ClientAttackerConfig {
-  ClientAttackKind kind = ClientAttackKind::kNone;
-  /// Replica count: process ids >= n are clients, the attack surface.
-  std::uint32_t n = 4;
-  /// kDelayReplies: replies held in flight before the oldest is released.
-  std::size_t hold_depth = 3;
+/// One SMR catalog entry, listed next to the consensus catalog.
+struct SmrAttackEntry {
+  SmrAttack kind;
+  const char* name;
+  const char* paper_class;
+  const char* description;
 };
 
-/// Actor decorator that attacks ONLY replies leaving for clients: control
-/// frames of kind kReply addressed to a process id >= n.  All consensus
-/// and replica-to-replica traffic — including relays, fetches and the
-/// recovery channel — passes through untouched, so the wrapped replica
-/// keeps committing correctly and the attack is invisible to everything
-/// but the reply certification it is trying to defeat.
-class ClientAttacker final : public sim::Actor {
- public:
-  ClientAttacker(std::unique_ptr<sim::Actor> inner,
-                 ClientAttackerConfig config);
+/// The SMR family in enum order, baseline first.
+const std::vector<SmrAttackEntry>& smr_attack_catalog();
 
-  void on_start(sim::Context& ctx) override;
-  void on_message(sim::Context& ctx, ProcessId from,
-                  const Bytes& payload) override;
-  void on_timer(sim::Context& ctx, std::uint64_t timer_id) override;
+/// Finds an SMR attack by campaign name.
+std::optional<SmrAttack> find_smr_attack(const std::string& name);
 
- private:
-  class AttackContext;
+/// True iff the cell fits a group of size n with resilience f: its one
+/// attacker needs f ≥ 1, and the Byzantine back-end n ≥ 3f + 1.
+bool smr_cell_fits(std::uint32_t n, std::uint32_t f);
 
-  /// Attack hook for one outgoing frame.  Returns true if the frame was
-  /// consumed (dropped or queued); false = send it unchanged.  `payload`
-  /// may be mutated in place (forgery).
-  bool intercept(sim::Context& ctx, ProcessId to, Bytes& payload);
+/// The digest a forging attacker votes for at `slot` — deterministic so a
+/// coalition of forgers endorses one consistent lie (the strongest form of
+/// the attack: inconsistent forgeries can never share a certificate).
+crypto::Digest forged_checkpoint_digest(std::uint64_t slot);
 
-  /// kForgeBodies: corrupt a CMD_RELAY's value in place, keeping the
-  /// client signature.  Returns true if the frame was mutated.
-  bool forge_body(Bytes& payload);
+/// A complete fabricated STATE_RESP control frame: a snapshot that exists
+/// on no correct replica, claimed at `claim_slot`, "certified" by the
+/// coalition's signatures.  Exposed for the unit tests, which feed it to
+/// RecoveryModule directly and assert rejection.
+Bytes forged_state_resp(std::uint64_t claim_slot,
+                        const std::vector<const crypto::Signer*>& coalition);
 
-  /// kDelayReplies: release the oldest held reply, if any.
-  void release_one(sim::Context& ctx);
-
-  std::unique_ptr<sim::Actor> inner_;
-  ClientAttackerConfig config_;
-  std::deque<std::pair<ProcessId, Bytes>> held_;
-};
-
-// ---------------------------------------------------------------- cells
-
-struct ClientCellConfig {
-  ClientAttackKind attack = ClientAttackKind::kNone;
-  runtime::Backend substrate = runtime::Backend::kSim;
-  smr::Backend backend = smr::Backend::kByzantine;
-  std::uint64_t seed = 1;
-  std::uint32_t n = 4;
-  std::uint32_t f = 1;
-  std::uint32_t clients = 2;
-  std::uint32_t ops_per_client = 8;
-  /// Open-loop client arrival (kPhantomIds uses it: the wide eligibility
-  /// window lets the just-past-script phantom park the frontier, forcing
-  /// the SEQ_BOUND refutation path instead of a silent window skip).
-  bool open_loop = false;
-  std::uint32_t window = 4;
-  std::uint32_t batch = 2;
-  std::uint64_t checkpoint_interval = 4;
-  /// The replica killed and restarted mid-run.
-  std::uint32_t victim = 2;
-  /// Replicas running the attack (must exclude the victim; ≤ f for a
-  /// sound cell).
-  std::set<std::uint32_t> attackers{1};
-  /// Kill/restart instants (µs); 0 = substrate-appropriate default.
-  SimTime kill_at = 0;
-  SimTime restart_at = 0;
-  /// kTcp only: also inject link kills under the framing layer.
-  bool link_chaos = false;
-  std::chrono::milliseconds budget{20'000};
-};
-
-struct ClientCellOutcome {
+/// One SMR cell or control: the campaign record plus the run it was
+/// judged on (tests assert the attack's counters on it).
+struct SmrCellOutcome {
+  CellOutcome cell;
   faults::SmrScenarioResult result;
-  std::vector<Violation> violations;
-  /// Every client certified its whole script (CLIENT_DONE observed).
-  bool all_clients_done = false;
-  /// The victim rejoined via verified state transfer.
-  bool recovered = false;
-  /// clean ∧ all slots committed ∧ stores agree ∧ clients done ∧
-  /// recovered ∧ zero violations.
-  bool pass = false;
-  std::string detail;
 };
 
-ClientCellOutcome run_client_cell(const ClientCellConfig& config);
+SmrCellOutcome run_smr_cell(std::uint32_t n, std::uint32_t f,
+                            SmrAttack attack, runtime::Backend substrate,
+                            std::uint64_t seed,
+                            std::chrono::milliseconds budget);
 
-/// Reply audit behind every cell: each accepted reply must name a command
-/// the commit-log witness committed, at that slot, with that op/key/value,
-/// and the witness must never have applied a command twice.  Returns
+/// Store audit: each restarted replica must (a) have installed verified
+/// state and (b) end with the store that at least `quorum` correct
+/// replicas share.  `expected` overrides the quorum store (the
+/// unverified-install control supplies an honest baseline, since in that
+/// configuration no correct quorum exists to vote).  Returns
+/// kRecoveredStoreMismatch violations; empty = invariant holds (always,
+/// when nothing restarted).
+std::vector<Violation> audit_recovered_stores(
+    const faults::SmrScenarioResult& result,
+    const std::set<std::uint32_t>& restarted, std::uint32_t quorum,
+    const std::map<std::string, std::string>* expected = nullptr);
+
+/// Reply audit: each accepted reply must name a command the commit-log
+/// witness committed, at that slot, with that op/key/value, and the
+/// witness must never have applied a command twice.  Returns
 /// kClientReplyMismatch violations; empty = exactly-once linearization of
 /// everything the clients believe happened.
 std::vector<Violation> audit_client_replies(
     const faults::SmrScenarioResult& result);
 
-// ----------------------------------------------------------- control
+// ----------------------------------------------------------- controls
 
-struct ClientControlOutcome {
-  /// The planted forgery was flagged (the harness works).
-  bool flagged = false;
-  std::vector<Violation> violations;
-  /// Replies the clients accepted in the broken configuration.
-  std::uint64_t accepted = 0;
+enum class SmrControl : std::uint8_t {
+  /// Every peer of p3 runs forged-checkpoint and p3 installs the first
+  /// STATE_RESP without verification; the store audit (against an honest
+  /// baseline run) must flag the fabricated store.
+  kUnverifiedInstall = 0,
+  /// Every replica runs forge-replies and the clients trust the first
+  /// reply without certification; the reply audit must flag the
+  /// accepted forgeries.
+  kTrustFirstReply,
+  /// p2 runs forge-bodies with client authentication forced off; the
+  /// corrupted body commits and its owner can never certify, so some
+  /// client must fail to finish.
+  kUnauthenticatedBodies,
 };
 
-/// Negative control for the client audit: every replica forges its
-/// replies and the clients trust the first reply without certification.
-/// audit_client_replies must flag the accepted forgeries.
-ClientControlOutcome run_client_negative_control(std::uint64_t seed,
-                                                 runtime::Backend substrate);
+inline constexpr SmrControl kSmrControls[] = {
+    SmrControl::kUnverifiedInstall, SmrControl::kTrustFirstReply,
+    SmrControl::kUnauthenticatedBodies};
 
-struct ClientBodyControlOutcome {
-  /// The body forgery landed: some client could not finish its script
-  /// (the corrupted body committed and its replies can never certify).
-  bool landed = false;
-  std::uint64_t clients_done = 0;
-  std::uint64_t clients = 0;
-  std::uint64_t mismatched_replies = 0;
-};
+const char* smr_control_name(SmrControl control);
 
-/// Negative control for body authentication: one replica forges relay
-/// bodies (kForgeBodies) with client authentication FORCED OFF.  The
-/// first-write-wins relay ingest then stores the corrupted body, commits
-/// it, and the owning client can never certify — proving the signature
-/// check is the load-bearing defence, not an accident of the harness.
-ClientBodyControlOutcome run_client_body_control(std::uint64_t seed,
-                                                 runtime::Backend substrate);
+/// Runs one planted fault on the simulator and judges it like a cell.
+SmrCellOutcome run_smr_control(SmrControl control, std::uint32_t n,
+                               std::uint32_t f, std::uint64_t seed);
 
-/// One-line JSON rendering for logs and campaign reports.
-std::string to_json(const ClientCellOutcome& outcome);
+/// True iff the check `control` plants its fault against failed.
+bool control_flagged(SmrControl control, const CellOutcome& cell);
 
 }  // namespace modubft::adversary

@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/attack.hpp"
 #include "adversary/auditor.hpp"
 #include "adversary/campaign.hpp"
+#include "adversary/client_campaign.hpp"
 #include "faults/scenario.hpp"
 
 namespace modubft {
@@ -53,11 +55,7 @@ TEST(AttackCatalog, CoversTheTaxonomyAndFits) {
 // ------------------------------------------------------------ audited grid
 
 void expect_cell_passes(const CellOutcome& cell) {
-  EXPECT_TRUE(cell.pass)
-      << cell.attack << " on " << runtime::backend_name(cell.substrate)
-      << " seed " << cell.seed << ": termination=" << cell.termination
-      << " agreement=" << cell.agreement << " audit="
-      << adversary::to_json(cell.audit);
+  EXPECT_TRUE(cell.pass()) << adversary::to_json(cell);
 }
 
 TEST(AdversaryCampaign, SimGridHoldsEveryInvariant) {
@@ -67,9 +65,38 @@ TEST(AdversaryCampaign, SimGridHoldsEveryInvariant) {
   cfg.seeds = 3;
   cfg.negative_control = false;
   const adversary::CampaignReport report = adversary::run_campaign(cfg);
-  EXPECT_GE(report.cells_run, 60u);  // full catalog × 3 seeds
+  EXPECT_GE(report.cells_run, 60u);  // full catalogs × 3 seeds
   for (const CellOutcome& cell : report.cells) expect_cell_passes(cell);
   EXPECT_TRUE(report.ok);
+  // The SMR family rides the same sweep: every one of its attacks, per seed.
+  const std::size_t smr_cells = std::count_if(
+      report.cells.begin(), report.cells.end(), [](const CellOutcome& c) {
+        return adversary::find_smr_attack(c.attack).has_value();
+      });
+  EXPECT_EQ(smr_cells, 3 * adversary::smr_attack_catalog().size());
+}
+
+TEST(AdversaryCampaign, UnknownAttacksAndEmptyGridsFail) {
+  // A typo must not shrink the campaign silently to the names it knows.
+  adversary::CampaignConfig cfg;
+  cfg.attacks = {"equivocat"};
+  cfg.negative_control = false;
+  EXPECT_THROW(adversary::run_campaign(cfg), std::invalid_argument);
+  cfg.attacks = {"equivocate", "drop-replie"};
+  EXPECT_THROW(adversary::run_campaign(cfg), std::invalid_argument);
+  // Zero cells prove nothing, so they are not ok.
+  cfg.attacks = {"equivocate"};
+  cfg.seeds = 0;
+  const adversary::CampaignReport report = adversary::run_campaign(cfg);
+  EXPECT_EQ(report.cells_run, 0u);
+  EXPECT_FALSE(report.ok);
+  // No attack of either family fits f = 0.
+  cfg.f = 0;
+  cfg.seeds = 1;
+  cfg.attacks.clear();
+  EXPECT_EQ(adversary::run_campaign(cfg).cells_run, 0u);
+  cfg.attacks = {"drop-replies"};
+  EXPECT_THROW(adversary::run_campaign(cfg), std::invalid_argument);
 }
 
 TEST(AdversaryCampaign, ThreadedSubstrateGrid) {
@@ -78,11 +105,11 @@ TEST(AdversaryCampaign, ThreadedSubstrateGrid) {
   cfg.f = 1;
   cfg.seeds = 2;
   cfg.attacks = {"none", "crash", "equivocate", "truncate-cert", "fuzz-storm",
-                 "split-brain"};
+                 "split-brain", "forged-checkpoint"};
   cfg.substrates = {runtime::Backend::kThreads};
   cfg.negative_control = false;
   const adversary::CampaignReport report = adversary::run_campaign(cfg);
-  EXPECT_EQ(report.cells_run, 12u);
+  EXPECT_EQ(report.cells_run, 14u);
   for (const CellOutcome& cell : report.cells) expect_cell_passes(cell);
 }
 
@@ -123,10 +150,11 @@ TEST(AdversaryCampaign, EquivocationIsObservedOnTheWire) {
       adversary::run_attack_cell(4, 1, *attack, runtime::Backend::kSim, 1,
                                  std::chrono::milliseconds(20'000));
   expect_cell_passes(cell);
-  EXPECT_GE(cell.audit.stats.equivocations, 1u);
+  ASSERT_TRUE(cell.audit.has_value());
+  EXPECT_GE(cell.audit->equivocations, 1u);
 }
 
-// ------------------------------------------------------- negative control
+// ------------------------------------------------------ negative controls
 
 TEST(AdversaryCampaign, NegativeControlIsFlagged) {
   const adversary::AuditReport audit =
@@ -140,6 +168,24 @@ TEST(AdversaryCampaign, NegativeControlIsFlagged) {
   };
   EXPECT_TRUE(has(adversary::ViolationKind::kDisagreement));
   EXPECT_TRUE(has(adversary::ViolationKind::kUncertifiedDecision));
+}
+
+TEST(AdversaryCampaign, ReportListsEveryControlFlagged) {
+  // The broken protocol double plus the three planted SMR faults; ok
+  // requires each one flagged.
+  adversary::CampaignConfig cfg;
+  cfg.attacks = {"none"};
+  const adversary::CampaignReport report = adversary::run_campaign(cfg);
+  std::vector<std::string> names;
+  for (const adversary::ControlOutcome& c : report.controls) {
+    names.push_back(c.name);
+    EXPECT_TRUE(c.flagged) << c.name;
+    EXPECT_FALSE(c.findings.empty()) << c.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "broken-consensus", "unverified-install",
+                       "trust-first-reply", "unauthenticated-bodies"}));
+  EXPECT_TRUE(report.ok);
 }
 
 // ------------------------------------------------------------ minimization

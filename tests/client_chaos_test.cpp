@@ -1,12 +1,15 @@
-// Client chaos campaign (ISSUE 9): the request/reply path under live
-// adversaries, replica kill/restart, and (on TCP) link faults — see
-// adversary/client_campaign.hpp for the attack taxonomy.
+// SMR attack cells (adversary/client_campaign.hpp): the client
+// request/reply path under live adversaries, with p3 killed and restarted
+// mid-run under client load and, on TCP, link faults — see the header for
+// the attack taxonomy.  The recover-under-attack cells of the same family
+// are in recovery_attack_test.cpp.
 //
-// Every cell asserts full liveness (every client certifies its whole
-// script, the victim rejoins via verified state transfer) plus the
-// exactly-once audit (every accepted reply matches the committed log, no
-// command applied twice).  The negative control proves the audit works:
-// universal forgery + uncritical clients MUST be flagged.
+// Every cell asserts the one pass rule: a clean run with every slot
+// committed, agreeing stores, every client finished, p3 rejoined via
+// verified state transfer, and both audits empty — the recovered store
+// matches the correct quorum's, and every accepted reply matches the
+// committed log exactly once.  The negative controls prove the audits
+// work: each planted fault MUST trip the check it targets.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,43 +19,37 @@
 namespace modubft::adversary {
 namespace {
 
-ClientCellConfig cell(ClientAttackKind attack, runtime::Backend substrate,
-                      std::uint64_t seed) {
-  ClientCellConfig config;
-  config.attack = attack;
-  config.substrate = substrate;
-  config.seed = seed;
-  if (substrate != runtime::Backend::kSim) {
-    config.budget = std::chrono::milliseconds(60'000);
-  }
-  return config;
+SmrCellOutcome cell(SmrAttack attack, runtime::Backend substrate,
+                    std::uint64_t seed) {
+  const std::chrono::milliseconds budget(
+      substrate == runtime::Backend::kSim ? 20'000 : 60'000);
+  return run_smr_cell(4, 1, attack, substrate, seed, budget);
 }
 
 // ------------------------------------------------------------- simulator
 
 TEST(ClientChaos, SimNoAttackBaseline) {
-  const ClientCellOutcome out =
-      run_client_cell(cell(ClientAttackKind::kNone, runtime::Backend::kSim, 3));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out = cell(SmrAttack::kNone, runtime::Backend::kSim, 3);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, SimDroppedRepliesForceRetryAndFailover) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kDropReplies, runtime::Backend::kSim, 5));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kDropReplies, runtime::Backend::kSim, 5);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, SimDelayedRepliesCrossRetriesWithoutDuplication) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kDelayReplies, runtime::Backend::kSim, 7));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kDelayReplies, runtime::Backend::kSim, 7);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
   EXPECT_EQ(out.result.commit_log_duplicates, 0u);
 }
 
 TEST(ClientChaos, SimForgedRepliesNeverCertify) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kForgeReplies, runtime::Backend::kSim, 9));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kForgeReplies, runtime::Backend::kSim, 9);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
   // The clients saw the forgeries and rejected them at the content check;
   // none survived into an accepted reply (pass already implies the audit
   // came back clean).
@@ -64,9 +61,9 @@ TEST(ClientChaos, SimForgedBodiesRejectedAndRecoveredViaFetch) {
   // client's signature.  Honest replicas must refuse the body (the
   // signature check) and recover the genuine bytes through the fetch
   // path, so every operation still certifies against the real content.
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kForgeBodies, runtime::Backend::kSim, 21));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kForgeBodies, runtime::Backend::kSim, 21);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
   EXPECT_GT(out.result.run_stats.client.auth_rejects, 0u)
       << "no forged body was ever rejected — the attack did not bite";
   // The genuine bodies came back through the fetch path: parked replicas
@@ -79,13 +76,12 @@ TEST(ClientChaos, SimPhantomIdsAreSkippedNotParkedOn) {
   // Honest replicas must skip them deterministically — by the eligibility
   // window for the far-future id, by the client's signed SEQ_BOUND /
   // CLIENT_DONE for the one just past the script — instead of parking the
-  // commit frontier on a fetch that can never be answered.
-  ClientCellConfig config =
-      cell(ClientAttackKind::kPhantomIds, runtime::Backend::kSim, 23);
-  config.open_loop = true;  // wide window: the just-past phantom is
-                            // eligible early, forcing the refutation path
-  const ClientCellOutcome out = run_client_cell(config);
-  EXPECT_TRUE(out.pass) << out.detail;
+  // commit frontier on a fetch that can never be answered.  The cell runs
+  // its clients open loop: the wide window makes the just-past phantom
+  // eligible early, forcing the refutation path.
+  const SmrCellOutcome out =
+      cell(SmrAttack::kPhantomIds, runtime::Backend::kSim, 23);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
   const runtime::ClientSummary& cs = out.result.run_stats.client;
   EXPECT_GT(cs.ineligible_skips, 0u)
       << "no decided id was ever skipped — the phantoms never decided";
@@ -95,25 +91,29 @@ TEST(ClientChaos, SimPhantomIdsAreSkippedNotParkedOn) {
 }
 
 TEST(ClientChaos, SimDeterministicRerun) {
-  const ClientCellConfig config =
-      cell(ClientAttackKind::kDropReplies, runtime::Backend::kSim, 11);
-  const ClientCellOutcome a = run_client_cell(config);
-  const ClientCellOutcome b = run_client_cell(config);
-  EXPECT_TRUE(a.pass) << a.detail;
+  const SmrCellOutcome a =
+      cell(SmrAttack::kDropReplies, runtime::Backend::kSim, 11);
+  const SmrCellOutcome b =
+      cell(SmrAttack::kDropReplies, runtime::Backend::kSim, 11);
+  EXPECT_TRUE(a.cell.pass()) << to_json(a.cell);
   EXPECT_EQ(a.result.stores, b.result.stores);
   EXPECT_EQ(a.result.commit_log, b.result.commit_log);
   EXPECT_EQ(a.result.run_stats.client.accepted,
             b.result.run_stats.client.accepted);
 }
 
-// ------------------------------------------------------- negative control
+// ------------------------------------------------------ negative controls
 
 TEST(ClientChaos, NegativeControlFlagsAcceptedForgeries) {
-  const ClientControlOutcome out =
-      run_client_negative_control(3, runtime::Backend::kSim);
-  EXPECT_GT(out.accepted, 0u)
+  const SmrCellOutcome out =
+      run_smr_control(SmrControl::kTrustFirstReply, 4, 1, 3);
+  std::uint64_t accepted = 0;
+  for (const auto& [pid, replies] : out.result.client_accepted) {
+    accepted += replies.size();
+  }
+  EXPECT_GT(accepted, 0u)
       << "the broken clients accepted nothing — the control proves nothing";
-  EXPECT_TRUE(out.flagged)
+  EXPECT_TRUE(control_flagged(SmrControl::kTrustFirstReply, out.cell))
       << "universal forgery + trust-first-reply was not flagged; the "
          "client audit cannot catch the violation it exists for";
 }
@@ -123,47 +123,45 @@ TEST(ClientChaos, BodyAuthNegativeControl) {
   // wins first-write-wins ingest, commits, and the owning client can
   // never certify.  If this configuration still passed, the signature
   // check above would be decoration, not defence.
-  const ClientBodyControlOutcome out =
-      run_client_body_control(25, runtime::Backend::kSim);
-  EXPECT_TRUE(out.landed)
+  const SmrCellOutcome out =
+      run_smr_control(SmrControl::kUnauthenticatedBodies, 4, 1, 25);
+  EXPECT_TRUE(control_flagged(SmrControl::kUnauthenticatedBodies, out.cell))
       << "unauthenticated body forgery did not wedge any client ("
-      << out.clients_done << "/" << out.clients
-      << " finished) — the auth check is not load-bearing";
-  EXPECT_GT(out.mismatched_replies, 0u);
+      << out.result.clients_done.size()
+      << "/2 finished) — the auth check is not load-bearing";
+  EXPECT_GT(out.result.run_stats.client.mismatched_replies, 0u);
 }
 
 // ------------------------------------------------- wall-clock substrates
 
 TEST(ClientChaos, ThreadsDroppedReplies) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kDropReplies, runtime::Backend::kThreads, 13));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kDropReplies, runtime::Backend::kThreads, 13);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, ThreadsForgedReplies) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kForgeReplies, runtime::Backend::kThreads, 15));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kForgeReplies, runtime::Backend::kThreads, 15);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, ThreadsForgedBodies) {
-  const ClientCellOutcome out = run_client_cell(
-      cell(ClientAttackKind::kForgeBodies, runtime::Backend::kThreads, 27));
-  EXPECT_TRUE(out.pass) << out.detail;
+  const SmrCellOutcome out =
+      cell(SmrAttack::kForgeBodies, runtime::Backend::kThreads, 27);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, TcpForgedRepliesUnderLinkChaos) {
-  ClientCellConfig config =
-      cell(ClientAttackKind::kForgeReplies, runtime::Backend::kTcp, 17);
-  config.link_chaos = true;
-  const ClientCellOutcome out = run_client_cell(config);
-  EXPECT_TRUE(out.pass) << out.detail;
+  // Every TCP cell kills links under the framing layer.
+  const SmrCellOutcome out =
+      cell(SmrAttack::kForgeReplies, runtime::Backend::kTcp, 17);
+  EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);
 }
 
 TEST(ClientChaos, CellReportRendersJson) {
-  const ClientCellOutcome out =
-      run_client_cell(cell(ClientAttackKind::kNone, runtime::Backend::kSim, 19));
-  const std::string json = to_json(out);
+  const SmrCellOutcome out = cell(SmrAttack::kNone, runtime::Backend::kSim, 19);
+  const std::string json = to_json(out.cell);
   EXPECT_NE(json.find("\"pass\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"violations\":[]"), std::string::npos) << json;
 }

@@ -16,7 +16,7 @@
 #include <set>
 #include <string>
 
-#include "adversary/recovery_campaign.hpp"
+#include "adversary/client_campaign.hpp"
 #include "bft/checkpoint_cert.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"

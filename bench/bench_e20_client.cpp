@@ -16,10 +16,13 @@
 //     (clients back off and retry until the queue drains).
 //
 // Every cell is audited: all clients certify their whole script and every
-// accepted reply matches the committed log (audit_client_replies).
+// accepted reply matches the committed log (audit_client_replies).  The
+// report records nproc and the build type next to the rows.
 //
 // Usage: bench_e20_client [--out FILE] [--clients N] [--ops N]
 //                         [--budget-ms MS]
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -211,6 +214,9 @@ int main(int argc, char** argv) {
       .field("batch", static_cast<std::uint64_t>(kBatch))
       .field("overload_max_pending",
              static_cast<std::uint64_t>(kOverloadPending))
+      .field("nproc", static_cast<std::uint64_t>(
+                          sysconf(_SC_NPROCESSORS_ONLN)))
+      .field("build_type", MODUBFT_BUILD_TYPE)
       .field("shedding_proved", shedding_proved)
       .field("all_ok", all_ok);
   report.raw("rows", rows.str());

@@ -17,10 +17,14 @@
 # attacker-controlled bytes, exactly where an out-of-bounds read would
 # hide from the happy-path tests.
 #
-# The TSan pass covers the wall-clock substrates (threaded Cluster and
-# TcpCluster): tests labelled `threads` or `tcp` — mailboxes, the
-# delivery tap, Stats accumulation, reconnect threads — where a data race
-# would not crash but would silently corrupt an experiment.  The SMR
+# The TSan pass covers the wall-clock substrates — one node runtime
+# (transport::Cluster) over two wires, in-memory mailbox pushes and
+# TcpCluster's sockets: tests labelled `threads` or `tcp` — mailboxes,
+# the delivery tap, Stats accumulation, the TCP receive loops handing
+# frames to node mailboxes through Cluster::deliver, reconnect threads —
+# where a data race would not crash but would silently corrupt an
+# experiment.  wallclock_runtime_test runs the straggler audit and a
+# kill/restart handoff once per wire.  The SMR
 # pipeline added two more customers under the `threads` label:
 # verify_pool_test (concurrent verify_all callers hammering one
 # crypto::VerifyPool and a shared CachingVerifier) and smr_pipeline_test

@@ -109,8 +109,8 @@ struct FaultSpec {
 /// starts, `who` halts silently.  Each runtime adapter translates the
 /// instant into its own clock domain — simulated time on sim::Simulation,
 /// wall-clock-after-epoch on the threaded and TCP clusters — so one spec
-/// drives sim::Simulation::crash_at, Cluster::crash_after and
-/// TcpCluster::crash_after alike.
+/// drives sim::Simulation::crash_at and Cluster::crash_after (threads and
+/// TCP) alike.
 struct CrashSpec {
   ProcessId who;
   /// Microseconds from run start (substrate clock domain).

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "transport/cluster.hpp"
 #include "transport/link_faults.hpp"
 
 namespace modubft::runtime {
@@ -101,20 +100,32 @@ class SimSubstrate final : public Substrate {
   std::set<std::uint32_t> crash_scheduled_;
 };
 
-// ------------------------------------------------------------- kThreads
+// ------------------------------------------------------ kThreads / kTcp
 
-class ThreadSubstrate final : public Substrate {
+/// Both wall-clock backends run transport::Cluster's node runtime; kTcp
+/// only swaps in TcpCluster's wire and reads its socket counters.
+class WallClockSubstrate final : public Substrate {
  public:
-  explicit ThreadSubstrate(SubstrateConfig config)
+  explicit WallClockSubstrate(SubstrateConfig config)
       : config_(std::move(config)) {
-    transport::ClusterConfig cluster_cfg;
-    cluster_cfg.n = config_.n;
-    cluster_cfg.seed = config_.seed;
-    cluster_cfg.budget = config_.budget;
-    cluster_ = std::make_unique<transport::Cluster>(cluster_cfg);
+    transport::TcpClusterConfig cfg;
+    cfg.n = config_.n;
+    cfg.seed = config_.seed;
+    cfg.budget = config_.budget;
+    if (config_.backend != Backend::kTcp) {
+      // The in-memory wire takes the ClusterConfig part only.
+      cluster_ = std::make_unique<transport::Cluster>(cfg);
+      return;
+    }
+    if (!config_.link_faults.empty()) {
+      cfg.faults = transport::LinkFaultPlan(config_.link_faults, config_.seed);
+    }
+    auto tcp = std::make_unique<transport::TcpCluster>(std::move(cfg));
+    tcp_ = tcp.get();
+    cluster_ = std::move(tcp);
   }
 
-  Backend backend() const override { return Backend::kThreads; }
+  Backend backend() const override { return config_.backend; }
   std::uint32_t n() const override { return config_.n; }
 
   void set_actor(ProcessId id, std::unique_ptr<sim::Actor> actor) override {
@@ -148,74 +159,18 @@ class ThreadSubstrate final : public Substrate {
     result.stats.net = cluster_->stats();
     result.stats.wall_us =
         static_cast<std::uint64_t>(cluster_->elapsed().count());
+    if (tcp_ != nullptr) {
+      result.stats.wire_frames = tcp_->frames_sent();
+      result.stats.wire_bytes = tcp_->bytes_sent();
+      result.stats.link = tcp_->link_stats();
+    }
     return result;
   }
 
  private:
   SubstrateConfig config_;
   std::unique_ptr<transport::Cluster> cluster_;
-};
-
-// ----------------------------------------------------------------- kTcp
-
-class TcpSubstrate final : public Substrate {
- public:
-  explicit TcpSubstrate(SubstrateConfig config) : config_(std::move(config)) {
-    transport::TcpClusterConfig cluster_cfg;
-    cluster_cfg.n = config_.n;
-    cluster_cfg.seed = config_.seed;
-    cluster_cfg.budget = config_.budget;
-    cluster_cfg.retry = config_.retry;
-    if (!config_.link_faults.empty()) {
-      cluster_cfg.faults =
-          transport::LinkFaultPlan(config_.link_faults, config_.seed);
-    }
-    cluster_ = std::make_unique<transport::TcpCluster>(cluster_cfg);
-  }
-
-  Backend backend() const override { return Backend::kTcp; }
-  std::uint32_t n() const override { return config_.n; }
-
-  void set_actor(ProcessId id, std::unique_ptr<sim::Actor> actor) override {
-    cluster_->set_actor(id, std::move(actor));
-  }
-
-  void crash(const faults::CrashSpec& spec) override {
-    cluster_->crash_after(spec.who, std::chrono::microseconds(spec.at));
-  }
-
-  void restart(const faults::CrashSpec& spec,
-               std::function<std::unique_ptr<sim::Actor>()> factory) override {
-    MODUBFT_EXPECTS(spec.restart_at.has_value());
-    cluster_->set_restart(spec.who, std::chrono::microseconds(*spec.restart_at),
-                          std::move(factory));
-  }
-
-  void set_delivery_tap(
-      std::function<void(const sim::Delivery&)> tap) override {
-    cluster_->set_delivery_tap(std::move(tap));
-  }
-
-  RunResult run() override {
-    const WallClock::time_point start = WallClock::now();
-    const bool all_stopped = cluster_->run();
-
-    RunResult result;
-    result.outcome =
-        all_stopped ? RunOutcome::kAllStopped : RunOutcome::kBudgetExpired;
-    result.clean = all_stopped;
-    result.unstopped = cluster_->unstopped();
-    result.stats.net = cluster_->stats();
-    result.stats.wall_us = wall_us_since(start);
-    result.stats.wire_frames = cluster_->frames_sent();
-    result.stats.wire_bytes = cluster_->bytes_sent();
-    result.stats.link = cluster_->link_stats();
-    return result;
-  }
-
- private:
-  SubstrateConfig config_;
-  std::unique_ptr<transport::TcpCluster> cluster_;
+  transport::TcpCluster* tcp_ = nullptr;  // cluster_ itself on kTcp
 };
 
 }  // namespace
@@ -341,9 +296,8 @@ std::unique_ptr<Substrate> make_substrate(SubstrateConfig config) {
     case Backend::kSim:
       return std::make_unique<SimSubstrate>(std::move(config));
     case Backend::kThreads:
-      return std::make_unique<ThreadSubstrate>(std::move(config));
     case Backend::kTcp:
-      return std::make_unique<TcpSubstrate>(std::move(config));
+      return std::make_unique<WallClockSubstrate>(std::move(config));
   }
   MODUBFT_EXPECTS(false);
   return nullptr;

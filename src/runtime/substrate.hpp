@@ -6,8 +6,9 @@
 //   * kSim     — sim::Simulation: deterministic event queue, virtual time;
 //   * kThreads — transport::Cluster: one OS thread per process, in-memory
 //                MPSC mailboxes, wall clock;
-//   * kTcp     — transport::TcpCluster: loopback sockets, resilient
-//                framed channels, optional link-fault injection —
+//   * kTcp     — the same node runtime over transport::TcpCluster's wire:
+//                loopback sockets, resilient framed channels, optional
+//                link-fault injection —
 // behind one interface: install actors, schedule crashes (CrashSpec),
 // observe deliveries, run to completion, and read back a unified
 // RunResult.  Scenario runners (faults/scenario.hpp) target this interface
@@ -28,7 +29,6 @@
 #include "faults/link_fault.hpp"
 #include "sim/actor.hpp"
 #include "sim/simulation.hpp"
-#include "transport/resilient_channel.hpp"
 #include "transport/tcp_cluster.hpp"
 
 namespace modubft::runtime {
@@ -179,7 +179,10 @@ struct RunStats {
   sim::Stats net;
   /// Virtual end time (sim) — 0 on the wall-clock backends.
   SimTime virtual_time = 0;
-  /// Wall-clock run duration in µs (measured on every backend).
+  /// Wall-clock run duration in µs (measured on every backend): the whole
+  /// event loop on kSim; on kThreads/kTcp transport::Cluster::elapsed(),
+  /// from the epoch until every node thread joined — opening and closing
+  /// the TCP wire is outside it.
   std::uint64_t wall_us = 0;
   /// kTcp only: frames/bytes actually written to sockets (retransmits
   /// included) — the wire-amplification companions to net.bytes_sent.
@@ -230,8 +233,6 @@ struct SubstrateConfig {
   // --- kTcp ---
   /// Link faults injected below the framing layer (empty = healthy).
   std::vector<faults::LinkFaultSpec> link_faults;
-  /// Reconnect / retransmit / timeout policy applied to every link.
-  transport::RetryPolicy retry;
 };
 
 /// One runtime behind the uniform harness interface.  Usage mirrors the

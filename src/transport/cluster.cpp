@@ -13,7 +13,12 @@ namespace modubft::transport {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-}
+
+struct TimerEntry {
+  Clock::time_point due;
+  std::uint64_t id;
+};
+}  // namespace
 
 struct Cluster::Node {
   ProcessId id;
@@ -36,8 +41,6 @@ struct Cluster::Node {
   std::function<std::unique_ptr<sim::Actor>()> restart_factory;
   bool crash_scheduled = false;
   bool restart_scheduled = false;
-
-  Cluster* cluster = nullptr;
 };
 
 /// Context bound to one callback execution on the node thread.
@@ -60,19 +63,20 @@ class Cluster::NodeContext final : public sim::Context {
     cluster_.stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     cluster_.stats_.bytes_sent.fetch_add(payload.size(),
                                          std::memory_order_relaxed);
-    cluster_.nodes_[to.value]->mailbox.push(
-        Envelope{node_.id, std::move(payload), cluster_.since_epoch()});
+    if (to == node_.id) {
+      cluster_.deliver(node_.id, to, std::move(payload));
+    } else {
+      cluster_.transmit(node_.id, to, std::move(payload));
+    }
   }
 
   void broadcast(const Bytes& payload) override {
-    const SimTime sent_at = cluster_.since_epoch();
     cluster_.stats_.messages_sent.fetch_add(cluster_.config_.n,
                                             std::memory_order_relaxed);
     cluster_.stats_.bytes_sent.fetch_add(
         payload.size() * cluster_.config_.n, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < cluster_.config_.n; ++i) {
-      cluster_.nodes_[i]->mailbox.push(Envelope{node_.id, payload, sent_at});
-    }
+    cluster_.deliver(node_.id, node_.id, payload);
+    cluster_.transmit_to_peers(node_.id, payload);
   }
 
   std::uint64_t set_timer(SimTime delay) override {
@@ -103,16 +107,19 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
     auto node = std::make_unique<Node>();
     node->id = ProcessId{i};
     node->rng = std::make_unique<Rng>(root.split(i + 1));
-    node->cluster = this;
     nodes_.push_back(std::move(node));
   }
 }
 
-Cluster::~Cluster() {
-  for (auto& node : nodes_) node->mailbox.close();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
+Cluster::~Cluster() { stop_nodes(); }
+
+void Cluster::stop_nodes() {
+  for (auto& node : nodes_) {
+    node->stop_requested.store(true);
+    node->mailbox.close();
   }
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
 }
 
 void Cluster::set_actor(ProcessId id, std::unique_ptr<sim::Actor> actor) {
@@ -146,6 +153,21 @@ void Cluster::set_restart(ProcessId id, std::chrono::microseconds after,
 void Cluster::set_delivery_tap(std::function<void(const sim::Delivery&)> tap) {
   MODUBFT_EXPECTS(!ran_);
   tap_ = std::move(tap);
+}
+
+void Cluster::transmit(ProcessId from, ProcessId to, Bytes payload) {
+  deliver(from, to, std::move(payload));
+}
+
+void Cluster::transmit_to_peers(ProcessId from, const Bytes& payload) {
+  for (std::uint32_t j = 0; j < config_.n; ++j) {
+    if (j != from.value) deliver(from, ProcessId{j}, payload);
+  }
+}
+
+void Cluster::deliver(ProcessId from, ProcessId to, Bytes payload) {
+  nodes_[to.value]->mailbox.push(
+      Envelope{from, std::move(payload), since_epoch()});
 }
 
 SimTime Cluster::since_epoch() const {
@@ -196,7 +218,7 @@ void Cluster::node_pump(Node& node, NodeContext& ctx) {
     }
 
     std::vector<Envelope> drained = node.mailbox.drain_until(
-        deadline, std::max<std::size_t>(1, config_.max_batch));
+        deadline, kMaxBatch);
     if (node.stop_requested.load()) break;
     if (node.crash_at.has_value() && Clock::now() >= *node.crash_at) break;
 
@@ -284,6 +306,7 @@ bool Cluster::run() {
   ran_ = true;
   for (auto& node : nodes_) MODUBFT_EXPECTS(node->actor != nullptr);
 
+  open_wire();
   epoch_ = Clock::now();
   // Rebase crash/restart deadlines onto the epoch.
   for (auto& node : nodes_) {
@@ -327,15 +350,10 @@ bool Cluster::run() {
     }
   }
 
-  for (auto& node : nodes_) {
-    node->stop_requested.store(true);
-    node->mailbox.close();
-  }
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-
+  stop_nodes();
   elapsed_ = std::chrono::duration_cast<std::chrono::microseconds>(
       Clock::now() - epoch_);
+  close_wire();
 
   if (!all_stopped && !unstopped_.empty()) {
     std::ostringstream os;

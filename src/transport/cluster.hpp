@@ -1,17 +1,24 @@
-// Threaded in-memory cluster: the "real concurrency" runtime.
+// The wall-clock node runtime: the "real concurrency" substrates.
 //
 // Runs the same Actor programs as the deterministic simulator, but each
-// process lives on its own OS thread, messages travel through MPSC
-// mailboxes, time is the wall clock, and interleavings are whatever the
-// scheduler produces.  This is the deployment-shaped substrate: it
-// validates that the protocols do not secretly depend on the simulator's
-// determinism, and it exercises the locking/timer plumbing a real system
-// needs.
+// process lives on its own OS thread, deliveries queue in one MPSC
+// mailbox per node, time is the wall clock, and interleavings are
+// whatever the scheduler produces.  This is the deployment-shaped
+// substrate: it validates that the protocols do not secretly depend on
+// the simulator's determinism, and it exercises the locking/timer
+// plumbing a real system needs.
 //
-// Channel guarantees match the model: reliable (in-process queues) and
-// FIFO per ordered pair (senders push sequentially, mailboxes preserve
-// per-sender order).  Crash injection drops a node silently at a chosen
-// point in time.
+// One runtime, two wires.  Everything a node does — its thread, timers,
+// crash/restart dormancy, delivery tap, counters and the run budget —
+// lives here.  Only the wire a frame to a peer travels through varies:
+// by default it is pushed straight into the receiver's mailbox (the
+// threaded substrate); `TcpCluster` overrides the wire hooks to carry it
+// over loopback sockets and hands arriving frames back through deliver().
+//
+// Channel guarantees match the model: reliable and FIFO per ordered pair
+// (senders push sequentially, mailboxes preserve per-sender order; the
+// TCP wire re-establishes the same contract below the framing layer).
+// Crash injection drops a node silently at a chosen point in time.
 #pragma once
 
 #include <atomic>
@@ -29,22 +36,22 @@
 
 namespace modubft::transport {
 
+/// Maximum deliveries drained from a mailbox into one Actor::on_batch
+/// dispatch: small enough that timers stay responsive.
+inline constexpr std::size_t kMaxBatch = 64;
+
 struct ClusterConfig {
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
   /// Wall-clock budget for run(); nodes still running afterwards are
   /// abandoned (their threads are joined after a close).
   std::chrono::milliseconds budget{10'000};
-  /// Maximum deliveries drained from the mailbox into one Actor::on_batch
-  /// dispatch.  1 restores strict one-message-at-a-time dispatch; the
-  /// default keeps batches small enough that timers stay responsive.
-  std::size_t max_batch = 64;
 };
 
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
-  ~Cluster();
+  virtual ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -52,7 +59,10 @@ class Cluster {
   /// Installs the actor for `id`.  Call for every id before run().
   void set_actor(ProcessId id, std::unique_ptr<sim::Actor> actor);
 
-  /// Schedules a silent halt of `id` after `after` of wall-clock run time.
+  /// Schedules a silent halt of `id` after `after` of wall-clock run time:
+  /// the node's actor stops receiving, sending and firing timers.  Frames
+  /// already handed to the wire may still reach peers (they are "in the
+  /// channel", as in the simulator's model).
   void crash_after(ProcessId id, std::chrono::microseconds after);
 
   /// Schedules a restart of a node previously given to crash_after: at
@@ -70,7 +80,9 @@ class Cluster {
   /// mutex (they come from every node thread), so the tap itself needs no
   /// locking; `Delivery::payload` points at a copy made on the node thread
   /// *outside* that mutex, and is only valid for the call's duration.
-  /// Times are µs since the run epoch — the same clock crash_after uses.
+  /// Times are µs since the run epoch — the same clock crash_after uses;
+  /// `send_time` is when the frame entered the receiver's mailbox (the
+  /// send itself on the in-memory wire, the arrival on TCP).
   void set_delivery_tap(std::function<void(const sim::Delivery&)> tap);
 
   /// Starts all node threads and blocks until every node stopped (or the
@@ -83,23 +95,47 @@ class Cluster {
 
   /// Nodes that had not stopped when the run() budget expired (empty after
   /// a clean run) — a hung node is a named test failure, not a silent
-  /// budget expiry.
+  /// budget expiry.  A node scheduled to crash for good is never named,
+  /// whether or not its crash fired before the budget ran out.
   std::vector<ProcessId> unstopped() const;
 
   /// Aggregate message counters, comparable field-for-field with
-  /// sim::Simulation::stats().  events_executed counts actor callbacks
-  /// (message + timer dispatches).
+  /// sim::Simulation::stats(): sends/bytes are counted at the
+  /// Context::send boundary (before any framing), deliveries at actor
+  /// dispatch; events_executed counts actor callbacks (message + timer
+  /// dispatches).
   sim::Stats stats() const;
 
-  /// Wall-clock duration of the completed run.
+  /// Wall-clock span of the completed run: from the epoch (the wire is
+  /// open, no node has started) until every node thread has joined.
   std::chrono::microseconds elapsed() const { return elapsed_; }
 
- private:
-  struct TimerEntry {
-    std::chrono::steady_clock::time_point due;
-    std::uint64_t id;
-  };
+ protected:
+  // --- The wire.  The in-memory default delivers at once; TcpCluster
+  // overrides all four hooks.  A node's sends to itself never reach the
+  // wire: the runtime loops them back into its own mailbox. ---
 
+  /// Called by run() before the epoch, on the calling thread.
+  virtual void open_wire() {}
+  /// Carries one frame from `from` to the peer `to` (≠ from); called on
+  /// the sender's node thread.
+  virtual void transmit(ProcessId from, ProcessId to, Bytes payload);
+  /// Carries one frame from `from` to every peer.
+  virtual void transmit_to_peers(ProcessId from, const Bytes& payload);
+  /// Called by run() once every node thread has joined; a subclass's
+  /// destructor calls it too, so it must be idempotent.
+  virtual void close_wire() {}
+
+  /// Hands a frame for `to` to that node's mailbox, stamped with the time
+  /// since the epoch.  Callable from any thread.
+  void deliver(ProcessId from, ProcessId to, Bytes payload);
+
+  /// Stops and joins every node thread; idempotent.  run() calls it as the
+  /// run ends; a subclass's destructor calls it before close_wire(), so no
+  /// node thread outlives the wire it sends through.
+  void stop_nodes();
+
+ private:
   struct Envelope {
     ProcessId from;
     Bytes payload;

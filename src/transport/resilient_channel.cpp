@@ -18,6 +18,18 @@ namespace modubft::transport {
 namespace {
 using Clock = std::chrono::steady_clock;
 
+// Redial backoff: kBaseBackoff · kBackoffMultiplier^k, capped at
+// kMaxBackoff, with uniform jitter of ± kBackoffJitter around it.
+constexpr std::chrono::milliseconds kBaseBackoff{2};
+constexpr std::chrono::milliseconds kMaxBackoff{200};
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.5;
+/// A queued frame not transmitted within this window is dropped (and
+/// accounted) instead of blocking the link forever.
+constexpr std::chrono::milliseconds kSendTimeout{5'000};
+constexpr std::size_t kMaxQueuedFrames = 8'192;
+constexpr std::size_t kMaxUnackedFrames = 4'096;
+
 void put_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
@@ -147,12 +159,11 @@ std::optional<std::uint32_t> decode_hello(
 }
 
 ResilientChannel::ResilientChannel(ProcessId self, ProcessId peer, DialFn dial,
-                                   RetryPolicy policy, Rng jitter_rng,
+                                   Rng jitter_rng,
                                    std::unique_ptr<LinkFaultInjector> injector)
     : self_(self),
       peer_(peer),
       dial_(std::move(dial)),
-      policy_(policy),
       rng_(jitter_rng),
       injector_(std::move(injector)) {
   MODUBFT_EXPECTS(dial_ != nullptr);
@@ -189,7 +200,7 @@ bool ResilientChannel::enqueue(PayloadPtr payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return false;
-    if (queue_.size() >= policy_.max_queued_frames) {
+    if (queue_.size() >= kMaxQueuedFrames) {
       frames_dropped_.fetch_add(1);
       degraded_.store(true);
       return false;
@@ -256,8 +267,7 @@ void ResilientChannel::expire_stale_locked(std::unique_lock<std::mutex>&) {
   // sequence number the receiver will not accept anything past it, so
   // dropping it would wedge the link instead of degrading it.
   const auto now = Clock::now();
-  while (!queue_.empty() && now - queue_.front().enqueued >
-                                policy_.send_timeout) {
+  while (!queue_.empty() && now - queue_.front().enqueued > kSendTimeout) {
     queue_.pop_front();
     frames_dropped_.fetch_add(1);
     degraded_.store(true);
@@ -278,7 +288,7 @@ bool ResilientChannel::try_connect(std::unique_lock<std::mutex>& lock) {
       pollfd pfd{fd, POLLIN, 0};
       std::uint8_t buf[kAckBytes];
       std::size_t have = 0;
-      const auto deadline = Clock::now() + policy_.handshake_timeout;
+      const auto deadline = Clock::now() + kHandshakeTimeout;
       while (ok && have < kAckBytes) {
         const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
             deadline - Clock::now());
@@ -308,11 +318,11 @@ bool ResilientChannel::try_connect(std::unique_lock<std::mutex>& lock) {
     const std::uint32_t exp = std::min(consecutive_dial_failures_, 20u);
     ++consecutive_dial_failures_;
     double backoff_ms =
-        static_cast<double>(policy_.base_backoff.count()) *
-        std::pow(policy_.backoff_multiplier, static_cast<double>(exp));
+        static_cast<double>(kBaseBackoff.count()) *
+        std::pow(kBackoffMultiplier, static_cast<double>(exp));
     backoff_ms = std::min(
-        backoff_ms, static_cast<double>(policy_.max_backoff.count()));
-    backoff_ms *= 1.0 + policy_.jitter * (2.0 * rng_.next_double() - 1.0);
+        backoff_ms, static_cast<double>(kMaxBackoff.count()));
+    backoff_ms *= 1.0 + kBackoffJitter * (2.0 * rng_.next_double() - 1.0);
     next_dial_ = Clock::now() + std::chrono::microseconds(static_cast<
                      std::int64_t>(backoff_ms * 1000.0));
     return false;
@@ -332,7 +342,7 @@ bool ResilientChannel::try_connect(std::unique_lock<std::mutex>& lock) {
 }
 
 void ResilientChannel::transmit_pending(std::unique_lock<std::mutex>& lock) {
-  while (!queue_.empty() && unacked_.size() < policy_.max_unacked_frames) {
+  while (!queue_.empty() && unacked_.size() < kMaxUnackedFrames) {
     QueuedFrame q = std::move(queue_.front());
     queue_.pop_front();
     UnackedFrame f;

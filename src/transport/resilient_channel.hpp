@@ -16,7 +16,7 @@
 //     enforces in-order delivery, so a frame is delivered exactly once and
 //     in FIFO order no matter how many times it was transmitted;
 //   * sends never block the caller: frames queue, and a frame that cannot
-//     be transmitted within `send_timeout` is dropped and surfaced in the
+//     be transmitted within the send timeout is dropped and surfaced in the
 //     channel stats (`frames_dropped`, `degraded`) instead of hanging the
 //     protocol thread — an unreachable peer degrades into a crashed one,
 //     which the consensus layer already tolerates via F.
@@ -94,23 +94,11 @@ bool net_write_all(int fd, const void* buf, std::size_t len);
 bool net_write2_all(int fd, const void* a, std::size_t alen, const void* b,
                     std::size_t blen);
 
-/// Reconnect/backoff/timeout policy shared by all links of a cluster.
-struct RetryPolicy {
-  std::chrono::milliseconds base_backoff{2};
-  std::chrono::milliseconds max_backoff{200};
-  double backoff_multiplier = 2.0;
-  /// Uniform jitter of ± this fraction around the computed backoff.
-  double jitter = 0.5;
-  /// A queued frame not transmitted within this window is dropped (and
-  /// accounted) instead of blocking the link forever.
-  std::chrono::milliseconds send_timeout{5'000};
-  /// Deadline for the resume reply after dialing.
-  std::chrono::milliseconds handshake_timeout{2'000};
-  std::size_t max_queued_frames = 8'192;
-  std::size_t max_unacked_frames = 4'096;
-  /// Receiver sends a cumulative ack every this many delivered frames.
-  std::uint32_t ack_every = 16;
-};
+/// Deadline for the resume reply after dialing, and for a half-received
+/// hello or frame on the receive side.
+inline constexpr std::chrono::milliseconds kHandshakeTimeout{2'000};
+/// The receiver sends a cumulative ack every this many delivered frames.
+inline constexpr std::uint32_t kAckEvery = 16;
 
 /// Snapshot of one channel's counters.
 struct ChannelStats {
@@ -134,8 +122,7 @@ class ResilientChannel {
   using DialFn = std::function<int()>;
 
   ResilientChannel(ProcessId self, ProcessId peer, DialFn dial,
-                   RetryPolicy policy, Rng jitter_rng,
-                   std::unique_ptr<LinkFaultInjector> injector);
+                   Rng jitter_rng, std::unique_ptr<LinkFaultInjector> injector);
   ~ResilientChannel();
 
   ResilientChannel(const ResilientChannel&) = delete;
@@ -197,7 +184,6 @@ class ResilientChannel {
   const ProcessId self_;
   const ProcessId peer_;
   const DialFn dial_;
-  const RetryPolicy policy_;
   Rng rng_;
   std::unique_ptr<LinkFaultInjector> injector_;
 

@@ -11,13 +11,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <mutex>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 
 namespace modubft::transport {
@@ -86,11 +86,10 @@ struct TcpCluster::Conn {
   bool want_write = false;
 };
 
-struct TcpCluster::Node {
+/// One node's end of the wire: its listen socket and receive loop, its
+/// outbound channels and the receive state of its inbound links.
+struct TcpCluster::Endpoint {
   ProcessId id;
-  std::unique_ptr<sim::Actor> actor;
-  Mailbox<Envelope> mailbox;
-  std::unique_ptr<Rng> rng;
 
   int listen_fd = -1;
   std::atomic<std::uint16_t> port{0};
@@ -109,206 +108,66 @@ struct TcpCluster::Node {
   mutable std::mutex errors_mu;
   std::vector<std::string> errors;
   std::atomic<std::uint64_t> malformed_hellos{0};
-
-  std::vector<TimerEntry> timers;
-  std::unordered_set<std::uint64_t> cancelled;
-  std::uint64_t next_timer_id = 1;
-
-  std::atomic<bool> stop_requested{false};
-  std::atomic<bool> stopped{false};
-  // crash_at / restart_at / restart_factory are owned by the node thread
-  // once run() spawns it (run() rebases them onto the epoch before the
-  // spawn; the thread resets them after a restart fires).
-  std::optional<Clock::time_point> crash_at;
-  std::optional<Clock::time_point> restart_at;
-  std::function<std::unique_ptr<sim::Actor>()> restart_factory;
-  std::atomic<bool> crashed{false};
-
-  TcpCluster* cluster = nullptr;
 };
 
-class TcpCluster::NodeContext final : public sim::Context {
- public:
-  NodeContext(TcpCluster& cluster, Node& node)
-      : cluster_(cluster), node_(node) {}
-
-  ProcessId id() const override { return node_.id; }
-  std::uint32_t n() const override { return cluster_.config_.n; }
-
-  SimTime now() const override {
-    return static_cast<SimTime>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - cluster_.epoch_)
-            .count());
-  }
-
-  void send(ProcessId to, Bytes payload) override {
-    cluster_.send_frame(node_, to, payload);
-  }
-
-  void broadcast(const Bytes& payload) override {
-    cluster_.broadcast_frame(node_, payload);
-  }
-
-  std::uint64_t set_timer(SimTime delay) override {
-    const std::uint64_t id = node_.next_timer_id++;
-    node_.timers.push_back(
-        TimerEntry{Clock::now() + std::chrono::microseconds(delay), id});
-    return id;
-  }
-
-  void cancel_timer(std::uint64_t timer_id) override {
-    node_.cancelled.insert(timer_id);
-  }
-
-  Rng& rng() override { return *node_.rng; }
-
-  void stop() override { node_.stop_requested.store(true); }
-
- private:
-  TcpCluster& cluster_;
-  Node& node_;
-};
-
-TcpCluster::TcpCluster(TcpClusterConfig config) : config_(config) {
-  MODUBFT_EXPECTS(config_.n > 0);
-  Rng root(config_.seed);
+TcpCluster::TcpCluster(TcpClusterConfig config)
+    : Cluster(config), config_(std::move(config)) {
   for (std::uint32_t i = 0; i < config_.n; ++i) {
-    auto node = std::make_unique<Node>();
-    node->id = ProcessId{i};
-    node->rng = std::make_unique<Rng>(root.split(i + 1));
-    node->cluster = this;
-    node->channels.resize(config_.n);
+    auto ep = std::make_unique<Endpoint>();
+    ep->id = ProcessId{i};
+    ep->channels.resize(config_.n);
     for (std::uint32_t j = 0; j < config_.n; ++j) {
-      node->recv_links.push_back(std::make_unique<RecvLink>());
+      ep->recv_links.push_back(std::make_unique<RecvLink>());
     }
-    nodes_.push_back(std::move(node));
+    endpoints_.push_back(std::move(ep));
   }
 }
 
-TcpCluster::~TcpCluster() { teardown(); }
-
-void TcpCluster::set_actor(ProcessId id, std::unique_ptr<sim::Actor> actor) {
-  MODUBFT_EXPECTS(id.value < config_.n);
-  MODUBFT_EXPECTS(!ran_);
-  nodes_[id.value]->actor = std::move(actor);
+TcpCluster::~TcpCluster() {
+  stop_nodes();
+  close_wire();
 }
 
-void TcpCluster::crash_after(ProcessId id, std::chrono::microseconds after) {
-  MODUBFT_EXPECTS(id.value < config_.n);
-  MODUBFT_EXPECTS(!ran_);
-  // Resolved against the epoch when run() starts.
-  nodes_[id.value]->crash_at = Clock::time_point(
-      after.count() >= 0 ? Clock::duration(after) : Clock::duration::zero());
+void TcpCluster::record_error(Endpoint& ep, std::string message) {
+  std::lock_guard<std::mutex> lock(ep.errors_mu);
+  ep.errors.push_back(std::move(message));
 }
 
-void TcpCluster::set_restart(
-    ProcessId id, std::chrono::microseconds after,
-    std::function<std::unique_ptr<sim::Actor>()> factory) {
-  MODUBFT_EXPECTS(id.value < config_.n);
-  MODUBFT_EXPECTS(!ran_);
-  MODUBFT_EXPECTS(nodes_[id.value]->crash_at.has_value());
-  MODUBFT_EXPECTS(factory != nullptr);
-  // Resolved against the epoch when run() starts.
-  nodes_[id.value]->restart_at = Clock::time_point(
-      after.count() >= 0 ? Clock::duration(after) : Clock::duration::zero());
-  nodes_[id.value]->restart_factory = std::move(factory);
+void TcpCluster::transmit(ProcessId from, ProcessId to, Bytes payload) {
+  endpoints_[from.value]->channels[to.value]->enqueue(std::move(payload));
 }
 
-void TcpCluster::set_delivery_tap(
-    std::function<void(const sim::Delivery&)> tap) {
-  MODUBFT_EXPECTS(!ran_);
-  tap_ = std::move(tap);
-}
-
-SimTime TcpCluster::since_epoch() const {
-  if (epoch_ == Clock::time_point{}) return 0;
-  return static_cast<SimTime>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            epoch_)
-          .count());
-}
-
-void TcpCluster::tap_delivery(const Envelope& env, ProcessId to) {
-  if (!tap_) return;
-  // Copy on the node thread, outside tap_mu_ — see Cluster::tap_delivery:
-  // the audit path must not stretch the serialized section or touch a
-  // buffer any other lock protects.
-  const Bytes payload = env.payload;
-  sim::Delivery d;
-  d.send_time = env.arrived_at;
-  d.deliver_time = since_epoch();
-  d.from = env.from;
-  d.to = to;
-  d.size = payload.size();
-  d.payload = &payload;
-  std::lock_guard<std::mutex> lock(tap_mu_);
-  tap_(d);
-}
-
-void TcpCluster::record_error(Node& node, std::string message) {
-  std::lock_guard<std::mutex> lock(node.errors_mu);
-  node.errors.push_back(std::move(message));
-}
-
-bool TcpCluster::send_frame(Node& node, ProcessId to, const Bytes& payload) {
-  MODUBFT_EXPECTS(to.value < config_.n);
-  if (node.crashed.load(std::memory_order_relaxed)) return false;
-  msg_stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  msg_stats_.bytes_sent.fetch_add(payload.size(), std::memory_order_relaxed);
-  if (to == node.id) {
-    // Loopback delivery without a socket round trip keeps "send to Π"
-    // semantics identical to the other substrates.
-    node.mailbox.push(Envelope{node.id, payload, since_epoch()});
-    return true;
-  }
-  ResilientChannel* channel = node.channels[to.value].get();
-  if (channel == nullptr) return false;
-  return channel->enqueue(payload);
-}
-
-void TcpCluster::broadcast_frame(Node& node, const Bytes& payload) {
-  if (node.crashed.load(std::memory_order_relaxed)) return;
-  msg_stats_.messages_sent.fetch_add(config_.n, std::memory_order_relaxed);
-  msg_stats_.bytes_sent.fetch_add(payload.size() * config_.n,
-                                  std::memory_order_relaxed);
+void TcpCluster::transmit_to_peers(ProcessId from, const Bytes& payload) {
   // One allocation for all n−1 wire copies: every channel's queue and
   // retransmit buffer alias the same immutable payload.
   const auto shared = std::make_shared<const Bytes>(payload);
-  for (std::uint32_t j = 0; j < config_.n; ++j) {
-    if (j == node.id.value) {
-      node.mailbox.push(Envelope{node.id, payload, since_epoch()});
-      continue;
-    }
-    if (ResilientChannel* channel = node.channels[j].get()) {
-      channel->enqueue(shared);
-    }
+  for (auto& channel : endpoints_[from.value]->channels) {
+    if (channel) channel->enqueue(shared);
   }
 }
 
-void TcpCluster::io_main(Node& node) {
+void TcpCluster::io_main(Endpoint& ep) {
   // The node's whole receive side on one thread: the listen socket, the
   // teardown eventfd and every inbound connection share one level-triggered
   // epoll set.  All sockets are nonblocking — a stalled peer costs a
   // deadline sweep, never a blocked thread.
-  const auto hello_timeout = config_.retry.handshake_timeout;
 
   auto arm = [&](Conn& conn) {
     epoll_event ev{};
     ev.events = EPOLLIN | (conn.want_write ? EPOLLOUT : 0u);
     ev.data.fd = conn.fd;
-    ::epoll_ctl(node.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+    ::epoll_ctl(ep.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   };
 
   auto close_conn = [&](Conn& conn) {
     if (conn.sender >= 0) {
-      RecvLink& link = *node.recv_links[static_cast<std::size_t>(conn.sender)];
+      RecvLink& link = *ep.recv_links[static_cast<std::size_t>(conn.sender)];
       std::lock_guard<std::mutex> lock(link.mu);
       if (link.current_fd == conn.fd) link.current_fd = -1;
     }
-    ::epoll_ctl(node.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+    ::epoll_ctl(ep.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
     ::close(conn.fd);
-    node.conns.erase(conn.fd);  // destroys conn — caller must not touch it
+    ep.conns.erase(conn.fd);  // destroys conn — caller must not touch it
   };
 
   // Attempts to hand `len` bytes to the socket; whatever the kernel
@@ -377,19 +236,19 @@ void TcpCluster::io_main(Node& node) {
   auto accept_hello = [&](Conn& conn) -> bool {
     const std::optional<std::uint32_t> sender = decode_hello(conn.prefix);
     if (!sender.has_value()) {
-      node.malformed_hellos.fetch_add(1);
-      record_error(node, "hello: bad magic from peer");
+      ep.malformed_hellos.fetch_add(1);
+      record_error(ep, "hello: bad magic from peer");
       return false;
     }
-    if (*sender >= config_.n || *sender == node.id.value) {
-      node.malformed_hellos.fetch_add(1);
+    if (*sender >= config_.n || *sender == ep.id.value) {
+      ep.malformed_hellos.fetch_add(1);
       std::ostringstream os;
       os << "hello: sender id " << *sender << " out of range (n="
          << config_.n << ")";
-      record_error(node, os.str());
+      record_error(ep, os.str());
       return false;
     }
-    RecvLink& link = *node.recv_links[*sender];
+    RecvLink& link = *ep.recv_links[*sender];
     std::uint64_t resume = 0;
     int old_fd = -1;
     {
@@ -402,8 +261,8 @@ void TcpCluster::io_main(Node& node) {
     if (old_fd >= 0) {
       // A newer connection supersedes the old one; its conn (owned by
       // this same loop) is simply closed, partial frame and all.
-      auto it = node.conns.find(old_fd);
-      if (it != node.conns.end()) close_conn(*it->second);
+      auto it = ep.conns.find(old_fd);
+      if (it != ep.conns.end()) close_conn(*it->second);
     }
     conn.sender = *sender;
     conn.phase = Conn::Phase::kHeader;
@@ -416,7 +275,7 @@ void TcpCluster::io_main(Node& node) {
   // in-order delivery into the mailbox — the same ladder as the former
   // reader thread.  Returns false when the connection must be torn down.
   auto accept_frame = [&](Conn& conn) -> bool {
-    RecvLink& link = *node.recv_links[static_cast<std::size_t>(conn.sender)];
+    RecvLink& link = *ep.recv_links[static_cast<std::size_t>(conn.sender)];
     const ProcessId from{static_cast<std::uint32_t>(conn.sender)};
     Bytes payload = std::move(conn.payload);
     conn.payload = Bytes{};
@@ -448,8 +307,8 @@ void TcpCluster::io_main(Node& node) {
       } else {
         ++link.expected_seq;
         if (config_.audit_deliveries) link.audit.push_back(conn.header.seq);
-        node.mailbox.push(Envelope{from, std::move(payload), since_epoch()});
-        if (++link.since_ack >= config_.retry.ack_every) {
+        deliver(from, ep.id, std::move(payload));
+        if (++link.since_ack >= kAckEvery) {
           link.since_ack = 0;
           ack_value = link.expected_seq;
           want_ack = true;
@@ -503,7 +362,7 @@ void TcpCluster::io_main(Node& node) {
             os << "frame from p" << conn.sender << ": length "
                << conn.header.len << " exceeds max_frame_bytes="
                << config_.max_frame_bytes;
-            record_error(node, os.str());
+            record_error(ep, os.str());
             return false;
           }
           if (conn.header.len == 0) {
@@ -517,7 +376,7 @@ void TcpCluster::io_main(Node& node) {
           // A frame, once its header arrived, must complete promptly: a
           // corrupted length prefix desyncs the stream, and the half-frame
           // would otherwise linger forever.
-          conn.deadline = Clock::now() + hello_timeout;
+          conn.deadline = Clock::now() + kHandshakeTimeout;
           break;
         case Conn::Phase::kPayload:
           conn.payload_have += n;
@@ -532,7 +391,7 @@ void TcpCluster::io_main(Node& node) {
 
   auto handle_accept = [&] {
     for (;;) {
-      int fd = ::accept(node.listen_fd, nullptr, nullptr);
+      int fd = ::accept(ep.listen_fd, nullptr, nullptr);
       if (fd < 0) {
         // A signal landing mid-sweep must not abandon the rest of the
         // backlog until the next epoll tick; only a genuinely drained
@@ -551,15 +410,15 @@ void TcpCluster::io_main(Node& node) {
       conn->fd = fd;
       // Until the sender is identified this fd is accountable to nobody,
       // so a silent dialer must not be able to pin it forever.
-      conn->deadline = Clock::now() + hello_timeout;
+      conn->deadline = Clock::now() + kHandshakeTimeout;
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.fd = fd;
-      if (::epoll_ctl(node.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      if (::epoll_ctl(ep.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
         ::close(fd);
         continue;
       }
-      node.conns.emplace(fd, std::move(conn));
+      ep.conns.emplace(fd, std::move(conn));
     }
   };
 
@@ -569,35 +428,35 @@ void TcpCluster::io_main(Node& node) {
     // never far away even with no deadlines armed).
     int timeout_ms = 50;
     const Clock::time_point now = Clock::now();
-    for (const auto& [fd, conn] : node.conns) {
+    for (const auto& [fd, conn] : ep.conns) {
       if (!conn->deadline.has_value()) continue;
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           *conn->deadline - now);
       timeout_ms = std::max(0, std::min<int>(timeout_ms,
                                              static_cast<int>(left.count())));
     }
-    const int ready = ::epoll_wait(node.epoll_fd, events, 64, timeout_ms);
+    const int ready = ::epoll_wait(ep.epoll_fd, events, 64, timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
     }
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == node.wake_fd) {
+      if (fd == ep.wake_fd) {
         std::uint64_t drained = 0;
         // Retry on EINTR: an unconsumed eventfd counter would re-fire the
         // wakeup on every subsequent epoll_wait.
-        while (::read(node.wake_fd, &drained, sizeof drained) < 0 &&
+        while (::read(ep.wake_fd, &drained, sizeof drained) < 0 &&
                errno == EINTR) {
         }
         continue;  // the while condition re-checks shutting_down_
       }
-      if (fd == node.listen_fd) {
+      if (fd == ep.listen_fd) {
         handle_accept();
         continue;
       }
-      auto it = node.conns.find(fd);
-      if (it == node.conns.end()) continue;  // closed earlier in this batch
+      auto it = ep.conns.find(fd);
+      if (it == ep.conns.end()) continue;  // closed earlier in this batch
       Conn& conn = *it->second;
       if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
         close_conn(conn);
@@ -614,7 +473,7 @@ void TcpCluster::io_main(Node& node) {
     }
     // Deadline sweep: hello never arrived, or a half-frame stalled.
     const Clock::time_point after = Clock::now();
-    for (auto it = node.conns.begin(); it != node.conns.end();) {
+    for (auto it = ep.conns.begin(); it != ep.conns.end();) {
       Conn& conn = *it->second;
       ++it;  // close_conn erases — advance first
       if (conn.deadline.has_value() && after >= *conn.deadline) {
@@ -625,143 +484,32 @@ void TcpCluster::io_main(Node& node) {
 
   // Loop exit: drop every remaining connection (listen/epoll/wake fds are
   // closed by teardown, which owns their lifecycle).
-  for (auto it = node.conns.begin(); it != node.conns.end();) {
+  for (auto it = ep.conns.begin(); it != ep.conns.end();) {
     Conn& conn = *it->second;
     ++it;
     close_conn(conn);
   }
 }
 
-void TcpCluster::node_main(Node& node) {
-  NodeContext ctx(*this, node);
-  for (;;) {
-    node.actor->on_start(ctx);
-    node_pump(node, ctx);
-    if (!node.crashed.load() || !node.restart_at.has_value() ||
-        node.stop_requested.load()) {
-      break;
-    }
-    // Dormancy: the node is dead until the restart instant.  Frames that
-    // arrive meanwhile are discarded (a crashed process receives nothing),
-    // in bounded slices so teardown can always interrupt the wait.
-    bool aborted = false;
-    for (;;) {
-      if (node.stop_requested.load()) {
-        aborted = true;
-        break;
-      }
-      const Clock::time_point now = Clock::now();
-      if (now >= *node.restart_at) break;
-      Clock::time_point deadline = now + std::chrono::milliseconds(20);
-      if (*node.restart_at < deadline) deadline = *node.restart_at;
-      node.mailbox.pop_until(deadline);
-    }
-    if (aborted) break;
-    // Rebirth: fresh actor, empty timer set, sends re-enabled.  The rng
-    // stream continues where the former life left it.
-    node.actor = node.restart_factory();
-    node.timers.clear();
-    node.cancelled.clear();
-    node.crash_at.reset();
-    node.restart_at.reset();
-    node.restart_factory = nullptr;
-    node.crashed.store(false);
-  }
-  node.stopped.store(true);
-}
-
-void TcpCluster::node_pump(Node& node, NodeContext& ctx) {
-  while (!node.stop_requested.load()) {
-    if (node.crash_at.has_value() && Clock::now() >= *node.crash_at) {
-      node.crashed.store(true);
-      break;  // silent halt: no more receives, no more sends
-    }
-
-    Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(20);
-    const TimerEntry* earliest = nullptr;
-    for (const TimerEntry& t : node.timers) {
-      if (node.cancelled.count(t.id)) continue;
-      if (earliest == nullptr || t.due < earliest->due) earliest = &t;
-    }
-    if (earliest != nullptr && earliest->due < deadline) {
-      deadline = earliest->due;
-    }
-    if (node.crash_at.has_value() && *node.crash_at < deadline) {
-      deadline = *node.crash_at;
-    }
-
-    std::vector<Envelope> drained = node.mailbox.drain_until(
-        deadline, std::max<std::size_t>(1, config_.max_batch));
-    if (node.stop_requested.load()) break;
-    if (node.crash_at.has_value() && Clock::now() >= *node.crash_at) {
-      node.crashed.store(true);
-      break;
-    }
-
-    if (!drained.empty()) {
-      // Taps and counters fire per delivery, in delivery order, before
-      // the batch dispatch (the ordering-ticket contract, docs/INGEST.md).
-      std::vector<sim::Incoming> batch;
-      batch.reserve(drained.size());
-      for (Envelope& env : drained) {
-        tap_delivery(env, node.id);
-        msg_stats_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
-        msg_stats_.events_executed.fetch_add(1, std::memory_order_relaxed);
-        batch.push_back(sim::Incoming{env.from, std::move(env.payload)});
-      }
-      node.actor->on_batch(ctx, batch);
-      continue;
-    }
-
-    const Clock::time_point now = Clock::now();
-    std::vector<std::uint64_t> due;
-    node.timers.erase(
-        std::remove_if(node.timers.begin(), node.timers.end(),
-                       [&](const TimerEntry& t) {
-                         if (node.cancelled.count(t.id)) {
-                           node.cancelled.erase(t.id);
-                           return true;
-                         }
-                         if (t.due <= now) {
-                           due.push_back(t.id);
-                           return true;
-                         }
-                         return false;
-                       }),
-        node.timers.end());
-    for (std::uint64_t id : due) {
-      if (node.stop_requested.load()) break;
-      msg_stats_.events_executed.fetch_add(1, std::memory_order_relaxed);
-      node.actor->on_timer(ctx, id);
-    }
-    if (node.mailbox.closed() && node.timers.empty()) break;
-  }
-}
-
-bool TcpCluster::run() {
-  MODUBFT_EXPECTS(!ran_);
-  ran_ = true;
-  for (auto& node : nodes_) MODUBFT_EXPECTS(node->actor != nullptr);
-
+void TcpCluster::open_wire() {
   // 1. Listen sockets for everyone (ephemeral loopback ports) before any
   //    dial can happen, so reconnects never race the mesh setup.
-  for (auto& node : nodes_) {
-    node->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    MODUBFT_ASSERT(node->listen_fd >= 0);
+  for (auto& ep : endpoints_) {
+    ep->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    MODUBFT_ASSERT(ep->listen_fd >= 0);
     int one = 1;
-    ::setsockopt(node->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    ::setsockopt(ep->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = 0;
-    MODUBFT_ASSERT(::bind(node->listen_fd,
-                          reinterpret_cast<sockaddr*>(&addr),
+    MODUBFT_ASSERT(::bind(ep->listen_fd, reinterpret_cast<sockaddr*>(&addr),
                           sizeof addr) == 0);
     socklen_t len = sizeof addr;
-    ::getsockname(node->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    node->port.store(ntohs(addr.sin_port));
+    ::getsockname(ep->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    ep->port.store(ntohs(addr.sin_port));
     // Backlog 2n: every peer may redial while an old connection lingers.
-    MODUBFT_ASSERT(::listen(node->listen_fd,
+    MODUBFT_ASSERT(::listen(ep->listen_fd,
                             static_cast<int>(2 * config_.n)) == 0);
   }
 
@@ -769,29 +517,29 @@ bool TcpCluster::run() {
   //    reconnecting links arrive as fresh inbound connections at any
   //    point).  One epoll set per node watches the listen socket, a
   //    teardown eventfd and every accepted connection.
-  for (auto& node : nodes_) {
-    set_nonblocking(node->listen_fd);
-    node->epoll_fd = ::epoll_create1(0);
-    MODUBFT_ASSERT(node->epoll_fd >= 0);
-    node->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    MODUBFT_ASSERT(node->wake_fd >= 0);
+  for (auto& ep : endpoints_) {
+    set_nonblocking(ep->listen_fd);
+    ep->epoll_fd = ::epoll_create1(0);
+    MODUBFT_ASSERT(ep->epoll_fd >= 0);
+    ep->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    MODUBFT_ASSERT(ep->wake_fd >= 0);
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = node->listen_fd;
-    MODUBFT_ASSERT(::epoll_ctl(node->epoll_fd, EPOLL_CTL_ADD, node->listen_fd,
+    ev.data.fd = ep->listen_fd;
+    MODUBFT_ASSERT(::epoll_ctl(ep->epoll_fd, EPOLL_CTL_ADD, ep->listen_fd,
                                &ev) == 0);
-    ev.data.fd = node->wake_fd;
-    MODUBFT_ASSERT(::epoll_ctl(node->epoll_fd, EPOLL_CTL_ADD, node->wake_fd,
+    ev.data.fd = ep->wake_fd;
+    MODUBFT_ASSERT(::epoll_ctl(ep->epoll_fd, EPOLL_CTL_ADD, ep->wake_fd,
                                &ev) == 0);
-    node->io_thread = std::thread([this, &node = *node] { io_main(node); });
+    ep->io_thread = std::thread([this, &ep = *ep] { io_main(ep); });
   }
 
   // 3. Resilient channels for the full mesh; they dial lazily on first
   //    send and redial on any failure.
-  for (auto& node : nodes_) {
+  for (auto& ep : endpoints_) {
     for (std::uint32_t j = 0; j < config_.n; ++j) {
-      if (j == node->id.value) continue;
-      const std::uint16_t peer_port = nodes_[j]->port.load();
+      if (j == ep->id.value) continue;
+      const std::uint16_t peer_port = endpoints_[j]->port.load();
       auto dial = [peer_port]() -> int {
         int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd < 0) return -1;
@@ -809,131 +557,67 @@ bool TcpCluster::run() {
         return fd;
       };
       const std::uint64_t label =
-          (static_cast<std::uint64_t>(node->id.value) << 32) | (j + 1);
+          (static_cast<std::uint64_t>(ep->id.value) << 32) | (j + 1);
       Rng jitter_root(config_.seed ^ kJitterSalt);
-      node->channels[j] = std::make_unique<ResilientChannel>(
-          node->id, ProcessId{j}, std::move(dial), config_.retry,
-          jitter_root.split(label),
-          config_.faults.make_injector(node->id, ProcessId{j}));
-      node->channels[j]->start();
+      ep->channels[j] = std::make_unique<ResilientChannel>(
+          ep->id, ProcessId{j}, std::move(dial), jitter_root.split(label),
+          config_.faults.make_injector(ep->id, ProcessId{j}));
+      ep->channels[j]->start();
     }
   }
-
-  // 4. Run the actors.
-  epoch_ = Clock::now();
-  // Rebase crash deadlines onto the epoch.
-  for (auto& node : nodes_) {
-    if (node->crash_at.has_value()) {
-      node->crash_at = epoch_ + node->crash_at->time_since_epoch();
-    }
-    if (node->restart_at.has_value()) {
-      node->restart_at = epoch_ + node->restart_at->time_since_epoch();
-    }
-  }
-  threads_.reserve(config_.n);
-  for (auto& node : nodes_) {
-    threads_.emplace_back([this, &node = *node] { node_main(node); });
-  }
-
-  const Clock::time_point deadline = epoch_ + config_.budget;
-  bool all_stopped = false;
-  while (Clock::now() < deadline) {
-    all_stopped = true;
-    for (auto& node : nodes_) {
-      if (!node->stopped.load()) {
-        all_stopped = false;
-        break;
-      }
-    }
-    if (all_stopped) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  // Snapshot the stragglers before teardown forces everyone to stop, so
-  // a budget expiry is diagnosable after run() returns.
-  for (auto& node : nodes_) {
-    if (!node->stopped.load()) unstopped_.push_back(node->id);
-  }
-
-  teardown();
-
-  if (!all_stopped) {
-    std::ostringstream os;
-    os << "TcpCluster: budget expired with unstopped nodes:";
-    for (ProcessId id : unstopped_) os << ' ' << id;
-    log_warn(os.str());
-  }
-  return all_stopped;
 }
 
-void TcpCluster::teardown() {
-  if (torn_down_) return;
-  torn_down_ = true;
+void TcpCluster::close_wire() {
+  if (closed_) return;
+  closed_ = true;
   shutting_down_.store(true);
 
-  // 1. Stop the actors.
-  for (auto& node : nodes_) {
-    node->stop_requested.store(true);
-    node->mailbox.close();
-  }
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-
-  // 2. Stop the send side while receivers still drain, so no channel can
+  // 1. Stop the send side while receivers still drain, so no channel can
   //    block on a full socket buffer.
-  for (auto& node : nodes_) {
-    for (auto& channel : node->channels) {
+  for (auto& ep : endpoints_) {
+    for (auto& channel : ep->channels) {
       if (channel) channel->shutdown();
     }
   }
-  for (auto& node : nodes_) {
-    for (auto& channel : node->channels) {
+  for (auto& ep : endpoints_) {
+    for (auto& channel : ep->channels) {
       if (channel) channel->join();
     }
   }
 
-  // 3. Stop the receive event loops: poke each eventfd (shutting_down_ is
+  // 2. Stop the receive event loops: poke each eventfd (shutting_down_ is
   //    already set, so the loop exits and closes its connections), join,
   //    then release the loop's fds.
-  for (auto& node : nodes_) {
-    if (node->wake_fd >= 0) {
+  for (auto& ep : endpoints_) {
+    if (ep->wake_fd >= 0) {
       const std::uint64_t one = 1;
-      (void)::write(node->wake_fd, &one, sizeof one);
+      (void)::write(ep->wake_fd, &one, sizeof one);
     }
   }
-  for (auto& node : nodes_) {
-    if (node->io_thread.joinable()) node->io_thread.join();
-    close_fd(node->listen_fd);
-    close_fd(node->wake_fd);
-    close_fd(node->epoll_fd);
+  for (auto& ep : endpoints_) {
+    if (ep->io_thread.joinable()) ep->io_thread.join();
+    close_fd(ep->listen_fd);
+    close_fd(ep->wake_fd);
+    close_fd(ep->epoll_fd);
   }
 }
-
-bool TcpCluster::stopped(ProcessId id) const {
-  MODUBFT_EXPECTS(id.value < config_.n);
-  return nodes_[id.value]->stopped.load();
-}
-
-std::vector<ProcessId> TcpCluster::unstopped() const { return unstopped_; }
 
 std::uint16_t TcpCluster::port(ProcessId id) const {
   MODUBFT_EXPECTS(id.value < config_.n);
-  return nodes_[id.value]->port.load();
+  return endpoints_[id.value]->port.load();
 }
 
 std::vector<std::string> TcpCluster::errors(ProcessId id) const {
   MODUBFT_EXPECTS(id.value < config_.n);
-  Node& node = *nodes_[id.value];
-  std::lock_guard<std::mutex> lock(node.errors_mu);
-  return node.errors;
+  Endpoint& ep = *endpoints_[id.value];
+  std::lock_guard<std::mutex> lock(ep.errors_mu);
+  return ep.errors;
 }
 
 std::uint64_t TcpCluster::frames_sent() const {
   std::uint64_t total = 0;
-  for (auto& node : nodes_) {
-    for (auto& channel : node->channels) {
+  for (auto& ep : endpoints_) {
+    for (auto& channel : ep->channels) {
       if (channel) total += channel->stats().frames_sent;
     }
   }
@@ -942,27 +626,18 @@ std::uint64_t TcpCluster::frames_sent() const {
 
 std::uint64_t TcpCluster::bytes_sent() const {
   std::uint64_t total = 0;
-  for (auto& node : nodes_) {
-    for (auto& channel : node->channels) {
+  for (auto& ep : endpoints_) {
+    for (auto& channel : ep->channels) {
       if (channel) total += channel->stats().bytes_sent;
     }
   }
   return total;
 }
 
-sim::Stats TcpCluster::stats() const {
-  sim::Stats s;
-  s.messages_sent = msg_stats_.messages_sent.load();
-  s.messages_delivered = msg_stats_.messages_delivered.load();
-  s.bytes_sent = msg_stats_.bytes_sent.load();
-  s.events_executed = msg_stats_.events_executed.load();
-  return s;
-}
-
 TcpLinkStats TcpCluster::link_stats() const {
   TcpLinkStats agg;
-  for (auto& node : nodes_) {
-    for (auto& channel : node->channels) {
+  for (auto& ep : endpoints_) {
+    for (auto& channel : ep->channels) {
       if (!channel) continue;
       const ChannelStats s = channel->stats();
       agg.reconnects += s.reconnects;
@@ -975,29 +650,22 @@ TcpLinkStats TcpCluster::link_stats() const {
       agg.delays_injected += s.delays_injected;
       agg.degraded_links += s.degraded ? 1 : 0;
     }
-    for (auto& link : node->recv_links) {
+    for (auto& link : ep->recv_links) {
       std::lock_guard<std::mutex> lock(link->mu);
       agg.checksum_failures += link->checksum_failures;
       agg.dup_suppressed += link->dup_suppressed;
       agg.gap_resets += link->gap_resets;
     }
-    agg.malformed_hellos += node->malformed_hellos.load();
+    agg.malformed_hellos += ep->malformed_hellos.load();
   }
   return agg;
-}
-
-ChannelStats TcpCluster::channel_stats(ProcessId from, ProcessId to) const {
-  MODUBFT_EXPECTS(from.value < config_.n && to.value < config_.n);
-  MODUBFT_EXPECTS(from != to);
-  const auto& channel = nodes_[from.value]->channels[to.value];
-  return channel ? channel->stats() : ChannelStats{};
 }
 
 std::vector<std::uint64_t> TcpCluster::delivered_seqs(ProcessId from,
                                                       ProcessId to) const {
   MODUBFT_EXPECTS(from.value < config_.n && to.value < config_.n);
   MODUBFT_EXPECTS(from != to);
-  RecvLink& link = *nodes_[to.value]->recv_links[from.value];
+  RecvLink& link = *endpoints_[to.value]->recv_links[from.value];
   std::lock_guard<std::mutex> lock(link.mu);
   return link.audit;
 }

@@ -201,7 +201,7 @@ TEST(EpollChaos, SlowReaderBackpressureKeepsFifoExactlyOnce) {
 // ---------------------------------------------------- batch coalescing
 
 // Frames that pile up while the actor is busy must be drained into one
-// multi-frame on_batch dispatch (capped by max_batch) — the property the
+// multi-frame on_batch dispatch (capped by kMaxBatch) — the property the
 // staged ingest prologue feeds on.  The receiver stalls inside its first
 // dispatches, so later drains are guaranteed to find queued frames.
 TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
@@ -242,7 +242,6 @@ TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
   cfg.n = 2;
   cfg.seed = 47;
   cfg.budget = std::chrono::milliseconds(20'000);
-  cfg.max_batch = 64;
   TcpCluster cluster(cfg);
 
   auto observer = std::make_unique<BatchObserver>();
@@ -255,7 +254,7 @@ TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
 
   EXPECT_EQ(view->delivered(), kCount);
   EXPECT_GE(view->max_batch(), 2u) << "no multi-frame batch ever formed";
-  EXPECT_LE(view->max_batch(), cfg.max_batch);
+  EXPECT_LE(view->max_batch(), kMaxBatch);
 }
 
 // ------------------------------------------------------- signal storms

@@ -116,8 +116,8 @@ void run_bft(benchmark::State& state, std::uint32_t n, std::uint32_t f,
     total += 1;
     ok += r.termination && r.agreement && r.vector_validity;
     rounds += r.max_decision_round.value;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
   }
   const double k = static_cast<double>(total);
   state.counters["rounds"] = rounds / k;

@@ -90,8 +90,8 @@ void run_certified(benchmark::State& state, std::uint32_t n,
     total += 1;
     ok += r.termination && r.agreement && r.vector_validity;
     convicted += r.declared_faulty.count(0) > 0;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
   }
 
   const double k = static_cast<double>(total);

@@ -212,8 +212,8 @@ void export_cache_counters(
     const std::shared_ptr<const crypto::CachingVerifier>& cache) {
   if (!cache) return;
   const crypto::VerifyCacheStats s = cache->stats();
-  state.counters["cache_hits"] = static_cast<double>(s.hits);
-  state.counters["cache_misses"] = static_cast<double>(s.misses);
+  state.counters["cache_hits"] = static_cast<double>(s.cache_hits);
+  state.counters["cache_misses"] = static_cast<double>(s.cache_misses);
   state.counters["hit_pct"] = 100.0 * s.hit_rate();
 }
 
@@ -385,8 +385,8 @@ int summary_main(const std::string& out) {
           .field("checks_per_sec_uncached", row.checks_per_sec_uncached)
           .field("checks_per_sec_cached", row.checks_per_sec_cached)
           .field("speedup", row.speedup)
-          .field("cache_hits", row.cache.hits)
-          .field("cache_misses", row.cache.misses)
+          .field("cache_hits", row.cache.cache_hits)
+          .field("cache_misses", row.cache.cache_misses)
           .field("cache_hit_rate", row.cache.hit_rate());
       rows.add(o.str());
     }

@@ -11,7 +11,8 @@
 //
 // Acceptance headline (tracked in BENCH_e17.json, see EXPERIMENTS.md):
 // on the threads substrate, (W=4, B=4) must commit ≥ 2× the commands/sec
-// of the sequential (W=1, B=1) baseline.
+// of the sequential (W=1, B=1) baseline.  The report records nproc and
+// the build type next to the rows.
 //
 // Usage: bench_e17_pipeline [--out FILE] [--commands N] [--reps R]
 //                           [--budget-ms MS]
@@ -23,6 +24,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_json.hpp"
 #include "faults/scenario.hpp"
@@ -200,6 +203,9 @@ int main(int argc, char** argv) {
       .field("f", static_cast<std::uint64_t>(1))
       .field("commands", commands)
       .field("reps", static_cast<std::uint64_t>(reps))
+      .field("nproc", static_cast<std::uint64_t>(
+                          sysconf(_SC_NPROCESSORS_ONLN)))
+      .field("build_type", MODUBFT_BUILD_TYPE)
       .field("speedup_w4b4_threads", speedup)
       .field("all_committed", all_ok);
   report.raw("rows", rows.str());

@@ -18,6 +18,8 @@
 //     state transfer on every substrate, and the committed-slot log never
 //     exceeds C+W slots.
 //
+// The report records nproc and the build type next to the rows.
+//
 // Usage: bench_e18_recovery [--out FILE] [--commands N] [--reps R]
 //                           [--budget-ms MS]
 #include <algorithm>
@@ -26,6 +28,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_json.hpp"
 #include "faults/scenario.hpp"
@@ -265,6 +269,9 @@ int main(int argc, char** argv) {
       .field("checkpoint_interval", kInterval)
       .field("window", static_cast<std::uint64_t>(kWindow))
       .field("batch", static_cast<std::uint64_t>(kBatch))
+      .field("nproc", static_cast<std::uint64_t>(
+                          sysconf(_SC_NPROCESSORS_ONLN)))
+      .field("build_type", MODUBFT_BUILD_TYPE)
       .field("worst_retained", worst_retained)
       .field("all_recovered", all_recovered)
       .field("all_ok", all_ok);

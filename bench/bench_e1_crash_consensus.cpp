@@ -39,8 +39,8 @@ void run_case(benchmark::State& state, std::uint32_t n, std::uint32_t crashes,
     total += 1;
     ok += r.agreement && r.termination && r.validity;
     rounds += r.max_decision_round.value;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
     sim_ms += static_cast<double>(r.last_decision_time) / 1000.0;
   }
 

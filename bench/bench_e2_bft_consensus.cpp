@@ -43,8 +43,8 @@ void run_case(benchmark::State& state, std::uint32_t n, std::uint32_t f,
     ok += r.termination && r.agreement && r.vector_validity &&
           r.detectors_reliable;
     rounds += r.max_decision_round.value;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
     sim_ms += static_cast<double>(r.last_decision_time) / 1000.0;
     margin += static_cast<double>(r.min_correct_entries) -
               static_cast<double>(n - 2 * f);

@@ -39,8 +39,8 @@ void run_crash(benchmark::State& state, std::uint32_t n, bool crash_coord) {
     faults::CrashScenarioResult r = faults::run_crash_scenario(cfg);
     total += 1;
     rounds += r.max_decision_round.value;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
     sim_ms += static_cast<double>(r.last_decision_time) / 1000.0;
   }
   const double k = static_cast<double>(total);
@@ -68,8 +68,8 @@ void run_bft(benchmark::State& state, std::uint32_t n, bool crash_coord) {
     faults::BftScenarioResult r = faults::run_bft_scenario(cfg);
     total += 1;
     rounds += r.max_decision_round.value;
-    msgs += static_cast<double>(r.net.messages_sent);
-    kbytes += static_cast<double>(r.net.bytes_sent) / 1024.0;
+    msgs += static_cast<double>(r.run_stats.net.messages_sent);
+    kbytes += static_cast<double>(r.run_stats.net.bytes_sent) / 1024.0;
     sim_ms += static_cast<double>(r.last_decision_time) / 1000.0;
     max_kb += static_cast<double>(r.max_message_bytes) / 1024.0;
   }

@@ -70,8 +70,8 @@ int main() {
     }
     std::cout << "]\n";
   }
-  std::cout << "  cost: " << r.net.messages_sent << " messages, "
-            << r.net.bytes_sent << " bytes\n\n";
+  std::cout << "  cost: " << r.run_stats.net.messages_sent << " messages, "
+            << r.run_stats.net.bytes_sent << " bytes\n\n";
 
   const bool ok = !vectors.empty() && r.agreement && r.termination &&
                   r.vector_validity;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::cout << "\n  agreement:   " << (r.agreement ? "yes" : "NO") << "\n"
             << "  termination: " << (r.termination ? "yes" : "NO") << "\n"
             << "  validity:    " << (r.validity ? "yes" : "NO") << "\n"
-            << "  messages:    " << r.net.messages_sent << " ("
-            << r.net.bytes_sent << " bytes)\n";
+            << "  messages:    " << r.run_stats.net.messages_sent << " ("
+            << r.run_stats.net.bytes_sent << " bytes)\n";
   return r.agreement && r.termination && r.validity ? 0 : 1;
 }

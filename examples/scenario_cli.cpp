@@ -227,8 +227,8 @@ int run_bft(int argc, char** argv) {
             << "decision round:      " << r.max_decision_round.value << "\n"
             << "decision time:       " << r.last_decision_time / 1000.0
             << " sim ms\n"
-            << "messages / bytes:    " << r.net.messages_sent << " / "
-            << r.net.bytes_sent << "\n"
+            << "messages / bytes:    " << r.run_stats.net.messages_sent << " / "
+            << r.run_stats.net.bytes_sent << "\n"
             << "largest message:     " << r.max_message_bytes << " bytes\n";
   if (!r.declared_faulty.empty()) {
     std::cout << "convicted processes:";
@@ -319,8 +319,10 @@ int run_crash(int argc, char** argv) {
             << "decision round:  " << r.max_decision_round.value << "\n"
             << "decision time:   " << r.last_decision_time / 1000.0
             << " sim ms\n"
-            << "messages/bytes:  " << r.net.messages_sent << " / "
-            << r.net.bytes_sent << "\n";
+            << "messages/bytes:  " << r.run_stats.net.messages_sent << " / "
+            << r.run_stats.net.bytes_sent << "\n"
+            << "run stats:       "
+            << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
   return r.termination && r.agreement && r.validity ? 0 : 1;
 }
 
@@ -394,8 +396,8 @@ int run_tcp(int argc, char** argv) {
             << "agreement:           " << (r.agreement ? "yes" : "NO") << "\n"
             << "clean shutdown:      " << (r.clean ? "yes" : "NO") << " ("
             << r.unstopped.size() << " unstopped)\n"
-            << "frames / bytes sent: " << r.run_stats.wire_frames << " / "
-            << r.run_stats.wire_bytes << "\n"
+            << "frames / bytes sent: " << r.run_stats.link.frames_sent << " / "
+            << r.run_stats.link.bytes_sent << "\n"
             << "link faults:         kills " << stats.kills_injected
             << ", truncates " << stats.truncates_injected << ", flips "
             << stats.flips_injected << ", delays " << stats.delays_injected
@@ -404,7 +406,7 @@ int run_tcp(int argc, char** argv) {
             << ", retransmits " << stats.retransmits << ", checksum drops "
             << stats.checksum_failures << ", dups suppressed "
             << stats.dup_suppressed << "\n"
-            << "degraded links:      " << stats.degraded_links << "\n"
+            << "degraded links:      " << stats.degraded << "\n"
             << "run stats:           "
             << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
   return correct_decided == r.correct.size() && r.agreement ? 0 : 1;

@@ -36,7 +36,6 @@ void BftProcess::send_signed(sim::Context& ctx, MessageCore core,
                              Certificate cert) {
   SignedMessage msg = signature_.sign(std::move(core), std::move(cert));
   Bytes frame = encode_message(msg);
-  send_stats_.messages += ctx.n();
   send_stats_.bytes += static_cast<std::uint64_t>(frame.size()) * ctx.n();
   send_stats_.max_message_bytes =
       std::max<std::uint64_t>(send_stats_.max_message_bytes, frame.size());

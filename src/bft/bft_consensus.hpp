@@ -41,7 +41,6 @@ using consensus::VectorDecision;
 
 /// Per-process send accounting (experiments E3/E6).
 struct SendStats {
-  std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t max_message_bytes = 0;
 };

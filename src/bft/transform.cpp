@@ -60,7 +60,7 @@ void TransformedActor::on_message(sim::Context& ctx, ProcessId from,
   const SignedMessage& msg = in.msg;
   if (msg.core.round.value > protocol_->rp_round().value) {
     if (msg.core.round.value - protocol_->rp_round().value <=
-        config_.max_buffered_rounds) {
+        kMaxBufferedRounds) {
       future_[msg.core.round.value].push_back(msg);
     }
     return;

@@ -87,12 +87,13 @@ class PeerModel {
 using PeerModelFactory =
     std::function<std::unique_ptr<PeerModel>(ProcessId peer)>;
 
+/// Messages with round > rp_round() wait in the buffer; rounds at most
+/// this far ahead are kept (Byzantine flooding bound).
+inline constexpr std::uint32_t kMaxBufferedRounds = 1024;
+
 struct TransformConfig {
   std::uint32_t n = 0;
   fd::MutenessConfig muteness{};
-  /// Messages with round > rp_round() wait in the buffer; rounds at most
-  /// this far ahead are kept (Byzantine flooding bound).
-  std::uint32_t max_buffered_rounds = 1024;
 };
 
 /// The generic five-module composition.

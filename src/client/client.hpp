@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "crypto/signature.hpp"
 #include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
@@ -101,7 +102,8 @@ struct AcceptedReply {
   SimTime latency_us = 0;  // first submission → certification
 };
 
-/// Client-side observability, aggregated into runtime::RunStats.
+/// Client-side observability, aggregated into runtime::RunStats (summed
+/// over every client) as client_* keys.
 struct ClientStats {
   std::uint64_t submitted = 0;   ///< first submissions (= ops started)
   std::uint64_t retries = 0;     ///< timeout resends
@@ -113,7 +115,23 @@ struct ClientStats {
   std::uint64_t accepted = 0;    ///< operations certified
   std::uint64_t fetches_answered = 0;  ///< CMD_FETCH ids answered with a body
   std::uint64_t bounds_sent = 0;       ///< SEQ_BOUND refutations sent
-  std::vector<SimTime> latencies_us;  ///< per-accepted-op latency
+  /// Per-accepted-op latency.  Not a run counter: the run merges every
+  /// client's into one distribution and cuts client_p50/p99/p999_us.
+  std::vector<SimTime> latencies_us;
+
+  using Self = ClientStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"client_submitted", &Self::submitted, metrics::kSum},
+      {"client_retries", &Self::retries, metrics::kSum},
+      {"client_failovers", &Self::failovers, metrics::kSum},
+      {"client_busy", &Self::busy, metrics::kSum},
+      {"client_replies", &Self::replies, metrics::kSum},
+      {"client_duplicate_replies", &Self::duplicate_replies, metrics::kSum},
+      {"client_mismatched_replies", &Self::mismatched_replies, metrics::kSum},
+      {"client_accepted", &Self::accepted, metrics::kSum},
+      {"client_fetches_answered", &Self::fetches_answered, metrics::kSum},
+      {"client_bounds_sent", &Self::bounds_sent, metrics::kSum},
+  };
 };
 
 class Client final : public sim::Actor {

@@ -27,11 +27,11 @@ bool CachingVerifier::verify_digest(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end() && it->second.sig == sig) {
-      ++stats_.hits;
+      ++stats_.cache_hits;
       lru_.splice(lru_.begin(), lru_, it->second.lru);
       return it->second.ok;
     }
-    ++stats_.misses;
+    ++stats_.cache_misses;
   }
   // Verify outside the lock: the underlying scheme is the expensive part.
   const bool ok = inner_->verify(signer, materialize(), sig);
@@ -50,7 +50,7 @@ bool CachingVerifier::verify_digest(
     if (map_.size() > capacity_) {
       map_.erase(lru_.back());
       lru_.pop_back();
-      ++stats_.evictions;
+      ++stats_.cache_evictions;
     }
   }
   return ok;

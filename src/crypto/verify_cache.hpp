@@ -36,20 +36,29 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/metrics.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signature.hpp"
 
 namespace modubft::crypto {
 
-/// Hit/miss accounting, exposed for benchmarks and tests.
+/// Hit/miss accounting, exposed for runtime::RunStats, benchmarks and
+/// tests.  A run sums it over the correct processes' caches.
 struct VerifyCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_evictions = 0;
+
+  using Self = VerifyCacheStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"cache_hits", &Self::cache_hits, metrics::kSum},
+      {"cache_misses", &Self::cache_misses, metrics::kSum},
+      {"cache_evictions", &Self::cache_evictions, metrics::kSum},
+  };
 
   double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+    const std::uint64_t total = cache_hits + cache_misses;
+    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
   }
 };
 

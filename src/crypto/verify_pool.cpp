@@ -36,11 +36,11 @@ void VerifyPool::execute(const Task& task, bool on_worker) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (on_worker) {
-      stats_.dispatched_jobs += 1;
+      stats_.pool_dispatched += 1;
     } else {
-      stats_.inline_jobs += 1;
+      stats_.pool_inline_jobs += 1;
     }
-    if (!ok) stats_.failures += 1;
+    if (!ok) stats_.pool_failures += 1;
   }
   // Note the waiter may destroy the Batch as soon as it observes
   // remaining == 0, but it cannot re-acquire batch->mu before this guard
@@ -66,8 +66,8 @@ void VerifyPool::worker_loop() {
 std::size_t VerifyPool::verify_all(std::vector<Job> jobs) {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stats_.batches += 1;
-    stats_.jobs += jobs.size();
+    stats_.pool_batches += 1;
+    stats_.pool_jobs += jobs.size();
   }
   if (jobs.empty()) return 0;
 
@@ -79,8 +79,8 @@ std::size_t VerifyPool::verify_all(std::vector<Job> jobs) {
       if (!run_job(job)) failures += 1;
     }
     std::lock_guard<std::mutex> lk(mu_);
-    stats_.inline_jobs += jobs.size();
-    stats_.failures += failures;
+    stats_.pool_inline_jobs += jobs.size();
+    stats_.pool_failures += failures;
     return failures;
   }
 
@@ -89,8 +89,8 @@ std::size_t VerifyPool::verify_all(std::vector<Job> jobs) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const Job& job : jobs) queue_.push_back(Task{&job, &batch});
-    stats_.peak_queue_depth = std::max<std::uint64_t>(
-        stats_.peak_queue_depth, queue_.size());
+    stats_.pool_peak_queue = std::max<std::uint64_t>(
+        stats_.pool_peak_queue, queue_.size());
   }
   work_cv_.notify_all();
 
@@ -120,10 +120,10 @@ bool VerifyPool::verify_one(const Job& job) {
   // keep it in the pool's accounting.
   const bool ok = run_job(job);
   std::lock_guard<std::mutex> lk(mu_);
-  stats_.batches += 1;
-  stats_.jobs += 1;
-  stats_.inline_jobs += 1;
-  if (!ok) stats_.failures += 1;
+  stats_.pool_batches += 1;
+  stats_.pool_jobs += 1;
+  stats_.pool_inline_jobs += 1;
+  if (!ok) stats_.pool_failures += 1;
   return ok;
 }
 

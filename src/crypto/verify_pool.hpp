@@ -39,16 +39,29 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
+
 namespace modubft::crypto {
 
-/// Pool counters, exposed for RunStats / benchmarks / tests.
+/// Pool counters, exposed for runtime::RunStats, benchmarks and tests.
+/// A run has at most one pool, shared by its processes.
 struct VerifyPoolStats {
-  std::uint64_t batches = 0;     // verify_all calls (incl. verify_one)
-  std::uint64_t jobs = 0;        // closures executed
-  std::uint64_t inline_jobs = 0; // executed on the submitting thread
-  std::uint64_t dispatched_jobs = 0;  // executed on a pool worker
-  std::uint64_t failures = 0;    // closures that returned false (or threw)
-  std::uint64_t peak_queue_depth = 0;  // high-water mark of queued jobs
+  std::uint64_t pool_batches = 0;  // verify_all calls (incl. verify_one)
+  std::uint64_t pool_jobs = 0;     // closures executed
+  std::uint64_t pool_inline_jobs = 0;  // executed on the submitting thread
+  std::uint64_t pool_dispatched = 0;   // executed on a pool worker
+  std::uint64_t pool_failures = 0;  // closures that returned false (or threw)
+  std::uint64_t pool_peak_queue = 0;  // high-water mark of queued jobs
+
+  using Self = VerifyPoolStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"pool_batches", &Self::pool_batches, metrics::kSum},
+      {"pool_jobs", &Self::pool_jobs, metrics::kSum},
+      {"pool_inline_jobs", &Self::pool_inline_jobs, metrics::kSum},
+      {"pool_dispatched", &Self::pool_dispatched, metrics::kSum},
+      {"pool_failures", &Self::pool_failures, metrics::kSum},
+      {"pool_peak_queue", &Self::pool_peak_queue, metrics::kMax},
+  };
 };
 
 class VerifyPool {

@@ -24,7 +24,6 @@
 #include "bft/bft_consensus.hpp"
 #include "client/client.hpp"
 #include "consensus/value.hpp"
-#include "crypto/verify_cache.hpp"
 #include "faults/fault_spec.hpp"
 #include "fd/oracle_fd.hpp"
 #include "runtime/substrate.hpp"
@@ -54,11 +53,6 @@ struct BftScenarioConfig {
   bool verify_cache = true;
   /// Optional certification-bound override (see bft::BftConfig).
   std::optional<std::uint32_t> certification_bound;
-  /// Attach a crypto::VerifyPool with this many workers, shared by every
-  /// process (0 = synchronous pool: accounting without threads — the
-  /// deterministic configuration).  Unset = no pool, serial verification
-  /// exactly as before.
-  std::optional<std::uint32_t> verify_workers;
   /// false = audit mode: processes keep their detection modules running
   /// after deciding, guaranteeing that every delivered misbehaviour ends up
   /// in the fault records.
@@ -121,15 +115,11 @@ struct BftScenarioResult {
 
   Round max_decision_round;
   SimTime last_decision_time = 0;
-  /// Unified cross-substrate counters (run_stats.net == net).
+  /// Unified cross-substrate counters; run_stats.verify sums the correct
+  /// processes' verified-signature caches (zero when verify_cache is off).
   runtime::RunStats run_stats;
-  sim::Stats net;
   std::uint64_t max_message_bytes = 0;
   std::uint64_t protocol_bytes = 0;  // sum of per-process send bytes
-
-  /// Verified-signature cache counters summed over correct processes
-  /// (all zero when verify_cache is off).
-  crypto::VerifyCacheStats verify_cache_stats;
 };
 
 BftScenarioResult run_bft_scenario(const BftScenarioConfig& config);
@@ -164,7 +154,6 @@ struct CrashScenarioResult {
   Round max_decision_round;
   SimTime last_decision_time = 0;
   runtime::RunStats run_stats;
-  sim::Stats net;
 };
 
 CrashScenarioResult run_crash_scenario(const CrashScenarioConfig& config);
@@ -332,11 +321,12 @@ struct SmrScenarioResult {
   std::map<std::uint32_t, std::map<std::string, std::string>> stores;
 
   // --- client/service layer (filled only when config.clients is set) ---
-  /// Committed commands as witnessed by the commit-log reference replica
-  /// (the lowest-id never-crashed one): command id → (slot, command).
-  /// The auditor checks every client-accepted reply against this map.
+  /// Committed commands as applied by the witness replica (the lowest-id
+  /// correct replica with no scheduled crash; empty if every correct
+  /// replica was killed): command id → (slot, command).  The auditor
+  /// checks every client-accepted reply against this map.
   std::map<std::uint64_t, std::pair<std::uint64_t, smr::Command>> commit_log;
-  /// Commands the reference replica applied more than once (must be 0 —
+  /// Commands the witness replica applied more than once (must be 0 —
   /// the exactly-once audit).
   std::uint64_t commit_log_duplicates = 0;
   /// Per-client stats and accepted replies, keyed by client process id.

@@ -12,6 +12,7 @@
 #include "bft/config.hpp"
 #include "bft/lockstep.hpp"
 #include "common/check.hpp"
+#include "common/metrics.hpp"
 #include "consensus/chandra_toueg.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/hmac_signer.hpp"
@@ -95,13 +96,6 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
       tune_poll_period(config.substrate, config.suspicion_poll_period);
   proto.validate();
 
-  // One verification pool shared by every process (opt-in).
-  std::shared_ptr<crypto::VerifyPool> pool;
-  if (config.verify_workers.has_value()) {
-    pool = std::make_shared<crypto::VerifyPool>(*config.verify_workers);
-    proto.verify_pool = pool;
-  }
-
   const std::vector<consensus::Value> proposals =
       default_proposals(config.n, config.proposals);
 
@@ -184,7 +178,6 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
   result.clean = run.clean;
   result.unstopped = run.unstopped;
   result.run_stats = run.stats;
-  result.net = run.stats.net;
 
   // ---- evaluate the paper's properties over the correct processes ----
   result.termination = true;
@@ -255,24 +248,8 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
         result.max_message_bytes, views[i]->send_stats().max_message_bytes);
     result.protocol_bytes += views[i]->send_stats().bytes;
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
-      const crypto::VerifyCacheStats s = cache->stats();
-      result.verify_cache_stats.hits += s.hits;
-      result.verify_cache_stats.misses += s.misses;
-      result.verify_cache_stats.evictions += s.evictions;
+      metrics::merge(result.run_stats.verify, cache->stats());
     }
-  }
-
-  result.run_stats.verify.cache_hits = result.verify_cache_stats.hits;
-  result.run_stats.verify.cache_misses = result.verify_cache_stats.misses;
-  result.run_stats.verify.cache_evictions =
-      result.verify_cache_stats.evictions;
-  if (pool) {
-    const crypto::VerifyPoolStats ps = pool->stats();
-    result.run_stats.verify.pool_workers = pool->workers();
-    result.run_stats.verify.pool_jobs = ps.jobs;
-    result.run_stats.verify.pool_dispatched = ps.dispatched_jobs;
-    result.run_stats.verify.pool_batches = ps.batches;
-    result.run_stats.verify.pool_peak_queue = ps.peak_queue_depth;
   }
 
   return result;
@@ -335,7 +312,6 @@ CrashScenarioResult run_crash_scenario(const CrashScenarioConfig& config) {
   result.clean = run.clean;
   result.unstopped = run.unstopped;
   result.run_stats = run.stats;
-  result.net = run.stats.net;
 
   result.termination = true;
   for (std::uint32_t i : result.correct) {
@@ -584,20 +560,24 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     return rcfg;
   };
 
-  // Commit log (client mode): every command the reference replica — the
-  // lowest-id never-crashed one — applies, with its slot.  The auditor
-  // checks client-accepted replies against this map, and a re-applied id
-  // (commit_log_duplicates) is an exactly-once violation.  The callback
-  // runs on the reference replica's node thread; the results are read
-  // after run() joins it, but the mutex also covers a restart factory
-  // racing a reader on another thread.
-  std::uint32_t commit_ref = 0;
-  while (commit_ref < config.n && crash_times[commit_ref].has_value()) {
-    ++commit_ref;
+  // The witness replica (see runtime::RunStats): the lowest-id correct
+  // one with no scheduled crash.  Its one-replica tallies stand for the
+  // run, and in client mode it keeps the commit log: every command it
+  // applies, with its slot.  The auditor checks client-accepted replies
+  // against this map, and a re-applied id (commit_log_duplicates) is an
+  // exactly-once violation.  The callback runs on the witness's node
+  // thread; the results are read after run() joins it, but the mutex
+  // also covers a restart factory racing a reader on another thread.
+  std::uint32_t witness = config.n;
+  for (std::uint32_t i : result.correct) {
+    if (!crash_times[i].has_value()) {
+      witness = i;
+      break;
+    }
   }
   std::mutex commit_mu;
   smr::CommitFn log_commit;
-  if (client_mode && commit_ref < config.n) {
+  if (client_mode && witness < config.n) {
     log_commit = [&result, &commit_mu](InstanceId slot,
                                        const smr::Command* cmd,
                                        const smr::KvStore&) {
@@ -636,7 +616,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
 
     auto replica = std::make_unique<smr::Replica>(
         make_rcfg(i, false), workload_for(i),
-        i == commit_ref ? log_commit : smr::CommitFn{});
+        i == witness ? log_commit : smr::CommitFn{});
     views[i] = replica.get();
     install(id, std::move(replica));
     if (crash_times[i].has_value()) {
@@ -729,122 +709,39 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     result.stores_agree = false;
   }
 
-  // Pipeline + verification summaries (see PipelineSummary's aggregation
-  // contract: reference-replica tallies, summed drop counters, max peak).
-  runtime::PipelineSummary& pipe = result.run_stats.pipeline;
-  pipe.window = config.window;
-  pipe.batch = config.batch;
-  double avg_sum = 0.0;
-  std::uint64_t avg_count = 0;
+  // Run statistics: every declared counter folds by its own rule
+  // (common/metrics.hpp).
+  runtime::RunStats& stats = result.run_stats;
+  std::vector<const smr::PipelineStats*> pipelines;
   for (std::uint32_t i : result.correct) {
-    const smr::PipelineStats& ps = views[i]->pipeline_stats();
-    if (views[i] == reference) {
-      pipe.slots_committed = ps.slots_committed;
-      pipe.commands_committed = ps.commands_committed;
-      pipe.noop_slots = ps.noop_slots;
-      pipe.max_batch = ps.max_batch;
-      pipe.checkpoints_taken = ps.checkpoints_taken;
-      pipe.checkpoint_certs = ps.checkpoint_certs;
-    }
-    pipe.window_peak = std::max(pipe.window_peak, ps.window_peak);
-    pipe.future_buffered += ps.future_buffered;
-    pipe.future_dropped += ps.future_dropped;
-    pipe.stale_dropped += ps.stale_dropped;
-    pipe.log_truncated += ps.log_truncated;
-    pipe.log_peak = std::max(pipe.log_peak, ps.log_peak);
-    pipe.state_reqs += ps.state_reqs;
-    pipe.state_resps += ps.state_resps;
-    pipe.recovery_installs += ps.recovery_installs;
-    pipe.recovery_rejects += ps.recovery_rejects;
-    if (ps.recovery_join_us > 0 &&
-        ps.recovery_join_us >= ps.recovery_start_us) {
-      pipe.recovery_us = std::max(
-          pipe.recovery_us, static_cast<std::uint64_t>(
-                                ps.recovery_join_us - ps.recovery_start_us));
-    }
-    avg_sum += ps.avg_window();
-    avg_count += 1;
-    const smr::IngestStats& is = views[i]->ingest_stats();
-    runtime::IngestSummary& ing = result.run_stats.ingest;
-    ing.batches += is.batches;
-    ing.batch_messages += is.batch_messages;
-    ing.max_batch = std::max(ing.max_batch, is.max_batch);
-    ing.prologue_frames += is.prologue_frames;
-    ing.prologue_jobs += is.prologue_jobs;
+    pipelines.push_back(&views[i]->pipeline_stats());
+    metrics::merge(stats.ingest, views[i]->ingest_stats());
+    metrics::merge(stats.client, views[i]->client_service_stats());
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
-      const crypto::VerifyCacheStats cs = cache->stats();
-      result.run_stats.verify.cache_hits += cs.hits;
-      result.run_stats.verify.cache_misses += cs.misses;
-      result.run_stats.verify.cache_evictions += cs.evictions;
+      metrics::merge(stats.verify, cache->stats());
     }
   }
-  if (avg_count > 0) pipe.avg_window = avg_sum / static_cast<double>(avg_count);
-  result.run_stats.ingest.staged = staged_ingest ? 1 : 0;
+  stats.pipeline.window = config.window;
+  stats.pipeline.batch = config.batch;
+  stats.pipeline.fold(pipelines, witness < config.n
+                                     ? &views[witness]->pipeline_stats()
+                                     : nullptr);
+  stats.ingest.staged = staged_ingest ? 1 : 0;
   if (pool) {
-    const crypto::VerifyPoolStats ps = pool->stats();
-    result.run_stats.verify.pool_workers = pool->workers();
-    result.run_stats.verify.pool_jobs = ps.jobs;
-    result.run_stats.verify.pool_dispatched = ps.dispatched_jobs;
-    result.run_stats.verify.pool_batches = ps.batches;
-    result.run_stats.verify.pool_peak_queue = ps.peak_queue_depth;
+    metrics::merge(stats.verify, pool->stats());
+    stats.verify.pool_workers = pool->workers();
   }
 
   if (client_mode) {
-    runtime::ClientSummary& cs = result.run_stats.client;
-    cs.clients = num_clients;
-    std::vector<SimTime> latencies;
+    std::vector<const client::ClientStats*> clients;
     for (std::uint32_t k = 0; k < num_clients; ++k) {
       const std::uint32_t pid = config.n + k;
-      const client::ClientStats& st = client_views[k]->stats();
-      result.client_stats.emplace(pid, st);
+      clients.push_back(&client_views[k]->stats());
+      result.client_stats.emplace(pid, client_views[k]->stats());
       result.client_accepted.emplace(pid, client_views[k]->accepted());
       if (client_views[k]->finished()) result.clients_done.insert(pid);
-      cs.submitted += st.submitted;
-      cs.retries += st.retries;
-      cs.failovers += st.failovers;
-      cs.busy += st.busy;
-      cs.replies += st.replies;
-      cs.duplicate_replies += st.duplicate_replies;
-      cs.mismatched_replies += st.mismatched_replies;
-      cs.accepted += st.accepted;
-      cs.fetches_answered += st.fetches_answered;
-      cs.bounds_sent += st.bounds_sent;
-      latencies.insert(latencies.end(), st.latencies_us.begin(),
-                       st.latencies_us.end());
     }
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      auto pct = [&](std::uint64_t permille) {
-        const std::size_t idx = std::min(
-            latencies.size() - 1,
-            static_cast<std::size_t>(permille * latencies.size() / 1000));
-        return latencies[idx];
-      };
-      cs.p50_us = pct(500);
-      cs.p99_us = pct(990);
-      cs.p999_us = pct(999);
-    }
-    for (std::uint32_t i : result.correct) {
-      const smr::ClientServiceStats& rs = views[i]->client_service_stats();
-      cs.requests += rs.requests;
-      cs.duplicates += rs.duplicates;
-      cs.replays += rs.replays;
-      cs.admitted += rs.admitted;
-      cs.sheds += rs.sheds;
-      cs.relays_sent += rs.relays_sent;
-      cs.relays_received += rs.relays_received;
-      cs.relays_dropped += rs.relays_dropped;
-      cs.fetches_sent += rs.fetches_sent;
-      cs.fetches_served += rs.fetches_served;
-      cs.replies_sent += rs.replies_sent;
-      cs.parked_commits += rs.parked_commits;
-      cs.rejects += rs.rejects;
-      cs.queue_peak = std::max(cs.queue_peak, rs.queue_peak);
-      cs.auth_rejects += rs.auth_rejects;
-      cs.ineligible_skips += rs.ineligible_skips;
-      cs.origin_drops += rs.origin_drops;
-      cs.bounds_recorded += rs.bounds_recorded;
-    }
+    stats.client.fold(clients);
   }
 
   return result;

@@ -1,5 +1,6 @@
 #include "runtime/substrate.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <sstream>
@@ -30,7 +31,6 @@ class SimSubstrate final : public Substrate {
     sim_cfg.seed = config_.seed;
     sim_cfg.latency = config_.latency;
     sim_cfg.max_time = config_.max_time;
-    sim_cfg.max_events = config_.max_events;
     world_ = std::make_unique<sim::Simulation>(sim_cfg);
   }
 
@@ -159,11 +159,7 @@ class WallClockSubstrate final : public Substrate {
     result.stats.net = cluster_->stats();
     result.stats.wall_us =
         static_cast<std::uint64_t>(cluster_->elapsed().count());
-    if (tcp_ != nullptr) {
-      result.stats.wire_frames = tcp_->frames_sent();
-      result.stats.wire_bytes = tcp_->bytes_sent();
-      result.stats.link = tcp_->link_stats();
-    }
+    if (tcp_ != nullptr) result.stats.link = tcp_->link_stats();
     return result;
   }
 
@@ -202,91 +198,89 @@ const char* run_outcome_name(RunOutcome o) {
   return "?";
 }
 
+void PipelineSummary::fold(
+    const std::vector<const smr::PipelineStats*>& replicas,
+    const smr::PipelineStats* witness) {
+  if (witness == nullptr && !replicas.empty()) witness = replicas.front();
+  double occupancy = 0.0;
+  for (const smr::PipelineStats* p : replicas) {
+    metrics::merge(*this, *p, p == witness);
+    if (p->window_samples > 0) {
+      occupancy += static_cast<double>(p->window_occupancy_sum) /
+                   static_cast<double>(p->window_samples);
+    }
+    if (p->recovery_join_us > 0 &&
+        p->recovery_join_us >= p->recovery_start_us) {
+      recovery_us =
+          std::max(recovery_us, p->recovery_join_us - p->recovery_start_us);
+    }
+  }
+  if (!replicas.empty()) {
+    avg_window = occupancy / static_cast<double>(replicas.size());
+  }
+}
+
+void ClientSummary::fold(const std::vector<const client::ClientStats*>& all) {
+  clients = all.size();
+  std::vector<SimTime> latencies;
+  for (const client::ClientStats* c : all) {
+    metrics::merge(*this, *c);
+    latencies.insert(latencies.end(), c->latencies_us.begin(),
+                     c->latencies_us.end());
+  }
+  if (latencies.empty()) return;
+  std::sort(latencies.begin(), latencies.end());
+  auto pct = [&](std::uint64_t permille) {
+    const std::size_t idx = std::min(
+        latencies.size() - 1,
+        static_cast<std::size_t>(permille * latencies.size() / 1000));
+    return latencies[idx];
+  };
+  p50_us = pct(500);
+  p99_us = pct(990);
+  p999_us = pct(999);
+}
+
+namespace {
+
+/// Writes `part`'s declared counters as `,"key":value` pairs.
+template <class S>
+void write_counters(std::ostream& os, const S& part) {
+  for (const metrics::Counter<S>& c : S::kCounters) {
+    os << ",\"" << c.key << "\":" << part.*c.field;
+  }
+}
+
+}  // namespace
+
 std::string to_json(Backend backend, const RunStats& stats) {
   std::ostringstream os;
-  os << "{\"backend\":\"" << backend_name(backend) << '"'
-     << ",\"messages_sent\":" << stats.net.messages_sent
-     << ",\"messages_delivered\":" << stats.net.messages_delivered
-     << ",\"bytes_sent\":" << stats.net.bytes_sent
-     << ",\"events_executed\":" << stats.net.events_executed
-     << ",\"virtual_time_us\":" << stats.virtual_time
-     << ",\"wall_us\":" << stats.wall_us
-     << ",\"wire_frames\":" << stats.wire_frames
-     << ",\"wire_bytes\":" << stats.wire_bytes
-     << ",\"reconnects\":" << stats.link.reconnects
-     << ",\"retransmits\":" << stats.link.retransmits
-     << ",\"frames_dropped\":" << stats.link.frames_dropped
-     << ",\"kills_injected\":" << stats.link.kills_injected
-     << ",\"checksum_failures\":" << stats.link.checksum_failures
-     << ",\"dup_suppressed\":" << stats.link.dup_suppressed
-     << ",\"cache_hits\":" << stats.verify.cache_hits
-     << ",\"cache_misses\":" << stats.verify.cache_misses
-     << ",\"cache_evictions\":" << stats.verify.cache_evictions
-     << ",\"cache_hit_rate\":" << stats.verify.cache_hit_rate()
-     << ",\"pool_workers\":" << stats.verify.pool_workers
-     << ",\"pool_jobs\":" << stats.verify.pool_jobs
-     << ",\"pool_dispatched\":" << stats.verify.pool_dispatched
-     << ",\"pool_batches\":" << stats.verify.pool_batches
-     << ",\"pool_peak_queue\":" << stats.verify.pool_peak_queue
-     << ",\"window\":" << stats.pipeline.window
-     << ",\"batch\":" << stats.pipeline.batch
-     << ",\"slots_committed\":" << stats.pipeline.slots_committed
-     << ",\"commands_committed\":" << stats.pipeline.commands_committed
-     << ",\"noop_slots\":" << stats.pipeline.noop_slots
-     << ",\"max_batch\":" << stats.pipeline.max_batch
-     << ",\"window_peak\":" << stats.pipeline.window_peak
-     << ",\"avg_window\":" << stats.pipeline.avg_window
-     << ",\"future_buffered\":" << stats.pipeline.future_buffered
-     << ",\"future_dropped\":" << stats.pipeline.future_dropped
-     << ",\"stale_dropped\":" << stats.pipeline.stale_dropped
-     << ",\"checkpoints_taken\":" << stats.pipeline.checkpoints_taken
-     << ",\"checkpoint_certs\":" << stats.pipeline.checkpoint_certs
-     << ",\"log_truncated\":" << stats.pipeline.log_truncated
-     << ",\"log_peak\":" << stats.pipeline.log_peak
-     << ",\"state_reqs\":" << stats.pipeline.state_reqs
-     << ",\"state_resps\":" << stats.pipeline.state_resps
-     << ",\"recovery_installs\":" << stats.pipeline.recovery_installs
-     << ",\"recovery_rejects\":" << stats.pipeline.recovery_rejects
-     << ",\"recovery_us\":" << stats.pipeline.recovery_us
-     << ",\"ingest_staged\":" << stats.ingest.staged
-     << ",\"ingest_batches\":" << stats.ingest.batches
-     << ",\"ingest_batch_messages\":" << stats.ingest.batch_messages
-     << ",\"ingest_max_batch\":" << stats.ingest.max_batch
-     << ",\"ingest_avg_batch\":" << stats.ingest.avg_batch()
-     << ",\"ingest_prologue_frames\":" << stats.ingest.prologue_frames
-     << ",\"ingest_prologue_jobs\":" << stats.ingest.prologue_jobs
-     << ",\"client_clients\":" << stats.client.clients
-     << ",\"client_submitted\":" << stats.client.submitted
-     << ",\"client_retries\":" << stats.client.retries
-     << ",\"client_failovers\":" << stats.client.failovers
-     << ",\"client_busy\":" << stats.client.busy
-     << ",\"client_replies\":" << stats.client.replies
-     << ",\"client_duplicate_replies\":" << stats.client.duplicate_replies
-     << ",\"client_mismatched_replies\":" << stats.client.mismatched_replies
-     << ",\"client_accepted\":" << stats.client.accepted
-     << ",\"client_p50_us\":" << stats.client.p50_us
-     << ",\"client_p99_us\":" << stats.client.p99_us
-     << ",\"client_p999_us\":" << stats.client.p999_us
-     << ",\"client_requests\":" << stats.client.requests
-     << ",\"client_duplicates\":" << stats.client.duplicates
-     << ",\"client_replays\":" << stats.client.replays
-     << ",\"client_admitted\":" << stats.client.admitted
-     << ",\"client_sheds\":" << stats.client.sheds
-     << ",\"client_relays_sent\":" << stats.client.relays_sent
-     << ",\"client_relays_received\":" << stats.client.relays_received
-     << ",\"client_relays_dropped\":" << stats.client.relays_dropped
-     << ",\"client_fetches_sent\":" << stats.client.fetches_sent
-     << ",\"client_fetches_served\":" << stats.client.fetches_served
-     << ",\"client_replies_sent\":" << stats.client.replies_sent
-     << ",\"client_parked_commits\":" << stats.client.parked_commits
-     << ",\"client_rejects\":" << stats.client.rejects
-     << ",\"client_queue_peak\":" << stats.client.queue_peak
-     << ",\"client_auth_rejects\":" << stats.client.auth_rejects
-     << ",\"client_ineligible_skips\":" << stats.client.ineligible_skips
-     << ",\"client_origin_drops\":" << stats.client.origin_drops
-     << ",\"client_bounds_recorded\":" << stats.client.bounds_recorded
-     << ",\"client_fetches_answered\":" << stats.client.fetches_answered
-     << ",\"client_bounds_sent\":" << stats.client.bounds_sent << '}';
+  os << "{\"backend\":\"" << backend_name(backend) << '"';
+  write_counters(os, stats.net);
+  os << ",\"virtual_time_us\":" << stats.virtual_time
+     << ",\"wall_us\":" << stats.wall_us;
+  write_counters<transport::ChannelStats>(os, stats.link);
+  write_counters<transport::TcpLinkStats>(os, stats.link);
+  const VerifySummary& v = stats.verify;
+  write_counters<crypto::VerifyCacheStats>(os, v);
+  os << ",\"cache_hit_rate\":" << v.hit_rate()
+     << ",\"pool_workers\":" << v.pool_workers;
+  write_counters<crypto::VerifyPoolStats>(os, v);
+  const PipelineSummary& p = stats.pipeline;
+  os << ",\"window\":" << p.window << ",\"batch\":" << p.batch
+     << ",\"avg_window\":" << p.avg_window
+     << ",\"recovery_us\":" << p.recovery_us;
+  write_counters<smr::PipelineStats>(os, p);
+  os << ",\"ingest_staged\":" << stats.ingest.staged
+     << ",\"ingest_avg_batch\":" << stats.ingest.avg_batch();
+  write_counters<smr::IngestStats>(os, stats.ingest);
+  const ClientSummary& c = stats.client;
+  os << ",\"client_clients\":" << c.clients << ",\"client_p50_us\":"
+     << c.p50_us << ",\"client_p99_us\":" << c.p99_us
+     << ",\"client_p999_us\":" << c.p999_us;
+  write_counters<client::ClientStats>(os, c);
+  write_counters<smr::ClientServiceStats>(os, c);
+  os << '}';
   return os.str();
 }
 

@@ -24,11 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "client/client.hpp"
 #include "common/ids.hpp"
+#include "crypto/verify_cache.hpp"
+#include "crypto/verify_pool.hpp"
 #include "faults/fault_spec.hpp"
 #include "faults/link_fault.hpp"
 #include "sim/actor.hpp"
 #include "sim/simulation.hpp"
+#include "smr/client_table.hpp"
+#include "smr/replica.hpp"
 #include "transport/tcp_cluster.hpp"
 
 namespace modubft::runtime {
@@ -57,69 +62,50 @@ enum class RunOutcome : std::uint8_t {
 
 const char* run_outcome_name(RunOutcome o);
 
-/// Verification-cost counters: the CachingVerifier LRU (summed over the
-/// run's correct processes) and the crypto::VerifyPool (one per run).
-/// All zero when the scenario attaches neither.
-struct VerifySummary {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t pool_workers = 0;
-  std::uint64_t pool_jobs = 0;
-  std::uint64_t pool_dispatched = 0;  // jobs run on a pool worker
-  std::uint64_t pool_batches = 0;
-  std::uint64_t pool_peak_queue = 0;
+// ------------------------------------------------------- run statistics
+//
+// A run's counters are declared once, in the component struct that
+// increments them (common/metrics.hpp): sim::Stats, transport::
+// ChannelStats and TcpLinkStats, crypto::VerifyCacheStats and
+// VerifyPoolStats, smr::PipelineStats, IngestStats and
+// ClientServiceStats, and client::ClientStats.  The summaries below
+// derive from those structs, so a run-level member is the component's
+// own; they add only the run's configuration and the keys derived from
+// several fields.  The scenario runners fold each correct process in by
+// the declared rules, and to_json walks the same tables.  A component
+// field that only feeds a derived key stays zero here.
 
-  double cache_hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
+/// Verification cost: the CachingVerifier LRU (summed over the run's
+/// correct processes) and the crypto::VerifyPool (one per run).  All zero
+/// when the scenario attaches neither.
+struct VerifySummary : crypto::VerifyCacheStats, crypto::VerifyPoolStats {
+  std::uint64_t pool_workers = 0;  // the pool's thread count
 };
 
-/// SMR pipeline counters (smr::PipelineStats projected per run): slot /
-/// command / batch tallies from one reference correct replica (they agree
-/// by construction), buffering-and-drop counters summed over correct
-/// replicas, window peak as the max.  All zero outside SMR scenarios.
-struct PipelineSummary {
+/// SMR pipeline (run_smr_scenario only).
+struct PipelineSummary : smr::PipelineStats {
   std::uint64_t window = 0;  // configured W
   std::uint64_t batch = 0;   // configured B
-  std::uint64_t slots_committed = 0;
-  std::uint64_t commands_committed = 0;
-  std::uint64_t noop_slots = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t window_peak = 0;
+  /// Mean over the correct replicas of each one's window occupancy
+  /// (window_occupancy_sum / window_samples).
   double avg_window = 0.0;
-  std::uint64_t future_buffered = 0;
-  std::uint64_t future_dropped = 0;
-  std::uint64_t stale_dropped = 0;
-  // --- recovery subsystem (zero when checkpointing is off) ---
-  std::uint64_t checkpoints_taken = 0;   // reference replica
-  std::uint64_t checkpoint_certs = 0;    // reference replica
-  std::uint64_t log_truncated = 0;       // summed over correct replicas
-  std::uint64_t log_peak = 0;            // max over correct replicas
-  std::uint64_t state_reqs = 0;          // summed
-  std::uint64_t state_resps = 0;         // summed
-  std::uint64_t recovery_installs = 0;   // summed
-  std::uint64_t recovery_rejects = 0;    // summed
-  /// Worst request-to-rejoin latency among recovered replicas (µs, 0 if
-  /// none recovered).
+  /// Worst request-to-rejoin latency among recovered replicas
+  /// (recovery_join_us − recovery_start_us; 0 if none recovered).
   std::uint64_t recovery_us = 0;
+
+  /// Folds the correct replicas' pipelines in and derives the two keys
+  /// above.  `witness` supplies the kWitness tallies; nullptr means every
+  /// correct replica was killed, and the first of `replicas` stands in.
+  void fold(const std::vector<const smr::PipelineStats*>& replicas,
+            const smr::PipelineStats* witness);
 };
 
-/// Staged-ingest counters (smr::IngestStats summed over a run's correct
-/// replicas, plus the staged/sequential knob actually in force).  All
-/// zero when staged ingest is off or the substrate never delivered a
-/// multi-frame batch — the deterministic simulator in particular
-/// dispatches one message per event, so its batches never form.
-struct IngestSummary {
+/// Staged ingest (run_smr_scenario only).  All zero when staged ingest is
+/// off or the substrate never delivered a multi-frame batch: the
+/// deterministic simulator dispatches one message per event, so its
+/// batches never form.
+struct IngestSummary : smr::IngestStats {
   std::uint64_t staged = 0;  // 1 iff the staged pipeline was enabled
-  std::uint64_t batches = 0;
-  std::uint64_t batch_messages = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t prologue_frames = 0;
-  std::uint64_t prologue_jobs = 0;
 
   double avg_batch() const {
     return batches == 0 ? 0.0
@@ -128,53 +114,29 @@ struct IngestSummary {
   }
 };
 
-/// Client/service-layer counters (run_smr_scenario with clients attached;
-/// all zero otherwise).  Client-side tallies are summed over all clients
-/// — with reply latencies merged into one distribution before the
-/// percentiles are cut — and replica-side tallies are summed over the
-/// correct replicas (queue_peak as the max: the shed bound is per
-/// replica, so the peak is the number the admission cap must dominate).
-struct ClientSummary {
+/// Client/service layer (run_smr_scenario with clients attached; all zero
+/// otherwise): the clients' own counters, and the correct replicas'
+/// service counters.
+struct ClientSummary : client::ClientStats, smr::ClientServiceStats {
   std::uint64_t clients = 0;  // configured client count
-  // client side
-  std::uint64_t submitted = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t busy = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t duplicate_replies = 0;
-  std::uint64_t mismatched_replies = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t fetches_answered = 0;  // CMD_FETCH ids answered with a body
-  std::uint64_t bounds_sent = 0;       // SEQ_BOUND refutations sent
-  std::uint64_t p50_us = 0;   // merged reply-latency percentiles
+  std::uint64_t p50_us = 0;   // percentiles of the clients' latencies_us
   std::uint64_t p99_us = 0;
   std::uint64_t p999_us = 0;
-  // replica side (smr::ClientServiceStats)
-  std::uint64_t requests = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t replays = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t sheds = 0;
-  std::uint64_t relays_sent = 0;
-  std::uint64_t relays_received = 0;
-  std::uint64_t relays_dropped = 0;
-  std::uint64_t fetches_sent = 0;
-  std::uint64_t fetches_served = 0;
-  std::uint64_t replies_sent = 0;
-  std::uint64_t parked_commits = 0;
-  std::uint64_t rejects = 0;
-  std::uint64_t queue_peak = 0;  // max over correct replicas
-  std::uint64_t auth_rejects = 0;      // bad client signatures rejected
-  std::uint64_t ineligible_skips = 0;  // decided ids outside window/bound
-  std::uint64_t origin_drops = 0;      // relays over the per-origin cap
-  std::uint64_t bounds_recorded = 0;   // verified seq bounds accepted
+
+  /// Folds every client in, merging their latencies into one distribution
+  /// before the percentiles are cut.
+  void fold(const std::vector<const client::ClientStats*>& all);
 };
 
 /// Unified counters, comparable across backends.  The core message
 /// counters are protocol-level on every substrate (counted at the
 /// Context::send boundary and at actor dispatch), so a scenario's message
 /// complexity can be diffed sim-vs-threads-vs-tcp field by field.
+///
+/// The witness replica, whose kWitness tallies stand for the run, is the
+/// lowest-id correct replica with no scheduled crash: it ran the whole
+/// run, while a restarted replica counts only its second life.  When every
+/// correct replica was killed, it is the first correct one.
 struct RunStats {
   sim::Stats net;
   /// Virtual end time (sim) — 0 on the wall-clock backends.
@@ -184,25 +146,19 @@ struct RunStats {
   /// from the epoch until every node thread joined — opening and closing
   /// the TCP wire is outside it.
   std::uint64_t wall_us = 0;
-  /// kTcp only: frames/bytes actually written to sockets (retransmits
-  /// included) — the wire-amplification companions to net.bytes_sent.
-  std::uint64_t wire_frames = 0;
-  std::uint64_t wire_bytes = 0;
-  /// kTcp only: fault/recovery counters aggregated over all links.
+  /// kTcp only: wire, fault and recovery counters over all links.
   transport::TcpLinkStats link;
-  /// Verification-cost counters (scenario runners fill these in; the
-  /// substrates themselves have no crypto visibility).
+  /// Verification cost (scenario runners fill it in; the substrates
+  /// themselves have no crypto visibility).
   VerifySummary verify;
-  /// SMR pipeline counters (run_smr_scenario only).
   PipelineSummary pipeline;
-  /// Staged-ingest counters (run_smr_scenario only).
   IngestSummary ingest;
-  /// Client/service-layer counters (run_smr_scenario with clients only).
   ClientSummary client;
 };
 
-/// One-line JSON object for benchmark emission (keys stable across
-/// backends; TCP-only fields are 0 elsewhere).
+/// One-line JSON object for benchmark emission: every declared counter of
+/// `stats` once, plus the run-level keys (stable across backends;
+/// TCP-only fields are 0 elsewhere).
 std::string to_json(Backend backend, const RunStats& stats);
 
 struct RunResult {
@@ -223,7 +179,6 @@ struct SubstrateConfig {
   // --- kSim ---
   sim::LatencyModel latency = sim::calm_network();
   SimTime max_time = 120'000'000;
-  std::uint64_t max_events = 50'000'000;
 
   // --- kThreads / kTcp ---
   /// Wall-clock budget; nodes still running afterwards are reported via

@@ -174,7 +174,7 @@ void Simulation::start_if_needed() {
 bool Simulation::run_until(SimTime t) {
   start_if_needed();
   while (!queue_.empty() && queue_.next_time() <= t) {
-    if (stats_.events_executed >= config_.max_events) break;
+    if (stats_.events_executed >= kMaxEvents) break;
     step();
   }
   return !queue_.empty();
@@ -185,7 +185,7 @@ RunOutcome Simulation::run() {
 
   while (!queue_.empty()) {
     if (queue_.next_time() > config_.max_time) return RunOutcome::kTimeLimit;
-    if (stats_.events_executed >= config_.max_events)
+    if (stats_.events_executed >= kMaxEvents)
       return RunOutcome::kEventLimit;
 
     bool any_live = false;

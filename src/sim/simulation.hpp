@@ -22,6 +22,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "sim/actor.hpp"
 #include "sim/event_queue.hpp"
@@ -37,12 +38,21 @@ enum class RunOutcome {
   kEventLimit,  // event-count budget exhausted
 };
 
-/// Aggregate counters for one run.
+/// Aggregate counters for one run, summed over every process by the
+/// runtime itself (so their rule is kSum, and no runner merges them).
 struct Stats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t events_executed = 0;
+
+  using Self = Stats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"messages_sent", &Self::messages_sent, metrics::kSum},
+      {"messages_delivered", &Self::messages_delivered, metrics::kSum},
+      {"bytes_sent", &Self::bytes_sent, metrics::kSum},
+      {"events_executed", &Self::events_executed, metrics::kSum},
+  };
 };
 
 /// A delivered-message record handed to the optional tap.
@@ -57,12 +67,15 @@ struct Delivery {
   const Bytes* payload = nullptr;
 };
 
+/// Event budget of one run: a run that executes this many events ends
+/// with RunOutcome::kEventLimit.
+inline constexpr std::uint64_t kMaxEvents = 50'000'000;
+
 struct SimConfig {
   std::uint32_t n = 0;
   std::uint64_t seed = 1;
   LatencyModel latency = calm_network();
   SimTime max_time = 60'000'000;        // 60 simulated seconds
-  std::uint64_t max_events = 50'000'000;
 };
 
 /// The simulated world: actors, channels, clock, crash schedule.

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "common/metrics.hpp"
 #include "sim/actor.hpp"
 
 namespace modubft::smr {
@@ -65,8 +66,8 @@ struct ClientServiceConfig {
   std::uint32_t seq_window = 16;
 };
 
-/// Client-service observability, surfaced through
-/// runtime::RunStats::to_json as the client_* keys.
+/// Client-service observability, surfaced through runtime::RunStats as
+/// client_* keys.
 struct ClientServiceStats {
   std::uint64_t requests = 0;    ///< REQUEST frames accepted for handling
   std::uint64_t duplicates = 0;  ///< suppressed (committed or in flight)
@@ -87,6 +88,31 @@ struct ClientServiceStats {
   std::uint64_t ineligible_skips = 0;  ///< decided ids outside window/bound
   std::uint64_t origin_drops = 0;      ///< relays over the per-origin cap
   std::uint64_t bounds_recorded = 0;   ///< verified seq bounds accepted
+
+  // The shed bound is per replica, so the run keeps the largest
+  // queue_peak: the number the admission cap must dominate.
+  using Self = ClientServiceStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"client_requests", &Self::requests, metrics::kSum},
+      {"client_duplicates", &Self::duplicates, metrics::kSum},
+      {"client_replays", &Self::replays, metrics::kSum},
+      {"client_admitted", &Self::admitted, metrics::kSum},
+      {"client_sheds", &Self::sheds, metrics::kSum},
+      {"client_busy_sent", &Self::busy_sent, metrics::kSum},
+      {"client_relays_sent", &Self::relays_sent, metrics::kSum},
+      {"client_relays_received", &Self::relays_received, metrics::kSum},
+      {"client_relays_dropped", &Self::relays_dropped, metrics::kSum},
+      {"client_fetches_sent", &Self::fetches_sent, metrics::kSum},
+      {"client_fetches_served", &Self::fetches_served, metrics::kSum},
+      {"client_replies_sent", &Self::replies_sent, metrics::kSum},
+      {"client_parked_commits", &Self::parked_commits, metrics::kSum},
+      {"client_rejects", &Self::rejects, metrics::kSum},
+      {"client_queue_peak", &Self::queue_peak, metrics::kMax},
+      {"client_auth_rejects", &Self::auth_rejects, metrics::kSum},
+      {"client_ineligible_skips", &Self::ineligible_skips, metrics::kSum},
+      {"client_origin_drops", &Self::origin_drops, metrics::kSum},
+      {"client_bounds_recorded", &Self::bounds_recorded, metrics::kSum},
+  };
 };
 
 }  // namespace modubft::smr

@@ -37,17 +37,11 @@ bool RecoveryModule::verify_resp(ProcessId from, const StateResp& resp,
 
 bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
   std::optional<StateResp> resp = try_decode_state_resp(body, config_.limits);
-  if (!resp.has_value()) {
-    ++stats_.resps_rejected;
-    return false;
-  }
+  if (!resp.has_value()) return false;
 
   if (!config_.trust_unverified) {
     crypto::Digest digest{};
-    if (!verify_resp(from, *resp, &digest)) {
-      ++stats_.resps_rejected;
-      return false;
-    }
+    if (!verify_resp(from, *resp, &digest)) return false;
   }
 
   // The snapshot decodes under the same limits the wire decoder applied;
@@ -57,13 +51,9 @@ bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
   try {
     snap = decode_snapshot(resp->snapshot, config_.limits);
   } catch (const SerialError&) {
-    ++stats_.resps_rejected;
     return false;
   }
-  if (snap.slot != resp->ckpt_slot) {
-    ++stats_.resps_rejected;
-    return false;
-  }
+  if (snap.slot != resp->ckpt_slot) return false;
 
   if (!best_.has_value() || resp->ckpt_slot > best_->snapshot.slot) {
     Installable inst;
@@ -76,7 +66,6 @@ bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
   }
 
   record_suffix(from, *resp);
-  ++stats_.resps_accepted;
   return true;
 }
 

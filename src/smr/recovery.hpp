@@ -48,11 +48,6 @@ struct RecoveryConfig {
   bool trust_unverified = false;
 };
 
-struct RecoveryStats {
-  std::uint64_t resps_accepted = 0;
-  std::uint64_t resps_rejected = 0;
-};
-
 class RecoveryModule {
  public:
   explicit RecoveryModule(RecoveryConfig config);
@@ -78,15 +73,12 @@ class RecoveryModule {
   /// Drops suffix votes below the new commit frontier.
   void prune_below(std::uint64_t frontier);
 
-  const RecoveryStats& stats() const { return stats_; }
-
  private:
   bool verify_resp(ProcessId from, const StateResp& resp,
                    crypto::Digest* digest_out) const;
   void record_suffix(ProcessId from, const StateResp& resp);
 
   RecoveryConfig config_;
-  RecoveryStats stats_;
 
   /// Highest verified checkpoint seen so far.
   std::optional<Installable> best_;

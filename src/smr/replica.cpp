@@ -171,15 +171,11 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
 }
 
 std::uint32_t Replica::cert_quorum() const {
-  if (config_.checkpoint.cert_quorum > 0) return config_.checkpoint.cert_quorum;
   if (config_.backend == Backend::kByzantine) return 2 * config_.bft.f + 1;
   return config_.n / 2 + 1;
 }
 
 std::uint32_t Replica::suffix_quorum() const {
-  if (config_.checkpoint.suffix_quorum > 0) {
-    return config_.checkpoint.suffix_quorum;
-  }
   if (config_.backend == Backend::kByzantine) return config_.bft.f + 1;
   return 1;
 }

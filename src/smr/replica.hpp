@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bft/bft_consensus.hpp"
+#include "common/metrics.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/verify_cache.hpp"
@@ -66,14 +67,6 @@ struct CheckpointConfig {
   /// Take a checkpoint every `interval` committed slots (and always at
   /// the end of the log).  0 = off.
   std::uint64_t interval = 0;
-
-  /// Signatures a checkpoint certificate needs.  0 = derive from the
-  /// backend: 2f+1 (Byzantine) or a simple majority (crash).
-  std::uint32_t cert_quorum = 0;
-
-  /// Matching responders per replayed suffix slot.  0 = derive: f+1
-  /// (Byzantine) or 1 (crash).
-  std::uint32_t suffix_quorum = 0;
 
   /// Start in recovery: the replica owns no state, broadcasts STATE_REQ,
   /// and only joins the window after installing a verified response.
@@ -162,7 +155,9 @@ struct ReplicaConfig {
   ClientServiceConfig client;
 };
 
-/// Pipeline observability, surfaced through runtime::RunStats::to_json.
+/// Pipeline observability, surfaced through runtime::RunStats.  The
+/// kWitness tallies agree on every correct replica that ran the whole run;
+/// a restarted replica counts only its own life.
 struct PipelineStats {
   std::uint64_t slots_committed = 0;
   std::uint64_t commands_committed = 0;
@@ -170,6 +165,7 @@ struct PipelineStats {
   std::uint64_t max_batch = 0;      // largest committed batch
   std::uint64_t window_peak = 0;    // most slots live at once
   /// Occupancy integral: live-slot count sampled at every slot start.
+  /// Not a run counter: the two feed RunStats' avg_window.
   std::uint64_t window_occupancy_sum = 0;
   std::uint64_t window_samples = 0;
   std::uint64_t future_buffered = 0;  // early envelopes parked
@@ -185,26 +181,49 @@ struct PipelineStats {
   std::uint64_t state_resps = 0;       // STATE_RESPs served (responder)
   std::uint64_t recovery_installs = 0;  // verified snapshots installed
   std::uint64_t recovery_rejects = 0;   // corrupt/unverifiable control msgs
+  /// Not run counters: the two feed RunStats' recovery_us.
   SimTime recovery_start_us = 0;  // restart instant (ctx.now at on_start)
   SimTime recovery_join_us = 0;   // first verified state accepted
 
-  double avg_window() const {
-    return window_samples == 0
-               ? 0.0
-               : static_cast<double>(window_occupancy_sum) /
-                     static_cast<double>(window_samples);
-  }
+  using Self = PipelineStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"slots_committed", &Self::slots_committed, metrics::kWitness},
+      {"commands_committed", &Self::commands_committed, metrics::kWitness},
+      {"noop_slots", &Self::noop_slots, metrics::kWitness},
+      {"max_batch", &Self::max_batch, metrics::kWitness},
+      {"window_peak", &Self::window_peak, metrics::kMax},
+      {"future_buffered", &Self::future_buffered, metrics::kSum},
+      {"future_dropped", &Self::future_dropped, metrics::kSum},
+      {"stale_dropped", &Self::stale_dropped, metrics::kSum},
+      {"checkpoints_taken", &Self::checkpoints_taken, metrics::kWitness},
+      {"checkpoint_certs", &Self::checkpoint_certs, metrics::kWitness},
+      {"log_truncated", &Self::log_truncated, metrics::kSum},
+      {"log_peak", &Self::log_peak, metrics::kMax},
+      {"state_reqs", &Self::state_reqs, metrics::kSum},
+      {"state_resps", &Self::state_resps, metrics::kSum},
+      {"recovery_installs", &Self::recovery_installs, metrics::kSum},
+      {"recovery_rejects", &Self::recovery_rejects, metrics::kSum},
+  };
 };
 
-/// Staged-ingest observability (surfaced through runtime::RunStats::to_json
-/// as the ingest_* keys).  All zero when staged ingest is off or the
-/// substrate never delivered a multi-frame batch.
+/// Staged-ingest observability (surfaced through runtime::RunStats as the
+/// ingest_* keys).  All zero when staged ingest is off or the substrate
+/// never delivered a multi-frame batch.
 struct IngestStats {
   std::uint64_t batches = 0;          ///< staged on_batch dispatches
   std::uint64_t batch_messages = 0;   ///< frames delivered through them
   std::uint64_t max_batch = 0;        ///< largest single dispatch
   std::uint64_t prologue_frames = 0;  ///< frames the prologue recognized
   std::uint64_t prologue_jobs = 0;    ///< decode+warm jobs run on the pool
+
+  using Self = IngestStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"ingest_batches", &Self::batches, metrics::kSum},
+      {"ingest_batch_messages", &Self::batch_messages, metrics::kSum},
+      {"ingest_max_batch", &Self::max_batch, metrics::kMax},
+      {"ingest_prologue_frames", &Self::prologue_frames, metrics::kSum},
+      {"ingest_prologue_jobs", &Self::prologue_jobs, metrics::kSum},
+  };
 };
 
 /// Invoked on every commit: (slot, command applied — nullptr for a no-op
@@ -300,7 +319,11 @@ class Replica final : public sim::Actor {
 
   // --- checkpointing / recovery (all no-ops when interval == 0) ---
   bool checkpointing() const { return config_.checkpoint.interval > 0; }
+  /// Signatures a checkpoint certificate needs: 2f+1 (Byzantine) or a
+  /// simple majority (crash).
   std::uint32_t cert_quorum() const;
+  /// Matching responders per replayed suffix slot: f+1 (Byzantine) or 1
+  /// (crash).
   std::uint32_t suffix_quorum() const;
   bool verify_vote(ProcessId from, const CheckpointVote& vote) const;
   /// Applies one committed batch (shared by consensus commit and suffix

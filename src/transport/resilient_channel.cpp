@@ -201,8 +201,7 @@ bool ResilientChannel::enqueue(PayloadPtr payload) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) return false;
     if (queue_.size() >= kMaxQueuedFrames) {
-      frames_dropped_.fetch_add(1);
-      degraded_.store(true);
+      count(&ChannelStats::frames_dropped);
       return false;
     }
     queue_.push_back(QueuedFrame{std::move(payload), Clock::now()});
@@ -211,19 +210,16 @@ bool ResilientChannel::enqueue(PayloadPtr payload) {
   return true;
 }
 
+void ResilientChannel::count(std::uint64_t ChannelStats::*counter,
+                             std::uint64_t by) {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  counters_.*counter += by;
+}
+
 ChannelStats ResilientChannel::stats() const {
-  ChannelStats s;
-  s.frames_sent = frames_sent_.load();
-  s.bytes_sent = bytes_sent_.load();
-  s.retransmits = retransmits_.load();
-  s.reconnects = reconnects_.load();
-  s.dial_failures = dial_failures_.load();
-  s.frames_dropped = frames_dropped_.load();
-  s.kills_injected = kills_injected_.load();
-  s.truncates_injected = truncates_injected_.load();
-  s.flips_injected = flips_injected_.load();
-  s.delays_injected = delays_injected_.load();
-  s.degraded = degraded_.load();
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  ChannelStats s = counters_;
+  s.degraded = s.frames_dropped > 0 ? 1 : 0;
   return s;
 }
 
@@ -269,8 +265,7 @@ void ResilientChannel::expire_stale_locked(std::unique_lock<std::mutex>&) {
   const auto now = Clock::now();
   while (!queue_.empty() && now - queue_.front().enqueued > kSendTimeout) {
     queue_.pop_front();
-    frames_dropped_.fetch_add(1);
-    degraded_.store(true);
+    count(&ChannelStats::frames_dropped);
   }
 }
 
@@ -314,7 +309,7 @@ bool ResilientChannel::try_connect(std::unique_lock<std::mutex>& lock) {
   }
   if (!ok) {
     if (fd >= 0) ::close(fd);
-    dial_failures_.fetch_add(1);
+    count(&ChannelStats::dial_failures);
     const std::uint32_t exp = std::min(consecutive_dial_failures_, 20u);
     ++consecutive_dial_failures_;
     double backoff_ms =
@@ -328,7 +323,7 @@ bool ResilientChannel::try_connect(std::unique_lock<std::mutex>& lock) {
     return false;
   }
   consecutive_dial_failures_ = 0;
-  if (ever_connected_) reconnects_.fetch_add(1);
+  if (ever_connected_) count(&ChannelStats::reconnects);
   ever_connected_ = true;
   fd_ = fd;
   ack_partial_len_ = 0;
@@ -359,7 +354,7 @@ void ResilientChannel::transmit_pending(std::unique_lock<std::mutex>& lock) {
       drop_connection();
       break;
     }
-    if (was_transmitted) retransmits_.fetch_add(1);
+    if (was_transmitted) count(&ChannelStats::retransmits);
     f.transmitted = true;
     ++next_unsent_;
     if (!drain_acks()) {
@@ -376,16 +371,16 @@ bool ResilientChannel::write_frame(UnackedFrame& frame) {
   FrameFaultDecision d;
   if (injector_) d = injector_->next_attempt(wire_size);
   if (d.delay_us > 0) {
-    delays_injected_.fetch_add(1);
+    count(&ChannelStats::delays_injected);
     sleep_interruptible(std::chrono::microseconds(d.delay_us));
     if (stopping()) return false;
   }
   if (d.kill_before) {
-    kills_injected_.fetch_add(1);
+    count(&ChannelStats::kills_injected);
     return false;
   }
   if (d.truncate) {
-    truncates_injected_.fetch_add(1);
+    count(&ChannelStats::truncates_injected);
     if (d.truncate_prefix > 0) {
       const std::size_t prefix =
           std::min<std::size_t>(d.truncate_prefix, wire_size);
@@ -405,7 +400,7 @@ bool ResilientChannel::write_frame(UnackedFrame& frame) {
     Bytes img(frame.header, frame.header + kFrameHeaderBytes);
     img.insert(img.end(), payload.begin(), payload.end());
     if (d.flip) {
-      flips_injected_.fetch_add(1);
+      count(&ChannelStats::flips_injected);
       img[d.flip_offset] ^= static_cast<std::uint8_t>(
           1u << (d.flip_offset % 8));
     }
@@ -424,8 +419,8 @@ bool ResilientChannel::write_frame(UnackedFrame& frame) {
                              payload.data(), payload.size())) {
     return false;
   }
-  frames_sent_.fetch_add(1);
-  bytes_sent_.fetch_add(wire_size);
+  count(&ChannelStats::frames_sent);
+  count(&ChannelStats::bytes_sent, wire_size);
   return true;
 }
 

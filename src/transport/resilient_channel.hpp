@@ -25,7 +25,6 @@
 // chaos tests exercise exactly this machinery.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -38,6 +37,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "transport/link_faults.hpp"
 
@@ -100,7 +100,8 @@ inline constexpr std::chrono::milliseconds kHandshakeTimeout{2'000};
 /// The receiver sends a cumulative ack every this many delivered frames.
 inline constexpr std::uint32_t kAckEvery = 16;
 
-/// Snapshot of one channel's counters.
+/// Snapshot of one channel's counters.  TcpLinkStats sums them over every
+/// link of a cluster, under the keys declared here.
 struct ChannelStats {
   std::uint64_t frames_sent = 0;   ///< frames fully written to a socket
   std::uint64_t bytes_sent = 0;    ///< wire bytes fully written
@@ -112,7 +113,22 @@ struct ChannelStats {
   std::uint64_t truncates_injected = 0;
   std::uint64_t flips_injected = 0;
   std::uint64_t delays_injected = 0;
-  bool degraded = false;           ///< at least one frame was dropped
+  std::uint64_t degraded = 0;      ///< 1 iff frames_dropped > 0
+
+  using Self = ChannelStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"wire_frames", &Self::frames_sent, metrics::kSum},
+      {"wire_bytes", &Self::bytes_sent, metrics::kSum},
+      {"retransmits", &Self::retransmits, metrics::kSum},
+      {"reconnects", &Self::reconnects, metrics::kSum},
+      {"dial_failures", &Self::dial_failures, metrics::kSum},
+      {"frames_dropped", &Self::frames_dropped, metrics::kSum},
+      {"kills_injected", &Self::kills_injected, metrics::kSum},
+      {"truncates_injected", &Self::truncates_injected, metrics::kSum},
+      {"flips_injected", &Self::flips_injected, metrics::kSum},
+      {"delays_injected", &Self::delays_injected, metrics::kSum},
+      {"degraded_links", &Self::degraded, metrics::kSum},
+  };
 };
 
 class ResilientChannel {
@@ -178,6 +194,8 @@ class ResilientChannel {
   /// retransmit buffer.  Returns false when the connection died.
   bool drain_acks();
   void drop_connection();
+  /// Adds `by` to one of counters_ (any thread).
+  void count(std::uint64_t ChannelStats::*counter, std::uint64_t by = 1);
   void sleep_interruptible(std::chrono::microseconds d);
   bool stopping() const;
 
@@ -205,12 +223,9 @@ class ResilientChannel {
   std::uint8_t ack_partial_[kAckBytes] = {};
   std::size_t ack_partial_len_ = 0;
 
-  // Counters (atomics: written by worker and enqueue, read by stats()).
-  std::atomic<std::uint64_t> frames_sent_{0}, bytes_sent_{0}, retransmits_{0},
-      reconnects_{0}, dial_failures_{0}, frames_dropped_{0},
-      kills_injected_{0}, truncates_injected_{0}, flips_injected_{0},
-      delays_injected_{0};
-  std::atomic<bool> degraded_{false};
+  // Counters: written by the worker and enqueue, read by stats().
+  mutable std::mutex counters_mu_;
+  ChannelStats counters_;
 };
 
 }  // namespace modubft::transport

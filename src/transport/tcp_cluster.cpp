@@ -614,41 +614,11 @@ std::vector<std::string> TcpCluster::errors(ProcessId id) const {
   return ep.errors;
 }
 
-std::uint64_t TcpCluster::frames_sent() const {
-  std::uint64_t total = 0;
-  for (auto& ep : endpoints_) {
-    for (auto& channel : ep->channels) {
-      if (channel) total += channel->stats().frames_sent;
-    }
-  }
-  return total;
-}
-
-std::uint64_t TcpCluster::bytes_sent() const {
-  std::uint64_t total = 0;
-  for (auto& ep : endpoints_) {
-    for (auto& channel : ep->channels) {
-      if (channel) total += channel->stats().bytes_sent;
-    }
-  }
-  return total;
-}
-
 TcpLinkStats TcpCluster::link_stats() const {
   TcpLinkStats agg;
   for (auto& ep : endpoints_) {
     for (auto& channel : ep->channels) {
-      if (!channel) continue;
-      const ChannelStats s = channel->stats();
-      agg.reconnects += s.reconnects;
-      agg.retransmits += s.retransmits;
-      agg.dial_failures += s.dial_failures;
-      agg.frames_dropped += s.frames_dropped;
-      agg.kills_injected += s.kills_injected;
-      agg.truncates_injected += s.truncates_injected;
-      agg.flips_injected += s.flips_injected;
-      agg.delays_injected += s.delays_injected;
-      agg.degraded_links += s.degraded ? 1 : 0;
+      if (channel) metrics::merge(agg, channel->stats());
     }
     for (auto& link : ep->recv_links) {
       std::lock_guard<std::mutex> lock(link->mu);

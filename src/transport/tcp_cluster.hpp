@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
 #include "transport/cluster.hpp"
 #include "transport/link_faults.hpp"
 #include "transport/resilient_channel.hpp"
@@ -55,21 +56,22 @@ struct TcpClusterConfig : ClusterConfig {
   bool audit_deliveries = false;
 };
 
-/// Aggregate counters across every link of the cluster.
-struct TcpLinkStats {
-  std::uint64_t reconnects = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t dial_failures = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t kills_injected = 0;
-  std::uint64_t truncates_injected = 0;
-  std::uint64_t flips_injected = 0;
-  std::uint64_t delays_injected = 0;
+/// Aggregate counters across every link of the cluster: each channel's
+/// ChannelStats summed (declared there), plus the receive side's own four
+/// below.  The cluster sums them itself, so no runner merges them.
+struct TcpLinkStats : ChannelStats {
   std::uint64_t checksum_failures = 0;
   std::uint64_t dup_suppressed = 0;
   std::uint64_t gap_resets = 0;
   std::uint64_t malformed_hellos = 0;
-  std::uint64_t degraded_links = 0;
+
+  using Self = TcpLinkStats;
+  static constexpr metrics::Counter<Self> kCounters[] = {
+      {"checksum_failures", &Self::checksum_failures, metrics::kSum},
+      {"dup_suppressed", &Self::dup_suppressed, metrics::kSum},
+      {"gap_resets", &Self::gap_resets, metrics::kSum},
+      {"malformed_hellos", &Self::malformed_hellos, metrics::kSum},
+  };
 };
 
 class TcpCluster final : public Cluster {
@@ -84,12 +86,7 @@ class TcpCluster final : public Cluster {
   /// Per-node transport errors (malformed hellos, oversized frames, …).
   std::vector<std::string> errors(ProcessId id) const;
 
-  /// Total frames/bytes actually written to sockets (retransmits count) —
-  /// the wire-amplification companions to stats().bytes_sent.
-  std::uint64_t frames_sent() const;
-  std::uint64_t bytes_sent() const;
-
-  /// Aggregate fault/recovery counters over all links.
+  /// Aggregate wire, fault and recovery counters over all links.
   TcpLinkStats link_stats() const;
 
   /// Sequence numbers delivered on link from → to, in delivery order.

@@ -83,8 +83,8 @@ Snapshot run_attack(std::uint64_t seed, bool verify_cache = true) {
   for (std::uint32_t i = 1; i < kN; ++i) {
     snap.records[i] = views[i]->nonmuteness().records();
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
-      snap.cache_hits += cache->stats().hits;
-      snap.cache_misses += cache->stats().misses;
+      snap.cache_hits += cache->stats().cache_hits;
+      snap.cache_misses += cache->stats().cache_misses;
     }
   }
   snap.wire_digest = trace.finish();

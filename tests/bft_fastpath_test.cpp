@@ -148,8 +148,8 @@ TEST_F(FastPathFixture, CacheHitsOnRepeatAndStaysSound) {
 
   EXPECT_TRUE(cache->verify(m.core.sender, preimage, m.sig));
   EXPECT_TRUE(cache->verify(m.core.sender, preimage, m.sig));
-  EXPECT_EQ(cache->stats().hits, 1u);
-  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().cache_hits, 1u);
+  EXPECT_EQ(cache->stats().cache_misses, 1u);
 
   // Soundness: a garbage signature under the SAME (signer, digest) key must
   // not ride the cached positive verdict.
@@ -200,13 +200,13 @@ TEST_F(FastPathFixture, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache->verify(b.core.sender, pb, b.sig));  // miss {a,b}
   EXPECT_TRUE(cache->verify(a.core.sender, pa, a.sig));  // hit, a is MRU
   EXPECT_TRUE(cache->verify(c.core.sender, pc, c.sig));  // miss, evicts b
-  EXPECT_EQ(cache->stats().evictions, 1u);
+  EXPECT_EQ(cache->stats().cache_evictions, 1u);
   EXPECT_EQ(cache->size(), 2u);
 
   // b was evicted (miss); a survived (hit).  Correctness is unaffected.
   crypto::VerifyCacheStats before = cache->stats();
   EXPECT_TRUE(cache->verify(b.core.sender, pb, b.sig));
-  EXPECT_EQ(cache->stats().misses, before.misses + 1);
+  EXPECT_EQ(cache->stats().cache_misses, before.cache_misses + 1);
   EXPECT_TRUE(cache->verify(a.core.sender, pa, a.sig));
 }
 
@@ -218,10 +218,10 @@ TEST_F(FastPathFixture, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(cache->size(), 1u);
   cache->clear();
   EXPECT_EQ(cache->size(), 0u);
-  EXPECT_EQ(cache->stats().misses, 0u);
+  EXPECT_EQ(cache->stats().cache_misses, 0u);
   // A cleared cache re-verifies from scratch, and correctly so.
   EXPECT_TRUE(cache->verify(m.core.sender, p, m.sig));
-  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().cache_misses, 1u);
 }
 
 // ------------------------------------------------- sizes and wire identity

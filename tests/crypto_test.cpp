@@ -222,12 +222,12 @@ TEST(VerifyCache, FlushNegativeDropsOnlyNegativeVerdicts) {
   // becomes invalid).
   EXPECT_EQ(cache.flush_negative(), 2u);
   EXPECT_EQ(cache.size(), 1u);
-  const std::uint64_t misses_before = cache.stats().misses;
+  const std::uint64_t misses_before = cache.stats().cache_misses;
   EXPECT_TRUE(cache.verify(ProcessId{0}, good_msg, good_sig));
-  EXPECT_EQ(cache.stats().misses, misses_before);  // still a hit
+  EXPECT_EQ(cache.stats().cache_misses, misses_before);  // still a hit
   // The flushed verdicts re-derive on demand.
   EXPECT_FALSE(cache.verify(ProcessId{0}, bad_msg, bad_sig));
-  EXPECT_GT(cache.stats().misses, misses_before);
+  EXPECT_GT(cache.stats().cache_misses, misses_before);
 }
 
 }  // namespace

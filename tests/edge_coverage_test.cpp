@@ -127,7 +127,7 @@ TEST(ScenarioEdge, DeliveryTapObservesScenario) {
   cfg.delivery_tap = [&taps](const sim::Delivery&) { ++taps; };
   faults::BftScenarioResult r = faults::run_bft_scenario(cfg);
   EXPECT_TRUE(r.termination);
-  EXPECT_EQ(taps, r.net.messages_delivered);
+  EXPECT_EQ(taps, r.run_stats.net.messages_delivered);
 }
 
 TEST(DetectorEdge, HeartbeatSuspectedSetAndTimeouts) {

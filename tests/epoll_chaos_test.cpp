@@ -193,7 +193,7 @@ TEST(EpollChaos, SlowReaderBackpressureKeepsFifoExactlyOnce) {
   EXPECT_EQ(view->delivered(), kCount);
 
   // ~7.5 MiB crossed one link against a reader consuming ≤ 1 frame/ms.
-  EXPECT_GE(cluster.bytes_sent(),
+  EXPECT_GE(cluster.link_stats().bytes_sent,
             static_cast<std::uint64_t>(kCount) * kPad);
   assert_fifo_exactly_once(cluster, cfg.n);
 }

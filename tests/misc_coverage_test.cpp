@@ -138,7 +138,7 @@ TEST(LargeGroup, ThirteenProcessesDeterministic) {
   faults::BftScenarioResult a = faults::run_bft_scenario(cfg);
   faults::BftScenarioResult b = faults::run_bft_scenario(cfg);
   EXPECT_EQ(a.last_decision_time, b.last_decision_time);
-  EXPECT_EQ(a.net.messages_sent, b.net.messages_sent);
+  EXPECT_EQ(a.run_stats.net.messages_sent, b.run_stats.net.messages_sent);
 }
 
 }  // namespace

@@ -575,7 +575,7 @@ TEST(SmrStagedIngest, StagedDispatchBitIdenticalToSequential) {
 
     // The prologue's warming paid off: the sequential stage authenticated
     // the three INITs against a warm cache.
-    EXPECT_GE(stg.cache.hits, 3u);
+    EXPECT_GE(stg.cache.cache_hits, 3u);
   }
 }
 

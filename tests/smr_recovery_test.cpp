@@ -146,7 +146,6 @@ TEST(RecoveryModule, AcceptsCertifiedResponse) {
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->snapshot.slot, 8u);
   EXPECT_EQ(best->snapshot.data.at("alpha"), "1");
-  EXPECT_EQ(mod.stats().resps_accepted, 1u);
 }
 
 TEST(RecoveryModule, RejectsSubQuorumCoalitionForgery) {
@@ -159,7 +158,6 @@ TEST(RecoveryModule, RejectsSubQuorumCoalitionForgery) {
   const Bytes body(frame.begin() + 9, frame.end());
   EXPECT_FALSE(mod.ingest(ProcessId{1}, body));
   EXPECT_FALSE(mod.best_snapshot(0).has_value());
-  EXPECT_EQ(mod.stats().resps_rejected, 1u);
 }
 
 TEST(RecoveryModule, RejectsDigestFlippedSnapshot) {

@@ -79,8 +79,8 @@ TEST(SubstrateEquivalence, BadSignatureDecisionsIdentical) {
     if (backend == Backend::kTcp) {
       // Self-deliveries never cross the wire, so wire_bytes may be below
       // the protocol-level byte count; it just has to be populated.
-      EXPECT_GT(r.run_stats.wire_frames, 0u);
-      EXPECT_GT(r.run_stats.wire_bytes, 0u);
+      EXPECT_GT(r.run_stats.link.frames_sent, 0u);
+      EXPECT_GT(r.run_stats.link.bytes_sent, 0u);
     }
 
     if (!reference.has_value()) {

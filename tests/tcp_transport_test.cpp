@@ -79,7 +79,7 @@ TEST(TcpCluster, FifoFramingOverSockets) {
   cluster.set_actor(ProcessId{1}, std::make_unique<Checker>(500));
   EXPECT_TRUE(cluster.run());
   EXPECT_EQ(done.load(), 1);
-  EXPECT_GE(cluster.frames_sent(), 501u);
+  EXPECT_GE(cluster.link_stats().frames_sent, 501u);
 }
 
 TEST(TcpCluster, HurfinRaynalOverSockets) {
@@ -384,7 +384,8 @@ TEST(TcpCluster, StatsAndTapCountDeliveries) {
   EXPECT_EQ(stats.messages_sent, 8u);
   EXPECT_EQ(stats.messages_delivered, 8u);
   EXPECT_EQ(stats.bytes_sent, 16u);  // protocol bytes, not wire bytes
-  EXPECT_GE(cluster.bytes_sent(), stats.bytes_sent);  // wire adds framing
+  // The wire adds framing.
+  EXPECT_GE(cluster.link_stats().bytes_sent, stats.bytes_sent);
 }
 
 TEST(TcpCluster, FrameCodecRoundTripsAndCatchesCorruption) {

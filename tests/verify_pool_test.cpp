@@ -39,11 +39,11 @@ TEST(VerifyPool, ZeroWorkersRunsInlineInOrder) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.jobs, 8u);
-  EXPECT_EQ(stats.inline_jobs, 8u);
-  EXPECT_EQ(stats.dispatched_jobs, 0u);
-  EXPECT_EQ(stats.failures, 3u);
+  EXPECT_EQ(stats.pool_batches, 1u);
+  EXPECT_EQ(stats.pool_jobs, 8u);
+  EXPECT_EQ(stats.pool_inline_jobs, 8u);
+  EXPECT_EQ(stats.pool_dispatched, 0u);
+  EXPECT_EQ(stats.pool_failures, 3u);
 }
 
 TEST(VerifyPool, SingleJobBatchRunsInlineEvenWithWorkers) {
@@ -52,9 +52,9 @@ TEST(VerifyPool, SingleJobBatchRunsInlineEvenWithWorkers) {
   jobs.push_back([] { return true; });
   EXPECT_EQ(pool.verify_all(std::move(jobs)), 0u);
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.jobs, 1u);
-  EXPECT_EQ(stats.inline_jobs, 1u);
-  EXPECT_EQ(stats.dispatched_jobs, 0u);
+  EXPECT_EQ(stats.pool_jobs, 1u);
+  EXPECT_EQ(stats.pool_inline_jobs, 1u);
+  EXPECT_EQ(stats.pool_dispatched, 0u);
 }
 
 TEST(VerifyPool, VerifyOneIsAccounted) {
@@ -62,10 +62,10 @@ TEST(VerifyPool, VerifyOneIsAccounted) {
   EXPECT_TRUE(pool.verify_one([] { return true; }));
   EXPECT_FALSE(pool.verify_one([] { return false; }));
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.jobs, 2u);
-  EXPECT_EQ(stats.inline_jobs, 2u);
-  EXPECT_EQ(stats.failures, 1u);
+  EXPECT_EQ(stats.pool_batches, 2u);
+  EXPECT_EQ(stats.pool_jobs, 2u);
+  EXPECT_EQ(stats.pool_inline_jobs, 2u);
+  EXPECT_EQ(stats.pool_failures, 1u);
 }
 
 TEST(VerifyPool, ThrowingJobCountsAsFailure) {
@@ -74,7 +74,7 @@ TEST(VerifyPool, ThrowingJobCountsAsFailure) {
   jobs.push_back([] { return true; });
   jobs.push_back([]() -> bool { throw std::runtime_error("boom"); });
   EXPECT_EQ(pool.verify_all(std::move(jobs)), 1u);
-  EXPECT_EQ(pool.stats().failures, 1u);
+  EXPECT_EQ(pool.stats().pool_failures, 1u);
 }
 
 TEST(VerifyPool, ParallelBatchReportsExactFailureCount) {
@@ -86,9 +86,9 @@ TEST(VerifyPool, ParallelBatchReportsExactFailureCount) {
   }
   EXPECT_EQ(pool.verify_all(std::move(jobs)), 16u);
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.jobs, 64u);
-  EXPECT_EQ(stats.inline_jobs + stats.dispatched_jobs, 64u);
-  EXPECT_EQ(stats.failures, 16u);
+  EXPECT_EQ(stats.pool_jobs, 64u);
+  EXPECT_EQ(stats.pool_inline_jobs + stats.pool_dispatched, 64u);
+  EXPECT_EQ(stats.pool_failures, 16u);
 }
 
 // Proves genuine multi-thread execution: 4 jobs that each block until all
@@ -113,9 +113,9 @@ TEST(VerifyPool, WorkersAndCallerDrainConcurrently) {
   }
   EXPECT_EQ(pool.verify_all(std::move(jobs)), 0u);
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.jobs, 4u);
-  EXPECT_EQ(stats.dispatched_jobs, 3u);
-  EXPECT_EQ(stats.inline_jobs, 1u);
+  EXPECT_EQ(stats.pool_jobs, 4u);
+  EXPECT_EQ(stats.pool_dispatched, 3u);
+  EXPECT_EQ(stats.pool_inline_jobs, 1u);
 }
 
 // Many actors share one pool in a scenario run; batches from concurrent
@@ -161,18 +161,18 @@ TEST(VerifyPool, ConcurrentCallersKeepBatchesIsolated) {
 
   EXPECT_EQ(wrong_counts.load(), 0);
   const VerifyPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.batches,
+  EXPECT_EQ(stats.pool_batches,
             static_cast<std::uint64_t>(kCallers) * kBatches);
-  EXPECT_EQ(stats.jobs,
+  EXPECT_EQ(stats.pool_jobs,
             static_cast<std::uint64_t>(kCallers) * kBatches * kJobsPerBatch);
-  EXPECT_EQ(stats.failures,
+  EXPECT_EQ(stats.pool_failures,
             static_cast<std::uint64_t>(kCallers) * kBatches * 4);
   // Every job goes through the cache exactly once (a hit or a miss); the
   // split between the two is schedule-dependent here because corrupt and
   // genuine signatures for the same key overwrite each other's entries.
   // Deterministic hit coverage lives in SmrPipeline.WindowStatsReachConfiguredPeak.
   const VerifyCacheStats cstats = cache->stats();
-  EXPECT_EQ(cstats.hits + cstats.misses,
+  EXPECT_EQ(cstats.cache_hits + cstats.cache_misses,
             static_cast<std::uint64_t>(kCallers) * kBatches * kJobsPerBatch);
 }
 

@@ -11,6 +11,8 @@
 //                      [--budget-ms 20000]
 //   scenario_cli crash --n 5 --seed 1 --protocol hr|ct --crash 1:0
 //                      [--substrate sim|threads|tcp] [--mistakes 0.2]
+//   scenario_cli lockstep --n 4 --f 1 --rounds 5 --seed 1 --crash 4:0
+//                      [--substrate sim|threads|tcp] [--budget-ms 20000]
 //   scenario_cli tcp   --n 4 --f 1 --seed 3 --kill 0.05 --flip 0.02
 //                      [--fault 1:corrupt-vector] [--budget-ms 30000]
 //   scenario_cli campaign --n 4 --f 1 --seeds 8 [--attacks a,b,...]
@@ -23,6 +25,11 @@
 //                      [--seed S] [--crash P:TIME_US]...
 //                      [--checkpoint-interval C]
 //                      [--restart P:KILL_US:RESTART_US]... [--budget-ms MS]
+//
+// `lockstep` runs the certified lockstep barrier, the second round
+// protocol inside the transformed pipeline (bft/lockstep.hpp): every
+// correct process must cross all --rounds barriers with no conviction of
+// a correct peer.
 //
 // `smr` runs the pipelined replicated KV machine (docs/SMR.md): --window
 // sets the number of concurrent consensus instances per replica, --batch
@@ -91,6 +98,9 @@ using namespace modubft;
             << "       scenario_cli crash --n N [--seed S] [--protocol hr|ct] "
                "[--substrate sim|threads|tcp] "
                "[--crash P:TIME_US]... [--mistakes PROB]\n"
+            << "       scenario_cli lockstep --n N --f F [--rounds R] "
+               "[--seed S] [--substrate sim|threads|tcp] "
+               "[--crash P:TIME_US]... [--budget-ms MS]\n"
             << "       scenario_cli tcp   --n N --f F [--seed S] "
                "[--kill P] [--truncate P] [--flip P] [--delay P] "
                "[--fault P:BEHAVIOR]... [--budget-ms MS]\n"
@@ -134,6 +144,17 @@ std::optional<faults::Behavior> parse_behavior(const std::string& name) {
     if (name == n) return b;
   }
   return std::nullopt;
+}
+
+// `--crash P:TIME_US`: process P (1-based) crashes for good at TIME_US.
+faults::CrashSpec parse_crash(const std::string& spec) {
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) usage("crash must be P:TIME_US");
+  const auto pid = std::stoul(spec.substr(0, colon));
+  const auto at = std::stoull(spec.substr(colon + 1));
+  if (pid < 1) usage("process ids are 1-based");
+  return faults::CrashSpec{ProcessId{static_cast<std::uint32_t>(pid - 1)},
+                           SimTime{at}, std::nullopt};
 }
 
 int run_bft(int argc, char** argv) {
@@ -278,14 +299,11 @@ int run_crash(int argc, char** argv) {
         usage("protocol must be hr or ct");
       }
     } else if (arg == "--crash") {
-      std::string spec = next();
-      auto colon = spec.find(':');
-      if (colon == std::string::npos) usage("crash must be P:TIME_US");
-      const auto pid = std::stoul(spec.substr(0, colon));
-      const auto at = std::stoull(spec.substr(colon + 1));
-      if (pid < 1) usage("process ids are 1-based");
-      if (cfg.crash_times.size() < pid) cfg.crash_times.resize(pid);
-      cfg.crash_times[pid - 1] = SimTime{at};
+      const faults::CrashSpec c = parse_crash(next());
+      if (cfg.crash_times.size() <= c.who.value) {
+        cfg.crash_times.resize(c.who.value + 1);
+      }
+      cfg.crash_times[c.who.value] = c.at;
     } else if (arg == "--mistakes") {
       cfg.oracle.false_suspicion_prob = std::stod(next());
       cfg.oracle.stabilization_time = 300'000;
@@ -324,6 +342,69 @@ int run_crash(int argc, char** argv) {
             << "run stats:       "
             << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
   return r.termination && r.agreement && r.validity ? 0 : 1;
+}
+
+int run_lockstep(int argc, char** argv) {
+  faults::LockstepScenarioConfig cfg;
+  cfg.n = 0;
+
+  for (int i = 2; i < argc; ++i) {
+    std::string arg = argv[i];
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) usage(("missing value after " + arg).c_str());
+      return argv[++i];
+    };
+    if (arg == "--n") {
+      cfg.n = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--f") {
+      cfg.f = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--rounds") {
+      cfg.rounds = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--seed") {
+      cfg.seed = std::stoull(next());
+    } else if (arg == "--substrate") {
+      auto backend = runtime::parse_backend(next());
+      if (!backend) usage("substrate must be sim, threads or tcp");
+      cfg.substrate = *backend;
+    } else if (arg == "--budget-ms") {
+      cfg.budget = std::chrono::milliseconds(std::stoull(next()));
+    } else if (arg == "--crash") {
+      cfg.crashes.push_back(parse_crash(next()));
+    } else {
+      usage(("unknown flag " + arg).c_str());
+    }
+  }
+  if (cfg.n == 0) usage("--n is required");
+  if (cfg.f >= cfg.n || cfg.rounds < 1) usage("need F < n and R >= 1");
+  for (const faults::CrashSpec& c : cfg.crashes) {
+    if (c.who.value >= cfg.n) usage("crashed process out of range");
+  }
+
+  faults::LockstepScenarioResult r = faults::run_lockstep_scenario(cfg);
+
+  std::size_t finished = 0;
+  for (std::uint32_t i : r.correct) finished += r.finished.count(i);
+
+  std::cout << "protocol:            certified lockstep barrier (transformed)\n"
+            << "substrate:           " << runtime::backend_name(cfg.substrate)
+            << " (" << runtime::run_outcome_name(r.outcome) << ")\n"
+            << "n / F / quorum:      " << cfg.n << " / " << cfg.f << " / "
+            << cfg.n - cfg.f << "\n"
+            << "rounds:              " << cfg.rounds << "\n"
+            << "finished:            " << finished << "/" << r.correct.size()
+            << " correct processes\n"
+            << "all finished:        "
+            << (r.all_correct_finished ? "yes" : "NO") << "\n"
+            << "false accusations:   "
+            << (r.no_false_accusations ? "none" : "YES") << "\n";
+  for (const bft::FaultRecord& rec : r.records) {
+    std::cout << "  detection  " << rec.culprit << ": "
+              << bft::fault_kind_name(rec.kind) << " — " << rec.detail
+              << " (at " << rec.time << " us)\n";
+  }
+  std::cout << "run stats:           "
+            << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
+  return r.all_correct_finished && r.no_false_accusations ? 0 : 1;
 }
 
 int run_tcp(int argc, char** argv) {
@@ -458,15 +539,7 @@ int run_smr(int argc, char** argv) {
     } else if (arg == "--checkpoint-interval") {
       cfg.checkpoint_interval = std::stoull(next());
     } else if (arg == "--crash") {
-      std::string spec = next();
-      auto colon = spec.find(':');
-      if (colon == std::string::npos) usage("crash must be P:TIME_US");
-      const auto pid = std::stoul(spec.substr(0, colon));
-      const auto at = std::stoull(spec.substr(colon + 1));
-      if (pid < 1) usage("process ids are 1-based");
-      cfg.crashes.push_back(
-          faults::CrashSpec{ProcessId{static_cast<std::uint32_t>(pid - 1)},
-                            SimTime{at}, std::nullopt});
+      cfg.crashes.push_back(parse_crash(next()));
     } else if (arg == "--restart") {
       std::string spec = next();
       auto c1 = spec.find(':');
@@ -680,10 +753,12 @@ int main(int argc, char** argv) {
   if (argc < 2) usage("missing mode");
   if (std::strcmp(argv[1], "bft") == 0) return run_bft(argc, argv);
   if (std::strcmp(argv[1], "crash") == 0) return run_crash(argc, argv);
+  if (std::strcmp(argv[1], "lockstep") == 0) return run_lockstep(argc, argv);
   if (std::strcmp(argv[1], "tcp") == 0) return run_tcp(argc, argv);
   if (std::strcmp(argv[1], "campaign") == 0) {
     return run_campaign_mode(argc, argv);
   }
   if (std::strcmp(argv[1], "smr") == 0) return run_smr(argc, argv);
-  usage("mode must be 'bft', 'crash', 'tcp', 'campaign' or 'smr'");
+  usage("mode must be 'bft', 'crash', 'lockstep', 'tcp', 'campaign' or "
+        "'smr'");
 }

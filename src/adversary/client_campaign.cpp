@@ -516,6 +516,8 @@ std::vector<Violation> audit_client_replies(
                            " which belongs to another client"});
         continue;
       }
+      // With no witness there is no log to check the reply against.
+      if (!result.commit_log_kept) continue;
       const auto it = result.commit_log.find(ar.cmd_id);
       if (it == result.commit_log.end()) {
         out.push_back({ViolationKind::kClientReplyMismatch,

@@ -147,7 +147,9 @@ std::vector<Violation> audit_recovered_stores(
 /// witness committed, at that slot, with that op/key/value, and the
 /// witness must never have applied a command twice.  Returns
 /// kClientReplyMismatch violations; empty = exactly-once linearization of
-/// everything the clients believe happened.
+/// everything the clients believe happened.  A run with no witness
+/// (result.commit_log_kept false) has no log to check: only each reply's
+/// owning client is audited.
 std::vector<Violation> audit_client_replies(
     const faults::SmrScenarioResult& result);
 

@@ -91,6 +91,15 @@ class CertAnalyzer {
   std::uint32_t quorum() const { return quorum_; }
   std::uint32_t n() const { return n_; }
 
+  /// The verification path members are checked through; the pipeline's
+  /// signature module checks top-level signatures the same way.
+  const std::shared_ptr<const crypto::Verifier>& verifier() const {
+    return verifier_;
+  }
+  const std::shared_ptr<crypto::VerifyPool>& pool() const { return pool_; }
+  /// verifier() when it is a verified-signature cache, else nullptr.
+  const crypto::CachingVerifier* cache() const { return cache_.get(); }
+
  private:
   Verdict current_wf_depth(const SignedMessage& msg, std::uint32_t depth) const;
   Verdict est_wf_depth(const Certificate& cert, const VectorValue& v,

@@ -5,134 +5,70 @@
 
 namespace modubft::bft {
 
+namespace {
+
+std::shared_ptr<const CertAnalyzer> make_analyzer(
+    const BftConfig& config, std::shared_ptr<const crypto::Verifier> verifier) {
+  if (config.verify_cache) {
+    verifier = config.shared_verify_cache
+                   ? config.shared_verify_cache
+                   : std::make_shared<crypto::CachingVerifier>(verifier);
+  }
+  return std::make_shared<const CertAnalyzer>(
+      config.n, config.quorum(), std::move(verifier), config.verify_pool);
+}
+
+}  // namespace
+
 BftProcess::BftProcess(BftConfig config, Value proposal,
                        const crypto::Signer* signer,
                        std::shared_ptr<const crypto::Verifier> verifier,
                        VectorDecideFn on_decide)
-    : config_(config),
+    : TransformedActor(
+          signer, make_analyzer(config, std::move(verifier)), config.muteness,
+          std::make_unique<BftConsensus>(config, proposal,
+                                         std::move(on_decide)),
+          [](ProcessId peer, const CertAnalyzer& analyzer) {
+            return std::make_unique<PeerMonitor>(peer, analyzer);
+          }) {}
+
+BftConsensus::BftConsensus(BftConfig config, Value proposal,
+                           VectorDecideFn on_decide)
+    : config_(std::move(config)),
       proposal_(proposal),
-      vcache_(!config.verify_cache ? nullptr
-              : config.shared_verify_cache
-                  ? config.shared_verify_cache
-                  : std::make_shared<crypto::CachingVerifier>(verifier)),
-      signature_(signer,
-                 vcache_ ? std::shared_ptr<const crypto::Verifier>(vcache_)
-                         : verifier,
-                 config.verify_pool),
-      muteness_(config.n, signer->id(), config.muteness),
-      analyzer_(std::make_shared<CertAnalyzer>(
-          config.n, config.quorum(),
-          vcache_ ? std::shared_ptr<const crypto::Verifier>(vcache_)
-                  : verifier,
-          config.verify_pool)),
-      nonmute_(config.n, signer->id(), analyzer_),
       cert_(config_),
       on_decide_(std::move(on_decide)) {
   config_.validate();
   est_vect_.assign(config_.n, std::nullopt);
 }
 
-void BftProcess::send_signed(sim::Context& ctx, MessageCore core,
-                             Certificate cert) {
-  SignedMessage msg = signature_.sign(std::move(core), std::move(cert));
-  Bytes frame = encode_message(msg);
-  send_stats_.bytes += static_cast<std::uint64_t>(frame.size()) * ctx.n();
-  send_stats_.max_message_bytes =
-      std::max<std::uint64_t>(send_stats_.max_message_bytes, frame.size());
-  ctx.broadcast(frame);
-}
-
-void BftProcess::on_start(sim::Context& ctx) {
+void BftConsensus::rp_start(ModuleServices& s, sim::Context& ctx) {
   // Fig 3 lines 4-5: null vector, broadcast the signed INIT.
   MessageCore init;
   init.kind = BftKind::kInit;
   init.sender = ctx.id();
   init.round = Round{0};
   init.init_value = proposal_;
-  send_signed(ctx, std::move(init), Certificate{});
+  s.emit(ctx, std::move(init), Certificate{});
   ctx.set_timer(config_.suspicion_poll_period);
 }
 
-void BftProcess::on_message(sim::Context& ctx, ProcessId from,
-                            const Bytes& payload) {
-  // With stop_on_decide the runtime halts us at decision time anyway; in
-  // audit mode we keep authenticating and monitoring late traffic.
-  if (decided() && config_.stop_on_decide) return;
-
-  // Signature module (ingress).
-  SignatureModule::Inbound in = signature_.authenticate(from, payload);
-  if (!in.ok) {
-    nonmute_.declare_faulty(from, in.verdict.kind, in.verdict.detail,
-                            ctx.now());
-    return;
-  }
-
-  // Muteness module: any authentic protocol message counts as activity.
-  muteness_.on_protocol_message(from, ctx.now());
-
-  // Messages already attributed to faulty processes are discarded.
-  if (nonmute_.is_faulty(from)) return;
-
-  // Parallel fast path: pre-verify the certificate's members through the
-  // pool before the serial well-formedness walk below touches them.  The
-  // analyzer's checks then hit the shared cache.  No-op without a pool.
-  if (config_.verify_pool && !in.msg.cert.empty()) {
-    analyzer_->warm_certificate(in.msg.cert);
-  }
-
-  // From here on the message is shared immutable state: certificates built
-  // from it hold this same allocation instead of deep-copying.
-  MemberPtr msg = std::make_shared<const SignedMessage>(std::move(in.msg));
-  switch (msg->core.kind) {
-    case BftKind::kInit:
-    case BftKind::kDecide:
-      // Validated immediately: INIT starts the peer's automaton and DECIDE
-      // is enabled in every state (the concurrent relay task).
-      process_validated(ctx, msg);
-      return;
-    case BftKind::kCurrent:
-    case BftKind::kNext:
-      if (msg->core.round.value > round_.value) {
-        // Future round: buffer until our own quorum evidence legitimizes it
-        // (footnote 5 adapted to the arbitrary-failure setting).  Bounded
-        // against Byzantine flooding: honest processes are never more than
-        // a handful of rounds ahead and send O(1) votes per round, so the
-        // caps below only ever drop hostile traffic.
-        constexpr std::uint32_t kMaxRoundsAhead = 1024;
-        constexpr std::size_t kMaxBufferedPerRound = 4096;
-        if (msg->core.round.value - round_.value > kMaxRoundsAhead) return;
-        std::vector<MemberPtr>& slot = future_[msg->core.round.value];
-        if (slot.size() >= kMaxBufferedPerRound) return;
-        slot.push_back(std::move(msg));
-        return;
-      }
-      process_validated(ctx, msg);
-      return;
-  }
+void BftConsensus::rp_convicted(ModuleServices& s, sim::Context& ctx) {
+  // Losing the coordinator to the faulty set can unblock us right away.
+  check_suspicion(s, ctx);
 }
 
-void BftProcess::process_validated(sim::Context& ctx, const MemberPtr& msg) {
-  // Non-muteness module: run the sender's Figure 4 monitor.
-  Verdict v = nonmute_.observe(msg->core.sender, *msg, ctx.now());
-  if (!v) {
-    if (v.kind != FaultKind::kNone) {
-      log_debug("BFT ", ctx.id(), " declares ", msg->core.sender,
-                " faulty: ", fault_kind_name(v.kind), " — ", v.detail);
-      // Losing the coordinator to the faulty set can unblock us right away.
-      check_suspicion(ctx);
-    }
-    return;
-  }
-
+void BftConsensus::rp_deliver(ModuleServices& s, sim::Context& ctx,
+                              const MemberPtr& msg) {
   switch (msg->core.kind) {
     case BftKind::kInit:
-      apply_init(ctx, msg);
+      apply_init(s, ctx, msg);
       break;
     case BftKind::kCurrent:
-      apply_current(ctx, msg);
+      apply_current(s, ctx, msg);
       break;
     case BftKind::kNext:
-      apply_next(ctx, msg);
+      apply_next(s, ctx, msg);
       break;
     case BftKind::kDecide: {
       if (decided()) break;  // audit mode: observed, nothing more to do
@@ -142,14 +78,15 @@ void BftProcess::process_validated(sim::Context& ctx, const MemberPtr& msg) {
       relay.sender = ctx.id();
       relay.round = msg->core.round;
       relay.est = msg->core.est;
-      send_signed(ctx, std::move(relay), msg->cert);
+      s.emit(ctx, std::move(relay), msg->cert);
       decide(ctx, msg->core.est, msg->core.round);
       break;
     }
   }
 }
 
-void BftProcess::apply_init(sim::Context& ctx, const MemberPtr& msg) {
+void BftConsensus::apply_init(ModuleServices& s, sim::Context& ctx,
+                              const MemberPtr& msg) {
   if (decided()) return;
   if (round_.value != 0) return;  // INIT phase is over; straggler INIT
   const ProcessId j = msg->core.sender;
@@ -158,11 +95,11 @@ void BftProcess::apply_init(sim::Context& ctx, const MemberPtr& msg) {
   est_vect_[j.value] = msg->core.init_value;
   cert_.add_init(msg);
   if (cert_.init_count() >= config_.quorum()) {
-    begin_round(ctx, Round{1});
+    begin_round(s, ctx, Round{1});
   }
 }
 
-void BftProcess::begin_round(sim::Context& ctx, Round r) {
+void BftConsensus::begin_round(ModuleServices& s, sim::Context& ctx, Round r) {
   MODUBFT_EXPECTS(r.value == round_.value + 1);
   round_ = r;
   sent_next_this_round_ = false;
@@ -173,7 +110,9 @@ void BftProcess::begin_round(sim::Context& ctx, Round r) {
   // witness.
   Certificate entry_witness = cert_.next_cert();
   cert_.reset_round();
-  muteness_.on_new_round(ctx.now());
+  // Every caller enters a round as its last step, so the pipeline delivers
+  // the round's buffered messages right after this function returns.
+  s.enter_round(ctx.now());
 
   if (bft_coordinator_of(round_, config_.n) == ctx.id()) {
     MessageCore core;
@@ -181,27 +120,14 @@ void BftProcess::begin_round(sim::Context& ctx, Round r) {
     core.sender = ctx.id();
     core.round = round_;
     core.est = est_vect_;
-    send_signed(ctx, std::move(core),
-                cert_.build({&cert_.est_cert(), &entry_witness}));
+    s.emit(ctx, std::move(core),
+           cert_.build({&cert_.est_cert(), &entry_witness}));
   }
-  check_suspicion(ctx);
-  drain_buffer(ctx);
+  check_suspicion(s, ctx);
 }
 
-void BftProcess::drain_buffer(sim::Context& ctx) {
-  auto it = future_.find(round_.value);
-  if (it == future_.end()) return;
-  std::vector<MemberPtr> pending = std::move(it->second);
-  future_.erase(it);
-  const Round at = round_;
-  for (const MemberPtr& msg : pending) {
-    if (decided() || round_ != at) break;  // a replay advanced or ended us
-    if (nonmute_.is_faulty(msg->core.sender)) continue;
-    process_validated(ctx, msg);
-  }
-}
-
-void BftProcess::apply_current(sim::Context& ctx, const MemberPtr& msg) {
+void BftConsensus::apply_current(ModuleServices& s, sim::Context& ctx,
+                                 const MemberPtr& msg) {
   if (decided()) return;
   if (msg->core.round != round_) return;  // stale: monitor bookkeeping only
 
@@ -220,7 +146,7 @@ void BftProcess::apply_current(sim::Context& ctx, const MemberPtr& msg) {
       core.sender = ctx.id();
       core.round = round_;
       core.est = est_vect_;
-      send_signed(ctx, std::move(core), cert_.relay_of(msg));
+      s.emit(ctx, std::move(core), cert_.relay_of(msg));
     }
   } else if (msg->core.est == est_vect_) {
     cert_.add_current(msg);
@@ -232,13 +158,13 @@ void BftProcess::apply_current(sim::Context& ctx, const MemberPtr& msg) {
     // never toward the decision quorum.
     cert_.add_conflicting_current(msg);
     const ProcessId coord = bft_coordinator_of(round_, config_.n);
-    if (!nonmute_.is_faulty(coord)) {
-      nonmute_.declare_faulty(coord, FaultKind::kEquivocation,
-                              "two conflicting certified vectors in round " +
-                                  std::to_string(round_.value),
-                              ctx.now());
+    if (!s.is_faulty(coord)) {
+      s.declare_faulty(coord, FaultKind::kEquivocation,
+                       "two conflicting certified vectors in round " +
+                           std::to_string(round_.value),
+                       ctx.now());
     }
-    check_change_mind(ctx);
+    check_change_mind(s, ctx);
     return;
   }
 
@@ -249,79 +175,81 @@ void BftProcess::apply_current(sim::Context& ctx, const MemberPtr& msg) {
     core.sender = ctx.id();
     core.round = round_;
     core.est = est_vect_;
-    Certificate decide_cert = cert_.build({&cert_.current_cert()});
-    send_signed(ctx, std::move(core), std::move(decide_cert));
+    s.emit(ctx, std::move(core), cert_.build({&cert_.current_cert()}));
     decide(ctx, est_vect_, round_);
     return;
   }
 
-  check_change_mind(ctx);
+  check_change_mind(s, ctx);
 }
 
-void BftProcess::apply_next(sim::Context& ctx, const MemberPtr& msg) {
+void BftConsensus::apply_next(ModuleServices& s, sim::Context& ctx,
+                              const MemberPtr& msg) {
   if (decided()) return;
   if (msg->core.round != round_) return;  // stale for the protocol
   cert_.add_next(msg);                    // line 27
-  check_change_mind(ctx);
-  check_round_exit(ctx);
+  check_change_mind(s, ctx);
+  check_round_exit(s, ctx);
 }
 
-void BftProcess::send_next(sim::Context& ctx, Certificate cert) {
+void BftConsensus::send_next(ModuleServices& s, sim::Context& ctx,
+                             Certificate cert) {
   sent_next_this_round_ = true;
   MessageCore core;
   core.kind = BftKind::kNext;
   core.sender = ctx.id();
   core.round = round_;
-  send_signed(ctx, std::move(core), std::move(cert));
+  s.emit(ctx, std::move(core), std::move(cert));
 }
 
-void BftProcess::check_suspicion(sim::Context& ctx) {
+void BftConsensus::check_suspicion(ModuleServices& s, sim::Context& ctx) {
   // Lines 22-25: suspected ∪ faulty coordinator, still q0, no CURRENT seen.
   if (decided() || round_.value == 0 || sent_next_this_round_) return;
   if (cert_.current_count() != 0) return;
   const ProcessId coord = bft_coordinator_of(round_, config_.n);
   if (coord == ctx.id()) return;
-  if (!muteness_.suspects(coord, ctx.now()) && !nonmute_.is_faulty(coord))
-    return;
-  send_next(ctx, cert_.build({&cert_.current_cert(), &cert_.next_cert(),
-                              &cert_.est_cert()}));
-  check_round_exit(ctx);
+  if (!s.suspects_mute(coord, ctx.now()) && !s.is_faulty(coord)) return;
+  send_next(s, ctx, cert_.build({&cert_.current_cert(), &cert_.next_cert(),
+                                 &cert_.est_cert()}));
+  check_round_exit(s, ctx);
 }
 
-void BftProcess::check_change_mind(sim::Context& ctx) {
+void BftConsensus::check_change_mind(ModuleServices& s, sim::Context& ctx) {
   // Lines 28-29, with the crash protocol's majority replaced by n−F.
   if (decided() || round_.value == 0 || sent_next_this_round_) return;
   if (cert_.current_count() == 0) return;
   if (cert_.rec_from().size() < config_.quorum()) return;
   if (cert_.current_count() >= config_.quorum()) return;  // would decide
   if (cert_.next_count() >= config_.quorum()) return;     // round over
-  send_next(ctx, cert_.build({&cert_.current_cert(), &cert_.conflict_cert(),
-                              &cert_.next_cert()}));
+  send_next(s, ctx, cert_.build({&cert_.current_cert(), &cert_.conflict_cert(),
+                                 &cert_.next_cert()}));
 }
 
-void BftProcess::check_round_exit(sim::Context& ctx) {
+void BftConsensus::check_round_exit(ModuleServices& s, sim::Context& ctx) {
   // Line 14 / 31: n−F NEXTs end the round.
   if (decided() || round_.value == 0) return;
   if (cert_.next_count() < config_.quorum()) return;
   if (!sent_next_this_round_) {
-    send_next(ctx, cert_.build({&cert_.next_cert()}));  // line 31
+    send_next(s, ctx, cert_.build({&cert_.next_cert()}));  // line 31
   }
-  begin_round(ctx, round_.next());
+  begin_round(s, ctx, round_.next());
 }
 
-void BftProcess::on_timer(sim::Context& ctx, std::uint64_t) {
+void BftConsensus::rp_timer(ModuleServices& s, sim::Context& ctx,
+                            std::uint64_t) {
   if (decided()) return;
-  check_suspicion(ctx);
+  check_suspicion(s, ctx);
   ctx.set_timer(config_.suspicion_poll_period);
 }
 
-void BftProcess::decide(sim::Context& ctx, const VectorValue& vect,
-                        Round round) {
+void BftConsensus::decide(sim::Context& ctx, const VectorValue& vect,
+                          Round round) {
   if (decided()) return;
   decision_ = VectorDecision{vect, round, ctx.now()};
   log_debug("BFT ", ctx.id(), " decides in ", round);
+  // With stop_on_decide the pipeline halts the actor (rp_done) as soon as
+  // this callback returns; nothing is sent after a decision.
   if (on_decide_) on_decide_(ctx.id(), *decision_);
-  if (config_.stop_on_decide) ctx.stop();
 }
 
 }  // namespace modubft::bft

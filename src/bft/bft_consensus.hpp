@@ -1,14 +1,16 @@
 // The transformed protocol: Byzantine-resilient vector consensus (Fig 3).
 //
 // This is the Hurfin–Raynal protocol after applying the paper's
-// transformation methodology.  Each BftProcess is the five-module
-// composition of Figure 1:
+// transformation methodology.  BftConsensus is the protocol module of
+// Figure 1 — Figure 3's INIT phase and round loop over the certification
+// module — and BftProcess runs it inside the generic five-module pipeline
+// (transform.hpp), with the Figure 4 PeerMonitor as the per-peer model:
 //
 //   * SignatureModule       — authenticates every frame, signs every send;
 //   * MutenessModule        — ◇M suspicion of silent processes;
 //   * NonMutenessModule     — Figure 4 monitors + the reliable faulty_i set;
 //   * CertificationModule   — certificate variables and outgoing builds;
-//   * the protocol itself   — Figure 3's INIT phase and round loop.
+//   * the protocol itself   — BftConsensus.
 //
 // Protocol outline:
 //   INIT phase  — broadcast ⟨INIT(v_i), ∅⟩, gather n−F signed INITs into
@@ -25,74 +27,54 @@
 // processes.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 
-#include "bft/modules.hpp"
+#include "bft/transform.hpp"
 #include "consensus/value.hpp"
 #include "crypto/verify_cache.hpp"
-#include "sim/actor.hpp"
 
 namespace modubft::bft {
 
 using consensus::VectorDecideFn;
 using consensus::VectorDecision;
 
-/// Per-process send accounting (experiments E3/E6).
-struct SendStats {
-  std::uint64_t bytes = 0;
-  std::uint64_t max_message_bytes = 0;
-};
-
-class BftProcess final : public sim::Actor {
+/// The protocol module: Figure 3 over the pipeline's services.
+class BftConsensus final : public RoundProtocol {
  public:
-  BftProcess(BftConfig config, Value proposal, const crypto::Signer* signer,
-             std::shared_ptr<const crypto::Verifier> verifier,
-             VectorDecideFn on_decide);
+  BftConsensus(BftConfig config, Value proposal, VectorDecideFn on_decide);
 
-  void on_start(sim::Context& ctx) override;
-  void on_message(sim::Context& ctx, ProcessId from,
-                  const Bytes& payload) override;
-  void on_timer(sim::Context& ctx, std::uint64_t timer_id) override;
+  void rp_start(ModuleServices& s, sim::Context& ctx) override;
+  void rp_deliver(ModuleServices& s, sim::Context& ctx,
+                  const MemberPtr& msg) override;
+  void rp_timer(ModuleServices& s, sim::Context& ctx,
+                std::uint64_t timer_id) override;
+  void rp_convicted(ModuleServices& s, sim::Context& ctx) override;
+  Round rp_round() const override { return round_; }
+  /// In audit mode (stop_on_decide = false) a decided process keeps
+  /// authenticating and monitoring late traffic.
+  bool rp_done() const override {
+    return decided() && config_.stop_on_decide;
+  }
 
   bool decided() const { return decision_.has_value(); }
   const VectorDecision& decision() const { return *decision_; }
-  Round current_round() const { return round_; }
-
-  const NonMutenessModule& nonmuteness() const { return nonmute_; }
   const CertificationModule& certification() const { return cert_; }
-  const SendStats& send_stats() const { return send_stats_; }
-
-  /// The shared verified-signature cache, or nullptr when disabled
-  /// (config.verify_cache = false).  Exposed for benchmarks and tests.
-  const crypto::CachingVerifier* verify_cache() const { return vcache_.get(); }
 
  private:
-  void begin_round(sim::Context& ctx, Round r);
-  void process_validated(sim::Context& ctx, const MemberPtr& msg);
-  void apply_init(sim::Context& ctx, const MemberPtr& msg);
-  void apply_current(sim::Context& ctx, const MemberPtr& msg);
-  void apply_next(sim::Context& ctx, const MemberPtr& msg);
-  void check_suspicion(sim::Context& ctx);
-  void check_change_mind(sim::Context& ctx);
-  void check_round_exit(sim::Context& ctx);
-  void send_signed(sim::Context& ctx, MessageCore core, Certificate cert);
-  void send_next(sim::Context& ctx, Certificate cert);
+  void begin_round(ModuleServices& s, sim::Context& ctx, Round r);
+  void apply_init(ModuleServices& s, sim::Context& ctx, const MemberPtr& msg);
+  void apply_current(ModuleServices& s, sim::Context& ctx,
+                     const MemberPtr& msg);
+  void apply_next(ModuleServices& s, sim::Context& ctx, const MemberPtr& msg);
+  void check_suspicion(ModuleServices& s, sim::Context& ctx);
+  void check_change_mind(ModuleServices& s, sim::Context& ctx);
+  void check_round_exit(ModuleServices& s, sim::Context& ctx);
+  void send_next(ModuleServices& s, sim::Context& ctx, Certificate cert);
   void decide(sim::Context& ctx, const VectorValue& vect, Round round);
-  void drain_buffer(sim::Context& ctx);
 
   BftConfig config_;
   Value proposal_;
-
-  // When enabled, both the signature module and the analyzer verify
-  // through this one cache, so ingress checks and certificate-member
-  // checks deduplicate against each other.
-  std::shared_ptr<crypto::CachingVerifier> vcache_;
-  SignatureModule signature_;
-  MutenessModule muteness_;
-  std::shared_ptr<const CertAnalyzer> analyzer_;
-  NonMutenessModule nonmute_;
   CertificationModule cert_;
   VectorDecideFn on_decide_;
 
@@ -104,11 +86,30 @@ class BftProcess final : public sim::Actor {
 
   // The adopted CURRENT of this round (for equivocation evidence).
   MemberPtr adopted_current_;
+};
 
-  // FIFO-preserving buffer of future-round messages (footnote 5).
-  std::map<std::uint32_t, std::vector<MemberPtr>> future_;
+/// The assembled consensus actor: BftConsensus in the transformed
+/// pipeline.  When config.verify_cache is set, the signature module and
+/// the certificate analyzer verify through one cache (config's shared one,
+/// or a private one), so ingress checks and certificate-member checks
+/// deduplicate against each other.
+class BftProcess final : public TransformedActor {
+ public:
+  BftProcess(BftConfig config, Value proposal, const crypto::Signer* signer,
+             std::shared_ptr<const crypto::Verifier> verifier,
+             VectorDecideFn on_decide);
 
-  SendStats send_stats_;
+  bool decided() const { return consensus().decided(); }
+  const VectorDecision& decision() const { return consensus().decision(); }
+  Round current_round() const { return consensus().rp_round(); }
+  const CertificationModule& certification() const {
+    return consensus().certification();
+  }
+
+ private:
+  const BftConsensus& consensus() const {
+    return static_cast<const BftConsensus&>(protocol());
+  }
 };
 
 }  // namespace modubft::bft

@@ -25,8 +25,8 @@ void LockstepProtocol::rp_start(ModuleServices& services, sim::Context& ctx) {
 }
 
 void LockstepProtocol::rp_deliver(ModuleServices& services, sim::Context& ctx,
-                                  const SignedMessage& msg) {
-  if (done_ || msg.core.round != round_) return;  // stale votes: model-only
+                                  const MemberPtr& msg) {
+  if (done_ || msg->core.round != round_) return;  // stale votes: model-only
   collected_.add(msg);
   if (collected_.size() < config_.quorum()) return;
 
@@ -52,15 +52,9 @@ void LockstepProtocol::rp_deliver(ModuleServices& services, sim::Context& ctx,
   vote(services, ctx);
 }
 
-void LockstepProtocol::rp_timer(ModuleServices&, sim::Context&, std::uint64_t) {
-  // The barrier needs no timers: progress is purely message-driven.
-}
-
-LockstepPeerModel::LockstepPeerModel(
-    ProcessId peer, std::shared_ptr<const CertAnalyzer> analyzer)
-    : peer_(peer), analyzer_(std::move(analyzer)) {
-  MODUBFT_EXPECTS(analyzer_ != nullptr);
-}
+LockstepPeerModel::LockstepPeerModel(ProcessId peer,
+                                     const CertAnalyzer& analyzer)
+    : peer_(peer), analyzer_(analyzer) {}
 
 Verdict LockstepPeerModel::fail(FaultKind kind, std::string detail) {
   faulty_ = true;
@@ -86,7 +80,7 @@ Verdict LockstepPeerModel::observe(const SignedMessage& msg) {
   }
   // Round-number certification (§5.1): a round-r vote must witness the
   // previous barrier with n−F signed round-(r−1) votes.
-  if (Verdict v = analyzer_->entry_wf(msg.cert, r); !v) {
+  if (Verdict v = analyzer_.entry_wf(msg.cert, r); !v) {
     faulty_ = true;
     return v;
   }
@@ -101,15 +95,11 @@ std::unique_ptr<sim::Actor> make_lockstep_actor(
   auto analyzer = std::make_shared<const CertAnalyzer>(
       config.n, config.quorum(), verifier);
 
-  TransformConfig tcfg;
-  tcfg.n = config.n;
-  tcfg.muteness = config.muteness;
-
   auto actor = std::make_unique<TransformedActor>(
-      tcfg, signer, verifier,
+      signer, std::move(analyzer), config.muteness,
       std::make_unique<LockstepProtocol>(config, std::move(on_done)),
-      [analyzer](ProcessId peer) {
-        return std::make_unique<LockstepPeerModel>(peer, analyzer);
+      [](ProcessId peer, const CertAnalyzer& checker) {
+        return std::make_unique<LockstepPeerModel>(peer, checker);
       });
   if (out_view != nullptr) *out_view = actor.get();
   return actor;

@@ -15,7 +15,7 @@
 //   * the per-peer model rejects duplicated, skipped-round and
 //     out-of-order votes (non-muteness module).
 //
-// The protocol plugs into the generic TransformedActor unchanged —
+// The protocol plugs into the same TransformedActor as the consensus —
 // demonstrating that the pipeline, and three of the five modules, are
 // protocol-independent.
 #pragma once
@@ -49,9 +49,8 @@ class LockstepProtocol final : public RoundProtocol {
 
   void rp_start(ModuleServices& services, sim::Context& ctx) override;
   void rp_deliver(ModuleServices& services, sim::Context& ctx,
-                  const SignedMessage& msg) override;
-  void rp_timer(ModuleServices& services, sim::Context& ctx,
-                std::uint64_t timer_id) override;
+                  const MemberPtr& msg) override;
+  // No timers: progress is purely message-driven.
   Round rp_round() const override { return round_; }
   bool rp_done() const override { return done_; }
 
@@ -69,7 +68,7 @@ class LockstepProtocol final : public RoundProtocol {
 /// The peer behaviour model (plugs into TransformedActor).
 class LockstepPeerModel final : public PeerModel {
  public:
-  LockstepPeerModel(ProcessId peer, std::shared_ptr<const CertAnalyzer> analyzer);
+  LockstepPeerModel(ProcessId peer, const CertAnalyzer& analyzer);
 
   Verdict observe(const SignedMessage& msg) override;
 
@@ -77,7 +76,7 @@ class LockstepPeerModel final : public PeerModel {
   Verdict fail(FaultKind kind, std::string detail);
 
   ProcessId peer_;
-  std::shared_ptr<const CertAnalyzer> analyzer_;
+  const CertAnalyzer& analyzer_;
   Round last_round_;  // 0 = no vote seen yet
   bool faulty_ = false;
 };

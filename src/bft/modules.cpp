@@ -96,22 +96,21 @@ bool MutenessModule::suspects(ProcessId q, SimTime now) {
 
 // -------------------------------------------------------------- non-muteness
 
-NonMutenessModule::NonMutenessModule(
-    std::uint32_t n, ProcessId self,
-    std::shared_ptr<const CertAnalyzer> analyzer)
-    : analyzer_(std::move(analyzer)) {
-  MODUBFT_EXPECTS(analyzer_ != nullptr);
-  (void)self;
-  monitors_.reserve(n);
+NonMutenessModule::NonMutenessModule(std::uint32_t n,
+                                     const CertAnalyzer& analyzer,
+                                     const PeerModelFactory& factory) {
+  MODUBFT_EXPECTS(factory != nullptr);
+  models_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    monitors_.emplace_back(ProcessId{i}, *analyzer_);
+    models_.push_back(factory(ProcessId{i}, analyzer));
+    MODUBFT_EXPECTS(models_.back() != nullptr);
   }
 }
 
 Verdict NonMutenessModule::observe(ProcessId from, const SignedMessage& msg,
                                    SimTime now) {
-  MODUBFT_EXPECTS(from.value < monitors_.size());
-  Verdict v = monitors_[from.value].observe(msg);
+  MODUBFT_EXPECTS(from.value < models_.size());
+  Verdict v = models_[from.value]->observe(msg);
   if (!v && v.kind != FaultKind::kNone) {
     declare_faulty(from, v.kind, v.detail, now);
   }
@@ -133,10 +132,6 @@ void CertificationModule::add_init(MemberPtr m) {
   est_cert_.add(std::move(m));
 }
 
-void CertificationModule::add_init(const SignedMessage& m) {
-  add_init(std::make_shared<const SignedMessage>(m));
-}
-
 void CertificationModule::adopt_est(const Certificate& cert) {
   est_cert_ = cert;  // shares members (and memoized digests) with the source
 }
@@ -145,24 +140,12 @@ void CertificationModule::add_current(MemberPtr m) {
   current_cert_.add(std::move(m));
 }
 
-void CertificationModule::add_current(const SignedMessage& m) {
-  add_current(std::make_shared<const SignedMessage>(m));
-}
-
 void CertificationModule::add_next(MemberPtr m) {
   next_cert_.add(std::move(m));
 }
 
-void CertificationModule::add_next(const SignedMessage& m) {
-  add_next(std::make_shared<const SignedMessage>(m));
-}
-
 void CertificationModule::add_conflicting_current(MemberPtr m) {
   conflict_cert_.add(std::move(m));
-}
-
-void CertificationModule::add_conflicting_current(const SignedMessage& m) {
-  add_conflicting_current(std::make_shared<const SignedMessage>(m));
 }
 
 void CertificationModule::reset_round() {
@@ -222,10 +205,6 @@ Certificate CertificationModule::relay_of(const MemberPtr& adopted) const {
   Certificate out;
   out.add(adopted);  // the full adopted CURRENT, never pruned
   return out;
-}
-
-Certificate CertificationModule::relay_of(const SignedMessage& adopted) const {
-  return relay_of(std::make_shared<const SignedMessage>(adopted));
 }
 
 }  // namespace modubft::bft

@@ -5,8 +5,7 @@
 //   certification module → round-based protocol module,
 // and an outgoing message m' traverses certification then signature on the
 // way to the network.  Each class below encapsulates exactly one of those
-// responsibilities; the BftProcess actor (bft_consensus.hpp) is the
-// composition.
+// responsibilities; TransformedActor (transform.hpp) is the composition.
 #pragma once
 
 #include <map>
@@ -79,14 +78,15 @@ class MutenessModule {
   fd::MutenessDetector detector_;
 };
 
-/// Non-muteness module: one Figure 4 monitor per peer plus the reliable
-/// `faulty_i` set.  The protocol module may only *read* the set.
+/// Non-muteness module: one behaviour model per peer (the protocol's
+/// Figure 4-style state machine, built by `factory`) plus the reliable
+/// `faulty_i` set and its audit records.
 class NonMutenessModule {
  public:
-  NonMutenessModule(std::uint32_t n, ProcessId self,
-                    std::shared_ptr<const CertAnalyzer> analyzer);
+  NonMutenessModule(std::uint32_t n, const CertAnalyzer& analyzer,
+                    const PeerModelFactory& factory);
 
-  /// Runs the peer's monitor on `msg`.  A failed verdict adds the peer to
+  /// Runs the peer's model on `msg`.  A failed verdict adds the peer to
   /// faulty_i and appends an audit record.
   Verdict observe(ProcessId from, const SignedMessage& msg, SimTime now);
 
@@ -98,11 +98,9 @@ class NonMutenessModule {
   bool is_faulty(ProcessId q) const { return faulty_.count(q) > 0; }
   const std::set<ProcessId>& faulty_set() const { return faulty_; }
   const std::vector<FaultRecord>& records() const { return records_; }
-  const PeerMonitor& monitor(ProcessId q) const { return monitors_[q.value]; }
 
  private:
-  std::shared_ptr<const CertAnalyzer> analyzer_;
-  std::vector<PeerMonitor> monitors_;
+  std::vector<std::unique_ptr<PeerModel>> models_;
   std::set<ProcessId> faulty_;
   std::vector<FaultRecord> records_;
 };
@@ -122,12 +120,9 @@ class CertificationModule {
 
   // --- certificate variables (paper Fig 3 boxed assignments) ---
   void add_init(MemberPtr m);                   // line 8
-  void add_init(const SignedMessage& m);
   void adopt_est(const Certificate& cert);      // line 17
   void add_current(MemberPtr m);                // line 16
-  void add_current(const SignedMessage& m);
   void add_next(MemberPtr m);                   // line 27
-  void add_next(const SignedMessage& m);
   void reset_round();                           // line 13
 
   /// A well-formed CURRENT whose vector conflicts with the adopted one
@@ -135,7 +130,6 @@ class CertificationModule {
   /// REC_FROM and travels in NEXT justifications — but it must not count
   /// toward the decision quorum.
   void add_conflicting_current(MemberPtr m);
-  void add_conflicting_current(const SignedMessage& m);
   const Certificate& conflict_cert() const { return conflict_cert_; }
 
   const Certificate& est_cert() const { return est_cert_; }
@@ -157,7 +151,6 @@ class CertificationModule {
 
   /// Wraps a single adopted message as a relay certificate (line 19).
   Certificate relay_of(const MemberPtr& adopted) const;
-  Certificate relay_of(const SignedMessage& adopted) const;
 
  private:
   MemberPtr policy_member(const MemberPtr& m) const;

@@ -16,11 +16,14 @@
 // inconsistent are "wrong expected messages" — both trigger the transition
 // to the terminal faulty state, exactly as in the paper.
 //
-// Precondition maintained by the caller (the non-muteness module): CURRENT
+// Precondition maintained by the caller (the transformed pipeline): CURRENT
 // and NEXT messages are only fed to the monitor once the *receiver* has
 // reached the message's round, so the receiver's own quorum evidence
 // legitimizes the round number; future-round traffic is buffered upstream.
 #pragma once
+
+#include <functional>
+#include <memory>
 
 #include "bft/analyzer.hpp"
 #include "bft/message.hpp"
@@ -28,7 +31,24 @@
 
 namespace modubft::bft {
 
-class PeerMonitor {
+/// Per-peer behaviour model slot (the protocol-specific part of the
+/// non-muteness module).  One instance per monitored peer.
+class PeerModel {
+ public:
+  virtual ~PeerModel() = default;
+
+  /// Validates the peer's next message (in FIFO order).  A failing verdict
+  /// convicts the peer; FaultKind::kNone means "already convicted, drop".
+  virtual Verdict observe(const SignedMessage& msg) = 0;
+};
+
+/// Builds the model of one peer; models check certificates through the
+/// pipeline's analyzer.
+using PeerModelFactory = std::function<std::unique_ptr<PeerModel>(
+    ProcessId peer, const CertAnalyzer& analyzer)>;
+
+/// The Figure 4 model of a peer running the transformed consensus.
+class PeerMonitor final : public PeerModel {
  public:
   enum class State : std::uint8_t { kStart, kInRound, kFinal, kFaulty };
 
@@ -37,7 +57,7 @@ class PeerMonitor {
   /// Validates the next message from the monitored peer (in FIFO order) and
   /// advances the model.  A failed verdict leaves the monitor in kFaulty;
   /// every later message is rejected without a fresh accusation.
-  Verdict observe(const SignedMessage& msg);
+  Verdict observe(const SignedMessage& msg) override;
 
   State state() const { return state_; }
   Round tracked_round() const { return round_; }

@@ -1,43 +1,58 @@
 #include "bft/transform.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace modubft::bft {
 
-TransformedActor::TransformedActor(TransformConfig config,
-                                   const crypto::Signer* signer,
-                                   std::shared_ptr<const crypto::Verifier> verifier,
+namespace {
+
+// Messages from `sender` in one round's buffer slot (at most 2n entries).
+std::size_t held_from(const std::vector<MemberPtr>& slot, ProcessId sender) {
+  return static_cast<std::size_t>(
+      std::count_if(slot.begin(), slot.end(), [sender](const MemberPtr& m) {
+        return m->core.sender == sender;
+      }));
+}
+
+}  // namespace
+
+TransformedActor::TransformedActor(const crypto::Signer* signer,
+                                   std::shared_ptr<const CertAnalyzer> analyzer,
+                                   fd::MutenessConfig muteness,
                                    std::unique_ptr<RoundProtocol> protocol,
-                                   PeerModelFactory model_factory)
-    : config_(config),
-      signature_(signer, std::move(verifier)),
-      muteness_(config.n, signer->id(), config.muteness),
+                                   const PeerModelFactory& model_factory)
+    : analyzer_(std::move(analyzer)),
+      signature_(signer, analyzer_->verifier(), analyzer_->pool()),
+      muteness_(analyzer_->n(), signer->id(), muteness),
+      nonmute_(analyzer_->n(), *analyzer_, model_factory),
       protocol_(std::move(protocol)) {
-  MODUBFT_EXPECTS(config_.n >= 2);
   MODUBFT_EXPECTS(protocol_ != nullptr);
-  MODUBFT_EXPECTS(model_factory != nullptr);
-  models_.reserve(config_.n);
-  for (std::uint32_t i = 0; i < config_.n; ++i) {
-    models_.push_back(model_factory(ProcessId{i}));
-    MODUBFT_EXPECTS(models_.back() != nullptr);
-  }
 }
 
 bool TransformedActor::suspects_mute(ProcessId q, SimTime now) {
   return muteness_.suspects(q, now);
 }
 
-void TransformedActor::emit(sim::Context& ctx, MessageCore core,
-                            Certificate cert) {
-  SignedMessage msg = signature_.sign(std::move(core), std::move(cert));
-  ctx.broadcast(encode_message(msg));
+void TransformedActor::declare_faulty(ProcessId culprit, FaultKind kind,
+                                      std::string detail, SimTime now) {
+  nonmute_.declare_faulty(culprit, kind, std::move(detail), now);
 }
 
-void TransformedActor::convict(ProcessId culprit, FaultKind kind,
-                               std::string detail, SimTime now) {
-  records_.push_back(FaultRecord{culprit, kind, detail, now});
-  faulty_.insert(culprit);
+void TransformedActor::enter_round(SimTime now) {
+  muteness_.on_new_round(now);
+}
+
+void TransformedActor::emit(sim::Context& ctx, MessageCore core,
+                            Certificate cert) {
+  const Bytes frame =
+      encode_message(signature_.sign(std::move(core), std::move(cert)));
+  send_stats_.bytes += static_cast<std::uint64_t>(frame.size()) * ctx.n();
+  send_stats_.max_message_bytes =
+      std::max<std::uint64_t>(send_stats_.max_message_bytes, frame.size());
+  ctx.broadcast(frame);
 }
 
 void TransformedActor::on_start(sim::Context& ctx) {
@@ -47,69 +62,90 @@ void TransformedActor::on_start(sim::Context& ctx) {
 
 void TransformedActor::on_message(sim::Context& ctx, ProcessId from,
                                   const Bytes& payload) {
+  // A stopped actor gets no more callbacks on the simulator, but a
+  // wall-clock runtime may still hand it the rest of a drained batch.
   if (protocol_->rp_done()) return;
 
+  // Signature module (ingress).
   SignatureModule::Inbound in = signature_.authenticate(from, payload);
   if (!in.ok) {
-    convict(from, in.verdict.kind, in.verdict.detail, ctx.now());
+    nonmute_.declare_faulty(from, in.verdict.kind, in.verdict.detail,
+                            ctx.now());
     return;
   }
+  // Muteness module: any authentic protocol message counts as activity.
   muteness_.on_protocol_message(from, ctx.now());
-  if (is_faulty(from)) return;
+  // Messages already attributed to faulty processes are discarded.
+  if (nonmute_.is_faulty(from)) return;
 
-  const SignedMessage& msg = in.msg;
-  if (msg.core.round.value > protocol_->rp_round().value) {
-    if (msg.core.round.value - protocol_->rp_round().value <=
-        kMaxBufferedRounds) {
-      future_[msg.core.round.value].push_back(msg);
+  // Parallel fast path: pre-verify the certificate's members through the
+  // pool before a peer model's serial well-formedness walk touches them;
+  // the walk then hits the shared cache.  No-op without a pool.
+  analyzer_->warm_certificate(in.msg.cert);
+
+  // From here on the message is shared immutable state: certificates built
+  // from it hold this same allocation instead of deep-copying.
+  MemberPtr msg = std::make_shared<const SignedMessage>(std::move(in.msg));
+  const bool round_vote = msg->core.kind == BftKind::kCurrent ||
+                          msg->core.kind == BftKind::kNext;
+  const std::uint32_t round = protocol_->rp_round().value;
+  if (round_vote && msg->core.round.value > round) {
+    // Future round: wait for the receiver to get there.  INIT starts the
+    // peer's automaton and DECIDE is enabled in every state, so neither
+    // waits.
+    if (msg->core.round.value - round > kMaxBufferedRounds) return;
+    std::vector<MemberPtr>& slot = future_[msg->core.round.value];
+    if (held_from(slot, from) < kMaxBufferedPerSender) {
+      slot.push_back(std::move(msg));
     }
     return;
   }
-  deliver_validated(ctx, msg);
-  drain_ready(ctx);
+  deliver(ctx, msg);
+  drain(ctx);
   if (protocol_->rp_done()) ctx.stop();
 }
 
-void TransformedActor::deliver_validated(sim::Context& ctx,
-                                         const SignedMessage& msg) {
-  Verdict v = models_[msg.core.sender.value]->observe(msg);
+void TransformedActor::deliver(sim::Context& ctx, const MemberPtr& msg) {
+  // Non-muteness module: run the sender's peer model.
+  const ProcessId sender = msg->core.sender;
+  Verdict v = nonmute_.observe(sender, *msg, ctx.now());
   if (!v) {
     if (v.kind != FaultKind::kNone) {
-      log_debug("transform ", ctx.id(), " convicts ", msg.core.sender, ": ",
-                v.detail);
-      convict(msg.core.sender, v.kind, v.detail, ctx.now());
+      log_debug("pipeline ", ctx.id(), " declares ", sender, " faulty: ",
+                fault_kind_name(v.kind), " — ", v.detail);
+      protocol_->rp_convicted(*this, ctx);
     }
     return;
   }
   protocol_->rp_deliver(*this, ctx, msg);
 }
 
-void TransformedActor::drain_ready(sim::Context& ctx) {
-  // Deliver buffered rounds the protocol has since reached; each delivery
-  // may advance it further.
-  while (!protocol_->rp_done()) {
-    const std::uint32_t round = protocol_->rp_round().value;
-    bool progressed = false;
-    for (auto it = future_.begin();
-         it != future_.end() && it->first <= round;) {
-      std::vector<SignedMessage> pending = std::move(it->second);
-      it = future_.erase(it);
-      for (const SignedMessage& msg : pending) {
-        if (protocol_->rp_done()) return;
-        if (is_faulty(msg.core.sender)) continue;
-        deliver_validated(ctx, msg);
-      }
-      progressed = true;
-      break;  // round may have changed; restart the scan
+void TransformedActor::drain(sim::Context& ctx) {
+  // Deliver the buffered rounds the protocol has since entered, oldest
+  // first and each in arrival order, so every peer model still sees its
+  // peer's messages in FIFO order.  A delivery may enter the next round;
+  // its messages follow once the current batch is through.
+  while (!protocol_->rp_done() && !future_.empty() &&
+         future_.begin()->first <= protocol_->rp_round().value) {
+    const std::vector<MemberPtr> pending = std::move(future_.begin()->second);
+    future_.erase(future_.begin());
+    for (const MemberPtr& msg : pending) {
+      if (protocol_->rp_done()) return;
+      if (nonmute_.is_faulty(msg->core.sender)) continue;
+      deliver(ctx, msg);
     }
-    if (!progressed) return;
   }
+}
+
+std::size_t TransformedActor::buffered(Round r, ProcessId sender) const {
+  const auto it = future_.find(r.value);
+  return it == future_.end() ? 0 : held_from(it->second, sender);
 }
 
 void TransformedActor::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   if (protocol_->rp_done()) return;
   protocol_->rp_timer(*this, ctx, timer_id);
-  drain_ready(ctx);
+  drain(ctx);
   if (protocol_->rp_done()) ctx.stop();
 }
 

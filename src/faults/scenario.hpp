@@ -321,9 +321,12 @@ struct SmrScenarioResult {
   std::map<std::uint32_t, std::map<std::string, std::string>> stores;
 
   // --- client/service layer (filled only when config.clients is set) ---
+  /// True iff some replica with no scheduled crash kept commit_log.
+  /// Without one there is no log to audit replies against.
+  bool commit_log_kept = false;
   /// Committed commands as applied by the witness replica (the lowest-id
-  /// correct replica with no scheduled crash; empty if every correct
-  /// replica was killed): command id → (slot, command).  The auditor
+  /// correct replica with no scheduled crash; failing that, the lowest-id
+  /// replica with none): command id → (slot, command).  The auditor
   /// checks every client-accepted reply against this map.
   std::map<std::uint64_t, std::pair<std::uint64_t, smr::Command>> commit_log;
   /// Commands the witness replica applied more than once (must be 0 —

@@ -395,7 +395,7 @@ LockstepScenarioResult run_lockstep_scenario(
   }
 
   for (std::uint32_t i : result.correct) {
-    for (const bft::FaultRecord& rec : views[i]->records()) {
+    for (const bft::FaultRecord& rec : views[i]->nonmuteness().records()) {
       result.records.push_back(rec);
       if (result.correct.count(rec.culprit.value) > 0) {
         result.no_false_accusations = false;
@@ -565,9 +565,13 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // run, and in client mode it keeps the commit log: every command it
   // applies, with its slot.  The auditor checks client-accepted replies
   // against this map, and a re-applied id (commit_log_duplicates) is an
-  // exactly-once violation.  The callback runs on the witness's node
-  // thread; the results are read after run() joins it, but the mutex
-  // also covers a restart factory racing a reader on another thread.
+  // exactly-once violation.  A negative control may mark every replica
+  // that is never killed faulty; the log then comes from the lowest-id
+  // such replica, which runs the honest replica behind a wire-level
+  // attacker and so logs what it really applied.  The callback runs on
+  // the keeper's node thread; the results are read after run() joins it,
+  // but the mutex also covers a restart factory racing a reader on
+  // another thread.
   std::uint32_t witness = config.n;
   for (std::uint32_t i : result.correct) {
     if (!crash_times[i].has_value()) {
@@ -575,9 +579,14 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       break;
     }
   }
+  std::uint32_t log_keeper = witness;
+  for (std::uint32_t i = 0; log_keeper == config.n && i < config.n; ++i) {
+    if (!crash_times[i].has_value()) log_keeper = i;
+  }
   std::mutex commit_mu;
   smr::CommitFn log_commit;
-  if (client_mode && witness < config.n) {
+  result.commit_log_kept = client_mode && log_keeper < config.n;
+  if (result.commit_log_kept) {
     log_commit = [&result, &commit_mu](InstanceId slot,
                                        const smr::Command* cmd,
                                        const smr::KvStore&) {
@@ -616,7 +625,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
 
     auto replica = std::make_unique<smr::Replica>(
         make_rcfg(i, false), workload_for(i),
-        i == witness ? log_commit : smr::CommitFn{});
+        i == log_keeper ? log_commit : smr::CommitFn{});
     views[i] = replica.get();
     install(id, std::move(replica));
     if (crash_times[i].has_value()) {

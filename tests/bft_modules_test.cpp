@@ -27,6 +27,12 @@ class ModulesFixture : public ::testing::Test {
     return core;
   }
 
+  static PeerModelFactory monitors() {
+    return [](ProcessId peer, const CertAnalyzer& analyzer) {
+      return std::make_unique<PeerMonitor>(peer, analyzer);
+    };
+  }
+
   crypto::SignatureSystem keys_;
   SignatureModule module_;  // signs as p2
 };
@@ -89,9 +95,8 @@ TEST_F(ModulesFixture, MutenessModuleTracksActivity) {
 }
 
 TEST_F(ModulesFixture, NonMutenessModuleRecordsAndFilters) {
-  auto analyzer =
-      std::make_shared<const CertAnalyzer>(kN, 3, keys_.verifier);
-  NonMutenessModule nonmute(kN, ProcessId{0}, analyzer);
+  const CertAnalyzer analyzer(kN, 3, keys_.verifier);
+  NonMutenessModule nonmute(kN, analyzer, monitors());
 
   EXPECT_FALSE(nonmute.is_faulty(ProcessId{2}));
   nonmute.declare_faulty(ProcessId{2}, FaultKind::kBadSignature, "test", 42);
@@ -103,9 +108,8 @@ TEST_F(ModulesFixture, NonMutenessModuleRecordsAndFilters) {
 }
 
 TEST_F(ModulesFixture, NonMutenessMonitorPathConvicts) {
-  auto analyzer =
-      std::make_shared<const CertAnalyzer>(kN, 3, keys_.verifier);
-  NonMutenessModule nonmute(kN, ProcessId{0}, analyzer);
+  const CertAnalyzer analyzer(kN, 3, keys_.verifier);
+  NonMutenessModule nonmute(kN, analyzer, monitors());
 
   // A CURRENT before INIT violates FIFO expectations.
   SignedMessage msg = module_.sign(current_core(1), Certificate{});
@@ -127,8 +131,8 @@ class CertModuleFixture : public ::testing::Test {
     config_.f = 1;
   }
 
-  SignedMessage make(BftKind kind, std::uint32_t sender, std::uint32_t round,
-                     Certificate cert = {}) const {
+  MemberPtr make(BftKind kind, std::uint32_t sender, std::uint32_t round,
+                 Certificate cert = {}) const {
     MessageCore core;
     core.kind = kind;
     core.sender = ProcessId{sender};
@@ -138,7 +142,7 @@ class CertModuleFixture : public ::testing::Test {
     msg.core = std::move(core);
     msg.cert = std::move(cert);
     msg.sig = keys_.signers[sender]->sign(signing_bytes(msg.core, msg.cert));
-    return msg;
+    return std::make_shared<const SignedMessage>(std::move(msg));
   }
 
   crypto::SignatureSystem keys_;
@@ -216,11 +220,11 @@ TEST_F(CertModuleFixture, RelayOfKeepsAdoptedMessageIntact) {
   CertificationModule cert(config_);
   Certificate inner;
   inner.add(make(BftKind::kInit, 0, 0));
-  SignedMessage adopted = make(BftKind::kCurrent, 0, 1, inner);
+  MemberPtr adopted = make(BftKind::kCurrent, 0, 1, inner);
   Certificate relay = cert.relay_of(adopted);
   ASSERT_EQ(relay.size(), 1u);
   EXPECT_FALSE(relay.member(0).cert.pruned);
-  EXPECT_EQ(relay.member(0).core, adopted.core);
+  EXPECT_EQ(relay.member(0).core, adopted->core);
 }
 
 TEST_F(CertModuleFixture, AdoptEstReplacesWholesale) {

@@ -4,7 +4,11 @@
 // detector reliability).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bft/config.hpp"
+#include "bft/transform.hpp"
+#include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
 #include "sim/trace.hpp"
 
@@ -179,20 +183,113 @@ TEST(BftEdge, TraceLevelDeterminism) {
   EXPECT_NE(fingerprint(71), fingerprint(72));
 }
 
+// Forwards to the wrapped actor.  The flooder variant first broadcasts
+// `copies` of `flood`; the probe variant records, after every callback,
+// the most messages from `source` the wrapped pipeline ever held for each
+// watched round.
+class FloodHarness final : public sim::Actor {
+ public:
+  FloodHarness(std::unique_ptr<sim::Actor> inner, std::vector<Bytes> flood,
+               std::size_t copies, ProcessId source,
+               std::vector<Round> watched, std::vector<std::size_t>* peaks)
+      : inner_(std::move(inner)),
+        view_(dynamic_cast<const bft::TransformedActor*>(inner_.get())),
+        flood_(std::move(flood)),
+        copies_(copies),
+        source_(source),
+        watched_(std::move(watched)),
+        peaks_(peaks) {}
+
+  void on_start(sim::Context& ctx) override {
+    inner_->on_start(ctx);
+    for (const Bytes& frame : flood_) {
+      for (std::size_t i = 0; i < copies_; ++i) ctx.broadcast(frame);
+    }
+    probe();
+  }
+  void on_message(sim::Context& ctx, ProcessId from,
+                  const Bytes& payload) override {
+    inner_->on_message(ctx, from, payload);
+    probe();
+  }
+  void on_timer(sim::Context& ctx, std::uint64_t id) override {
+    inner_->on_timer(ctx, id);
+    probe();
+  }
+
+ private:
+  void probe() {
+    if (view_ == nullptr || peaks_ == nullptr) return;
+    for (std::size_t i = 0; i < watched_.size(); ++i) {
+      (*peaks_)[i] =
+          std::max((*peaks_)[i], view_->buffered(watched_[i], source_));
+    }
+  }
+
+  std::unique_ptr<sim::Actor> inner_;
+  const bft::TransformedActor* view_;
+  std::vector<Bytes> flood_;
+  std::size_t copies_;
+  ProcessId source_;
+  std::vector<Round> watched_;
+  std::vector<std::size_t>* peaks_;
+};
+
 // Byzantine flooding of far-future rounds must not exhaust the buffer.
+// Besides re-labelling its own votes, p3 signs a flood of votes for
+// round 3, far more than the per-sender cap, and one vote for a round
+// past the horizon.  The flood outlasts the decision, so correct
+// processes run in audit mode and keep receiving it.
 TEST(BftEdge, FutureRoundFloodIsBounded) {
   BftScenarioConfig cfg;
   cfg.n = 4;
   cfg.f = 1;
   cfg.seed = 5;
+  cfg.stop_on_decide = false;
   FaultSpec spec;
   spec.who = ProcessId{2};
   spec.behavior = Behavior::kWrongRound;  // every message re-labelled
   spec.from_round = Round{1};
   cfg.faults = {spec};
+
+  const crypto::SignatureSystem keys =
+      crypto::HmacScheme{}.make_system(cfg.n, cfg.seed);
+  const Round flooded{3};
+  const Round beyond{10 + bft::kMaxBufferedRounds};
+  std::vector<Bytes> flood;
+  for (Round r : {flooded, beyond}) {
+    bft::SignedMessage vote;
+    vote.core.kind = bft::BftKind::kNext;
+    vote.core.sender = spec.who;
+    vote.core.round = r;
+    vote.sig = keys.signers[spec.who.value]->sign(
+        bft::signing_bytes(vote.core, vote.cert));
+    flood.push_back(bft::encode_message(vote));
+  }
+  std::vector<std::vector<std::size_t>> peaks(
+      cfg.n, std::vector<std::size_t>(2, 0));
+  cfg.wrap_actor = [&](ProcessId id, std::unique_ptr<sim::Actor> actor)
+      -> std::unique_ptr<sim::Actor> {
+    if (id == spec.who) {
+      return std::make_unique<FloodHarness>(std::move(actor), flood, 5000,
+                                            spec.who, std::vector<Round>{},
+                                            nullptr);
+    }
+    return std::make_unique<FloodHarness>(
+        std::move(actor), std::vector<Bytes>{}, 0, spec.who,
+        std::vector<Round>{flooded, beyond}, &peaks[id.value]);
+  };
+
   BftScenarioResult r = run_bft_scenario(cfg);
   EXPECT_TRUE(r.termination);
   EXPECT_TRUE(r.agreement);
+  ASSERT_EQ(r.correct.size(), 3u);
+  for (std::uint32_t i : r.correct) {
+    EXPECT_EQ(peaks[i][0], bft::kMaxBufferedPerSender)
+        << "p" << i + 1 << " buffered round " << flooded.value;
+    EXPECT_EQ(peaks[i][1], 0u)
+        << "p" << i + 1 << " kept a vote past the horizon";
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "bft/lockstep.hpp"
+#include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "sim/simulation.hpp"
@@ -123,8 +126,8 @@ LockstepRun run_lockstep(std::uint32_t n, std::uint32_t f,
   run.records.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     if (views[i] == nullptr) continue;  // evil / non-pipeline actor
-    run.faulty[i] = views[i]->faulty();
-    run.records[i] = views[i]->records();
+    run.faulty[i] = views[i]->nonmuteness().faulty_set();
+    run.records[i] = views[i]->nonmuteness().records();
   }
   return run;
 }
@@ -204,6 +207,152 @@ TEST(Lockstep, PrunedWitnessesStayVerifiable) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(run.faulty[i].empty());
   }
+}
+
+// --- the pipeline's future-round buffer ---------------------------------
+
+// Enters round 2 on its timer, then the next round whenever p2 votes in
+// the current one.
+class RoundStepper final : public RoundProtocol {
+ public:
+  void rp_start(ModuleServices&, sim::Context&) override {}
+  void rp_deliver(ModuleServices& services, sim::Context& ctx,
+                  const MemberPtr& msg) override {
+    if (msg->core.sender != ProcessId{1} || msg->core.round != round_) return;
+    round_ = round_.next();
+    services.enter_round(ctx.now());
+  }
+  void rp_timer(ModuleServices& services, sim::Context& ctx,
+                std::uint64_t) override {
+    round_ = Round{2};
+    services.enter_round(ctx.now());
+  }
+  Round rp_round() const override { return round_; }
+  bool rp_done() const override { return false; }
+
+ private:
+  Round round_{1};
+};
+
+// (sender, round) of each message, in the order the models saw them.
+using Observed = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+// Accepts everything and records what reaches it.
+class RecordingModel final : public PeerModel {
+ public:
+  explicit RecordingModel(Observed* seen) : seen_(seen) {}
+  Verdict observe(const SignedMessage& msg) override {
+    seen_->emplace_back(msg.core.sender.value, msg.core.round.value);
+    return Verdict::ok();
+  }
+
+ private:
+  Observed* seen_;
+};
+
+// Minimal Context for driving one pipeline outside any runtime.
+class StubContext final : public sim::Context {
+ public:
+  ProcessId id() const override { return ProcessId{0}; }
+  std::uint32_t n() const override { return 4; }
+  SimTime now() const override { return 0; }
+  void send(ProcessId, Bytes) override {}
+  void broadcast(const Bytes&) override {}
+  std::uint64_t set_timer(SimTime) override { return ++timers_; }
+  void cancel_timer(std::uint64_t) override {}
+  Rng& rng() override { return rng_; }
+  void stop() override {}
+
+ private:
+  std::uint64_t timers_ = 0;
+  Rng rng_{0};
+};
+
+// p1's pipeline, at round 1, with every peer model recording into `seen`.
+std::unique_ptr<TransformedActor> stepper_pipeline(
+    const crypto::SignatureSystem& keys, Observed* seen) {
+  return std::make_unique<TransformedActor>(
+      keys.signers[0].get(),
+      std::make_shared<const CertAnalyzer>(4, 3, keys.verifier),
+      fd::MutenessConfig{}, std::make_unique<RoundStepper>(),
+      [seen](ProcessId, const CertAnalyzer&) {
+        return std::make_unique<RecordingModel>(seen);
+      });
+}
+
+Bytes signed_vote(const crypto::SignatureSystem& keys, std::uint32_t sender,
+                  std::uint32_t round) {
+  SignedMessage msg;
+  msg.core.kind = BftKind::kNext;
+  msg.core.sender = ProcessId{sender};
+  msg.core.round = Round{round};
+  msg.sig = keys.signers[sender]->sign(signing_bytes(msg.core, msg.cert));
+  return encode_message(msg);
+}
+
+// Far more signed votes for one round than any correct sender sends.
+constexpr std::size_t kFlood = 5000;
+
+TEST(TransformedPipeline, FutureRoundFloodIsCappedPerSender) {
+  // One Byzantine peer signs a flood of votes for a future round.  Every
+  // one is authentic, so only the cap stops them from piling up until the
+  // receiver reaches that round.
+  crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 17);
+  Observed seen;
+  auto actor = stepper_pipeline(keys, &seen);
+  const Bytes frame = signed_vote(keys, 1, 2);
+
+  StubContext ctx;
+  actor->on_start(ctx);
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    actor->on_message(ctx, ProcessId{1}, frame);
+  }
+  EXPECT_TRUE(seen.empty()) << "round-2 votes must wait for round 2";
+  EXPECT_EQ(actor->buffered(Round{2}, ProcessId{1}), kMaxBufferedPerSender);
+  actor->on_timer(ctx, 1);  // enter round 2: the buffer drains
+  EXPECT_EQ(seen.size(), kMaxBufferedPerSender);
+  EXPECT_TRUE(actor->nonmuteness().faulty_set().empty());
+}
+
+TEST(TransformedPipeline, FutureRoundFloodDoesNotCrowdOutOtherSenders) {
+  // p3 floods round 2 before p2's one round-2 vote arrives.  The flood
+  // takes p3's share of the slot only: p2's vote still reaches its model
+  // once the receiver enters round 2, so p2 is never seen to skip a round.
+  crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 23);
+  Observed seen;
+  auto actor = stepper_pipeline(keys, &seen);
+  const Bytes flood = signed_vote(keys, 2, 2);
+
+  StubContext ctx;
+  actor->on_start(ctx);
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    actor->on_message(ctx, ProcessId{2}, flood);
+  }
+  actor->on_message(ctx, ProcessId{1}, signed_vote(keys, 1, 2));
+  EXPECT_EQ(actor->buffered(Round{2}, ProcessId{1}), 1u);
+  actor->on_timer(ctx, 1);  // enter round 2
+  const Observed expected = {{2, 2}, {2, 2}, {1, 2}};
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(actor->protocol().rp_round(), Round{3}) << "p2's vote was lost";
+}
+
+TEST(TransformedPipeline, BufferedRoundsDrainInArrivalOrder) {
+  // The first round-2 vote drained moves the receiver on to round 3.  The
+  // rest of the round-2 batch still reaches the peer models, before any
+  // round-3 vote, so every model sees its peer's messages in FIFO order.
+  crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 19);
+  Observed seen;
+  auto actor = stepper_pipeline(keys, &seen);
+
+  StubContext ctx;
+  actor->on_start(ctx);
+  const Observed sent = {{1, 2}, {2, 2}, {3, 2}, {1, 3}, {2, 3}};
+  for (const auto& [sender, round] : sent) {
+    actor->on_message(ctx, ProcessId{sender}, signed_vote(keys, sender, round));
+  }
+  EXPECT_TRUE(seen.empty());
+  actor->on_timer(ctx, 1);  // enter round 2
+  EXPECT_EQ(seen, sent);
 }
 
 TEST(Lockstep, DeterministicReplay) {

@@ -21,6 +21,7 @@
 // sender — garbage on the wire is a detection, never an exception.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "adversary/fuzzer.hpp"
@@ -28,6 +29,7 @@
 #include "bft/message.hpp"
 #include "bft/modules.hpp"
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/recovery.hpp"
@@ -377,6 +379,121 @@ TEST(FuzzStateResp, DigestFlipInSnapshotRejected) {
     }
   }
   EXPECT_EQ(rejected, (resp.snapshot.size() + 6) / 7);
+}
+
+// ------------------------------------------ the other SMR control frames
+
+/// One control kind: a sample frame and its body decoder, which re-encodes
+/// what it decoded as a complete frame.
+struct ControlCodec {
+  const char* name;
+  Bytes frame;  // u64 kControlSlot ‖ u8 kind ‖ body
+  std::function<Bytes(Reader&)> reencode;
+};
+
+std::vector<ControlCodec> control_codecs(const crypto::SignatureSystem& keys) {
+  const smr::StateLimits limits;
+  const Bytes sig = keys.signers[1]->sign(Bytes{1, 2, 3});
+
+  smr::CheckpointVote vote;
+  vote.slot = 8;
+  vote.digest = smr::snapshot_digest(smr::genesis_snapshot());
+  vote.sig = sig;
+  smr::ClientRequest request;
+  request.seq = 3;
+  request.key = "alpha";
+  request.value = "one";
+  request.sig = sig;
+  smr::ClientReply reply;
+  reply.seq = 3;
+  reply.cmd_id = smr::make_client_cmd_id(4, 3);
+  reply.slot = 9;
+  reply.op = smr::Command::Op::kDel;
+  reply.key = "alpha";
+  smr::CmdRelay relay;
+  relay.client = 4;
+  relay.seq = 3;
+  relay.key = "beta";
+  relay.value = "two";
+  relay.sig = sig;
+
+  return {
+      {"checkpoint-vote", smr::encode_control_vote(vote),
+       [](Reader& r) {
+         return smr::encode_control_vote(smr::decode_checkpoint_vote(r));
+       }},
+      {"state-req", smr::encode_control_state_req(12),
+       [](Reader& r) {
+         return smr::encode_control_state_req(smr::decode_state_req(r));
+       }},
+      {"request", smr::encode_control_request(request),
+       [](Reader& r) {
+         return smr::encode_control_request(smr::decode_client_request(r));
+       }},
+      {"reply", smr::encode_control_reply(reply),
+       [](Reader& r) {
+         return smr::encode_control_reply(smr::decode_client_reply(r));
+       }},
+      {"busy", smr::encode_control_busy(smr::BusyFrame{3, 17}),
+       [](Reader& r) {
+         return smr::encode_control_busy(smr::decode_busy(r));
+       }},
+      {"cmd-relay", smr::encode_control_relay(relay),
+       [](Reader& r) {
+         return smr::encode_control_relay(smr::decode_cmd_relay(r));
+       }},
+      {"cmd-fetch", smr::encode_control_fetch({5, 9, 12}),
+       [limits](Reader& r) {
+         return smr::encode_control_fetch(smr::decode_cmd_fetch(r, limits));
+       }},
+      {"client-done", smr::encode_control_client_done({4, 8, sig}),
+       [](Reader& r) {
+         return smr::encode_control_client_done(smr::decode_client_done(r));
+       }},
+      {"seq-bound", smr::encode_control_seq_bound({5, 8, sig}),
+       [](Reader& r) {
+         return smr::encode_control_seq_bound(smr::decode_seq_bound(r));
+       }},
+  };
+}
+
+// Every truncated prefix, every single-byte flip and one appended byte of
+// each kind's body either raises SerialError or decodes to a frame that
+// re-encodes to exactly the mutated input: one frame, one byte string.
+TEST(FuzzControlFrames, EveryKindRejectsOrDecodesCanonically) {
+  for (const ControlCodec& codec : control_codecs(test_keys())) {
+    const Bytes header(codec.frame.begin(), codec.frame.begin() + 9);
+    const Bytes body(codec.frame.begin() + 9, codec.frame.end());
+    std::size_t decoded = 0, rejected = 0;
+    auto check = [&](const Bytes& mutated) {
+      Bytes frame = header;
+      frame.insert(frame.end(), mutated.begin(), mutated.end());
+      try {
+        Reader r(mutated);
+        EXPECT_EQ(codec.reencode(r), frame) << codec.name;
+        ++decoded;
+      } catch (const SerialError&) {
+        ++rejected;
+      }
+    };
+
+    check(body);
+    ASSERT_EQ(decoded, 1u) << codec.name << " sample does not round-trip";
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      check(Bytes(body.begin(), body.begin() + len));
+    }
+    for (std::size_t pos = 0; pos < body.size(); ++pos) {
+      for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+        Bytes flipped = body;
+        flipped[pos] ^= mask;
+        check(flipped);
+      }
+    }
+    Bytes longer = body;
+    longer.push_back(0);
+    check(longer);
+    EXPECT_GT(rejected, body.size()) << codec.name;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 
 #include "adversary/client_campaign.hpp"
+#include "smr/checkpoint.hpp"
 
 namespace modubft::adversary {
 namespace {
@@ -97,6 +98,59 @@ TEST(RecoveryAttack, NegativeControlFlagsPlantedViolation) {
   // The victim really did install the fabricated state.
   ASSERT_EQ(out.result.stores.count(kVictim), 1u);
   EXPECT_EQ(out.result.stores.at(kVictim).count("forged"), 1u);
+}
+
+// The reply audit checks accepted replies against the commit log of a
+// replica that was never killed.  A run in which every replica was killed
+// keeps no log, and the audit must not report its accepted replies as
+// never committed; it still checks that each reply went to its owner.
+TEST(RecoveryAttack, ReplyAuditSkipsRunsWithoutACommitLog) {
+  constexpr std::uint32_t kClient = 4;
+  faults::SmrScenarioResult result;
+  client::AcceptedReply reply;
+  reply.seq = 1;
+  reply.cmd_id = smr::make_client_cmd_id(kClient, 1);
+  reply.slot = 3;
+  reply.key = "k";
+  reply.value = "v";
+  result.client_accepted[kClient] = {reply};
+  EXPECT_TRUE(audit_client_replies(result).empty());
+
+  result.client_accepted[kClient + 1] = {reply};  // another client's reply
+  EXPECT_EQ(audit_client_replies(result).size(), 1u);
+
+  result.commit_log_kept = true;  // the same replies against an empty log
+  const auto violations = audit_client_replies(result);
+  ASSERT_EQ(violations.size(), 2u);
+  for (const Violation& v : violations) {
+    EXPECT_EQ(v.kind, ViolationKind::kClientReplyMismatch);
+  }
+}
+
+// Both reply-path controls mark every replica that is never killed
+// faulty.  Their commit log then comes from the lowest-id such replica,
+// so the unverified-install control reports no false reply mismatch, and
+// the trust-first-reply control still flags the forgeries its clients
+// accepted.
+TEST(RecoveryAttack, ReplyAuditInBothControls) {
+  const SmrCellOutcome install =
+      run_smr_control(SmrControl::kUnverifiedInstall, 4, 1, 1);
+  EXPECT_TRUE(install.result.commit_log_kept);
+  std::size_t accepted = 0;
+  for (const auto& [pid, replies] : install.result.client_accepted) {
+    accepted += replies.size();
+  }
+  EXPECT_GT(accepted, 0u) << "no reply to audit — the case proves nothing";
+  for (const Violation& v : install.cell.violations) {
+    EXPECT_NE(v.kind, ViolationKind::kClientReplyMismatch) << v.detail;
+  }
+  EXPECT_TRUE(control_flagged(SmrControl::kUnverifiedInstall, install.cell));
+
+  const SmrCellOutcome forged =
+      run_smr_control(SmrControl::kTrustFirstReply, 4, 1, 3);
+  EXPECT_TRUE(forged.result.commit_log_kept);
+  EXPECT_FALSE(audit_client_replies(forged.result).empty());
+  EXPECT_TRUE(control_flagged(SmrControl::kTrustFirstReply, forged.cell));
 }
 
 }  // namespace

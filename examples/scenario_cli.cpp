@@ -21,6 +21,7 @@
 //                      [--list] [--budget-ms 20000]
 //   scenario_cli smr   --n 4 --backend crash|byz [--f 1] [--slots 8]
 //                      [--window W] [--batch B] [--commands K]
+//                      [--clients K --ops M [--in-flight F]]
 //                      [--verify-workers V] [--substrate sim|threads|tcp]
 //                      [--seed S] [--crash P:TIME_US]...
 //                      [--checkpoint-interval C]
@@ -34,7 +35,11 @@
 // `smr` runs the pipelined replicated KV machine (docs/SMR.md): --window
 // sets the number of concurrent consensus instances per replica, --batch
 // the commands committed per slot, --commands the synthetic workload size
-// (slots default to ceil(commands / batch)).  --checkpoint-interval turns
+// (slots default to ceil(commands / batch)).  --clients K --ops M
+// replaces the preloaded workload with K live clients of M scripted ops
+// each (docs/CLIENT.md), one op in flight per client, or F with
+// --in-flight; slots then default to the docs/CLIENT.md sizing rule
+// 2·K·M + 2·W.  --checkpoint-interval turns
 // on certified checkpoints + log compaction (docs/RECOVERY.md); --restart
 // kills replica P at KILL_US and brings it back at RESTART_US as a fresh
 // actor that recovers via state transfer (requires --checkpoint-interval).
@@ -110,6 +115,7 @@ using namespace modubft;
                "[--list] [--budget-ms MS]\n"
             << "       scenario_cli smr   --n N --backend crash|byz [--f F] "
                "[--slots K] [--window W] [--batch B] [--commands C] "
+               "[--clients K --ops M [--in-flight F]] "
                "[--verify-workers V] [--substrate sim|threads|tcp] "
                "[--seed S] [--crash P:TIME_US]... [--checkpoint-interval C] "
                "[--restart P:KILL_US:RESTART_US]... [--budget-ms MS]\n";
@@ -498,6 +504,10 @@ int run_smr(int argc, char** argv) {
   cfg.n = 0;
   std::optional<std::uint64_t> slots_flag;
   std::uint32_t commands = 0;
+  faults::ClientLoadConfig load;
+  load.count = 0;
+  load.ops_per_client = 0;
+  std::uint32_t in_flight = 1;
 
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -532,6 +542,12 @@ int run_smr(int argc, char** argv) {
       cfg.batch = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--commands") {
       commands = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--clients") {
+      load.count = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--ops") {
+      load.ops_per_client = static_cast<std::uint32_t>(std::stoul(next()));
+    } else if (arg == "--in-flight") {
+      in_flight = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--verify-workers") {
       cfg.verify_workers = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--budget-ms") {
@@ -562,6 +578,17 @@ int run_smr(int argc, char** argv) {
   }
   if (cfg.n == 0) usage("--n is required");
   if (cfg.window < 1 || cfg.batch < 1) usage("--window/--batch must be >= 1");
+  if ((load.count > 0) != (load.ops_per_client > 0)) {
+    usage("--clients and --ops go together");
+  }
+  if (load.count > 0 && commands > 0) {
+    usage("--commands and --clients are exclusive");
+  }
+  if (in_flight < 1 || in_flight > smr::kReplyCacheDepth) {
+    usage(("--in-flight must be in [1, " +
+           std::to_string(smr::kReplyCacheDepth) + "]")
+              .c_str());
+  }
   for (const faults::CrashSpec& c : cfg.crashes) {
     if (c.restart_at.has_value() && cfg.checkpoint_interval == 0) {
       usage("--restart requires --checkpoint-interval");
@@ -589,6 +616,19 @@ int run_smr(int argc, char** argv) {
   // Default slot count: just enough slots to drain the workload.
   cfg.slots = slots_flag.value_or(
       (workload_size + cfg.batch - 1) / cfg.batch);
+  const std::uint64_t client_ops =
+      std::uint64_t{load.count} * load.ops_per_client;
+  if (load.count > 0) {
+    if (in_flight > 1) {
+      // Refilled on every certification: a closed loop with `in_flight`
+      // ops outstanding per client.
+      load.open_loop = true;
+      load.max_outstanding = in_flight;
+      load.interval = 2'000;
+    }
+    cfg.clients = load;
+    cfg.slots = slots_flag.value_or(2 * client_ops + 2 * cfg.window);
+  }
 
   faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
 
@@ -622,9 +662,21 @@ int run_smr(int argc, char** argv) {
     std::cout << "commits/sec:     "
               << static_cast<double>(pipe.commands_committed) / wall_s << "\n";
   }
+  const runtime::ClientSummary& cs = r.run_stats.client;
+  if (cfg.clients.has_value()) {
+    std::cout << "clients:         " << load.count << " x "
+              << load.ops_per_client << " ops, " << in_flight
+              << " in flight: " << cs.accepted << "/" << client_ops
+              << " certified, " << r.clients_done.size() << " done\n"
+              << "client latency:  p50 " << cs.p50_us / 1000.0 << " ms, p99 "
+              << cs.p99_us / 1000.0 << " ms (" << cs.retries << " retries, "
+              << cs.failovers << " failovers, " << cs.busy << " busy)\n";
+  }
   std::cout << "run stats:       "
             << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
-  return r.all_committed && r.stores_agree ? 0 : 1;
+  const bool clients_ok =
+      !cfg.clients.has_value() || r.clients_done.size() == load.count;
+  return r.all_committed && r.stores_agree && clients_ok ? 0 : 1;
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {

@@ -7,7 +7,9 @@
 # examples/scenario_cli).  The script runs a fixed list of simulator
 # scenarios with both builds, drops what reads the wall clock (the
 # `"wall_us":N` field of the run-stats JSON and the smr mode's
-# `commits/sec:` line), and diffs the two outputs entry by entry.  The
+# `commits/sec:` line; and `"client_busy_sent":N`, a key older builds
+# still print, which always equalled client_sheds), and diffs the two
+# outputs entry by entry.  The
 # bft entries also write a delivery trace and print its fingerprint, so
 # every delivery (time, sender, receiver, bytes) is compared, not only the
 # totals; the campaign entry appends its JSON report, so every cell's
@@ -34,6 +36,8 @@ ENTRIES=(
   "crash-ct|crash --n 5 --seed 2 --protocol ct --crash 1:0 --crash 3:20000"
   "smr-byz|smr --n 4 --backend byz --window 4 --batch 2 --commands 24 --checkpoint-interval 4 --restart 2:2000:40000"
   "smr-crash|smr --n 4 --backend crash --window 4 --batch 2 --commands 24 --checkpoint-interval 4 --restart 2:2000:40000"
+  "smr-clients-byz|smr --n 4 --backend byz --window 4 --batch 2 --checkpoint-interval 8 --clients 4 --ops 200"
+  "smr-clients-crash|smr --n 4 --backend crash --window 4 --batch 2 --checkpoint-interval 8 --clients 4 --ops 300 --restart 1:300000:600000"
   "lockstep-n4|lockstep --n 4 --f 1 --rounds 8 --seed 1"
   "lockstep-n7|lockstep --n 7 --f 2 --rounds 10 --seed 3 --crash 7:0"
   "campaign|campaign --n 4 --f 1 --seeds 3 --substrates sim"
@@ -76,7 +80,8 @@ run_entry() {
   # shellcheck disable=SC2086  # the argument list is split on purpose
   (cd "$dir" && "$build/examples/scenario_cli" $args "${extra[@]}") \
     > "$dir/raw" 2>&1 || status=$?
-  sed -E -e 's/"wall_us":[0-9]+,?//' -e '/^commits\/sec:/d' "$dir/raw"
+  sed -E -e 's/"wall_us":[0-9]+,?//' -e 's/"client_busy_sent":[0-9]+,?//' \
+    -e '/^commits\/sec:/d' "$dir/raw"
   echo "exit status: $status"
   if [[ -f "$dir/report.json" ]]; then
     echo "report.json:"

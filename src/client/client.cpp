@@ -18,7 +18,11 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
   MODUBFT_EXPECTS(config_.contact < config_.n);
   MODUBFT_EXPECTS(config_.retry_base > 0);
   MODUBFT_EXPECTS(config_.max_outstanding >= 1);
-  MODUBFT_EXPECTS(config_.failover_after >= 1);
+  // Duplicate replay is complete only while every op in flight still has
+  // its REPLY in the replicas' bounded cache: a retry of an evicted seq
+  // would never certify.
+  MODUBFT_EXPECTS(!config_.open_loop ||
+                  config_.max_outstanding <= smr::kReplyCacheDepth);
   retry_cap_ = config_.retry_base * 16;
   contact_ = config_.contact;
 }
@@ -37,8 +41,8 @@ void Client::on_start(sim::Context& ctx) {
 
 void Client::submit_next(sim::Context& ctx) {
   // Closed loop keeps one operation in flight; open loop fills up to the
-  // outstanding cap (also the reply-cache safety bound — see
-  // docs/CLIENT.md on duplicate replay completeness).
+  // outstanding cap, which the constructor holds within the reply cache
+  // (docs/CLIENT.md on duplicate replay completeness).
   const std::size_t cap = config_.open_loop ? config_.max_outstanding : 1;
   while (next_op_ < config_.ops.size() && pending_.size() < cap) {
     const std::uint64_t seq = next_op_ + 1;
@@ -198,7 +202,7 @@ void Client::answer_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
 
 void Client::note_unresponsive(sim::Context& ctx) {
   ++consecutive_timeouts_;
-  if (consecutive_timeouts_ >= config_.failover_after) {
+  if (consecutive_timeouts_ >= kFailoverAfter) {
     contact_ = (contact_ + 1) % config_.n;
     consecutive_timeouts_ = 0;
     ++stats_.failovers;

@@ -9,7 +9,7 @@
 //              (crash) of *distinct replicas* return byte-identical
 //              replies whose content matches what was submitted;
 //   retry    — on timeout, resend with capped exponential backoff plus
-//              jitter; after `failover_after` consecutive unproductive
+//              jitter; after kFailoverAfter consecutive unproductive
 //              rounds (timeouts or BUSY sheds) rotate the contact replica.
 //              The streak resets only when an operation actually
 //              certifies — a contact that keeps answering BUSY (or a
@@ -44,6 +44,10 @@
 
 namespace modubft::client {
 
+/// Consecutive unproductive rounds (timeouts or BUSY sheds) before a
+/// client rotates its contact replica.
+inline constexpr std::uint32_t kFailoverAfter = 2;
+
 /// One scripted operation.
 struct ClientOp {
   smr::Command::Op op = smr::Command::Op::kPut;
@@ -63,7 +67,8 @@ struct ClientConfig {
 
   /// false: closed loop — one outstanding operation, submit the next on
   /// certification.  true: open loop — submit a fresh operation every
-  /// `interval` µs, up to `max_outstanding` in flight.
+  /// `interval` µs, up to `max_outstanding` in flight, which must not
+  /// exceed smr::kReplyCacheDepth.
   bool open_loop = false;
   SimTime interval = 1'000;
   std::uint32_t max_outstanding = 16;
@@ -72,9 +77,6 @@ struct ClientConfig {
   /// capped at 16 × retry_base, plus jitter of up to a quarter of the
   /// delay.
   SimTime retry_base = 40'000;
-
-  /// Consecutive request timeouts before rotating the contact replica.
-  std::uint32_t failover_after = 2;
 
   /// Initial contact replica (id in [0, n)).
   std::uint32_t contact = 0;

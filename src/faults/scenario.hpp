@@ -34,16 +34,37 @@ namespace modubft::faults {
 
 enum class Scheme { kHmac, kRsa64 };
 
-// --------------------------------------------------------------------- BFT
-
-struct BftScenarioConfig {
-  std::uint32_t n = 4;
-  std::uint32_t f = 1;  // declared resilience (quorum = n − f)
+/// The settings every scenario shares: where it runs and for how long.
+struct ScenarioSettings {
   std::uint64_t seed = 1;
   /// Execution backend: deterministic simulator (default), threaded
   /// in-memory cluster, or TCP loopback cluster.
   runtime::Backend substrate = runtime::Backend::kSim;
   sim::LatencyModel latency = sim::calm_network();
+  /// Simulated-time limit (kSim).
+  SimTime max_time = 120'000'000;
+  /// Wall-clock budget for the threaded/TCP substrates.
+  std::chrono::milliseconds budget{20'000};
+};
+
+/// The outcome fields every scenario result shares.
+struct ScenarioOutcome {
+  runtime::RunOutcome outcome = runtime::RunOutcome::kQuiescent;
+  /// True iff the run ended without hitting a time/event/budget limit.
+  bool clean = false;
+  /// Named stragglers when a limit hit (see runtime::RunResult).
+  std::vector<ProcessId> unstopped;
+  /// Indices of the processes the evaluation counts as correct.
+  std::set<std::uint32_t> correct;
+  /// Unified cross-substrate counters (runtime::RunStats).
+  runtime::RunStats run_stats;
+};
+
+// --------------------------------------------------------------------- BFT
+
+struct BftScenarioConfig : ScenarioSettings {
+  std::uint32_t n = 4;
+  std::uint32_t f = 1;  // declared resilience (quorum = n − f)
   std::vector<FaultSpec> faults;
   Scheme scheme = Scheme::kHmac;
   bool prune = true;
@@ -65,9 +86,6 @@ struct BftScenarioConfig {
   /// Optional override of bft::BftConfig::suspicion_poll_period (µs);
   /// unset = the runner picks a substrate-appropriate period.
   std::optional<SimTime> suspicion_poll_period;
-  SimTime max_time = 120'000'000;
-  /// Wall-clock budget for the threaded/TCP substrates.
-  std::chrono::milliseconds budget{20'000};
   /// kTcp: link faults injected below the framing layer.
   std::vector<LinkFaultSpec> link_faults;
   /// Proposal of p_{i+1}; defaults to 1000 + i when empty.
@@ -87,18 +105,12 @@ struct BftScenarioConfig {
   std::set<std::uint32_t> assume_faulty;
 };
 
-struct BftScenarioResult {
-  runtime::RunOutcome outcome = runtime::RunOutcome::kQuiescent;
-  /// True iff the run ended without hitting a time/event/budget limit.
-  bool clean = false;
-  /// Named stragglers when a limit hit (see runtime::RunResult).
-  std::vector<ProcessId> unstopped;
-
+/// `correct`: the processes that were given no fault.  run_stats.verify
+/// sums the correct processes' verified-signature caches (zero when
+/// verify_cache is off).
+struct BftScenarioResult : ScenarioOutcome {
   /// Decisions of correct processes, keyed by process index.
   std::map<std::uint32_t, bft::VectorDecision> decisions;
-
-  /// Indices of processes that were given no fault.
-  std::set<std::uint32_t> correct;
 
   // --- paper properties, evaluated over the correct processes ---
   bool termination = false;      // every correct process decided
@@ -115,9 +127,6 @@ struct BftScenarioResult {
 
   Round max_decision_round;
   SimTime last_decision_time = 0;
-  /// Unified cross-substrate counters; run_stats.verify sums the correct
-  /// processes' verified-signature caches (zero when verify_cache is off).
-  runtime::RunStats run_stats;
   std::uint64_t max_message_bytes = 0;
   std::uint64_t protocol_bytes = 0;  // sum of per-process send bytes
 };
@@ -128,57 +137,37 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config);
 
 enum class CrashProtocol { kHurfinRaynal, kChandraToueg };
 
-struct CrashScenarioConfig {
+struct CrashScenarioConfig : ScenarioSettings {
   std::uint32_t n = 5;
-  std::uint64_t seed = 1;
-  runtime::Backend substrate = runtime::Backend::kSim;
-  sim::LatencyModel latency = sim::calm_network();
   CrashProtocol protocol = CrashProtocol::kHurfinRaynal;
   /// crash_times[i]: when p_{i+1} crashes (nullopt = correct).
   std::vector<std::optional<SimTime>> crash_times;
   fd::OracleConfig oracle{};
-  SimTime max_time = 120'000'000;
-  std::chrono::milliseconds budget{20'000};
   std::vector<consensus::Value> proposals;
 };
 
-struct CrashScenarioResult {
-  runtime::RunOutcome outcome = runtime::RunOutcome::kQuiescent;
-  bool clean = false;
-  std::vector<ProcessId> unstopped;
+struct CrashScenarioResult : ScenarioOutcome {
   std::map<std::uint32_t, consensus::Decision> decisions;
-  std::set<std::uint32_t> correct;
   bool termination = false;
   bool agreement = false;
   bool validity = false;  // decided value was proposed by someone
   Round max_decision_round;
   SimTime last_decision_time = 0;
-  runtime::RunStats run_stats;
 };
 
 CrashScenarioResult run_crash_scenario(const CrashScenarioConfig& config);
 
 // ---------------------------------------------------------------- lockstep
 
-struct LockstepScenarioConfig {
+struct LockstepScenarioConfig : ScenarioSettings {
   std::uint32_t n = 4;
   std::uint32_t f = 1;
   std::uint32_t rounds = 5;
-  std::uint64_t seed = 1;
-  runtime::Backend substrate = runtime::Backend::kSim;
-  sim::LatencyModel latency = sim::calm_network();
-  SimTime max_time = 120'000'000;
-  std::chrono::milliseconds budget{20'000};
   /// Processes crashed mid-barrier (the barrier tolerates up to f).
   std::vector<CrashSpec> crashes;
 };
 
-struct LockstepScenarioResult {
-  runtime::RunOutcome outcome = runtime::RunOutcome::kQuiescent;
-  bool clean = false;
-  std::vector<ProcessId> unstopped;
-
-  std::set<std::uint32_t> correct;
+struct LockstepScenarioResult : ScenarioOutcome {
   /// Final round reached per finished process.
   std::map<std::uint32_t, Round> finished;
   bool all_correct_finished = false;
@@ -186,8 +175,6 @@ struct LockstepScenarioResult {
   bool no_false_accusations = true;
   /// Union of fault records accumulated by correct processes.
   std::vector<bft::FaultRecord> records;
-
-  runtime::RunStats run_stats;
 };
 
 LockstepScenarioResult run_lockstep_scenario(
@@ -205,7 +192,8 @@ struct ClientLoadConfig {
   std::uint32_t count = 2;
   std::uint32_t ops_per_client = 8;
   /// false: closed loop (one outstanding op per client).  true: open loop
-  /// at `interval` µs per submission, up to `max_outstanding` in flight.
+  /// at `interval` µs per submission, up to `max_outstanding` in flight
+  /// (at most smr::kReplyCacheDepth).
   bool open_loop = false;
   SimTime interval = 1'000;
   std::uint32_t max_outstanding = 16;
@@ -214,8 +202,6 @@ struct ClientLoadConfig {
   /// Client retry-backoff base (µs); unset = substrate default
   /// (sim 40 ms, threads 200 ms, tcp 400 ms).
   std::optional<SimTime> retry_base;
-  /// Consecutive timeouts before a client rotates its contact replica.
-  std::uint32_t failover_after = 2;
   /// Negative-control switch: clients accept the first reply without
   /// certification (adversary harness only — forged replies must land).
   bool trust_first_reply = false;
@@ -224,21 +210,13 @@ struct ClientLoadConfig {
   /// Byzantine (forgery in the fault model), off for crash backends.
   /// Explicit false under Byzantine is the body-forgery negative control.
   std::optional<bool> authenticate;
-  /// Commit-eligibility window (smr::ClientServiceConfig::seq_window).
-  /// Unset = max_outstanding for open-loop runs, 1 for closed-loop.
-  std::optional<std::uint32_t> seq_window;
 };
 
-struct SmrScenarioConfig {
+struct SmrScenarioConfig : ScenarioSettings {
   std::uint32_t n = 4;
   std::uint32_t f = 1;  // Byzantine backend resilience
   std::uint64_t slots = 5;
-  std::uint64_t seed = 1;
-  runtime::Backend substrate = runtime::Backend::kSim;
   smr::Backend backend = smr::Backend::kCrashHurfinRaynal;
-  sim::LatencyModel latency = sim::calm_network();
-  SimTime max_time = 120'000'000;
-  std::chrono::milliseconds budget{20'000};
   /// Crash backend: replicas halted mid-run (also fed to the oracle ◇S).
   std::vector<CrashSpec> crashes;
   fd::OracleConfig oracle{};
@@ -300,12 +278,7 @@ struct SmrScenarioConfig {
   std::vector<LinkFaultSpec> link_faults;
 };
 
-struct SmrScenarioResult {
-  runtime::RunOutcome outcome = runtime::RunOutcome::kQuiescent;
-  bool clean = false;
-  std::vector<ProcessId> unstopped;
-
-  std::set<std::uint32_t> correct;
+struct SmrScenarioResult : ScenarioOutcome {
   /// Slots committed per replica.
   std::map<std::uint32_t, std::uint64_t> committed;
   bool all_committed = false;  // every correct replica committed all slots
@@ -337,8 +310,6 @@ struct SmrScenarioResult {
   std::map<std::uint32_t, std::vector<client::AcceptedReply>> client_accepted;
   /// Clients whose whole script certified (CLIENT_DONE broadcast).
   std::set<std::uint32_t> clients_done;
-
-  runtime::RunStats run_stats;
 };
 
 SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config);

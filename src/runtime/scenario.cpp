@@ -71,6 +71,32 @@ SimTime tune_poll_period(runtime::Backend backend,
   return bft::BftConfig{}.suspicion_poll_period;
 }
 
+/// Builds the substrate a runner executes on: `processes` ids under the
+/// scenario's shared settings.
+std::unique_ptr<runtime::Substrate> make_world(
+    const ScenarioSettings& settings, std::uint32_t processes,
+    std::vector<LinkFaultSpec> link_faults = {}) {
+  runtime::SubstrateConfig cfg;
+  cfg.backend = settings.substrate;
+  cfg.n = processes;
+  cfg.seed = settings.seed;
+  cfg.latency = settings.latency;
+  cfg.max_time = settings.max_time;
+  cfg.budget = settings.budget;
+  cfg.link_faults = std::move(link_faults);
+  return runtime::make_substrate(cfg);
+}
+
+/// Runs `world` to completion and records the outcome fields every
+/// scenario result shares.
+void record_run(runtime::Substrate& world, ScenarioOutcome& result) {
+  runtime::RunResult run = world.run();
+  result.outcome = run.outcome;
+  result.clean = run.clean;
+  result.unstopped = std::move(run.unstopped);
+  result.run_stats = std::move(run.stats);
+}
+
 }  // namespace
 
 std::vector<smr::Command> sample_workload() {
@@ -101,16 +127,8 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
 
   crypto::SignatureSystem keys = make_keys(config.scheme, config.n, config.seed);
 
-  runtime::SubstrateConfig world_cfg;
-  world_cfg.backend = config.substrate;
-  world_cfg.n = config.n;
-  world_cfg.seed = config.seed;
-  world_cfg.latency = config.latency;
-  world_cfg.max_time = config.max_time;
-  world_cfg.budget = config.budget;
-  world_cfg.link_faults = config.link_faults;
   std::unique_ptr<runtime::Substrate> world =
-      runtime::make_substrate(world_cfg);
+      make_world(config, config.n, config.link_faults);
   if (config.delivery_tap) world->set_delivery_tap(config.delivery_tap);
 
   BftScenarioResult result;
@@ -173,11 +191,7 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
     }
   }
 
-  const runtime::RunResult run = world->run();
-  result.outcome = run.outcome;
-  result.clean = run.clean;
-  result.unstopped = run.unstopped;
-  result.run_stats = run.stats;
+  record_run(*world, result);
 
   // ---- evaluate the paper's properties over the correct processes ----
   result.termination = true;
@@ -265,15 +279,7 @@ CrashScenarioResult run_crash_scenario(const CrashScenarioConfig& config) {
   std::vector<std::optional<SimTime>> crash_times = config.crash_times;
   crash_times.resize(config.n);
 
-  runtime::SubstrateConfig world_cfg;
-  world_cfg.backend = config.substrate;
-  world_cfg.n = config.n;
-  world_cfg.seed = config.seed;
-  world_cfg.latency = config.latency;
-  world_cfg.max_time = config.max_time;
-  world_cfg.budget = config.budget;
-  std::unique_ptr<runtime::Substrate> world =
-      runtime::make_substrate(world_cfg);
+  std::unique_ptr<runtime::Substrate> world = make_world(config, config.n);
 
   CrashScenarioResult result;
   std::mutex decide_mu;
@@ -307,11 +313,7 @@ CrashScenarioResult run_crash_scenario(const CrashScenarioConfig& config) {
     }
   }
 
-  const runtime::RunResult run = world->run();
-  result.outcome = run.outcome;
-  result.clean = run.clean;
-  result.unstopped = run.unstopped;
-  result.run_stats = run.stats;
+  record_run(*world, result);
 
   result.termination = true;
   for (std::uint32_t i : result.correct) {
@@ -346,15 +348,7 @@ LockstepScenarioResult run_lockstep_scenario(
   crypto::SignatureSystem keys =
       make_keys(Scheme::kHmac, config.n, config.seed);
 
-  runtime::SubstrateConfig world_cfg;
-  world_cfg.backend = config.substrate;
-  world_cfg.n = config.n;
-  world_cfg.seed = config.seed;
-  world_cfg.latency = config.latency;
-  world_cfg.max_time = config.max_time;
-  world_cfg.budget = config.budget;
-  std::unique_ptr<runtime::Substrate> world =
-      runtime::make_substrate(world_cfg);
+  std::unique_ptr<runtime::Substrate> world = make_world(config, config.n);
 
   LockstepScenarioResult result;
   std::mutex done_mu;
@@ -380,11 +374,7 @@ LockstepScenarioResult run_lockstep_scenario(
   }
   for (const CrashSpec& c : config.crashes) world->crash(c);
 
-  const runtime::RunResult run = world->run();
-  result.outcome = run.outcome;
-  result.clean = run.clean;
-  result.unstopped = run.unstopped;
-  result.run_stats = run.stats;
+  record_run(*world, result);
 
   result.all_correct_finished = true;
   for (std::uint32_t i : result.correct) {
@@ -438,17 +428,9 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     crash_specs[c.who.value] = c;
   }
 
-  runtime::SubstrateConfig world_cfg;
-  world_cfg.backend = config.substrate;
   // Clients are ordinary substrate processes on ids [n, n + count).
-  world_cfg.n = config.n + num_clients;
-  world_cfg.seed = config.seed;
-  world_cfg.latency = config.latency;
-  world_cfg.max_time = config.max_time;
-  world_cfg.budget = config.budget;
-  world_cfg.link_faults = config.link_faults;
   std::unique_ptr<runtime::Substrate> world =
-      runtime::make_substrate(world_cfg);
+      make_world(config, config.n + num_clients, config.link_faults);
 
   SmrScenarioResult result;
 
@@ -484,7 +466,8 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   const std::set<std::uint32_t> await_done =
       checkpointing ? result.correct : std::set<std::uint32_t>{};
 
-  // Recovery (and missing-body fetch) retry-timer base, per substrate.
+  // Retry-timer base of the recovery catch-up and the missing-body fetch,
+  // per substrate: both re-ask peers for state known to exist somewhere.
   const SimTime retry_delay =
       config.substrate == runtime::Backend::kSim
           ? 20'000
@@ -514,6 +497,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     rcfg.window = config.window;
     rcfg.batch = config.batch;
     rcfg.staged_ingest = staged_ingest;
+    rcfg.retry_delay = retry_delay;
     if (config.backend == smr::Backend::kCrashHurfinRaynal) {
       fd::OracleConfig oracle = config.oracle;
       oracle.seed = config.oracle.seed ^ (0x1000 + i);
@@ -535,7 +519,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.signer = keys.signers[i].get();
       rcfg.verifier = keys.verifier;
       rcfg.checkpoint.interval = config.checkpoint_interval;
-      rcfg.checkpoint.retry_delay = retry_delay;
       rcfg.checkpoint.recover = recover;
       rcfg.checkpoint.trust_unverified =
           recover && config.recovery_trust_unverified;
@@ -544,15 +527,12 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     if (client_mode) {
       rcfg.client.num_clients = num_clients;
       rcfg.client.max_pending = config.clients->max_pending;
-      // Missing-body fetch retries pace like the recovery retries: both
-      // re-ask peers for state that is known to exist somewhere.
-      rcfg.client.fetch_retry_delay = retry_delay;
       rcfg.client.authenticate = client_auth;
       // The eligibility window must cover the client's outstanding span
       // (or genuine decisions get deferred): the open-loop cap, or 1 for
       // the strictly-in-order closed loop.
-      rcfg.client.seq_window = config.clients->seq_window.value_or(
-          config.clients->open_loop ? config.clients->max_outstanding : 1u);
+      rcfg.client.seq_window =
+          config.clients->open_loop ? config.clients->max_outstanding : 1u;
       if (client_auth && rcfg.verifier == nullptr) {
         rcfg.verifier = keys.verifier;
       }
@@ -665,7 +645,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       ccfg.interval = cl.interval;
       ccfg.max_outstanding = cl.max_outstanding;
       ccfg.retry_base = retry_base;
-      ccfg.failover_after = cl.failover_after;
       ccfg.contact = k % config.n;
       ccfg.trust_first_reply = cl.trust_first_reply;
       if (client_auth) ccfg.signer = keys.signers[config.n + k].get();
@@ -687,11 +666,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     }
   }
 
-  const runtime::RunResult run = world->run();
-  result.outcome = run.outcome;
-  result.clean = run.clean;
-  result.unstopped = run.unstopped;
-  result.run_stats = run.stats;
+  record_run(*world, result);
 
   result.all_committed = true;
   result.stores_agree = true;

@@ -44,11 +44,6 @@ struct ClientServiceConfig {
   /// bounded instead of OOMing.
   std::uint32_t max_pending = 64;
 
-  /// Base delay of the missing-body fetch retry timer: a frontier slot
-  /// whose decided command bodies have not arrived yet re-broadcasts
-  /// CMD_FETCH at this cadence until the bodies land.
-  SimTime fetch_retry_delay = 20'000;
-
   /// Authenticated mode (Byzantine backend): REQUEST and CMD_RELAY bodies
   /// must carry a valid client signature over the command preimage, and
   /// CLIENT_DONE / SEQ_BOUND frames are accepted from any sender when
@@ -73,8 +68,7 @@ struct ClientServiceStats {
   std::uint64_t duplicates = 0;  ///< suppressed (committed or in flight)
   std::uint64_t replays = 0;     ///< cached replies re-sent to retriers
   std::uint64_t admitted = 0;    ///< commands admitted into pending
-  std::uint64_t sheds = 0;       ///< REQUESTs rejected with BUSY
-  std::uint64_t busy_sent = 0;   ///< BUSY frames sent
+  std::uint64_t sheds = 0;       ///< REQUESTs rejected with BUSY (one each)
   std::uint64_t relays_sent = 0;       ///< CMD_RELAY broadcasts (admitter)
   std::uint64_t relays_received = 0;   ///< CMD_RELAY bodies ingested
   std::uint64_t relays_dropped = 0;    ///< relayed bodies over capacity
@@ -98,7 +92,6 @@ struct ClientServiceStats {
       {"client_replays", &Self::replays, metrics::kSum},
       {"client_admitted", &Self::admitted, metrics::kSum},
       {"client_sheds", &Self::sheds, metrics::kSum},
-      {"client_busy_sent", &Self::busy_sent, metrics::kSum},
       {"client_relays_sent", &Self::relays_sent, metrics::kSum},
       {"client_relays_received", &Self::relays_received, metrics::kSum},
       {"client_relays_dropped", &Self::relays_dropped, metrics::kSum},

@@ -36,7 +36,7 @@ bool RecoveryModule::verify_resp(ProcessId from, const StateResp& resp,
 }
 
 bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
-  std::optional<StateResp> resp = try_decode_state_resp(body, config_.limits);
+  std::optional<StateResp> resp = try_decode_state_resp(body, StateLimits{});
   if (!resp.has_value()) return false;
 
   if (!config_.trust_unverified) {
@@ -49,7 +49,7 @@ bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
   // the hashed bytes, so a quorum vouched for it).
   Snapshot snap;
   try {
-    snap = decode_snapshot(resp->snapshot, config_.limits);
+    snap = decode_snapshot(resp->snapshot, StateLimits{});
   } catch (const SerialError&) {
     return false;
   }

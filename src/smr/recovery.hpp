@@ -41,7 +41,6 @@ struct RecoveryConfig {
   /// it is released for replay (f+1 Byzantine, 1 crash).
   std::uint32_t suffix_quorum = 1;
   const crypto::Verifier* verifier = nullptr;
-  StateLimits limits;
   /// Negative-control switch used ONLY by the adversary harness: accept
   /// the first response without any verification, so the campaign can
   /// demonstrate what the checks prevent.

@@ -111,10 +111,13 @@ class Replica::SlotContext final : public sim::ForwardingContext {
 
 Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
                  CommitFn on_commit)
-    : config_(std::move(config)), on_commit_(std::move(on_commit)) {
+    : config_(std::move(config)),
+      table_(config_.n, config_.client.num_clients),
+      on_commit_(std::move(on_commit)) {
   MODUBFT_EXPECTS(config_.n >= 2);
   MODUBFT_EXPECTS(config_.window >= 1);
   MODUBFT_EXPECTS(config_.batch >= 1);
+  MODUBFT_EXPECTS(config_.retry_delay > 0);
   if (config_.backend == Backend::kCrashHurfinRaynal) {
     MODUBFT_EXPECTS(config_.detector != nullptr);
   } else {
@@ -132,11 +135,10 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   }
   for (Command& cmd : workload) {
     MODUBFT_EXPECTS(cmd.id != 0);  // 0 is the no-op marker
-    commands_.emplace(cmd.id, std::move(cmd));
+    table_.admit(std::move(cmd), Bytes{}, std::nullopt);
   }
 
   if (client_mode()) {
-    MODUBFT_EXPECTS(config_.client.fetch_retry_delay > 0);
     MODUBFT_EXPECTS(config_.client.seq_window >= 1);
     // Authenticated mode needs client public keys: the shared verifier
     // must cover process ids [n, n + num_clients).
@@ -157,11 +159,10 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
       rc.cert_quorum = cert_quorum();
       rc.suffix_quorum = suffix_quorum();
       rc.verifier = config_.verifier.get();
-      rc.limits = config_.checkpoint.limits;
       rc.trust_unverified = config_.checkpoint.trust_unverified;
       recovery_ = std::make_unique<RecoveryModule>(rc);
       recovering_ = true;
-      retry_delay_ = config_.checkpoint.retry_delay;
+      retry_delay_ = config_.retry_delay;
       // A restarted replica adopting the verify cache of its previous
       // life must not inherit stale negative verdicts: positives stay
       // sound, negatives keyed to pre-restart traffic are flushed.
@@ -180,7 +181,13 @@ std::uint32_t Replica::suffix_quorum() const {
   return 1;
 }
 
-std::uint64_t Replica::pick_proposal(std::uint64_t slot) {
+bool Replica::verify(ProcessId signer, const Bytes& preimage,
+                     const Bytes& sig) const {
+  if (vcache_) return vcache_->verify(signer, preimage, sig);
+  return config_.verifier->verify(signer, preimage, sig);
+}
+
+std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
   // Anchor the `batch` smallest unclaimed pending ids to this slot and
   // propose the first of them, so concurrent slots carry disjoint
   // proposals.  Purely a local heuristic: the commit rule re-derives the
@@ -188,22 +195,8 @@ std::uint64_t Replica::pick_proposal(std::uint64_t slot) {
   // mode the claim narrows to one id — the decided-vector commit rule
   // releases every decided entry, so wide claims would only idle ids
   // behind a single slot.
-  const std::uint32_t width = client_mode() ? 1u : config_.batch;
-  std::vector<std::uint64_t> claim;
-  for (const auto& [id, cmd] : commands_) {
-    if (claim.size() >= width) break;
-    if (committed_ids_.count(id) > 0 || claimed_ids_.count(id) > 0) continue;
-    claim.push_back(id);
-  }
-  if (claim.empty()) return 0;  // nothing pending: no-op proposal
-  const std::uint64_t proposal = claim.front();
-  for (std::uint64_t id : claim) claimed_ids_.insert(id);
-  claims_.emplace(slot, std::move(claim));
-  return proposal;
-}
-
-std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
-  const consensus::Value proposal = pick_proposal(slot);
+  const consensus::Value proposal =
+      table_.claim(slot, client_mode() ? 1u : config_.batch);
 
   // Decide callbacks only park the raw decision in the reorder buffer.
   // Extraction and batch assembly happen at commit time, when the slot is
@@ -214,20 +207,25 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
     return std::make_unique<consensus::HurfinRaynalActor>(
         config_.n, proposal, config_.detector,
         [this, slot](ProcessId, const consensus::Decision& d) {
-          auto it = slots_.find(slot);
-          if (it == slots_.end() || it->second.decided) return;
-          it->second.decided = true;
-          it->second.crash_value = d.value;
+          decide(slot, {d.value});
         });
   }
   return std::make_unique<bft::BftProcess>(
       config_.bft, proposal, config_.signer, config_.verifier,
       [this, slot](ProcessId, const bft::VectorDecision& d) {
-        auto it = slots_.find(slot);
-        if (it == slots_.end() || it->second.decided) return;
-        it->second.decided = true;
-        it->second.vector = d;
+        std::vector<std::uint64_t> ids;
+        for (const auto& entry : d.entries) {
+          if (entry.has_value()) ids.push_back(*entry);
+        }
+        decide(slot, std::move(ids));
       });
+}
+
+void Replica::decide(std::uint64_t slot, std::vector<std::uint64_t> ids) {
+  auto it = slots_.find(slot);
+  if (it == slots_.end() || it->second.decided) return;
+  it->second.decided = true;
+  it->second.ids = std::move(ids);
 }
 
 void Replica::on_start(sim::Context& ctx) {
@@ -252,7 +250,7 @@ bool Replica::fill_window(sim::Context& ctx) {
     // starts only with something to propose, or when a peer already
     // started it (its envelopes buffered in future_), or in the drain
     // phase after every client announced DONE.
-    if (client_mode() && !drain_ && !has_proposable() &&
+    if (client_mode() && !drain_ && !table_.has_proposable() &&
         future_.count(next_start_) == 0) {
       break;
     }
@@ -282,7 +280,7 @@ bool Replica::fill_window(sim::Context& ctx) {
   return started;
 }
 
-bool Replica::commit_slot(sim::Context& ctx, Slot& st) {
+bool Replica::commit_slot(sim::Context& ctx, const Slot& st) {
   std::vector<std::uint64_t> batch;
   if (client_mode()) {
     // Client-mode commit rule: the batch is every decided entry that is
@@ -292,8 +290,8 @@ bool Replica::commit_slot(sim::Context& ctx, Slot& st) {
     // dynamic arrival, where the static smallest-pending rule below would
     // diverge across replicas that admitted different requests.
     std::set<std::uint64_t> ids;
-    auto consider = [&](std::uint64_t id) {
-      if (id == 0 || committed_ids_.count(id) > 0) return;
+    for (std::uint64_t id : st.ids) {
+      if (id == 0 || table_.committed(id)) continue;
       if (plausible_client_id(id)) {
         // Eligibility is deliberately independent of local body
         // knowledge: an ineligible id is skipped even when a body is
@@ -301,23 +299,16 @@ bool Replica::commit_slot(sim::Context& ctx, Slot& st) {
         // stores between replicas with different relay histories).
         if (!client_eligible(id)) {
           ++cstats_.ineligible_skips;
-          return;
+          continue;
         }
         ids.insert(id);
-        return;
-      }
-      if (commands_.count(id) > 0) ids.insert(id);  // preloaded workload
-    };
-    if (config_.backend == Backend::kCrashHurfinRaynal) {
-      consider(st.crash_value);
-    } else {
-      for (const auto& entry : st.vector.entries) {
-        if (entry.has_value()) consider(*entry);
+      } else if (table_.body(id) != nullptr) {
+        ids.insert(id);  // preloaded workload
       }
     }
     std::vector<std::uint64_t> missing;
     for (std::uint64_t id : ids) {
-      if (commands_.count(id) == 0) missing.push_back(id);
+      if (table_.body(id) == nullptr) missing.push_back(id);
     }
     if (!missing.empty()) {
       // Decided but not locally held: park the frontier and fetch.  Every
@@ -331,37 +322,18 @@ bool Replica::commit_slot(sim::Context& ctx, Slot& st) {
       return false;
     }
     batch.assign(ids.begin(), ids.end());
-  } else {
-    // Deterministic anchor extraction from the raw decision.  A real
-    // anchor (a non-zero id present in the command table) releases a
-    // batch; an all-null / unknown decision is a no-op slot.  Note the
-    // rule reads only (decision, commands_) — both identical across
-    // correct replicas.
-    std::uint64_t anchor = 0;
-    if (config_.backend == Backend::kCrashHurfinRaynal) {
-      if (st.crash_value != 0 && commands_.count(st.crash_value) > 0) {
-        anchor = st.crash_value;
-      }
-    } else {
-      for (const auto& entry : st.vector.entries) {
-        if (!entry.has_value() || *entry == 0) continue;
-        if (commands_.count(*entry) == 0) continue;
-        if (anchor == 0 || *entry < anchor) anchor = *entry;
-      }
-    }
-
-    // Canonical batch: the `batch` smallest still-pending ids, applied in
-    // increasing id order.  Identical across correct replicas because the
-    // committed set is (inductively) identical at the frontier; and since
-    // every batch drains the smallest pending ids, the overall application
-    // order is increasing id order regardless of (window, batch).
-    if (anchor != 0) {
-      for (const auto& [id, cmd] : commands_) {
-        if (batch.size() >= config_.batch) break;
-        if (committed_ids_.count(id) > 0) continue;
-        batch.push_back(id);
-      }
-    }
+  } else if (std::any_of(st.ids.begin(), st.ids.end(), [&](std::uint64_t id) {
+               return id != 0 && table_.body(id) != nullptr;
+             })) {
+    // A real anchor (a non-zero decided id present in the command table)
+    // releases the canonical batch: the `batch` smallest still-pending
+    // ids, applied in increasing id order.  The rule reads only
+    // (decision, command table, committed set), all identical across
+    // correct replicas at the frontier; and since every batch drains the
+    // smallest pending ids, the overall application order is increasing
+    // id order regardless of (window, batch).  An all-null or unknown
+    // decision is a no-op slot.
+    batch = table_.uncommitted(config_.batch);
   }
   apply_committed_batch(ctx, batch);
   return true;
@@ -372,40 +344,30 @@ void Replica::apply_committed_batch(sim::Context& ctx,
   const InstanceId slot{next_commit_};
   std::vector<std::uint64_t> applied;
   for (std::uint64_t id : ids) {
-    auto c = commands_.find(id);
     // Defensive for the suffix-replay caller: an id a hostile responder
     // slipped past the quorum cannot corrupt the store, only be skipped.
-    if (c == commands_.end() || committed_ids_.count(id) > 0) continue;
-    store_.apply(c->second);
-    committed_ids_.insert(id);
+    const Command* cmd = table_.commit(id);
+    if (cmd == nullptr) continue;
+    store_.apply(*cmd);
     applied.push_back(id);
     ++pstats_.commands_committed;
     log_debug("SMR ", ctx.id(), " commits slot ", slot.value, " cmd ", id);
-    if (on_commit_) on_commit_(slot, &c->second, store_);
+    if (on_commit_) on_commit_(slot, cmd, store_);
 
     if (client_mode() && is_client(client_of_cmd(id))) {
       // Every committing replica answers the owning client; the client
       // certifies at f+1 (Byzantine) / majority (crash) matching replies.
       // The cached frame also serves duplicate replay, so it must exist
       // before the send (the bytes are identical either way).
-      pending_client_.erase(id);
-      ++committed_seq_count_[client_of_cmd(id)];
-      // Release the per-origin relay budget this admission held.
-      auto ro = relay_origin_.find(id);
-      if (ro != relay_origin_.end()) {
-        auto op = origin_pending_.find(ro->second);
-        if (op != origin_pending_.end() && op->second > 0) --op->second;
-        relay_origin_.erase(ro);
-      }
       const std::uint32_t client = client_of_cmd(id);
       const std::uint64_t seq = seq_of_cmd(id);
       ClientReply reply;
       reply.seq = seq;
       reply.cmd_id = id;
       reply.slot = slot.value;
-      reply.op = c->second.op;
-      reply.key = c->second.key;
-      reply.value = c->second.value;
+      reply.op = cmd->op;
+      reply.key = cmd->key;
+      reply.value = cmd->value;
       auto& cache = client_table_[client];
       auto ins = cache.emplace(seq, encode_control_reply(reply)).first;
       ctx.send(ProcessId{client}, ins->second);
@@ -430,18 +392,7 @@ void Replica::apply_committed_batch(sim::Context& ctx,
         std::max<std::uint64_t>(pstats_.log_peak, slot_log_.size());
   }
 
-  // Release this slot's proposal claims.
-  auto c = claims_.find(slot.value);
-  if (c != claims_.end()) {
-    for (std::uint64_t id : c->second) claimed_ids_.erase(id);
-    claims_.erase(c);
-  }
-
-  next_commit_ += 1;
-  // Drop timer routes of committed slots.
-  for (auto t = timer_slot_.begin(); t != timer_slot_.end();) {
-    t = t->second < next_commit_ ? timer_slot_.erase(t) : std::next(t);
-  }
+  advance_frontier(next_commit_ + 1);
   // Frontier progress retires any in-flight fetch; the armed retry timer
   // finds last_fetch_ empty and disarms itself.
   if (client_mode()) last_fetch_.clear();
@@ -449,16 +400,30 @@ void Replica::apply_committed_batch(sim::Context& ctx,
   maybe_checkpoint(ctx);
 }
 
+void Replica::advance_frontier(std::uint64_t slot) {
+  next_commit_ = slot;
+  // Slots below the frontier need no instance of our own: a recovering
+  // replica must not start consensus for slots every peer already
+  // committed (pure stale traffic that can never decide).
+  next_start_ = std::max(next_start_, slot);
+  slots_.erase(slots_.begin(), slots_.lower_bound(slot));
+  future_.erase(future_.begin(), future_.lower_bound(slot));
+  table_.release_below(slot);
+  for (auto t = timer_slot_.begin(); t != timer_slot_.end();) {
+    t = t->second < slot ? timer_slot_.erase(t) : std::next(t);
+  }
+}
+
 void Replica::pump(sim::Context& ctx) {
   bool progress = true;
   while (progress) {
     progress = false;
-    // Commit the decided prefix, strictly in slot order.
+    // Commit the decided prefix, strictly in slot order.  A commit
+    // advances the frontier, which retires the committed slot.
     while (next_commit_ < config_.slots) {
       auto it = slots_.find(next_commit_);
       if (it == slots_.end() || !it->second.decided) break;
       if (!commit_slot(ctx, it->second)) break;  // parked awaiting bodies
-      slots_.erase(it);
       progress = true;
     }
     // Decided mid-window slots wait in the reorder buffer with nothing
@@ -499,7 +464,7 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
   snap.slot = next_commit_;
   snap.applied = store_.applied_count();
   snap.data = store_.contents();
-  snap.committed_ids = committed_ids_;
+  snap.committed_ids = table_.committed_ids();
   if (client_mode()) snap.clients = client_table_;
   Bytes encoded = encode_snapshot(snap);
   const crypto::Digest digest = snapshot_digest(encoded);
@@ -517,21 +482,15 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
   ctx.broadcast(frame);  // includes self: our own vote is recorded on RX
 }
 
-bool Replica::verify_vote(ProcessId from, const CheckpointVote& vote) const {
-  if (config_.checkpoint.trust_unverified) return true;
-  const Bytes preimage =
-      bft::checkpoint_signing_bytes(vote.slot, vote.digest);
-  if (vcache_) return vcache_->verify(from, preimage, vote.sig);
-  return config_.verifier->verify(from, preimage, vote.sig);
-}
-
 void Replica::handle_vote(sim::Context& ctx, ProcessId from, Reader& r) {
   const CheckpointVote vote = decode_checkpoint_vote(r);
   const bool boundary =
       vote.slot % config_.checkpoint.interval == 0 ||
       vote.slot == config_.slots;
   if (vote.slot == 0 || vote.slot > config_.slots || !boundary ||
-      !verify_vote(from, vote)) {
+      (!config_.checkpoint.trust_unverified &&
+       !verify(from, bft::checkpoint_signing_bytes(vote.slot, vote.digest),
+               vote.sig))) {
     ++pstats_.recovery_rejects;
     return;
   }
@@ -625,51 +584,18 @@ void Replica::handle_state_req(sim::Context& ctx, ProcessId from, Reader& r) {
 
 void Replica::advance_recovery(sim::Context& ctx) {
   if (auto inst = recovery_->best_snapshot(next_commit_)) {
-    // Drop live instances the snapshot supersedes.
-    for (auto it = slots_.begin();
-         it != slots_.end() && it->first < inst->snapshot.slot;) {
-      auto c = claims_.find(it->first);
-      if (c != claims_.end()) {
-        for (std::uint64_t id : c->second) claimed_ids_.erase(id);
-        claims_.erase(c);
-      }
-      it = slots_.erase(it);
-    }
-    store_.install(inst->snapshot.data, inst->snapshot.applied);
-    committed_ids_ = inst->snapshot.committed_ids;
-    if (client_mode()) {
-      // Resume the duplicate-suppression contract where the snapshot left
-      // it, and re-derive the admission queue: every known client command
-      // the snapshot does not record as committed is pending again.
-      client_table_ = inst->snapshot.clients;
-      pending_client_.clear();
-      for (const auto& [id, cmd] : commands_) {
-        if (is_client(client_of_cmd(id)) && committed_ids_.count(id) == 0) {
-          pending_client_.insert(id);
-        }
-      }
-      // The eligibility anchor is derived state: rebuild it from the
-      // installed committed set.  Relay-origin budgets reset with the
-      // queue (the origins of pre-crash admissions are gone with it).
-      committed_seq_count_.clear();
-      for (std::uint64_t id : committed_ids_) {
-        if (is_client(client_of_cmd(id))) {
-          ++committed_seq_count_[client_of_cmd(id)];
-        }
-      }
-      relay_origin_.clear();
-      origin_pending_.clear();
-    }
-    next_commit_ = inst->snapshot.slot;
-    next_start_ = std::max(next_start_, next_commit_);
+    store_.install(std::move(inst->snapshot.data), inst->snapshot.applied);
+    // The table re-derives the admission queue and the eligibility anchor
+    // from the installed committed set.
+    table_.install(std::move(inst->snapshot.committed_ids));
+    // Resume the duplicate-suppression contract where the snapshot left
+    // it.
+    if (client_mode()) client_table_ = std::move(inst->snapshot.clients);
+    advance_frontier(inst->snapshot.slot);
     latest_cert_ = inst->cert;
     latest_snapshot_ = inst->encoded;
     slot_log_.erase(slot_log_.begin(), slot_log_.lower_bound(next_commit_));
-    future_.erase(future_.begin(), future_.lower_bound(next_commit_));
     votes_.erase(votes_.begin(), votes_.lower_bound(next_commit_));
-    for (auto t = timer_slot_.begin(); t != timer_slot_.end();) {
-      t = t->second < next_commit_ ? timer_slot_.erase(t) : std::next(t);
-    }
     ++pstats_.recovery_installs;
     log_debug("SMR ", ctx.id(), " installed checkpoint at slot ",
               next_commit_);
@@ -685,7 +611,7 @@ void Replica::advance_recovery(sim::Context& ctx) {
     if (client_mode()) {
       std::vector<std::uint64_t> missing;
       for (std::uint64_t id : *ids) {
-        if (commands_.count(id) == 0 && plausible_client_id(id)) {
+        if (table_.body(id) == nullptr && plausible_client_id(id)) {
           // A verified seq bound refutes the body's existence: no honest
           // suffix carries such an id (commit requires the body, the body
           // requires the client's signature), so fetching it would stall
@@ -698,27 +624,14 @@ void Replica::advance_recovery(sim::Context& ctx) {
       if (!missing.empty()) {
         // The quorum says these committed here, but the bodies were
         // relayed while we were down: fetch them and resume the replay
-        // when they land (ingest_relay re-enters advance_recovery).
+        // when they land (handle_relay re-enters advance_recovery).
         ++cstats_.parked_commits;
         request_bodies(ctx, missing);
         break;
       }
     }
-    auto it = slots_.find(next_commit_);
-    if (it != slots_.end()) {
-      auto c = claims_.find(next_commit_);
-      if (c != claims_.end()) {
-        for (std::uint64_t id : c->second) claimed_ids_.erase(id);
-        claims_.erase(c);
-      }
-      slots_.erase(it);
-    }
     apply_committed_batch(ctx, *ids);
   }
-  // Replayed slots need no instances of our own; without this, pump would
-  // start consensus for slots every peer already committed (pure stale
-  // traffic that can never decide).
-  next_start_ = std::max(next_start_, next_commit_);
   recovery_->prune_below(next_commit_);
 
   if (recovering_) {
@@ -730,6 +643,15 @@ void Replica::advance_recovery(sim::Context& ctx) {
     log_debug("SMR ", ctx.id(), " rejoined at slot ", next_commit_);
   }
   pump(ctx);
+}
+
+void Replica::resume(sim::Context& ctx) {
+  if (recovering_) return;
+  if (recovery_ != nullptr) {
+    advance_recovery(ctx);
+  } else {
+    pump(ctx);
+  }
 }
 
 void Replica::handle_control(sim::Context& ctx, ProcessId from,
@@ -807,27 +729,51 @@ void Replica::handle_control(sim::Context& ctx, ProcessId from,
   ++pstats_.recovery_rejects;
 }
 
+bool Replica::check_body(const CmdRelay& body) {
+  if (!is_client(body.client) || body.seq == 0 || body.seq > 0xffffffffULL) {
+    ++cstats_.rejects;
+    return false;
+  }
+  // The body is authenticated by the OWNING CLIENT's signature, never by
+  // a relaying replica: a Byzantine relayer can neither fabricate a body
+  // for a real client's seq nor feed divergent bodies to different peers,
+  // because no second validly-signed body exists for one id.
+  if (config_.client.authenticate &&
+      !verify(ProcessId{body.client},
+              client_request_signing_bytes(body.client, body.seq, body.op,
+                                           body.key, body.value),
+              body.sig)) {
+    ++cstats_.auth_rejects;
+    return false;
+  }
+  return true;
+}
+
+void Replica::admit(const CmdRelay& body,
+                    std::optional<std::uint32_t> origin) {
+  Command cmd;
+  cmd.id = make_client_cmd_id(body.client, body.seq);
+  cmd.op = body.op;
+  cmd.key = body.key;
+  cmd.value = body.value;
+  if (table_.admit(std::move(cmd), body.sig, origin)) {
+    cstats_.queue_peak = std::max<std::uint64_t>(cstats_.queue_peak,
+                                                 table_.queue().size());
+  }
+}
+
 void Replica::handle_request(sim::Context& ctx, ProcessId from, Reader& r) {
   if (!is_client(from.value)) {
     ++cstats_.rejects;
     return;
   }
   const ClientRequest req = decode_client_request(r);
-  if (req.seq == 0 || req.seq > 0xffffffffULL) {
-    ++cstats_.rejects;
-    return;
-  }
-  if (!verify_client_sig(from.value,
-                         client_request_signing_bytes(from.value, req.seq,
-                                                      req.op, req.key,
-                                                      req.value),
-                         req.sig)) {
-    ++cstats_.auth_rejects;
-    return;
-  }
+  const CmdRelay body{from.value, req.seq, req.op, req.key, req.value,
+                      req.sig};
+  if (!check_body(body)) return;
   ++cstats_.requests;
   const std::uint64_t id = make_client_cmd_id(from.value, req.seq);
-  if (committed_ids_.count(id) > 0) {
+  if (table_.committed(id)) {
     // Exactly-once: already applied.  Replay the cached reply — the retry
     // means the client has not certified yet.  A reply evicted from the
     // bounded cache is simply not replayed; the client's outstanding
@@ -843,44 +789,26 @@ void Replica::handle_request(sim::Context& ctx, ProcessId from, Reader& r) {
     }
     return;
   }
-  if (commands_.count(id) > 0) {
+  if (table_.body(id) != nullptr) {
     // In flight: the commit-time reply will answer this retry too.
     ++cstats_.duplicates;
     return;
   }
-  if (pending_client_.size() >= config_.client.max_pending &&
-      !fetch_needs(id)) {
+  const std::size_t queued = table_.queue().size();
+  if (queued >= config_.client.max_pending && !fetch_needs(id)) {
     // Deterministic load-shedding: the admission queue is full, tell the
     // client to back off instead of queueing unboundedly.  A body the
     // parked frontier is fetching is exempt: the park stops the queue
     // from draining, so shedding it would starve the exact command
     // progress depends on.
     ++cstats_.sheds;
-    ctx.send(from, encode_control_busy(BusyFrame{
-                       req.seq,
-                       static_cast<std::uint32_t>(pending_client_.size())}));
-    ++cstats_.busy_sent;
+    ctx.send(from, encode_control_busy(
+                       BusyFrame{req.seq, static_cast<std::uint32_t>(queued)}));
     return;
   }
-  Command cmd;
-  cmd.id = id;
-  cmd.op = req.op;
-  cmd.key = req.key;
-  cmd.value = req.value;
-  commands_.emplace(id, std::move(cmd));
-  if (!req.sig.empty()) cmd_sigs_[id] = req.sig;
-  pending_client_.insert(id);
-  cstats_.queue_peak = std::max<std::uint64_t>(cstats_.queue_peak,
-                                               pending_client_.size());
+  admit(body, std::nullopt);
   ++cstats_.admitted;
-  CmdRelay relay;
-  relay.client = from.value;
-  relay.seq = req.seq;
-  relay.op = req.op;
-  relay.key = req.key;
-  relay.value = req.value;
-  relay.sig = req.sig;
-  ctx.broadcast(encode_control_relay(relay));
+  ctx.broadcast(encode_control_relay(body));
   ++cstats_.relays_sent;
   if (!recovering_) pump(ctx);
 }
@@ -891,82 +819,37 @@ void Replica::handle_relay(sim::Context& ctx, ProcessId from, Reader& r) {
     return;
   }
   const CmdRelay relay = decode_cmd_relay(r);
-  if (!is_client(relay.client) || relay.seq == 0 ||
-      relay.seq > 0xffffffffULL) {
-    ++cstats_.rejects;
-    return;
+  if (!check_body(relay)) return;
+  const std::uint64_t id = make_client_cmd_id(relay.client, relay.seq);
+  ++cstats_.relays_received;
+  // Bodies the parked frontier is fetching bypass both capacity drops:
+  // progress depends on them, the fetch list is bounded by the batch
+  // size, and frontier progress releases them immediately.
+  if (table_.body(id) == nullptr && !table_.committed(id) &&
+      !fetch_needs(id)) {
+    if (table_.queue().size() >=
+        static_cast<std::size_t>(config_.client.max_pending) * config_.n) {
+      // Peers collectively admit at most n × max_pending; beyond that
+      // the relay is a flood and is dropped.
+      ++cstats_.relays_dropped;
+      return;
+    }
+    // Per-origin bound: ONE misbehaving relayer is capped at its own
+    // max_pending admissions instead of filling the whole collective
+    // budget and starving direct client admissions into BUSY.
+    if (table_.origin_load(from.value) >= config_.client.max_pending) {
+      ++cstats_.origin_drops;
+      return;
+    }
   }
-  // The body is authenticated by the OWNING CLIENT's signature, never by
-  // the relaying replica: a Byzantine relayer can neither fabricate a
-  // body for a real client's seq nor feed divergent bodies to different
-  // peers, because no second validly-signed body exists for one id.
-  if (!verify_client_sig(relay.client,
-                         client_request_signing_bytes(relay.client, relay.seq,
-                                                      relay.op, relay.key,
-                                                      relay.value),
-                         relay.sig)) {
-    ++cstats_.auth_rejects;
-    return;
-  }
-  ingest_relay(ctx, from.value, relay);
+  admit(relay, from.value);
+  // A parked frontier or a stalled suffix replay may now advance.
+  resume(ctx);
 }
 
 bool Replica::fetch_needs(std::uint64_t id) const {
   return std::find(last_fetch_.begin(), last_fetch_.end(), id) !=
          last_fetch_.end();
-}
-
-void Replica::ingest_relay(sim::Context& ctx, std::uint32_t origin,
-                           const CmdRelay& relay) {
-  const std::uint64_t id = make_client_cmd_id(relay.client, relay.seq);
-  ++cstats_.relays_received;
-  if (commands_.count(id) == 0) {
-    const bool committed = committed_ids_.count(id) > 0;
-    // Bodies the parked frontier is fetching bypass both capacity drops:
-    // progress depends on them, the fetch list is bounded by the batch
-    // size, and frontier progress releases them immediately.
-    const bool needed = fetch_needs(id);
-    if (!committed && !needed) {
-      if (pending_client_.size() >=
-          static_cast<std::size_t>(config_.client.max_pending) * config_.n) {
-        // Peers collectively admit at most n × max_pending; beyond that
-        // the relay is a flood and is dropped.
-        ++cstats_.relays_dropped;
-        return;
-      }
-      // Per-origin bound: ONE misbehaving relayer is capped at its own
-      // max_pending admissions instead of filling the whole collective
-      // budget and starving direct client admissions into BUSY.
-      const auto op = origin_pending_.find(origin);
-      if (op != origin_pending_.end() &&
-          op->second >= config_.client.max_pending) {
-        ++cstats_.origin_drops;
-        return;
-      }
-    }
-    Command cmd;
-    cmd.id = id;
-    cmd.op = relay.op;
-    cmd.key = relay.key;
-    cmd.value = relay.value;
-    commands_.emplace(id, std::move(cmd));
-    if (!relay.sig.empty()) cmd_sigs_[id] = relay.sig;
-    if (!committed) {
-      pending_client_.insert(id);
-      relay_origin_[id] = origin;
-      ++origin_pending_[origin];
-      cstats_.queue_peak = std::max<std::uint64_t>(cstats_.queue_peak,
-                                                   pending_client_.size());
-    }
-  }
-  // A parked frontier or a stalled suffix replay may now advance.  Never
-  // touch advance_recovery while still recovering_ — it would mark the
-  // replica rejoined without any installed state.
-  if (recovery_ != nullptr && !recovering_) {
-    advance_recovery(ctx);
-  } else if (!recovering_) {
-    pump(ctx);
-  }
 }
 
 void Replica::handle_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
@@ -975,31 +858,24 @@ void Replica::handle_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
     ++cstats_.rejects;  // only replicas fetch bodies
     return;
   }
-  const std::vector<std::uint64_t> ids =
-      decode_cmd_fetch(r, config_.checkpoint.limits);
+  const std::vector<std::uint64_t> ids = decode_cmd_fetch(r, StateLimits{});
   for (std::uint64_t id : ids) {
-    if (!is_client(client_of_cmd(id))) continue;
-    auto it = commands_.find(id);
-    auto sig = cmd_sigs_.find(id);
+    const std::uint32_t client = client_of_cmd(id);
+    if (!is_client(client)) continue;
+    const Command* cmd = table_.body(id);
+    const Bytes* sig = table_.sig(id);
     // Authenticated mode only serves bodies it can prove: a sig-less body
     // (e.g. planted directly into a faulty replica's table) would be
     // rejected by every honest receiver anyway.
-    if (it != commands_.end() &&
-        (!config_.client.authenticate || sig != cmd_sigs_.end())) {
-      CmdRelay relay;
-      relay.client = client_of_cmd(id);
-      relay.seq = seq_of_cmd(id);
-      relay.op = it->second.op;
-      relay.key = it->second.key;
-      relay.value = it->second.value;
-      if (sig != cmd_sigs_.end()) relay.sig = sig->second;
+    if (cmd != nullptr && (!config_.client.authenticate || sig != nullptr)) {
+      const CmdRelay relay{client, seq_of_cmd(id), cmd->op, cmd->key,
+                           cmd->value, sig != nullptr ? *sig : Bytes{}};
       ctx.send(from, encode_control_relay(relay));
       ++cstats_.fetches_served;
       continue;
     }
     // No servable body — but a recorded seq bound refuting the id unparks
     // the fetcher just as well: relay the signed bound frame.
-    const std::uint32_t client = client_of_cmd(id);
     auto b = seq_bound_.find(client);
     if (b != seq_bound_.end() && seq_of_cmd(id) > b->second) {
       auto frame = bound_frames_.find(client);
@@ -1011,25 +887,32 @@ void Replica::handle_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
   }
 }
 
-void Replica::handle_client_done(sim::Context& ctx, ProcessId from,
-                                 Reader& r) {
-  const ClientDone done = decode_client_done(r);
-  if (!is_client(done.client)) {
+bool Replica::accept_client_frame(ProcessId from, std::uint32_t client,
+                                  const Bytes& preimage, const Bytes& sig) {
+  if (!is_client(client)) {
     ++cstats_.rejects;
-    return;
+    return false;
   }
   if (config_.client.authenticate) {
     // Signed: acceptable from any sender (peers re-serve it to fetchers
     // after the client stops).
-    if (!verify_client_sig(done.client,
-                           client_done_signing_bytes(done.client,
-                                                     done.final_seq),
-                           done.sig)) {
+    if (!verify(ProcessId{client}, preimage, sig)) {
       ++cstats_.auth_rejects;
-      return;
+      return false;
     }
-  } else if (from.value != done.client && from.value >= config_.n) {
+  } else if (from.value != client && from.value >= config_.n) {
     ++cstats_.rejects;  // unauthenticated mode trusts channels, not frames
+    return false;
+  }
+  return true;
+}
+
+void Replica::handle_client_done(sim::Context& ctx, ProcessId from,
+                                 Reader& r) {
+  const ClientDone done = decode_client_done(r);
+  if (!accept_client_frame(
+          from, done.client,
+          client_done_signing_bytes(done.client, done.final_seq), done.sig)) {
     return;
   }
   // DONE doubles as a seq bound: the client will never send beyond its
@@ -1048,19 +931,9 @@ void Replica::handle_client_done(sim::Context& ctx, ProcessId from,
 
 void Replica::handle_seq_bound(sim::Context& ctx, ProcessId from, Reader& r) {
   const SeqBound sb = decode_seq_bound(r);
-  if (!is_client(sb.client)) {
-    ++cstats_.rejects;
-    return;
-  }
-  if (config_.client.authenticate) {
-    if (!verify_client_sig(sb.client,
+  if (!accept_client_frame(from, sb.client,
                            seq_bound_signing_bytes(sb.client, sb.bound),
                            sb.sig)) {
-      ++cstats_.auth_rejects;
-      return;
-    }
-  } else if (from.value != sb.client && from.value >= config_.n) {
-    ++cstats_.rejects;
     return;
   }
   record_seq_bound(ctx, sb.client, sb.bound, encode_control_seq_bound(sb));
@@ -1071,20 +944,10 @@ bool Replica::client_eligible(std::uint64_t id) const {
   const std::uint64_t seq = seq_of_cmd(id);
   const auto b = seq_bound_.find(client);
   if (b != seq_bound_.end() && seq > b->second) return false;  // refuted
-  const auto c = committed_seq_count_.find(client);
-  const std::uint64_t committed =
-      c == committed_seq_count_.end() ? 0 : c->second;
   // Count-anchored (not max-anchored) window: under committed-seq gaps a
   // max anchor could run ahead of what the client provably submitted,
   // while the count never exceeds it.
-  return seq <= committed + config_.client.seq_window;
-}
-
-bool Replica::verify_client_sig(std::uint32_t client, const Bytes& preimage,
-                                const Bytes& sig) const {
-  if (!config_.client.authenticate) return true;
-  if (vcache_) return vcache_->verify(ProcessId{client}, preimage, sig);
-  return config_.verifier->verify(ProcessId{client}, preimage, sig);
+  return seq <= table_.committed_count(client) + config_.client.seq_window;
 }
 
 void Replica::record_seq_bound(sim::Context& ctx, std::uint32_t client,
@@ -1096,11 +959,7 @@ void Replica::record_seq_bound(sim::Context& ctx, std::uint32_t client,
   ++cstats_.bounds_recorded;
   // Decided ids beyond the bound just became ineligible: a frontier (or a
   // suffix replay) parked on one of them can commit without it now.
-  if (recovery_ != nullptr && !recovering_) {
-    advance_recovery(ctx);
-  } else if (!recovering_) {
-    pump(ctx);
-  }
+  resume(ctx);
 }
 
 void Replica::request_bodies(sim::Context& ctx,
@@ -1110,18 +969,7 @@ void Replica::request_bodies(sim::Context& ctx,
     ctx.broadcast(encode_control_fetch(missing));
     ++cstats_.fetches_sent;
   }
-  if (fetch_timer_ == 0) {
-    fetch_timer_ = ctx.set_timer(config_.client.fetch_retry_delay);
-  }
-}
-
-bool Replica::has_proposable() const {
-  for (const auto& [id, cmd] : commands_) {
-    if (committed_ids_.count(id) == 0 && claimed_ids_.count(id) == 0) {
-      return true;
-    }
-  }
-  return false;
+  if (fetch_timer_ == 0) fetch_timer_ = ctx.set_timer(config_.retry_delay);
 }
 
 void Replica::on_message(sim::Context& ctx, ProcessId from,
@@ -1171,21 +1019,21 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
     return;
   }
 
-  // Not started yet: buffer within the bounded horizon, drop beyond it.
+  // Not started yet: buffer within the bounded horizon and the sender's
+  // share of the slot, drop beyond them.  The share is per sender, so a
+  // flooder cannot crowd a correct peer's envelopes out of the slot.
   if (slot >= buffer_horizon()) {
     ++pstats_.future_dropped;
     return;
   }
-  auto f = future_.find(slot);
-  if (f == future_.end()) {
-    f = future_.emplace(slot, std::vector<std::pair<ProcessId, Bytes>>{})
-            .first;
-  }
-  if (f->second.size() >= config_.max_future_msgs_per_slot) {
+  auto& parked = future_[slot];
+  if (std::count_if(parked.begin(), parked.end(), [&](const auto& e) {
+        return e.first == from;
+      }) >= kMaxFuturePerSender) {
     ++pstats_.future_dropped;
     return;
   }
-  f->second.emplace_back(from, std::move(inner));
+  parked.emplace_back(from, std::move(inner));
   ++pstats_.future_buffered;
   // Client mode gates slot starts on peer activity (future_): a peer
   // starting next_start_ before we have anything to propose is only
@@ -1278,7 +1126,7 @@ void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
       // Frontier (or suffix replay) still parked: re-ask everyone.
       ctx.broadcast(encode_control_fetch(last_fetch_));
       ++cstats_.fetches_sent;
-      fetch_timer_ = ctx.set_timer(config_.client.fetch_retry_delay);
+      fetch_timer_ = ctx.set_timer(config_.retry_delay);
     }
     return;
   }
@@ -1288,10 +1136,10 @@ void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
     // resets the backoff.
     if (next_commit_ == last_seen_frontier_) {
       request_state(ctx);
-      retry_delay_ = std::min<SimTime>(
-          retry_delay_ * 2, config_.checkpoint.retry_delay * 16);
+      retry_delay_ =
+          std::min<SimTime>(retry_delay_ * 2, config_.retry_delay * 16);
     } else {
-      retry_delay_ = config_.checkpoint.retry_delay;
+      retry_delay_ = config_.retry_delay;
     }
     last_seen_frontier_ = next_commit_;
     recovery_timer_ = ctx.set_timer(retry_delay_);

@@ -13,9 +13,9 @@
 // Instances may decide in any order; decisions park in a reorder buffer
 // and are applied to the KvStore strictly in slot order when the frontier
 // reaches them, so the store never observes out-of-order commits.
-// Envelopes for slots beyond the window are buffered (bounded per slot
-// and bounded in horizon) and replayed when the slot starts; envelopes
-// for committed slots are stale and dropped.
+// Envelopes for slots beyond the window are buffered (bounded per sender
+// and slot, and bounded in horizon) and replayed when the slot starts;
+// envelopes for committed slots are stale and dropped.
 //
 // Batching.  A slot commits up to `batch` commands.  Proposals remain a
 // single command id (the consensus value type is untouched), acting as an
@@ -30,9 +30,11 @@
 // sequential runs produce bit-identical stores.
 //
 // Two protocol back-ends are supported: the crash-model Hurfin–Raynal
-// actor, and the transformed Byzantine protocol (the anchor is extracted
-// from the decided vector by a deterministic rule — the minimum known id
-// among the vector's entries).  The Byzantine back-end shares one
+// actor, and the transformed Byzantine protocol.  A slot's decision is
+// kept as one list of decided ids (the crash value, or the non-null
+// entries of the decided vector), so the commit rules never branch on
+// the back-end; any known non-zero id in it is an anchor.  The command
+// bookkeeping lives in CommandTable.  The Byzantine back-end shares one
 // verified-signature cache across all of the replica's slots (and a
 // crypto::VerifyPool across replicas, when configured), so the PR 2 fast
 // path compounds across the pipeline.
@@ -53,6 +55,7 @@
 #include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/client_table.hpp"
+#include "smr/command_table.hpp"
 #include "smr/kv_store.hpp"
 #include "smr/recovery.hpp"
 
@@ -72,17 +75,23 @@ struct CheckpointConfig {
   /// and only joins the window after installing a verified response.
   bool recover = false;
 
-  /// Base delay of the recovery retry/catch-up timer (doubles per silent
-  /// retry, capped at 16x).
-  SimTime retry_delay = 20'000;
-
-  /// Decode caps applied to inbound control frames.
-  StateLimits limits;
-
   /// Negative-control switch (adversary harness only): install the first
   /// response without verification.
   bool trust_unverified = false;
 };
+
+/// Buffering horizon for early envelopes: slots at distance
+/// ≥ window + kMaxFutureSlots from the commit frontier are dropped
+/// (counted in PipelineStats::future_dropped).  Bounds Byzantine flooding
+/// of far-future slots.
+inline constexpr std::uint32_t kMaxFutureSlots = 32;
+
+/// Early envelopes buffered per (slot, sender); the sender's further ones
+/// for that slot are dropped.  Counted per sender, so a flooder fills only
+/// its own share and a correct peer's envelopes still park.  A correct
+/// replica was seen to park at most 3 (docs/SMR.md has the measurement
+/// and the memory bound).
+inline constexpr std::uint32_t kMaxFuturePerSender = 64;
 
 struct ReplicaConfig {
   std::uint32_t n = 0;
@@ -96,14 +105,10 @@ struct ReplicaConfig {
   /// Maximum commands committed per slot (see the batching rule above).
   std::uint32_t batch = 1;
 
-  /// Buffering horizon for early envelopes: slots at distance
-  /// ≥ window + max_future_slots from the commit frontier are dropped
-  /// (counted in PipelineStats::future_dropped).  Bounds Byzantine
-  /// flooding of far-future slots.
-  std::uint32_t max_future_slots = 32;
-
-  /// Per-slot cap on buffered envelopes (same flooding bound).
-  std::uint32_t max_future_msgs_per_slot = 256;
+  /// Base delay of the retry timers: the recovery catch-up timer (doubles
+  /// per silent retry, capped at 16x) and the missing-body fetch.  Both
+  /// re-ask peers for state known to exist somewhere.
+  SimTime retry_delay = 20'000;
 
   // Crash back-end.
   std::shared_ptr<fd::CrashDetector> detector;
@@ -169,7 +174,7 @@ struct PipelineStats {
   std::uint64_t window_occupancy_sum = 0;
   std::uint64_t window_samples = 0;
   std::uint64_t future_buffered = 0;  // early envelopes parked
-  std::uint64_t future_dropped = 0;   // beyond horizon or per-slot cap
+  std::uint64_t future_dropped = 0;   // beyond horizon or sender cap
   std::uint64_t stale_dropped = 0;    // post-commit stragglers
 
   // Checkpoint / recovery counters (all zero when checkpointing is off).
@@ -291,8 +296,9 @@ class Replica final : public sim::Actor {
   struct Slot {
     std::unique_ptr<sim::Actor> actor;  // released once decided
     bool decided = false;
-    std::uint64_t crash_value = 0;   // crash back-end decision
-    bft::VectorDecision vector;      // Byzantine back-end decision
+    /// The decision as one list of decided ids: the crash value, or the
+    /// non-null entries of the decided vector.
+    std::vector<std::uint64_t> ids;
   };
 
   /// Drives the pipeline to a fixpoint: commits the decided prefix in
@@ -303,12 +309,19 @@ class Replica final : public sim::Actor {
   bool fill_window(sim::Context& ctx);
   /// Returns false when the frontier slot is parked awaiting command
   /// bodies (client mode only); pump stops and CMD_FETCH drives retry.
-  bool commit_slot(sim::Context& ctx, Slot& st);
-  std::uint64_t pick_proposal(std::uint64_t slot);
+  bool commit_slot(sim::Context& ctx, const Slot& st);
   std::unique_ptr<sim::Actor> make_instance_actor(std::uint64_t slot);
+  /// Parks a slot's decision in the reorder buffer (first one wins).
+  void decide(std::uint64_t slot, std::vector<std::uint64_t> ids);
+  /// Moves the commit frontier to `slot`: retires the slots, early
+  /// envelopes, proposal claims and timer routes below it.
+  void advance_frontier(std::uint64_t slot);
   std::uint64_t buffer_horizon() const {
-    return next_commit_ + config_.window + config_.max_future_slots;
+    return next_commit_ + config_.window + kMaxFutureSlots;
   }
+  /// Verifies `signer`'s signature through the shared verify cache when
+  /// present.
+  bool verify(ProcessId signer, const Bytes& preimage, const Bytes& sig) const;
 
   // --- staged ingest (inert unless ReplicaConfig::staged_ingest) ---
   /// True iff on_batch may run the prologue right now.
@@ -325,7 +338,6 @@ class Replica final : public sim::Actor {
   /// Matching responders per replayed suffix slot: f+1 (Byzantine) or 1
   /// (crash).
   std::uint32_t suffix_quorum() const;
-  bool verify_vote(ProcessId from, const CheckpointVote& vote) const;
   /// Applies one committed batch (shared by consensus commit and suffix
   /// replay) and advances the frontier by one slot.
   void apply_committed_batch(sim::Context& ctx,
@@ -341,6 +353,10 @@ class Replica final : public sim::Actor {
   /// Installs verified recovered state (snapshot and/or quorumed suffix
   /// batches) and leaves recovery mode on first success.
   void advance_recovery(sim::Context& ctx);
+  /// Re-drives a parked frontier or suffix replay after new facts landed
+  /// (a body, a seq bound).  Inert while still recovering: the replica
+  /// would otherwise mark itself rejoined with no installed state.
+  void resume(sim::Context& ctx);
   /// Stops the replica when done AND every awaited peer announced done
   /// (their end-of-log checkpoint vote doubles as the announcement).
   void maybe_stop(sim::Context& ctx);
@@ -366,26 +382,32 @@ class Replica final : public sim::Actor {
   /// facts that CMD_FETCH equalises across replicas, so every correct
   /// replica converges on the same verdict for every decided entry.
   bool client_eligible(std::uint64_t id) const;
-  /// Verifies a client signature (through the shared verify cache when
-  /// present).  True unconditionally when authentication is off.
-  bool verify_client_sig(std::uint32_t client, const Bytes& preimage,
-                         const Bytes& sig) const;
+  /// Checks a command body (REQUEST or CMD_RELAY) before admission: a
+  /// configured client, a 32-bit seq ≥ 1 and, when authenticating, the
+  /// OWNING CLIENT's signature.  Counts the reject.
+  bool check_body(const CmdRelay& body);
+  /// Admits a checked body into the command table (charged to `origin`
+  /// when a peer relayed it).
+  void admit(const CmdRelay& body, std::optional<std::uint32_t> origin);
+  /// The rule for a client's signed control frames (CLIENT_DONE,
+  /// SEQ_BOUND): a verified signature from any sender when
+  /// authenticating, else only the client itself or a replica.  Counts
+  /// the reject.
+  bool accept_client_frame(ProcessId from, std::uint32_t client,
+                           const Bytes& preimage, const Bytes& sig);
   /// Records a verified "never beyond `bound`" fact for a client and
   /// re-pumps: a frontier parked on a now-refuted id becomes committable.
   void record_seq_bound(sim::Context& ctx, std::uint32_t client,
                         std::uint64_t bound, const Bytes& frame);
-  bool has_proposable() const;
   void handle_request(sim::Context& ctx, ProcessId from, Reader& r);
+  /// Ingests one relayed command body (CMD_RELAY broadcast or a CMD_FETCH
+  /// answer — same frame) from replica `from` and resumes any parked
+  /// commit or suffix replay.  Authenticates the body and enforces the
+  /// per-origin admission bound before storing anything.
   void handle_relay(sim::Context& ctx, ProcessId from, Reader& r);
   void handle_fetch(sim::Context& ctx, ProcessId from, Reader& r);
   void handle_client_done(sim::Context& ctx, ProcessId from, Reader& r);
   void handle_seq_bound(sim::Context& ctx, ProcessId from, Reader& r);
-  /// Ingests one relayed command body (CMD_RELAY broadcast or a CMD_FETCH
-  /// answer — same frame) from replica `origin` and resumes any parked
-  /// commit or suffix replay.  Authenticates the body and enforces the
-  /// per-origin admission bound before storing anything.
-  void ingest_relay(sim::Context& ctx, std::uint32_t origin,
-                    const CmdRelay& relay);
   /// True iff `id` is needed to advance the frontier right now (listed in
   /// the in-flight fetch) — such ids are exempt from capacity drops and
   /// admission sheds, because progress depends on them and their number
@@ -397,21 +419,18 @@ class Replica final : public sim::Actor {
                       const std::vector<std::uint64_t>& missing);
 
   ReplicaConfig config_;
-  std::map<std::uint64_t, Command> commands_;  // id → command
+  /// Bodies, signatures, the committed set, the admission queue and the
+  /// proposal claims (smr/command_table.hpp).
+  CommandTable table_;
   CommitFn on_commit_;
 
   KvStore store_;
   std::uint64_t next_commit_ = 0;  // commit frontier (first uncommitted)
   std::uint64_t next_start_ = 0;   // first not-yet-started slot
   std::map<std::uint64_t, Slot> slots_;  // window + reorder buffer
-  std::set<std::uint64_t> committed_ids_;
-  /// Local proposal claims: ids already anchored by an in-flight slot, so
-  /// concurrent slots propose disjoint anchors.  A heuristic only —
-  /// correctness never depends on claims (the commit rule ignores them).
-  std::set<std::uint64_t> claimed_ids_;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> claims_;  // slot → ids
   std::map<std::uint64_t, std::uint64_t> timer_slot_;  // timer id → slot
-  // Buffered envelopes for not-yet-started slots (bounded; see config).
+  // Buffered envelopes for not-yet-started slots (bounded; see
+  // kMaxFutureSlots and kMaxFuturePerSender).
   std::map<std::uint64_t, std::vector<std::pair<ProcessId, Bytes>>> future_;
   // Byzantine back-end: one verification cache for every slot instance.
   std::shared_ptr<crypto::CachingVerifier> vcache_;
@@ -452,31 +471,16 @@ class Replica final : public sim::Actor {
   /// Deterministic (a function of the committed log and the cache bound),
   /// so it lives inside the certified snapshot.
   std::map<std::uint32_t, std::map<std::uint64_t, Bytes>> client_table_;
-  /// Admitted client commands not yet committed (the admission queue the
-  /// shed bound applies to).
-  std::set<std::uint64_t> pending_client_;
   /// Clients that broadcast CLIENT_DONE; all of them ⇒ drain mode.
   std::set<std::uint32_t> clients_done_;
   bool drain_ = false;
   /// Missing-body fetch in flight (frontier or suffix replay stall).
   std::vector<std::uint64_t> last_fetch_;
   std::uint64_t fetch_timer_ = 0;
-  /// Client signatures of admitted command bodies (id → sig): what lets
-  /// this replica serve authenticated CMD_RELAY answers to fetchers.
-  std::map<std::uint64_t, Bytes> cmd_sigs_;
-  /// Committed seqs per client — |{committed ids of c}|, the deterministic
-  /// anchor of the commit-eligibility window.  Derived from committed_ids_
-  /// (maintained incrementally; rebuilt on snapshot install).
-  std::map<std::uint32_t, std::uint64_t> committed_seq_count_;
   /// Verified seq bounds (client → bound) and the signed frames proving
   /// them, re-served to fetchers parked on refuted ids.
   std::map<std::uint32_t, std::uint64_t> seq_bound_;
   std::map<std::uint32_t, Bytes> bound_frames_;
-  /// Per-origin relay accounting: pending id → relaying replica, and the
-  /// live count per origin.  One Byzantine relayer is capped at
-  /// max_pending admissions instead of the whole n × max_pending budget.
-  std::map<std::uint64_t, std::uint32_t> relay_origin_;
-  std::map<std::uint32_t, std::uint64_t> origin_pending_;
   ClientServiceStats cstats_;
 };
 

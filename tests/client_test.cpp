@@ -11,6 +11,7 @@
 //  * overload protection: a tiny admission bound sheds with BUSY and the
 //    queue peak respects the bound, while every operation still settles;
 //  * failover: a client whose contact replica dies rotates to a live one;
+//  * the outstanding window may not outgrow the replicas' reply cache;
 //  * inertness: a run without clients reports all-zero client counters.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "adversary/client_campaign.hpp"
+#include "client/client.hpp"
+#include "common/check.hpp"
 #include "common/serial.hpp"
 #include "faults/scenario.hpp"
 #include "smr/checkpoint.hpp"
@@ -292,6 +295,24 @@ TEST(ClientService, OverloadShedsWithBusyAndBoundsQueue) {
   EXPECT_EQ(r.run_stats.client.accepted, 24u);
   EXPECT_EQ(r.commit_log_duplicates, 0u);
   EXPECT_TRUE(adversary::audit_client_replies(r).empty());
+}
+
+TEST(ClientService, OpenLoopWindowMustFitTheReplyCache) {
+  // A retried seq is answered from the replicas' bounded reply cache; with
+  // more ops in flight than the cache holds, a retry could find its REPLY
+  // evicted and never certify.  Such a window is rejected up front.
+  client::ClientConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.ops = {client::ClientOp{smr::Command::Op::kPut, "k", "v"}};
+  cfg.open_loop = true;
+  cfg.max_outstanding = smr::kReplyCacheDepth;
+  EXPECT_NO_THROW(client::Client{cfg});
+  cfg.max_outstanding = smr::kReplyCacheDepth + 1;
+  EXPECT_THROW(client::Client{cfg}, ContractViolation);
+  // A closed loop keeps one op in flight whatever the cap says.
+  cfg.open_loop = false;
+  EXPECT_NO_THROW(client::Client{cfg});
 }
 
 TEST(ClientService, FailoverWhenContactDies) {

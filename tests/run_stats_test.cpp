@@ -78,7 +78,7 @@ TEST(RunStats, ToJsonEmitsEveryDeclaredCounterOnce) {
   for (const char* key :
        {"dial_failures", "truncates_injected", "flips_injected",
         "delays_injected", "gap_resets", "malformed_hellos", "degraded_links",
-        "client_busy_sent", "pool_inline_jobs", "pool_failures"}) {
+        "pool_inline_jobs", "pool_failures"}) {
     EXPECT_EQ(want.count(key), 1u) << key;
   }
 }
@@ -176,7 +176,8 @@ TEST(RunStats, OverloadCountsTheBusyFramesReplicasSent) {
       parse_flat(runtime::to_json(sc.substrate, r.run_stats));
   const std::uint64_t busy = std::stoull(json.at("client_busy"));
   EXPECT_GT(busy, 0u);
-  EXPECT_GE(std::stoull(json.at("client_busy_sent")), busy);
+  // Each shed sends one BUSY frame; a client may miss some of them.
+  EXPECT_GE(std::stoull(json.at("client_sheds")), busy);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "bft/message.hpp"
 #include "common/serial.hpp"
+#include "consensus/messages.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "crypto/verify_pool.hpp"
 #include "faults/scenario.hpp"
@@ -191,20 +192,25 @@ Bytes envelope(std::uint64_t slot, const Bytes& inner) {
 
 // Floods the three real replicas with early frames before the pipeline
 // has started the targeted slots: within-horizon frames must be parked
-// (bounded per slot), beyond-horizon frames dropped, and the parked
-// garbage must be replayed harmlessly (the BFT instance rejects it).
+// (bounded per sender and slot), beyond-horizon frames dropped, and the
+// parked garbage must be replayed harmlessly (the BFT instance rejects
+// it).
+constexpr std::uint64_t kHorizon = 1 + kMaxFutureSlots;  // frontier 0, W1
+
 class EarlyFrameInjector final : public sim::Actor {
  public:
   void on_start(sim::Context& ctx) override {
     const Bytes junk = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04,
                         0x05, 0x06, 0x07, 0x08};
     for (std::uint32_t to = 0; to < 3; ++to) {
-      // Slot 2 is unstarted but within the horizon (cap 2): two parked,
-      // the third dropped.
-      for (int i = 0; i < 3; ++i) ctx.send(ProcessId{to}, envelope(2, junk));
-      // Slots 5 and 7 are beyond the horizon 0 + W(1) + 2 = 3: dropped.
-      ctx.send(ProcessId{to}, envelope(5, junk));
-      ctx.send(ProcessId{to}, envelope(7, junk));
+      // The horizon slot and one past it are beyond reach: dropped.
+      ctx.send(ProcessId{to}, envelope(kHorizon, junk));
+      ctx.send(ProcessId{to}, envelope(kHorizon + 1, junk));
+      // Slot 2 is unstarted but within the horizon: the sender's share
+      // parks, the one beyond it is dropped.
+      for (std::uint32_t i = 0; i <= kMaxFuturePerSender; ++i) {
+        ctx.send(ProcessId{to}, envelope(2, junk));
+      }
       // Not even an envelope (truncated tag): ignored, not counted.
       ctx.send(ProcessId{to}, Bytes{0x01, 0x02});
     }
@@ -231,10 +237,8 @@ TEST(SmrPipeline, FutureFramesBufferedWithinBoundsAndDroppedBeyond) {
     ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = Backend::kByzantine;
-    cfg.slots = 8;
+    cfg.slots = kHorizon + 2;
     cfg.window = 1;
-    cfg.max_future_slots = 2;
-    cfg.max_future_msgs_per_slot = 2;
     cfg.bft = bft_cfg;
     cfg.signer = keys.signers[i].get();
     cfg.verifier = keys.verifier;
@@ -248,9 +252,11 @@ TEST(SmrPipeline, FutureFramesBufferedWithinBoundsAndDroppedBeyond) {
 
   for (std::uint32_t i = 0; i < 3; ++i) {
     const PipelineStats& p = replicas[i]->pipeline_stats();
-    EXPECT_EQ(replicas[i]->committed_slots(), 8u) << "replica " << i;
-    EXPECT_EQ(p.future_buffered, 2u) << "replica " << i;   // slot-2 pair
-    EXPECT_EQ(p.future_dropped, 3u) << "replica " << i;    // cap + 5 + 7
+    EXPECT_EQ(replicas[i]->committed_slots(), kHorizon + 2)
+        << "replica " << i;
+    EXPECT_EQ(p.future_buffered, kMaxFuturePerSender) << "replica " << i;
+    // The one over the share, and the two beyond the horizon.
+    EXPECT_EQ(p.future_dropped, 3u) << "replica " << i;
     EXPECT_EQ(replicas[i]->store().contents(),
               replicas[0]->store().contents());
   }
@@ -321,6 +327,57 @@ TEST(SmrPipeline, PostCommitStragglersAreCountedAndIgnored) {
   replicas[0]->on_message(stub, ProcessId{1}, envelope(99, junk));
   EXPECT_EQ(replicas[0]->pipeline_stats().stale_dropped, stale_before + 1);
   EXPECT_EQ(replicas[0]->store().contents(), contents_before);
+}
+
+// A flooder fills only its own share of a future slot: p3 sends far more
+// envelopes for slot 5 than it may park, then a correct peer's envelope
+// for the same slot (p1's DECIDE) arrives.  It must be buffered and, when
+// the slot starts, replayed into the instance, which decides on it.
+TEST(SmrPipeline, FloodedFutureSlotStillBuffersACorrectPeersEnvelope) {
+  constexpr std::uint32_t kN = 4;
+  ReplicaConfig cfg;
+  cfg.n = kN;
+  cfg.backend = Backend::kCrashHurfinRaynal;
+  cfg.slots = 6;
+  cfg.window = 1;
+  cfg.detector = std::make_shared<fd::OracleDetector>(
+      std::vector<std::optional<SimTime>>(kN), fd::OracleConfig{});
+  Replica replica(cfg, faults::sample_workload(), CommitFn{});
+  StubContext stub;
+  replica.on_start(stub);  // slot 0 starts; slot 5 is within the horizon
+
+  constexpr std::uint32_t kFlood = 1000;
+  const Bytes junk = {0x11, 0x22, 0x33};
+  for (std::uint32_t i = 0; i < kFlood; ++i) {
+    replica.on_message(stub, ProcessId{3}, envelope(5, junk));
+  }
+  const PipelineStats& p = replica.pipeline_stats();
+  EXPECT_EQ(p.future_buffered, kMaxFuturePerSender);
+  EXPECT_EQ(p.future_dropped, kFlood - kMaxFuturePerSender);
+
+  auto decide = [](std::uint64_t value) {
+    consensus::Vote v;
+    v.kind = consensus::VoteKind::kDecide;
+    v.sender = ProcessId{1};
+    v.round = Round{1};
+    v.value = value;
+    return consensus::encode_vote(v);
+  };
+  replica.on_message(stub, ProcessId{1}, envelope(5, decide(5)));
+  EXPECT_EQ(p.future_buffered, kMaxFuturePerSender + 1);
+  EXPECT_EQ(p.future_dropped, kFlood - kMaxFuturePerSender);
+
+  // p1's DECIDEs for slots 0-4 commit the workload one command per slot;
+  // each commit starts the next slot, and slot 5 starts by replaying its
+  // buffer: p3's junk is ignored, p1's DECIDE decides it.
+  for (std::uint64_t slot = 0; slot < 5; ++slot) {
+    replica.on_message(stub, ProcessId{1}, envelope(slot, decide(slot + 1)));
+  }
+  EXPECT_EQ(replica.committed_slots(), 6u);
+  EXPECT_TRUE(replica.done());
+  EXPECT_EQ(replica.store().get("alpha"), "3");
+  EXPECT_EQ(replica.store().get("gamma"), "5");
+  EXPECT_EQ(p.commands_committed, 5u);
 }
 
 // --- Byzantine attack on a mid-window slot -----------------------------

@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "bench_json.hpp"
+#include "bench_smr.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 #include "smr/replica.hpp"
@@ -35,20 +36,6 @@
 namespace {
 
 using namespace modubft;
-
-std::vector<smr::Command> make_workload(std::uint64_t count) {
-  std::vector<smr::Command> cmds;
-  for (std::uint64_t id = 1; id <= count; ++id) {
-    const std::string key = "key" + std::to_string(id % 8);
-    if (id % 5 == 0) {
-      cmds.push_back({id, smr::Command::Op::kDel, key, ""});
-    } else {
-      cmds.push_back({id, smr::Command::Op::kPut, key,
-                      "v" + std::to_string(id)});
-    }
-  }
-  return cmds;
-}
 
 struct RunRow {
   runtime::Backend substrate;
@@ -59,18 +46,6 @@ struct RunRow {
   bool ok = true;
   faults::SmrScenarioResult last;
 };
-
-double commits_per_sec(runtime::Backend substrate,
-                       const faults::SmrScenarioResult& r) {
-  // Rate basis: virtual microseconds on the simulator (deterministic),
-  // wall-clock microseconds on the threaded cluster.
-  const double us = substrate == runtime::Backend::kSim
-                        ? static_cast<double>(r.run_stats.virtual_time)
-                        : static_cast<double>(r.run_stats.wall_us);
-  if (us <= 0) return 0;
-  return static_cast<double>(r.run_stats.pipeline.commands_committed) * 1e6 /
-         us;
-}
 
 RunRow run_config(runtime::Backend substrate, std::uint32_t w,
                   std::uint32_t b, std::uint64_t commands, int reps,
@@ -88,7 +63,7 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
     cfg.seed = 17 + static_cast<std::uint64_t>(rep);
     cfg.substrate = substrate;
     cfg.backend = smr::Backend::kByzantine;
-    cfg.workload = make_workload(commands);
+    cfg.workload = faults::kv_workload(commands);
     cfg.window = w;
     cfg.batch = b;
     // E17 measures the sequential-ingest message path; the staged
@@ -103,7 +78,7 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
         r.run_stats.pipeline.commands_committed != commands) {
       row.ok = false;
     }
-    row.rep_cps.push_back(commits_per_sec(substrate, r));
+    row.rep_cps.push_back(benchsmr::commits_per_sec(substrate, r));
     row.last = std::move(r);
   }
   std::vector<double> sorted = row.rep_cps;

@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "bench_json.hpp"
+#include "bench_smr.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 #include "smr/replica.hpp"
@@ -44,30 +45,6 @@ constexpr std::uint64_t kInterval = 8;
 constexpr std::uint32_t kWindow = 4;
 constexpr std::uint32_t kBatch = 2;
 
-std::vector<smr::Command> make_workload(std::uint64_t count) {
-  std::vector<smr::Command> cmds;
-  for (std::uint64_t id = 1; id <= count; ++id) {
-    const std::string key = "key" + std::to_string(id % 8);
-    if (id % 5 == 0) {
-      cmds.push_back({id, smr::Command::Op::kDel, key, ""});
-    } else {
-      cmds.push_back({id, smr::Command::Op::kPut, key,
-                      "v" + std::to_string(id)});
-    }
-  }
-  return cmds;
-}
-
-double commits_per_sec(runtime::Backend substrate,
-                       const faults::SmrScenarioResult& r) {
-  const double us = substrate == runtime::Backend::kSim
-                        ? static_cast<double>(r.run_stats.virtual_time)
-                        : static_cast<double>(r.run_stats.wall_us);
-  if (us <= 0) return 0;
-  return static_cast<double>(r.run_stats.pipeline.commands_committed) * 1e6 /
-         us;
-}
-
 faults::SmrScenarioConfig base_config(runtime::Backend substrate,
                                       std::uint64_t interval,
                                       std::uint64_t commands,
@@ -79,7 +56,7 @@ faults::SmrScenarioConfig base_config(runtime::Backend substrate,
   cfg.seed = seed;
   cfg.substrate = substrate;
   cfg.backend = smr::Backend::kByzantine;
-  cfg.workload = make_workload(commands);
+  cfg.workload = faults::kv_workload(commands);
   cfg.window = kWindow;
   cfg.batch = kBatch;
   cfg.slots = (commands + kBatch - 1) / kBatch + 2;
@@ -118,7 +95,7 @@ OverheadRow run_overhead(runtime::Backend substrate, std::uint64_t interval,
         r.run_stats.pipeline.log_peak > interval + kWindow) {
       row.ok = false;
     }
-    row.rep_cps.push_back(commits_per_sec(substrate, r));
+    row.rep_cps.push_back(benchsmr::commits_per_sec(substrate, r));
     row.last = std::move(r);
   }
   std::vector<double> sorted = row.rep_cps;

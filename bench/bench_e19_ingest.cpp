@@ -42,6 +42,7 @@
 #include <unistd.h>
 
 #include "bench_json.hpp"
+#include "bench_smr.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 #include "smr/replica.hpp"
@@ -49,20 +50,6 @@
 namespace {
 
 using namespace modubft;
-
-std::vector<smr::Command> make_workload(std::uint64_t count) {
-  std::vector<smr::Command> cmds;
-  for (std::uint64_t id = 1; id <= count; ++id) {
-    const std::string key = "key" + std::to_string(id % 8);
-    if (id % 5 == 0) {
-      cmds.push_back({id, smr::Command::Op::kDel, key, ""});
-    } else {
-      cmds.push_back({id, smr::Command::Op::kPut, key,
-                      "v" + std::to_string(id)});
-    }
-  }
-  return cmds;
-}
 
 struct CellConfig {
   runtime::Backend substrate;
@@ -88,16 +75,6 @@ struct RunRow {
   faults::SmrScenarioResult last;
 };
 
-double commits_per_sec(runtime::Backend substrate,
-                       const faults::SmrScenarioResult& r) {
-  const double us = substrate == runtime::Backend::kSim
-                        ? static_cast<double>(r.run_stats.virtual_time)
-                        : static_cast<double>(r.run_stats.wall_us);
-  if (us <= 0) return 0;
-  return static_cast<double>(r.run_stats.pipeline.commands_committed) * 1e6 /
-         us;
-}
-
 RunRow run_cell(const CellConfig& cell, std::uint64_t commands, int reps,
                 std::chrono::milliseconds budget) {
   RunRow row;
@@ -109,7 +86,7 @@ RunRow run_cell(const CellConfig& cell, std::uint64_t commands, int reps,
     cfg.seed = 19 + static_cast<std::uint64_t>(rep);
     cfg.substrate = cell.substrate;
     cfg.backend = smr::Backend::kByzantine;
-    cfg.workload = make_workload(commands);
+    cfg.workload = faults::kv_workload(commands);
     cfg.window = cell.window;
     cfg.batch = cell.batch;
     cfg.staged_ingest = cell.staged;
@@ -124,7 +101,7 @@ RunRow run_cell(const CellConfig& cell, std::uint64_t commands, int reps,
         r.run_stats.ingest.staged != (cell.staged ? 1u : 0u)) {
       row.ok = false;
     }
-    row.rep_cps.push_back(commits_per_sec(cell.substrate, r));
+    row.rep_cps.push_back(benchsmr::commits_per_sec(cell.substrate, r));
     row.store = r.store;
     row.last = std::move(r);
   }

@@ -595,21 +595,8 @@ int run_smr(int argc, char** argv) {
     }
   }
 
-  if (commands > 0) {
-    // Synthetic workload: K puts/deletes cycling over 8 keys.
-    for (std::uint32_t c = 1; c <= commands; ++c) {
-      smr::Command cmd;
-      cmd.id = c;
-      cmd.key = "key" + std::to_string(c % 8);
-      if (c % 5 == 0) {
-        cmd.op = smr::Command::Op::kDel;
-      } else {
-        cmd.op = smr::Command::Op::kPut;
-        cmd.value = "v" + std::to_string(c);
-      }
-      cfg.workload.push_back(cmd);
-    }
-  }
+  // Synthetic workload: K puts/deletes cycling over 8 keys.
+  if (commands > 0) cfg.workload = faults::kv_workload(commands);
   const std::size_t workload_size =
       cfg.workload.empty() ? faults::sample_workload().size()
                            : cfg.workload.size();

@@ -57,6 +57,11 @@
 # TSan and ASan cannot share a build, so it uses its own build directory
 # (build-tsan, -DMODUBFT_TSAN=ON).
 #
+# A failed build ends the script.  A failed test stage does not: the
+# three test stages (ASan/UBSan ctest, the ASan/UBSan campaign sweep, TSan
+# ctest) always all run, the script prints one status line per stage at
+# the end, and it exits non-zero if any stage failed.
+#
 # Usage: scripts/run_sanitizers.sh [ctest-regex]
 #   scripts/run_sanitizers.sh             # everything
 #   scripts/run_sanitizers.sh tcp_chaos   # just the chaos tests
@@ -65,6 +70,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-sanitize
 TSAN_BUILD_DIR=build-tsan
+
+STAGES=()
+STATUSES=()
+# Runs one test stage and records its exit status instead of stopping.
+run_stage() {
+  local name="$1"
+  shift
+  local status=0
+  "$@" || status=$?
+  STAGES+=("${name}")
+  STATUSES+=("${status}")
+}
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -75,17 +92,18 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 export ASAN_OPTIONS=halt_on_error=1:detect_leaks=1
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
-pushd "${BUILD_DIR}" >/dev/null
 if [[ $# -ge 1 ]]; then
-  ctest --output-on-failure -R "$1"
+  run_stage "ASan/UBSan ctest -R $1" \
+    ctest --test-dir "${BUILD_DIR}" --output-on-failure -R "$1"
 else
-  ctest --output-on-failure -j "$(nproc)"
+  run_stage "ASan/UBSan ctest" \
+    ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
   echo
   echo "=== Adversarial campaign under ASan/UBSan ==="
-  ./examples/scenario_cli campaign --n 4 --f 1 --seeds 1 \
-    --substrates sim,threads,tcp --out campaign_asan.json
+  run_stage "ASan/UBSan campaign sweep" \
+    "${BUILD_DIR}/examples/scenario_cli" campaign --n 4 --f 1 --seeds 1 \
+    --substrates sim,threads,tcp --out "${BUILD_DIR}/campaign_asan.json"
 fi
-popd >/dev/null
 
 echo
 echo "=== ThreadSanitizer pass (labels: threads, tcp) ==="
@@ -96,10 +114,25 @@ cmake --build "${TSAN_BUILD_DIR}" -j "$(nproc)"
 
 export TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1
 
-pushd "${TSAN_BUILD_DIR}" >/dev/null
 if [[ $# -ge 1 ]]; then
-  ctest --output-on-failure -L 'threads|tcp' -R "$1"
+  run_stage "TSan ctest -L 'threads|tcp' -R $1" \
+    ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure \
+    -L 'threads|tcp' -R "$1"
 else
-  ctest --output-on-failure -L 'threads|tcp'
+  run_stage "TSan ctest -L 'threads|tcp'" \
+    ctest --test-dir "${TSAN_BUILD_DIR}" --output-on-failure \
+    -L 'threads|tcp'
 fi
-popd >/dev/null
+
+echo
+echo "=== Sanitizer stages ==="
+failed=0
+for i in "${!STAGES[@]}"; do
+  if [[ "${STATUSES[$i]}" -eq 0 ]]; then
+    echo "  ok      ${STAGES[$i]}"
+  else
+    echo "  FAILED  ${STAGES[$i]} (exit ${STATUSES[$i]})"
+    failed=1
+  fi
+done
+exit "${failed}"

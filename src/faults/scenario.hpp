@@ -221,6 +221,8 @@ struct SmrScenarioConfig : ScenarioSettings {
   std::vector<CrashSpec> crashes;
   fd::OracleConfig oracle{};
   /// Command table; defaults to the canonical 5-command KV workload.
+  /// Must stay empty with `clients` set: the client commit rule commits
+  /// client command ids only.
   std::vector<smr::Command> workload;
   /// Signature scheme (Byzantine back-end and checkpoint certificates).
   /// kRsa64 puts the run in the verification-dominated regime the staged
@@ -263,9 +265,9 @@ struct SmrScenarioConfig : ScenarioSettings {
   std::set<std::uint32_t> assume_faulty;
 
   // --- client/service layer (ISSUE 9) ---
-  /// Attach live clients; replicas switch into client mode (see
-  /// smr::ClientServiceConfig).  The preloaded workload defaults to empty
-  /// (clients ARE the workload), size the log so the submitted commands
+  /// Attach live clients; every replica gets a client service (see
+  /// smr::ClientServiceConfig).  The clients ARE the workload, so
+  /// `workload` must be empty; size the log so the submitted commands
   /// fit: slots ≥ count × ops_per_client plus drain margin.
   std::optional<ClientLoadConfig> clients;
   /// Extra preloaded commands appended to `workload` on SELECTED replicas
@@ -316,5 +318,10 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config);
 
 /// The canonical 5-command KV workload (put/overwrite/delete mix).
 std::vector<smr::Command> sample_workload();
+
+/// A synthetic KV workload of `count` commands: ids 1..count over keys
+/// key0..key7 (`key<id % 8>`), every 5th id a delete, the rest puts of
+/// `v<id>`.
+std::vector<smr::Command> kv_workload(std::uint64_t count);
 
 }  // namespace modubft::faults

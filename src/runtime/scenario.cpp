@@ -109,6 +109,20 @@ std::vector<smr::Command> sample_workload() {
   };
 }
 
+std::vector<smr::Command> kv_workload(std::uint64_t count) {
+  std::vector<smr::Command> cmds;
+  for (std::uint64_t id = 1; id <= count; ++id) {
+    const std::string key = "key" + std::to_string(id % 8);
+    if (id % 5 == 0) {
+      cmds.push_back({id, smr::Command::Op::kDel, key, ""});
+    } else {
+      cmds.push_back(
+          {id, smr::Command::Op::kPut, key, "v" + std::to_string(id)});
+    }
+  }
+  return cmds;
+}
+
 BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
   bft::BftConfig proto;
   proto.n = config.n;
@@ -398,8 +412,9 @@ LockstepScenarioResult run_lockstep_scenario(
 
 SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   const bool client_mode = config.clients.has_value();
-  // With live clients the workload defaults to empty — the clients ARE
-  // the workload, submitting over the request path.
+  // With live clients the clients ARE the workload, submitting over the
+  // request path; a preloaded one would never commit.
+  MODUBFT_EXPECTS(!client_mode || config.workload.empty());
   const std::vector<smr::Command> workload =
       config.workload.empty() && !client_mode ? sample_workload()
                                               : config.workload;

@@ -32,7 +32,7 @@
 #include "faults/link_fault.hpp"
 #include "sim/actor.hpp"
 #include "sim/simulation.hpp"
-#include "smr/client_table.hpp"
+#include "smr/client_service.hpp"
 #include "smr/replica.hpp"
 #include "transport/tcp_cluster.hpp"
 

@@ -138,53 +138,25 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
     table_.admit(std::move(cmd), Bytes{}, std::nullopt);
   }
 
-  if (client_mode()) {
-    MODUBFT_EXPECTS(config_.client.seq_window >= 1);
-    // Authenticated mode needs client public keys: the shared verifier
-    // must cover process ids [n, n + num_clients).
-    MODUBFT_EXPECTS(!config_.client.authenticate ||
-                    config_.verifier != nullptr);
+  // Both units check signatures through the shared cache when there is
+  // one, so their verdicts land where the slots' do.
+  const crypto::Verifier* verifier =
+      vcache_ ? vcache_.get() : config_.verifier.get();
+  if (config_.client.num_clients > 0) {
+    client_ = std::make_unique<ClientService>(config_, table_, verifier);
   }
-
-  if (checkpointing()) {
-    // Checkpoint votes are signed under BOTH backends: the certificate
-    // must convince a recovering replica that trusts nobody, even when
-    // the consensus protocol itself assumed only crash faults.
-    MODUBFT_EXPECTS(config_.signer != nullptr);
-    MODUBFT_EXPECTS(config_.verifier != nullptr ||
-                    config_.checkpoint.trust_unverified);
-    if (config_.checkpoint.recover) {
-      RecoveryConfig rc;
-      rc.n = config_.n;
-      rc.cert_quorum = cert_quorum();
-      rc.suffix_quorum = suffix_quorum();
-      rc.verifier = config_.verifier.get();
-      rc.trust_unverified = config_.checkpoint.trust_unverified;
-      recovery_ = std::make_unique<RecoveryModule>(rc);
-      recovering_ = true;
-      retry_delay_ = config_.retry_delay;
-      // A restarted replica adopting the verify cache of its previous
-      // life must not inherit stale negative verdicts: positives stay
-      // sound, negatives keyed to pre-restart traffic are flushed.
-      if (vcache_) vcache_->flush_negative();
-    }
+  if (config_.checkpoint.interval > 0) {
+    ckpt_ = std::make_unique<Checkpointer>(config_, pstats_, verifier);
+    // A restarted replica adopting the verify cache of its previous life
+    // must not inherit stale negative verdicts: positives stay sound,
+    // negatives keyed to pre-restart traffic are flushed.
+    if (ckpt_->recovering() && vcache_) vcache_->flush_negative();
   }
 }
 
-std::uint32_t Replica::cert_quorum() const {
-  if (config_.backend == Backend::kByzantine) return 2 * config_.bft.f + 1;
-  return config_.n / 2 + 1;
-}
-
-std::uint32_t Replica::suffix_quorum() const {
-  if (config_.backend == Backend::kByzantine) return config_.bft.f + 1;
-  return 1;
-}
-
-bool Replica::verify(ProcessId signer, const Bytes& preimage,
-                     const Bytes& sig) const {
-  if (vcache_) return vcache_->verify(signer, preimage, sig);
-  return config_.verifier->verify(signer, preimage, sig);
+const ClientServiceStats& Replica::client_service_stats() const {
+  static const ClientServiceStats kNone;
+  return client_ ? client_->stats() : kNone;
 }
 
 std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
@@ -196,7 +168,7 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
   // releases every decided entry, so wide claims would only idle ids
   // behind a single slot.
   const consensus::Value proposal =
-      table_.claim(slot, client_mode() ? 1u : config_.batch);
+      table_.claim(slot, client_ ? 1u : config_.batch);
 
   // Decide callbacks only park the raw decision in the reorder buffer.
   // Extraction and batch assembly happen at commit time, when the slot is
@@ -229,16 +201,9 @@ void Replica::decide(std::uint64_t slot, std::vector<std::uint64_t> ids) {
 }
 
 void Replica::on_start(sim::Context& ctx) {
-  if (recovering_) {
-    // Restarted with no state: fetch a certified checkpoint before
-    // touching the window.  The retry timer re-broadcasts with backoff
-    // until peers answer, and keeps driving catch-up after the join.
-    pstats_.recovery_start_us = ctx.now();
-    last_seen_frontier_ = next_commit_;
-    request_state(ctx);
-    recovery_timer_ = ctx.set_timer(retry_delay_);
-    return;
-  }
+  // A restarted replica fetches a certified checkpoint before touching
+  // the window.
+  if (ckpt_ && ckpt_->start(ctx, next_commit_)) return;
   pump(ctx);
 }
 
@@ -246,11 +211,11 @@ bool Replica::fill_window(sim::Context& ctx) {
   bool started = false;
   while (next_start_ < config_.slots &&
          next_start_ < next_commit_ + config_.window) {
-    // Client mode idles instead of burning the log on no-op slots: a slot
-    // starts only with something to propose, or when a peer already
-    // started it (its envelopes buffered in future_), or in the drain
-    // phase after every client announced DONE.
-    if (client_mode() && !drain_ && !table_.has_proposable() &&
+    // With clients the replica idles instead of burning the log on no-op
+    // slots: a slot starts only with something to propose, or when a peer
+    // already started it (its envelopes buffered in future_), or in the
+    // drain phase after every client announced DONE.
+    if (client_ && !client_->draining() && !table_.has_proposable() &&
         future_.count(next_start_) == 0) {
       break;
     }
@@ -282,46 +247,13 @@ bool Replica::fill_window(sim::Context& ctx) {
 
 bool Replica::commit_slot(sim::Context& ctx, const Slot& st) {
   std::vector<std::uint64_t> batch;
-  if (client_mode()) {
-    // Client-mode commit rule: the batch is every decided entry that is
-    // not yet committed and names either a known preloaded command or an
-    // ELIGIBLE client id, in increasing id order.  A pure function of
-    // (decision, committed set, verified seq bounds) — sound under
-    // dynamic arrival, where the static smallest-pending rule below would
-    // diverge across replicas that admitted different requests.
-    std::set<std::uint64_t> ids;
-    for (std::uint64_t id : st.ids) {
-      if (id == 0 || table_.committed(id)) continue;
-      if (plausible_client_id(id)) {
-        // Eligibility is deliberately independent of local body
-        // knowledge: an ineligible id is skipped even when a body is
-        // present (an "apply if I happen to hold it" rule would fork the
-        // stores between replicas with different relay histories).
-        if (!client_eligible(id)) {
-          ++cstats_.ineligible_skips;
-          continue;
-        }
-        ids.insert(id);
-      } else if (table_.body(id) != nullptr) {
-        ids.insert(id);  // preloaded workload
-      }
-    }
-    std::vector<std::uint64_t> missing;
-    for (std::uint64_t id : ids) {
-      if (table_.body(id) == nullptr) missing.push_back(id);
-    }
-    if (!missing.empty()) {
-      // Decided but not locally held: park the frontier and fetch.  Every
-      // eligible id is resolvable — the admitting replica and the owning
-      // client can both serve the signed body (the client can serve ANY
-      // seq of its deterministic script), and a fabricated seq beyond the
-      // script is answered with a signed SEQ_BOUND that turns it
-      // ineligible, unparking the frontier without a body.
-      ++cstats_.parked_commits;
-      request_bodies(ctx, missing);
-      return false;
-    }
-    batch.assign(ids.begin(), ids.end());
+  if (client_) {
+    // The client commit rule (ClientService::commit_batch); a missing body
+    // parks the frontier.
+    std::optional<std::vector<std::uint64_t>> ready =
+        client_->commit_batch(ctx, st.ids);
+    if (!ready.has_value()) return false;
+    batch = std::move(*ready);
   } else if (std::any_of(st.ids.begin(), st.ids.end(), [&](std::uint64_t id) {
                return id != 0 && table_.body(id) != nullptr;
              })) {
@@ -353,29 +285,7 @@ void Replica::apply_committed_batch(sim::Context& ctx,
     ++pstats_.commands_committed;
     log_debug("SMR ", ctx.id(), " commits slot ", slot.value, " cmd ", id);
     if (on_commit_) on_commit_(slot, cmd, store_);
-
-    if (client_mode() && is_client(client_of_cmd(id))) {
-      // Every committing replica answers the owning client; the client
-      // certifies at f+1 (Byzantine) / majority (crash) matching replies.
-      // The cached frame also serves duplicate replay, so it must exist
-      // before the send (the bytes are identical either way).
-      const std::uint32_t client = client_of_cmd(id);
-      const std::uint64_t seq = seq_of_cmd(id);
-      ClientReply reply;
-      reply.seq = seq;
-      reply.cmd_id = id;
-      reply.slot = slot.value;
-      reply.op = cmd->op;
-      reply.key = cmd->key;
-      reply.value = cmd->value;
-      auto& cache = client_table_[client];
-      auto ins = cache.emplace(seq, encode_control_reply(reply)).first;
-      ctx.send(ProcessId{client}, ins->second);
-      ++cstats_.replies_sent;
-      while (cache.size() > kReplyCacheDepth) {
-        cache.erase(cache.begin());  // oldest seq first
-      }
-    }
+    if (client_) client_->reply(ctx, slot.value, *cmd);
   }
   if (applied.empty()) {
     ++pstats_.noop_slots;
@@ -385,18 +295,10 @@ void Replica::apply_committed_batch(sim::Context& ctx,
   pstats_.max_batch = std::max<std::uint64_t>(pstats_.max_batch,
                                               applied.size());
   ++pstats_.slots_committed;
-
-  if (checkpointing()) {
-    slot_log_.emplace(slot.value, std::move(applied));
-    pstats_.log_peak =
-        std::max<std::uint64_t>(pstats_.log_peak, slot_log_.size());
-  }
+  if (ckpt_) ckpt_->record(slot.value, std::move(applied));
 
   advance_frontier(next_commit_ + 1);
-  // Frontier progress retires any in-flight fetch; the armed retry timer
-  // finds last_fetch_ empty and disarms itself.
-  if (client_mode()) last_fetch_.clear();
-
+  if (client_) client_->retire_fetch();
   maybe_checkpoint(ctx);
 }
 
@@ -440,163 +342,33 @@ void Replica::pump(sim::Context& ctx) {
 
 void Replica::maybe_stop(sim::Context& ctx) {
   if (!done() || stopped_) return;
-  if (checkpointing()) {
-    // Stay alive to serve state transfer until every awaited peer has
-    // announced completion (its end-of-log checkpoint vote).  Without
-    // this, a replica recovering late would find nobody left to ask.
-    for (std::uint32_t id : config_.await_done) {
-      if (id == ctx.id().value) continue;
-      if (heard_end_.count(id) == 0) return;
-    }
-  }
+  // Stay alive to serve state transfer until every awaited peer has
+  // announced completion.  Without this, a replica recovering late would
+  // find nobody left to ask.
+  if (ckpt_ && !ckpt_->peers_done(ctx.id())) return;
   stopped_ = true;
   ctx.stop();
 }
 
 void Replica::maybe_checkpoint(sim::Context& ctx) {
-  if (!checkpointing() || next_commit_ == 0) return;
-  const bool boundary = next_commit_ % config_.checkpoint.interval == 0 ||
-                        next_commit_ == config_.slots;
-  if (!boundary || next_commit_ <= last_ckpt_slot_) return;
-  last_ckpt_slot_ = next_commit_;
-
+  if (!ckpt_ || !ckpt_->due(next_commit_)) return;
   Snapshot snap;
   snap.slot = next_commit_;
   snap.applied = store_.applied_count();
   snap.data = store_.contents();
   snap.committed_ids = table_.committed_ids();
-  if (client_mode()) snap.clients = client_table_;
-  Bytes encoded = encode_snapshot(snap);
-  const crypto::Digest digest = snapshot_digest(encoded);
-  pending_ckpts_[next_commit_] = {std::move(encoded), digest};
-  ++pstats_.checkpoints_taken;
-
-  CheckpointVote vote;
-  vote.slot = next_commit_;
-  vote.digest = digest;
-  vote.sig = config_.signer->sign(
-      bft::checkpoint_signing_bytes(vote.slot, vote.digest));
-  Bytes frame = encode_control_vote(vote);
-  if (vote.slot == config_.slots) end_vote_frame_ = frame;
-  log_debug("SMR ", ctx.id(), " checkpoint at slot ", vote.slot);
-  ctx.broadcast(frame);  // includes self: our own vote is recorded on RX
-}
-
-void Replica::handle_vote(sim::Context& ctx, ProcessId from, Reader& r) {
-  const CheckpointVote vote = decode_checkpoint_vote(r);
-  const bool boundary =
-      vote.slot % config_.checkpoint.interval == 0 ||
-      vote.slot == config_.slots;
-  if (vote.slot == 0 || vote.slot > config_.slots || !boundary ||
-      (!config_.checkpoint.trust_unverified &&
-       !verify(from, bft::checkpoint_signing_bytes(vote.slot, vote.digest),
-               vote.sig))) {
-    ++pstats_.recovery_rejects;
-    return;
-  }
-
-  if (vote.slot == config_.slots) {
-    // End-of-log vote doubles as a DONE announcement.  Replying with our
-    // own end vote (once, on first contact) closes the race where the
-    // sender was down when we broadcast ours.
-    const bool fresh = heard_end_.insert(from.value).second;
-    if (fresh && done() && !end_vote_frame_.empty() &&
-        from.value != ctx.id().value) {
-      ctx.send(from, end_vote_frame_);
-    }
-  }
-
-  if (!latest_cert_.has_value() || vote.slot > latest_cert_->slot) {
-    auto& digests = votes_[vote.slot];
-    auto d = digests.find(vote.digest);
-    if (d == digests.end()) {
-      // Cap digest variants per slot: at most one per possible faulty
-      // voter plus the correct one.
-      if (digests.size() < config_.n) {
-        d = digests.emplace(vote.digest,
-                            std::map<std::uint32_t, Bytes>{}).first;
-      }
-    }
-    if (d != digests.end()) {
-      d->second[from.value] = vote.sig;
-      try_certify(vote.slot);
-    }
-  }
-  maybe_stop(ctx);
-}
-
-void Replica::try_certify(std::uint64_t slot) {
-  // A certificate needs our own snapshot at that slot: the digest we can
-  // vouch for is the one we computed ourselves.
-  auto p = pending_ckpts_.find(slot);
-  if (p == pending_ckpts_.end()) return;
-  auto v = votes_.find(slot);
-  if (v == votes_.end()) return;
-  auto d = v->second.find(p->second.second);
-  if (d == v->second.end() || d->second.size() < cert_quorum()) return;
-
-  bft::CheckpointCert cert;
-  cert.slot = slot;
-  cert.digest = p->second.second;
-  cert.sigs.assign(d->second.begin(), d->second.end());
-  latest_cert_ = std::move(cert);
-  latest_snapshot_ = std::move(p->second.first);
-  ++pstats_.checkpoint_certs;
-
-  // Log compaction: everything below the certified slot is recoverable
-  // from the certificate, so the committed-slot log drops it.
-  const auto cut = slot_log_.lower_bound(slot);
-  pstats_.log_truncated +=
-      static_cast<std::uint64_t>(std::distance(slot_log_.begin(), cut));
-  slot_log_.erase(slot_log_.begin(), cut);
-  votes_.erase(votes_.begin(), votes_.upper_bound(slot));
-  pending_ckpts_.erase(pending_ckpts_.begin(),
-                       pending_ckpts_.upper_bound(slot));
-}
-
-void Replica::request_state(sim::Context& ctx) {
-  ctx.broadcast(encode_control_state_req(next_commit_));
-  ++pstats_.state_reqs;
-}
-
-void Replica::handle_state_req(sim::Context& ctx, ProcessId from, Reader& r) {
-  (void)decode_state_req(r);  // validated; we always serve from our best
-  if (from.value == ctx.id().value) return;  // own broadcast echo
-  if (recovering_) return;  // nothing trustworthy to serve yet
-
-  StateResp resp;
-  if (latest_cert_.has_value()) {
-    resp.ckpt_slot = latest_cert_->slot;
-    resp.snapshot = latest_snapshot_;
-    resp.cert_sigs = latest_cert_->sigs;
-  } else {
-    resp.snapshot = genesis_snapshot();
-  }
-  for (const auto& [s, ids] : slot_log_) {
-    if (s >= resp.ckpt_slot) resp.suffix.push_back(SuffixEntry{s, ids});
-  }
-  ctx.send(from, encode_control_state_resp(resp));
-  ++pstats_.state_resps;
-  // A done responder reminds the requester of its end vote: the requester
-  // was down when the broadcast went out.
-  if (done() && !end_vote_frame_.empty()) ctx.send(from, end_vote_frame_);
+  if (client_) snap.clients = client_->replies();
+  ckpt_->take(ctx, snap);
 }
 
 void Replica::advance_recovery(sim::Context& ctx) {
-  if (auto inst = recovery_->best_snapshot(next_commit_)) {
-    store_.install(std::move(inst->snapshot.data), inst->snapshot.applied);
+  if (std::optional<Snapshot> snap = ckpt_->adopt(next_commit_)) {
+    store_.install(std::move(snap->data), snap->applied);
     // The table re-derives the admission queue and the eligibility anchor
     // from the installed committed set.
-    table_.install(std::move(inst->snapshot.committed_ids));
-    // Resume the duplicate-suppression contract where the snapshot left
-    // it.
-    if (client_mode()) client_table_ = std::move(inst->snapshot.clients);
-    advance_frontier(inst->snapshot.slot);
-    latest_cert_ = inst->cert;
-    latest_snapshot_ = inst->encoded;
-    slot_log_.erase(slot_log_.begin(), slot_log_.lower_bound(next_commit_));
-    votes_.erase(votes_.begin(), votes_.lower_bound(next_commit_));
-    ++pstats_.recovery_installs;
+    table_.install(std::move(snap->committed_ids));
+    if (client_) client_->install(std::move(snap->clients));
+    advance_frontier(snap->slot);
     log_debug("SMR ", ctx.id(), " installed checkpoint at slot ",
               next_commit_);
     // The install landing on a boundary (or the end) takes our own
@@ -604,372 +376,57 @@ void Replica::advance_recovery(sim::Context& ctx) {
     maybe_checkpoint(ctx);
   }
 
-  // Replay quorum-agreed suffix slots, strictly in order.
+  // Replay quorum-agreed suffix slots, strictly in order.  The bodies may
+  // have been relayed while we were down: a missing one is fetched, and
+  // the replay resumes when it lands.
   while (next_commit_ < config_.slots) {
-    auto ids = recovery_->batch_for(next_commit_);
+    std::optional<std::vector<std::uint64_t>> ids =
+        ckpt_->suffix_batch(next_commit_);
     if (!ids.has_value()) break;
-    if (client_mode()) {
-      std::vector<std::uint64_t> missing;
-      for (std::uint64_t id : *ids) {
-        if (table_.body(id) == nullptr && plausible_client_id(id)) {
-          // A verified seq bound refutes the body's existence: no honest
-          // suffix carries such an id (commit requires the body, the body
-          // requires the client's signature), so fetching it would stall
-          // the replay forever; apply_committed_batch skips it instead.
-          const auto b = seq_bound_.find(client_of_cmd(id));
-          if (b != seq_bound_.end() && seq_of_cmd(id) > b->second) continue;
-          missing.push_back(id);
-        }
-      }
-      if (!missing.empty()) {
-        // The quorum says these committed here, but the bodies were
-        // relayed while we were down: fetch them and resume the replay
-        // when they land (handle_relay re-enters advance_recovery).
-        ++cstats_.parked_commits;
-        request_bodies(ctx, missing);
-        break;
-      }
-    }
+    if (client_ && !client_->bodies_ready(ctx, *ids)) break;
     apply_committed_batch(ctx, *ids);
   }
-  recovery_->prune_below(next_commit_);
-
-  if (recovering_) {
-    // First verified response = the rejoin point, even if it carried
-    // nothing newer than genesis: the replica now provably holds the best
-    // certified state and can participate from its frontier.
-    recovering_ = false;
-    pstats_.recovery_join_us = ctx.now();
-    log_debug("SMR ", ctx.id(), " rejoined at slot ", next_commit_);
-  }
+  ckpt_->replayed(ctx, next_commit_);
   pump(ctx);
 }
 
 void Replica::resume(sim::Context& ctx) {
-  if (recovering_) return;
-  if (recovery_ != nullptr) {
+  if (recovering()) return;
+  if (ckpt_ && ckpt_->restarted()) {
     advance_recovery(ctx);
   } else {
     pump(ctx);
   }
 }
 
-void Replica::handle_control(sim::Context& ctx, ProcessId from,
-                             const Bytes& inner) {
-  if (inner.empty()) {
-    ++pstats_.recovery_rejects;
-    return;
-  }
-  const auto kind = static_cast<ControlKind>(inner[0]);
-  const Bytes body(inner.begin() + 1, inner.end());
+void Replica::route_control(sim::Context& ctx, ProcessId from,
+                            const Bytes& inner) {
+  const auto kind = static_cast<ControlKind>(inner.empty() ? 0 : inner[0]);
+  const Bytes body(inner.begin() + (inner.empty() ? 0 : 1), inner.end());
   try {
-    switch (kind) {
-      // Checkpoint/recovery kinds stay gated on checkpointing(): in a
-      // client-mode run without checkpoints they are rejected exactly as a
-      // pre-recovery replica would drop them (handle_vote divides by the
-      // checkpoint interval, so the gate is load-bearing, not cosmetic).
-      case ControlKind::kCheckpointVote: {
-        if (!checkpointing()) break;
-        Reader r(body);
-        handle_vote(ctx, from, r);
-        return;
-      }
-      case ControlKind::kStateReq: {
-        if (!checkpointing()) break;
-        Reader r(body);
-        handle_state_req(ctx, from, r);
-        return;
-      }
-      case ControlKind::kStateResp: {
-        if (!checkpointing()) break;
-        if (!recovery_) return;  // we never asked
-        if (!recovery_->ingest(from, body)) {
-          ++pstats_.recovery_rejects;
-          return;
-        }
+    if (ckpt_ && Checkpointer::owns(kind)) {
+      if (ckpt_->on_frame(ctx, from, kind, body, next_commit_)) {
         advance_recovery(ctx);
-        return;
       }
-      case ControlKind::kRequest: {
-        if (!client_mode()) break;
-        Reader r(body);
-        handle_request(ctx, from, r);
-        return;
-      }
-      case ControlKind::kCmdRelay: {
-        if (!client_mode()) break;
-        Reader r(body);
-        handle_relay(ctx, from, r);
-        return;
-      }
-      case ControlKind::kCmdFetch: {
-        if (!client_mode()) break;
-        Reader r(body);
-        handle_fetch(ctx, from, r);
-        return;
-      }
-      case ControlKind::kClientDone: {
-        if (!client_mode()) break;
-        Reader r(body);
-        handle_client_done(ctx, from, r);
-        return;
-      }
-      case ControlKind::kSeqBound: {
-        if (!client_mode()) break;
-        Reader r(body);
-        handle_seq_bound(ctx, from, r);
-        return;
-      }
-      case ControlKind::kReply:
-      case ControlKind::kBusy:
-        return;  // client-bound kinds; a replica receiving one ignores it
+      maybe_stop(ctx);  // an end-of-log vote may be the last one awaited
+      return;
+    }
+    if (client_ && ClientService::owns(kind)) {
+      const ClientService::Next next =
+          client_->on_frame(ctx, from, kind, body);
+      if (next == ClientService::Next::kResume) resume(ctx);
+      if (next == ClientService::Next::kPump && !recovering()) pump(ctx);
+      if (client_->enter_drain() && !recovering()) pump(ctx);
+      return;
     }
   } catch (const SerialError&) {
   }
-  ++pstats_.recovery_rejects;
-}
-
-bool Replica::check_body(const CmdRelay& body) {
-  if (!is_client(body.client) || body.seq == 0 || body.seq > 0xffffffffULL) {
-    ++cstats_.rejects;
-    return false;
+  // REPLY and BUSY are client-bound: a replica ignores them.  Any other
+  // frame is malformed, of an unknown kind, or of a kind whose unit is not
+  // configured.
+  if (kind != ControlKind::kReply && kind != ControlKind::kBusy) {
+    ++pstats_.recovery_rejects;
   }
-  // The body is authenticated by the OWNING CLIENT's signature, never by
-  // a relaying replica: a Byzantine relayer can neither fabricate a body
-  // for a real client's seq nor feed divergent bodies to different peers,
-  // because no second validly-signed body exists for one id.
-  if (config_.client.authenticate &&
-      !verify(ProcessId{body.client},
-              client_request_signing_bytes(body.client, body.seq, body.op,
-                                           body.key, body.value),
-              body.sig)) {
-    ++cstats_.auth_rejects;
-    return false;
-  }
-  return true;
-}
-
-void Replica::admit(const CmdRelay& body,
-                    std::optional<std::uint32_t> origin) {
-  Command cmd;
-  cmd.id = make_client_cmd_id(body.client, body.seq);
-  cmd.op = body.op;
-  cmd.key = body.key;
-  cmd.value = body.value;
-  if (table_.admit(std::move(cmd), body.sig, origin)) {
-    cstats_.queue_peak = std::max<std::uint64_t>(cstats_.queue_peak,
-                                                 table_.queue().size());
-  }
-}
-
-void Replica::handle_request(sim::Context& ctx, ProcessId from, Reader& r) {
-  if (!is_client(from.value)) {
-    ++cstats_.rejects;
-    return;
-  }
-  const ClientRequest req = decode_client_request(r);
-  const CmdRelay body{from.value, req.seq, req.op, req.key, req.value,
-                      req.sig};
-  if (!check_body(body)) return;
-  ++cstats_.requests;
-  const std::uint64_t id = make_client_cmd_id(from.value, req.seq);
-  if (table_.committed(id)) {
-    // Exactly-once: already applied.  Replay the cached reply — the retry
-    // means the client has not certified yet.  A reply evicted from the
-    // bounded cache is simply not replayed; the client's outstanding
-    // window is required to stay within the cache bound (docs/CLIENT.md).
-    ++cstats_.duplicates;
-    auto t = client_table_.find(from.value);
-    if (t != client_table_.end()) {
-      auto rep = t->second.find(req.seq);
-      if (rep != t->second.end()) {
-        ctx.send(from, rep->second);
-        ++cstats_.replays;
-      }
-    }
-    return;
-  }
-  if (table_.body(id) != nullptr) {
-    // In flight: the commit-time reply will answer this retry too.
-    ++cstats_.duplicates;
-    return;
-  }
-  const std::size_t queued = table_.queue().size();
-  if (queued >= config_.client.max_pending && !fetch_needs(id)) {
-    // Deterministic load-shedding: the admission queue is full, tell the
-    // client to back off instead of queueing unboundedly.  A body the
-    // parked frontier is fetching is exempt: the park stops the queue
-    // from draining, so shedding it would starve the exact command
-    // progress depends on.
-    ++cstats_.sheds;
-    ctx.send(from, encode_control_busy(
-                       BusyFrame{req.seq, static_cast<std::uint32_t>(queued)}));
-    return;
-  }
-  admit(body, std::nullopt);
-  ++cstats_.admitted;
-  ctx.broadcast(encode_control_relay(body));
-  ++cstats_.relays_sent;
-  if (!recovering_) pump(ctx);
-}
-
-void Replica::handle_relay(sim::Context& ctx, ProcessId from, Reader& r) {
-  if (from.value >= config_.n) {
-    ++cstats_.rejects;  // only replicas relay bodies
-    return;
-  }
-  const CmdRelay relay = decode_cmd_relay(r);
-  if (!check_body(relay)) return;
-  const std::uint64_t id = make_client_cmd_id(relay.client, relay.seq);
-  ++cstats_.relays_received;
-  // Bodies the parked frontier is fetching bypass both capacity drops:
-  // progress depends on them, the fetch list is bounded by the batch
-  // size, and frontier progress releases them immediately.
-  if (table_.body(id) == nullptr && !table_.committed(id) &&
-      !fetch_needs(id)) {
-    if (table_.queue().size() >=
-        static_cast<std::size_t>(config_.client.max_pending) * config_.n) {
-      // Peers collectively admit at most n × max_pending; beyond that
-      // the relay is a flood and is dropped.
-      ++cstats_.relays_dropped;
-      return;
-    }
-    // Per-origin bound: ONE misbehaving relayer is capped at its own
-    // max_pending admissions instead of filling the whole collective
-    // budget and starving direct client admissions into BUSY.
-    if (table_.origin_load(from.value) >= config_.client.max_pending) {
-      ++cstats_.origin_drops;
-      return;
-    }
-  }
-  admit(relay, from.value);
-  // A parked frontier or a stalled suffix replay may now advance.
-  resume(ctx);
-}
-
-bool Replica::fetch_needs(std::uint64_t id) const {
-  return std::find(last_fetch_.begin(), last_fetch_.end(), id) !=
-         last_fetch_.end();
-}
-
-void Replica::handle_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
-  if (from.value == ctx.id().value) return;  // own broadcast echo
-  if (from.value >= config_.n) {
-    ++cstats_.rejects;  // only replicas fetch bodies
-    return;
-  }
-  const std::vector<std::uint64_t> ids = decode_cmd_fetch(r, StateLimits{});
-  for (std::uint64_t id : ids) {
-    const std::uint32_t client = client_of_cmd(id);
-    if (!is_client(client)) continue;
-    const Command* cmd = table_.body(id);
-    const Bytes* sig = table_.sig(id);
-    // Authenticated mode only serves bodies it can prove: a sig-less body
-    // (e.g. planted directly into a faulty replica's table) would be
-    // rejected by every honest receiver anyway.
-    if (cmd != nullptr && (!config_.client.authenticate || sig != nullptr)) {
-      const CmdRelay relay{client, seq_of_cmd(id), cmd->op, cmd->key,
-                           cmd->value, sig != nullptr ? *sig : Bytes{}};
-      ctx.send(from, encode_control_relay(relay));
-      ++cstats_.fetches_served;
-      continue;
-    }
-    // No servable body — but a recorded seq bound refuting the id unparks
-    // the fetcher just as well: relay the signed bound frame.
-    auto b = seq_bound_.find(client);
-    if (b != seq_bound_.end() && seq_of_cmd(id) > b->second) {
-      auto frame = bound_frames_.find(client);
-      if (frame != bound_frames_.end()) {
-        ctx.send(from, frame->second);
-        ++cstats_.fetches_served;
-      }
-    }
-  }
-}
-
-bool Replica::accept_client_frame(ProcessId from, std::uint32_t client,
-                                  const Bytes& preimage, const Bytes& sig) {
-  if (!is_client(client)) {
-    ++cstats_.rejects;
-    return false;
-  }
-  if (config_.client.authenticate) {
-    // Signed: acceptable from any sender (peers re-serve it to fetchers
-    // after the client stops).
-    if (!verify(ProcessId{client}, preimage, sig)) {
-      ++cstats_.auth_rejects;
-      return false;
-    }
-  } else if (from.value != client && from.value >= config_.n) {
-    ++cstats_.rejects;  // unauthenticated mode trusts channels, not frames
-    return false;
-  }
-  return true;
-}
-
-void Replica::handle_client_done(sim::Context& ctx, ProcessId from,
-                                 Reader& r) {
-  const ClientDone done = decode_client_done(r);
-  if (!accept_client_frame(
-          from, done.client,
-          client_done_signing_bytes(done.client, done.final_seq), done.sig)) {
-    return;
-  }
-  // DONE doubles as a seq bound: the client will never send beyond its
-  // final seq, so decided ids past it are fabrications to skip, not fetch.
-  record_seq_bound(ctx, done.client, done.final_seq,
-                   encode_control_client_done(done));
-  clients_done_.insert(done.client);
-  if (!drain_ && clients_done_.size() >= config_.client.num_clients) {
-    // Every client certified its whole script: run the rest of the log as
-    // no-op slots so the PR 6 end-of-log machinery (final checkpoint,
-    // await_done) applies unchanged.
-    drain_ = true;
-    if (!recovering_) pump(ctx);
-  }
-}
-
-void Replica::handle_seq_bound(sim::Context& ctx, ProcessId from, Reader& r) {
-  const SeqBound sb = decode_seq_bound(r);
-  if (!accept_client_frame(from, sb.client,
-                           seq_bound_signing_bytes(sb.client, sb.bound),
-                           sb.sig)) {
-    return;
-  }
-  record_seq_bound(ctx, sb.client, sb.bound, encode_control_seq_bound(sb));
-}
-
-bool Replica::client_eligible(std::uint64_t id) const {
-  const std::uint32_t client = client_of_cmd(id);
-  const std::uint64_t seq = seq_of_cmd(id);
-  const auto b = seq_bound_.find(client);
-  if (b != seq_bound_.end() && seq > b->second) return false;  // refuted
-  // Count-anchored (not max-anchored) window: under committed-seq gaps a
-  // max anchor could run ahead of what the client provably submitted,
-  // while the count never exceeds it.
-  return seq <= table_.committed_count(client) + config_.client.seq_window;
-}
-
-void Replica::record_seq_bound(sim::Context& ctx, std::uint32_t client,
-                               std::uint64_t bound, const Bytes& frame) {
-  const auto it = seq_bound_.find(client);
-  if (it != seq_bound_.end() && it->second <= bound) return;  // no tighter
-  seq_bound_[client] = bound;
-  bound_frames_[client] = frame;
-  ++cstats_.bounds_recorded;
-  // Decided ids beyond the bound just became ineligible: a frontier (or a
-  // suffix replay) parked on one of them can commit without it now.
-  resume(ctx);
-}
-
-void Replica::request_bodies(sim::Context& ctx,
-                             const std::vector<std::uint64_t>& missing) {
-  if (missing != last_fetch_) {
-    last_fetch_ = missing;
-    ctx.broadcast(encode_control_fetch(missing));
-    ++cstats_.fetches_sent;
-  }
-  if (fetch_timer_ == 0) fetch_timer_ = ctx.set_timer(config_.retry_delay);
 }
 
 void Replica::on_message(sim::Context& ctx, ProcessId from,
@@ -985,15 +442,15 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   }
   if (slot == kControlSlot) {
     // Reserved tag: recovery and client/service control traffic.  With
-    // both subsystems off the frame is dropped exactly like any other
+    // neither unit configured the frame is dropped exactly like any other
     // out-of-range slot — the silent drop a pre-recovery replica already
     // performs.
-    if (checkpointing() || client_mode()) handle_control(ctx, from, inner);
+    if (ckpt_ || client_) route_control(ctx, from, inner);
     return;
   }
   if (slot >= config_.slots) return;  // no such instance
 
-  if (recovering_) {
+  if (recovering()) {
     // No trusted state yet: consensus traffic is meaningless to us (our
     // instances would start from a blank store).  State transfer will
     // bring the committed outcome instead.
@@ -1035,10 +492,10 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   }
   parked.emplace_back(from, std::move(inner));
   ++pstats_.future_buffered;
-  // Client mode gates slot starts on peer activity (future_): a peer
+  // With clients, slot starts are gated on peer activity (future_): a peer
   // starting next_start_ before we have anything to propose is only
   // visible here, so the buffered envelope must open the window.
-  if (client_mode()) pump(ctx);
+  if (client_) pump(ctx);
 }
 
 bool Replica::staging_ready() const {
@@ -1049,7 +506,7 @@ bool Replica::staging_ready() const {
   // warming for it would be pure waste.
   return config_.staged_ingest && config_.backend == Backend::kByzantine &&
          config_.bft.verify_pool != nullptr && vcache_ != nullptr &&
-         !recovering_;
+         !recovering();
 }
 
 void Replica::on_batch(sim::Context& ctx,
@@ -1120,31 +577,8 @@ void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
 
 void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   if (done()) return;
-  if (client_mode() && fetch_timer_ != 0 && timer_id == fetch_timer_) {
-    fetch_timer_ = 0;
-    if (!last_fetch_.empty()) {
-      // Frontier (or suffix replay) still parked: re-ask everyone.
-      ctx.broadcast(encode_control_fetch(last_fetch_));
-      ++cstats_.fetches_sent;
-      fetch_timer_ = ctx.set_timer(config_.retry_delay);
-    }
-    return;
-  }
-  if (recovery_ != nullptr && timer_id == recovery_timer_) {
-    // Catch-up tick: a stalled frontier means peers are ahead (or our
-    // first request was lost) — re-ask with exponential backoff; progress
-    // resets the backoff.
-    if (next_commit_ == last_seen_frontier_) {
-      request_state(ctx);
-      retry_delay_ =
-          std::min<SimTime>(retry_delay_ * 2, config_.retry_delay * 16);
-    } else {
-      retry_delay_ = config_.retry_delay;
-    }
-    last_seen_frontier_ = next_commit_;
-    recovery_timer_ = ctx.set_timer(retry_delay_);
-    return;
-  }
+  if (client_ && client_->on_timer(ctx, timer_id)) return;
+  if (ckpt_ && ckpt_->on_timer(ctx, timer_id, next_commit_)) return;
   auto it = timer_slot_.find(timer_id);
   if (it == timer_slot_.end()) return;
   const std::uint64_t slot = it->second;

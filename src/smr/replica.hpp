@@ -33,11 +33,24 @@
 // actor, and the transformed Byzantine protocol.  A slot's decision is
 // kept as one list of decided ids (the crash value, or the non-null
 // entries of the decided vector), so the commit rules never branch on
-// the back-end; any known non-zero id in it is an anchor.  The command
-// bookkeeping lives in CommandTable.  The Byzantine back-end shares one
-// verified-signature cache across all of the replica's slots (and a
-// crypto::VerifyPool across replicas, when configured), so the PR 2 fast
-// path compounds across the pipeline.
+// the back-end; any known non-zero id in it is an anchor.  The Byzantine
+// back-end shares one verified-signature cache across all of the
+// replica's slots (and a crypto::VerifyPool across replicas, when
+// configured), so the certificate fast path compounds across the
+// pipeline.
+//
+// The replica is the slot pipeline.  Three units it owns run the rest,
+// and none of them reads another's state:
+//   CommandTable   — each command's state (bodies, committed set,
+//                    admission queue, proposal claims);
+//   ClientService  — the client request path, control kinds 4–10 and the
+//                    client commit rule (only with clients configured);
+//   Checkpointer   — certified checkpoints, log compaction and state
+//                    transfer, control kinds 1–3 (only with a checkpoint
+//                    interval).
+// The replica routes each control frame to its unit and applies what the
+// unit returns: a commit batch or a parked frontier, an installable
+// snapshot or a quorum-agreed suffix batch.
 #pragma once
 
 #include <functional>
@@ -53,32 +66,14 @@
 #include "crypto/verify_cache.hpp"
 #include "fd/failure_detector.hpp"
 #include "sim/actor.hpp"
-#include "smr/checkpoint.hpp"
-#include "smr/client_table.hpp"
+#include "smr/checkpointer.hpp"
+#include "smr/client_service.hpp"
 #include "smr/command_table.hpp"
 #include "smr/kv_store.hpp"
-#include "smr/recovery.hpp"
 
 namespace modubft::smr {
 
 enum class Backend { kCrashHurfinRaynal, kByzantine };
-
-/// Checkpointing + recovery knobs.  interval == 0 disables the whole
-/// subsystem: no control frames are sent or accepted, and the wire
-/// traffic is byte-identical to a pre-recovery build.
-struct CheckpointConfig {
-  /// Take a checkpoint every `interval` committed slots (and always at
-  /// the end of the log).  0 = off.
-  std::uint64_t interval = 0;
-
-  /// Start in recovery: the replica owns no state, broadcasts STATE_REQ,
-  /// and only joins the window after installing a verified response.
-  bool recover = false;
-
-  /// Negative-control switch (adversary harness only): install the first
-  /// response without verification.
-  bool trust_unverified = false;
-};
 
 /// Buffering horizon for early envelopes: slots at distance
 /// ≥ window + kMaxFutureSlots from the commit frontier are dropped
@@ -146,17 +141,18 @@ struct ReplicaConfig {
   /// honoured when checkpointing is on.
   std::set<std::uint32_t> await_done;
 
-  /// Client/service layer (docs/CLIENT.md).  num_clients > 0 switches the
-  /// replica into client mode: REQUEST/REPLY/BUSY/CMD_RELAY/CMD_FETCH/
-  /// CLIENT_DONE control frames are spoken, the commit rule becomes the
-  /// decided-vector rule (every non-committed decided entry, smallest id
-  /// first — a pure function of the decision and the committed set, sound
-  /// under dynamic command arrival, where the static "B smallest pending"
-  /// rule is not), proposal claims narrow to one id per slot so window-W
-  /// slots carry disjoint proposals, and slots only start when there is
-  /// something to propose (or a peer already started them, or every
-  /// client announced DONE — the drain phase that no-ops the rest of the
-  /// log so the PR 6 end-of-log machinery applies unchanged).
+  /// Client/service layer (docs/CLIENT.md).  num_clients > 0 gives the
+  /// replica a ClientService: the client control frames are spoken, the
+  /// commit rule becomes the decided-vector rule (every non-committed
+  /// eligible client id decided, smallest id first — a pure function of
+  /// the decision and the committed set, sound under dynamic command
+  /// arrival, where the static "B smallest pending" rule is not), proposal
+  /// claims narrow to one id per slot so window-W slots carry disjoint
+  /// proposals, and slots only start when there is something to propose
+  /// (or a peer already started them, or the drain phase runs the rest of
+  /// the log as no-op slots so the end-of-log machinery applies
+  /// unchanged).  The client commit rule commits client command ids only,
+  /// so a preloaded workload never commits next to clients.
   ClientServiceConfig client;
 };
 
@@ -177,7 +173,7 @@ struct PipelineStats {
   std::uint64_t future_dropped = 0;   // beyond horizon or sender cap
   std::uint64_t stale_dropped = 0;    // post-commit stragglers
 
-  // Checkpoint / recovery counters (all zero when checkpointing is off).
+  // The Checkpointer's counters (all zero when checkpointing is off).
   std::uint64_t checkpoints_taken = 0;
   std::uint64_t checkpoint_certs = 0;  // quorum certificates formed
   std::uint64_t log_truncated = 0;     // slots compacted out of the log
@@ -244,6 +240,10 @@ class Replica final : public sim::Actor {
   /// plays the role of the clients' reliable multicast).
   Replica(ReplicaConfig config, std::vector<Command> workload,
           CommitFn on_commit);
+  // The slot actors' decide callbacks and the units hold this replica's
+  // members by address.
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
 
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, ProcessId from,
@@ -273,21 +273,10 @@ class Replica final : public sim::Actor {
 
   /// True while a recovering replica has not yet accepted a verified
   /// STATE_RESP (it drops consensus traffic in that window).
-  bool recovering() const { return recovering_; }
+  bool recovering() const { return ckpt_ != nullptr && ckpt_->recovering(); }
 
-  /// Committed-slot log entries currently retained (compaction bound).
-  std::uint64_t committed_log_size() const { return slot_log_.size(); }
-
-  /// Latest certified checkpoint, if one has formed.
-  const std::optional<bft::CheckpointCert>& latest_cert() const {
-    return latest_cert_;
-  }
-
-  /// True iff the client/service layer is active (see ClientServiceConfig).
-  bool client_mode() const { return config_.client.num_clients > 0; }
-
-  /// Client-service counters (all zero outside client mode).
-  const ClientServiceStats& client_service_stats() const { return cstats_; }
+  /// Client-service counters (all zero without clients).
+  const ClientServiceStats& client_service_stats() const;
 
  private:
   class SlotContext;
@@ -308,7 +297,7 @@ class Replica final : public sim::Actor {
   void pump(sim::Context& ctx);
   bool fill_window(sim::Context& ctx);
   /// Returns false when the frontier slot is parked awaiting command
-  /// bodies (client mode only); pump stops and CMD_FETCH drives retry.
+  /// bodies (clients only); pump stops and CMD_FETCH drives retry.
   bool commit_slot(sim::Context& ctx, const Slot& st);
   std::unique_ptr<sim::Actor> make_instance_actor(std::uint64_t slot);
   /// Parks a slot's decision in the reorder buffer (first one wins).
@@ -319,9 +308,10 @@ class Replica final : public sim::Actor {
   std::uint64_t buffer_horizon() const {
     return next_commit_ + config_.window + kMaxFutureSlots;
   }
-  /// Verifies `signer`'s signature through the shared verify cache when
-  /// present.
-  bool verify(ProcessId signer, const Bytes& preimage, const Bytes& sig) const;
+  /// Applies one committed batch (shared by consensus commit and suffix
+  /// replay) and advances the frontier by one slot.
+  void apply_committed_batch(sim::Context& ctx,
+                             const std::vector<std::uint64_t>& ids);
 
   // --- staged ingest (inert unless ReplicaConfig::staged_ingest) ---
   /// True iff on_batch may run the prologue right now.
@@ -330,93 +320,22 @@ class Replica final : public sim::Actor {
   /// frames and warm the shared verify cache through the pool.
   void ingest_prologue(const std::vector<sim::Incoming>& batch);
 
-  // --- checkpointing / recovery (all no-ops when interval == 0) ---
-  bool checkpointing() const { return config_.checkpoint.interval > 0; }
-  /// Signatures a checkpoint certificate needs: 2f+1 (Byzantine) or a
-  /// simple majority (crash).
-  std::uint32_t cert_quorum() const;
-  /// Matching responders per replayed suffix slot: f+1 (Byzantine) or 1
-  /// (crash).
-  std::uint32_t suffix_quorum() const;
-  /// Applies one committed batch (shared by consensus commit and suffix
-  /// replay) and advances the frontier by one slot.
-  void apply_committed_batch(sim::Context& ctx,
-                             const std::vector<std::uint64_t>& ids);
-  /// Takes + broadcasts a checkpoint vote if the frontier is on an
-  /// interval boundary (or the end of the log).
+  /// Hands a control frame to the unit owning its kind and applies what
+  /// the unit returns.
+  void route_control(sim::Context& ctx, ProcessId from, const Bytes& inner);
+  /// Hands the checkpointer this replica's snapshot when the frontier sits
+  /// on a checkpoint boundary it has not voted on.
   void maybe_checkpoint(sim::Context& ctx);
-  void handle_control(sim::Context& ctx, ProcessId from, const Bytes& inner);
-  void handle_vote(sim::Context& ctx, ProcessId from, Reader& r);
-  void handle_state_req(sim::Context& ctx, ProcessId from, Reader& r);
-  void try_certify(std::uint64_t slot);
-  void request_state(sim::Context& ctx);
-  /// Installs verified recovered state (snapshot and/or quorumed suffix
-  /// batches) and leaves recovery mode on first success.
+  /// Installs what recovery offers (a verified snapshot, then quorum-agreed
+  /// suffix batches, strictly in order) and leaves recovery mode on first
+  /// success.
   void advance_recovery(sim::Context& ctx);
   /// Re-drives a parked frontier or suffix replay after new facts landed
   /// (a body, a seq bound).  Inert while still recovering: the replica
   /// would otherwise mark itself rejoined with no installed state.
   void resume(sim::Context& ctx);
-  /// Stops the replica when done AND every awaited peer announced done
-  /// (their end-of-log checkpoint vote doubles as the announcement).
+  /// Stops the replica when done AND every awaited peer announced done.
   void maybe_stop(sim::Context& ctx);
-
-  // --- client service (all no-ops when client.num_clients == 0) ---
-  bool is_client(std::uint32_t pid) const {
-    return pid >= config_.n && pid < config_.n + config_.client.num_clients;
-  }
-  /// Deterministic id-space filter for decided entries: a plausible
-  /// client command id names a configured client and a non-zero 32-bit
-  /// seq.  Entries outside both this space and the preloaded command
-  /// table are skipped identically by every correct replica (a forged id
-  /// cannot stall the frontier).
-  bool plausible_client_id(std::uint64_t id) const {
-    const std::uint64_t seq = seq_of_cmd(id);
-    return is_client(client_of_cmd(id)) && seq >= 1;
-  }
-  /// Commit-eligibility of a plausible client id, INDEPENDENT of local
-  /// body knowledge (a body-dependent rule would diverge across replicas):
-  /// the seq must sit within seq_window of the client's committed-seq
-  /// count and must not be refuted by a verified seq bound.  Both inputs
-  /// are either replicated state (the committed set) or stable verified
-  /// facts that CMD_FETCH equalises across replicas, so every correct
-  /// replica converges on the same verdict for every decided entry.
-  bool client_eligible(std::uint64_t id) const;
-  /// Checks a command body (REQUEST or CMD_RELAY) before admission: a
-  /// configured client, a 32-bit seq ≥ 1 and, when authenticating, the
-  /// OWNING CLIENT's signature.  Counts the reject.
-  bool check_body(const CmdRelay& body);
-  /// Admits a checked body into the command table (charged to `origin`
-  /// when a peer relayed it).
-  void admit(const CmdRelay& body, std::optional<std::uint32_t> origin);
-  /// The rule for a client's signed control frames (CLIENT_DONE,
-  /// SEQ_BOUND): a verified signature from any sender when
-  /// authenticating, else only the client itself or a replica.  Counts
-  /// the reject.
-  bool accept_client_frame(ProcessId from, std::uint32_t client,
-                           const Bytes& preimage, const Bytes& sig);
-  /// Records a verified "never beyond `bound`" fact for a client and
-  /// re-pumps: a frontier parked on a now-refuted id becomes committable.
-  void record_seq_bound(sim::Context& ctx, std::uint32_t client,
-                        std::uint64_t bound, const Bytes& frame);
-  void handle_request(sim::Context& ctx, ProcessId from, Reader& r);
-  /// Ingests one relayed command body (CMD_RELAY broadcast or a CMD_FETCH
-  /// answer — same frame) from replica `from` and resumes any parked
-  /// commit or suffix replay.  Authenticates the body and enforces the
-  /// per-origin admission bound before storing anything.
-  void handle_relay(sim::Context& ctx, ProcessId from, Reader& r);
-  void handle_fetch(sim::Context& ctx, ProcessId from, Reader& r);
-  void handle_client_done(sim::Context& ctx, ProcessId from, Reader& r);
-  void handle_seq_bound(sim::Context& ctx, ProcessId from, Reader& r);
-  /// True iff `id` is needed to advance the frontier right now (listed in
-  /// the in-flight fetch) — such ids are exempt from capacity drops and
-  /// admission sheds, because progress depends on them and their number
-  /// is bounded by the batch size.
-  bool fetch_needs(std::uint64_t id) const;
-  /// Broadcasts CMD_FETCH for missing frontier bodies (deduplicated
-  /// against the in-flight fetch) and arms the retry timer.
-  void request_bodies(sim::Context& ctx,
-                      const std::vector<std::uint64_t>& missing);
 
   ReplicaConfig config_;
   /// Bodies, signatures, the committed set, the admission queue and the
@@ -439,49 +358,8 @@ class Replica final : public sim::Actor {
 
   IngestStats istats_;
 
-  // --- checkpointing / recovery state (inert when interval == 0) ---
-  /// Committed-slot log: slot → committed ids (empty = no-op slot).
-  /// Spans [latest certified checkpoint, frontier); compacted whenever a
-  /// new certificate forms.
-  std::map<std::uint64_t, std::vector<std::uint64_t>> slot_log_;
-  /// Own snapshots awaiting certification: slot → (encoded, digest).
-  std::map<std::uint64_t, std::pair<Bytes, crypto::Digest>> pending_ckpts_;
-  /// Checkpoint votes: slot → digest → signer → signature.  Digest
-  /// variants per slot are capped (a Byzantine voter can invent digests).
-  std::map<std::uint64_t,
-           std::map<crypto::Digest, std::map<std::uint32_t, Bytes>>>
-      votes_;
-  std::optional<bft::CheckpointCert> latest_cert_;
-  Bytes latest_snapshot_;  // encoded bytes the certificate covers
-  std::uint64_t last_ckpt_slot_ = 0;
-
-  // End-of-log coordination: who has announced completion.
-  std::set<std::uint32_t> heard_end_;
-  Bytes end_vote_frame_;  // our own end-of-log vote, for unicast replies
-
-  // Recovery client state.
-  bool recovering_ = false;
-  std::unique_ptr<RecoveryModule> recovery_;
-  std::uint64_t recovery_timer_ = 0;
-  SimTime retry_delay_ = 0;
-  std::uint64_t last_seen_frontier_ = 0;
-
-  // --- client service state (inert when client.num_clients == 0) ---
-  /// Per-client reply cache: client id → seq → encoded REPLY frame.
-  /// Deterministic (a function of the committed log and the cache bound),
-  /// so it lives inside the certified snapshot.
-  std::map<std::uint32_t, std::map<std::uint64_t, Bytes>> client_table_;
-  /// Clients that broadcast CLIENT_DONE; all of them ⇒ drain mode.
-  std::set<std::uint32_t> clients_done_;
-  bool drain_ = false;
-  /// Missing-body fetch in flight (frontier or suffix replay stall).
-  std::vector<std::uint64_t> last_fetch_;
-  std::uint64_t fetch_timer_ = 0;
-  /// Verified seq bounds (client → bound) and the signed frames proving
-  /// them, re-served to fetchers parked on refuted ids.
-  std::map<std::uint32_t, std::uint64_t> seq_bound_;
-  std::map<std::uint32_t, Bytes> bound_frames_;
-  ClientServiceStats cstats_;
+  std::unique_ptr<ClientService> client_;  // with clients configured
+  std::unique_ptr<Checkpointer> ckpt_;     // with a checkpoint interval
 };
 
 }  // namespace modubft::smr

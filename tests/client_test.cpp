@@ -367,5 +367,17 @@ TEST(ClientService, DisabledClientsLeaveAllCountersZero) {
   EXPECT_TRUE(r.clients_done.empty());
 }
 
+TEST(ClientService, PreloadedWorkloadWithClientsIsRejected) {
+  // The client commit rule commits client command ids only, so a preloaded
+  // workload next to live clients would never commit: the runner refuses
+  // the combination.
+  faults::SmrScenarioConfig sc;
+  sc.n = 4;
+  sc.f = 1;
+  sc.workload = faults::kv_workload(4);
+  sc.clients = faults::ClientLoadConfig{};
+  EXPECT_THROW(faults::run_smr_scenario(sc), ContractViolation);
+}
+
 }  // namespace
 }  // namespace modubft

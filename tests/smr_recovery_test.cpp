@@ -8,7 +8,10 @@
 //    certificates, digest-flipped snapshots and spliced certificates;
 //  * end-to-end kill/restart recovery on both SMR backends;
 //  * determinism: same seed + same crash schedule ⇒ bit-identical stores;
-//  * compaction: the committed-slot log never retains more than C+W slots.
+//  * compaction: the committed-slot log never retains more than C+W slots;
+//  * checkpoint votes: only replicas vote, the first vote per replica and
+//    slot counts, and a Byzantine replica flooding every boundary slot
+//    with fabricated digests cannot block the certificates.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -21,8 +24,11 @@
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
+#include "common/rng.hpp"
+#include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/recovery.hpp"
+#include "smr/replica.hpp"
 
 namespace modubft {
 namespace {
@@ -217,14 +223,7 @@ faults::SmrScenarioConfig recovery_scenario(smr::Backend backend,
   sc.window = 4;
   sc.batch = 2;
   sc.checkpoint_interval = 4;
-  for (std::uint32_t c = 1; c <= 60; ++c) {
-    smr::Command cmd;
-    cmd.id = c;
-    cmd.key = "key" + std::to_string(c % 8);
-    cmd.op = c % 5 == 0 ? smr::Command::Op::kDel : smr::Command::Op::kPut;
-    if (cmd.op == smr::Command::Op::kPut) cmd.value = "v" + std::to_string(c);
-    sc.workload.push_back(cmd);
-  }
+  sc.workload = faults::kv_workload(60);
   sc.slots = 30;
   // The simulator drains this workload in a few virtual ms; kill mid-run,
   // restart while the survivors are still committing.
@@ -289,6 +288,177 @@ TEST(Recovery, IntervalZeroSendsNoControlFrames) {
   EXPECT_EQ(r.run_stats.pipeline.state_reqs, 0u);
   EXPECT_EQ(r.run_stats.pipeline.state_resps, 0u);
   EXPECT_EQ(r.run_stats.pipeline.log_truncated, 0u);
+}
+
+// ------------------------------------------------------- checkpoint votes
+
+/// Replica 0's context: discards what it sends (the votes here are fed
+/// back by hand).
+class SilentContext final : public sim::Context {
+ public:
+  ProcessId id() const override { return ProcessId{0}; }
+  std::uint32_t n() const override { return 4; }
+  SimTime now() const override { return 0; }
+  void send(ProcessId, Bytes) override {}
+  void broadcast(const Bytes&) override {}
+  std::uint64_t set_timer(SimTime) override { return 1; }
+  void cancel_timer(std::uint64_t) override {}
+  Rng& rng() override { return rng_; }
+  void stop() override {}
+
+ private:
+  Rng rng_{0};
+};
+
+TEST(CheckpointVotes, OnlyReplicasVoteAndTheFirstVotePerSlotCounts) {
+  // Keys for the 4 replicas and one client (process 4).
+  const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(5, 3);
+  smr::ReplicaConfig cfg;
+  cfg.n = 4;
+  cfg.slots = 8;
+  cfg.checkpoint.interval = 4;
+  cfg.signer = keys.signers[0].get();
+  cfg.verifier = keys.verifier;
+  smr::PipelineStats stats;
+  smr::Checkpointer ckpt(cfg, stats, keys.verifier.get());
+  SilentContext ctx;
+  auto vote = [&](std::uint32_t from, const crypto::Digest& digest) {
+    smr::CheckpointVote v;
+    v.slot = 4;
+    v.digest = digest;
+    v.sig =
+        keys.signers[from]->sign(bft::checkpoint_signing_bytes(4, digest));
+    const Bytes frame = smr::encode_control_vote(v);
+    ckpt.on_frame(ctx, ProcessId{from}, smr::ControlKind::kCheckpointVote,
+                  Bytes(frame.begin() + 9, frame.end()), 4);
+  };
+
+  smr::Snapshot snap;
+  snap.slot = 4;
+  ASSERT_TRUE(ckpt.due(4));
+  ckpt.take(ctx, snap);
+  const crypto::Digest digest =
+      smr::snapshot_digest(smr::encode_snapshot(snap));
+  crypto::Digest fabricated{};
+  fabricated.fill(0xA5);
+
+  // A validly signed vote from a client is not a replica's vote.
+  vote(4, digest);
+  EXPECT_EQ(stats.recovery_rejects, 1u);
+
+  // Replica 1 votes a fabricated digest first: its later vote for the
+  // true digest does not count, so own + replica 2 stay below the crash
+  // quorum of 3.
+  vote(0, digest);
+  vote(1, fabricated);
+  vote(1, digest);
+  vote(2, digest);
+  EXPECT_EQ(stats.checkpoint_certs, 0u);
+  EXPECT_EQ(stats.recovery_rejects, 1u);
+  vote(3, digest);
+  EXPECT_EQ(stats.checkpoint_certs, 1u);
+}
+
+// ------------------------------------------------------------ vote flood
+
+/// A replica that, at start, broadcasts kFloodVariants self-signed
+/// checkpoint votes with distinct fabricated digests for every boundary
+/// slot of a 12-slot log, then runs the honest replica it wraps.
+class VoteFlooder final : public sim::Actor {
+ public:
+  static constexpr std::uint8_t kFloodVariants = 4;
+
+  VoteFlooder(std::unique_ptr<sim::Actor> inner,
+              std::shared_ptr<const crypto::SignatureSystem> keys)
+      : inner_(std::move(inner)), keys_(std::move(keys)) {}
+
+  void on_start(sim::Context& ctx) override {
+    for (std::uint64_t slot : {4u, 8u, 12u}) {
+      for (std::uint8_t v = 0; v < kFloodVariants; ++v) {
+        smr::CheckpointVote vote;
+        vote.slot = slot;
+        vote.digest.fill(static_cast<std::uint8_t>(0xA0 + v));
+        vote.sig = keys_->signers[ctx.id().value]->sign(
+            bft::checkpoint_signing_bytes(vote.slot, vote.digest));
+        ctx.broadcast(smr::encode_control_vote(vote));
+      }
+    }
+    inner_->on_start(ctx);
+  }
+  void on_message(sim::Context& ctx, ProcessId from,
+                  const Bytes& payload) override {
+    inner_->on_message(ctx, from, payload);
+  }
+  void on_timer(sim::Context& ctx, std::uint64_t timer_id) override {
+    inner_->on_timer(ctx, timer_id);
+  }
+
+ private:
+  std::unique_ptr<sim::Actor> inner_;
+  std::shared_ptr<const crypto::SignatureSystem> keys_;
+};
+
+/// n = 4, W4 B2 C4, 24 preloaded commands over 12 slots, p4 (id 3)
+/// flooding every boundary slot before any correct vote exists.
+faults::SmrScenarioConfig vote_flood_scenario(smr::Backend backend,
+                                              std::uint64_t seed) {
+  faults::SmrScenarioConfig sc;
+  sc.n = 4;
+  sc.f = 1;
+  sc.seed = seed;
+  sc.backend = backend;
+  sc.window = 4;
+  sc.batch = 2;
+  sc.checkpoint_interval = 4;
+  sc.workload = faults::kv_workload(24);
+  sc.slots = 12;
+  sc.assume_faulty = {3};
+  // The flooder signs with its own key from the run's HMAC system.
+  auto keys = std::make_shared<const crypto::SignatureSystem>(
+      crypto::HmacScheme{}.make_system(sc.n, seed));
+  sc.wrap_actor = [keys](ProcessId id, std::unique_ptr<sim::Actor> inner)
+      -> std::unique_ptr<sim::Actor> {
+    if (id.value != 3) return inner;
+    return std::make_unique<VoteFlooder>(std::move(inner), keys);
+  };
+  return sc;
+}
+
+TEST(Recovery, VoteFloodCannotBlockCheckpointCertificates) {
+  for (smr::Backend backend :
+       {smr::Backend::kCrashHurfinRaynal, smr::Backend::kByzantine}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      const faults::SmrScenarioResult r =
+          faults::run_smr_scenario(vote_flood_scenario(backend, seed));
+      EXPECT_TRUE(r.clean);
+      EXPECT_TRUE(r.all_committed);
+      EXPECT_TRUE(r.stores_agree);
+      EXPECT_GT(r.run_stats.pipeline.checkpoint_certs, 0u);
+      EXPECT_GT(r.run_stats.pipeline.log_truncated, 0u);
+      EXPECT_LT(r.run_stats.pipeline.log_peak, 12u);  // not the whole log
+    }
+  }
+}
+
+TEST(Recovery, VoteFloodCannotForceAGenesisRecovery) {
+  // p2 (id 1) is killed before the first boundary and restarted after the
+  // survivors certified one: it must install a certified snapshot instead
+  // of falling back to genesis plus the whole suffix.
+  for (smr::Backend backend :
+       {smr::Backend::kCrashHurfinRaynal, smr::Backend::kByzantine}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      faults::SmrScenarioConfig sc = vote_flood_scenario(backend, seed);
+      sc.crashes.push_back({ProcessId{1}, 2'000, 40'000});
+      const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+      EXPECT_TRUE(r.clean);
+      EXPECT_TRUE(r.all_committed);
+      EXPECT_TRUE(r.stores_agree);
+      EXPECT_EQ(r.recovered.count(1), 1u);
+      EXPECT_GT(r.run_stats.pipeline.recovery_installs, 0u);
+    }
+  }
 }
 
 }  // namespace

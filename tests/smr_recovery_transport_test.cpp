@@ -26,14 +26,7 @@ faults::SmrScenarioConfig wall_clock_scenario(runtime::Backend substrate,
   sc.window = 4;
   sc.batch = 2;
   sc.checkpoint_interval = 8;
-  for (std::uint32_t c = 1; c <= 200; ++c) {
-    smr::Command cmd;
-    cmd.id = c;
-    cmd.key = "key" + std::to_string(c % 8);
-    cmd.op = c % 5 == 0 ? smr::Command::Op::kDel : smr::Command::Op::kPut;
-    if (cmd.op == smr::Command::Op::kPut) cmd.value = "v" + std::to_string(c);
-    sc.workload.push_back(cmd);
-  }
+  sc.workload = faults::kv_workload(200);
   sc.slots = 100;
   sc.budget = std::chrono::milliseconds(30'000);
   // Wall-clock instants: kill while the run is mid-flight, restart after

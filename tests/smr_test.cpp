@@ -4,6 +4,7 @@
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "faults/byzantine.hpp"
+#include "faults/scenario.hpp"
 #include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
 #include "smr/replica.hpp"
@@ -11,15 +12,7 @@
 namespace modubft::smr {
 namespace {
 
-std::vector<Command> sample_workload() {
-  return {
-      {1, Command::Op::kPut, "alpha", "1"},
-      {2, Command::Op::kPut, "beta", "2"},
-      {3, Command::Op::kPut, "alpha", "3"},  // overwrite
-      {4, Command::Op::kDel, "beta", ""},
-      {5, Command::Op::kPut, "gamma", "5"},
-  };
-}
+using faults::sample_workload;
 
 TEST(Command, CodecRoundTrip) {
   Command cmd{7, Command::Op::kPut, "key", "value"};

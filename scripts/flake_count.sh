@@ -7,16 +7,35 @@
 # a base commit against a build of a change to it.  Failing entries are
 # read from each run's Testing/Temporary/LastTestsFailed.log.
 #
-# Usage: scripts/flake_count.sh RUNS BUILD_DIR [BUILD_DIR_B]
+# -j J runs ctest with J jobs (default 4), and -R REGEX runs only the
+# entries it matches (default: all; a regex that matches nothing fails
+# every run).  Some flakes show only on a quiet host, so `-j 1 -R ENTRY`
+# counts unloaded runs of one entry.
+#
+# Usage: scripts/flake_count.sh [-j J] [-R REGEX] RUNS BUILD_DIR [BUILD_DIR_B]
 #   scripts/flake_count.sh 200 build                # one side
 #   scripts/flake_count.sh 30 ../base/build build   # base vs change
+#   scripts/flake_count.sh -j 1 -R smr_recovery_transport 30 ../base/build build
 # Exit status: 0 iff no run failed.
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 RUNS BUILD_DIR [BUILD_DIR_B]" >&2
+  echo "usage: $0 [-j J] [-R REGEX] RUNS BUILD_DIR [BUILD_DIR_B]" >&2
   exit 2
 }
+JOBS=4
+REGEX=""
+while getopts "j:R:" opt; do
+  case "${opt}" in
+    j) JOBS=${OPTARG} ;;
+    R) REGEX=${OPTARG} ;;
+    *) usage ;;
+  esac
+done
+shift $((OPTIND - 1))
+[[ "${JOBS}" =~ ^[1-9][0-9]*$ ]] || usage
+CTEST_ARGS=(-j "${JOBS}" --no-tests=error)
+[[ -z "${REGEX}" ]] || CTEST_ARGS+=(-R "${REGEX}")
 [[ $# -eq 2 || $# -eq 3 ]] || usage
 [[ "$1" =~ ^[1-9][0-9]*$ ]] || usage
 RUNS=$1
@@ -40,7 +59,7 @@ for ((run = 1; run <= RUNS; ++run)); do
     dir=${DIRS[side]}
     log="${dir}/Testing/Temporary/LastTestsFailed.log"
     rm -f "${log}"
-    if (cd "${dir}" && ctest -j4 >/dev/null 2>&1); then
+    if (cd "${dir}" && ctest "${CTEST_ARGS[@]}" >/dev/null 2>&1); then
       continue
     fi
     BAD_RUNS[side]=$((BAD_RUNS[side] + 1))
@@ -64,7 +83,7 @@ for ((run = 1; run <= RUNS; ++run)); do
 done
 
 names=(A B)
-echo "ctest -j4, ${RUNS} runs per side"
+echo "ctest -j ${JOBS}, -R ${REGEX:-(every entry)}, ${RUNS} runs per side"
 for side in "${!DIRS[@]}"; do
   echo "  ${names[side]} = ${DIRS[side]}: ${BAD_RUNS[side]}/${RUNS} runs failed"
 done

@@ -23,8 +23,8 @@
 # the delivery tap, Stats accumulation, the TCP receive loops handing
 # frames to node mailboxes through Cluster::deliver, reconnect threads —
 # where a data race would not crash but would silently corrupt an
-# experiment.  wallclock_runtime_test runs the straggler audit and a
-# kill/restart handoff once per wire.  The SMR
+# experiment.  wallclock_runtime_test runs the straggler audit, a
+# kill/restart handoff and the all-stopped rule once per wire.  The SMR
 # pipeline added two more customers under the `threads` label:
 # verify_pool_test (concurrent verify_all callers hammering one
 # crypto::VerifyPool and a shared CachingVerifier) and smr_pipeline_test
@@ -35,7 +35,9 @@
 # (recovery_attack_test) carry the threads/tcp labels so the TSan pass
 # exercises the node-thread dormancy loop, the restart handoff of
 # actor/timers/rng, and the shared CachingVerifier surviving across a
-# replica's two lives.
+# replica's two lives.  Its kills fire on the victim's progress, so the
+# pass also covers Cluster::crash_now on the victim's thread and the
+# oracles reading the kill instant from the other node threads.
 # Staged ingest (docs/INGEST.md) adds two more: epoll_chaos_test (label
 # `tcp`) drives the epoll receive loop through link kills, wire noise,
 # slow-reader backpressure and burst batch dispatch, and

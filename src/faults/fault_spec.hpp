@@ -111,6 +111,12 @@ struct FaultSpec {
 /// wall-clock-after-epoch on the threaded and TCP clusters — so one spec
 /// drives sim::Simulation::crash_at and Cluster::crash_after (threads and
 /// TCP) alike.
+///
+/// A progress kill (`after_commit`, SMR scenarios only) fires on the
+/// victim's own progress instead: `who` halts the moment it commits slot
+/// `*after_commit`, however fast or slow the host runs.  Nothing it would
+/// send from then on leaves, that slot's replies and checkpoint vote
+/// included.  `at` is unused.
 struct CrashSpec {
   ProcessId who;
   /// Microseconds from run start (substrate clock domain).
@@ -118,9 +124,15 @@ struct CrashSpec {
   /// Kill/restart schedule: if set, the process comes back at `restart_at`
   /// (same clock domain, must be > `at`) as a FRESH actor with no memory
   /// of its former life — the recovery subsystem's job is to re-learn the
-  /// state.  Restart events are one-shot: a restart that would fire after
-  /// the substrate began stopping is a no-op, never a hang.
+  /// state.  For a progress kill, `restart_at` is a delay counted from the
+  /// instant the kill fired, so a slow host cannot put the restart before
+  /// the kill.  Restart events are one-shot: a restart still pending when
+  /// every other process has stopped is abandoned, as is one that would
+  /// fire after the substrate began stopping; never a hang.
   std::optional<SimTime> restart_at;
+  /// Progress kill: the slot whose commit halts `who`; unset for a kill at
+  /// `at`.
+  std::optional<std::uint64_t> after_commit = std::nullopt;
 };
 
 }  // namespace modubft::faults

@@ -370,6 +370,7 @@ LockstepScenarioResult run_lockstep_scenario(
   std::set<std::uint32_t> crashed;
   for (const CrashSpec& c : config.crashes) {
     MODUBFT_EXPECTS(c.who.value < config.n);
+    MODUBFT_EXPECTS(!c.after_commit.has_value());  // no slots to commit
     crashed.insert(c.who.value);
   }
 
@@ -433,13 +434,27 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   crypto::SignatureSystem keys =
       make_keys(config.scheme, config.n + num_clients, config.seed);
 
+  // crash_times holds the timed kills; killed marks every scheduled kill,
+  // a progress kill (CrashSpec::after_commit) included.
   std::vector<std::optional<SimTime>> crash_times(config.n);
   std::vector<CrashSpec> crash_specs(config.n);
+  std::vector<bool> killed(config.n, false);
+  // The crash back-end's oracles learn a progress kill's instant from here
+  // once it fired.
+  std::shared_ptr<fd::KillInstants> kill_instants;
   for (const CrashSpec& c : config.crashes) {
     MODUBFT_EXPECTS(c.who.value < config.n);
     MODUBFT_EXPECTS(!c.restart_at.has_value() ||
-                    (checkpointing && *c.restart_at > c.at));
-    crash_times[c.who.value] = c.at;
+                    (checkpointing && (c.after_commit.has_value() ||
+                                       *c.restart_at > c.at)));
+    if (c.after_commit.has_value()) {
+      if (!kill_instants) {
+        kill_instants = std::make_shared<fd::KillInstants>(config.n);
+      }
+    } else {
+      crash_times[c.who.value] = c.at;
+    }
+    killed[c.who.value] = true;
     crash_specs[c.who.value] = c;
   }
 
@@ -471,7 +486,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // recover and match the quorum) — minus the adversary's assumed-faulty.
   for (std::uint32_t i = 0; i < config.n; ++i) {
     const bool comes_back = crash_specs[i].restart_at.has_value();
-    if ((!crash_times[i].has_value() || comes_back) &&
+    if ((!killed[i] || comes_back) &&
         config.assume_faulty.count(i) == 0) {
       result.correct.insert(i);
     }
@@ -516,8 +531,8 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     if (config.backend == smr::Backend::kCrashHurfinRaynal) {
       fd::OracleConfig oracle = config.oracle;
       oracle.seed = config.oracle.seed ^ (0x1000 + i);
-      rcfg.detector =
-          std::make_shared<fd::OracleDetector>(crash_times, oracle);
+      rcfg.detector = std::make_shared<fd::OracleDetector>(
+          crash_times, oracle, kill_instants);
     } else {
       rcfg.bft.n = config.n;
       rcfg.bft.f = config.f;
@@ -569,14 +584,14 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // another thread.
   std::uint32_t witness = config.n;
   for (std::uint32_t i : result.correct) {
-    if (!crash_times[i].has_value()) {
+    if (!killed[i]) {
       witness = i;
       break;
     }
   }
   std::uint32_t log_keeper = witness;
   for (std::uint32_t i = 0; log_keeper == config.n && i < config.n; ++i) {
-    if (!crash_times[i].has_value()) log_keeper = i;
+    if (!killed[i]) log_keeper = i;
   }
   std::mutex commit_mu;
   smr::CommitFn log_commit;
@@ -594,6 +609,21 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       if (!fresh) ++result.commit_log_duplicates;
     };
   }
+
+  // A progress kill fires from the victim's commit callback, on its own
+  // node thread, the first time its first life commits a slot at or past
+  // the trigger (it commits every slot in order, so that is the trigger
+  // slot itself).
+  auto kill_on_commit = [&](std::uint32_t i) -> smr::CommitFn {
+    return [&world, &kill_instants, who = ProcessId{i},
+            trigger = *crash_specs[i].after_commit,
+            fired = false](InstanceId slot, const smr::Command*,
+                           const smr::KvStore&) mutable {
+      if (fired || slot.value < trigger) return;
+      fired = true;
+      kill_instants->record(who, world->kill(who));
+    };
+  };
 
   auto install = [&](ProcessId id, std::unique_ptr<sim::Actor> actor) {
     if (config.wrap_actor) actor = config.wrap_actor(id, std::move(actor));
@@ -618,12 +648,14 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       caches[i] = std::make_shared<crypto::CachingVerifier>(keys.verifier);
     }
 
+    smr::CommitFn on_commit;
+    if (i == log_keeper) on_commit = log_commit;
+    if (crash_specs[i].after_commit.has_value()) on_commit = kill_on_commit(i);
     auto replica = std::make_unique<smr::Replica>(
-        make_rcfg(i, false), workload_for(i),
-        i == log_keeper ? log_commit : smr::CommitFn{});
+        make_rcfg(i, false), workload_for(i), std::move(on_commit));
     views[i] = replica.get();
     install(id, std::move(replica));
-    if (crash_times[i].has_value()) {
+    if (killed[i]) {
       world->crash(crash_specs[i]);
       if (crash_specs[i].restart_at.has_value()) {
         world->restart(crash_specs[i], [&, i, w = workload_for(i)] {

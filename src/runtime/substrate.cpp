@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -42,17 +43,34 @@ class SimSubstrate final : public Substrate {
   }
 
   void crash(const faults::CrashSpec& spec) override {
-    world_->crash_at(spec.who, spec.at);
+    if (!spec.after_commit.has_value()) world_->crash_at(spec.who, spec.at);
     crash_scheduled_.insert(spec.who.value);
   }
 
   void restart(const faults::CrashSpec& spec,
                std::function<std::unique_ptr<sim::Actor>()> factory) override {
     MODUBFT_EXPECTS(spec.restart_at.has_value());
-    world_->restart_at(spec.who, *spec.restart_at, std::move(factory));
+    if (spec.after_commit.has_value()) {
+      // Scheduled by kill(), relative to the instant the kill fires.
+      triggered_restarts_[spec.who.value] = {*spec.restart_at,
+                                             std::move(factory)};
+    } else {
+      world_->restart_at(spec.who, *spec.restart_at, std::move(factory));
+    }
     // A restarted process must stop like any correct one — keep it in the
     // unstopped audit so a hung recovery is a named failure.
     crash_scheduled_.erase(spec.who.value);
+  }
+
+  SimTime kill(ProcessId who) override {
+    world_->crash_now(who);
+    auto it = triggered_restarts_.find(who.value);
+    if (it != triggered_restarts_.end()) {
+      world_->restart_at(who, world_->now() + it->second.delay,
+                         std::move(it->second.factory));
+      triggered_restarts_.erase(it);
+    }
+    return world_->now();
   }
 
   void set_delivery_tap(
@@ -98,6 +116,12 @@ class SimSubstrate final : public Substrate {
   SubstrateConfig config_;
   std::unique_ptr<sim::Simulation> world_;
   std::set<std::uint32_t> crash_scheduled_;
+  // The restarts of progress kills, by victim: scheduled when kill() fires.
+  struct TriggeredRestart {
+    SimTime delay = 0;  // after the kill
+    std::function<std::unique_ptr<sim::Actor>()> factory;
+  };
+  std::map<std::uint32_t, TriggeredRestart> triggered_restarts_;
 };
 
 // ------------------------------------------------------ kThreads / kTcp
@@ -133,7 +157,11 @@ class WallClockSubstrate final : public Substrate {
   }
 
   void crash(const faults::CrashSpec& spec) override {
-    cluster_->crash_after(spec.who, std::chrono::microseconds(spec.at));
+    if (spec.after_commit.has_value()) {
+      cluster_->crash_on_trigger(spec.who);
+    } else {
+      cluster_->crash_after(spec.who, std::chrono::microseconds(spec.at));
+    }
   }
 
   void restart(const faults::CrashSpec& spec,
@@ -142,6 +170,8 @@ class WallClockSubstrate final : public Substrate {
     cluster_->set_restart(spec.who, std::chrono::microseconds(*spec.restart_at),
                           std::move(factory));
   }
+
+  SimTime kill(ProcessId who) override { return cluster_->crash_now(who); }
 
   void set_delivery_tap(
       std::function<void(const sim::Delivery&)> tap) override {

@@ -205,20 +205,30 @@ class Substrate {
 
   /// Schedules a silent halt of `spec.who` at `spec.at` µs after the run
   /// starts — simulated time on kSim, wall clock on kThreads/kTcp.
-  /// Messages already handed to the channels may still reach peers.
+  /// Messages already handed to the channels may still reach peers.  For
+  /// a progress kill (`spec.after_commit`) nothing is timed: the halt
+  /// happens when the scenario calls kill() from the victim's callback.
   virtual void crash(const faults::CrashSpec& spec) = 0;
 
   /// Schedules the restart half of a kill/restart schedule: `spec` must
   /// have been passed to crash() already and carry `restart_at`; at that
-  /// instant `factory()` builds a FRESH actor that takes over the process
-  /// (same id, same rng stream, empty timers; outage-era deliveries are
-  /// discarded).  One-shot on every backend: a restart that would fire
-  /// after the substrate began stopping is abandoned, never a hang.  A
-  /// restarted process is expected to stop like any correct one, so it is
-  /// NOT excluded from the unstopped audit.
+  /// instant (for a progress kill, that long after the kill fired)
+  /// `factory()` builds a FRESH actor that takes over the process (same
+  /// id, same rng stream, empty timers; outage-era deliveries are
+  /// discarded).  One-shot on every backend: a restart still pending when
+  /// every other process has stopped, or one that would fire after the
+  /// substrate began stopping, is abandoned, never a hang.  A restarted
+  /// process is expected to stop like any correct one, so it is NOT
+  /// excluded from the unstopped audit.
   virtual void restart(const faults::CrashSpec& spec,
                        std::function<std::unique_ptr<sim::Actor>()> factory)
       = 0;
+
+  /// The progress-kill hook: halts `who`, whose spec passed to crash()
+  /// carries `after_commit`, at once, and returns the instant in the
+  /// substrate's clock.  Call it only from `who`'s own callback; whatever
+  /// that callback sends afterwards is suppressed.
+  virtual SimTime kill(ProcessId who) = 0;
 
   /// Optional observer invoked on every delivery, before the receiving
   /// actor's on_message.  On the threaded backends calls are serialized by

@@ -89,6 +89,12 @@ void Simulation::crash_at(ProcessId id, SimTime when) {
   queue_.push(when, [this, id] { state_[id.value].crashed = true; });
 }
 
+void Simulation::crash_now(ProcessId id) {
+  MODUBFT_EXPECTS(id.value < config_.n);
+  state_[id.value].crash_time = now_;
+  state_[id.value].crashed = true;
+}
+
 void Simulation::restart_at(ProcessId id, SimTime when,
                             std::function<std::unique_ptr<Actor>()> factory) {
   MODUBFT_EXPECTS(id.value < config_.n);

@@ -96,13 +96,21 @@ class Simulation {
   /// channel); nothing is delivered to or sent by it afterwards.
   void crash_at(ProcessId id, SimTime when);
 
+  /// The progress-kill hook: halts `id` at the current instant.  Call it
+  /// only from `id`'s own callback (a kill that fires on the victim's
+  /// progress, faults::CrashSpec::after_commit); whatever the callback
+  /// sends from then on is suppressed.  A restart goes through restart_at.
+  void crash_now(ProcessId id);
+
   /// Schedules a restart of a previously crashed process: at `when`,
   /// `factory()` builds a FRESH actor that is started in place of the dead
   /// one (same process id, same rng stream — the schedule stays
   /// deterministic).  Timers set by the former life never fire (each life
   /// has an epoch; stale timer events are discarded).  One-shot: if the
   /// process is not crashed at `when` (never crashed, or the run already
-  /// ended), the event is a no-op.
+  /// ended), the event is a no-op.  run() ends as all-stopped once every
+  /// other process has stopped, so a restart still pending then never
+  /// fires.
   void restart_at(ProcessId id, SimTime when,
                   std::function<std::unique_ptr<Actor>()> factory);
 

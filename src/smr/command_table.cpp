@@ -17,7 +17,9 @@ bool CommandTable::admit(Command cmd, Bytes sig,
   if (!bodies_.emplace(id, Entry{std::move(cmd), std::move(sig)}).second) {
     return false;
   }
-  if (!is_client_cmd(id) || committed(id)) return false;
+  if (committed(id)) return false;
+  pending_.insert(id);
+  if (!is_client_cmd(id)) return false;
   queue_.insert(id);
   if (origin.has_value()) {
     relay_origin_[id] = *origin;
@@ -29,6 +31,7 @@ bool CommandTable::admit(Command cmd, Bytes sig,
 const Command* CommandTable::commit(std::uint64_t id) {
   auto it = bodies_.find(id);
   if (it == bodies_.end() || !committed_.insert(id).second) return nullptr;
+  pending_.erase(id);
   if (is_client_cmd(id)) {
     queue_.erase(id);
     ++committed_count_[client_of_cmd(id)];
@@ -65,9 +68,12 @@ void CommandTable::install(std::set<std::uint64_t> ids) {
   for (std::uint64_t id : committed_) {
     if (is_client_cmd(id)) ++committed_count_[client_of_cmd(id)];
   }
+  pending_.clear();
   queue_.clear();
   for (const auto& [id, entry] : bodies_) {
-    if (is_client_cmd(id) && !committed(id)) queue_.insert(id);
+    if (committed(id)) continue;
+    pending_.insert(id);
+    if (is_client_cmd(id)) queue_.insert(id);
   }
   relay_origin_.clear();
   origin_load_.clear();
@@ -76,9 +82,9 @@ void CommandTable::install(std::set<std::uint64_t> ids) {
 std::vector<std::uint64_t> CommandTable::scan(std::size_t limit,
                                               bool skip_claimed) const {
   std::vector<std::uint64_t> out;
-  for (const auto& [id, entry] : bodies_) {
+  for (std::uint64_t id : pending_) {
     if (out.size() >= limit) break;
-    if (committed(id) || (skip_claimed && claimed_.count(id) > 0)) continue;
+    if (skip_claimed && claimed_.count(id) > 0) continue;
     out.push_back(id);
   }
   return out;

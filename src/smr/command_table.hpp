@@ -14,15 +14,19 @@
 //   installed — a certified snapshot replaced the committed set, and the
 //               queue and the per-client counts were rebuilt from it.
 //
-// Everything derived (the queue, the per-client counts, the per-origin
-// charges) is rebuilt by `install` from the bodies and the committed set,
-// so a table that reached a committed set step by step and one that
-// installed it agree on the queue, the counts and the proposable ids
-// (tests/command_table_test.cpp).
+// Everything derived (the pending index, the queue, the per-client
+// counts, the per-origin charges) is rebuilt by `install` from the bodies
+// and the committed set, so a table that reached a committed set step by
+// step and one that installed it agree on the queue, the counts and the
+// proposable ids (tests/command_table_test.cpp).
 //
-// `proposable` and `uncommitted` walk every body the table holds, so
-// their cost grows with the run; a pending index belongs here (ROADMAP
-// item 1).
+// The pending index is the ordered set of held, uncommitted ids: `admit`
+// inserts, `commit` erases, `install` rebuilds.  `proposable` and
+// `uncommitted` walk it from the front, so their cost does not grow with
+// the run.  `proposable` skips the claimed ids, and the replica releases
+// every claim below its frontier on each commit, so only the claims of
+// the W in-flight slots remain: a call visits at most W x B + `limit`
+// ids, whatever the number of commands admitted so far.
 #pragma once
 
 #include <cstddef>
@@ -97,6 +101,7 @@ class CommandTable {
   std::uint32_t clients_;
   std::map<std::uint64_t, Entry> bodies_;
   std::set<std::uint64_t> committed_;
+  std::set<std::uint64_t> pending_;  // held and not committed
   std::map<std::uint32_t, std::uint64_t> committed_count_;
   std::set<std::uint64_t> queue_;
   std::map<std::uint64_t, std::uint32_t> relay_origin_;  // queued id → peer

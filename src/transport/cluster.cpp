@@ -35,12 +35,21 @@ struct Cluster::Node {
   std::atomic<bool> stopped{false};
   // crash_at / restart_at are rebased onto the epoch before the node
   // thread spawns and are owned by the node thread afterwards (the run()
-  // straggler audit reads only the immutable *_scheduled flags).
+  // straggler audit reads only the immutable *_scheduled flags).  A
+  // crash_on_trigger node has neither until crash_now() sets both, the
+  // restart `restart_delay` after the kill.
   std::optional<Clock::time_point> crash_at;
   std::optional<Clock::time_point> restart_at;
+  std::optional<Clock::duration> restart_delay;
   std::function<std::unique_ptr<sim::Actor>()> restart_factory;
   bool crash_scheduled = false;
+  bool crash_on_trigger = false;
   bool restart_scheduled = false;
+  // Set by crash_now() on the node thread: the rest of the callback that
+  // fired the kill sends nothing.
+  bool killed = false;
+  // Crashed and waiting for its restart (guarded by Cluster::restart_mu_).
+  bool dormant = false;
 };
 
 /// Context bound to one callback execution on the node thread.
@@ -60,6 +69,7 @@ class Cluster::NodeContext final : public sim::Context {
 
   void send(ProcessId to, Bytes payload) override {
     MODUBFT_EXPECTS(to.value < cluster_.config_.n);
+    if (node_.killed) return;
     cluster_.stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     cluster_.stats_.bytes_sent.fetch_add(payload.size(),
                                          std::memory_order_relaxed);
@@ -71,6 +81,7 @@ class Cluster::NodeContext final : public sim::Context {
   }
 
   void broadcast(const Bytes& payload) override {
+    if (node_.killed) return;
     cluster_.stats_.messages_sent.fetch_add(cluster_.config_.n,
                                             std::memory_order_relaxed);
     cluster_.stats_.bytes_sent.fetch_add(
@@ -138,16 +149,44 @@ void Cluster::crash_after(ProcessId id, std::chrono::microseconds after) {
   nodes_[id.value]->crash_scheduled = true;
 }
 
+void Cluster::crash_on_trigger(ProcessId id) {
+  MODUBFT_EXPECTS(id.value < config_.n);
+  MODUBFT_EXPECTS(!ran_);
+  nodes_[id.value]->crash_scheduled = true;
+  nodes_[id.value]->crash_on_trigger = true;
+}
+
+SimTime Cluster::crash_now(ProcessId id) {
+  MODUBFT_EXPECTS(id.value < config_.n);
+  Node& node = *nodes_[id.value];
+  MODUBFT_EXPECTS(node.crash_on_trigger);
+  const Clock::time_point now = Clock::now();
+  node.crash_at = now;
+  node.killed = true;
+  if (node.restart_delay.has_value()) {
+    node.restart_at = now + *node.restart_delay;
+  }
+  return static_cast<SimTime>(
+      std::chrono::duration_cast<std::chrono::microseconds>(now - epoch_)
+          .count());
+}
+
 void Cluster::set_restart(ProcessId id, std::chrono::microseconds after,
                           std::function<std::unique_ptr<sim::Actor>()> factory) {
   MODUBFT_EXPECTS(id.value < config_.n);
   MODUBFT_EXPECTS(!ran_);
-  MODUBFT_EXPECTS(nodes_[id.value]->crash_scheduled);
+  Node& node = *nodes_[id.value];
+  MODUBFT_EXPECTS(node.crash_scheduled);
   MODUBFT_EXPECTS(factory != nullptr);
-  nodes_[id.value]->restart_at = Clock::time_point(
-      after.count() >= 0 ? Clock::duration(after) : Clock::duration::zero());
-  nodes_[id.value]->restart_factory = std::move(factory);
-  nodes_[id.value]->restart_scheduled = true;
+  const Clock::duration offset =
+      after.count() >= 0 ? Clock::duration(after) : Clock::duration::zero();
+  if (node.crash_on_trigger) {
+    node.restart_delay = offset;
+  } else {
+    node.restart_at = Clock::time_point(offset);
+  }
+  node.restart_factory = std::move(factory);
+  node.restart_scheduled = true;
 }
 
 void Cluster::set_delivery_tap(std::function<void(const sim::Delivery&)> tap) {
@@ -256,7 +295,7 @@ void Cluster::node_pump(Node& node, NodeContext& ctx) {
                        }),
         node.timers.end());
     for (std::uint64_t id : due) {
-      if (node.stop_requested.load()) break;
+      if (node.stop_requested.load() || node.killed) break;
       stats_.events_executed.fetch_add(1, std::memory_order_relaxed);
       node.actor->on_timer(ctx, id);
     }
@@ -275,10 +314,15 @@ void Cluster::node_main(Node& node) {
     // Crash with a scheduled restart: lie dormant (discarding deliveries —
     // a dead node receives nothing) until the restart instant, then come
     // back as a fresh actor.  One-shot semantics: a stop request during
-    // the outage abandons the restart instead of hanging the teardown.
+    // the outage abandons the restart instead of hanging the teardown, and
+    // so does run() finding every other node stopped.
     if (!node.crash_at.has_value() || Clock::now() < *node.crash_at ||
         !node.restart_at.has_value() || node.stop_requested.load()) {
       break;  // voluntary stop, teardown, or crash-for-good
+    }
+    {
+      std::lock_guard<std::mutex> lock(restart_mu_);
+      node.dormant = true;
     }
     bool aborted = false;
     while (Clock::now() < *node.restart_at) {
@@ -291,14 +335,34 @@ void Cluster::node_main(Node& node) {
       (void)node.mailbox.pop_until(wait_until);  // outage traffic is lost
     }
     if (aborted || node.stop_requested.load()) break;
+    {
+      std::lock_guard<std::mutex> lock(restart_mu_);
+      if (abandon_restarts_) break;
+      node.dormant = false;
+    }
     node.actor = node.restart_factory();
     node.timers.clear();
     node.cancelled.clear();
     node.crash_at.reset();
     node.restart_at.reset();
     node.restart_factory = nullptr;
+    node.killed = false;
   }
   node.stopped.store(true);
+}
+
+bool Cluster::all_stopped() {
+  // A node awaiting its restart counts as stopped: every peer that could
+  // answer its fresh life is gone, so the restart is abandoned, as the
+  // simulator ends the same schedule.  A dormant node leaves dormancy only
+  // under restart_mu_, so none comes back between this check and the
+  // abandonment.
+  std::lock_guard<std::mutex> lock(restart_mu_);
+  for (auto& node : nodes_) {
+    if (!node->stopped.load() && !node->dormant) return false;
+  }
+  abandon_restarts_ = true;
+  return true;
 }
 
 bool Cluster::run() {
@@ -324,17 +388,10 @@ bool Cluster::run() {
   }
 
   const Clock::time_point deadline = epoch_ + config_.budget;
-  bool all_stopped = false;
-  while (Clock::now() < deadline) {
-    all_stopped = true;
-    for (auto& node : nodes_) {
-      if (!node->stopped.load()) {
-        all_stopped = false;
-        break;
-      }
-    }
-    if (all_stopped) break;
+  bool clean = all_stopped();
+  while (!clean && Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    clean = all_stopped();
   }
 
   // Snapshot the stragglers before teardown forces everyone to stop, so a
@@ -344,7 +401,7 @@ bool Cluster::run() {
   // reported if still running (the node thread owns crash_at by now —
   // audit only the immutable scheduling flags).
   for (auto& node : nodes_) {
-    if (!node->stopped.load() &&
+    if (!clean && !node->stopped.load() &&
         (!node->crash_scheduled || node->restart_scheduled)) {
       unstopped_.push_back(node->id);
     }
@@ -355,13 +412,13 @@ bool Cluster::run() {
       Clock::now() - epoch_);
   close_wire();
 
-  if (!all_stopped && !unstopped_.empty()) {
+  if (!unstopped_.empty()) {
     std::ostringstream os;
     os << "Cluster: budget expired with unstopped nodes:";
     for (ProcessId id : unstopped_) os << ' ' << id;
     log_warn(os.str());
   }
-  return all_stopped;
+  return clean;
 }
 
 bool Cluster::stopped(ProcessId id) const {

@@ -65,13 +65,27 @@ class Cluster {
   /// channel", as in the simulator's model).
   void crash_after(ProcessId id, std::chrono::microseconds after);
 
-  /// Schedules a restart of a node previously given to crash_after: at
-  /// `after` (from the run epoch, > the crash instant), `factory()` builds
-  /// a FRESH actor that takes over the node — same id, same rng stream,
-  /// empty timer set; deliveries that arrived during the outage are
-  /// discarded.  One-shot: a restart whose deadline falls after the
-  /// cluster began stopping (budget expiry / teardown) is abandoned, never
-  /// a hang.
+  /// Schedules a silent halt of `id` on its own progress instead of at a
+  /// set time: the halt happens when `id`'s callback calls crash_now().
+  /// Like a crash_after victim, `id` is never named a straggler.
+  void crash_on_trigger(ProcessId id);
+
+  /// The progress-kill hook of a node given to crash_on_trigger: halts it
+  /// now and returns the instant (µs since the run epoch).  Call it only
+  /// from that node's own callback, so no other thread touches its state;
+  /// whatever the callback sends from then on is suppressed.
+  SimTime crash_now(ProcessId id);
+
+  /// Schedules a restart of a node previously given to crash_after or
+  /// crash_on_trigger: at `after` (from the run epoch, > the crash
+  /// instant; for a crash_on_trigger node, from the instant crash_now
+  /// fired), `factory()` builds a FRESH actor that takes over the node —
+  /// same id, same rng stream, empty timer set; deliveries that arrived
+  /// during the outage are discarded.  One-shot: a restart still pending
+  /// when every other node has stopped is abandoned, as the simulator
+  /// does (no peer is left to answer the fresh life), and so is one whose
+  /// deadline falls after the cluster began stopping (budget expiry /
+  /// teardown); never a hang.
   void set_restart(ProcessId id, std::chrono::microseconds after,
                    std::function<std::unique_ptr<sim::Actor>()> factory);
 
@@ -86,9 +100,11 @@ class Cluster {
   void set_delivery_tap(std::function<void(const sim::Delivery&)> tap);
 
   /// Starts all node threads and blocks until every node stopped (or the
-  /// budget expires).  Returns true iff all nodes stopped by themselves;
-  /// on budget expiry the stragglers are reported via unstopped() and a
-  /// warning log naming each culprit.
+  /// budget expires).  A crashed node awaiting its restart counts as
+  /// stopped: once every node stopped or awaits a restart, the run ends
+  /// and those restarts are abandoned.  Returns true iff all nodes stopped
+  /// by themselves; on budget expiry the stragglers are reported via
+  /// unstopped() and a warning log naming each culprit.
   bool run();
 
   bool stopped(ProcessId id) const;
@@ -148,6 +164,7 @@ class Cluster {
 
   void node_main(Node& node);
   void node_pump(Node& node, NodeContext& ctx);
+  bool all_stopped();
   SimTime since_epoch() const;
   void tap_delivery(const Envelope& env, ProcessId to);
 
@@ -169,6 +186,11 @@ class Cluster {
 
   std::mutex tap_mu_;
   std::function<void(const sim::Delivery&)> tap_;
+
+  // Guards every Node::dormant and abandon_restarts_: a dormant node comes
+  // back only under it, so all_stopped() sees no restart begin mid-check.
+  std::mutex restart_mu_;
+  bool abandon_restarts_ = false;
 };
 
 }  // namespace modubft::transport

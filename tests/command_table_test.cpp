@@ -6,12 +6,15 @@
 // random admit/claim/release/commit sequences, or installed it from a
 // snapshot.  A restarted replica relies on it: after a snapshot install it
 // must queue, count and propose exactly what a replica that never crashed
-// does.
+// does.  The same sequences also check the table's pending index, after
+// every step, against the walk over every held body that it replaced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -47,10 +50,49 @@ std::uint64_t random_id(Rng& rng) {
   }
 }
 
+/// The walk the pending index replaced: every held id in increasing
+/// order, skipping the committed ones and, for `proposable`, the claimed
+/// ones.  It keeps its own held, committed and claimed sets.
+struct ReferenceWalk {
+  std::set<std::uint64_t> held;
+  std::set<std::uint64_t> committed;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> claims;  // slot → ids
+
+  std::vector<std::uint64_t> walk(std::size_t limit, bool skip_claimed) const {
+    std::set<std::uint64_t> claimed;
+    for (const auto& [slot, ids] : claims) {
+      claimed.insert(ids.begin(), ids.end());
+    }
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t id : held) {
+      if (out.size() >= limit) break;
+      if (committed.count(id) > 0 ||
+          (skip_claimed && claimed.count(id) > 0)) {
+        continue;
+      }
+      out.push_back(id);
+    }
+    return out;
+  }
+};
+
+void expect_matches_walk(const CommandTable& live, const ReferenceWalk& ref,
+                         std::uint64_t seed, int step) {
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}, kAll}) {
+    EXPECT_EQ(live.proposable(k), ref.walk(k, /*skip_claimed=*/true))
+        << "seed " << seed << " step " << step << " k " << k;
+    EXPECT_EQ(live.uncommitted(k), ref.walk(k, /*skip_claimed=*/false))
+        << "seed " << seed << " step " << step << " k " << k;
+  }
+  EXPECT_EQ(live.has_proposable(), !ref.walk(1, true).empty())
+      << "seed " << seed << " step " << step;
+}
+
 TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     CommandTable live(kFirstClient, kClients);
+    ReferenceWalk ref;
     std::vector<std::pair<Command, Bytes>> bodies;  // admission order
     std::uint64_t next_slot = 0;
     for (int step = 0; step < 300; ++step) {
@@ -63,23 +105,36 @@ TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
             origin = static_cast<std::uint32_t>(rng.next_below(kFirstClient));
           }
           live.admit(cmd, sig, origin);
+          ref.held.insert(cmd.id);
           bodies.emplace_back(cmd, sig);
           break;
         }
-        case 1:
-          live.claim(next_slot++, 1 + rng.next_below(3));
+        case 1: {
+          const std::size_t width = 1 + rng.next_below(3);
+          std::vector<std::uint64_t> ids = ref.walk(width, true);
+          EXPECT_EQ(live.claim(next_slot, width), ids.empty() ? 0 : ids[0])
+              << "seed " << seed << " step " << step;
+          if (!ids.empty()) ref.claims.emplace(next_slot, std::move(ids));
+          ++next_slot;
           break;
-        case 2:
-          live.release_below(rng.next_below(next_slot + 1));
+        }
+        case 2: {
+          const std::uint64_t below = rng.next_below(next_slot + 1);
+          live.release_below(below);
+          ref.claims.erase(ref.claims.begin(), ref.claims.lower_bound(below));
           break;
+        }
         default: {
           const std::uint64_t id = random_id(rng);
-          const bool fresh = live.body(id) != nullptr && !live.committed(id);
+          const bool fresh =
+              ref.held.count(id) > 0 && ref.committed.count(id) == 0;
           EXPECT_EQ(live.commit(id) != nullptr, fresh) << "seed " << seed;
           EXPECT_EQ(live.commit(id), nullptr) << "seed " << seed;
+          if (fresh) ref.committed.insert(id);
           break;
         }
       }
+      expect_matches_walk(live, ref, seed, step);
     }
 
     CommandTable installed(kFirstClient, kClients);

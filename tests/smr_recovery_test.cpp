@@ -7,7 +7,10 @@
 //  * RecoveryModule: accepts a certified response, rejects forged
 //    certificates, digest-flipped snapshots and spliced certificates;
 //  * end-to-end kill/restart recovery on both SMR backends;
-//  * determinism: same seed + same crash schedule ⇒ bit-identical stores;
+//  * determinism: same seed + same crash schedule ⇒ bit-identical stores,
+//    for a kill at a set time and for one on the victim's progress;
+//  * a progress kill of the round-1 coordinator is suspected by the
+//    crash back-end's oracles;
 //  * compaction: the committed-slot log never retains more than C+W slots;
 //  * checkpoint votes: only replicas vote, the first vote per replica and
 //    slot counts, and a Byzantine replica flooding every boundary slot
@@ -16,6 +19,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -262,6 +266,48 @@ TEST(Recovery, SameSeedAndScheduleIsBitIdentical) {
   EXPECT_EQ(a.recovered, b.recovered);
   EXPECT_EQ(a.run_stats.pipeline.recovery_installs,
             b.run_stats.pipeline.recovery_installs);
+}
+
+/// The crash back-end's recovery scenario with one progress kill: `victim`
+/// halts as it commits slot 10, past two checkpoint boundaries.
+faults::SmrScenarioConfig progress_kill_scenario(
+    std::uint32_t victim, std::optional<SimTime> restart_after) {
+  faults::SmrScenarioConfig sc =
+      recovery_scenario(smr::Backend::kCrashHurfinRaynal, 19);
+  faults::CrashSpec kill;
+  kill.who = ProcessId{victim};
+  kill.after_commit = 10;
+  kill.restart_at = restart_after;
+  sc.crashes = {kill};
+  return sc;
+}
+
+// p0 coordinates round 1 of every slot.  Once it halts, the survivors
+// decide a slot only after their oracles suspect it, from the instant the
+// kill fired plus the detection lag: the run outlasts the lag, and still
+// finishes.
+TEST(Recovery, ProgressKillOfTheCoordinatorIsSuspected) {
+  const faults::SmrScenarioConfig sc = progress_kill_scenario(0, std::nullopt);
+  const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+  EXPECT_TRUE(r.clean);
+  EXPECT_EQ(r.correct, (std::set<std::uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(r.all_committed);
+  EXPECT_TRUE(r.stores_agree);
+  EXPECT_GT(r.run_stats.virtual_time, sc.oracle.detection_lag);
+}
+
+TEST(Recovery, ProgressKillAndRestartRecoversBitIdentically) {
+  const faults::SmrScenarioConfig sc = progress_kill_scenario(2, 1'500);
+  const faults::SmrScenarioResult a = faults::run_smr_scenario(sc);
+  const faults::SmrScenarioResult b = faults::run_smr_scenario(sc);
+  EXPECT_TRUE(a.clean);
+  EXPECT_TRUE(a.all_committed);
+  EXPECT_TRUE(a.stores_agree);
+  EXPECT_EQ(a.recovered.count(2), 1u);
+  EXPECT_GT(a.run_stats.pipeline.recovery_installs, 0u);
+  EXPECT_EQ(a.stores, b.stores);  // every replica, every key, every byte
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.run_stats.virtual_time, b.run_stats.virtual_time);
 }
 
 TEST(Recovery, LogNeverRetainsMoreThanIntervalPlusWindow) {

@@ -29,12 +29,16 @@ faults::SmrScenarioConfig wall_clock_scenario(runtime::Backend substrate,
   sc.workload = faults::kv_workload(200);
   sc.slots = 100;
   sc.budget = std::chrono::milliseconds(30'000);
-  // Wall-clock instants: kill while the run is mid-flight, restart after
-  // the survivors have certified further checkpoints (the dormancy loop
-  // must discard the victim's stale mailbox the whole time).
-  const SimTime kill = substrate == runtime::Backend::kTcp ? 5'000 : 3'000;
-  const SimTime back = substrate == runtime::Backend::kTcp ? 80'000 : 60'000;
-  sc.crashes.push_back({ProcessId{2}, kill, back});
+  // A progress kill: p2 halts as it commits slot 40, past five checkpoint
+  // boundaries and well before the end of the log, however fast the host
+  // runs the replicas.  It comes back a fixed wall-clock delay after the
+  // kill, after the survivors have certified further checkpoints (the
+  // dormancy loop must discard the victim's stale mailbox the whole time).
+  faults::CrashSpec kill;
+  kill.who = ProcessId{2};
+  kill.after_commit = 40;
+  kill.restart_at = substrate == runtime::Backend::kTcp ? 80'000 : 60'000;
+  sc.crashes.push_back(kill);
   return sc;
 }
 

@@ -48,6 +48,14 @@ class StopAtOnce final : public sim::Actor {
   void on_message(sim::Context&, ProcessId, const Bytes&) override {}
 };
 
+/// Stops on its first delivery.
+class StopOnMessage final : public sim::Actor {
+ public:
+  void on_message(sim::Context& ctx, ProcessId, const Bytes&) override {
+    ctx.stop();
+  }
+};
+
 // A node scheduled to crash for good is never named a straggler — also
 // when the budget runs out before its crash fires, the rule the simulator
 // applies (docs/RUNTIME.md).  The never-stopping survivors are named.
@@ -93,7 +101,7 @@ class FirstLife final : public sim::Actor {
 };
 
 /// The fresh life counts its starts, reports any timer it did not arm,
-/// and stops when its own timer fires.
+/// and stops when its own timer fires, releasing p1 as it goes.
 class FreshLife final : public sim::Actor {
  public:
   explicit FreshLife(RestartLog* log) : log_(log) {}
@@ -107,6 +115,7 @@ class FreshLife final : public sim::Actor {
       ++log_->stale_fires;
       return;
     }
+    ctx.send(ProcessId{1}, Bytes{1});
     ctx.stop();
   }
 
@@ -115,6 +124,8 @@ class FreshLife final : public sim::Actor {
   std::uint64_t own_ = 0;
 };
 
+// p1 stays up until the fresh life messages it: a restart pending after
+// every other node stopped would be abandoned (the next case).
 TYPED_TEST(WallClockRuntime, RestartStartsOneFreshLifeWithoutOldTimers) {
   ConfigOf<TypeParam> cfg;
   cfg.n = 2;
@@ -122,7 +133,7 @@ TYPED_TEST(WallClockRuntime, RestartStartsOneFreshLifeWithoutOldTimers) {
   TypeParam cluster(cfg);
   RestartLog log;
   cluster.set_actor(ProcessId{0}, std::make_unique<FirstLife>(&log));
-  cluster.set_actor(ProcessId{1}, std::make_unique<StopAtOnce>());
+  cluster.set_actor(ProcessId{1}, std::make_unique<StopOnMessage>());
   cluster.crash_after(ProcessId{0}, std::chrono::microseconds(1'000));
   cluster.set_restart(ProcessId{0}, std::chrono::microseconds(2'000), [&log] {
     ++log.factory_calls;
@@ -135,6 +146,32 @@ TYPED_TEST(WallClockRuntime, RestartStartsOneFreshLifeWithoutOldTimers) {
   EXPECT_EQ(log.stale_fires.load(), 0) << "a first-life timer fired";
   EXPECT_TRUE(cluster.stopped(ProcessId{0}));
   for (ProcessId id : cluster.unstopped()) EXPECT_NE(id, ProcessId{0});
+}
+
+// Every other node stopped while p2 waits for its restart: nobody is left
+// to answer its fresh life, so the run ends as all-stopped at once and the
+// restart is abandoned, as the simulator ends the same schedule.  The
+// restart instant lies far past the kill, so the runtime sees p2 dormant
+// long before it is due; the budget is a hang guard.
+TYPED_TEST(WallClockRuntime, RestartPendingAfterEveryoneStoppedIsAbandoned) {
+  ConfigOf<TypeParam> cfg;
+  cfg.n = 3;
+  cfg.budget = std::chrono::milliseconds(2'000);
+  TypeParam cluster(cfg);
+  std::atomic<int> factory_calls{0};
+  cluster.set_actor(ProcessId{0}, std::make_unique<StopAtOnce>());
+  cluster.set_actor(ProcessId{1}, std::make_unique<StopAtOnce>());
+  cluster.set_actor(ProcessId{2}, std::make_unique<Idle>());
+  cluster.crash_after(ProcessId{2}, std::chrono::microseconds(1'000));
+  cluster.set_restart(ProcessId{2}, std::chrono::milliseconds(1'000),
+                      [&factory_calls] {
+                        ++factory_calls;
+                        return std::make_unique<Idle>();
+                      });
+
+  EXPECT_TRUE(cluster.run());
+  EXPECT_EQ(factory_calls.load(), 0);
+  EXPECT_TRUE(cluster.unstopped().empty());
 }
 
 }  // namespace

@@ -84,9 +84,6 @@ Row run_cell(runtime::Backend substrate, Mode mode, std::uint32_t clients,
   }
   if (mode == Mode::kOverload) load.max_pending = kOverloadPending;
   cfg.clients = load;
-  // Two slots per op (thin batches + no-op races) plus drain margin —
-  // see adversary/client_campaign.cpp.
-  cfg.slots = 2ull * clients * ops + 2 * kWindow;
 
   Row row;
   row.substrate = substrate;

@@ -19,8 +19,8 @@
 //                      [--substrates sim,threads,tcp] [--base-seed 1]
 //                      [--out report.json] [--no-negative-control]
 //                      [--list] [--budget-ms 20000]
-//   scenario_cli smr   --n 4 --backend crash|byz [--f 1] [--slots 8]
-//                      [--window W] [--batch B] [--commands K]
+//   scenario_cli smr   --n 4 --backend crash|byz [--f 1]
+//                      [--window W] [--batch B] [--slots 8] [--commands K]
 //                      [--clients K --ops M [--in-flight F]]
 //                      [--verify-workers V] [--substrate sim|threads|tcp]
 //                      [--seed S] [--crash P:TIME_US]...
@@ -35,14 +35,17 @@
 // `smr` runs the pipelined replicated KV machine (docs/SMR.md): --window
 // sets the number of concurrent consensus instances per replica, --batch
 // the commands committed per slot, --commands the synthetic workload size
-// (slots default to ceil(commands / batch)).  --clients K --ops M
-// replaces the preloaded workload with K live clients of M scripted ops
-// each (docs/CLIENT.md), one op in flight per client, or F with
-// --in-flight; slots then default to the docs/CLIENT.md sizing rule
-// 2·K·M + 2·W.  --checkpoint-interval turns
-// on certified checkpoints + log compaction (docs/RECOVERY.md); --restart
+// and --slots the length of its log (default ceil(commands / batch)).
+// --clients K --ops M replaces the preloaded workload with K live clients
+// of M scripted ops each (docs/CLIENT.md), one op in flight per client, or
+// F with --in-flight; the log then has no fixed length, so --slots is
+// rejected, and the run ends once every client finished and every correct
+// replica applied all K·M commands.  --checkpoint-interval turns on
+// certified checkpoints + log compaction (docs/RECOVERY.md); --restart
 // kills replica P at KILL_US and brings it back at RESTART_US as a fresh
 // actor that recovers via state transfer (requires --checkpoint-interval).
+// The `store digest:` line is the SHA-256 of the first correct replica's
+// final store, so two builds' stores compare even where traffic differs.
 //
 // Faults take `<process>:<behavior>` with 1-based process ids; behaviours:
 //   crash mute corrupt-vector wrong-round duplicate-current duplicate-next
@@ -89,6 +92,8 @@
 #include "runtime/substrate.hpp"
 #include "sim/trace.hpp"
 #include "transport/tcp_cluster.hpp"
+#include "common/serial.hpp"
+#include "crypto/sha256.hpp"
 
 namespace {
 
@@ -114,7 +119,7 @@ using namespace modubft;
                "[--base-seed S] [--out FILE] [--no-negative-control] "
                "[--list] [--budget-ms MS]\n"
             << "       scenario_cli smr   --n N --backend crash|byz [--f F] "
-               "[--slots K] [--window W] [--batch B] [--commands C] "
+               "[--window W] [--batch B] [--slots K] [--commands C] "
                "[--clients K --ops M [--in-flight F]] "
                "[--verify-workers V] [--substrate sim|threads|tcp] "
                "[--seed S] [--crash P:TIME_US]... [--checkpoint-interval C] "
@@ -499,6 +504,17 @@ int run_tcp(int argc, char** argv) {
   return correct_decided == r.correct.size() && r.agreement ? 0 : 1;
 }
 
+/// SHA-256 of a store in canonical form: every key and value
+/// length-prefixed, in key order.
+std::string store_digest(const std::map<std::string, std::string>& store) {
+  Writer w;
+  for (const auto& [key, value] : store) {
+    w.str(key);
+    w.str(value);
+  }
+  return to_hex(crypto::digest_bytes(crypto::sha256(std::move(w).take())));
+}
+
 int run_smr(int argc, char** argv) {
   faults::SmrScenarioConfig cfg;
   cfg.n = 0;
@@ -584,6 +600,10 @@ int run_smr(int argc, char** argv) {
   if (load.count > 0 && commands > 0) {
     usage("--commands and --clients are exclusive");
   }
+  if (load.count > 0 && slots_flag.has_value()) {
+    usage("--slots and --clients are exclusive: a client run's log has no "
+          "fixed length");
+  }
   if (in_flight < 1 || in_flight > smr::kReplyCacheDepth) {
     usage(("--in-flight must be in [1, " +
            std::to_string(smr::kReplyCacheDepth) + "]")
@@ -614,7 +634,6 @@ int run_smr(int argc, char** argv) {
       load.interval = 2'000;
     }
     cfg.clients = load;
-    cfg.slots = slots_flag.value_or(2 * client_ops + 2 * cfg.window);
   }
 
   faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
@@ -628,10 +647,13 @@ int run_smr(int argc, char** argv) {
             << ")\n"
             << "substrate:       " << runtime::backend_name(cfg.substrate)
             << " (" << runtime::run_outcome_name(r.outcome) << ")\n"
-            << "n / slots:       " << cfg.n << " / " << cfg.slots << "\n"
+            << "n / slots:       " << cfg.n << " / "
+            << (cfg.clients.has_value() ? pipe.slots_committed : cfg.slots)
+            << "\n"
             << "window / batch:  " << cfg.window << " / " << cfg.batch << "\n"
             << "all committed:   " << (r.all_committed ? "yes" : "NO") << "\n"
             << "stores agree:    " << (r.stores_agree ? "yes" : "NO") << "\n"
+            << "store digest:    " << store_digest(r.store) << "\n"
             << "commands:        " << pipe.commands_committed << " ("
             << pipe.noop_slots << " no-op slots, max batch "
             << pipe.max_batch << ")\n"

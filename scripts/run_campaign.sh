@@ -2,7 +2,7 @@
 # Runs the adversarial campaign: both attack families — the consensus
 # catalog and the SMR attacks on state transfer and the client path —
 # swept across all three substrates (sim, threads, tcp) with three seeds
-# per cell (306 (attack × substrate × seed) scenarios at n=4, f=1), plus
+# per cell (315 (attack × substrate × seed) scenarios at n=4, f=1), plus
 # the four negative controls (deliberately broken configurations the
 # audits must flag).
 #
@@ -11,7 +11,7 @@
 # unflagged, or no cell ran.  Pass extra scenario_cli campaign flags to
 # override the grid:
 #
-#   scripts/run_campaign.sh                     # default 306-cell sweep
+#   scripts/run_campaign.sh                     # default 315-cell sweep
 #   scripts/run_campaign.sh --n 7 --f 2         # coalition grid
 #   scripts/run_campaign.sh --attacks equivocate,forge-replies --seeds 20
 set -euo pipefail

@@ -26,6 +26,13 @@ constexpr std::uint32_t kWindow = 4;
 constexpr std::uint32_t kVictim = 2;    // p3, killed and restarted
 constexpr std::uint32_t kAttacker = 1;  // p2
 
+/// burn-log's junk runs this many slots past W ahead of each frame's slot.
+constexpr std::uint64_t kBurnPastWindow = 8;
+
+/// The slot a forged STATE_RESP claims: beyond any cell's log, so the
+/// fabricated state outbids every honest response.
+constexpr std::uint64_t kForgedClaimSlot = std::uint64_t{1} << 32;
+
 /// Kill/restart instants (µs) per substrate, indexed by runtime::Backend
 /// (sim, threads, tcp).  The simulator drains a cell in tens of virtual
 /// ms, and its kill lands after a checkpoint certified, so every sim
@@ -74,20 +81,23 @@ std::string render_cmd(std::uint64_t id) {
 /// Actor decorator splicing one attack under a replica.  Consensus frames
 /// always pass through byte-identical — the wrapped replica keeps
 /// committing correctly — so each attack is invisible to everything but
-/// the control frames it targets.
+/// the control frames it targets (burn-log only adds junk next to them).
 class SmrAttacker final : public sim::Actor {
  public:
   /// `self` signs forged checkpoint votes (the attacker legitimately holds
   /// its own key); `forged_resp` answers every STATE_REQ under
-  /// forged-checkpoint; `seed` drives corrupt-state-resp's byte stomps.
+  /// forged-checkpoint; `burn_ahead` is how many slots ahead burn-log's
+  /// junk runs; `seed` drives corrupt-state-resp's byte stomps and
+  /// burn-log's junk bytes.
   SmrAttacker(std::unique_ptr<sim::Actor> inner, SmrAttack attack,
               std::uint32_t n, const crypto::Signer* self, Bytes forged_resp,
-              std::uint64_t seed)
+              std::uint64_t burn_ahead, std::uint64_t seed)
       : inner_(std::move(inner)),
         attack_(attack),
         n_(n),
         self_(self),
         forged_resp_(std::move(forged_resp)),
+        burn_ahead_(burn_ahead),
         rng_(seed) {
     MODUBFT_EXPECTS(inner_ != nullptr && self_ != nullptr);
   }
@@ -111,14 +121,17 @@ class SmrAttacker final : public sim::Actor {
   }
 
  private:
-  /// Routes every outgoing control frame through intercept().
+  /// Routes every outgoing control frame through intercept() and every
+  /// consensus frame past burn().
   class AttackContext final : public sim::ForwardingContext {
    public:
     AttackContext(sim::Context& base, SmrAttacker& owner)
         : ForwardingContext(base), owner_(owner) {}
 
     void send(ProcessId to, Bytes payload) override {
-      if (is_control_frame(payload) && owner_.intercept(base_, to, payload)) {
+      if (!is_control_frame(payload)) {
+        owner_.burn(base_, payload);
+      } else if (owner_.intercept(base_, to, payload)) {
         return;
       }
       base_.send(to, std::move(payload));
@@ -126,6 +139,7 @@ class SmrAttacker final : public sim::Actor {
 
     void broadcast(const Bytes& payload) override {
       if (!is_control_frame(payload)) {
+        owner_.burn(base_, payload);
         base_.broadcast(payload);
         return;
       }
@@ -145,6 +159,25 @@ class SmrAttacker final : public sim::Actor {
   bool intercept(sim::Context& ctx, std::optional<ProcessId> to,
                  Bytes& frame);
 
+  /// burn-log's hook for one outgoing consensus frame: one junk envelope
+  /// to every other replica for each of the burn_ahead_ slots past the
+  /// frame's own.
+  void burn(sim::Context& ctx, const Bytes& frame) {
+    if (attack_ != SmrAttack::kBurnLog) return;
+    Reader r(frame);
+    const std::uint64_t slot = r.u64();
+    for (std::uint64_t s = slot + 1; s <= slot + burn_ahead_; ++s) {
+      Writer w;
+      w.u64(s);
+      w.u64(rng_.next_u64());
+      w.u64(rng_.next_u64());
+      const Bytes junk = std::move(w).take();
+      for (std::uint32_t j = 0; j < n_; ++j) {
+        if (j != ctx.id().value) ctx.send(ProcessId{j}, junk);
+      }
+    }
+  }
+
   void release_one(sim::Context& ctx) {
     if (held_.empty()) return;
     auto [to, frame] = std::move(held_.front());
@@ -157,6 +190,7 @@ class SmrAttacker final : public sim::Actor {
   std::uint32_t n_;  // process ids >= n_ are clients
   const crypto::Signer* self_;
   Bytes forged_resp_;
+  std::uint64_t burn_ahead_;
   Rng rng_;
   std::deque<std::pair<ProcessId, Bytes>> held_;
 };
@@ -229,6 +263,7 @@ bool SmrAttacker::intercept(sim::Context& ctx, std::optional<ProcessId> to,
         return false;
       case SmrAttack::kNone:
       case SmrAttack::kPhantomIds:  // the attack is the preloaded workload
+      case SmrAttack::kBurnLog:     // the attack rides consensus frames
         return false;
     }
   } catch (const std::exception&) {
@@ -258,12 +293,6 @@ faults::SmrScenarioConfig make_scenario(std::uint32_t n, std::uint32_t f,
   load.count = kClients;
   load.ops_per_client = kOpsPerClient;
   sc.clients = load;
-  // Closed-loop arrival commits thin batches, and pipelined peers racing
-  // for the same ids commit a no-op slot per concurrent op in the worst
-  // case — so budget two slots per op plus drain margin for the window.
-  // Undersizing is a liveness failure by construction: an op submitted
-  // after the fixed log filled can never commit.
-  sc.slots = 2 * kClients * kOpsPerClient + 2 * kWindow;
 
   const auto& outage = kOutage[static_cast<std::size_t>(substrate)];
   sc.crashes.push_back({ProcessId{kVictim}, outage.kill, outage.restart});
@@ -280,10 +309,11 @@ faults::SmrScenarioConfig make_scenario(std::uint32_t n, std::uint32_t f,
   return sc;
 }
 
-/// Splices `attack` under every replica in `attackers` (restarted lives
-/// included — wrap_actor re-applies on restart) and marks them faulty.
-void arm(faults::SmrScenarioConfig& sc, SmrAttack attack,
-         const std::set<std::uint32_t>& attackers) {
+}  // namespace
+
+void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
+                    const std::set<std::uint32_t>& attackers) {
+  MODUBFT_EXPECTS(sc.clients.has_value());
   if (attack == SmrAttack::kNone) return;
   sc.assume_faulty = attackers;
   if (attack == SmrAttack::kPhantomIds) {
@@ -296,7 +326,8 @@ void arm(faults::SmrScenarioConfig& sc, SmrAttack attack,
     // forces the SEQ_BOUND refutation path instead of a silent skip.
     sc.clients->open_loop = true;
     smr::Command just_past;
-    just_past.id = smr::make_client_cmd_id(sc.n, kOpsPerClient + 1);
+    just_past.id =
+        smr::make_client_cmd_id(sc.n, sc.clients->ops_per_client + 1);
     just_past.op = smr::Command::Op::kPut;
     just_past.key = "phantom";
     just_past.value = "beyond-script";
@@ -316,24 +347,27 @@ void arm(faults::SmrScenarioConfig& sc, SmrAttack attack,
   Bytes forged_resp;
   if (attack == SmrAttack::kForgedCheckpoint) {
     // "Certified" by every key the attack controls — ≤ f of them in a
-    // sound cell.  It claims the log's last slot, so the fabricated state
-    // outbids every honest response.
+    // sound cell.
     std::vector<const crypto::Signer*> coalition;
     for (std::uint32_t a : attackers) {
       coalition.push_back(keys->signers[a].get());
     }
-    forged_resp = forged_state_resp(sc.slots, coalition);
+    forged_resp = forged_state_resp(kForgedClaimSlot, coalition);
   }
   sc.wrap_actor = [attack, attackers, keys, forged_resp, n = sc.n,
+                   burn_ahead = sc.window + kBurnPastWindow,
                    seed = sc.seed](ProcessId id,
                                    std::unique_ptr<sim::Actor> inner)
       -> std::unique_ptr<sim::Actor> {
     if (attackers.count(id.value) == 0) return inner;
     return std::make_unique<SmrAttacker>(
         std::move(inner), attack, n, keys->signers[id.value].get(),
-        forged_resp, seed ^ (0x9e3779b97f4a7c15ull * (id.value + 1)));
+        forged_resp, burn_ahead,
+        seed ^ (0x9e3779b97f4a7c15ull * (id.value + 1)));
   };
 }
+
+namespace {
 
 /// Judges a finished run by the one cell rule.  `expected` overrides the
 /// quorum store in the store audit.
@@ -391,6 +425,9 @@ const std::vector<SmrAttackEntry>& smr_attack_catalog() {
        "corrupts relayed command bodies under the client's signature"},
       {SmrAttack::kPhantomIds, "phantom-ids", "spurious statement",
        "proposes bodies for fabricated client ids"},
+      {SmrAttack::kBurnLog, "burn-log", "spurious statement",
+       "sends junk envelopes for the next W + 8 slots with every "
+       "consensus frame"},
   };
   return catalog;
 }
@@ -437,7 +474,11 @@ SmrCellOutcome run_smr_cell(std::uint32_t n, std::uint32_t f,
                             std::uint64_t seed,
                             std::chrono::milliseconds budget) {
   faults::SmrScenarioConfig sc = make_scenario(n, f, substrate, seed, budget);
-  arm(sc, attack, {kAttacker});
+  // burn-log's junk convicts the attacker in every slot it lands in, so
+  // the attacker takes no part in consensus and uses up the one fault
+  // n = 3f + 1 tolerates; p3's outage on top would be a second one.
+  if (attack == SmrAttack::kBurnLog) sc.crashes.clear();
+  arm_smr_attack(sc, attack, {kAttacker});
   SmrCellOutcome out;
   out.result = faults::run_smr_scenario(sc);
   out.cell = judge(smr_attack_catalog()[static_cast<std::size_t>(attack)].name,
@@ -570,7 +611,7 @@ SmrCellOutcome run_smr_control(SmrControl control, std::uint32_t n,
       std::set<std::uint32_t> peers = everyone;
       peers.erase(kVictim);
       sc.recovery_trust_unverified = true;
-      arm(sc, SmrAttack::kForgedCheckpoint, peers);
+      arm_smr_attack(sc, SmrAttack::kForgedCheckpoint, peers);
       break;
     }
     // The two client controls run without the crash: the planted
@@ -578,7 +619,7 @@ SmrCellOutcome run_smr_control(SmrControl control, std::uint32_t n,
     case SmrControl::kTrustFirstReply:
       sc.crashes.clear();
       sc.clients->trust_first_reply = true;
-      arm(sc, SmrAttack::kForgeReplies, everyone);
+      arm_smr_attack(sc, SmrAttack::kForgeReplies, everyone);
       break;
     case SmrControl::kUnauthenticatedBodies:
       // The corrupted body wins first-write-wins ingest on every honest
@@ -587,7 +628,7 @@ SmrCellOutcome run_smr_control(SmrControl control, std::uint32_t n,
       sc.crashes.clear();
       sc.clients->authenticate = false;
       sc.max_time = 30'000'000;
-      arm(sc, SmrAttack::kForgeBodies, {kAttacker});
+      arm_smr_attack(sc, SmrAttack::kForgeBodies, {kAttacker});
       break;
   }
 

@@ -42,16 +42,29 @@
 //                       replicas must skip both instead of parking the
 //                       commit frontier on them.  The clients run open
 //                       loop, so the just-past phantom is eligible early.
+//   burn-log            For every consensus frame it sends for slot s, the
+//                       attacker also sends every other replica one junk
+//                       envelope (the slot tag and 16 garbage bytes) for
+//                       each slot s+1 .. s+W+8.  A client-mode replica
+//                       starts a slot once any envelope for it is
+//                       buffered, so the junk makes every correct replica
+//                       run no-op slots as fast as consensus goes.  The
+//                       log has no fixed length, so the burned slots cost
+//                       time but never crowd out a client's operation.
 //
 // plus `smr-none`, the kill/restart under client load with no attack.
 //
 // Every cell has one shape: the Byzantine back-end (W = 4, B = 2,
 // checkpoint every 4 slots) serving 2 clients × 8 operations, with p3
-// killed and restarted mid-run and p2 the attacker.  n, f, seed,
+// killed and restarted mid-run and p2 the attacker.  burn-log runs without
+// the kill: its junk convicts the attacker in every slot it lands in (an
+// undecodable message is proof of a fault), so the attacker takes no part
+// in consensus and is already the one fault n = 3f + 1 tolerates.  n, f, seed,
 // substrate and budget come from the campaign; every TCP cell also kills
 // links under the framing layer.  A cell passes iff the run is clean and
-// every slot committed, the stores agree and every client finished, p3
-// recovered, and both audits come back empty: audit_recovered_stores
+// every correct replica applied every command, the stores agree and every
+// client finished, p3 recovered, and both audits come back empty:
+// audit_recovered_stores
 // (p3 ends with the correct quorum's store) and audit_client_replies
 // (every accepted reply matches the committed log, exactly once).
 //
@@ -87,6 +100,7 @@ enum class SmrAttack : std::uint8_t {
   kForgeReplies,
   kForgeBodies,
   kPhantomIds,
+  kBurnLog,
 };
 
 /// One SMR catalog entry, listed next to the consensus catalog.
@@ -130,6 +144,14 @@ SmrCellOutcome run_smr_cell(std::uint32_t n, std::uint32_t f,
                             SmrAttack attack, runtime::Backend substrate,
                             std::uint64_t seed,
                             std::chrono::milliseconds budget);
+
+/// Splices `attack` under every replica in `attackers` of a client-mode
+/// Byzantine scenario (restarted lives included — wrap_actor re-applies on
+/// restart) and lists them in assume_faulty.  The attackers sign with the
+/// HMAC keys run_smr_scenario derives from (n, seed).  run_smr_cell uses
+/// it on the cell shape; tests use it on their own shapes.
+void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
+                    const std::set<std::uint32_t>& attackers);
 
 /// Store audit: each restarted replica must (a) have installed verified
 /// state and (b) end with the store that at least `quorum` correct

@@ -237,11 +237,10 @@ void Client::maybe_finish(sim::Context& ctx) {
   if (finished_ || next_op_ < config_.ops.size() || !pending_.empty()) {
     return;
   }
-  finished_ = true;
+  finished_.store(true, std::memory_order_release);
   if (interval_timer_ != 0) ctx.cancel_timer(interval_timer_);
-  // Tell Π the whole script certified; replicas drain the rest of the log.
-  // Signed so replicas may re-serve it to each other after we stop — it
-  // doubles as the standing seq bound for this client.
+  // Tell Π the whole script certified: the standing seq bound for this
+  // client, signed so replicas may re-serve it to each other after we stop.
   smr::ClientDone done;
   done.client = ctx.id().value;
   done.final_seq = config_.ops.size();

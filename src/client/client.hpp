@@ -25,10 +25,11 @@
 // chaos campaign proves the forged-reply attack lands when it is on.
 //
 // When every scripted operation has certified, the client broadcasts
-// CLIENT_DONE (the replicas' signal to drain the rest of the log) and
-// stops.
+// CLIENT_DONE (its standing seq bound: it will never submit beyond its
+// script) and stops.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -148,7 +149,9 @@ class Client final : public sim::Actor {
   const ClientStats& stats() const { return stats_; }
   const std::vector<AcceptedReply>& accepted() const { return accepted_; }
   /// True once every scripted operation certified (CLIENT_DONE sent).
-  bool finished() const { return finished_; }
+  /// Safe to read from another thread while the client runs (the scenario
+  /// runner's end condition does).
+  bool finished() const { return finished_.load(std::memory_order_acquire); }
 
  private:
   /// An operation in flight: submitted, not yet certified.
@@ -193,7 +196,7 @@ class Client final : public sim::Actor {
   std::map<std::uint64_t, Pending> pending_;      // seq → in flight
   std::map<std::uint64_t, std::uint64_t> timers_;  // timer id → seq
   std::uint64_t interval_timer_ = 0;
-  bool finished_ = false;
+  std::atomic<bool> finished_{false};
   ClientStats stats_;
   std::vector<AcceptedReply> accepted_;
 };

@@ -215,6 +215,9 @@ struct ClientLoadConfig {
 struct SmrScenarioConfig : ScenarioSettings {
   std::uint32_t n = 4;
   std::uint32_t f = 1;  // Byzantine backend resilience
+  /// Length of a preloaded workload's log; the run ends once every
+  /// correct replica committed it.  Ignored with `clients` set, where the
+  /// log has no fixed length.
   std::uint64_t slots = 5;
   smr::Backend backend = smr::Backend::kCrashHurfinRaynal;
   /// Crash backend: replicas halted mid-run (also fed to the oracle ◇S).
@@ -267,8 +270,9 @@ struct SmrScenarioConfig : ScenarioSettings {
   // --- client/service layer (ISSUE 9) ---
   /// Attach live clients; every replica gets a client service (see
   /// smr::ClientServiceConfig).  The clients ARE the workload, so
-  /// `workload` must be empty; size the log so the submitted commands
-  /// fit: slots ≥ count × ops_per_client plus drain margin.
+  /// `workload` must be empty.  The log has no fixed length: the run ends
+  /// once every client finished its script and every correct replica
+  /// applied all count × ops_per_client commands.
   std::optional<ClientLoadConfig> clients;
   /// Extra preloaded commands appended to `workload` on SELECTED replicas
   /// only (adversary harness): a replica that "knows" command bodies the

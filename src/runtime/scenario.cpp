@@ -87,10 +87,11 @@ std::unique_ptr<runtime::Substrate> make_world(
   return runtime::make_substrate(cfg);
 }
 
-/// Runs `world` to completion and records the outcome fields every
-/// scenario result shares.
-void record_run(runtime::Substrate& world, ScenarioOutcome& result) {
-  runtime::RunResult run = world.run();
+/// Runs `world` to completion (or until `done` holds) and records the
+/// outcome fields every scenario result shares.
+void record_run(runtime::Substrate& world, ScenarioOutcome& result,
+                std::function<bool()> done = nullptr) {
+  runtime::RunResult run = world.run(std::move(done));
   result.outcome = run.outcome;
   result.clean = run.clean;
   result.unstopped = std::move(run.unstopped);
@@ -491,11 +492,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       result.correct.insert(i);
     }
   }
-  // Finished replicas stay alive until every correct peer announced done,
-  // so late recoverers always find someone to serve their STATE_REQ.
-  const std::set<std::uint32_t> await_done =
-      checkpointing ? result.correct : std::set<std::uint32_t>{};
-
   // Retry-timer base of the recovery catch-up and the missing-body fetch,
   // per substrate: both re-ask peers for state known to exist somewhere.
   const SimTime retry_delay =
@@ -508,10 +504,14 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // cache (the cross-restart boundedness satellite exercises this).
   std::vector<std::shared_ptr<crypto::CachingVerifier>> caches(config.n);
 
-  // views[i] always points at the CURRENT life of replica i; a restart
-  // factory rewrites the slot on the node's own thread, and run() joins
-  // every node before the views are read back.
+  // views[i] always points at the CURRENT life of replica i, and
+  // fresh_life[i] says whether that is a restarted one.  A restart factory
+  // rewrites both on the node's own thread under views_mu, which the end
+  // condition also takes while the nodes run; run() joins every node
+  // before the views are read back.
   std::vector<const smr::Replica*> views(config.n, nullptr);
+  std::vector<bool> fresh_life(config.n, false);
+  std::mutex views_mu;
 
   // Staged ingest default mirrors the verify-pool default: off on the
   // deterministic simulator (whose event loop never forms a batch), on
@@ -552,7 +552,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.checkpoint.recover = recover;
       rcfg.checkpoint.trust_unverified =
           recover && config.recovery_trust_unverified;
-      rcfg.await_done = await_done;
     }
     if (client_mode) {
       rcfg.client.num_clients = num_clients;
@@ -661,7 +660,11 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
         world->restart(crash_specs[i], [&, i, w = workload_for(i)] {
           auto fresh = std::make_unique<smr::Replica>(
               make_rcfg(i, /*recover=*/true), w, smr::CommitFn{});
-          views[i] = fresh.get();
+          {
+            std::lock_guard<std::mutex> lock(views_mu);
+            views[i] = fresh.get();
+            fresh_life[i] = true;
+          }
           std::unique_ptr<sim::Actor> actor = std::move(fresh);
           if (config.wrap_actor) {
             actor = config.wrap_actor(ProcessId{i}, std::move(actor));
@@ -713,16 +716,51 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     }
   }
 
-  record_run(*world, result);
+  // The runner ends the run; no replica stops itself.  It is over once
+  // every client finished its script and every correct replica reached
+  // its target: in a client run, every command the clients submitted
+  // applied (exactly-once makes that the exact total), with a preloaded
+  // workload, the whole log committed.  A replica with a restart counts
+  // from its fresh life only; replicas killed for good and assumed-faulty
+  // ones are not awaited.  Call with views_mu held while the nodes run.
+  const std::uint64_t target =
+      client_mode ? std::uint64_t{num_clients} * config.clients->ops_per_client
+                  : config.slots;
+  auto reached = [&](std::uint32_t i) {
+    if (crash_specs[i].restart_at.has_value() && !fresh_life[i]) return false;
+    return (client_mode ? views[i]->live_applied()
+                        : views[i]->live_frontier()) >= target;
+  };
+  auto run_over = [&] {
+    std::lock_guard<std::mutex> lock(views_mu);
+    return std::all_of(client_views.begin(), client_views.end(),
+                       [](const client::Client* c) { return c->finished(); }) &&
+           std::all_of(result.correct.begin(), result.correct.end(), reached);
+  };
 
-  result.all_committed = true;
-  result.stores_agree = true;
+  record_run(*world, result, run_over);
+  if (!run_over()) {
+    // The run ended short of its end (a limit hit, or nothing was left to
+    // run): name exactly who fell short.
+    result.clean = false;
+    result.unstopped.clear();
+    for (std::uint32_t i : result.correct) {
+      if (!reached(i)) result.unstopped.push_back(ProcessId{i});
+    }
+    for (std::uint32_t k = 0; k < num_clients; ++k) {
+      if (!client_views[k]->finished()) {
+        result.unstopped.push_back(ProcessId{config.n + k});
+      }
+    }
+  }
+
+  result.all_committed =
+      !result.correct.empty() &&
+      std::all_of(result.correct.begin(), result.correct.end(), reached);
+  result.stores_agree = !result.correct.empty();
   const smr::Replica* reference = nullptr;
   for (std::uint32_t i : result.correct) {
     result.committed.emplace(i, views[i]->committed_slots());
-    if (views[i]->committed_slots() < config.slots) {
-      result.all_committed = false;
-    }
     result.stores.emplace(i, views[i]->store().contents());
     if (reference == nullptr) {
       reference = views[i];
@@ -734,10 +772,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
         views[i]->pipeline_stats().recovery_join_us > 0) {
       result.recovered.insert(i);
     }
-  }
-  if (result.correct.empty()) {
-    result.all_committed = false;
-    result.stores_agree = false;
   }
 
   // Run statistics: every declared counter folds by its own rule

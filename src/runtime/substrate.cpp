@@ -78,9 +78,9 @@ class SimSubstrate final : public Substrate {
     world_->set_delivery_tap(std::move(tap));
   }
 
-  RunResult run() override {
+  RunResult run(std::function<bool()> done) override {
     const WallClock::time_point start = WallClock::now();
-    const sim::RunOutcome out = world_->run();
+    const sim::RunOutcome out = world_->run(done);
 
     RunResult result;
     switch (out) {
@@ -178,8 +178,8 @@ class WallClockSubstrate final : public Substrate {
     cluster_->set_delivery_tap(std::move(tap));
   }
 
-  RunResult run() override {
-    const bool all_stopped = cluster_->run();
+  RunResult run(std::function<bool()> done) override {
+    const bool all_stopped = cluster_->run(done);
 
     RunResult result;
     result.outcome =

@@ -51,10 +51,11 @@ std::optional<Backend> parse_backend(const std::string& name);
 
 /// Why Substrate::run returned.  Superset of sim::RunOutcome: the
 /// wall-clock backends report kAllStopped on a clean run and
-/// kBudgetExpired when the budget ran out with live nodes.
+/// kBudgetExpired when the budget ran out with live nodes.  A run whose
+/// end condition held reports kAllStopped on every backend.
 enum class RunOutcome : std::uint8_t {
   kQuiescent,      // sim only: no pending events remained
-  kAllStopped,     // every live actor called stop()
+  kAllStopped,     // every live actor called stop(), or the end held
   kTimeLimit,      // sim only: simulated-time budget exhausted
   kEventLimit,     // sim only: event-count budget exhausted
   kBudgetExpired,  // threads/tcp: wall-clock budget exhausted
@@ -237,7 +238,14 @@ class Substrate {
       std::function<void(const sim::Delivery&)> tap) = 0;
 
   /// Runs to completion (or a limit) and reports the unified outcome.
-  virtual RunResult run() = 0;
+  /// `done` is the caller's end condition: once it holds, the run ends as
+  /// kAllStopped, and a restart still pending then is abandoned.  The
+  /// simulator checks it after every event; the wall-clock backends check
+  /// it in their 2 ms all-stopped poll, on the calling thread, so it may
+  /// read only state that is safe to read while the nodes run.  Without
+  /// one, a run ends when every process stopped (or, on the simulator,
+  /// when no event is left).
+  virtual RunResult run(std::function<bool()> done = nullptr) = 0;
 };
 
 std::unique_ptr<Substrate> make_substrate(SubstrateConfig config);

@@ -186,7 +186,7 @@ bool Simulation::run_until(SimTime t) {
   return !queue_.empty();
 }
 
-RunOutcome Simulation::run() {
+RunOutcome Simulation::run(const std::function<bool()>& done) {
   start_if_needed();
 
   while (!queue_.empty()) {
@@ -204,6 +204,7 @@ RunOutcome Simulation::run() {
     if (!any_live) return RunOutcome::kAllStopped;
 
     step();
+    if (done && done()) return RunOutcome::kAllStopped;
   }
   return RunOutcome::kQuiescent;
 }

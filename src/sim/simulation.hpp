@@ -128,8 +128,10 @@ class Simulation {
   /// Applies delay_channel to every channel touching `victim`.
   void delay_process(ProcessId victim, SimTime extra, SimTime until);
 
-  /// Runs until quiescence, all-stopped, or a budget limit.
-  RunOutcome run();
+  /// Runs until quiescence, all-stopped, or a budget limit.  `done`, when
+  /// given, is the caller's end condition: it is checked after every
+  /// event, and once it holds the run ends as all-stopped.
+  RunOutcome run(const std::function<bool()>& done = nullptr);
 
   /// Runs every event scheduled at or before `t` (starting the actors if
   /// needed).  Returns true while events remain afterwards.  Useful for

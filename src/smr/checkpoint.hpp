@@ -19,7 +19,7 @@
 //     kind 6  BUSY        — replica → client: admission queue full, back off
 //     kind 7  CMD_RELAY   — replica ↔ replica: admitted command body + sig
 //     kind 8  CMD_FETCH   — replica ↔ replica: "send me these bodies"
-//     kind 9  CLIENT_DONE — client → Π: whole script certified, drain
+//     kind 9  CLIENT_DONE — client → Π: whole script certified (a bound)
 //     kind 10 SEQ_BOUND   — client → Π: "I will never send seq > bound"
 //
 // REQUEST and CMD_RELAY carry the client's signature over the command

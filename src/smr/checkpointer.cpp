@@ -46,13 +46,12 @@ Checkpointer::Checkpointer(const ReplicaConfig& config, PipelineStats& stats,
 }
 
 bool Checkpointer::on_frame(sim::Context& ctx, ProcessId from,
-                            ControlKind kind, const Bytes& body,
-                            std::uint64_t frontier) {
+                            ControlKind kind, const Bytes& body) {
   Reader r(body);
   if (kind == ControlKind::kCheckpointVote) {
-    on_vote(ctx, from, r, frontier);
+    on_vote(from, r);
   } else if (kind == ControlKind::kStateReq) {
-    on_state_req(ctx, from, r, frontier);
+    on_state_req(ctx, from, r);
   } else if (recovery_ != nullptr) {  // STATE_RESP; ignored if never asked
     if (recovery_->ingest(from, body)) return true;
     ++stats_.recovery_rejects;
@@ -61,8 +60,7 @@ bool Checkpointer::on_frame(sim::Context& ctx, ProcessId from,
 }
 
 bool Checkpointer::is_boundary(std::uint64_t slot) const {
-  return slot != 0 && slot <= config_.slots &&
-         (slot % config_.checkpoint.interval == 0 || slot == config_.slots);
+  return slot != 0 && slot % config_.checkpoint.interval == 0;
 }
 
 void Checkpointer::take(sim::Context& ctx, const Snapshot& snap) {
@@ -77,10 +75,9 @@ void Checkpointer::take(sim::Context& ctx, const Snapshot& snap) {
   vote.digest = digest;
   vote.sig = config_.signer->sign(
       bft::checkpoint_signing_bytes(vote.slot, vote.digest));
-  Bytes frame = encode_control_vote(vote);
-  if (vote.slot == config_.slots) end_vote_frame_ = frame;
   log_debug("SMR ", ctx.id(), " checkpoint at slot ", vote.slot);
-  ctx.broadcast(frame);  // includes self: our own vote is recorded on RX
+  // Includes self: our own vote is recorded on RX.
+  ctx.broadcast(encode_control_vote(vote));
 }
 
 void Checkpointer::record(std::uint64_t slot, std::vector<std::uint64_t> ids) {
@@ -89,16 +86,7 @@ void Checkpointer::record(std::uint64_t slot, std::vector<std::uint64_t> ids) {
       std::max<std::uint64_t>(stats_.log_peak, slot_log_.size());
 }
 
-bool Checkpointer::peers_done(ProcessId self) const {
-  return std::all_of(
-      config_.await_done.begin(), config_.await_done.end(),
-      [&](std::uint32_t id) {
-        return id == self.value || heard_end_.count(id) > 0;
-      });
-}
-
-void Checkpointer::on_vote(sim::Context& ctx, ProcessId from, Reader& r,
-                           std::uint64_t frontier) {
+void Checkpointer::on_vote(ProcessId from, Reader& r) {
   const CheckpointVote vote = decode_checkpoint_vote(r);
   // Only replicas vote (a recovering replica's certificate check rejects
   // any other signer too).
@@ -111,24 +99,17 @@ void Checkpointer::on_vote(sim::Context& ctx, ProcessId from, Reader& r,
     return;
   }
 
-  if (vote.slot == config_.slots) {
-    // End-of-log vote doubles as a DONE announcement.  Replying with our
-    // own end vote (once, on first contact) closes the race where the
-    // sender was down when we broadcast ours.
-    const bool fresh = heard_end_.insert(from.value).second;
-    if (fresh && frontier >= config_.slots && !end_vote_frame_.empty() &&
-        from.value != ctx.id().value) {
-      ctx.send(from, end_vote_frame_);
-    }
+  if (latest_cert_.has_value() && vote.slot <= latest_cert_->slot) return;
+  if (votes_.count(vote.slot) == 0 && votes_.size() >= kMaxOpenVoteSlots) {
+    const auto highest = std::prev(votes_.end());
+    if (highest->first < vote.slot) return;
+    votes_.erase(highest);
   }
-
-  if (!latest_cert_.has_value() || vote.slot > latest_cert_->slot) {
-    // First vote per sender wins: a correct replica votes once per slot,
-    // so a second digest from one sender is a fabrication.  An open slot
-    // holds at most n votes.
-    votes_[vote.slot].emplace(from.value, vote);
-    try_certify(vote.slot);
-  }
+  // First vote per sender wins: a correct replica votes once per slot, so
+  // a second digest from one sender is a fabrication.  An open slot holds
+  // at most n votes.
+  votes_[vote.slot].emplace(from.value, vote);
+  try_certify(vote.slot);
 }
 
 void Checkpointer::try_certify(std::uint64_t slot) {
@@ -159,8 +140,8 @@ void Checkpointer::try_certify(std::uint64_t slot) {
   pending_.erase(pending_.begin(), pending_.upper_bound(slot));
 }
 
-void Checkpointer::on_state_req(sim::Context& ctx, ProcessId from, Reader& r,
-                                std::uint64_t frontier) {
+void Checkpointer::on_state_req(sim::Context& ctx, ProcessId from,
+                                Reader& r) {
   (void)decode_state_req(r);  // validated; we always serve from our best
   if (from.value == ctx.id().value) return;  // own broadcast echo
   if (recovering_) return;  // nothing trustworthy to serve yet
@@ -178,11 +159,6 @@ void Checkpointer::on_state_req(sim::Context& ctx, ProcessId from, Reader& r,
   }
   ctx.send(from, encode_control_state_resp(resp));
   ++stats_.state_resps;
-  // A done responder reminds the requester of its end vote: the requester
-  // was down when the broadcast went out.
-  if (frontier >= config_.slots && !end_vote_frame_.empty()) {
-    ctx.send(from, end_vote_frame_);
-  }
 }
 
 void Checkpointer::request_state(sim::Context& ctx, std::uint64_t frontier) {

@@ -1,16 +1,15 @@
 // Certified checkpoints, log compaction and state transfer
 // (docs/RECOVERY.md).
 //
-// Every `interval` committed slots (and at the end of the log) each
-// replica signs a vote for the digest of its snapshot and broadcasts it.
-// A snapshot certified by a quorum of matching votes lets the replica drop
-// the committed-slot log below it and serve it, with the log suffix above
-// it, to a restarted replica that asks with STATE_REQ.  The restarted
-// replica's side is the recovery client: it broadcasts STATE_REQ with a
-// backoff timer and feeds every STATE_RESP through a RecoveryModule, which
-// says what is safe to install.  The end-of-log vote doubles as a DONE
-// announcement, so a finished replica stays alive to serve state until
-// every awaited peer announced done.
+// Every `interval` committed slots each replica signs a vote for the
+// digest of its snapshot and broadcasts it.  A snapshot certified by a
+// quorum of matching votes lets the replica drop the committed-slot log
+// below it and serve it, with the log suffix above it, to a restarted
+// replica that asks with STATE_REQ.  The restarted replica's side is the
+// recovery client: it broadcasts STATE_REQ with a backoff timer and feeds
+// every STATE_RESP through a RecoveryModule, which says what is safe to
+// install.  A replica never stops itself, so its peers are there to
+// answer a restarted replica however late it comes back.
 //
 // Checkpointer owns control kinds 1–3.  It never touches the replica's
 // store or frontier: the replica hands it a snapshot at each boundary, and
@@ -21,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "bft/checkpoint_cert.hpp"
@@ -37,12 +35,18 @@ namespace modubft::smr {
 struct ReplicaConfig;
 struct PipelineStats;
 
+/// Boundary slots above the latest certificate that hold votes at once.
+/// A vote that would open one more slot is kept only if its slot is below
+/// the highest open one, which it then evicts: a correct replica's votes
+/// sit on the lowest open boundaries, so a flooder voting for far-future
+/// boundaries (the log has no end to bound them) evicts only its own.
+inline constexpr std::size_t kMaxOpenVoteSlots = 64;
+
 /// Checkpointing + recovery knobs.  interval == 0 disables the whole
 /// subsystem: no control frames are sent or accepted, and the wire
 /// traffic is byte-identical to a pre-recovery build.
 struct CheckpointConfig {
-  /// Take a checkpoint every `interval` committed slots (and always at
-  /// the end of the log).  0 = off.
+  /// Take a checkpoint every `interval` committed slots.  0 = off.
   std::uint64_t interval = 0;
 
   /// Start in recovery: the replica owns no state, broadcasts STATE_REQ,
@@ -69,11 +73,11 @@ class Checkpointer {
                const crypto::Verifier* verifier);
 
   /// Handles one frame of a kind this unit owns; `body` is the bytes after
-  /// the kind octet and `frontier` the replica's commit frontier.  Returns
-  /// true iff a STATE_RESP verified, so recovery may have something new to
-  /// install.  Throws SerialError on a malformed body.
+  /// the kind octet.  Returns true iff a STATE_RESP verified, so recovery
+  /// may have something new to install.  Throws SerialError on a malformed
+  /// body.
   bool on_frame(sim::Context& ctx, ProcessId from, ControlKind kind,
-                const Bytes& body, std::uint64_t frontier);
+                const Bytes& body);
 
   /// True iff `frontier` is a checkpoint boundary this replica has not
   /// voted on yet.
@@ -85,10 +89,8 @@ class Checkpointer {
   void take(sim::Context& ctx, const Snapshot& snap);
   /// Appends a committed slot to the log a STATE_RESP serves.
   void record(std::uint64_t slot, std::vector<std::uint64_t> ids);
-
-  /// True iff every awaited peer announced it is done (its end-of-log
-  /// vote): until then a done replica stays alive to serve state transfer.
-  bool peers_done(ProcessId self) const;
+  /// Boundary slots holding votes (at most kMaxOpenVoteSlots).
+  std::size_t open_vote_slots() const { return votes_.size(); }
 
   // --- the recovery client ---
   /// True iff this replica started in recovery.
@@ -115,13 +117,10 @@ class Checkpointer {
   void replayed(sim::Context& ctx, std::uint64_t frontier);
 
  private:
-  /// The one boundary rule: every `interval`-th slot and the end of the
-  /// log.
+  /// The one boundary rule: every `interval`-th slot.
   bool is_boundary(std::uint64_t slot) const;
-  void on_vote(sim::Context& ctx, ProcessId from, Reader& r,
-               std::uint64_t frontier);
-  void on_state_req(sim::Context& ctx, ProcessId from, Reader& r,
-                    std::uint64_t frontier);
+  void on_vote(ProcessId from, Reader& r);
+  void on_state_req(sim::Context& ctx, ProcessId from, Reader& r);
   void try_certify(std::uint64_t slot);
   void request_state(sim::Context& ctx, std::uint64_t frontier);
 
@@ -137,15 +136,12 @@ class Checkpointer {
   std::map<std::uint64_t, std::pair<Bytes, crypto::Digest>> pending_;
   /// Checkpoint votes: slot → signer → its vote.  One vote per replica
   /// and slot (the first one; a correct replica votes once per slot), so
-  /// an open boundary slot holds at most n votes.
+  /// an open boundary slot holds at most n votes, in at most
+  /// kMaxOpenVoteSlots slots.
   std::map<std::uint64_t, std::map<std::uint32_t, CheckpointVote>> votes_;
   std::optional<bft::CheckpointCert> latest_cert_;
   Bytes latest_snapshot_;  // encoded bytes the certificate covers
   std::uint64_t last_ckpt_slot_ = 0;
-
-  // End-of-log coordination: who has announced completion.
-  std::set<std::uint32_t> heard_end_;
-  Bytes end_vote_frame_;  // our own end-of-log vote, for unicast replies
 
   // Recovery client state.
   bool recovering_ = false;

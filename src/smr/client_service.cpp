@@ -37,14 +37,6 @@ ClientService::Next ClientService::on_frame(sim::Context& ctx, ProcessId from,
   }
 }
 
-bool ClientService::enter_drain() {
-  if (drain_ || clients_done_.size() < config_.client.num_clients) {
-    return false;
-  }
-  drain_ = true;
-  return true;
-}
-
 bool ClientService::is_client(std::uint32_t pid) const {
   return pid >= config_.n && pid - config_.n < config_.client.num_clients;
 }
@@ -252,8 +244,8 @@ ClientService::Next ClientService::on_request(sim::Context& ctx,
   if (queued >= config_.client.max_pending && !fetch_needs(id)) {
     // Deterministic load-shedding: the admission queue is full, tell the
     // client to back off instead of queueing unboundedly.  A body the
-    // parked frontier is fetching is exempt: the park stops the queue from
-    // draining, so shedding it would starve the exact command progress
+    // parked frontier is fetching is exempt: the park keeps the queue from
+    // emptying, so shedding it would starve the exact command progress
     // depends on.
     ++stats_.sheds;
     ctx.send(from, encode_control_busy(
@@ -339,9 +331,8 @@ ClientService::Next ClientService::on_done(ProcessId from, Reader& r) {
                  done.sig)) {
     return Next::kNone;
   }
-  clients_done_.insert(done.client);
-  // DONE doubles as a seq bound: the client will never send beyond its
-  // final seq, so decided ids past it are fabrications to skip, not fetch.
+  // DONE is a seq bound: the client will never send beyond its final seq,
+  // so decided ids past it are fabrications to skip, not fetch.
   return record_bound(done.client, done.final_seq,
                       encode_control_client_done(done));
 }

@@ -16,10 +16,10 @@
 // correct replicas at the same frontier carry byte-identical caches.
 //
 // ClientService owns control kinds 4–10 (REPLY and BUSY are client-bound),
-// the client commit rule, the verified seq bounds, the missing-body fetch
-// and the drain phase.  It never drives the replica's pipeline: each
-// frame returns what the pipeline should do next, and the commit rule
-// returns a batch or parks the frontier.
+// the client commit rule, the verified seq bounds and the missing-body
+// fetch.  It never drives the replica's pipeline: each frame returns what
+// the pipeline should do next, and the commit rule returns a batch or
+// parks the frontier.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,9 @@ inline constexpr std::uint32_t kReplyCacheDepth = 64;
 
 /// Knobs for the replica-side client service.  num_clients == 0 disables
 /// the whole layer: no client control frames are sent or accepted, and
-/// the wire traffic is byte-identical to a pre-client build.
+/// the wire traffic is byte-identical to a pre-client build.  With clients
+/// the replica's log has no fixed length (ReplicaConfig::slots is
+/// ignored): slots start while there is something to propose.
 struct ClientServiceConfig {
   /// Clients occupy process ids [n, n + num_clients).  0 = off.
   std::uint32_t num_clients = 0;
@@ -147,11 +149,6 @@ class ClientService {
   /// after the kind octet.  Throws SerialError on a malformed body.
   Next on_frame(sim::Context& ctx, ProcessId from, ControlKind kind,
                 const Bytes& body);
-  /// True once, on the first call after every client announced DONE: the
-  /// drain phase starts, and the replica runs the rest of the log as no-op
-  /// slots so the end-of-log checkpoint and await_done apply unchanged.
-  bool enter_drain();
-  bool draining() const { return drain_; }
 
   /// The client commit rule: every decided id that is not yet committed
   /// and is an eligible client id, in increasing id order.  A pure
@@ -248,9 +245,6 @@ class ClientService {
   const crypto::Verifier* verifier_;
 
   ReplyCache replies_;
-  /// Clients that broadcast CLIENT_DONE; all of them ⇒ drain phase.
-  std::set<std::uint32_t> clients_done_;
-  bool drain_ = false;
   /// Missing-body fetch in flight (frontier or suffix replay stall).
   std::vector<std::uint64_t> last_fetch_;
   std::uint64_t fetch_timer_ = 0;

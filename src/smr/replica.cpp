@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -112,6 +113,9 @@ class Replica::SlotContext final : public sim::ForwardingContext {
 Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
                  CommitFn on_commit)
     : config_(std::move(config)),
+      log_end_(config_.client.num_clients > 0
+                   ? std::numeric_limits<std::uint64_t>::max()
+                   : config_.slots),
       table_(config_.n, config_.client.num_clients),
       on_commit_(std::move(on_commit)) {
   MODUBFT_EXPECTS(config_.n >= 2);
@@ -209,13 +213,12 @@ void Replica::on_start(sim::Context& ctx) {
 
 bool Replica::fill_window(sim::Context& ctx) {
   bool started = false;
-  while (next_start_ < config_.slots &&
+  while (next_start_ < log_end_ &&
          next_start_ < next_commit_ + config_.window) {
-    // With clients the replica idles instead of burning the log on no-op
-    // slots: a slot starts only with something to propose, or when a peer
-    // already started it (its envelopes buffered in future_), or in the
-    // drain phase after every client announced DONE.
-    if (client_ && !client_->draining() && !table_.has_proposable() &&
+    // With clients the replica idles instead of burning slots on no-ops: a
+    // slot starts only with something to propose, or when a peer already
+    // started it (its envelopes buffered in future_).
+    if (client_ && !table_.has_proposable() &&
         future_.count(next_start_) == 0) {
       break;
     }
@@ -314,6 +317,8 @@ void Replica::advance_frontier(std::uint64_t slot) {
   for (auto t = timer_slot_.begin(); t != timer_slot_.end();) {
     t = t->second < slot ? timer_slot_.erase(t) : std::next(t);
   }
+  live_applied_.store(store_.applied_count(), std::memory_order_release);
+  live_frontier_.store(slot, std::memory_order_release);
 }
 
 void Replica::pump(sim::Context& ctx) {
@@ -322,7 +327,7 @@ void Replica::pump(sim::Context& ctx) {
     progress = false;
     // Commit the decided prefix, strictly in slot order.  A commit
     // advances the frontier, which retires the committed slot.
-    while (next_commit_ < config_.slots) {
+    while (!done()) {
       auto it = slots_.find(next_commit_);
       if (it == slots_.end() || !it->second.decided) break;
       if (!commit_slot(ctx, it->second)) break;  // parked awaiting bodies
@@ -334,20 +339,9 @@ void Replica::pump(sim::Context& ctx) {
     for (auto& [s, st] : slots_) {
       if (st.decided && st.actor) st.actor.reset();
     }
-    if (next_commit_ >= config_.slots) break;
+    if (done()) break;
     if (fill_window(ctx)) progress = true;
   }
-  maybe_stop(ctx);
-}
-
-void Replica::maybe_stop(sim::Context& ctx) {
-  if (!done() || stopped_) return;
-  // Stay alive to serve state transfer until every awaited peer has
-  // announced completion.  Without this, a replica recovering late would
-  // find nobody left to ask.
-  if (ckpt_ && !ckpt_->peers_done(ctx.id())) return;
-  stopped_ = true;
-  ctx.stop();
 }
 
 void Replica::maybe_checkpoint(sim::Context& ctx) {
@@ -371,15 +365,14 @@ void Replica::advance_recovery(sim::Context& ctx) {
     advance_frontier(snap->slot);
     log_debug("SMR ", ctx.id(), " installed checkpoint at slot ",
               next_commit_);
-    // The install landing on a boundary (or the end) takes our own
-    // checkpoint, which at the end of the log broadcasts our DONE vote.
+    // An install landing on a boundary takes our own checkpoint there.
     maybe_checkpoint(ctx);
   }
 
   // Replay quorum-agreed suffix slots, strictly in order.  The bodies may
   // have been relayed while we were down: a missing one is fetched, and
   // the replay resumes when it lands.
-  while (next_commit_ < config_.slots) {
+  while (!done()) {
     std::optional<std::vector<std::uint64_t>> ids =
         ckpt_->suffix_batch(next_commit_);
     if (!ids.has_value()) break;
@@ -405,10 +398,9 @@ void Replica::route_control(sim::Context& ctx, ProcessId from,
   const Bytes body(inner.begin() + (inner.empty() ? 0 : 1), inner.end());
   try {
     if (ckpt_ && Checkpointer::owns(kind)) {
-      if (ckpt_->on_frame(ctx, from, kind, body, next_commit_)) {
+      if (ckpt_->on_frame(ctx, from, kind, body)) {
         advance_recovery(ctx);
       }
-      maybe_stop(ctx);  // an end-of-log vote may be the last one awaited
       return;
     }
     if (client_ && ClientService::owns(kind)) {
@@ -416,7 +408,6 @@ void Replica::route_control(sim::Context& ctx, ProcessId from,
           client_->on_frame(ctx, from, kind, body);
       if (next == ClientService::Next::kResume) resume(ctx);
       if (next == ClientService::Next::kPump && !recovering()) pump(ctx);
-      if (client_->enter_drain() && !recovering()) pump(ctx);
       return;
     }
   } catch (const SerialError&) {
@@ -448,7 +439,7 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
     if (ckpt_ || client_) route_control(ctx, from, inner);
     return;
   }
-  if (slot >= config_.slots) return;  // no such instance
+  if (slot >= log_end_) return;  // no such instance
 
   if (recovering()) {
     // No trusted state yet: consensus traffic is meaningless to us (our
@@ -545,8 +536,7 @@ void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
     } catch (const SerialError&) {
       continue;
     }
-    if (slot == kControlSlot || slot >= config_.slots ||
-        slot < next_commit_) {
+    if (slot == kControlSlot || slot >= log_end_ || slot < next_commit_) {
       continue;
     }
     ++istats_.prologue_frames;

@@ -53,8 +53,8 @@
 // snapshot or a quorum-agreed suffix batch.
 #pragma once
 
+#include <atomic>
 #include <functional>
-#include <set>
 #include <map>
 #include <memory>
 #include <vector>
@@ -91,7 +91,10 @@ inline constexpr std::uint32_t kMaxFuturePerSender = 64;
 struct ReplicaConfig {
   std::uint32_t n = 0;
   Backend backend = Backend::kCrashHurfinRaynal;
-  std::uint64_t slots = 4;  // how many consensus instances to run
+  /// Length of a preloaded workload's log: the replica runs slots
+  /// [0, slots) and then idles.  Ignored with clients configured, where
+  /// the log has no fixed length.
+  std::uint64_t slots = 4;
 
   /// Pipeline window: maximum number of concurrently live instances.
   /// 1 reproduces the strictly sequential pre-pipelining behaviour.
@@ -134,13 +137,6 @@ struct ReplicaConfig {
   /// it on the wall-clock substrates.
   bool staged_ingest = false;
 
-  /// Replicas whose end-of-log checkpoint votes this replica must hear
-  /// before stopping (itself excluded implicitly).  Keeps finished
-  /// replicas alive to serve state transfer to late recoverers; empty =
-  /// stop as soon as the log commits (the pre-recovery behaviour).  Only
-  /// honoured when checkpointing is on.
-  std::set<std::uint32_t> await_done;
-
   /// Client/service layer (docs/CLIENT.md).  num_clients > 0 gives the
   /// replica a ClientService: the client control frames are spoken, the
   /// commit rule becomes the decided-vector rule (every non-committed
@@ -148,10 +144,9 @@ struct ReplicaConfig {
   /// the decision and the committed set, sound under dynamic command
   /// arrival, where the static "B smallest pending" rule is not), proposal
   /// claims narrow to one id per slot so window-W slots carry disjoint
-  /// proposals, and slots only start when there is something to propose
-  /// (or a peer already started them, or the drain phase runs the rest of
-  /// the log as no-op slots so the end-of-log machinery applies
-  /// unchanged).  The client commit rule commits client command ids only,
+  /// proposals, slots only start when there is something to propose (or a
+  /// peer already started them), and the log has no fixed length: `slots`
+  /// is ignored.  The client commit rule commits client command ids only,
   /// so a preloaded workload never commits next to clients.
   ClientServiceConfig client;
 };
@@ -258,7 +253,21 @@ class Replica final : public sim::Actor {
 
   const KvStore& store() const { return store_; }
   std::uint64_t committed_slots() const { return next_commit_; }
-  bool done() const { return next_commit_ >= config_.slots; }
+  /// True once a preloaded log committed its last slot; never with
+  /// clients.  A done replica idles: it arms no timer and starts no slot,
+  /// but still answers control frames.  It never stops itself — whoever
+  /// runs it decides when the run is over.
+  bool done() const { return next_commit_ >= log_end_; }
+
+  /// The commands applied and the commit frontier, as of the last commit
+  /// or snapshot install.  Safe to read from another thread while the
+  /// replica runs (the scenario runner's end condition does).
+  std::uint64_t live_applied() const {
+    return live_applied_.load(std::memory_order_acquire);
+  }
+  std::uint64_t live_frontier() const {
+    return live_frontier_.load(std::memory_order_acquire);
+  }
 
   const PipelineStats& pipeline_stats() const { return pstats_; }
 
@@ -291,9 +300,9 @@ class Replica final : public sim::Actor {
   };
 
   /// Drives the pipeline to a fixpoint: commits the decided prefix in
-  /// slot order, releases decided actors, refills the window (replaying
-  /// buffered envelopes), and stops the replica when all slots committed.
-  /// Called after every dispatch into an instance.
+  /// slot order, releases decided actors and refills the window
+  /// (replaying buffered envelopes).  Called after every dispatch into an
+  /// instance.
   void pump(sim::Context& ctx);
   bool fill_window(sim::Context& ctx);
   /// Returns false when the frontier slot is parked awaiting command
@@ -303,7 +312,8 @@ class Replica final : public sim::Actor {
   /// Parks a slot's decision in the reorder buffer (first one wins).
   void decide(std::uint64_t slot, std::vector<std::uint64_t> ids);
   /// Moves the commit frontier to `slot`: retires the slots, early
-  /// envelopes, proposal claims and timer routes below it.
+  /// envelopes, proposal claims and timer routes below it, and publishes
+  /// the new progress (live_applied, live_frontier).
   void advance_frontier(std::uint64_t slot);
   std::uint64_t buffer_horizon() const {
     return next_commit_ + config_.window + kMaxFutureSlots;
@@ -334,10 +344,11 @@ class Replica final : public sim::Actor {
   /// (a body, a seq bound).  Inert while still recovering: the replica
   /// would otherwise mark itself rejoined with no installed state.
   void resume(sim::Context& ctx);
-  /// Stops the replica when done AND every awaited peer announced done.
-  void maybe_stop(sim::Context& ctx);
 
   ReplicaConfig config_;
+  /// One past the last slot: config_.slots for a preloaded workload, no
+  /// bound with clients.
+  std::uint64_t log_end_;
   /// Bodies, signatures, the committed set, the admission queue and the
   /// proposal claims (smr/command_table.hpp).
   CommandTable table_;
@@ -354,7 +365,8 @@ class Replica final : public sim::Actor {
   // Byzantine back-end: one verification cache for every slot instance.
   std::shared_ptr<crypto::CachingVerifier> vcache_;
   PipelineStats pstats_;
-  bool stopped_ = false;
+  std::atomic<std::uint64_t> live_applied_{0};
+  std::atomic<std::uint64_t> live_frontier_{0};
 
   IngestStats istats_;
 

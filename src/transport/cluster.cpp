@@ -365,7 +365,14 @@ bool Cluster::all_stopped() {
   return true;
 }
 
-bool Cluster::run() {
+bool Cluster::ended(const std::function<bool()>& done) {
+  if (!done || !done()) return false;
+  std::lock_guard<std::mutex> lock(restart_mu_);
+  abandon_restarts_ = true;
+  return true;
+}
+
+bool Cluster::run(const std::function<bool()>& done) {
   MODUBFT_EXPECTS(!ran_);
   ran_ = true;
   for (auto& node : nodes_) MODUBFT_EXPECTS(node->actor != nullptr);
@@ -388,10 +395,10 @@ bool Cluster::run() {
   }
 
   const Clock::time_point deadline = epoch_ + config_.budget;
-  bool clean = all_stopped();
+  bool clean = all_stopped() || ended(done);
   while (!clean && Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    clean = all_stopped();
+    clean = all_stopped() || ended(done);
   }
 
   // Snapshot the stragglers before teardown forces everyone to stop, so a

@@ -99,13 +99,17 @@ class Cluster {
   /// send itself on the in-memory wire, the arrival on TCP).
   void set_delivery_tap(std::function<void(const sim::Delivery&)> tap);
 
-  /// Starts all node threads and blocks until every node stopped (or the
-  /// budget expires).  A crashed node awaiting its restart counts as
-  /// stopped: once every node stopped or awaits a restart, the run ends
-  /// and those restarts are abandoned.  Returns true iff all nodes stopped
-  /// by themselves; on budget expiry the stragglers are reported via
+  /// Starts all node threads and blocks until every node stopped, the
+  /// caller's end condition `done` holds, or the budget expires.  A
+  /// crashed node awaiting its restart counts as stopped: once every node
+  /// stopped or awaits a restart, the run ends and those restarts are
+  /// abandoned.  `done` is checked in the same 2 ms poll, on the calling
+  /// thread, so it may read only state that is safe to read while the
+  /// nodes run; once it holds the run ends as if every node had stopped,
+  /// and a pending restart is abandoned too.  Returns true iff the run
+  /// ended either way; on budget expiry the stragglers are reported via
   /// unstopped() and a warning log naming each culprit.
-  bool run();
+  bool run(const std::function<bool()>& done = nullptr);
 
   bool stopped(ProcessId id) const;
 
@@ -167,6 +171,8 @@ class Cluster {
   bool all_stopped();
   SimTime since_epoch() const;
   void tap_delivery(const Envelope& env, ProcessId to);
+  /// True once `done` holds; abandons every pending restart then.
+  bool ended(const std::function<bool()>& done);
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -188,7 +194,8 @@ class Cluster {
   std::function<void(const sim::Delivery&)> tap_;
 
   // Guards every Node::dormant and abandon_restarts_: a dormant node comes
-  // back only under it, so all_stopped() sees no restart begin mid-check.
+  // back only under it, so all_stopped() and ended() see no restart begin
+  // mid-check.
   std::mutex restart_mu_;
   bool abandon_restarts_ = false;
 };

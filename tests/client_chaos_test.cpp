@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
 #include "adversary/client_campaign.hpp"
 
@@ -103,6 +104,38 @@ TEST(ClientChaos, SimDeterministicRerun) {
 }
 
 // ------------------------------------------------------ negative controls
+
+// Replica 3 sends every other replica a junk envelope for each of the
+// next W + 8 slots with every consensus frame, so the correct replicas
+// start no-op slots as fast as consensus runs.  A fixed-length log of
+// 88 slots was burned before the clients finished (31–33 of 40 ops
+// committed on every seed); a log with no fixed length commits them all.
+TEST(ClientChaos, BurnLogJunkCannotStarveTheClients) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    faults::SmrScenarioConfig sc;
+    sc.n = 4;
+    sc.f = 1;
+    sc.seed = seed;
+    sc.backend = smr::Backend::kByzantine;
+    sc.window = 4;
+    sc.batch = 2;
+    sc.checkpoint_interval = 8;
+    faults::ClientLoadConfig load;
+    load.count = 2;
+    load.ops_per_client = 20;
+    sc.clients = load;
+    arm_smr_attack(sc, SmrAttack::kBurnLog, {3});
+    const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+    const std::string where = "seed " + std::to_string(seed);
+    EXPECT_TRUE(r.clean) << where;
+    EXPECT_EQ(r.run_stats.client.accepted, 40u) << where;
+    EXPECT_EQ(r.clients_done.size(), 2u) << where;
+    EXPECT_TRUE(r.stores_agree) << where;
+    EXPECT_TRUE(audit_client_replies(r).empty()) << where;
+    // The junk bit: the replicas ran slots that committed nothing.
+    EXPECT_GT(r.run_stats.pipeline.noop_slots, 0u) << where;
+  }
+}
 
 TEST(ClientChaos, NegativeControlFlagsAcceptedForgeries) {
   const SmrCellOutcome out =

@@ -212,10 +212,6 @@ faults::SmrScenarioConfig client_scenario(smr::Backend backend,
   sc.batch = 2;
   sc.checkpoint_interval = 4;
   sc.clients = faults::ClientLoadConfig{};  // 2 clients × 8 ops, closed loop
-  // Closed-loop arrival commits thin batches and pipelined peers racing
-  // for the same ids burn no-op slots: budget two slots per op plus
-  // drain margin (see adversary/client_campaign.cpp).
-  sc.slots = 2 * 16 + 2 * sc.window;
   return sc;
 }
 
@@ -275,7 +271,6 @@ TEST(ClientService, OverloadShedsWithBusyAndBoundsQueue) {
   sc.clients->max_outstanding = 8;
   sc.clients->ops_per_client = 12;
   sc.clients->max_pending = 2;  // tiny admission bound: shedding guaranteed
-  sc.slots = 2 * 24 + 2 * sc.window;
   const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
   EXPECT_TRUE(r.clean);
   EXPECT_EQ(r.clients_done.size(), 2u);

@@ -321,6 +321,25 @@ TEST(Simulation, RunOutcomeAllStopped) {
   EXPECT_EQ(world.run(), RunOutcome::kAllStopped);
 }
 
+// The caller's end condition is checked after every event: the run ends
+// as all-stopped right after the delivery that made it hold, with later
+// deliveries still queued and no actor stopped.
+TEST(Simulation, EndConditionEndsTheRunAfterTheEventThatMetIt) {
+  SimConfig cfg;
+  cfg.n = 2;
+  cfg.seed = 3;
+  Simulation world(cfg);
+  std::vector<Recorder::Event> log;
+  world.set_actor(ProcessId{0}, std::make_unique<Burster>(10));
+  world.set_actor(ProcessId{1}, std::make_unique<Recorder>(&log));
+  EXPECT_EQ(world.run([&log] { return log.size() >= 4; }),
+            RunOutcome::kAllStopped);
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_TRUE(world.pending());
+  EXPECT_FALSE(world.halted(ProcessId{0}));
+  EXPECT_FALSE(world.halted(ProcessId{1}));
+}
+
 TEST(Simulation, RunUntilExecutesPrefix) {
   SimConfig cfg;
   cfg.n = 2;

@@ -268,6 +268,33 @@ TEST(Recovery, SameSeedAndScheduleIsBitIdentical) {
             b.run_stats.pipeline.recovery_installs);
 }
 
+// A victim that comes back only after every client finished: nobody
+// stops by itself, so the survivors are still there to serve its state
+// transfer, and the run ends once the fresh life applied every command.
+TEST(Recovery, LateRecovererInAClientRunCatchesUp) {
+  for (smr::Backend backend :
+       {smr::Backend::kCrashHurfinRaynal, smr::Backend::kByzantine}) {
+    faults::SmrScenarioConfig sc;
+    sc.n = 4;
+    sc.f = 1;
+    sc.seed = 17;
+    sc.backend = backend;
+    sc.window = 4;
+    sc.batch = 2;
+    sc.checkpoint_interval = 4;
+    sc.clients = faults::ClientLoadConfig{};  // 2 clients × 8 ops
+    sc.crashes.push_back({ProcessId{1}, 1'000, 500'000});
+    const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+    const bool byz = backend == smr::Backend::kByzantine;
+    EXPECT_TRUE(r.clean) << byz;
+    EXPECT_EQ(r.recovered, (std::set<std::uint32_t>{1})) << byz;
+    EXPECT_TRUE(r.stores_agree) << byz;
+    EXPECT_EQ(r.clients_done.size(), 2u) << byz;
+    EXPECT_EQ(r.run_stats.client.accepted, 16u) << byz;
+    EXPECT_GT(r.run_stats.virtual_time, 500'000u) << byz;
+  }
+}
+
 /// The crash back-end's recovery scenario with one progress kill: `victim`
 /// halts as it commits slot 10, past two checkpoint boundaries.
 faults::SmrScenarioConfig progress_kill_scenario(
@@ -376,7 +403,7 @@ TEST(CheckpointVotes, OnlyReplicasVoteAndTheFirstVotePerSlotCounts) {
         keys.signers[from]->sign(bft::checkpoint_signing_bytes(4, digest));
     const Bytes frame = smr::encode_control_vote(v);
     ckpt.on_frame(ctx, ProcessId{from}, smr::ControlKind::kCheckpointVote,
-                  Bytes(frame.begin() + 9, frame.end()), 4);
+                  Bytes(frame.begin() + 9, frame.end()));
   };
 
   smr::Snapshot snap;
@@ -403,6 +430,48 @@ TEST(CheckpointVotes, OnlyReplicasVoteAndTheFirstVotePerSlotCounts) {
   EXPECT_EQ(stats.recovery_rejects, 1u);
   vote(3, digest);
   EXPECT_EQ(stats.checkpoint_certs, 1u);
+}
+
+// A client run's log has no end, so every multiple of C is a boundary a
+// vote may name.  A replica voting for far-future boundaries holds at most
+// kMaxOpenVoteSlots slots open, and a lower boundary's votes evict its
+// highest one: the correct quorum still certifies.
+TEST(CheckpointVotes, FarFutureVotesHoldABoundedSetOfSlots) {
+  const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 5);
+  smr::ReplicaConfig cfg;
+  cfg.n = 4;
+  cfg.checkpoint.interval = 4;
+  cfg.client.num_clients = 1;
+  cfg.signer = keys.signers[0].get();
+  cfg.verifier = keys.verifier;
+  smr::PipelineStats stats;
+  smr::Checkpointer ckpt(cfg, stats, keys.verifier.get());
+  SilentContext ctx;
+  auto vote = [&](std::uint32_t from, std::uint64_t slot,
+                  const crypto::Digest& digest) {
+    smr::CheckpointVote v;
+    v.slot = slot;
+    v.digest = digest;
+    v.sig =
+        keys.signers[from]->sign(bft::checkpoint_signing_bytes(slot, digest));
+    const Bytes frame = smr::encode_control_vote(v);
+    ckpt.on_frame(ctx, ProcessId{from}, smr::ControlKind::kCheckpointVote,
+                  Bytes(frame.begin() + 9, frame.end()));
+  };
+
+  crypto::Digest fabricated{};
+  fabricated.fill(0x5A);
+  for (std::uint64_t k = 1; k <= 200; ++k) vote(3, 4 * (1000 + k), fabricated);
+  EXPECT_EQ(ckpt.open_vote_slots(), smr::kMaxOpenVoteSlots);
+
+  smr::Snapshot snap;
+  snap.slot = 4;
+  ckpt.take(ctx, snap);
+  const crypto::Digest digest =
+      smr::snapshot_digest(smr::encode_snapshot(snap));
+  for (std::uint32_t from : {0u, 1u, 2u}) vote(from, 4, digest);
+  EXPECT_EQ(stats.checkpoint_certs, 1u);
+  EXPECT_LE(ckpt.open_vote_slots(), smr::kMaxOpenVoteSlots);
 }
 
 // ------------------------------------------------------------ vote flood

@@ -76,6 +76,34 @@ TEST(RecoveryThreads, RestartRacesConvergeAcrossSeeds) {
   }
 }
 
+// The wall-clock late recoverer: p1 halts as it commits slot 2 and comes
+// back 300 ms later, long after the 2 × 8 client ops finished.  The runner
+// keeps the survivors running until the fresh life applied every command.
+TEST(RecoveryThreads, LateRecovererInAClientRunCatchesUp) {
+  faults::SmrScenarioConfig sc;
+  sc.n = 4;
+  sc.f = 1;
+  sc.seed = 25;
+  sc.substrate = runtime::Backend::kThreads;
+  sc.backend = smr::Backend::kByzantine;
+  sc.window = 4;
+  sc.batch = 2;
+  sc.checkpoint_interval = 4;
+  sc.budget = std::chrono::milliseconds(30'000);
+  sc.clients = faults::ClientLoadConfig{};  // 2 clients × 8 ops
+  faults::CrashSpec kill;
+  kill.who = ProcessId{1};
+  kill.after_commit = 2;
+  kill.restart_at = 300'000;
+  sc.crashes.push_back(kill);
+  const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+  EXPECT_TRUE(r.clean);
+  EXPECT_EQ(r.recovered, (std::set<std::uint32_t>{1}));
+  EXPECT_TRUE(r.stores_agree);
+  EXPECT_EQ(r.clients_done.size(), 2u);
+  EXPECT_EQ(r.run_stats.client.accepted, 16u);
+}
+
 TEST(RecoveryTcp, CrashBackendKillRestartRecovers) {
   expect_recovered(faults::run_smr_scenario(wall_clock_scenario(
       runtime::Backend::kTcp, smr::Backend::kCrashHurfinRaynal, 23)));

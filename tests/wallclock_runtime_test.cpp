@@ -41,6 +41,25 @@ class Idle final : public sim::Actor {
   void on_message(sim::Context&, ProcessId, const Bytes&) override {}
 };
 
+/// Never stops; sends p1 one frame at start.
+class Greet final : public sim::Actor {
+ public:
+  void on_start(sim::Context& ctx) override { ctx.send(ProcessId{1}, Bytes{1}); }
+  void on_message(sim::Context&, ProcessId, const Bytes&) override {}
+};
+
+/// Never stops; counts its deliveries.
+class CountDeliveries final : public sim::Actor {
+ public:
+  explicit CountDeliveries(std::atomic<int>* count) : count_(count) {}
+  void on_message(sim::Context&, ProcessId, const Bytes&) override {
+    ++*count_;
+  }
+
+ private:
+  std::atomic<int>* count_;
+};
+
 /// Stops as soon as it starts.
 class StopAtOnce final : public sim::Actor {
  public:
@@ -71,6 +90,23 @@ TYPED_TEST(WallClockRuntime, PendingCrashVictimIsNotAStraggler) {
   EXPECT_FALSE(cluster.run());
   EXPECT_EQ(cluster.unstopped(),
             (std::vector<ProcessId>{ProcessId{0}, ProcessId{1}}));
+}
+
+// No node stops by itself; the caller's end condition, read from the
+// run() poll while the nodes run, ends the run as if every node had
+// stopped, and nobody is named a straggler.
+TYPED_TEST(WallClockRuntime, EndConditionEndsARunWhoseNodesNeverStop) {
+  ConfigOf<TypeParam> cfg;
+  cfg.n = 2;
+  cfg.budget = std::chrono::milliseconds(10'000);  // hang guard only
+  TypeParam cluster(cfg);
+  std::atomic<int> delivered{0};
+  cluster.set_actor(ProcessId{0}, std::make_unique<Greet>());
+  cluster.set_actor(ProcessId{1}, std::make_unique<CountDeliveries>(&delivered));
+
+  EXPECT_TRUE(cluster.run([&delivered] { return delivered.load() >= 1; }));
+  EXPECT_EQ(delivered.load(), 1);
+  EXPECT_TRUE(cluster.unstopped().empty());
 }
 
 struct RestartLog {

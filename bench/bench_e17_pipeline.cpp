@@ -3,22 +3,23 @@
 // Measures end-to-end SMR commit throughput (committed commands per
 // second) as a function of the pipeline window W and batch size B, on the
 // deterministic simulator (virtual-time rate, exactly reproducible) and
-// the threaded wall-clock cluster (real parallelism: the verify pool and
-// the per-process threads overlap work across in-flight slots).  The
-// Byzantine back-end with n = 4, f = 1 is the headline configuration —
-// signature verification dominates there, which is precisely what
-// windowing and the verification pool overlap.
+// the threaded wall-clock cluster (real parallelism: the per-process
+// threads overlap work across in-flight slots, each replica checking
+// every signature on its own thread).  The Byzantine back-end with n = 4,
+// f = 1 is the headline configuration — signature verification dominates
+// there, which is what windowing overlaps across replicas.
 //
 // Acceptance headline (tracked in BENCH_e17.json, see EXPERIMENTS.md):
 // on the threads substrate, (W=4, B=4) must commit ≥ 2× the commands/sec
-// of the sequential (W=1, B=1) baseline.  The report records nproc and
-// the build type next to the rows.
+// of the sequential (W=1, B=1) baseline, comparing medians.  Each
+// wall-clock row runs --reps reps (default 5) and records the median and
+// the interquartile range; the report records nproc and the build type
+// next to the rows.
 //
 // Usage: bench_e17_pipeline [--out FILE] [--commands N] [--reps R]
 //                           [--budget-ms MS]
 // Writes the JSON report to FILE (default BENCH_e17.json in the working
 // directory) and prints a human-readable table to stdout.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,7 +42,7 @@ struct RunRow {
   runtime::Backend substrate;
   std::uint32_t window = 1;
   std::uint32_t batch = 1;
-  double commits_per_sec = 0;  // median over reps
+  benchsmr::Spread cps;  // over reps
   std::vector<double> rep_cps;
   bool ok = true;
   faults::SmrScenarioResult last;
@@ -66,9 +67,6 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
     cfg.workload = faults::kv_workload(commands);
     cfg.window = w;
     cfg.batch = b;
-    // E17 measures the sequential-ingest message path; the staged
-    // pipeline is E19's subject and must not leak into this baseline.
-    cfg.staged_ingest = false;
     // Slack beyond ceil(commands / B): racing proposals can cost the odd
     // no-op slot; the throughput number must cover the whole workload.
     cfg.slots = (commands + b - 1) / b + 2;
@@ -81,9 +79,7 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
     row.rep_cps.push_back(benchsmr::commits_per_sec(substrate, r));
     row.last = std::move(r);
   }
-  std::vector<double> sorted = row.rep_cps;
-  std::sort(sorted.begin(), sorted.end());
-  row.commits_per_sec = sorted[sorted.size() / 2];
+  row.cps = benchsmr::spread(row.rep_cps);
   return row;
 }
 
@@ -92,7 +88,10 @@ std::string row_json(const RunRow& row) {
   o.field("substrate", runtime::backend_name(row.substrate))
       .field("window", static_cast<std::uint64_t>(row.window))
       .field("batch", static_cast<std::uint64_t>(row.batch))
-      .field("commits_per_sec", row.commits_per_sec)
+      .field("commits_per_sec", row.cps.median)
+      .field("commits_per_sec_q1", row.cps.q1)
+      .field("commits_per_sec_q3", row.cps.q3)
+      .field("commits_per_sec_iqr", row.cps.iqr())
       .field("all_committed", row.ok);
   benchjson::JsonArray reps;
   for (double v : row.rep_cps) {
@@ -114,7 +113,7 @@ std::string row_json(const RunRow& row) {
 int main(int argc, char** argv) {
   std::string out = "BENCH_e17.json";
   std::uint64_t commands = 32;
-  int reps = 3;
+  int reps = 5;
   std::chrono::milliseconds budget{20'000};
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -146,8 +145,8 @@ int main(int argc, char** argv) {
 
   std::printf("E17: pipelined SMR, byz n=4 f=1, %llu commands\n",
               static_cast<unsigned long long>(commands));
-  std::printf("%-8s %3s %3s %14s %4s\n", "substrate", "W", "B",
-              "commits/sec", "ok");
+  std::printf("%-8s %3s %3s %14s %10s %4s\n", "substrate", "W", "B",
+              "commits/sec", "IQR", "ok");
 
   benchjson::JsonArray rows;
   double w1b1_threads = 0, w4b4_threads = 0;
@@ -157,12 +156,12 @@ int main(int argc, char** argv) {
       RunRow row = run_config(substrate, w, b, commands, reps, budget);
       all_ok = all_ok && row.ok;
       if (substrate == runtime::Backend::kThreads) {
-        if (w == 1 && b == 1) w1b1_threads = row.commits_per_sec;
-        if (w == 4 && b == 4) w4b4_threads = row.commits_per_sec;
+        if (w == 1 && b == 1) w1b1_threads = row.cps.median;
+        if (w == 4 && b == 4) w4b4_threads = row.cps.median;
       }
-      std::printf("%-8s %3u %3u %14.1f %4s\n",
-                  runtime::backend_name(substrate), w, b,
-                  row.commits_per_sec, row.ok ? "yes" : "NO");
+      std::printf("%-8s %3u %3u %14.1f %10.1f %4s\n",
+                  runtime::backend_name(substrate), w, b, row.cps.median,
+                  row.cps.iqr(), row.ok ? "yes" : "NO");
       rows.add(row_json(row));
     }
   }

@@ -1,5 +1,8 @@
-// SMR rate helper shared by the SMR benchmark binaries (e17, e18, e19).
+// SMR rate helpers shared by the SMR benchmark binaries (e17, e18, e19).
 #pragma once
+
+#include <algorithm>
+#include <vector>
 
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
@@ -17,6 +20,27 @@ inline double commits_per_sec(runtime::Backend substrate,
   if (us <= 0) return 0;
   return static_cast<double>(r.run_stats.pipeline.commands_committed) * 1e6 /
          us;
+}
+
+/// Median and quartiles of a row's per-rep rates, each the linear
+/// interpolation between the two nearest order statistics.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double iqr() const { return q3 - q1; }
+};
+
+inline Spread spread(std::vector<double> reps) {
+  if (reps.empty()) return {};
+  std::sort(reps.begin(), reps.end());
+  const auto at = [&reps](double q) {
+    const double pos = q * static_cast<double>(reps.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, reps.size() - 1);
+    return reps[lo] + (pos - static_cast<double>(lo)) * (reps[hi] - reps[lo]);
+  };
+  return {at(0.5), at(0.25), at(0.75)};
 }
 
 }  // namespace modubft::benchsmr

@@ -22,7 +22,7 @@
 //   scenario_cli smr   --n 4 --backend crash|byz [--f 1]
 //                      [--window W] [--batch B] [--slots 8] [--commands K]
 //                      [--clients K --ops M [--in-flight F]]
-//                      [--verify-workers V] [--substrate sim|threads|tcp]
+//                      [--substrate sim|threads|tcp]
 //                      [--seed S] [--crash P:TIME_US]...
 //                      [--checkpoint-interval C]
 //                      [--restart P:KILL_US:RESTART_US]... [--budget-ms MS]
@@ -121,7 +121,7 @@ using namespace modubft;
             << "       scenario_cli smr   --n N --backend crash|byz [--f F] "
                "[--window W] [--batch B] [--slots K] [--commands C] "
                "[--clients K --ops M [--in-flight F]] "
-               "[--verify-workers V] [--substrate sim|threads|tcp] "
+               "[--substrate sim|threads|tcp] "
                "[--seed S] [--crash P:TIME_US]... [--checkpoint-interval C] "
                "[--restart P:KILL_US:RESTART_US]... [--budget-ms MS]\n";
   std::exit(2);
@@ -564,8 +564,6 @@ int run_smr(int argc, char** argv) {
       load.ops_per_client = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--in-flight") {
       in_flight = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--verify-workers") {
-      cfg.verify_workers = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--budget-ms") {
       cfg.budget = std::chrono::milliseconds(std::stoull(next()));
     } else if (arg == "--checkpoint-interval") {

@@ -25,10 +25,9 @@
 # where a data race would not crash but would silently corrupt an
 # experiment.  wallclock_runtime_test runs the straggler audit, a
 # kill/restart handoff and the all-stopped rule once per wire.  The SMR
-# pipeline added two more customers under the `threads` label:
-# verify_pool_test (concurrent verify_all callers hammering one
-# crypto::VerifyPool and a shared CachingVerifier) and smr_pipeline_test
-# (pipelined replicas on the threaded cluster with the pool enabled).
+# pipeline added smr_pipeline_test under the `threads` label: pipelined
+# replicas on the threaded cluster, each checking every signature on its
+# own node thread through its verified-signature cache.
 # The recovery subsystem (label `recovery`) adds more: the STATE_RESP
 # decode fuzz loop runs under ASan/UBSan inside the full suite, and
 # smr_recovery_transport_test plus the recover-under-attack SMR cells
@@ -38,14 +37,9 @@
 # replica's two lives.  Its kills fire on the victim's progress, so the
 # pass also covers Cluster::crash_now on the victim's thread and the
 # oracles reading the kill instant from the other node threads.
-# Staged ingest (docs/INGEST.md) adds two more: epoll_chaos_test (label
-# `tcp`) drives the epoll receive loop through link kills, wire noise,
-# slow-reader backpressure and burst batch dispatch, and
-# perf_smoke_ingest plus the staged-ingest cases in smr_pipeline_test /
-# substrate_equivalence_test (labels `threads`/`tcp`) run prologue
-# workers against the shared verify cache under TSan — the
-# decode-on-worker handoff, where each job borrows a frame of the batch
-# and decodes its own copy, is exactly where a lifetime bug would hide.
+# The ingest path (docs/INGEST.md) adds epoll_chaos_test (label `tcp`),
+# which drives the epoll receive loop through link kills, wire noise,
+# slow-reader backpressure and burst batch dispatch.
 # The client/service layer (docs/CLIENT.md) rides both passes:
 # client_test and the SMR attack cells (client_chaos_test, labels
 # `threads`/`tcp`) run checkpoint-forging, STATE_RESP-corrupting and

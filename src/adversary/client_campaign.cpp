@@ -320,7 +320,7 @@ void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
     // The attackers "know" bodies for fabricated client ids the rest of Π
     // never saw — a Byzantine proposer deciding phantom ids.  One id sits
     // just past a real client's script (only the client's signed
-    // SEQ_BOUND / CLIENT_DONE can refute it) and one sits far beyond the
+    // SEQ_BOUND can refute it) and one sits far beyond the
     // eligibility window (skipped arithmetically).  Open-loop arrival
     // widens the window, so the just-past phantom parks the frontier and
     // forces the SEQ_BOUND refutation path instead of a silent skip.

@@ -37,8 +37,9 @@
 //   phantom-ids         The attacker runs honest code but is preloaded
 //                       with bodies for FABRICATED client ids: one just
 //                       past a real client's script (refutable only by the
-//                       client's signed SEQ_BOUND / CLIENT_DONE) and one
-//                       far beyond the eligibility window.  Honest
+//                       client's signed SEQ_BOUND: its answer to a fetch,
+//                       or its final broadcast) and one far beyond the
+//                       eligibility window.  Honest
 //                       replicas must skip both instead of parking the
 //                       commit frontier on them.  The clients run open
 //                       loop, so the just-past phantom is eligible early.

@@ -25,51 +25,15 @@ ProcessId bft_coordinator_of(Round r, std::uint32_t n) {
 }
 
 CertAnalyzer::CertAnalyzer(std::uint32_t n, std::uint32_t quorum,
-                           std::shared_ptr<const crypto::Verifier> verifier,
-                           std::shared_ptr<crypto::VerifyPool> pool)
+                           std::shared_ptr<const crypto::Verifier> verifier)
     : n_(n),
       quorum_(quorum),
       verifier_(std::move(verifier)),
       cache_(std::dynamic_pointer_cast<const crypto::CachingVerifier>(
-          verifier_)),
-      pool_(std::move(pool)) {
+          verifier_)) {
   MODUBFT_EXPECTS(n_ >= 2);
   MODUBFT_EXPECTS(quorum_ >= 1 && quorum_ <= n_);
   MODUBFT_EXPECTS(verifier_ != nullptr);
-}
-
-void CertAnalyzer::collect_warm_jobs(
-    const Certificate& cert, std::uint32_t depth,
-    std::vector<crypto::VerifyPool::Job>* jobs,
-    std::set<std::pair<std::uint32_t, crypto::Digest>>* seen) const {
-  if (cert.pruned || depth > kMaxDepth) return;
-  for (std::size_t i = 0; i < cert.size(); ++i) {
-    const MemberPtr& m = cert.member_ptr(i);
-    if (m->core.sender.value >= n_) continue;  // member_signature_ok fails it
-    // Memoize on this thread: the digest computation recursively hashes
-    // the member's own certificate, so after this call the pool job only
-    // reads already-materialized state.
-    const crypto::Digest digest = cert.member_signing_digest(i);
-    if (!seen->insert({m->core.sender.value, digest}).second) {
-      // Same (signer, digest) ⇒ byte-identical member (collision
-      // resistance) ⇒ its subtree was already walked at first sight.
-      continue;
-    }
-    jobs->push_back([cache = cache_, m, digest] {
-      return cache->verify_digest(m->core.sender, digest, m->sig, [&m] {
-        return signing_bytes(m->core, m->cert);
-      });
-    });
-    collect_warm_jobs(m->cert, depth + 1, jobs, seen);
-  }
-}
-
-void CertAnalyzer::warm_certificate(const Certificate& cert) const {
-  if (!pool_ || !cache_) return;
-  std::vector<crypto::VerifyPool::Job> jobs;
-  std::set<std::pair<std::uint32_t, crypto::Digest>> seen;
-  collect_warm_jobs(cert, 0, &jobs, &seen);
-  if (!jobs.empty()) pool_->verify_all(std::move(jobs));
 }
 
 bool CertAnalyzer::signature_ok(const SignedMessage& msg) const {

@@ -36,15 +36,11 @@
 #pragma once
 
 #include <memory>
-#include <set>
-#include <utility>
-#include <vector>
 
 #include "bft/message.hpp"
 #include "bft/verdict.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/verify_cache.hpp"
-#include "crypto/verify_pool.hpp"
 
 namespace modubft::bft {
 
@@ -55,24 +51,10 @@ enum class PeerPhase : std::uint8_t { kQ0, kQ1, kQ2 };
 class CertAnalyzer {
  public:
   CertAnalyzer(std::uint32_t n, std::uint32_t quorum,
-               std::shared_ptr<const crypto::Verifier> verifier,
-               std::shared_ptr<crypto::VerifyPool> pool = nullptr);
+               std::shared_ptr<const crypto::Verifier> verifier);
 
   /// Verifies the top-level signature of `msg` (core ‖ cert digest).
   bool signature_ok(const SignedMessage& msg) const;
-
-  /// Pre-verifies every member of `cert` (recursively) through the verify
-  /// pool, populating the shared CachingVerifier so the subsequent
-  /// well-formedness walk hits the cache instead of running signature
-  /// arithmetic serially.  Blocks until the batch completed.
-  ///
-  /// Memoization discipline: the Certificate digest memos are not
-  /// synchronized, so this method materializes every signing digest on the
-  /// calling thread before dispatching; pool jobs then only read memoized
-  /// state.  No-op unless both a pool and a CachingVerifier are attached.
-  /// Observationally equivalent to not warming: the cache stores exactly
-  /// what direct verification would compute.
-  void warm_certificate(const Certificate& cert) const;
 
   Verdict init_wf(const SignedMessage& msg) const;
   Verdict current_wf(const SignedMessage& msg) const;
@@ -96,7 +78,6 @@ class CertAnalyzer {
   const std::shared_ptr<const crypto::Verifier>& verifier() const {
     return verifier_;
   }
-  const std::shared_ptr<crypto::VerifyPool>& pool() const { return pool_; }
   /// verifier() when it is a verified-signature cache, else nullptr.
   const crypto::CachingVerifier* cache() const { return cache_.get(); }
 
@@ -112,16 +93,10 @@ class CertAnalyzer {
   /// probe — no re-encoding, no hashing, no signature arithmetic.
   bool member_signature_ok(const Certificate& parent, std::size_t i) const;
 
-  void collect_warm_jobs(
-      const Certificate& cert, std::uint32_t depth,
-      std::vector<crypto::VerifyPool::Job>* jobs,
-      std::set<std::pair<std::uint32_t, crypto::Digest>>* seen) const;
-
   std::uint32_t n_;
   std::uint32_t quorum_;
   std::shared_ptr<const crypto::Verifier> verifier_;
   std::shared_ptr<const crypto::CachingVerifier> cache_;  // verifier_, typed
-  std::shared_ptr<crypto::VerifyPool> pool_;
 };
 
 /// Rotating-coordinator rule shared with the crash protocol.

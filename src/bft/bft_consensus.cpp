@@ -15,7 +15,7 @@ std::shared_ptr<const CertAnalyzer> make_analyzer(
                    : std::make_shared<crypto::CachingVerifier>(verifier);
   }
   return std::make_shared<const CertAnalyzer>(
-      config.n, config.quorum(), std::move(verifier), config.verify_pool);
+      config.n, config.quorum(), std::move(verifier));
 }
 
 }  // namespace

@@ -1,4 +1,8 @@
 // Configuration and resilience bounds of the transformed protocol.
+//
+// Nothing here selects a thread: a process checks every signature it
+// receives on its own thread, in its signature module and certificate
+// analyzer (Fig 1), optionally through a verified-signature cache.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +16,6 @@
 
 namespace modubft::crypto {
 class CachingVerifier;
-class VerifyPool;
 }  // namespace modubft::crypto
 
 namespace modubft::bft {
@@ -70,14 +73,6 @@ struct BftConfig {
   /// cache across all of its slots this way.  Must wrap the same
   /// underlying verifier the process is given.
   std::shared_ptr<crypto::CachingVerifier> shared_verify_cache;
-
-  /// Parallel verification pool shared by the signature module and the
-  /// certificate analyzer.  nullptr = verify serially on the actor's
-  /// thread (the default, and the only configuration whose execution
-  /// order is deterministic — the sim substrate uses a pool of size 0,
-  /// which is synchronous, when it wants pool accounting).  One pool is
-  /// typically shared by every process of a run.
-  std::shared_ptr<crypto::VerifyPool> verify_pool;
 
   /// Period of the ◇M / faulty-coordinator poll.
   SimTime suspicion_poll_period = 10'000;

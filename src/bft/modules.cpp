@@ -23,9 +23,8 @@ const char* fault_kind_name(FaultKind k) {
 
 SignatureModule::SignatureModule(
     const crypto::Signer* signer,
-    std::shared_ptr<const crypto::Verifier> verifier,
-    std::shared_ptr<crypto::VerifyPool> pool)
-    : signer_(signer), verifier_(std::move(verifier)), pool_(std::move(pool)) {
+    std::shared_ptr<const crypto::Verifier> verifier)
+    : signer_(signer), verifier_(std::move(verifier)) {
   MODUBFT_EXPECTS(signer_ != nullptr);
   MODUBFT_EXPECTS(verifier_ != nullptr);
 }
@@ -56,12 +55,9 @@ SignatureModule::Inbound SignatureModule::authenticate(
                                "identity field does not match the channel");
     return in;
   }
-  const auto verify_top = [this, &in] {
-    return verifier_->verify(in.msg.core.sender,
-                             signing_bytes(in.msg.core, in.msg.cert),
-                             in.msg.sig);
-  };
-  if (!(pool_ ? pool_->verify_one(verify_top) : verify_top())) {
+  if (!verifier_->verify(in.msg.core.sender,
+                         signing_bytes(in.msg.core, in.msg.cert),
+                         in.msg.sig)) {
     in.verdict =
         Verdict::fail(FaultKind::kBadSignature, "signature verification failed");
     return in;

@@ -34,14 +34,8 @@ struct FaultRecord {
 /// is passed to the non-muteness failure detection module."
 class SignatureModule {
  public:
-  /// `pool` (optional) routes the ingress signature check through the
-  /// verification pool's accounting.  The check itself stays on the
-  /// calling thread — a single top-level verification gains nothing from
-  /// a dispatch — but certificate members warmed by the analyzer and
-  /// ingress checks then share one measurable verification budget.
   SignatureModule(const crypto::Signer* signer,
-                  std::shared_ptr<const crypto::Verifier> verifier,
-                  std::shared_ptr<crypto::VerifyPool> pool = nullptr);
+                  std::shared_ptr<const crypto::Verifier> verifier);
 
   /// Decodes and authenticates a raw frame from channel-peer `channel_from`.
   /// On success returns the message; on failure returns a Verdict naming the
@@ -60,7 +54,6 @@ class SignatureModule {
  private:
   const crypto::Signer* signer_;
   std::shared_ptr<const crypto::Verifier> verifier_;
-  std::shared_ptr<crypto::VerifyPool> pool_;
 };
 
 /// Muteness module: owns the ◇M detector and the suspected set.

@@ -25,7 +25,7 @@ TransformedActor::TransformedActor(const crypto::Signer* signer,
                                    std::unique_ptr<RoundProtocol> protocol,
                                    const PeerModelFactory& model_factory)
     : analyzer_(std::move(analyzer)),
-      signature_(signer, analyzer_->verifier(), analyzer_->pool()),
+      signature_(signer, analyzer_->verifier()),
       muteness_(analyzer_->n(), signer->id(), muteness),
       nonmute_(analyzer_->n(), *analyzer_, model_factory),
       protocol_(std::move(protocol)) {
@@ -77,11 +77,6 @@ void TransformedActor::on_message(sim::Context& ctx, ProcessId from,
   muteness_.on_protocol_message(from, ctx.now());
   // Messages already attributed to faulty processes are discarded.
   if (nonmute_.is_faulty(from)) return;
-
-  // Parallel fast path: pre-verify the certificate's members through the
-  // pool before a peer model's serial well-formedness walk touches them;
-  // the walk then hits the shared cache.  No-op without a pool.
-  analyzer_->warm_certificate(in.msg.cert);
 
   // From here on the message is shared immutable state: certificates built
   // from it hold this same allocation instead of deep-copying.

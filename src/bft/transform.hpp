@@ -103,9 +103,8 @@ struct SendStats {
 
 /// The generic five-module composition for the group of analyzer->n()
 /// processes.  `analyzer` is the certificate checker the peer models use;
-/// its verifier (a verified-signature cache or the plain scheme) and
-/// verify pool also serve the signature module and the certificate
-/// warm-up.  `muteness` sets the ◇M timeouts.
+/// its verifier (a verified-signature cache or the plain scheme) also
+/// serves the signature module.  `muteness` sets the ◇M timeouts.
 class TransformedActor : public sim::Actor, private ModuleServices {
  public:
   TransformedActor(const crypto::Signer* signer,

@@ -168,6 +168,17 @@ void Client::handle_busy(sim::Context& ctx, ProcessId from, Reader& r) {
   arm_retry(ctx, busy.seq, p);
 }
 
+Bytes Client::seq_bound_frame(std::uint32_t self) const {
+  smr::SeqBound sb;
+  sb.client = self;
+  sb.bound = config_.ops.size();
+  if (config_.signer != nullptr) {
+    sb.sig =
+        config_.signer->sign(smr::seq_bound_signing_bytes(sb.client, sb.bound));
+  }
+  return smr::encode_control_seq_bound(sb);
+}
+
 void Client::answer_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
   // A replica parked on a decided command id is asking Π for the body.
   // For our own ids we are the authority: any seq within the script has a
@@ -187,14 +198,7 @@ void Client::answer_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
       ctx.send(from, smr::encode_control_request(build_request(self, seq)));
       ++stats_.fetches_answered;
     } else {
-      smr::SeqBound sb;
-      sb.client = self;
-      sb.bound = config_.ops.size();
-      if (config_.signer != nullptr) {
-        sb.sig = config_.signer->sign(
-            smr::seq_bound_signing_bytes(sb.client, sb.bound));
-      }
-      ctx.send(from, smr::encode_control_seq_bound(sb));
+      ctx.send(from, seq_bound_frame(self));
       ++stats_.bounds_sent;
     }
   }
@@ -241,14 +245,7 @@ void Client::maybe_finish(sim::Context& ctx) {
   if (interval_timer_ != 0) ctx.cancel_timer(interval_timer_);
   // Tell Π the whole script certified: the standing seq bound for this
   // client, signed so replicas may re-serve it to each other after we stop.
-  smr::ClientDone done;
-  done.client = ctx.id().value;
-  done.final_seq = config_.ops.size();
-  if (config_.signer != nullptr) {
-    done.sig = config_.signer->sign(
-        smr::client_done_signing_bytes(done.client, done.final_seq));
-  }
-  ctx.broadcast(smr::encode_control_client_done(done));
+  ctx.broadcast(seq_bound_frame(ctx.id().value));
   ctx.stop();
 }
 

@@ -24,9 +24,9 @@
 // switch trust_first_reply disables exactly that rule, and the client
 // chaos campaign proves the forged-reply attack lands when it is on.
 //
-// When every scripted operation has certified, the client broadcasts
-// CLIENT_DONE (its standing seq bound: it will never submit beyond its
-// script) and stops.
+// When every scripted operation has certified, the client broadcasts a
+// SEQ_BOUND carrying its script length (its standing seq bound: it will
+// never submit beyond its script) and stops.
 #pragma once
 
 #include <atomic>
@@ -87,8 +87,8 @@ struct ClientConfig {
   /// checks.  The forged-reply attack must land when this is on.
   bool trust_first_reply = false;
 
-  /// Authenticated mode: sign every REQUEST preimage, the final
-  /// CLIENT_DONE, and SEQ_BOUND refutations with this key (the client's
+  /// Authenticated mode: sign every REQUEST preimage and every SEQ_BOUND
+  /// (the refutations and the final broadcast) with this key (the client's
   /// own slot in the scenario keyring).  nullptr = unauthenticated
   /// (crash-model) runs; all sig fields stay empty.
   const crypto::Signer* signer = nullptr;
@@ -148,7 +148,7 @@ class Client final : public sim::Actor {
 
   const ClientStats& stats() const { return stats_; }
   const std::vector<AcceptedReply>& accepted() const { return accepted_; }
-  /// True once every scripted operation certified (CLIENT_DONE sent).
+  /// True once every scripted operation certified (final SEQ_BOUND sent).
   /// Safe to read from another thread while the client runs (the scenario
   /// runner's end condition does).
   bool finished() const { return finished_.load(std::memory_order_acquire); }
@@ -181,6 +181,9 @@ class Client final : public sim::Actor {
                     const Bytes& payload);
   void handle_busy(sim::Context& ctx, ProcessId from, Reader& r);
   void answer_fetch(sim::Context& ctx, ProcessId from, Reader& r);
+  /// The (signed, when a signer is configured) SEQ_BOUND frame: this
+  /// client never sends a seq beyond its script.
+  Bytes seq_bound_frame(std::uint32_t self) const;
   /// One unproductive round with the contact (timeout or BUSY): bump the
   /// failover streak and rotate when it hits the threshold.
   void note_unresponsive(sim::Context& ctx);

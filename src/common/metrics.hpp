@@ -1,7 +1,7 @@
 // Run counters: the one place each counter is declared.
 //
 // A component that counts something for a run (the simulator, the TCP
-// wire, the verify cache and pool, the replica, the client) keeps its
+// wire, the verify cache, the replica, the client) keeps its
 // counters as plain std::uint64_t members and increments them directly.
 // Right below the members, the struct lists every counter once in a
 // static `kCounters` table: its key in the run's JSON, the member, and

@@ -228,23 +228,13 @@ struct SmrScenarioConfig : ScenarioSettings {
   /// client command ids only.
   std::vector<smr::Command> workload;
   /// Signature scheme (Byzantine back-end and checkpoint certificates).
-  /// kRsa64 puts the run in the verification-dominated regime the staged
-  /// ingest pipeline targets (bench E19); kHmac is the cheap default.
+  /// kRsa64 puts the run in the verification-dominated regime (bench
+  /// E19); kHmac is the cheap default.
   Scheme scheme = Scheme::kHmac;
   /// Pipeline window W (concurrent consensus instances per replica).
   std::uint32_t window = 1;
   /// Batch size B (commands committed per slot).
   std::uint32_t batch = 1;
-  /// Byzantine backend: verify-pool workers shared by all replicas.
-  /// Unset = substrate default (sim: 0 — the synchronous deterministic
-  /// pool; threads/tcp: 3 workers).
-  std::optional<std::uint32_t> verify_workers;
-  /// Staged ingest (smr::ReplicaConfig::staged_ingest): a parallel
-  /// decode+verify prologue over each delivery batch.  Unset = substrate
-  /// default (sim: off — its event loop dispatches one message at a time
-  /// anyway; threads/tcp: on).  Observationally equivalent either way —
-  /// the equivalence tests compare the stores bit for bit.
-  std::optional<bool> staged_ingest;
 
   // --- checkpointing / recovery (ISSUE 6) ---
   /// Checkpoint every C committed slots (0 = off; wire format identical
@@ -314,7 +304,7 @@ struct SmrScenarioResult : ScenarioOutcome {
   /// Per-client stats and accepted replies, keyed by client process id.
   std::map<std::uint32_t, client::ClientStats> client_stats;
   std::map<std::uint32_t, std::vector<client::AcceptedReply>> client_accepted;
-  /// Clients whose whole script certified (CLIENT_DONE broadcast).
+  /// Clients whose whole script certified (final SEQ_BOUND broadcast).
   std::set<std::uint32_t> clients_done;
 };
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <thread>
 
 #include "bft/config.hpp"
 #include "bft/lockstep.hpp"
@@ -17,7 +16,6 @@
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "crypto/rsa64.hpp"
-#include "crypto/verify_pool.hpp"
 #include "faults/byzantine.hpp"
 #include "faults/split_brain.hpp"
 
@@ -465,24 +463,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
 
   SmrScenarioResult result;
 
-  // Byzantine backend: one verification pool shared by every replica.
-  // The sim default of 0 workers is the synchronous pool — identical
-  // execution order to no pool at all, but with accounting.  Wall-clock
-  // substrates size the pool to the machine: up to 3 workers, but never
-  // more than the spare cores — on a box with no spare cores the pool
-  // degrades to synchronous, where prologue jobs run inline on the
-  // dispatching thread (same semantics, no cross-thread handoff to lose
-  // time on).  An explicit verify_workers overrides both.
-  std::shared_ptr<crypto::VerifyPool> pool;
-  if (config.backend == smr::Backend::kByzantine) {
-    const std::uint32_t hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    const std::uint32_t workers = config.verify_workers.value_or(
-        config.substrate == runtime::Backend::kSim ? 0u
-                                                   : std::min(3u, hw - 1));
-    pool = std::make_shared<crypto::VerifyPool>(workers);
-  }
-
   // Correct = never crashed, or crashed WITH a restart (expected to
   // recover and match the quorum) — minus the adversary's assumed-faulty.
   for (std::uint32_t i = 0; i < config.n; ++i) {
@@ -513,12 +493,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   std::vector<bool> fresh_life(config.n, false);
   std::mutex views_mu;
 
-  // Staged ingest default mirrors the verify-pool default: off on the
-  // deterministic simulator (whose event loop never forms a batch), on
-  // for the wall-clock substrates.
-  const bool staged_ingest = config.staged_ingest.value_or(
-      config.substrate != runtime::Backend::kSim);
-
   auto make_rcfg = [&](std::uint32_t i, bool recover) {
     smr::ReplicaConfig rcfg;
     rcfg.n = config.n;
@@ -526,7 +500,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     rcfg.slots = config.slots;
     rcfg.window = config.window;
     rcfg.batch = config.batch;
-    rcfg.staged_ingest = staged_ingest;
     rcfg.retry_delay = retry_delay;
     if (config.backend == smr::Backend::kCrashHurfinRaynal) {
       fd::OracleConfig oracle = config.oracle;
@@ -539,7 +512,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.bft.muteness = tune_muteness(fd::MutenessConfig{}, config.substrate);
       rcfg.bft.suspicion_poll_period =
           tune_poll_period(config.substrate, std::nullopt);
-      rcfg.bft.verify_pool = pool;
       rcfg.bft.shared_verify_cache = caches[i];
       rcfg.bft.validate();
       rcfg.signer = keys.signers[i].get();
@@ -780,7 +752,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   std::vector<const smr::PipelineStats*> pipelines;
   for (std::uint32_t i : result.correct) {
     pipelines.push_back(&views[i]->pipeline_stats());
-    metrics::merge(stats.ingest, views[i]->ingest_stats());
     metrics::merge(stats.client, views[i]->client_service_stats());
     if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
       metrics::merge(stats.verify, cache->stats());
@@ -791,11 +762,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   stats.pipeline.fold(pipelines, witness < config.n
                                      ? &views[witness]->pipeline_stats()
                                      : nullptr);
-  stats.ingest.staged = staged_ingest ? 1 : 0;
-  if (pool) {
-    metrics::merge(stats.verify, pool->stats());
-    stats.verify.pool_workers = pool->workers();
-  }
 
   if (client_mode) {
     std::vector<const client::ClientStats*> clients;

@@ -293,17 +293,12 @@ std::string to_json(Backend backend, const RunStats& stats) {
   write_counters<transport::TcpLinkStats>(os, stats.link);
   const VerifySummary& v = stats.verify;
   write_counters<crypto::VerifyCacheStats>(os, v);
-  os << ",\"cache_hit_rate\":" << v.hit_rate()
-     << ",\"pool_workers\":" << v.pool_workers;
-  write_counters<crypto::VerifyPoolStats>(os, v);
+  os << ",\"cache_hit_rate\":" << v.hit_rate();
   const PipelineSummary& p = stats.pipeline;
   os << ",\"window\":" << p.window << ",\"batch\":" << p.batch
      << ",\"avg_window\":" << p.avg_window
      << ",\"recovery_us\":" << p.recovery_us;
   write_counters<smr::PipelineStats>(os, p);
-  os << ",\"ingest_staged\":" << stats.ingest.staged
-     << ",\"ingest_avg_batch\":" << stats.ingest.avg_batch();
-  write_counters<smr::IngestStats>(os, stats.ingest);
   const ClientSummary& c = stats.client;
   os << ",\"client_clients\":" << c.clients << ",\"client_p50_us\":"
      << c.p50_us << ",\"client_p99_us\":" << c.p99_us

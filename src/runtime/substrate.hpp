@@ -27,7 +27,6 @@
 #include "client/client.hpp"
 #include "common/ids.hpp"
 #include "crypto/verify_cache.hpp"
-#include "crypto/verify_pool.hpp"
 #include "faults/fault_spec.hpp"
 #include "faults/link_fault.hpp"
 #include "sim/actor.hpp"
@@ -67,20 +66,24 @@ const char* run_outcome_name(RunOutcome o);
 //
 // A run's counters are declared once, in the component struct that
 // increments them (common/metrics.hpp): sim::Stats, transport::
-// ChannelStats and TcpLinkStats, crypto::VerifyCacheStats and
-// VerifyPoolStats, smr::PipelineStats, IngestStats and
-// ClientServiceStats, and client::ClientStats.  The summaries below
-// derive from those structs, so a run-level member is the component's
-// own; they add only the run's configuration and the keys derived from
-// several fields.  The scenario runners fold each correct process in by
-// the declared rules, and to_json walks the same tables.  A component
-// field that only feeds a derived key stays zero here.
+// ChannelStats and TcpLinkStats, crypto::VerifyCacheStats,
+// smr::PipelineStats and ClientServiceStats, and client::ClientStats.
+// The summaries below derive from those structs, so a run-level member
+// is the component's own; they add only the run's configuration and the
+// keys derived from several fields.  The scenario runners fold each
+// correct process in by the declared rules, and to_json walks the same
+// tables.  A component field that only feeds a derived key stays zero
+// here.
 
-/// Verification cost: the CachingVerifier LRU (summed over the run's
-/// correct processes) and the crypto::VerifyPool (one per run).  All zero
-/// when the scenario attaches neither.
-struct VerifySummary : crypto::VerifyCacheStats, crypto::VerifyPoolStats {
-  std::uint64_t pool_workers = 0;  // the pool's thread count
+/// Verification cost: the CachingVerifier LRU, summed over the run's
+/// correct processes.  All zero when the scenario attaches none.
+struct VerifySummary : crypto::VerifyCacheStats {
+  /// Always 0: every signature is checked inline.  perfbench's
+  /// crypto.pool_offload_frac row still reads it; the next benchmark
+  /// change deletes that reader and this member.
+  std::uint64_t pool_jobs = 0;
+  /// Always 0, for the same row; deleted with it.
+  std::uint64_t pool_dispatched = 0;
 };
 
 /// SMR pipeline (run_smr_scenario only).
@@ -101,18 +104,12 @@ struct PipelineSummary : smr::PipelineStats {
             const smr::PipelineStats* witness);
 };
 
-/// Staged ingest (run_smr_scenario only).  All zero when staged ingest is
-/// off or the substrate never delivered a multi-frame batch: the
-/// deterministic simulator dispatches one message per event, so its
-/// batches never form.
-struct IngestSummary : smr::IngestStats {
-  std::uint64_t staged = 0;  // 1 iff the staged pipeline was enabled
-
-  double avg_batch() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batch_messages) /
-                              static_cast<double>(batches);
-  }
+/// No run fills it: replicas verify every frame inline.
+struct IngestSummary {
+  /// Always 0.  perfbench's byz-threads trace-mode fidelity check still
+  /// reads it; the next benchmark change deletes that reader and this
+  /// struct.
+  std::uint64_t prologue_frames = 0;
 };
 
 /// Client/service layer (run_smr_scenario with clients attached; all zero

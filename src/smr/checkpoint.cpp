@@ -203,15 +203,6 @@ Bytes encode_control_fetch(const std::vector<std::uint64_t>& ids) {
   return std::move(w).take();
 }
 
-Bytes encode_control_client_done(const ClientDone& done) {
-  Writer w;
-  write_frame_header(w, ControlKind::kClientDone);
-  w.u32(done.client);
-  w.u64(done.final_seq);
-  w.bytes(done.sig);
-  return std::move(w).take();
-}
-
 Bytes encode_control_seq_bound(const SeqBound& bound) {
   Writer w;
   write_frame_header(w, ControlKind::kSeqBound);
@@ -231,15 +222,6 @@ Bytes client_request_signing_bytes(std::uint32_t client, std::uint64_t seq,
   w.u8(static_cast<std::uint8_t>(op));
   w.str(key);
   w.str(value);
-  return std::move(w).take();
-}
-
-Bytes client_done_signing_bytes(std::uint32_t client,
-                                std::uint64_t final_seq) {
-  Writer w;
-  w.str("smr-client-done");
-  w.u32(client);
-  w.u64(final_seq);
   return std::move(w).take();
 }
 
@@ -360,15 +342,6 @@ std::vector<std::uint64_t> decode_cmd_fetch(Reader& r,
   }
   r.expect_end();
   return ids;
-}
-
-ClientDone decode_client_done(Reader& r) {
-  ClientDone done;
-  done.client = r.u32();
-  done.final_seq = r.u64();
-  done.sig = r.bytes();
-  r.expect_end();
-  return done;
 }
 
 SeqBound decode_seq_bound(Reader& r) {

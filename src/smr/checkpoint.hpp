@@ -19,8 +19,9 @@
 //     kind 6  BUSY        — replica → client: admission queue full, back off
 //     kind 7  CMD_RELAY   — replica ↔ replica: admitted command body + sig
 //     kind 8  CMD_FETCH   — replica ↔ replica: "send me these bodies"
-//     kind 9  CLIENT_DONE — client → Π: whole script certified (a bound)
 //     kind 10 SEQ_BOUND   — client → Π: "I will never send seq > bound"
+// Kind 9 is unassigned: a frame of that kind is rejected like any unknown
+// kind.
 //
 // REQUEST and CMD_RELAY carry the client's signature over the command
 // preimage (client_request_signing_bytes): replicas in authenticated mode
@@ -30,7 +31,8 @@
 // key, not by whoever relayed it.  SEQ_BOUND is the matching liveness
 // tool: a signed, statically-true refutation ("my script has `bound`
 // operations") that lets replicas skip a decided id whose body can never
-// exist instead of fetching it forever.  CLIENT_DONE doubles as a bound.
+// exist instead of fetching it forever.  A client whose whole script
+// certified broadcasts one before it stops.
 //
 // Snapshots use the canonical Writer encoding (fixed-width, sorted map
 // order), so every correct replica at the same commit frontier produces
@@ -69,7 +71,6 @@ enum class ControlKind : std::uint8_t {
   kBusy = 6,
   kCmdRelay = 7,
   kCmdFetch = 8,
-  kClientDone = 9,
   kSeqBound = 10,
 };
 
@@ -205,19 +206,13 @@ struct CmdRelay {
   Bytes sig;
 };
 
-/// Client → Π: the whole script certified.  Signed so replicas may also
-/// accept it relayed/served by a peer; final_seq doubles as a seq bound
-/// (the client will never send seq > final_seq).
-struct ClientDone {
-  std::uint32_t client = 0;
-  std::uint64_t final_seq = 0;
-  Bytes sig;
-};
-
 /// Client → Π: a standing refutation — this client will never send any
 /// seq > bound (statically true: bound = script length).  Lets replicas
 /// deterministically skip fabricated decided ids beyond the bound instead
-/// of parking the frontier on a body that can never exist.
+/// of parking the frontier on a body that can never exist.  Sent in answer
+/// to a CMD_FETCH beyond the script, and broadcast once the whole script
+/// certified.  Signed so replicas may also accept it relayed or served by
+/// a peer.
 struct SeqBound {
   std::uint32_t client = 0;
   std::uint64_t bound = 0;
@@ -225,11 +220,10 @@ struct SeqBound {
 };
 
 /// Domain-tagged signing preimages for the client frames.  The tags keep
-/// the three signature kinds mutually unforgeable from each other.
+/// the two signature kinds mutually unforgeable from each other.
 Bytes client_request_signing_bytes(std::uint32_t client, std::uint64_t seq,
                                    Command::Op op, const std::string& key,
                                    const std::string& value);
-Bytes client_done_signing_bytes(std::uint32_t client, std::uint64_t final_seq);
 Bytes seq_bound_signing_bytes(std::uint32_t client, std::uint64_t bound);
 
 /// Complete control frames, ready for Context::send / broadcast.
@@ -241,7 +235,6 @@ Bytes encode_control_reply(const ClientReply& reply);
 Bytes encode_control_busy(const BusyFrame& busy);
 Bytes encode_control_relay(const CmdRelay& relay);
 Bytes encode_control_fetch(const std::vector<std::uint64_t>& ids);
-Bytes encode_control_client_done(const ClientDone& done);
 Bytes encode_control_seq_bound(const SeqBound& bound);
 
 /// Body decoders (input = the bytes after the kind octet).  All throw
@@ -255,7 +248,6 @@ BusyFrame decode_busy(Reader& r);
 CmdRelay decode_cmd_relay(Reader& r);
 std::vector<std::uint64_t> decode_cmd_fetch(Reader& r,
                                             const StateLimits& limits);
-ClientDone decode_client_done(Reader& r);
 SeqBound decode_seq_bound(Reader& r);
 
 /// Non-throwing STATE_RESP decode for the fuzz harness and the recovery

@@ -28,8 +28,6 @@ ClientService::Next ClientService::on_frame(sim::Context& ctx, ProcessId from,
     case ControlKind::kCmdFetch:
       on_fetch(ctx, from, r);
       return Next::kNone;
-    case ControlKind::kClientDone:
-      return on_done(from, r);
     case ControlKind::kSeqBound:
       return on_seq_bound(from, r);
     default:
@@ -322,19 +320,6 @@ void ClientService::on_fetch(sim::Context& ctx, ProcessId from, Reader& r) {
       ++stats_.fetches_served;
     }
   }
-}
-
-ClientService::Next ClientService::on_done(ProcessId from, Reader& r) {
-  const ClientDone done = decode_client_done(r);
-  if (!authentic(from, done.client,
-                 client_done_signing_bytes(done.client, done.final_seq),
-                 done.sig)) {
-    return Next::kNone;
-  }
-  // DONE is a seq bound: the client will never send beyond its final seq,
-  // so decided ids past it are fabrications to skip, not fetch.
-  return record_bound(done.client, done.final_seq,
-                      encode_control_client_done(done));
 }
 
 ClientService::Next ClientService::on_seq_bound(ProcessId from, Reader& r) {

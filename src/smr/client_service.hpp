@@ -61,9 +61,9 @@ struct ClientServiceConfig {
 
   /// Authenticated mode (Byzantine backend): REQUEST and CMD_RELAY bodies
   /// must carry a valid client signature over the command preimage, and
-  /// CLIENT_DONE / SEQ_BOUND frames are accepted from any sender when
-  /// their signature verifies.  Off under the crash model, where forgery
-  /// is outside the fault model and clients carry no keys.
+  /// SEQ_BOUND frames are accepted from any sender when their signature
+  /// verifies.  Off under the crash model, where forgery is outside the
+  /// fault model and clients carry no keys.
   bool authenticate = false;
 
   /// Commit-eligibility window: a decided client id (c, s) joins a batch
@@ -133,10 +133,11 @@ class ClientService {
   /// replay.
   enum class Next { kNone, kPump, kResume };
 
-  /// Control kinds 4–10: REQUEST, CMD_RELAY, CMD_FETCH, CLIENT_DONE and
+  /// Control kinds 4–8 and 10: REQUEST, CMD_RELAY, CMD_FETCH and
   /// SEQ_BOUND, and the client-bound REPLY and BUSY, which it ignores.
   static bool owns(ControlKind kind) {
-    return kind >= ControlKind::kRequest && kind <= ControlKind::kSeqBound;
+    return (kind >= ControlKind::kRequest && kind <= ControlKind::kCmdFetch) ||
+           kind == ControlKind::kSeqBound;
   }
 
   /// Reads the replica's `config` and `table` (which must outlive it);
@@ -215,11 +216,11 @@ class ClientService {
   /// Admits a checked body into the command table (charged to `origin`
   /// when a peer relayed it).
   void admit(const CmdRelay& body, std::optional<std::uint32_t> origin);
-  /// The rule for everything a client signs (command bodies, CLIENT_DONE,
-  /// SEQ_BOUND) arriving from `from`: a configured client and, when
-  /// authenticating, the client's verified signature, from any sender;
-  /// without authentication only the client itself or a replica may
-  /// carry it.  Counts the reject.
+  /// The rule for everything a client signs (command bodies and SEQ_BOUND)
+  /// arriving from `from`: a configured client and, when authenticating,
+  /// the client's verified signature, from any sender; without
+  /// authentication only the client itself or a replica may carry it.
+  /// Counts the reject.
   bool authentic(ProcessId from, std::uint32_t client, const Bytes& preimage,
                  const Bytes& sig);
   /// Records a verified seq bound.  Returns kResume when it is tighter
@@ -237,7 +238,6 @@ class ClientService {
   /// enforces the admission bounds before storing anything.
   Next on_relay(ProcessId from, Reader& r);
   void on_fetch(sim::Context& ctx, ProcessId from, Reader& r);
-  Next on_done(ProcessId from, Reader& r);
   Next on_seq_bound(ProcessId from, Reader& r);
 
   const ReplicaConfig& config_;

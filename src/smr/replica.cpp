@@ -7,29 +7,8 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/serial.hpp"
-#include "crypto/verify_pool.hpp"
 
 namespace modubft::smr {
-
-namespace {
-
-/// Warms the shared verified-signature cache with every member signature a
-/// subsequent §5.1 well-formedness walk of this certificate could check.
-/// Verdicts are discarded here and re-derived — from the now-hot cache —
-/// by the sequential stage, so a Byzantine member merely warms a negative
-/// entry and is rejected exactly as without the prologue.
-void warm_certificate(const crypto::CachingVerifier& cache,
-                      const bft::Certificate& cert, std::uint32_t depth) {
-  if (cert.pruned || depth > bft::DecodeLimits{}.max_depth) return;
-  for (std::size_t i = 0; i < cert.size(); ++i) {
-    const bft::SignedMessage& m = cert.member(i);
-    cache.verify_digest(m.core.sender, cert.member_signing_digest(i), m.sig,
-                        [&m] { return bft::signing_bytes(m.core, m.cert); });
-    warm_certificate(cache, m.cert, depth + 1);
-  }
-}
-
-}  // namespace
 
 Bytes encode_command(const Command& cmd) {
   Writer w;
@@ -487,82 +466,6 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   // starting next_start_ before we have anything to propose is only
   // visible here, so the buffered envelope must open the window.
   if (client_) pump(ctx);
-}
-
-bool Replica::staging_ready() const {
-  // Staged ingest needs the Byzantine back-end (the crash protocol has no
-  // signatures to pre-verify), the pool (the parallelism) and the shared
-  // cache (the channel through which prologue work reaches the sequential
-  // stage).  A recovering replica drops consensus traffic anyway, so
-  // warming for it would be pure waste.
-  return config_.staged_ingest && config_.backend == Backend::kByzantine &&
-         config_.bft.verify_pool != nullptr && vcache_ != nullptr &&
-         !recovering();
-}
-
-void Replica::on_batch(sim::Context& ctx,
-                       std::vector<sim::Incoming>& batch) {
-  // A single-frame batch gains nothing from a prologue.
-  if (staging_ready() && batch.size() >= 2) {
-    ++istats_.batches;
-    istats_.batch_messages += batch.size();
-    istats_.max_batch =
-        std::max<std::uint64_t>(istats_.max_batch, batch.size());
-    // Warm the shared cache across the whole batch.  verify_all blocks,
-    // so everything the workers wrote is visible (happens-before) when
-    // the sequential dispatch starts.  A synchronous pool (0 workers) has
-    // no parallelism to exploit — every job would run inline on this
-    // thread and duplicate work the sequential dispatch does anyway — so
-    // the prologue only runs when workers exist.
-    if (config_.bft.verify_pool->workers() > 0) ingest_prologue(batch);
-  }
-  // The base-class contract: sequential dispatch in arrival order, so
-  // every signed message leaves inline, in the order one-at-a-time
-  // dispatch produces (docs/INGEST.md states the argument).
-  sim::Actor::on_batch(ctx, batch);
-}
-
-void Replica::ingest_prologue(const std::vector<sim::Incoming>& batch) {
-  std::vector<crypto::VerifyPool::Job> jobs;
-  jobs.reserve(batch.size());
-  for (const sim::Incoming& m : batch) {
-    // Recognize consensus frames without touching protocol state; control
-    // traffic, stale or out-of-range slots and runts are left entirely to
-    // the sequential stage.
-    std::uint64_t slot = 0;
-    try {
-      Reader r(m.payload);
-      slot = r.u64();
-    } catch (const SerialError&) {
-      continue;
-    }
-    if (slot == kControlSlot || slot >= log_end_ || slot < next_commit_) {
-      continue;
-    }
-    ++istats_.prologue_frames;
-    jobs.push_back([this, from = m.from, payload = &m.payload] {
-      // The job borrows the frame bytes (verify_all blocks until every
-      // job returns, so `batch` outlives the borrow) and peels its own
-      // sub-frame copy on the worker — off the sequential thread.  The
-      // decoded message, including the digest memos the warm walk
-      // populates, is this job's own object, so the unsynchronized
-      // Certificate caches are never shared across threads.  The
-      // sequential stage re-decodes the raw bytes and finds the verify
-      // cache hot.
-      bft::DecodeOutcome out = bft::try_decode_message(
-          Bytes(payload->begin() + 8, payload->end()));
-      if (!out.ok) return true;       // the signature module rejects it
-      if (out.msg.core.sender != from) return true;  // identity mismatch
-      vcache_->verify(out.msg.core.sender,
-                      bft::signing_bytes(out.msg.core, out.msg.cert),
-                      out.msg.sig);
-      warm_certificate(*vcache_, out.msg.cert, 0);
-      return true;
-    });
-  }
-  if (jobs.empty()) return;
-  istats_.prologue_jobs += jobs.size();
-  config_.bft.verify_pool->verify_all(std::move(jobs));
 }
 
 void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {

@@ -35,9 +35,11 @@
 // entries of the decided vector), so the commit rules never branch on
 // the back-end; any known non-zero id in it is an anchor.  The Byzantine
 // back-end shares one verified-signature cache across all of the
-// replica's slots (and a crypto::VerifyPool across replicas, when
-// configured), so the certificate fast path compounds across the
-// pipeline.
+// replica's slots, so the certificate fast path compounds across the
+// pipeline.  Every signature is checked on the replica's own thread, in
+// the slot actor's signature and certification modules: a delivery batch
+// is dispatched message by message, in arrival order, by the base
+// sim::Actor::on_batch.
 //
 // The replica is the slot pipeline.  Three units it owns run the rest,
 // and none of them reads another's state:
@@ -123,20 +125,6 @@ struct ReplicaConfig {
   /// trusts nobody).
   CheckpointConfig checkpoint;
 
-  /// Staged ingest (Byzantine back-end only; docs/INGEST.md).  When true
-  /// AND the back-end has both a verify pool with workers and the shared
-  /// verified-signature cache, Replica::on_batch runs a parallel PROLOGUE
-  /// over a multi-frame delivery batch — it decodes every frame into a
-  /// private copy and pre-verifies its signatures (top-level and
-  /// certificate members) through the shared CachingVerifier on the
-  /// pool's workers — before the ordinary sequential dispatch, which then
-  /// hits the warm cache instead of running signature arithmetic
-  /// serially.  The prologue has no protocol effects, so the replica's
-  /// egress is frame-for-frame identical either way.  Off by default (the
-  /// deterministic simulator configuration); the scenario runner enables
-  /// it on the wall-clock substrates.
-  bool staged_ingest = false;
-
   /// Client/service layer (docs/CLIENT.md).  num_clients > 0 gives the
   /// replica a ClientService: the client control frames are spoken, the
   /// commit rule becomes the decided-vector rule (every non-committed
@@ -202,26 +190,6 @@ struct PipelineStats {
   };
 };
 
-/// Staged-ingest observability (surfaced through runtime::RunStats as the
-/// ingest_* keys).  All zero when staged ingest is off or the substrate
-/// never delivered a multi-frame batch.
-struct IngestStats {
-  std::uint64_t batches = 0;          ///< staged on_batch dispatches
-  std::uint64_t batch_messages = 0;   ///< frames delivered through them
-  std::uint64_t max_batch = 0;        ///< largest single dispatch
-  std::uint64_t prologue_frames = 0;  ///< frames the prologue recognized
-  std::uint64_t prologue_jobs = 0;    ///< decode+warm jobs run on the pool
-
-  using Self = IngestStats;
-  static constexpr metrics::Counter<Self> kCounters[] = {
-      {"ingest_batches", &Self::batches, metrics::kSum},
-      {"ingest_batch_messages", &Self::batch_messages, metrics::kSum},
-      {"ingest_max_batch", &Self::max_batch, metrics::kMax},
-      {"ingest_prologue_frames", &Self::prologue_frames, metrics::kSum},
-      {"ingest_prologue_jobs", &Self::prologue_jobs, metrics::kSum},
-  };
-};
-
 /// Invoked on every commit: (slot, command applied — nullptr for a no-op
 /// slot, state after application).  A slot committing a batch of k
 /// commands invokes the callback k times with the same slot, in
@@ -243,12 +211,6 @@ class Replica final : public sim::Actor {
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, ProcessId from,
                   const Bytes& payload) override;
-  /// Staged dispatch of a delivery batch (see
-  /// ReplicaConfig::staged_ingest): the parallel decode+verify prologue
-  /// when it applies, then the base class's sequential loop — message for
-  /// message, in arrival order — either way.
-  void on_batch(sim::Context& ctx,
-                std::vector<sim::Incoming>& batch) override;
   void on_timer(sim::Context& ctx, std::uint64_t timer_id) override;
 
   const KvStore& store() const { return store_; }
@@ -270,9 +232,6 @@ class Replica final : public sim::Actor {
   }
 
   const PipelineStats& pipeline_stats() const { return pstats_; }
-
-  /// Staged-ingest counters (all zero when staged ingest never engaged).
-  const IngestStats& ingest_stats() const { return istats_; }
 
   /// The verified-signature cache shared across this replica's slots
   /// (Byzantine back-end with verify_cache on), else nullptr.
@@ -323,13 +282,6 @@ class Replica final : public sim::Actor {
   void apply_committed_batch(sim::Context& ctx,
                              const std::vector<std::uint64_t>& ids);
 
-  // --- staged ingest (inert unless ReplicaConfig::staged_ingest) ---
-  /// True iff on_batch may run the prologue right now.
-  bool staging_ready() const;
-  /// Parallel prologue: decode private copies of the batch's consensus
-  /// frames and warm the shared verify cache through the pool.
-  void ingest_prologue(const std::vector<sim::Incoming>& batch);
-
   /// Hands a control frame to the unit owning its kind and applies what
   /// the unit returns.
   void route_control(sim::Context& ctx, ProcessId from, const Bytes& inner);
@@ -367,8 +319,6 @@ class Replica final : public sim::Actor {
   PipelineStats pstats_;
   std::atomic<std::uint64_t> live_applied_{0};
   std::atomic<std::uint64_t> live_frontier_{0};
-
-  IngestStats istats_;
 
   std::unique_ptr<ClientService> client_;  // with clients configured
   std::unique_ptr<Checkpointer> ckpt_;     // with a checkpoint interval

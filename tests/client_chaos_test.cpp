@@ -75,8 +75,8 @@ TEST(ClientChaos, SimForgedBodiesRejectedAndRecoveredViaFetch) {
 TEST(ClientChaos, SimPhantomIdsAreSkippedNotParkedOn) {
   // The attacker proposes fabricated client ids it alone has bodies for.
   // Honest replicas must skip them deterministically — by the eligibility
-  // window for the far-future id, by the client's signed SEQ_BOUND /
-  // CLIENT_DONE for the one just past the script — instead of parking the
+  // window for the far-future id, by the client's signed SEQ_BOUND for
+  // the one just past the script — instead of parking the
   // commit frontier on a fetch that can never be answered.  The cell runs
   // its clients open loop: the wide window makes the just-past phantom
   // eligible early, forcing the refutation path.

@@ -1,7 +1,9 @@
 // Fault-tolerant client/service layer (ISSUE 9), deterministic simulator:
 //
 //  * control-frame codec round trips for the REQUEST/REPLY/BUSY/RELAY/
-//    FETCH/CLIENT_DONE family and the client-command id packing;
+//    FETCH/SEQ_BOUND family and the client-command id packing;
+//  * a finished client's last broadcast is a SEQ_BOUND carrying its script
+//    length, and a replica rejects a frame of the unassigned kind 9;
 //  * snapshot client-table section: round trip, and byte-identity with
 //    the pre-client encoding when no client has ever been admitted;
 //  * end-to-end closed-loop runs on both backends with the exactly-once
@@ -22,9 +24,12 @@
 #include "adversary/client_campaign.hpp"
 #include "client/client.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "common/serial.hpp"
+#include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
 #include "smr/checkpoint.hpp"
+#include "smr/replica.hpp"
 
 namespace modubft {
 namespace {
@@ -62,14 +67,11 @@ TEST(ClientWire, RequestRoundTrip) {
 }
 
 TEST(ClientWire, SigningPreimagesAreDomainSeparated) {
-  // The three client signature kinds must be mutually unforgeable: the
-  // same (client, number) pair yields distinct preimages per kind.
-  const Bytes done = smr::client_done_signing_bytes(6, 8);
+  // The two client signature kinds must be mutually unforgeable: the same
+  // (client, number) pair yields distinct preimages per kind.
   const Bytes bound = smr::seq_bound_signing_bytes(6, 8);
-  EXPECT_NE(done, bound);
   const Bytes req =
       smr::client_request_signing_bytes(6, 8, smr::Command::Op::kPut, "", "");
-  EXPECT_NE(req, done);
   EXPECT_NE(req, bound);
   // And the request preimage binds every command field.
   EXPECT_NE(req, smr::client_request_signing_bytes(
@@ -103,7 +105,7 @@ TEST(ClientWire, ReplyRoundTrip) {
   EXPECT_EQ(back.value, reply.value);
 }
 
-TEST(ClientWire, BusyRelayFetchDoneRoundTrips) {
+TEST(ClientWire, BusyRelayFetchSeqBoundRoundTrips) {
   const Bytes busy = smr::encode_control_busy({9, 64});
   {
     Reader r(busy);
@@ -142,21 +144,6 @@ TEST(ClientWire, BusyRelayFetchDoneRoundTrips) {
               smr::ControlKind::kCmdFetch);
     EXPECT_EQ(smr::decode_cmd_fetch(r, smr::StateLimits{}), ids);
   }
-  smr::ClientDone cd;
-  cd.client = 6;
-  cd.final_seq = 8;
-  cd.sig = Bytes{0x05};
-  const Bytes done = smr::encode_control_client_done(cd);
-  {
-    Reader r(done);
-    r.u64();
-    ASSERT_EQ(static_cast<smr::ControlKind>(r.u8()),
-              smr::ControlKind::kClientDone);
-    const smr::ClientDone back = smr::decode_client_done(r);
-    EXPECT_EQ(back.client, 6u);
-    EXPECT_EQ(back.final_seq, 8u);
-    EXPECT_EQ(back.sig, cd.sig);
-  }
   smr::SeqBound sb;
   sb.client = 7;
   sb.bound = 12;
@@ -172,6 +159,94 @@ TEST(ClientWire, BusyRelayFetchDoneRoundTrips) {
     EXPECT_EQ(back.bound, 12u);
     EXPECT_EQ(back.sig, sb.sig);
   }
+}
+
+/// One process's view of the world: what it sent and what it broadcast.
+class RecordingContext final : public sim::Context {
+ public:
+  explicit RecordingContext(std::uint32_t self) : self_{self} {}
+  ProcessId id() const override { return self_; }
+  std::uint32_t n() const override { return 5; }
+  SimTime now() const override { return 0; }
+  void send(ProcessId, Bytes payload) override {
+    sent.push_back(std::move(payload));
+  }
+  void broadcast(const Bytes& payload) override {
+    broadcasts.push_back(payload);
+  }
+  std::uint64_t set_timer(SimTime) override { return ++timers_; }
+  void cancel_timer(std::uint64_t) override {}
+  Rng& rng() override { return rng_; }
+  void stop() override {}
+
+  std::vector<Bytes> sent;
+  std::vector<Bytes> broadcasts;
+
+ private:
+  ProcessId self_;
+  std::uint64_t timers_ = 0;
+  Rng rng_{0};
+};
+
+TEST(ClientSeqBound, FinishedClientBroadcastsItsScriptLength) {
+  const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(5, 3);
+  client::ClientConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  cfg.ops = {{smr::Command::Op::kPut, "a", "1"},
+             {smr::Command::Op::kPut, "b", "2"}};
+  cfg.signer = keys.signers[4].get();
+  client::Client c(cfg);
+  RecordingContext ctx(4);
+  c.on_start(ctx);
+  // f+1 = 2 matching replies certify each op.
+  for (std::uint64_t seq = 1; seq <= cfg.ops.size(); ++seq) {
+    EXPECT_TRUE(ctx.broadcasts.empty());
+    const client::ClientOp& op = cfg.ops[seq - 1];
+    const Bytes reply = smr::encode_control_reply(
+        {seq, smr::make_client_cmd_id(4, seq), seq, op.op, op.key, op.value});
+    c.on_message(ctx, ProcessId{0}, reply);
+    c.on_message(ctx, ProcessId{1}, reply);
+  }
+  ASSERT_TRUE(c.finished());
+  ASSERT_EQ(ctx.broadcasts.size(), 1u);
+  Reader r(ctx.broadcasts.back());
+  EXPECT_EQ(r.u64(), smr::kControlSlot);
+  ASSERT_EQ(static_cast<smr::ControlKind>(r.u8()),
+            smr::ControlKind::kSeqBound);
+  const smr::SeqBound sb = smr::decode_seq_bound(r);
+  EXPECT_EQ(sb.client, 4u);
+  EXPECT_EQ(sb.bound, 2u);
+  EXPECT_TRUE(keys.verifier->verify(
+      ProcessId{4}, smr::seq_bound_signing_bytes(4, 2), sb.sig));
+}
+
+TEST(ClientSeqBound, ReplicaRejectsTheUnassignedKind9) {
+  const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(5, 3);
+  smr::ReplicaConfig cfg;
+  cfg.n = 4;
+  cfg.backend = smr::Backend::kByzantine;
+  cfg.bft.n = 4;
+  cfg.bft.f = 1;
+  cfg.signer = keys.signers[0].get();
+  cfg.verifier = keys.verifier;
+  cfg.client.num_clients = 1;
+  smr::Replica replica(cfg, {}, smr::CommitFn{});
+  RecordingContext ctx(0);
+  replica.on_start(ctx);
+
+  // A SEQ_BOUND's bytes under kind 9: a frame of no known kind.
+  Bytes frame = smr::encode_control_seq_bound({4, 2, {}});
+  frame.at(8) = 9;
+  replica.on_message(ctx, ProcessId{4}, frame);
+  EXPECT_EQ(replica.pipeline_stats().recovery_rejects, 1u);
+  EXPECT_EQ(replica.client_service_stats().bounds_recorded, 0u);
+
+  // The same bytes under kind 10 record the bound.
+  frame.at(8) = static_cast<std::uint8_t>(smr::ControlKind::kSeqBound);
+  replica.on_message(ctx, ProcessId{4}, frame);
+  EXPECT_EQ(replica.pipeline_stats().recovery_rejects, 1u);
+  EXPECT_EQ(replica.client_service_stats().bounds_recorded, 1u);
 }
 
 TEST(ClientWire, SnapshotClientSectionRoundTripsAndEmptyIsByteIdentical) {
@@ -229,7 +304,7 @@ TEST(ClientService, ClosedLoopByzantineHappyPath) {
   EXPECT_GT(r.run_stats.client.p50_us, 0u);
   EXPECT_GE(r.run_stats.client.p999_us, r.run_stats.client.p50_us);
   // Byzantine backend defaults to authenticated mode: honest traffic
-  // never trips the signature check, and each client's CLIENT_DONE is
+  // never trips the signature check, and each client's final SEQ_BOUND is
   // recorded as its standing seq bound on every correct replica.
   EXPECT_EQ(r.run_stats.client.auth_rejects, 0u);
   EXPECT_GT(r.run_stats.client.bounds_recorded, 0u);

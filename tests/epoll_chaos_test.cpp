@@ -9,7 +9,7 @@
 //   * a slow reader whose kernel receive buffer fills, pushing the
 //     senders through the partial-write / EPOLLOUT re-arm path;
 //   * burst arrivals that must coalesce into multi-frame Actor::on_batch
-//     dispatches (the transport half of the staged ingest pipeline).
+//     dispatches.
 //
 // All of it must preserve the reliable-FIFO exactly-once contract, which
 // the delivery audit checks seq by seq.  The file runs under TSan in the
@@ -201,9 +201,9 @@ TEST(EpollChaos, SlowReaderBackpressureKeepsFifoExactlyOnce) {
 // ---------------------------------------------------- batch coalescing
 
 // Frames that pile up while the actor is busy must be drained into one
-// multi-frame on_batch dispatch (capped by kMaxBatch) — the property the
-// staged ingest prologue feeds on.  The receiver stalls inside its first
-// dispatches, so later drains are guaranteed to find queued frames.
+// multi-frame on_batch dispatch (capped by kMaxBatch).  The receiver
+// stalls inside its first dispatches, so later drains are guaranteed to
+// find queued frames.
 TEST(EpollChaos, BurstArrivalsCoalesceIntoBatchDispatches) {
   static constexpr int kCount = 300;
 

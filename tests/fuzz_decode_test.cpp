@@ -446,10 +446,6 @@ std::vector<ControlCodec> control_codecs(const crypto::SignatureSystem& keys) {
        [limits](Reader& r) {
          return smr::encode_control_fetch(smr::decode_cmd_fetch(r, limits));
        }},
-      {"client-done", smr::encode_control_client_done({4, 8, sig}),
-       [](Reader& r) {
-         return smr::encode_control_client_done(smr::decode_client_done(r));
-       }},
       {"seq-bound", smr::encode_control_seq_bound({5, 8, sig}),
        [](Reader& r) {
          return smr::encode_control_seq_bound(smr::decode_seq_bound(r));

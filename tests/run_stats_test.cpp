@@ -62,9 +62,7 @@ TEST(RunStats, ToJsonEmitsEveryDeclaredCounterOnce) {
   fill<transport::ChannelStats>(stats.link, next, want);
   fill<transport::TcpLinkStats>(stats.link, next, want);
   fill<crypto::VerifyCacheStats>(stats.verify, next, want);
-  fill<crypto::VerifyPoolStats>(stats.verify, next, want);
   fill<smr::PipelineStats>(stats.pipeline, next, want);
-  fill<smr::IngestStats>(stats.ingest, next, want);
   fill<client::ClientStats>(stats.client, next, want);
   fill<smr::ClientServiceStats>(stats.client, next, want);
 
@@ -77,8 +75,8 @@ TEST(RunStats, ToJsonEmitsEveryDeclaredCounterOnce) {
   // The counters the field-by-field serializer used to drop.
   for (const char* key :
        {"dial_failures", "truncates_injected", "flips_injected",
-        "delays_injected", "gap_resets", "malformed_hellos", "degraded_links",
-        "pool_inline_jobs", "pool_failures"}) {
+        "delays_injected", "gap_resets", "malformed_hellos",
+        "degraded_links"}) {
     EXPECT_EQ(want.count(key), 1u) << key;
   }
 }
@@ -100,22 +98,20 @@ faults::SmrScenarioConfig live_scenario(std::uint32_t victim) {
 }
 
 /// Every key the hand-written runtime::to_json emitted before the
-/// counters were declared in their component structs.
+/// counters were declared in their component structs, less the verify
+/// pool's and the staged ingest's, which went with those two paths.
 constexpr const char* kPinnedKeys[] = {
     "backend", "messages_sent", "messages_delivered", "bytes_sent",
     "events_executed", "virtual_time_us", "wall_us", "wire_frames",
     "wire_bytes", "reconnects", "retransmits", "frames_dropped",
     "kills_injected", "checksum_failures", "dup_suppressed", "cache_hits",
-    "cache_misses", "cache_evictions", "cache_hit_rate", "pool_workers",
-    "pool_jobs", "pool_dispatched", "pool_batches", "pool_peak_queue",
-    "window", "batch", "slots_committed", "commands_committed", "noop_slots",
+    "cache_misses", "cache_evictions", "cache_hit_rate", "window", "batch",
+    "slots_committed", "commands_committed", "noop_slots",
     "max_batch", "window_peak", "avg_window", "future_buffered",
     "future_dropped", "stale_dropped", "checkpoints_taken",
     "checkpoint_certs", "log_truncated", "log_peak", "state_reqs",
     "state_resps", "recovery_installs", "recovery_rejects", "recovery_us",
-    "ingest_staged", "ingest_batches", "ingest_batch_messages",
-    "ingest_max_batch", "ingest_avg_batch", "ingest_prologue_frames",
-    "ingest_prologue_jobs", "client_clients", "client_submitted",
+    "client_clients", "client_submitted",
     "client_retries", "client_failovers", "client_busy", "client_replies",
     "client_duplicate_replies", "client_mismatched_replies",
     "client_accepted", "client_p50_us", "client_p99_us", "client_p999_us",
@@ -129,7 +125,7 @@ constexpr const char* kPinnedKeys[] = {
 };
 
 TEST(RunStats, JsonKeepsEveryPinnedKeyAndIsDeterministic) {
-  static_assert(std::size(kPinnedKeys) == 83);
+  static_assert(std::size(kPinnedKeys) == 71);
   const faults::SmrScenarioConfig sc = live_scenario(3);
   const faults::SmrScenarioResult a = faults::run_smr_scenario(sc);
   const faults::SmrScenarioResult b = faults::run_smr_scenario(sc);

@@ -19,7 +19,6 @@
 #include "common/serial.hpp"
 #include "consensus/messages.hpp"
 #include "crypto/hmac_signer.hpp"
-#include "crypto/verify_pool.hpp"
 #include "faults/scenario.hpp"
 #include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
@@ -148,37 +147,9 @@ TEST(SmrPipeline, ThreadsByzantineBackendMatchesSimSequentialStore) {
 
   faults::SmrScenarioConfig cfg = pipelined_config(Backend::kByzantine, 4, 4);
   cfg.substrate = runtime::Backend::kThreads;
-  // Pin the pool size: the wall-clock default scales with the machine's
-  // spare cores, and this test asserts pool accounting exactly.
-  cfg.verify_workers = 3;
   const faults::SmrScenarioResult piped = faults::run_smr_scenario(cfg);
   expect_full_commit(piped, "threads W4 B4");
   EXPECT_EQ(piped.store, seq.store);
-  EXPECT_EQ(piped.run_stats.verify.pool_workers, 3u);
-  EXPECT_GT(piped.run_stats.verify.pool_jobs, 0u);
-  // threads default: the staged ingest pipeline is in force.
-  EXPECT_EQ(piped.run_stats.ingest.staged, 1u);
-}
-
-TEST(SmrPipeline, ThreadsStagedIngestToggleIsStoreInvariant) {
-  const faults::SmrScenarioResult seq = faults::run_smr_scenario(
-      pipelined_config(Backend::kByzantine, 1, 1));
-  expect_full_commit(seq, "sim W1 B1");
-
-  for (bool staged : {true, false}) {
-    SCOPED_TRACE(staged ? "staged" : "sequential");
-    faults::SmrScenarioConfig cfg =
-        pipelined_config(Backend::kByzantine, 4, 4);
-    cfg.substrate = runtime::Backend::kThreads;
-    cfg.staged_ingest = staged;
-    const faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
-    expect_full_commit(r, "threads W4 B4");
-    EXPECT_EQ(r.store, seq.store);
-    EXPECT_EQ(r.run_stats.ingest.staged, staged ? 1u : 0u);
-    if (!staged) {
-      EXPECT_EQ(r.run_stats.ingest.batches, 0u);
-    }
-  }
 }
 
 // --- envelope buffering bounds -----------------------------------------
@@ -483,7 +454,7 @@ TEST(SmrPipeline, CorrectReplicasCommitDespiteMidWindowByzantineSlot) {
   EXPECT_EQ(correct[0]->store().get("gamma"), "5");
 }
 
-// --- staged ingest: deterministic dispatch equivalence ------------------
+// --- batch dispatch order ----------------------------------------------
 
 // Records every frame the replica hands to the transport, in order.
 class RecordingContext final : public sim::Context {
@@ -518,21 +489,14 @@ Bytes init_frame(const crypto::SignatureSystem& keys, std::uint32_t sender,
   return envelope(0, bft::encode_message(m));
 }
 
-struct DispatchResult {
-  std::vector<Bytes> out;  // every frame emitted, in emission order
-  IngestStats ingest;
-  crypto::VerifyCacheStats cache;
-};
-
 // Feeds one replica a batch of three peer INITs for slot 0 through
-// on_batch.  Replica 0 is the round-1 coordinator, so the
-// quorum-completing INIT makes it emit a CURRENT.  With `client_request`
-// the replica serves one client (process 4) and the batch ends with that
-// client's REQUEST, which the replica admits and broadcasts as a
-// CMD_RELAY control frame.
-DispatchResult dispatch_init_batch(bool staged, bool client_request) {
+// on_batch and returns every frame it emitted, in emission order.
+// Replica 0 is the round-1 coordinator, so the quorum-completing INIT
+// makes it emit a CURRENT.  With `client_request` the replica serves one
+// client (process 4) and the batch ends with that client's REQUEST, which
+// the replica admits and broadcasts as a CMD_RELAY control frame.
+std::vector<Bytes> dispatch_init_batch(bool client_request) {
   const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 23);
-  auto pool = std::make_shared<crypto::VerifyPool>(2);
 
   ReplicaConfig cfg;
   cfg.n = 4;
@@ -540,10 +504,8 @@ DispatchResult dispatch_init_batch(bool staged, bool client_request) {
   cfg.slots = 1;
   cfg.bft.n = 4;
   cfg.bft.f = 1;
-  cfg.bft.verify_pool = pool;
   cfg.signer = keys.signers[0].get();
   cfg.verifier = keys.verifier;
-  cfg.staged_ingest = staged;
   if (client_request) cfg.client.num_clients = 1;
   Replica replica(cfg, faults::sample_workload(), CommitFn{});
 
@@ -561,14 +523,7 @@ DispatchResult dispatch_init_batch(bool staged, bool client_request) {
     batch.push_back({ProcessId{4}, encode_control_request(req)});
   }
   replica.on_batch(ctx, batch);
-
-  DispatchResult r;
-  r.out = std::move(ctx.out);
-  r.ingest = replica.ingest_stats();
-  if (replica.verify_cache() != nullptr) {
-    r.cache = replica.verify_cache()->stats();
-  }
-  return r;
+  return std::move(ctx.out);
 }
 
 // Names an emitted frame: the BFT kind behind a consensus slot tag, or the
@@ -589,50 +544,21 @@ std::vector<std::string> frame_kinds(const std::vector<Bytes>& frames) {
   return kinds;
 }
 
-// The determinism claim (docs/INGEST.md): a staged on_batch dispatch emits
-// the *byte-identical frame sequence* the sequential message-for-message
-// dispatch emits.  The prologue only warms the verify cache, and the
-// batch is then dispatched in arrival order with every signed message
-// leaving inline — so a client REQUEST behind the quorum-completing INIT
-// leaves its CMD_RELAY after the CURRENT on both paths.
-TEST(SmrStagedIngest, StagedDispatchBitIdenticalToSequential) {
+// A delivery batch is dispatched message by message, in arrival order,
+// with every signed message leaving inline (docs/INGEST.md): the replica
+// sends its own INIT from on_start, the round-1 coordinator CURRENT
+// triggered by the quorum-completing INIT, then the CMD_RELAY admitting
+// the client's command behind it.
+TEST(SmrBatchDispatch, OnBatchEmitsInArrivalOrder) {
   for (bool client_request : {false, true}) {
     SCOPED_TRACE(client_request ? "INITs + REQUEST" : "INITs");
-    const DispatchResult seq = dispatch_init_batch(false, client_request);
-    const DispatchResult stg = dispatch_init_batch(true, client_request);
-
-    // Same frames, same bytes, same order: own INIT from on_start, the
-    // round-1 coordinator CURRENT triggered by the quorum-completing INIT,
-    // then the CMD_RELAY admitting the client's command.
     std::vector<std::string> expected = {"INIT", "CURRENT"};
     if (client_request) {
       expected.push_back(
           "control " +
           std::to_string(static_cast<int>(ControlKind::kCmdRelay)));
     }
-    EXPECT_EQ(frame_kinds(seq.out), expected);
-    EXPECT_EQ(frame_kinds(stg.out), expected);
-    ASSERT_EQ(seq.out.size(), stg.out.size());
-    for (std::size_t i = 0; i < seq.out.size(); ++i) {
-      EXPECT_EQ(seq.out[i], stg.out[i]) << "frame " << i;
-    }
-
-    // The sequential run never staged anything…
-    EXPECT_EQ(seq.ingest.batches, 0u);
-
-    // …while the staged run sent one batch through the prologue, which
-    // recognized the three INITs and left the REQUEST (control traffic)
-    // to the sequential dispatch.
-    const std::uint64_t frames = client_request ? 4 : 3;
-    EXPECT_EQ(stg.ingest.batches, 1u);
-    EXPECT_EQ(stg.ingest.batch_messages, frames);
-    EXPECT_EQ(stg.ingest.max_batch, frames);
-    EXPECT_EQ(stg.ingest.prologue_frames, 3u);
-    EXPECT_EQ(stg.ingest.prologue_jobs, 3u);
-
-    // The prologue's warming paid off: the sequential stage authenticated
-    // the three INITs against a warm cache.
-    EXPECT_GE(stg.cache.cache_hits, 3u);
+    EXPECT_EQ(frame_kinds(dispatch_init_batch(client_request)), expected);
   }
 }
 

@@ -30,7 +30,7 @@ std::vector<Command> workload(std::uint64_t count) {
 
 void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
               bool one_silent) {
-  constexpr std::uint64_t kSlots = 10;
+  constexpr std::uint64_t kCommands = 10;
   double slot_ms = 0, msgs = 0, kbytes = 0;
   std::uint64_t converged = 0, total = 0, seed = 1;
 
@@ -54,14 +54,13 @@ void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
       smr::ReplicaConfig cfg;
       cfg.n = n;
       cfg.backend = backend;
-      cfg.slots = kSlots;
       cfg.bft = bft_cfg;
       cfg.signer = keys.signers[i].get();
       cfg.verifier = keys.verifier;
       cfg.detector =
           std::make_shared<fd::OracleDetector>(crash_times, fd::OracleConfig{});
       auto replica = std::make_unique<smr::Replica>(
-          cfg, workload(kSlots), smr::CommitFn{});
+          cfg, workload(kCommands), smr::CommitFn{});
       replicas[i] = replica.get();
       world.set_actor(ProcessId{i}, std::move(replica));
       if (crash_times[i].has_value()) world.crash_at(ProcessId{i}, 0);
@@ -73,15 +72,16 @@ void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
     const std::uint32_t live = one_silent ? n - 1 : n;
     for (std::uint32_t i = 0; i < live; ++i) {
       all_converged = all_converged &&
-                      replicas[i]->committed_slots() == kSlots &&
+                      replicas[i]->store().applied_count() == kCommands &&
                       replicas[i]->store().contents() ==
                           replicas[0]->store().contents();
     }
     converged += all_converged;
     last_commit = world.now();
-    slot_ms += static_cast<double>(last_commit) / 1000.0 / kSlots;
-    msgs += static_cast<double>(world.stats().messages_sent) / kSlots;
-    kbytes += static_cast<double>(world.stats().bytes_sent) / 1024.0 / kSlots;
+    const double slots = static_cast<double>(replicas[0]->committed_slots());
+    slot_ms += static_cast<double>(last_commit) / 1000.0 / slots;
+    msgs += static_cast<double>(world.stats().messages_sent) / slots;
+    kbytes += static_cast<double>(world.stats().bytes_sent) / 1024.0 / slots;
   }
 
   const double k = static_cast<double>(total);

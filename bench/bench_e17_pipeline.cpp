@@ -55,9 +55,7 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
   row.substrate = substrate;
   row.window = w;
   row.batch = b;
-  // One deterministic rep suffices on the simulator.
-  const int n_reps = substrate == runtime::Backend::kSim ? 1 : reps;
-  for (int rep = 0; rep < n_reps; ++rep) {
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
     faults::SmrScenarioConfig cfg;
     cfg.n = 4;
     cfg.f = 1;
@@ -67,9 +65,6 @@ RunRow run_config(runtime::Backend substrate, std::uint32_t w,
     cfg.workload = faults::kv_workload(commands);
     cfg.window = w;
     cfg.batch = b;
-    // Slack beyond ceil(commands / B): racing proposals can cost the odd
-    // no-op slot; the throughput number must cover the whole workload.
-    cfg.slots = (commands + b - 1) / b + 2;
     cfg.budget = budget;
     faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
     if (!r.all_committed || !r.stores_agree ||
@@ -93,16 +88,8 @@ std::string row_json(const RunRow& row) {
       .field("commits_per_sec_q3", row.cps.q3)
       .field("commits_per_sec_iqr", row.cps.iqr())
       .field("all_committed", row.ok);
-  benchjson::JsonArray reps;
-  for (double v : row.rep_cps) {
-    std::ostringstream os;
-    os << v;
-    reps.add(os.str());
-  }
-  o.raw("rep_commits_per_sec", reps.str());
-  o.field("rate_basis", row.substrate == runtime::Backend::kSim
-                            ? "virtual_time_us"
-                            : "wall_us");
+  o.raw("rep_commits_per_sec", benchsmr::reps_json(row.rep_cps));
+  o.field("rate_basis", benchsmr::time_basis(row.substrate));
   o.raw("run_stats",
         runtime::to_json(row.substrate, row.last.run_stats));
   return o.str();

@@ -18,7 +18,9 @@
 //     state transfer on every substrate, and the committed-slot log never
 //     exceeds C+W slots.
 //
-// The report records nproc and the build type next to the rows.
+// Each wall-clock row runs --reps reps (default 5) and records the median
+// and the interquartile range; the simulator is deterministic and runs
+// once.  The report records nproc and the build type next to the rows.
 //
 // Usage: bench_e18_recovery [--out FILE] [--commands N] [--reps R]
 //                           [--budget-ms MS]
@@ -59,7 +61,6 @@ faults::SmrScenarioConfig base_config(runtime::Backend substrate,
   cfg.workload = faults::kv_workload(commands);
   cfg.window = kWindow;
   cfg.batch = kBatch;
-  cfg.slots = (commands + kBatch - 1) / kBatch + 2;
   cfg.budget = budget;
   cfg.checkpoint_interval = interval;
   return cfg;
@@ -70,7 +71,7 @@ faults::SmrScenarioConfig base_config(runtime::Backend substrate,
 struct OverheadRow {
   runtime::Backend substrate;
   std::uint64_t interval = 0;
-  double cps = 0;  // median over reps
+  benchsmr::Spread cps;  // over reps
   std::vector<double> rep_cps;
   bool ok = true;
   faults::SmrScenarioResult last;
@@ -82,8 +83,7 @@ OverheadRow run_overhead(runtime::Backend substrate, std::uint64_t interval,
   OverheadRow row;
   row.substrate = substrate;
   row.interval = interval;
-  const int n_reps = substrate == runtime::Backend::kSim ? 1 : reps;
-  for (int rep = 0; rep < n_reps; ++rep) {
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
     faults::SmrScenarioConfig cfg =
         base_config(substrate, interval, commands,
                     18 + static_cast<std::uint64_t>(rep), budget);
@@ -98,9 +98,7 @@ OverheadRow run_overhead(runtime::Backend substrate, std::uint64_t interval,
     row.rep_cps.push_back(benchsmr::commits_per_sec(substrate, r));
     row.last = std::move(r);
   }
-  std::vector<double> sorted = row.rep_cps;
-  std::sort(sorted.begin(), sorted.end());
-  row.cps = sorted[sorted.size() / 2];
+  row.cps = benchsmr::spread(row.rep_cps);
   return row;
 }
 
@@ -108,32 +106,40 @@ OverheadRow run_overhead(runtime::Backend substrate, std::uint64_t interval,
 
 struct RecoveryRow {
   runtime::Backend substrate;
-  bool recovered = false;
+  bool recovered = true;  // in every rep
   bool ok = true;
-  std::uint64_t rejoin_us = 0;  // worst request-to-rejoin
-  std::uint64_t log_peak = 0;
+  benchsmr::Spread rejoin_us;  // worst request-to-rejoin, over reps
+  std::vector<double> rep_rejoin_us;
+  std::uint64_t log_peak = 0;  // over reps
   faults::SmrScenarioResult last;
 };
 
 RecoveryRow run_recovery(runtime::Backend substrate, std::uint64_t commands,
-                         std::chrono::milliseconds budget) {
+                         int reps, std::chrono::milliseconds budget) {
   RecoveryRow row;
   row.substrate = substrate;
-  faults::SmrScenarioConfig cfg =
-      base_config(substrate, kInterval, commands, 18, budget);
   const SimTime kill = substrate == runtime::Backend::kSim ? 1'500
                        : substrate == runtime::Backend::kTcp ? 5'000
                                                              : 3'000;
   const SimTime back = substrate == runtime::Backend::kSim ? 3'000
                        : substrate == runtime::Backend::kTcp ? 80'000
                                                              : 60'000;
-  cfg.crashes.push_back({ProcessId{2}, kill, back});
-  faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
-  row.recovered = r.recovered.count(2) > 0;
-  row.ok = r.clean && r.all_committed && r.stores_agree && row.recovered;
-  row.rejoin_us = r.run_stats.pipeline.recovery_us;
-  row.log_peak = r.run_stats.pipeline.log_peak;
-  row.last = std::move(r);
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
+    faults::SmrScenarioConfig cfg =
+        base_config(substrate, kInterval, commands,
+                    18 + static_cast<std::uint64_t>(rep), budget);
+    cfg.crashes.push_back({ProcessId{2}, kill, back});
+    faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
+    const bool recovered = r.recovered.count(2) > 0;
+    row.recovered = row.recovered && recovered;
+    row.ok = row.ok && r.clean && r.all_committed && r.stores_agree &&
+             recovered;
+    row.rep_rejoin_us.push_back(
+        static_cast<double>(r.run_stats.pipeline.recovery_us));
+    row.log_peak = std::max(row.log_peak, r.run_stats.pipeline.log_peak);
+    row.last = std::move(r);
+  }
+  row.rejoin_us = benchsmr::spread(row.rep_rejoin_us);
   return row;
 }
 
@@ -142,7 +148,7 @@ RecoveryRow run_recovery(runtime::Backend substrate, std::uint64_t commands,
 int main(int argc, char** argv) {
   std::string out = "BENCH_e18.json";
   std::uint64_t commands = 200;
-  int reps = 3;
+  int reps = 5;
   std::chrono::milliseconds budget{20'000};
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -176,8 +182,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kInterval), kWindow, kBatch);
 
   // --- checkpoint overhead ---
-  std::printf("%-8s %9s %14s %9s %4s\n", "substrate", "interval",
-              "commits/sec", "retained", "ok");
+  std::printf("%-8s %9s %14s %10s %9s %4s\n", "substrate", "interval",
+              "commits/sec", "iqr", "retained", "ok");
   benchjson::JsonArray overhead_rows;
   bool all_ok = true;
   double worst_retained = 1.0;
@@ -189,21 +195,26 @@ int main(int argc, char** argv) {
       all_ok = all_ok && row.ok;
       double retained = 1.0;
       if (interval == 0) {
-        baseline = row.cps;
+        baseline = row.cps.median;
       } else if (baseline > 0) {
-        retained = row.cps / baseline;
+        retained = row.cps.median / baseline;
         worst_retained = std::min(worst_retained, retained);
       }
-      std::printf("%-8s %9llu %14.1f %8.2f%% %4s\n",
+      std::printf("%-8s %9llu %14.1f %10.1f %8.2f%% %4s\n",
                   runtime::backend_name(substrate),
-                  static_cast<unsigned long long>(interval), row.cps,
-                  retained * 100.0, row.ok ? "yes" : "NO");
+                  static_cast<unsigned long long>(interval), row.cps.median,
+                  row.cps.iqr(), retained * 100.0, row.ok ? "yes" : "NO");
       benchjson::JsonObject o;
       o.field("substrate", runtime::backend_name(row.substrate))
           .field("checkpoint_interval", row.interval)
-          .field("commits_per_sec", row.cps)
+          .field("commits_per_sec", row.cps.median)
+          .field("commits_per_sec_q1", row.cps.q1)
+          .field("commits_per_sec_q3", row.cps.q3)
+          .field("commits_per_sec_iqr", row.cps.iqr())
           .field("retained_vs_baseline", retained)
           .field("ok", row.ok);
+      o.raw("rep_commits_per_sec", benchsmr::reps_json(row.rep_cps));
+      o.field("rate_basis", benchsmr::time_basis(row.substrate));
       o.raw("run_stats",
             runtime::to_json(row.substrate, row.last.run_stats));
       overhead_rows.add(o.str());
@@ -211,24 +222,30 @@ int main(int argc, char** argv) {
   }
 
   // --- kill/restart rejoin ---
-  std::printf("%-8s %12s %9s %4s\n", "substrate", "rejoin_us", "log_peak",
-              "ok");
+  std::printf("%-8s %12s %10s %9s %4s\n", "substrate", "rejoin_us", "iqr",
+              "log_peak", "ok");
   benchjson::JsonArray recovery_rows;
   bool all_recovered = true;
   for (runtime::Backend substrate : substrates) {
-    RecoveryRow row = run_recovery(substrate, commands, budget);
+    RecoveryRow row = run_recovery(substrate, commands, reps, budget);
     all_ok = all_ok && row.ok;
     all_recovered = all_recovered && row.recovered;
-    std::printf("%-8s %12llu %9llu %4s\n", runtime::backend_name(substrate),
-                static_cast<unsigned long long>(row.rejoin_us),
+    std::printf("%-8s %12.0f %10.1f %9llu %4s\n",
+                runtime::backend_name(substrate), row.rejoin_us.median,
+                row.rejoin_us.iqr(),
                 static_cast<unsigned long long>(row.log_peak),
                 row.ok ? "yes" : "NO");
     benchjson::JsonObject o;
     o.field("substrate", runtime::backend_name(row.substrate))
         .field("recovered", row.recovered)
-        .field("rejoin_us", row.rejoin_us)
+        .field("rejoin_us", row.rejoin_us.median)
+        .field("rejoin_us_q1", row.rejoin_us.q1)
+        .field("rejoin_us_q3", row.rejoin_us.q3)
+        .field("rejoin_us_iqr", row.rejoin_us.iqr())
         .field("log_peak", row.log_peak)
         .field("ok", row.ok);
+    o.raw("rep_rejoin_us", benchsmr::reps_json(row.rep_rejoin_us));
+    o.field("time_basis", benchsmr::time_basis(row.substrate));
     o.raw("run_stats",
           runtime::to_json(row.substrate, row.last.run_stats));
     recovery_rows.add(o.str());
@@ -246,6 +263,7 @@ int main(int argc, char** argv) {
       .field("checkpoint_interval", kInterval)
       .field("window", static_cast<std::uint64_t>(kWindow))
       .field("batch", static_cast<std::uint64_t>(kBatch))
+      .field("reps", static_cast<std::uint64_t>(reps))
       .field("nproc", static_cast<std::uint64_t>(
                           sysconf(_SC_NPROCESSORS_ONLN)))
       .field("build_type", MODUBFT_BUILD_TYPE)

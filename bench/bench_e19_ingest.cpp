@@ -83,9 +83,6 @@ RunRow run_cell(const CellConfig& cell, std::uint64_t commands, int reps,
     cfg.window = cell.window;
     cfg.batch = cell.batch;
     cfg.scheme = cell.scheme;
-    // Slack beyond ceil(commands / B): racing proposals can cost the odd
-    // no-op slot; the throughput number must cover the whole workload.
-    cfg.slots = (commands + cell.batch - 1) / cell.batch + 2;
     cfg.budget = budget;
     faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
     if (!r.clean || !r.all_committed || !r.stores_agree ||
@@ -114,13 +111,7 @@ std::string row_json(const RunRow& row) {
       .field("commits_per_sec_q3", row.cps.q3)
       .field("commits_per_sec_iqr", row.cps.iqr())
       .field("all_committed", row.ok);
-  benchjson::JsonArray reps;
-  for (double v : row.rep_cps) {
-    std::ostringstream os;
-    os << v;
-    reps.add(os.str());
-  }
-  o.raw("rep_commits_per_sec", reps.str());
+  o.raw("rep_commits_per_sec", benchsmr::reps_json(row.rep_cps));
   o.raw("run_stats",
         runtime::to_json(row.cfg.substrate, row.last.run_stats));
   return o.str();

@@ -2,8 +2,11 @@
 #pragma once
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 
@@ -20,6 +23,16 @@ inline double commits_per_sec(runtime::Backend substrate,
   if (us <= 0) return 0;
   return static_cast<double>(r.run_stats.pipeline.commands_committed) * 1e6 /
          us;
+}
+
+/// The time base of a substrate's rows, as the BENCH files name it.
+inline const char* time_basis(runtime::Backend substrate) {
+  return substrate == runtime::Backend::kSim ? "virtual_time_us" : "wall_us";
+}
+
+/// Reps per row: the simulator is deterministic, so one suffices there.
+inline int reps_on(runtime::Backend substrate, int reps) {
+  return substrate == runtime::Backend::kSim ? 1 : reps;
 }
 
 /// Median and quartiles of a row's per-rep rates, each the linear
@@ -41,6 +54,17 @@ inline Spread spread(std::vector<double> reps) {
     return reps[lo] + (pos - static_cast<double>(lo)) * (reps[hi] - reps[lo]);
   };
   return {at(0.5), at(0.25), at(0.75)};
+}
+
+/// A row's per-rep rates as a JSON array, in run order.
+inline std::string reps_json(const std::vector<double>& reps) {
+  benchjson::JsonArray out;
+  for (double v : reps) {
+    std::ostringstream os;
+    os << v;
+    out.add(os.str());
+  }
+  return out.str();
 }
 
 }  // namespace modubft::benchsmr

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
     smr::ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = smr::Backend::kByzantine;
-    cfg.slots = workload.size();
     cfg.bft = bft_cfg;
     cfg.signer = keys.signers[i].get();
     cfg.verifier = keys.verifier;

@@ -20,7 +20,7 @@
 //                      [--out report.json] [--no-negative-control]
 //                      [--list] [--budget-ms 20000]
 //   scenario_cli smr   --n 4 --backend crash|byz [--f 1]
-//                      [--window W] [--batch B] [--slots 8] [--commands K]
+//                      [--window W] [--batch B] [--commands K]
 //                      [--clients K --ops M [--in-flight F]]
 //                      [--substrate sim|threads|tcp]
 //                      [--seed S] [--crash P:TIME_US]...
@@ -34,13 +34,13 @@
 //
 // `smr` runs the pipelined replicated KV machine (docs/SMR.md): --window
 // sets the number of concurrent consensus instances per replica, --batch
-// the commands committed per slot, --commands the synthetic workload size
-// and --slots the length of its log (default ceil(commands / batch)).
-// --clients K --ops M replaces the preloaded workload with K live clients
-// of M scripted ops each (docs/CLIENT.md), one op in flight per client, or
-// F with --in-flight; the log then has no fixed length, so --slots is
-// rejected, and the run ends once every client finished and every correct
-// replica applied all K·M commands.  --checkpoint-interval turns on
+// the commands committed per slot and --commands the synthetic workload
+// size.  --clients K --ops M replaces the preloaded workload with K live
+// clients of M scripted ops each (docs/CLIENT.md), one op in flight per
+// client, or F with --in-flight.  No log has a fixed length: the run ends
+// once every client finished and every correct replica applied every
+// command, and `n / slots:` prints the slots the witness replica
+// committed.  --checkpoint-interval turns on
 // certified checkpoints + log compaction (docs/RECOVERY.md); --restart
 // kills replica P at KILL_US and brings it back at RESTART_US as a fresh
 // actor that recovers via state transfer (requires --checkpoint-interval).
@@ -119,7 +119,7 @@ using namespace modubft;
                "[--base-seed S] [--out FILE] [--no-negative-control] "
                "[--list] [--budget-ms MS]\n"
             << "       scenario_cli smr   --n N --backend crash|byz [--f F] "
-               "[--window W] [--batch B] [--slots K] [--commands C] "
+               "[--window W] [--batch B] [--commands C] "
                "[--clients K --ops M [--in-flight F]] "
                "[--substrate sim|threads|tcp] "
                "[--seed S] [--crash P:TIME_US]... [--checkpoint-interval C] "
@@ -518,7 +518,6 @@ std::string store_digest(const std::map<std::string, std::string>& store) {
 int run_smr(int argc, char** argv) {
   faults::SmrScenarioConfig cfg;
   cfg.n = 0;
-  std::optional<std::uint64_t> slots_flag;
   std::uint32_t commands = 0;
   faults::ClientLoadConfig load;
   load.count = 0;
@@ -550,8 +549,6 @@ int run_smr(int argc, char** argv) {
       } else {
         usage("backend must be crash or byz");
       }
-    } else if (arg == "--slots") {
-      slots_flag = std::stoull(next());
     } else if (arg == "--window") {
       cfg.window = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--batch") {
@@ -598,10 +595,6 @@ int run_smr(int argc, char** argv) {
   if (load.count > 0 && commands > 0) {
     usage("--commands and --clients are exclusive");
   }
-  if (load.count > 0 && slots_flag.has_value()) {
-    usage("--slots and --clients are exclusive: a client run's log has no "
-          "fixed length");
-  }
   if (in_flight < 1 || in_flight > smr::kReplyCacheDepth) {
     usage(("--in-flight must be in [1, " +
            std::to_string(smr::kReplyCacheDepth) + "]")
@@ -615,12 +608,6 @@ int run_smr(int argc, char** argv) {
 
   // Synthetic workload: K puts/deletes cycling over 8 keys.
   if (commands > 0) cfg.workload = faults::kv_workload(commands);
-  const std::size_t workload_size =
-      cfg.workload.empty() ? faults::sample_workload().size()
-                           : cfg.workload.size();
-  // Default slot count: just enough slots to drain the workload.
-  cfg.slots = slots_flag.value_or(
-      (workload_size + cfg.batch - 1) / cfg.batch);
   const std::uint64_t client_ops =
       std::uint64_t{load.count} * load.ops_per_client;
   if (load.count > 0) {
@@ -645,8 +632,7 @@ int run_smr(int argc, char** argv) {
             << ")\n"
             << "substrate:       " << runtime::backend_name(cfg.substrate)
             << " (" << runtime::run_outcome_name(r.outcome) << ")\n"
-            << "n / slots:       " << cfg.n << " / "
-            << (cfg.clients.has_value() ? pipe.slots_committed : cfg.slots)
+            << "n / slots:       " << cfg.n << " / " << pipe.slots_committed
             << "\n"
             << "window / batch:  " << cfg.window << " / " << cfg.batch << "\n"
             << "all committed:   " << (r.all_committed ? "yes" : "NO") << "\n"

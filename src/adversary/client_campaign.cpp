@@ -1,19 +1,20 @@
 #include "adversary/client_campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <exception>
 #include <memory>
 #include <utility>
 
 #include "bft/checkpoint_cert.hpp"
+#include "bft/message.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
-#include "smr/command.hpp"
 
 namespace modubft::adversary {
 
@@ -78,25 +79,28 @@ std::string render_cmd(std::uint64_t id) {
          std::to_string(smr::seq_of_cmd(id));
 }
 
-/// Actor decorator splicing one attack under a replica.  Consensus frames
-/// always pass through byte-identical — the wrapped replica keeps
-/// committing correctly — so each attack is invisible to everything but
-/// the control frames it targets (burn-log only adds junk next to them).
+/// Actor decorator splicing one attack under a replica.  The wrapped
+/// replica runs honest code and keeps committing correctly; each attack
+/// rewrites only the frames it targets: control frames, or the INITs of
+/// phantom-ids (burn-log only adds junk next to consensus frames).
 class SmrAttacker final : public sim::Actor {
  public:
-  /// `self` signs forged checkpoint votes (the attacker legitimately holds
-  /// its own key); `forged_resp` answers every STATE_REQ under
-  /// forged-checkpoint; `burn_ahead` is how many slots ahead burn-log's
-  /// junk runs; `seed` drives corrupt-state-resp's byte stomps and
-  /// burn-log's junk bytes.
+  /// `self` signs forged checkpoint votes and phantom INITs (the attacker
+  /// legitimately holds its own key); `forged_resp` answers every
+  /// STATE_REQ under forged-checkpoint; `phantoms` are the two fabricated
+  /// client ids phantom-ids proposes; `burn_ahead` is how many slots ahead
+  /// burn-log's junk runs; `seed` drives corrupt-state-resp's byte stomps
+  /// and burn-log's junk bytes.
   SmrAttacker(std::unique_ptr<sim::Actor> inner, SmrAttack attack,
               std::uint32_t n, const crypto::Signer* self, Bytes forged_resp,
-              std::uint64_t burn_ahead, std::uint64_t seed)
+              std::array<std::uint64_t, 2> phantoms, std::uint64_t burn_ahead,
+              std::uint64_t seed)
       : inner_(std::move(inner)),
         attack_(attack),
         n_(n),
         self_(self),
         forged_resp_(std::move(forged_resp)),
+        phantoms_(phantoms),
         burn_ahead_(burn_ahead),
         rng_(seed) {
     MODUBFT_EXPECTS(inner_ != nullptr && self_ != nullptr);
@@ -122,7 +126,7 @@ class SmrAttacker final : public sim::Actor {
 
  private:
   /// Routes every outgoing control frame through intercept() and every
-  /// consensus frame past burn().
+  /// consensus frame through phantom_init() and burn().
   class AttackContext final : public sim::ForwardingContext {
    public:
     AttackContext(sim::Context& base, SmrAttacker& owner)
@@ -130,6 +134,7 @@ class SmrAttacker final : public sim::Actor {
 
     void send(ProcessId to, Bytes payload) override {
       if (!is_control_frame(payload)) {
+        owner_.phantom_init(payload);
         owner_.burn(base_, payload);
       } else if (owner_.intercept(base_, to, payload)) {
         return;
@@ -138,15 +143,14 @@ class SmrAttacker final : public sim::Actor {
     }
 
     void broadcast(const Bytes& payload) override {
-      if (!is_control_frame(payload)) {
-        owner_.burn(base_, payload);
-        base_.broadcast(payload);
+      Bytes frame = payload;
+      if (!is_control_frame(frame)) {
+        owner_.phantom_init(frame);
+        owner_.burn(base_, frame);
+      } else if (owner_.intercept(base_, std::nullopt, frame)) {
         return;
       }
-      Bytes frame = payload;
-      if (!owner_.intercept(base_, std::nullopt, frame)) {
-        base_.broadcast(frame);
-      }
+      base_.broadcast(frame);
     }
 
    private:
@@ -158,6 +162,29 @@ class SmrAttacker final : public sim::Actor {
   /// held); otherwise `frame`, possibly rewritten, goes on the wire.
   bool intercept(sim::Context& ctx, std::optional<ProcessId> to,
                  Bytes& frame);
+
+  /// phantom-ids' hook for one outgoing consensus frame (the slot tag,
+  /// then the slot actor's message): an INIT's value becomes one of the two
+  /// phantom ids, alternating by slot, re-signed with the attacker's own
+  /// key.  A Byzantine proposer may sign any value as itself.
+  void phantom_init(Bytes& frame) {
+    if (attack_ != SmrAttack::kPhantomIds) return;
+    try {
+      Reader r(frame);
+      const std::uint64_t slot = r.u64();
+      bft::SignedMessage msg =
+          bft::decode_message(Bytes(frame.begin() + 8, frame.end()));
+      if (msg.core.kind != bft::BftKind::kInit) return;
+      msg.core.init_value = phantoms_[slot % 2];
+      msg.sig = self_->sign(bft::signing_bytes(msg.core, msg.cert));
+      Writer w;
+      w.u64(slot);
+      w.raw(bft::encode_message(msg));
+      frame = std::move(w).take();
+    } catch (const std::exception&) {
+      // Not a Byzantine back-end frame: sent unchanged.
+    }
+  }
 
   /// burn-log's hook for one outgoing consensus frame: one junk envelope
   /// to every other replica for each of the burn_ahead_ slots past the
@@ -190,6 +217,7 @@ class SmrAttacker final : public sim::Actor {
   std::uint32_t n_;  // process ids >= n_ are clients
   const crypto::Signer* self_;
   Bytes forged_resp_;
+  std::array<std::uint64_t, 2> phantoms_;
   std::uint64_t burn_ahead_;
   Rng rng_;
   std::deque<std::pair<ProcessId, Bytes>> held_;
@@ -262,8 +290,8 @@ bool SmrAttacker::intercept(sim::Context& ctx, std::optional<ProcessId> to,
         }
         return false;
       case SmrAttack::kNone:
-      case SmrAttack::kPhantomIds:  // the attack is the preloaded workload
-      case SmrAttack::kBurnLog:     // the attack rides consensus frames
+      case SmrAttack::kPhantomIds:  // the attacks ride consensus frames
+      case SmrAttack::kBurnLog:
         return false;
     }
   } catch (const std::exception&) {
@@ -316,29 +344,16 @@ void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
   MODUBFT_EXPECTS(sc.clients.has_value());
   if (attack == SmrAttack::kNone) return;
   sc.assume_faulty = attackers;
-  if (attack == SmrAttack::kPhantomIds) {
-    // The attackers "know" bodies for fabricated client ids the rest of Π
-    // never saw — a Byzantine proposer deciding phantom ids.  One id sits
-    // just past a real client's script (only the client's signed
-    // SEQ_BOUND can refute it) and one sits far beyond the
-    // eligibility window (skipped arithmetically).  Open-loop arrival
-    // widens the window, so the just-past phantom parks the frontier and
-    // forces the SEQ_BOUND refutation path instead of a silent skip.
-    sc.clients->open_loop = true;
-    smr::Command just_past;
-    just_past.id =
-        smr::make_client_cmd_id(sc.n, sc.clients->ops_per_client + 1);
-    just_past.op = smr::Command::Op::kPut;
-    just_past.key = "phantom";
-    just_past.value = "beyond-script";
-    smr::Command far_future = just_past;
-    far_future.id = smr::make_client_cmd_id(sc.n + 1, 1000);
-    far_future.value = "beyond-window";
-    for (std::uint32_t a : attackers) {
-      sc.extra_workload[a] = {just_past, far_future};
-    }
-    return;
-  }
+  // phantom-ids proposes fabricated client ids no body exists for.  One
+  // sits just past a real client's script (only the client's signed
+  // SEQ_BOUND can refute it) and one far beyond the eligibility window
+  // (skipped arithmetically).  Open-loop arrival widens the window, so the
+  // just-past phantom parks the frontier and forces the SEQ_BOUND
+  // refutation path instead of a silent skip.
+  const std::array<std::uint64_t, 2> phantoms = {
+      smr::make_client_cmd_id(sc.n, sc.clients->ops_per_client + 1),
+      smr::make_client_cmd_id(sc.n + 1, 1000)};
+  if (attack == SmrAttack::kPhantomIds) sc.clients->open_loop = true;
   // The attackers sign with the run's own keys: the HMAC system
   // run_smr_scenario derives from (n, seed).  Shared ownership keeps the
   // signers alive for the run's whole lifetime.
@@ -354,7 +369,7 @@ void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
     }
     forged_resp = forged_state_resp(kForgedClaimSlot, coalition);
   }
-  sc.wrap_actor = [attack, attackers, keys, forged_resp, n = sc.n,
+  sc.wrap_actor = [attack, attackers, keys, forged_resp, phantoms, n = sc.n,
                    burn_ahead = sc.window + kBurnPastWindow,
                    seed = sc.seed](ProcessId id,
                                    std::unique_ptr<sim::Actor> inner)
@@ -362,7 +377,7 @@ void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
     if (attackers.count(id.value) == 0) return inner;
     return std::make_unique<SmrAttacker>(
         std::move(inner), attack, n, keys->signers[id.value].get(),
-        forged_resp, burn_ahead,
+        forged_resp, phantoms, burn_ahead,
         seed ^ (0x9e3779b97f4a7c15ull * (id.value + 1)));
   };
 }
@@ -424,7 +439,7 @@ const std::vector<SmrAttackEntry>& smr_attack_catalog() {
       {SmrAttack::kForgeBodies, "forge-bodies", "value corruption",
        "corrupts relayed command bodies under the client's signature"},
       {SmrAttack::kPhantomIds, "phantom-ids", "spurious statement",
-       "proposes bodies for fabricated client ids"},
+       "proposes fabricated client ids in its signed INITs"},
       {SmrAttack::kBurnLog, "burn-log", "spurious statement",
        "sends junk envelopes for the next W + 8 slots with every "
        "consensus frame"},

@@ -34,15 +34,17 @@
 //                       it emits while keeping the client's signature.
 //                       Honest replicas must reject the body and recover
 //                       the genuine one through the fetch path.
-//   phantom-ids         The attacker runs honest code but is preloaded
-//                       with bodies for FABRICATED client ids: one just
+//   phantom-ids         The attacker proposes FABRICATED client ids no
+//                       body exists for: it rewrites the value of every
+//                       INIT it sends, alternating by slot, to one id just
 //                       past a real client's script (refutable only by the
 //                       client's signed SEQ_BOUND: its answer to a fetch,
-//                       or its final broadcast) and one far beyond the
-//                       eligibility window.  Honest
-//                       replicas must skip both instead of parking the
-//                       commit frontier on them.  The clients run open
-//                       loop, so the just-past phantom is eligible early.
+//                       or its final broadcast) or one far beyond the
+//                       eligibility window, and re-signs the INIT with its
+//                       own key.  Honest replicas must skip both instead
+//                       of parking the commit frontier on them.  The
+//                       clients run open loop, so the just-past phantom is
+//                       eligible early.
 //   burn-log            For every consensus frame it sends for slot s, the
 //                       attacker also sends every other replica one junk
 //                       envelope (the slot tag and 16 garbage bytes) for

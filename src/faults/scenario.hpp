@@ -215,17 +215,18 @@ struct ClientLoadConfig {
 struct SmrScenarioConfig : ScenarioSettings {
   std::uint32_t n = 4;
   std::uint32_t f = 1;  // Byzantine backend resilience
-  /// Length of a preloaded workload's log; the run ends once every
-  /// correct replica committed it.  Ignored with `clients` set, where the
-  /// log has no fixed length.
+  /// Read by nothing: no log has a fixed length.  Kept only because
+  /// perfbench still sets it; the next benchmark change deletes it
+  /// together with that writer.
   std::uint64_t slots = 5;
   smr::Backend backend = smr::Backend::kCrashHurfinRaynal;
   /// Crash backend: replicas halted mid-run (also fed to the oracle ◇S).
   std::vector<CrashSpec> crashes;
   fd::OracleConfig oracle{};
-  /// Command table; defaults to the canonical 5-command KV workload.
-  /// Must stay empty with `clients` set: the client commit rule commits
-  /// client command ids only.
+  /// Preloaded commands, handed to every replica at construction; defaults
+  /// to the canonical 5-command KV workload.  The run ends once every
+  /// correct replica applied all of them.  Must stay empty with `clients`
+  /// set: the client commit rule commits client command ids only.
   std::vector<smr::Command> workload;
   /// Signature scheme (Byzantine back-end and checkpoint certificates).
   /// kRsa64 puts the run in the verification-dominated regime (bench
@@ -260,16 +261,10 @@ struct SmrScenarioConfig : ScenarioSettings {
   // --- client/service layer (ISSUE 9) ---
   /// Attach live clients; every replica gets a client service (see
   /// smr::ClientServiceConfig).  The clients ARE the workload, so
-  /// `workload` must be empty.  The log has no fixed length: the run ends
-  /// once every client finished its script and every correct replica
-  /// applied all count × ops_per_client commands.
+  /// `workload` must be empty.  The run ends once every client finished
+  /// its script and every correct replica applied all count ×
+  /// ops_per_client commands.
   std::optional<ClientLoadConfig> clients;
-  /// Extra preloaded commands appended to `workload` on SELECTED replicas
-  /// only (adversary harness): a replica that "knows" command bodies the
-  /// rest of Π never saw models a Byzantine proposer deciding fabricated
-  /// client ids.  A replica listed here must appear in `assume_faulty`
-  /// unless the extra commands are harmless.
-  std::map<std::uint32_t, std::vector<smr::Command>> extra_workload;
   /// kTcp: link faults injected below the framing layer.
   std::vector<LinkFaultSpec> link_faults;
 };
@@ -277,7 +272,9 @@ struct SmrScenarioConfig : ScenarioSettings {
 struct SmrScenarioResult : ScenarioOutcome {
   /// Slots committed per replica.
   std::map<std::uint32_t, std::uint64_t> committed;
-  bool all_committed = false;  // every correct replica committed all slots
+  /// Every correct replica applied every command (a restarted one
+  /// counted from its fresh life).
+  bool all_committed = false;
   bool stores_agree = false;   // all correct stores byte-identical
   /// Contents of the first correct replica's store.
   std::map<std::string, std::string> store;

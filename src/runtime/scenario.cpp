@@ -497,7 +497,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     smr::ReplicaConfig rcfg;
     rcfg.n = config.n;
     rcfg.backend = config.backend;
-    rcfg.slots = config.slots;
     rcfg.window = config.window;
     rcfg.batch = config.batch;
     rcfg.retry_delay = retry_delay;
@@ -601,17 +600,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     world->set_actor(id, std::move(actor));
   };
 
-  // Per-replica workload: the adversary harness may preload SELECTED
-  // replicas with extra command bodies (fabricated client ids the rest of
-  // Π never saw) to model a Byzantine proposer deciding phantoms.
-  auto workload_for = [&](std::uint32_t i) {
-    auto ew = config.extra_workload.find(i);
-    if (ew == config.extra_workload.end()) return workload;
-    std::vector<smr::Command> w = workload;
-    w.insert(w.end(), ew->second.begin(), ew->second.end());
-    return w;
-  };
-
   for (std::uint32_t i = 0; i < config.n; ++i) {
     const ProcessId id{i};
     if (config.backend == smr::Backend::kByzantine &&
@@ -623,15 +611,15 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     if (i == log_keeper) on_commit = log_commit;
     if (crash_specs[i].after_commit.has_value()) on_commit = kill_on_commit(i);
     auto replica = std::make_unique<smr::Replica>(
-        make_rcfg(i, false), workload_for(i), std::move(on_commit));
+        make_rcfg(i, false), workload, std::move(on_commit));
     views[i] = replica.get();
     install(id, std::move(replica));
     if (killed[i]) {
       world->crash(crash_specs[i]);
       if (crash_specs[i].restart_at.has_value()) {
-        world->restart(crash_specs[i], [&, i, w = workload_for(i)] {
+        world->restart(crash_specs[i], [&, i] {
           auto fresh = std::make_unique<smr::Replica>(
-              make_rcfg(i, /*recover=*/true), w, smr::CommitFn{});
+              make_rcfg(i, /*recover=*/true), workload, smr::CommitFn{});
           {
             std::lock_guard<std::mutex> lock(views_mu);
             views[i] = fresh.get();
@@ -689,19 +677,18 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   }
 
   // The runner ends the run; no replica stops itself.  It is over once
-  // every client finished its script and every correct replica reached
-  // its target: in a client run, every command the clients submitted
-  // applied (exactly-once makes that the exact total), with a preloaded
-  // workload, the whole log committed.  A replica with a restart counts
-  // from its fresh life only; replicas killed for good and assumed-faulty
-  // ones are not awaited.  Call with views_mu held while the nodes run.
+  // every client finished its script and every correct replica applied
+  // every command: the clients' whole scripts, or the preloaded workload
+  // (exactly-once makes that the exact total).  A replica with a restart
+  // counts from its fresh life only; replicas killed for good and
+  // assumed-faulty ones are not awaited.  Call with views_mu held while
+  // the nodes run.
   const std::uint64_t target =
       client_mode ? std::uint64_t{num_clients} * config.clients->ops_per_client
-                  : config.slots;
+                  : workload.size();
   auto reached = [&](std::uint32_t i) {
     if (crash_specs[i].restart_at.has_value() && !fresh_life[i]) return false;
-    return (client_mode ? views[i]->live_applied()
-                        : views[i]->live_frontier()) >= target;
+    return views[i]->live_applied() >= target;
   };
   auto run_over = [&] {
     std::lock_guard<std::mutex> lock(views_mu);

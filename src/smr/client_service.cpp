@@ -161,7 +161,7 @@ void ClientService::admit(const CmdRelay& body,
   cmd.value = body.value;
   if (table_.admit(std::move(cmd), body.sig, origin)) {
     stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak,
-                                                table_.queue().size());
+                                                table_.pending().size());
   }
 }
 
@@ -238,7 +238,7 @@ ClientService::Next ClientService::on_request(sim::Context& ctx,
     ++stats_.duplicates;
     return Next::kNone;
   }
-  const std::size_t queued = table_.queue().size();
+  const std::size_t queued = table_.pending().size();
   if (queued >= config_.client.max_pending && !fetch_needs(id)) {
     // Deterministic load-shedding: the admission queue is full, tell the
     // client to back off instead of queueing unboundedly.  A body the
@@ -271,7 +271,7 @@ ClientService::Next ClientService::on_relay(ProcessId from, Reader& r) {
   // and frontier progress releases them immediately.
   if (table_.body(id) == nullptr && !table_.committed(id) &&
       !fetch_needs(id)) {
-    if (table_.queue().size() >=
+    if (table_.pending().size() >=
         static_cast<std::size_t>(config_.client.max_pending) * config_.n) {
       // Peers collectively admit at most n × max_pending; beyond that the
       // relay is a flood and is dropped.

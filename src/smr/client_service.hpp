@@ -46,9 +46,7 @@ inline constexpr std::uint32_t kReplyCacheDepth = 64;
 
 /// Knobs for the replica-side client service.  num_clients == 0 disables
 /// the whole layer: no client control frames are sent or accepted, and
-/// the wire traffic is byte-identical to a pre-client build.  With clients
-/// the replica's log has no fixed length (ReplicaConfig::slots is
-/// ignored): slots start while there is something to propose.
+/// the wire traffic is byte-identical to a pre-client build.
 struct ClientServiceConfig {
   /// Clients occupy process ids [n, n + num_clients).  0 = off.
   std::uint32_t num_clients = 0;

@@ -6,11 +6,6 @@
 
 namespace modubft::smr {
 
-bool CommandTable::is_client_cmd(std::uint64_t id) const {
-  const std::uint32_t client = client_of_cmd(id);
-  return client >= first_client_ && client - first_client_ < clients_;
-}
-
 bool CommandTable::admit(Command cmd, Bytes sig,
                          std::optional<std::uint32_t> origin) {
   const std::uint64_t id = cmd.id;
@@ -19,8 +14,6 @@ bool CommandTable::admit(Command cmd, Bytes sig,
   }
   if (committed(id)) return false;
   pending_.insert(id);
-  if (!is_client_cmd(id)) return false;
-  queue_.insert(id);
   if (origin.has_value()) {
     relay_origin_[id] = *origin;
     ++origin_load_[*origin];
@@ -32,15 +25,12 @@ const Command* CommandTable::commit(std::uint64_t id) {
   auto it = bodies_.find(id);
   if (it == bodies_.end() || !committed_.insert(id).second) return nullptr;
   pending_.erase(id);
-  if (is_client_cmd(id)) {
-    queue_.erase(id);
-    ++committed_count_[client_of_cmd(id)];
-    auto ro = relay_origin_.find(id);
-    if (ro != relay_origin_.end()) {
-      auto load = origin_load_.find(ro->second);
-      if (load != origin_load_.end() && load->second > 0) --load->second;
-      relay_origin_.erase(ro);
-    }
+  ++committed_count_[client_of_cmd(id)];
+  auto ro = relay_origin_.find(id);
+  if (ro != relay_origin_.end()) {
+    auto load = origin_load_.find(ro->second);
+    if (load != origin_load_.end() && load->second > 0) --load->second;
+    relay_origin_.erase(ro);
   }
   return &it->second.cmd;
 }
@@ -65,15 +55,10 @@ void CommandTable::release_below(std::uint64_t slot) {
 void CommandTable::install(std::set<std::uint64_t> ids) {
   committed_ = std::move(ids);
   committed_count_.clear();
-  for (std::uint64_t id : committed_) {
-    if (is_client_cmd(id)) ++committed_count_[client_of_cmd(id)];
-  }
+  for (std::uint64_t id : committed_) ++committed_count_[client_of_cmd(id)];
   pending_.clear();
-  queue_.clear();
   for (const auto& [id, entry] : bodies_) {
-    if (committed(id)) continue;
-    pending_.insert(id);
-    if (is_client_cmd(id)) queue_.insert(id);
+    if (!committed(id)) pending_.insert(id);
   }
   relay_origin_.clear();
   origin_load_.clear();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -91,12 +90,7 @@ class Replica::SlotContext final : public sim::ForwardingContext {
 
 Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
                  CommitFn on_commit)
-    : config_(std::move(config)),
-      log_end_(config_.client.num_clients > 0
-                   ? std::numeric_limits<std::uint64_t>::max()
-                   : config_.slots),
-      table_(config_.n, config_.client.num_clients),
-      on_commit_(std::move(on_commit)) {
+    : config_(std::move(config)), on_commit_(std::move(on_commit)) {
   MODUBFT_EXPECTS(config_.n >= 2);
   MODUBFT_EXPECTS(config_.window >= 1);
   MODUBFT_EXPECTS(config_.batch >= 1);
@@ -192,15 +186,11 @@ void Replica::on_start(sim::Context& ctx) {
 
 bool Replica::fill_window(sim::Context& ctx) {
   bool started = false;
-  while (next_start_ < log_end_ &&
-         next_start_ < next_commit_ + config_.window) {
-    // With clients the replica idles instead of burning slots on no-ops: a
-    // slot starts only with something to propose, or when a peer already
-    // started it (its envelopes buffered in future_).
-    if (client_ && !table_.has_proposable() &&
-        future_.count(next_start_) == 0) {
-      break;
-    }
+  while (next_start_ < next_commit_ + config_.window) {
+    // The replica idles instead of burning slots on no-ops: a slot starts
+    // only with something to propose, or when a peer already started it
+    // (its envelopes buffered in future_).
+    if (!table_.has_proposable() && future_.count(next_start_) == 0) break;
     const std::uint64_t slot = next_start_++;
     started = true;
     Slot& st = slots_[slot];
@@ -297,7 +287,6 @@ void Replica::advance_frontier(std::uint64_t slot) {
     t = t->second < slot ? timer_slot_.erase(t) : std::next(t);
   }
   live_applied_.store(store_.applied_count(), std::memory_order_release);
-  live_frontier_.store(slot, std::memory_order_release);
 }
 
 void Replica::pump(sim::Context& ctx) {
@@ -306,7 +295,7 @@ void Replica::pump(sim::Context& ctx) {
     progress = false;
     // Commit the decided prefix, strictly in slot order.  A commit
     // advances the frontier, which retires the committed slot.
-    while (!done()) {
+    while (true) {
       auto it = slots_.find(next_commit_);
       if (it == slots_.end() || !it->second.decided) break;
       if (!commit_slot(ctx, it->second)) break;  // parked awaiting bodies
@@ -318,7 +307,6 @@ void Replica::pump(sim::Context& ctx) {
     for (auto& [s, st] : slots_) {
       if (st.decided && st.actor) st.actor.reset();
     }
-    if (done()) break;
     if (fill_window(ctx)) progress = true;
   }
 }
@@ -337,7 +325,7 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
 void Replica::advance_recovery(sim::Context& ctx) {
   if (std::optional<Snapshot> snap = ckpt_->adopt(next_commit_)) {
     store_.install(std::move(snap->data), snap->applied);
-    // The table re-derives the admission queue and the eligibility anchor
+    // The table re-derives the pending index and the eligibility anchor
     // from the installed committed set.
     table_.install(std::move(snap->committed_ids));
     if (client_) client_->install(std::move(snap->clients));
@@ -351,10 +339,8 @@ void Replica::advance_recovery(sim::Context& ctx) {
   // Replay quorum-agreed suffix slots, strictly in order.  The bodies may
   // have been relayed while we were down: a missing one is fetched, and
   // the replay resumes when it lands.
-  while (!done()) {
-    std::optional<std::vector<std::uint64_t>> ids =
-        ckpt_->suffix_batch(next_commit_);
-    if (!ids.has_value()) break;
+  while (std::optional<std::vector<std::uint64_t>> ids =
+             ckpt_->suffix_batch(next_commit_)) {
     if (client_ && !client_->bodies_ready(ctx, *ids)) break;
     apply_committed_batch(ctx, *ids);
   }
@@ -412,13 +398,11 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   }
   if (slot == kControlSlot) {
     // Reserved tag: recovery and client/service control traffic.  With
-    // neither unit configured the frame is dropped exactly like any other
-    // out-of-range slot — the silent drop a pre-recovery replica already
-    // performs.
+    // neither unit configured the frame is dropped silently, as a
+    // pre-recovery replica already did.
     if (ckpt_ || client_) route_control(ctx, from, inner);
     return;
   }
-  if (slot >= log_end_) return;  // no such instance
 
   if (recovering()) {
     // No trusted state yet: consensus traffic is meaningless to us (our
@@ -428,7 +412,7 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
     return;
   }
 
-  if (slot < next_commit_) {  // committed slot (covers done()): stale
+  if (slot < next_commit_) {  // committed slot: stale
     ++pstats_.stale_dropped;
     return;
   }
@@ -462,14 +446,13 @@ void Replica::on_message(sim::Context& ctx, ProcessId from,
   }
   parked.emplace_back(from, std::move(inner));
   ++pstats_.future_buffered;
-  // With clients, slot starts are gated on peer activity (future_): a peer
-  // starting next_start_ before we have anything to propose is only
-  // visible here, so the buffered envelope must open the window.
-  if (client_) pump(ctx);
+  // Slot starts are gated on peer activity (future_): a peer starting
+  // next_start_ before we have anything to propose is only visible here,
+  // so the buffered envelope must open the window.
+  pump(ctx);
 }
 
 void Replica::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
-  if (done()) return;
   if (client_ && client_->on_timer(ctx, timer_id)) return;
   if (ckpt_ && ckpt_->on_timer(ctx, timer_id, next_commit_)) return;
   auto it = timer_slot_.find(timer_id);

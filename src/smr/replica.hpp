@@ -17,6 +17,11 @@
 // and slot, and bounded in horizon) and replayed when the slot starts;
 // envelopes for committed slots are stale and dropped.
 //
+// The log has no fixed length.  A slot starts only when the replica has
+// something to propose or a peer already started it (its envelopes are
+// buffered), so an idle replica runs no slot; and a replica never stops
+// itself — whoever runs it decides when the run is over.
+//
 // Batching.  A slot commits up to `batch` commands.  Proposals remain a
 // single command id (the consensus value type is untouched), acting as an
 // anchor: at commit time — and only then, when every correct replica has
@@ -44,7 +49,7 @@
 // The replica is the slot pipeline.  Three units it owns run the rest,
 // and none of them reads another's state:
 //   CommandTable   — each command's state (bodies, committed set,
-//                    admission queue, proposal claims);
+//                    pending index, proposal claims);
 //   ClientService  — the client request path, control kinds 4–10 and the
 //                    client commit rule (only with clients configured);
 //   Checkpointer   — certified checkpoints, log compaction and state
@@ -93,10 +98,6 @@ inline constexpr std::uint32_t kMaxFuturePerSender = 64;
 struct ReplicaConfig {
   std::uint32_t n = 0;
   Backend backend = Backend::kCrashHurfinRaynal;
-  /// Length of a preloaded workload's log: the replica runs slots
-  /// [0, slots) and then idles.  Ignored with clients configured, where
-  /// the log has no fixed length.
-  std::uint64_t slots = 4;
 
   /// Pipeline window: maximum number of concurrently live instances.
   /// 1 reproduces the strictly sequential pre-pipelining behaviour.
@@ -132,9 +133,7 @@ struct ReplicaConfig {
   /// the decision and the committed set, sound under dynamic command
   /// arrival, where the static "B smallest pending" rule is not), proposal
   /// claims narrow to one id per slot so window-W slots carry disjoint
-  /// proposals, slots only start when there is something to propose (or a
-  /// peer already started them), and the log has no fixed length: `slots`
-  /// is ignored.  The client commit rule commits client command ids only,
+  /// proposals.  The client commit rule commits client command ids only,
   /// so a preloaded workload never commits next to clients.
   ClientServiceConfig client;
 };
@@ -215,20 +214,12 @@ class Replica final : public sim::Actor {
 
   const KvStore& store() const { return store_; }
   std::uint64_t committed_slots() const { return next_commit_; }
-  /// True once a preloaded log committed its last slot; never with
-  /// clients.  A done replica idles: it arms no timer and starts no slot,
-  /// but still answers control frames.  It never stops itself — whoever
-  /// runs it decides when the run is over.
-  bool done() const { return next_commit_ >= log_end_; }
 
-  /// The commands applied and the commit frontier, as of the last commit
-  /// or snapshot install.  Safe to read from another thread while the
-  /// replica runs (the scenario runner's end condition does).
+  /// The commands applied, as of the last commit or snapshot install.
+  /// Safe to read from another thread while the replica runs (the
+  /// scenario runner's end condition does).
   std::uint64_t live_applied() const {
     return live_applied_.load(std::memory_order_acquire);
-  }
-  std::uint64_t live_frontier() const {
-    return live_frontier_.load(std::memory_order_acquire);
   }
 
   const PipelineStats& pipeline_stats() const { return pstats_; }
@@ -272,7 +263,7 @@ class Replica final : public sim::Actor {
   void decide(std::uint64_t slot, std::vector<std::uint64_t> ids);
   /// Moves the commit frontier to `slot`: retires the slots, early
   /// envelopes, proposal claims and timer routes below it, and publishes
-  /// the new progress (live_applied, live_frontier).
+  /// the new progress (live_applied).
   void advance_frontier(std::uint64_t slot);
   std::uint64_t buffer_horizon() const {
     return next_commit_ + config_.window + kMaxFutureSlots;
@@ -298,10 +289,7 @@ class Replica final : public sim::Actor {
   void resume(sim::Context& ctx);
 
   ReplicaConfig config_;
-  /// One past the last slot: config_.slots for a preloaded workload, no
-  /// bound with clients.
-  std::uint64_t log_end_;
-  /// Bodies, signatures, the committed set, the admission queue and the
+  /// Bodies, signatures, the committed set, the pending index and the
   /// proposal claims (smr/command_table.hpp).
   CommandTable table_;
   CommitFn on_commit_;
@@ -318,7 +306,6 @@ class Replica final : public sim::Actor {
   std::shared_ptr<crypto::CachingVerifier> vcache_;
   PipelineStats pstats_;
   std::atomic<std::uint64_t> live_applied_{0};
-  std::atomic<std::uint64_t> live_frontier_{0};
 
   std::unique_ptr<ClientService> client_;  // with clients configured
   std::unique_ptr<Checkpointer> ckpt_;     // with a checkpoint interval

@@ -86,7 +86,7 @@ struct Harness {
   }
 
   ReplicaConfig config;
-  CommandTable table{kN, 2};
+  CommandTable table;
   ClientService service{config, table, nullptr};
   RecordingContext ctx;
 };
@@ -102,7 +102,7 @@ TEST(ClientServiceBounds, PerOriginRelayCapDropsOnlyTheFloodersExcess) {
   // ...while peer 2's relay is still admitted.
   EXPECT_EQ(h.relay(2, kClientA, 4), ClientService::Next::kResume);
   EXPECT_NE(h.table.body(make_client_cmd_id(kClientA, 4)), nullptr);
-  EXPECT_EQ(h.table.queue().size(), 3u);
+  EXPECT_EQ(h.table.pending().size(), 3u);
   EXPECT_EQ(h.service.stats().origin_drops, 1u);
   EXPECT_EQ(h.service.stats().relays_dropped, 0u);
   EXPECT_EQ(h.service.stats().relays_received, 4u);
@@ -119,13 +119,13 @@ TEST(ClientServiceBounds, CollectiveRelayCapIsNTimesMaxPending) {
     h.relay(peer, kClientA, seq++);
     h.relay(peer, kClientA, seq++);
   }
-  ASSERT_EQ(h.table.queue().size(), kN * 2);
+  ASSERT_EQ(h.table.pending().size(), kN * 2);
   EXPECT_EQ(h.service.stats().origin_drops, 0u);
   // Any further relayed body is a flood: dropped by the collective cap.
   EXPECT_EQ(h.relay(1, kClientA, seq), ClientService::Next::kNone);
   EXPECT_EQ(h.service.stats().relays_dropped, 1u);
   EXPECT_EQ(h.service.stats().origin_drops, 0u);
-  EXPECT_EQ(h.table.queue().size(), kN * 2);
+  EXPECT_EQ(h.table.pending().size(), kN * 2);
   // A body already held passes the caps: re-relaying it stores nothing.
   EXPECT_EQ(h.relay(2, kClientA, 1), ClientService::Next::kResume);
   EXPECT_EQ(h.service.stats().relays_dropped, 1u);

@@ -423,7 +423,6 @@ TEST(ClientService, DisabledClientsLeaveAllCountersZero) {
   sc.batch = 2;
   sc.checkpoint_interval = 4;
   sc.workload = faults::sample_workload();
-  sc.slots = 5;
   const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
   EXPECT_TRUE(r.clean);
   EXPECT_TRUE(r.all_committed);

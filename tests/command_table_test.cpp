@@ -1,11 +1,11 @@
 // Tests for smr::CommandTable, the one owner of each command's state.
 //
 // The load-bearing property: everything derived from the committed set
-// (the admission queue, the per-client committed counts, the proposable
+// (the pending index, the per-client committed counts, the proposable
 // ids) is the same whether a table reached that set step by step, through
 // random admit/claim/release/commit sequences, or installed it from a
 // snapshot.  A restarted replica relies on it: after a snapshot install it
-// must queue, count and propose exactly what a replica that never crashed
+// must hold, count and propose exactly what a replica that never crashed
 // does.  The same sequences also check the table's pending index, after
 // every step, against the walk over every held body that it replaced.
 #include <gtest/gtest.h>
@@ -35,7 +35,7 @@ Command put(std::uint64_t id) {
 }
 
 /// A random id: a workload id, a configured client's command, or a
-/// command of the process just past the client range (never queued).
+/// command of the process just past the client range.
 std::uint64_t random_id(Rng& rng) {
   switch (rng.next_below(3)) {
     case 0:
@@ -91,7 +91,7 @@ void expect_matches_walk(const CommandTable& live, const ReferenceWalk& ref,
 TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
-    CommandTable live(kFirstClient, kClients);
+    CommandTable live;
     ReferenceWalk ref;
     std::vector<std::pair<Command, Bytes>> bodies;  // admission order
     std::uint64_t next_slot = 0;
@@ -137,7 +137,7 @@ TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
       expect_matches_walk(live, ref, seed, step);
     }
 
-    CommandTable installed(kFirstClient, kClients);
+    CommandTable installed;
     for (const auto& [cmd, sig] : bodies) {
       installed.admit(cmd, sig, std::nullopt);
     }
@@ -145,7 +145,7 @@ TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
 
     live.release_below(next_slot);  // a fresh table holds no claims
     EXPECT_EQ(installed.committed_ids(), live.committed_ids());
-    EXPECT_EQ(installed.queue(), live.queue()) << "seed " << seed;
+    EXPECT_EQ(installed.pending(), live.pending()) << "seed " << seed;
     for (std::uint32_t c = kFirstClient; c <= kFirstClient + kClients; ++c) {
       EXPECT_EQ(installed.committed_count(c), live.committed_count(c))
           << "seed " << seed << " client " << c;
@@ -162,10 +162,10 @@ TEST(CommandTable, IncrementalAndInstalledTablesAgree) {
   }
 }
 
-TEST(CommandTable, FirstBodyWinsAndOnlyUncommittedClientCommandsQueue) {
-  CommandTable t(kFirstClient, kClients);
+TEST(CommandTable, FirstBodyWinsAndOnlyUncommittedCommandsPend) {
+  CommandTable t;
   const std::uint64_t c1 = make_client_cmd_id(kFirstClient, 1);
-  EXPECT_FALSE(t.admit(put(7), Bytes{}, std::nullopt));  // workload id
+  EXPECT_TRUE(t.admit(put(7), Bytes{}, std::nullopt));  // workload id
   EXPECT_TRUE(t.admit(put(c1), Bytes{0x01}, std::nullopt));
   Command other = put(c1);
   other.value = "forged";
@@ -174,23 +174,23 @@ TEST(CommandTable, FirstBodyWinsAndOnlyUncommittedClientCommandsQueue) {
   EXPECT_EQ(*t.sig(c1), Bytes{0x01});
   EXPECT_EQ(t.sig(7), nullptr);  // admitted without a signature
   EXPECT_EQ(t.origin_load(1), 0u);
-  EXPECT_EQ(t.queue(), (std::set<std::uint64_t>{c1}));
+  EXPECT_EQ(t.pending(), (std::set<std::uint64_t>{7, c1}));
 
   ASSERT_NE(t.commit(c1), nullptr);
-  EXPECT_TRUE(t.queue().empty());
+  EXPECT_EQ(t.pending(), (std::set<std::uint64_t>{7}));
   EXPECT_EQ(t.committed_count(kFirstClient), 1u);
   // A body that arrives after its commit (a fetch for a replay) is held
-  // but never queued.
+  // but never pends.
   const std::uint64_t c2 = make_client_cmd_id(kFirstClient + 1, 1);
   t.install({c1, c2});
   EXPECT_FALSE(t.admit(put(c2), Bytes{}, std::uint32_t{2}));
-  EXPECT_TRUE(t.queue().empty());
+  EXPECT_EQ(t.pending(), (std::set<std::uint64_t>{7}));
   EXPECT_EQ(t.origin_load(2), 0u);
   EXPECT_EQ(t.committed_count(kFirstClient + 1), 1u);
 }
 
 TEST(CommandTable, RelayChargesFollowTheQueue) {
-  CommandTable t(kFirstClient, kClients);
+  CommandTable t;
   const std::uint64_t a = make_client_cmd_id(kFirstClient, 1);
   const std::uint64_t b = make_client_cmd_id(kFirstClient, 2);
   EXPECT_TRUE(t.admit(put(a), Bytes{}, std::uint32_t{2}));
@@ -199,16 +199,16 @@ TEST(CommandTable, RelayChargesFollowTheQueue) {
   ASSERT_NE(t.commit(a), nullptr);
   EXPECT_EQ(t.origin_load(2), 1u);
   // The snapshot carries no origins: the charges restart from zero while
-  // the still-uncommitted command stays queued.
+  // the still-uncommitted command stays pending.
   t.install({a});
   EXPECT_EQ(t.origin_load(2), 0u);
-  EXPECT_EQ(t.queue(), (std::set<std::uint64_t>{b}));
+  EXPECT_EQ(t.pending(), (std::set<std::uint64_t>{b}));
   ASSERT_NE(t.commit(b), nullptr);
   EXPECT_EQ(t.origin_load(2), 0u);
 }
 
 TEST(CommandTable, ClaimsAreDisjointUntilReleased) {
-  CommandTable t(kFirstClient, kClients);
+  CommandTable t;
   for (std::uint64_t id = 1; id <= 5; ++id) t.admit(put(id), Bytes{}, {});
   EXPECT_EQ(t.claim(0, 2), 1u);  // claims 1, 2
   EXPECT_EQ(t.claim(1, 2), 3u);  // claims 3, 4

@@ -1,14 +1,11 @@
-// Last-mile edge coverage: TCP frame caps, SMR no-op slots, scenario
-// proposal plumbing, and detector accessors.
+// Last-mile edge coverage: TCP frame caps, scenario proposal plumbing,
+// and detector accessors.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "faults/scenario.hpp"
 #include "fd/heartbeat_fd.hpp"
-#include "fd/oracle_fd.hpp"
-#include "sim/simulation.hpp"
-#include "smr/replica.hpp"
 #include "transport/tcp_cluster.hpp"
 
 namespace modubft {
@@ -59,39 +56,6 @@ TEST(TcpEdge, OversizedFrameClosesOnlyThatChannel) {
   cluster.run();
   EXPECT_EQ(from_big.load(), 0) << "oversized channel should be dropped";
   EXPECT_EQ(from_small.load(), 1) << "other channels must be unaffected";
-}
-
-TEST(SmrEdge, ExtraSlotsCommitNoOps) {
-  constexpr std::uint32_t kN = 4;
-  sim::SimConfig sim_cfg;
-  sim_cfg.n = kN;
-  sim_cfg.seed = 51;
-  sim::Simulation world(sim_cfg);
-
-  std::vector<smr::Command> workload = {
-      {1, smr::Command::Op::kPut, "only", "one"},
-  };
-  std::vector<smr::Replica*> replicas(kN, nullptr);
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    auto detector = std::make_shared<fd::OracleDetector>(
-        std::vector<std::optional<SimTime>>(kN, std::nullopt),
-        fd::OracleConfig{});
-    smr::ReplicaConfig cfg;
-    cfg.n = kN;
-    cfg.backend = smr::Backend::kCrashHurfinRaynal;
-    cfg.slots = 3;  // two more than there are commands
-    cfg.detector = detector;
-    auto replica = std::make_unique<smr::Replica>(cfg, workload,
-                                                  smr::CommitFn{});
-    replicas[i] = replica.get();
-    world.set_actor(ProcessId{i}, std::move(replica));
-  }
-  world.run();
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(replicas[i]->committed_slots(), 3u);
-    EXPECT_EQ(replicas[i]->store().applied_count(), 1u);
-    EXPECT_EQ(replicas[i]->store().get("only"), "one");
-  }
 }
 
 TEST(ScenarioEdge, ExplicitProposalsAreUsed) {

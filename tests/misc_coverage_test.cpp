@@ -57,7 +57,6 @@ TEST(SmrCrash, SurvivesFalseSuspicions) {
     smr::ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = smr::Backend::kCrashHurfinRaynal;
-    cfg.slots = workload.size();
     cfg.detector = detector;
     auto replica = std::make_unique<smr::Replica>(cfg, workload,
                                                   smr::CommitFn{});

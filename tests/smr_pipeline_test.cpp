@@ -28,11 +28,11 @@
 namespace modubft::smr {
 namespace {
 
-// A 12-command put/overwrite/delete mix over a small key space, so batch
-// boundaries land in the middle of overwrite chains.
-std::vector<Command> workload12() {
+// A put/overwrite/delete mix over a small key space, so batch boundaries
+// land in the middle of overwrite chains.
+std::vector<Command> mixed_workload(std::uint64_t count) {
   std::vector<Command> cmds;
-  for (std::uint64_t id = 1; id <= 12; ++id) {
+  for (std::uint64_t id = 1; id <= count; ++id) {
     const std::string key = "k" + std::to_string(id % 5);
     if (id % 4 == 0) {
       cmds.push_back({id, Command::Op::kDel, key, ""});
@@ -44,28 +44,25 @@ std::vector<Command> workload12() {
 }
 
 faults::SmrScenarioConfig pipelined_config(Backend backend, std::uint32_t w,
-                                           std::uint32_t b) {
+                                           std::uint32_t b,
+                                           std::uint64_t commands = 12) {
   faults::SmrScenarioConfig cfg;
   cfg.n = backend == Backend::kByzantine ? 4 : 5;
   cfg.f = 1;
   cfg.seed = 11;
   cfg.backend = backend;
-  cfg.workload = workload12();
+  cfg.workload = mixed_workload(commands);
   cfg.window = w;
   cfg.batch = b;
-  // Two slack slots beyond ceil(12 / B): racing proposals can produce the
-  // occasional no-op slot under pipelining, and the equivalence claim is
-  // about runs that commit the whole workload.
-  cfg.slots = (12 + b - 1) / b + 2;
   return cfg;
 }
 
-void expect_full_commit(const faults::SmrScenarioResult& r,
-                        const char* what) {
+void expect_full_commit(const faults::SmrScenarioResult& r, const char* what,
+                        std::uint64_t commands = 12) {
   EXPECT_TRUE(r.clean) << what;
   EXPECT_TRUE(r.all_committed) << what;
   EXPECT_TRUE(r.stores_agree) << what;
-  EXPECT_EQ(r.run_stats.pipeline.commands_committed, 12u) << what;
+  EXPECT_EQ(r.run_stats.pipeline.commands_committed, commands) << what;
 }
 
 TEST(SmrPipeline, CrashBackendStoreEquivalentAcrossWindowAndBatch) {
@@ -112,9 +109,11 @@ TEST(SmrPipeline, CrashBackendPipelinedSurvivesReplicaCrash) {
 }
 
 TEST(SmrPipeline, WindowStatsReachConfiguredPeak) {
-  faults::SmrScenarioConfig cfg = pipelined_config(Backend::kByzantine, 4, 4);
+  // 24 commands fill the W x B = 16 ids the four live slots claim.
+  faults::SmrScenarioConfig cfg =
+      pipelined_config(Backend::kByzantine, 4, 4, 24);
   const faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
-  expect_full_commit(r, "W4 B4");
+  expect_full_commit(r, "W4 B4", 24);
   EXPECT_EQ(r.run_stats.pipeline.window, 4u);
   EXPECT_EQ(r.run_stats.pipeline.batch, 4u);
   EXPECT_EQ(r.run_stats.pipeline.window_peak, 4u);
@@ -123,6 +122,46 @@ TEST(SmrPipeline, WindowStatsReachConfiguredPeak) {
   // The Byzantine back-end shares one verification cache per replica
   // across slots, so pipelined runs must show cross-slot hits.
   EXPECT_GT(r.run_stats.verify.cache_hits, 0u);
+}
+
+// A preloaded log has no fixed length either: 12 commands at W4 B4 take
+// exactly the three slots their batches fill, no replica runs a no-op
+// slot, and the simulation ends because nothing is left to propose.
+TEST(SmrPipeline, PreloadedLogEndsWithItsWorkload) {
+  constexpr std::uint32_t kN = 4;
+  crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(kN, 11);
+
+  sim::SimConfig sim_cfg;
+  sim_cfg.n = kN;
+  sim_cfg.seed = 11;
+  sim::Simulation world(sim_cfg);
+
+  std::vector<Replica*> replicas(kN, nullptr);
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    ReplicaConfig cfg;
+    cfg.n = kN;
+    cfg.backend = Backend::kByzantine;
+    cfg.window = 4;
+    cfg.batch = 4;
+    cfg.bft.n = kN;
+    cfg.bft.f = 1;
+    cfg.signer = keys.signers[i].get();
+    cfg.verifier = keys.verifier;
+    auto replica =
+        std::make_unique<Replica>(cfg, mixed_workload(12), CommitFn{});
+    replicas[i] = replica.get();
+    world.set_actor(ProcessId{i}, std::move(replica));
+  }
+  EXPECT_EQ(world.run(), sim::RunOutcome::kQuiescent);
+
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    const PipelineStats& p = replicas[i]->pipeline_stats();
+    EXPECT_EQ(replicas[i]->committed_slots(), 3u) << "replica " << i;
+    EXPECT_EQ(p.noop_slots, 0u) << "replica " << i;
+    EXPECT_EQ(p.commands_committed, 12u) << "replica " << i;
+    EXPECT_EQ(replicas[i]->store().contents(),
+              replicas[0]->store().contents());
+  }
 }
 
 // --- threads substrate (TSan customers; `threads` ctest label) ---------
@@ -208,7 +247,6 @@ TEST(SmrPipeline, FutureFramesBufferedWithinBoundsAndDroppedBeyond) {
     ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = Backend::kByzantine;
-    cfg.slots = kHorizon + 2;
     cfg.window = 1;
     cfg.bft = bft_cfg;
     cfg.signer = keys.signers[i].get();
@@ -223,7 +261,7 @@ TEST(SmrPipeline, FutureFramesBufferedWithinBoundsAndDroppedBeyond) {
 
   for (std::uint32_t i = 0; i < 3; ++i) {
     const PipelineStats& p = replicas[i]->pipeline_stats();
-    EXPECT_EQ(replicas[i]->committed_slots(), kHorizon + 2)
+    EXPECT_EQ(p.commands_committed, faults::sample_workload().size())
         << "replica " << i;
     EXPECT_EQ(p.future_buffered, kMaxFuturePerSender) << "replica " << i;
     // The one over the share, and the two beyond the horizon.
@@ -272,7 +310,6 @@ TEST(SmrPipeline, PostCommitStragglersAreCountedAndIgnored) {
     ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = Backend::kByzantine;
-    cfg.slots = 3;
     cfg.window = 2;
     cfg.bft = bft_cfg;
     cfg.signer = keys.signers[i].get();
@@ -283,20 +320,24 @@ TEST(SmrPipeline, PostCommitStragglersAreCountedAndIgnored) {
     world.set_actor(ProcessId{i}, std::move(replica));
   }
   world.run();
-  ASSERT_TRUE(replicas[0]->done());
+  ASSERT_EQ(replicas[0]->store().applied_count(),
+            faults::sample_workload().size());
 
-  const std::uint64_t stale_before =
-      replicas[0]->pipeline_stats().stale_dropped;
+  const PipelineStats& p = replicas[0]->pipeline_stats();
+  const std::uint64_t stale_before = p.stale_dropped;
+  const std::uint64_t future_before = p.future_dropped;
   const auto contents_before = replicas[0]->store().contents();
 
   StubContext stub;
   const Bytes junk = {0x11, 0x22, 0x33};
   // A frame for an already-committed slot: counted as stale, no effect.
   replicas[0]->on_message(stub, ProcessId{1}, envelope(0, junk));
-  EXPECT_EQ(replicas[0]->pipeline_stats().stale_dropped, stale_before + 1);
-  // A frame for a slot the replica was never configured to run: ignored.
+  EXPECT_EQ(p.stale_dropped, stale_before + 1);
+  // A frame for a slot beyond the buffering horizon: dropped as a
+  // far-future frame.
   replicas[0]->on_message(stub, ProcessId{1}, envelope(99, junk));
-  EXPECT_EQ(replicas[0]->pipeline_stats().stale_dropped, stale_before + 1);
+  EXPECT_EQ(p.stale_dropped, stale_before + 1);
+  EXPECT_EQ(p.future_dropped, future_before + 1);
   EXPECT_EQ(replicas[0]->store().contents(), contents_before);
 }
 
@@ -309,7 +350,6 @@ TEST(SmrPipeline, FloodedFutureSlotStillBuffersACorrectPeersEnvelope) {
   ReplicaConfig cfg;
   cfg.n = kN;
   cfg.backend = Backend::kCrashHurfinRaynal;
-  cfg.slots = 6;
   cfg.window = 1;
   cfg.detector = std::make_shared<fd::OracleDetector>(
       std::vector<std::optional<SimTime>>(kN), fd::OracleConfig{});
@@ -339,13 +379,14 @@ TEST(SmrPipeline, FloodedFutureSlotStillBuffersACorrectPeersEnvelope) {
   EXPECT_EQ(p.future_dropped, kFlood - kMaxFuturePerSender);
 
   // p1's DECIDEs for slots 0-4 commit the workload one command per slot;
-  // each commit starts the next slot, and slot 5 starts by replaying its
-  // buffer: p3's junk is ignored, p1's DECIDE decides it.
+  // each commit starts the next slot, and slot 5, with nothing left to
+  // propose, starts because its buffer holds envelopes: p3's junk is
+  // ignored, p1's DECIDE decides it.
   for (std::uint64_t slot = 0; slot < 5; ++slot) {
     replica.on_message(stub, ProcessId{1}, envelope(slot, decide(slot + 1)));
   }
   EXPECT_EQ(replica.committed_slots(), 6u);
-  EXPECT_TRUE(replica.done());
+  EXPECT_EQ(replica.store().applied_count(), 5u);
   EXPECT_EQ(replica.store().get("alpha"), "3");
   EXPECT_EQ(replica.store().get("gamma"), "5");
   EXPECT_EQ(p.commands_committed, 5u);
@@ -428,7 +469,6 @@ TEST(SmrPipeline, CorrectReplicasCommitDespiteMidWindowByzantineSlot) {
     ReplicaConfig cfg;
     cfg.n = kN;
     cfg.backend = Backend::kByzantine;
-    cfg.slots = 6;
     cfg.window = 3;
     cfg.bft = bft_cfg;
     cfg.signer = keys.signers[i].get();
@@ -447,7 +487,9 @@ TEST(SmrPipeline, CorrectReplicasCommitDespiteMidWindowByzantineSlot) {
   world.run();
 
   for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(correct[i]->committed_slots(), 6u) << "replica " << i;
+    EXPECT_EQ(correct[i]->store().applied_count(),
+              faults::sample_workload().size())
+        << "replica " << i;
     EXPECT_EQ(correct[i]->store().contents(), correct[0]->store().contents());
   }
   EXPECT_EQ(correct[0]->store().get("alpha"), "3");
@@ -501,7 +543,6 @@ std::vector<Bytes> dispatch_init_batch(bool client_request) {
   ReplicaConfig cfg;
   cfg.n = 4;
   cfg.backend = Backend::kByzantine;
-  cfg.slots = 1;
   cfg.bft.n = 4;
   cfg.bft.f = 1;
   cfg.signer = keys.signers[0].get();

@@ -228,7 +228,6 @@ faults::SmrScenarioConfig recovery_scenario(smr::Backend backend,
   sc.batch = 2;
   sc.checkpoint_interval = 4;
   sc.workload = faults::kv_workload(60);
-  sc.slots = 30;
   // The simulator drains this workload in a few virtual ms; kill mid-run,
   // restart while the survivors are still committing.
   sc.crashes.push_back({ProcessId{2}, 1'500, 3'000});
@@ -388,7 +387,6 @@ TEST(CheckpointVotes, OnlyReplicasVoteAndTheFirstVotePerSlotCounts) {
   const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(5, 3);
   smr::ReplicaConfig cfg;
   cfg.n = 4;
-  cfg.slots = 8;
   cfg.checkpoint.interval = 4;
   cfg.signer = keys.signers[0].get();
   cfg.verifier = keys.verifier;
@@ -478,7 +476,8 @@ TEST(CheckpointVotes, FarFutureVotesHoldABoundedSetOfSlots) {
 
 /// A replica that, at start, broadcasts kFloodVariants self-signed
 /// checkpoint votes with distinct fabricated digests for every boundary
-/// slot of a 12-slot log, then runs the honest replica it wraps.
+/// slot of the 12 slots the workload fills, then runs the honest replica
+/// it wraps.
 class VoteFlooder final : public sim::Actor {
  public:
   static constexpr std::uint8_t kFloodVariants = 4;
@@ -526,7 +525,6 @@ faults::SmrScenarioConfig vote_flood_scenario(smr::Backend backend,
   sc.batch = 2;
   sc.checkpoint_interval = 4;
   sc.workload = faults::kv_workload(24);
-  sc.slots = 12;
   sc.assume_faulty = {3};
   // The flooder signs with its own key from the run's HMAC system.
   auto keys = std::make_shared<const crypto::SignatureSystem>(

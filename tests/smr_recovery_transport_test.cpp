@@ -27,13 +27,13 @@ faults::SmrScenarioConfig wall_clock_scenario(runtime::Backend substrate,
   sc.batch = 2;
   sc.checkpoint_interval = 8;
   sc.workload = faults::kv_workload(200);
-  sc.slots = 100;
   sc.budget = std::chrono::milliseconds(30'000);
   // A progress kill: p2 halts as it commits slot 40, past five checkpoint
-  // boundaries and well before the end of the log, however fast the host
-  // runs the replicas.  It comes back a fixed wall-clock delay after the
-  // kill, after the survivors have certified further checkpoints (the
-  // dormancy loop must discard the victim's stale mailbox the whole time).
+  // boundaries and well before the workload's last slot (200 commands at
+  // B = 2 fill 100), however fast the host runs the replicas.  It comes
+  // back a fixed wall-clock delay after the kill, after the survivors have
+  // certified further checkpoints (the dormancy loop must discard the
+  // victim's stale mailbox the whole time).
   faults::CrashSpec kill;
   kill.who = ProcessId{2};
   kill.after_commit = 40;

@@ -194,7 +194,6 @@ TEST(SubstrateEquivalence, SmrCrashBackendStoresIdentical) {
     SCOPED_TRACE(runtime::backend_name(backend));
     SmrScenarioConfig cfg;
     cfg.n = 4;
-    cfg.slots = 5;
     cfg.seed = 3;
     cfg.substrate = backend;
 
@@ -224,7 +223,6 @@ TEST(SubstrateEquivalence, SmrByzantineBackendAcrossSubstrates) {
     SmrScenarioConfig cfg;
     cfg.n = 4;
     cfg.f = 1;
-    cfg.slots = 3;
     cfg.seed = 9;
     cfg.substrate = backend;
     cfg.backend = smr::Backend::kByzantine;
@@ -235,7 +233,6 @@ TEST(SubstrateEquivalence, SmrByzantineBackendAcrossSubstrates) {
     EXPECT_TRUE(r.stores_agree);
 
     SmrScenarioConfig piped = cfg;
-    piped.slots = 5;
     piped.seed = 17;
     piped.window = 3;
     piped.batch = 2;

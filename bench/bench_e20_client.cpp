@@ -5,24 +5,28 @@
 //  1. What does a client actually observe?  End-to-end request latency
 //     (first submission → f+1-certified reply) through the full stack —
 //     REQUEST admission, relay, consensus, commit, REPLY certification —
-//     closed loop and open loop, sim + threads.  The report records
-//     p50/p99/p999 and certified-ops throughput.
+//     with one op and with 8 ops in flight per client, sim + threads.  The
+//     report records p50/p99/p999 and certified-ops throughput.
 //
-//  2. Does overload protection actually bound the queue?  An open-loop
-//     cell drives the cluster with a deliberately tiny admission bound
-//     (max_pending=4): replicas must shed with BUSY, the pending-command
-//     peak must respect the n × max_pending relay ceiling, and — the
-//     robustness headline — every operation still settles exactly once
-//     (clients back off and retry until the queue drains).
+//  2. Does overload protection actually bound the queue?  A cell with 8
+//     ops in flight per client drives the cluster with a deliberately tiny
+//     admission bound (max_pending=4): replicas must shed with BUSY, the
+//     pending-command peak must respect the n × max_pending relay ceiling,
+//     and — the robustness headline — every operation still settles
+//     exactly once (clients back off and retry until the queue drains).
 //
-// Every cell is audited: all clients certify their whole script and every
-// accepted reply matches the committed log (audit_client_replies).  The
+// Every rep of every cell is audited: all clients certify their whole
+// script and every accepted reply matches the committed log
+// (audit_client_replies), and every overload rep must shed.  Each
+// wall-clock cell runs kReps reps and records the median, quartiles and
+// per-rep rates; the simulator is deterministic and runs once.  The
 // report records nproc and the build type next to the rows.
 //
 // Usage: bench_e20_client [--out FILE] [--clients N] [--ops N]
 //                         [--budget-ms MS]
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +35,7 @@
 
 #include "adversary/client_campaign.hpp"
 #include "bench_json.hpp"
+#include "bench_smr.hpp"
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 
@@ -40,14 +45,16 @@ using namespace modubft;
 
 constexpr std::uint32_t kWindow = 4;
 constexpr std::uint32_t kBatch = 2;
+constexpr std::uint32_t kInFlight = 8;
+constexpr int kReps = 5;  // per wall-clock cell
 constexpr std::uint32_t kOverloadPending = 4;
 
-enum class Mode { kClosed, kOpen, kOverload };
+enum class Mode { kClosed, kInFlight, kOverload };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kClosed: return "closed-loop";
-    case Mode::kOpen: return "open-loop";
+    case Mode::kInFlight: return "8-in-flight";
     case Mode::kOverload: return "overload";
   }
   return "?";
@@ -56,63 +63,68 @@ const char* mode_name(Mode mode) {
 struct Row {
   runtime::Backend substrate;
   Mode mode;
-  bool ok = true;
-  double ops_per_sec = 0;
+  bool ok = true;  // in every rep
+  bool shed = true;  // every overload rep shed
+  benchsmr::Spread ops_per_sec;  // over reps
+  std::vector<double> rep_ops_per_sec;
+  std::vector<double> rep_p50_us, rep_p99_us, rep_p999_us;
   faults::SmrScenarioResult last;
 };
 
 Row run_cell(runtime::Backend substrate, Mode mode, std::uint32_t clients,
              std::uint32_t ops, std::chrono::milliseconds budget) {
-  faults::SmrScenarioConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
-  cfg.seed = 20;
-  cfg.substrate = substrate;
-  cfg.backend = smr::Backend::kByzantine;
-  cfg.window = kWindow;
-  cfg.batch = kBatch;
-  cfg.budget = budget;
-  cfg.checkpoint_interval = 8;
-
-  faults::ClientLoadConfig load;
-  load.count = clients;
-  load.ops_per_client = ops;
-  if (mode != Mode::kClosed) {
-    load.open_loop = true;
-    load.interval = substrate == runtime::Backend::kSim ? 200 : 2'000;
-    load.max_outstanding = 8;
-  }
-  if (mode == Mode::kOverload) load.max_pending = kOverloadPending;
-  cfg.clients = load;
-
   Row row;
   row.substrate = substrate;
   row.mode = mode;
-  row.last = faults::run_smr_scenario(cfg);
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, kReps); ++rep) {
+    faults::SmrScenarioConfig cfg;
+    cfg.n = 4;
+    cfg.f = 1;
+    cfg.seed = 20 + static_cast<std::uint64_t>(rep);
+    cfg.substrate = substrate;
+    cfg.backend = smr::Backend::kByzantine;
+    cfg.window = kWindow;
+    cfg.batch = kBatch;
+    cfg.budget = budget;
+    cfg.checkpoint_interval = 8;
 
-  const faults::SmrScenarioResult& r = row.last;
-  const std::uint64_t total = static_cast<std::uint64_t>(clients) * ops;
-  row.ok = r.clean && r.all_committed && r.stores_agree &&
-           r.clients_done.size() == clients &&
-           r.run_stats.client.accepted == total &&
-           r.commit_log_duplicates == 0 &&
-           adversary::audit_client_replies(r).empty();
-  if (mode == Mode::kOverload) {
-    // The shedding headline: BUSY actually fired, and the pending set
-    // respected the n × max_pending relay ceiling (plus one frontier
-    // batch of slack for fetch-exempt bodies a parked commit needs).
-    if (r.run_stats.client.sheds == 0) row.ok = false;
-    if (r.run_stats.client.queue_peak > cfg.n * kOverloadPending + kBatch) {
-      row.ok = false;
+    faults::ClientLoadConfig load;
+    load.count = clients;
+    load.ops_per_client = ops;
+    if (mode != Mode::kClosed) load.max_outstanding = kInFlight;
+    if (mode == Mode::kOverload) load.max_pending = kOverloadPending;
+    cfg.clients = load;
+
+    faults::SmrScenarioResult r = faults::run_smr_scenario(cfg);
+    const std::uint64_t total = static_cast<std::uint64_t>(clients) * ops;
+    row.ok = row.ok && r.clean && r.all_committed && r.stores_agree &&
+             r.clients_done.size() == clients &&
+             r.run_stats.client.accepted == total &&
+             r.commit_log_duplicates == 0 &&
+             adversary::audit_client_replies(r).empty();
+    if (mode == Mode::kOverload) {
+      // The shedding headline: BUSY actually fired, and the pending set
+      // respected the n × max_pending relay ceiling (plus one frontier
+      // batch of slack for fetch-exempt bodies a parked commit needs).
+      row.shed = row.shed && r.run_stats.client.sheds > 0;
+      if (r.run_stats.client.queue_peak > cfg.n * kOverloadPending + kBatch) {
+        row.ok = false;
+      }
     }
+    const double us = substrate == runtime::Backend::kSim
+                          ? static_cast<double>(r.run_stats.virtual_time)
+                          : static_cast<double>(r.run_stats.wall_us);
+    row.rep_ops_per_sec.push_back(
+        us > 0 ? static_cast<double>(r.run_stats.client.accepted) * 1e6 / us
+               : 0);
+    const runtime::ClientSummary& cs = r.run_stats.client;
+    row.rep_p50_us.push_back(static_cast<double>(cs.p50_us));
+    row.rep_p99_us.push_back(static_cast<double>(cs.p99_us));
+    row.rep_p999_us.push_back(static_cast<double>(cs.p999_us));
+    row.last = std::move(r);
   }
-  const double us = substrate == runtime::Backend::kSim
-                        ? static_cast<double>(r.run_stats.virtual_time)
-                        : static_cast<double>(r.run_stats.wall_us);
-  if (us > 0) {
-    row.ops_per_sec =
-        static_cast<double>(r.run_stats.client.accepted) * 1e6 / us;
-  }
+  row.ok = row.ok && row.shed;
+  row.ops_per_sec = benchsmr::spread(row.rep_ops_per_sec);
   return row;
 }
 
@@ -147,35 +159,41 @@ int main(int argc, char** argv) {
   }
 
   std::printf("E20: client/service layer, byz n=4 f=1, %u clients x %u ops, "
-              "W=%u B=%u\n",
-              clients, ops, kWindow, kBatch);
-  std::printf("%-8s %-12s %10s %9s %9s %9s %7s %6s %10s %4s\n", "substrate",
-              "mode", "ops/sec", "p50_us", "p99_us", "p999_us", "retries",
-              "sheds", "queue_peak", "ok");
+              "W=%u B=%u, %d reps per wall-clock cell\n",
+              clients, ops, kWindow, kBatch, kReps);
+  std::printf("%-8s %-12s %10s %9s %9s %9s %9s %7s %6s %10s %4s\n",
+              "substrate", "mode", "ops/sec", "iqr", "p50_us", "p99_us",
+              "p999_us", "retries", "sheds", "queue_peak", "ok");
 
   const std::vector<runtime::Backend> substrates = {
       runtime::Backend::kSim, runtime::Backend::kThreads};
-  const std::vector<Mode> modes = {Mode::kClosed, Mode::kOpen,
+  const std::vector<Mode> modes = {Mode::kClosed, Mode::kInFlight,
                                    Mode::kOverload};
 
   benchjson::JsonArray rows;
   bool all_ok = true;
-  bool shedding_proved = false;
+  bool shedding_proved = true;
   for (runtime::Backend substrate : substrates) {
     for (Mode mode : modes) {
       Row row = run_cell(substrate, mode, clients, ops, budget);
       all_ok = all_ok && row.ok;
+      if (mode == Mode::kOverload && !row.shed) shedding_proved = false;
+      // Latency percentiles: the median over reps of each rep's value.
+      const auto median_us = [](const std::vector<double>& reps) {
+        return static_cast<std::uint64_t>(
+            std::llround(benchsmr::spread(reps).median));
+      };
+      const std::uint64_t p50 = median_us(row.rep_p50_us);
+      const std::uint64_t p99 = median_us(row.rep_p99_us);
+      const std::uint64_t p999 = median_us(row.rep_p999_us);
       const runtime::ClientSummary& cs = row.last.run_stats.client;
-      if (mode == Mode::kOverload && row.ok && cs.sheds > 0) {
-        shedding_proved = true;
-      }
-      std::printf("%-8s %-12s %10.1f %9llu %9llu %9llu %7llu %6llu %10llu "
-                  "%4s\n",
+      std::printf("%-8s %-12s %10.1f %9.1f %9llu %9llu %9llu %7llu %6llu "
+                  "%10llu %4s\n",
                   runtime::backend_name(substrate), mode_name(mode),
-                  row.ops_per_sec,
-                  static_cast<unsigned long long>(cs.p50_us),
-                  static_cast<unsigned long long>(cs.p99_us),
-                  static_cast<unsigned long long>(cs.p999_us),
+                  row.ops_per_sec.median, row.ops_per_sec.iqr(),
+                  static_cast<unsigned long long>(p50),
+                  static_cast<unsigned long long>(p99),
+                  static_cast<unsigned long long>(p999),
                   static_cast<unsigned long long>(cs.retries),
                   static_cast<unsigned long long>(cs.sheds),
                   static_cast<unsigned long long>(cs.queue_peak),
@@ -183,11 +201,18 @@ int main(int argc, char** argv) {
       benchjson::JsonObject o;
       o.field("substrate", runtime::backend_name(row.substrate))
           .field("mode", mode_name(row.mode))
-          .field("ops_per_sec", row.ops_per_sec)
+          .field("reps", static_cast<std::uint64_t>(
+                             row.rep_ops_per_sec.size()))
+          .field("ops_per_sec", row.ops_per_sec.median)
+          .field("ops_per_sec_q1", row.ops_per_sec.q1)
+          .field("ops_per_sec_q3", row.ops_per_sec.q3)
+          .field("ops_per_sec_iqr", row.ops_per_sec.iqr());
+      o.raw("rep_ops_per_sec", benchsmr::reps_json(row.rep_ops_per_sec));
+      o.field("rate_basis", benchsmr::time_basis(row.substrate))
           .field("accepted", cs.accepted)
-          .field("p50_us", cs.p50_us)
-          .field("p99_us", cs.p99_us)
-          .field("p999_us", cs.p999_us)
+          .field("p50_us", p50)
+          .field("p99_us", p99)
+          .field("p999_us", p999)
           .field("retries", cs.retries)
           .field("sheds", cs.sheds)
           .field("busy", cs.busy)
@@ -209,6 +234,8 @@ int main(int argc, char** argv) {
       .field("ops_per_client", static_cast<std::uint64_t>(ops))
       .field("window", static_cast<std::uint64_t>(kWindow))
       .field("batch", static_cast<std::uint64_t>(kBatch))
+      .field("in_flight", static_cast<std::uint64_t>(kInFlight))
+      .field("reps", static_cast<std::uint64_t>(kReps))
       .field("overload_max_pending",
              static_cast<std::uint64_t>(kOverloadPending))
       .field("nproc", static_cast<std::uint64_t>(
@@ -220,8 +247,8 @@ int main(int argc, char** argv) {
   benchjson::write_file(out, report.str());
   std::printf("wrote %s\n", out.c_str());
 
-  // Acceptance headline in the exit status: every cell settled its whole
-  // script exactly once, and the overload cells shed while holding the
-  // queue bound.
+  // Acceptance headline in the exit status: every rep of every cell
+  // settled its whole script exactly once, and every overload rep shed
+  // while holding the queue bound.
   return all_ok && shedding_proved ? 0 : 1;
 }

@@ -17,6 +17,7 @@
 
 #include "bft/bft_consensus.hpp"
 #include "crypto/hmac_signer.hpp"
+#include "crypto/verify_cache.hpp"
 #include "faults/split_brain.hpp"
 #include "sim/simulation.hpp"
 
@@ -49,7 +50,8 @@ void run_case(benchmark::State& state, std::uint32_t f) {
       world.set_actor(
           ProcessId{i},
           std::make_unique<bft::BftProcess>(
-              proto, 1000 + i, keys.signers[i].get(), keys.verifier,
+              proto, 1000 + i, keys.signers[i].get(),
+              std::make_shared<crypto::CachingVerifier>(keys.verifier),
               [&decisions, i](ProcessId, const bft::VectorDecision& d) {
                 decisions.emplace(i, d);
               }));

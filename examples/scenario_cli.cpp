@@ -468,8 +468,6 @@ int run_tcp(int argc, char** argv) {
   if (cfg.f > bft::max_tolerated_faults(cfg.n)) {
     usage("F exceeds min((n-1)/2,(n-1)/3)");
   }
-  // Chaos makes rounds slow; widen ◇M beyond the runner's TCP default.
-  cfg.muteness.initial_timeout = 2'000'000;
   const bool any_link_fault = link.kill_prob > 0 || link.truncate_prob > 0 ||
                               link.flip_prob > 0 || link.delay_prob > 0;
   if (any_link_fault) cfg.link_faults = {link};
@@ -611,13 +609,7 @@ int run_smr(int argc, char** argv) {
   const std::uint64_t client_ops =
       std::uint64_t{load.count} * load.ops_per_client;
   if (load.count > 0) {
-    if (in_flight > 1) {
-      // Refilled on every certification: a closed loop with `in_flight`
-      // ops outstanding per client.
-      load.open_loop = true;
-      load.max_outstanding = in_flight;
-      load.interval = 2'000;
-    }
+    load.max_outstanding = in_flight;
     cfg.clients = load;
   }
 

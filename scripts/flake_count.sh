@@ -7,6 +7,13 @@
 # a base commit against a build of a change to it.  Failing entries are
 # read from each run's Testing/Temporary/LastTestsFailed.log.
 #
+# Every run starts with no ctest cost data: `ctest -j` starts the entries
+# it has recorded as costliest first, and each build directory records its
+# own costs (Testing/Temporary/CTestCostData.txt), so two directories
+# would otherwise run the same entries side by side in different orders.
+# The script deletes that file in the run's directory before every run, so
+# both sides always use the one schedule ctest picks without cost data.
+#
 # -j J runs ctest with J jobs (default 4), and -R REGEX runs only the
 # entries it matches (default: all; a regex that matches nothing fails
 # every run).  Some flakes show only on a quiet host, so `-j 1 -R ENTRY`
@@ -58,7 +65,7 @@ for ((run = 1; run <= RUNS; ++run)); do
   for side in "${!DIRS[@]}"; do
     dir=${DIRS[side]}
     log="${dir}/Testing/Temporary/LastTestsFailed.log"
-    rm -f "${log}"
+    rm -f "${log}" "${dir}/Testing/Temporary/CTestCostData.txt"
     if (cd "${dir}" && ctest "${CTEST_ARGS[@]}" >/dev/null 2>&1); then
       continue
     fi

@@ -7,8 +7,8 @@
 # W1B1 commits/sec; e18: checkpointing retains ≥ 60% throughput and every
 # kill/restart rejoins; e19: the W4B4 median ≥ 1.5× the W1B1
 # E17-configuration baseline at n=7/n=10 on both wall-clock substrates;
-# e20: every client
-# cell settles its whole script exactly once and the overload cells shed
+# e20: every rep of every client
+# cell settles its whole script exactly once and every overload rep sheds
 # with BUSY while queue_peak stays within n × max_pending), so this
 # script fails loudly on a regression.
 #

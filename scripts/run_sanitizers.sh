@@ -33,8 +33,8 @@
 # smr_recovery_transport_test plus the recover-under-attack SMR cells
 # (recovery_attack_test) carry the threads/tcp labels so the TSan pass
 # exercises the node-thread dormancy loop, the restart handoff of
-# actor/timers/rng, and the shared CachingVerifier surviving across a
-# replica's two lives.  Its kills fire on the victim's progress, so the
+# actor/timers/rng, and each replica life building its own
+# CachingVerifier.  Its kills fire on the victim's progress, so the
 # pass also covers Cluster::crash_now on the victim's thread and the
 # oracles reading the kill instant from the other node threads.
 # The ingest path (docs/INGEST.md) adds epoll_chaos_test (label `tcp`),

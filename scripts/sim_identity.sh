@@ -38,6 +38,7 @@ ENTRIES=(
   "smr-crash|smr --n 4 --backend crash --window 4 --batch 2 --commands 24 --checkpoint-interval 4 --restart 2:2000:40000"
   "smr-clients-byz|smr --n 4 --backend byz --window 4 --batch 2 --checkpoint-interval 8 --clients 4 --ops 200"
   "smr-clients-crash|smr --n 4 --backend crash --window 4 --batch 2 --checkpoint-interval 8 --clients 4 --ops 300 --restart 1:300000:600000"
+  "smr-clients-inflight-byz|smr --n 4 --backend byz --window 4 --batch 2 --checkpoint-interval 8 --clients 4 --ops 50 --in-flight 4"
   "lockstep-n4|lockstep --n 4 --f 1 --rounds 8 --seed 1"
   "lockstep-n7|lockstep --n 7 --f 2 --rounds 10 --seed 3 --crash 7:0"
   "campaign|campaign --n 4 --f 1 --seeds 3 --substrates sim"

@@ -347,13 +347,13 @@ void arm_smr_attack(faults::SmrScenarioConfig& sc, SmrAttack attack,
   // phantom-ids proposes fabricated client ids no body exists for.  One
   // sits just past a real client's script (only the client's signed
   // SEQ_BOUND can refute it) and one far beyond the eligibility window
-  // (skipped arithmetically).  Open-loop arrival widens the window, so the
-  // just-past phantom parks the frontier and forces the SEQ_BOUND
+  // (skipped arithmetically).  Sixteen ops in flight widen the window, so
+  // the just-past phantom parks the frontier and forces the SEQ_BOUND
   // refutation path instead of a silent skip.
   const std::array<std::uint64_t, 2> phantoms = {
       smr::make_client_cmd_id(sc.n, sc.clients->ops_per_client + 1),
       smr::make_client_cmd_id(sc.n + 1, 1000)};
-  if (attack == SmrAttack::kPhantomIds) sc.clients->open_loop = true;
+  if (attack == SmrAttack::kPhantomIds) sc.clients->max_outstanding = 16;
   // The attackers sign with the run's own keys: the HMAC system
   // run_smr_scenario derives from (n, seed).  Shared ownership keeps the
   // signers alive for the run's whole lifetime.

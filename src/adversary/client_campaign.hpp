@@ -43,8 +43,8 @@
 //                       eligibility window, and re-signs the INIT with its
 //                       own key.  Honest replicas must skip both instead
 //                       of parking the commit frontier on them.  The
-//                       clients run open loop, so the just-past phantom is
-//                       eligible early.
+//                       clients keep 16 ops in flight, so the just-past
+//                       phantom is eligible early.
 //   burn-log            For every consensus frame it sends for slot s, the
 //                       attacker also sends every other replica one junk
 //                       envelope (the slot tag and 16 garbage bytes) for

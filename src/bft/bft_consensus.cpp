@@ -5,27 +5,15 @@
 
 namespace modubft::bft {
 
-namespace {
-
-std::shared_ptr<const CertAnalyzer> make_analyzer(
-    const BftConfig& config, std::shared_ptr<const crypto::Verifier> verifier) {
-  if (config.verify_cache) {
-    verifier = config.shared_verify_cache
-                   ? config.shared_verify_cache
-                   : std::make_shared<crypto::CachingVerifier>(verifier);
-  }
-  return std::make_shared<const CertAnalyzer>(
-      config.n, config.quorum(), std::move(verifier));
-}
-
-}  // namespace
-
 BftProcess::BftProcess(BftConfig config, Value proposal,
                        const crypto::Signer* signer,
                        std::shared_ptr<const crypto::Verifier> verifier,
                        VectorDecideFn on_decide)
     : TransformedActor(
-          signer, make_analyzer(config, std::move(verifier)), config.muteness,
+          signer,
+          std::make_shared<const CertAnalyzer>(config.n, config.quorum(),
+                                               std::move(verifier)),
+          config.muteness,
           std::make_unique<BftConsensus>(config, proposal,
                                          std::move(on_decide)),
           [](ProcessId peer, const CertAnalyzer& analyzer) {

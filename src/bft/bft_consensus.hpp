@@ -32,7 +32,6 @@
 
 #include "bft/transform.hpp"
 #include "consensus/value.hpp"
-#include "crypto/verify_cache.hpp"
 
 namespace modubft::bft {
 
@@ -89,10 +88,10 @@ class BftConsensus final : public RoundProtocol {
 };
 
 /// The assembled consensus actor: BftConsensus in the transformed
-/// pipeline.  When config.verify_cache is set, the signature module and
-/// the certificate analyzer verify through one cache (config's shared one,
-/// or a private one), so ingress checks and certificate-member checks
-/// deduplicate against each other.
+/// pipeline.  The signature module and the certificate analyzer verify
+/// through exactly `verifier`; handed a crypto::CachingVerifier, ingress
+/// checks and certificate-member checks deduplicate against each other
+/// (and against every other process sharing that cache).
 class BftProcess final : public TransformedActor {
  public:
   BftProcess(BftConfig config, Value proposal, const crypto::Signer* signer,

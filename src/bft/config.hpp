@@ -1,22 +1,17 @@
 // Configuration and resilience bounds of the transformed protocol.
 //
-// Nothing here selects a thread: a process checks every signature it
-// receives on its own thread, in its signature module and certificate
-// analyzer (Fig 1), optionally through a verified-signature cache.
+// Nothing here selects a thread or a cache: a process checks every
+// signature it receives on its own thread, in its signature module and
+// certificate analyzer (Fig 1), through the verifier it is handed.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/check.hpp"
 #include "common/ids.hpp"
 #include "fd/muteness_fd.hpp"
-
-namespace modubft::crypto {
-class CachingVerifier;
-}  // namespace modubft::crypto
 
 namespace modubft::bft {
 
@@ -55,24 +50,6 @@ struct BftConfig {
   /// (footnote 2); deployments with a stronger external certification
   /// service may raise it, up to the protocol's own ⌊(n−1)/2⌋ limit.
   std::optional<std::uint32_t> certification_bound;
-
-  /// Certificate fast path: share one bounded LRU of verified signatures
-  /// between the signature module and the certificate analyzer, so a
-  /// member already verified (at ingress or inside an earlier certificate)
-  /// is never re-verified by the signature scheme.  Observationally
-  /// equivalent to verification without the cache — a hit requires the
-  /// same signer, the same signed bytes (pinned by SHA-256) and a
-  /// byte-identical signature.  The LRU holds
-  /// crypto::CachingVerifier::kDefaultCapacity entries.
-  bool verify_cache = true;
-
-  /// Externally-owned verified-signature cache.  When set (and
-  /// verify_cache is true) the process uses it instead of constructing a
-  /// private one, so the cache — and its hit/miss statistics — survive
-  /// across consensus instances.  The pipelined SMR replica shares one
-  /// cache across all of its slots this way.  Must wrap the same
-  /// underlying verifier the process is given.
-  std::shared_ptr<crypto::CachingVerifier> shared_verify_cache;
 
   /// Period of the ◇M / faulty-coordinator poll.
   SimTime suspicion_poll_period = 10'000;

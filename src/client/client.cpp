@@ -21,8 +21,7 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
   // Duplicate replay is complete only while every op in flight still has
   // its REPLY in the replicas' bounded cache: a retry of an evicted seq
   // would never certify.
-  MODUBFT_EXPECTS(!config_.open_loop ||
-                  config_.max_outstanding <= smr::kReplyCacheDepth);
+  MODUBFT_EXPECTS(config_.max_outstanding <= smr::kReplyCacheDepth);
   retry_cap_ = config_.retry_base * 16;
   contact_ = config_.contact;
 }
@@ -32,19 +31,13 @@ std::uint32_t Client::quorum() const {
   return config_.n / 2 + 1;
 }
 
-void Client::on_start(sim::Context& ctx) {
-  submit_next(ctx);
-  if (config_.open_loop) {
-    interval_timer_ = ctx.set_timer(config_.interval);
-  }
-}
+void Client::on_start(sim::Context& ctx) { submit_next(ctx); }
 
 void Client::submit_next(sim::Context& ctx) {
-  // Closed loop keeps one operation in flight; open loop fills up to the
-  // outstanding cap, which the constructor holds within the reply cache
-  // (docs/CLIENT.md on duplicate replay completeness).
-  const std::size_t cap = config_.open_loop ? config_.max_outstanding : 1;
-  while (next_op_ < config_.ops.size() && pending_.size() < cap) {
+  // Fill up to the outstanding cap, which the constructor holds within
+  // the reply cache (docs/CLIENT.md on duplicate replay completeness).
+  while (next_op_ < config_.ops.size() &&
+         pending_.size() < config_.max_outstanding) {
     const std::uint64_t seq = next_op_ + 1;
     Pending p;
     p.op_index = next_op_++;
@@ -54,7 +47,6 @@ void Client::submit_next(sim::Context& ctx) {
     auto it = pending_.emplace(seq, std::move(p)).first;
     send_request(ctx, seq, it->second);
     arm_retry(ctx, seq, it->second);
-    if (!config_.open_loop) break;
   }
 }
 
@@ -242,7 +234,6 @@ void Client::maybe_finish(sim::Context& ctx) {
     return;
   }
   finished_.store(true, std::memory_order_release);
-  if (interval_timer_ != 0) ctx.cancel_timer(interval_timer_);
   // Tell Π the whole script certified: the standing seq bound for this
   // client, signed so replicas may re-serve it to each other after we stop.
   ctx.broadcast(seq_bound_frame(ctx.id().value));
@@ -251,15 +242,6 @@ void Client::maybe_finish(sim::Context& ctx) {
 
 void Client::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   if (finished_) return;
-  if (timer_id == interval_timer_ && interval_timer_ != 0) {
-    submit_next(ctx);
-    if (next_op_ < config_.ops.size() || !pending_.empty()) {
-      interval_timer_ = ctx.set_timer(config_.interval);
-    } else {
-      interval_timer_ = 0;
-    }
-    return;
-  }
   auto t = timers_.find(timer_id);
   if (t == timers_.end()) return;
   const std::uint64_t seq = t->second;

@@ -2,7 +2,8 @@
 //
 // A Client is an ordinary substrate actor with a process id in
 // [n, n + num_clients).  It walks a deterministic script of operations,
-// one monotone sequence number each, and for every operation:
+// one monotone sequence number each, keeping `max_outstanding` of them in
+// flight, and for every operation:
 //
 //   submit   — send REQUEST to the current contact replica;
 //   certify  — collect REPLY frames until f+1 (Byzantine) or a majority
@@ -66,13 +67,10 @@ struct ClientConfig {
   /// The script, executed with seq = index + 1.
   std::vector<ClientOp> ops;
 
-  /// false: closed loop — one outstanding operation, submit the next on
-  /// certification.  true: open loop — submit a fresh operation every
-  /// `interval` µs, up to `max_outstanding` in flight, which must not
-  /// exceed smr::kReplyCacheDepth.
-  bool open_loop = false;
-  SimTime interval = 1'000;
-  std::uint32_t max_outstanding = 16;
+  /// Operations kept in flight: the client submits this many on start
+  /// and one more on every certification (1 = the strict closed loop).
+  /// At most smr::kReplyCacheDepth.
+  std::uint32_t max_outstanding = 1;
 
   /// Retry backoff: delay starts at retry_base and doubles per attempt,
   /// capped at 16 × retry_base, plus jitter of up to a quarter of the
@@ -198,7 +196,6 @@ class Client final : public sim::Actor {
   std::size_t next_op_ = 0;  // first not-yet-submitted script index
   std::map<std::uint64_t, Pending> pending_;      // seq → in flight
   std::map<std::uint64_t, std::uint64_t> timers_;  // timer id → seq
-  std::uint64_t interval_timer_ = 0;
   std::atomic<bool> finished_{false};
   ClientStats stats_;
   std::vector<AcceptedReply> accepted_;

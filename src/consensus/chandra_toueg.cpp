@@ -8,13 +8,11 @@ namespace modubft::consensus {
 
 ChandraTouegActor::ChandraTouegActor(std::uint32_t n, Value proposal,
                                      std::shared_ptr<fd::CrashDetector> detector,
-                                     DecideFn on_decide,
-                                     ChandraTouegConfig config)
+                                     DecideFn on_decide)
     : n_(n),
       est_(proposal),
       detector_(std::move(detector)),
-      on_decide_(std::move(on_decide)),
-      config_(config) {
+      on_decide_(std::move(on_decide)) {
   MODUBFT_EXPECTS(n_ >= 2);
   MODUBFT_EXPECTS(detector_ != nullptr);
 }
@@ -27,7 +25,7 @@ ProcessId ChandraTouegActor::coordinator_of(Round r, std::uint32_t n) {
 void ChandraTouegActor::on_start(sim::Context& ctx) {
   round_ = Round{0};
   begin_round(ctx);
-  ctx.set_timer(config_.suspicion_poll_period);
+  ctx.set_timer(kSuspicionPollPeriod);
 }
 
 void ChandraTouegActor::begin_round(sim::Context& ctx) {
@@ -201,7 +199,7 @@ void ChandraTouegActor::maybe_finish_round(sim::Context& ctx) {
 void ChandraTouegActor::on_timer(sim::Context& ctx, std::uint64_t) {
   if (decided_) return;
   check_suspicion(ctx);
-  ctx.set_timer(config_.suspicion_poll_period);
+  ctx.set_timer(kSuspicionPollPeriod);
 }
 
 void ChandraTouegActor::decide(sim::Context& ctx, Value value) {
@@ -211,7 +209,7 @@ void ChandraTouegActor::decide(sim::Context& ctx, Value value) {
   if (on_decide_) {
     on_decide_(ctx.id(), Decision{value, round_, ctx.now()});
   }
-  if (config_.stop_on_decide) ctx.stop();
+  ctx.stop();
 }
 
 }  // namespace modubft::consensus

@@ -30,16 +30,11 @@
 
 namespace modubft::consensus {
 
-struct ChandraTouegConfig {
-  SimTime suspicion_poll_period = 10'000;
-  bool stop_on_decide = true;
-};
-
 class ChandraTouegActor final : public sim::Actor {
  public:
   ChandraTouegActor(std::uint32_t n, Value proposal,
                     std::shared_ptr<fd::CrashDetector> detector,
-                    DecideFn on_decide, ChandraTouegConfig config = {});
+                    DecideFn on_decide);
 
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, ProcessId from,
@@ -67,7 +62,6 @@ class ChandraTouegActor final : public sim::Actor {
   Round ts_;  // round in which est_ was last adopted (0 = initial)
   std::shared_ptr<fd::CrashDetector> detector_;
   DecideFn on_decide_;
-  ChandraTouegConfig config_;
 
   Round round_;
   bool decided_ = false;

@@ -8,13 +8,11 @@ namespace modubft::consensus {
 
 HurfinRaynalActor::HurfinRaynalActor(std::uint32_t n, Value proposal,
                                      std::shared_ptr<fd::CrashDetector> detector,
-                                     DecideFn on_decide,
-                                     HurfinRaynalConfig config)
+                                     DecideFn on_decide)
     : n_(n),
       est_(proposal),
       detector_(std::move(detector)),
-      on_decide_(std::move(on_decide)),
-      config_(config) {
+      on_decide_(std::move(on_decide)) {
   MODUBFT_EXPECTS(n_ >= 2);
   MODUBFT_EXPECTS(detector_ != nullptr);
 }
@@ -28,7 +26,7 @@ ProcessId HurfinRaynalActor::coordinator_of(Round r, std::uint32_t n) {
 
 void HurfinRaynalActor::on_start(sim::Context& ctx) {
   begin_round(ctx, Round{1});
-  ctx.set_timer(config_.suspicion_poll_period);
+  ctx.set_timer(kSuspicionPollPeriod);
 }
 
 void HurfinRaynalActor::begin_round(sim::Context& ctx, Round r) {
@@ -170,7 +168,7 @@ void HurfinRaynalActor::check_round_exit(sim::Context& ctx) {
 void HurfinRaynalActor::on_timer(sim::Context& ctx, std::uint64_t) {
   if (decided_) return;
   check_suspicion(ctx);
-  ctx.set_timer(config_.suspicion_poll_period);
+  ctx.set_timer(kSuspicionPollPeriod);
 }
 
 void HurfinRaynalActor::decide(sim::Context& ctx, Value value) {
@@ -180,7 +178,7 @@ void HurfinRaynalActor::decide(sim::Context& ctx, Value value) {
   if (on_decide_) {
     on_decide_(ctx.id(), Decision{value, round_, ctx.now()});
   }
-  if (config_.stop_on_decide) ctx.stop();
+  ctx.stop();
 }
 
 }  // namespace modubft::consensus

@@ -29,22 +29,14 @@
 
 namespace modubft::consensus {
 
-struct HurfinRaynalConfig {
-  /// Period of the failure-detector poll timer.
-  SimTime suspicion_poll_period = 10'000;
-
-  /// If true (default), the actor calls Context::stop() after deciding,
-  /// mirroring the paper's `return(est)`.
-  bool stop_on_decide = true;
-};
-
 class HurfinRaynalActor final : public sim::Actor {
  public:
   /// `detector` is the ◇S module (read-only for the protocol, per the
-  /// paper); `on_decide` fires exactly once, when this process decides.
+  /// paper); `on_decide` fires exactly once, when this process decides,
+  /// and the actor then stops, mirroring the paper's `return(est)`.
   HurfinRaynalActor(std::uint32_t n, Value proposal,
                     std::shared_ptr<fd::CrashDetector> detector,
-                    DecideFn on_decide, HurfinRaynalConfig config = {});
+                    DecideFn on_decide);
 
   void on_start(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, ProcessId from,
@@ -73,7 +65,6 @@ class HurfinRaynalActor final : public sim::Actor {
   Value est_;
   std::shared_ptr<fd::CrashDetector> detector_;
   DecideFn on_decide_;
-  HurfinRaynalConfig config_;
 
   Round round_;  // r_i; 0 before the first round
   AutomatonState state_ = AutomatonState::kQ0;

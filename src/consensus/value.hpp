@@ -13,6 +13,10 @@ namespace modubft::consensus {
 /// carry a command id / digest in the replicated-state-machine layer.
 using Value = std::uint64_t;
 
+/// Period of the crash protocols' failure-detector poll timer: suspicion
+/// is time-driven, so the ◇S guard is also evaluated this often.
+inline constexpr SimTime kSuspicionPollPeriod = 10'000;
+
 /// Outcome of a consensus instance at one process.
 struct Decision {
   Value value = 0;

@@ -66,21 +66,6 @@ std::size_t CachingVerifier::size() const {
   return map_.size();
 }
 
-std::size_t CachingVerifier::flush_negative() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t flushed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (!it->second.ok) {
-      lru_.erase(it->second.lru);
-      it = map_.erase(it);
-      ++flushed;
-    } else {
-      ++it;
-    }
-  }
-  return flushed;
-}
-
 void CachingVerifier::clear() const {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();

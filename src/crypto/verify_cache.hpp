@@ -87,15 +87,6 @@ class CachingVerifier final : public Verifier {
   std::size_t capacity() const { return capacity_; }
   void clear() const;
 
-  /// Drops every cached *negative* verdict, returning how many were
-  /// flushed.  A replica restarting into recovery calls this on the cache
-  /// it shares with its previous life: positive entries stay sound forever
-  /// (a valid signature never becomes invalid), but negative entries keyed
-  /// to pre-restart traffic are dead weight the recovering replica should
-  /// not carry — flushing them bounds the cache to verdicts the new
-  /// incarnation can actually re-derive.
-  std::size_t flush_negative() const;
-
  private:
   struct Key {
     std::uint32_t signer;

@@ -68,10 +68,6 @@ struct BftScenarioConfig : ScenarioSettings {
   std::vector<FaultSpec> faults;
   Scheme scheme = Scheme::kHmac;
   bool prune = true;
-  /// Certificate fast path: toggle the shared verified-signature cache
-  /// (bft::BftConfig::verify_cache).  Behaviour must be identical either
-  /// way; the equivalence tests assert it.
-  bool verify_cache = true;
   /// Optional certification-bound override (see bft::BftConfig).
   std::optional<std::uint32_t> certification_bound;
   /// false = audit mode: processes keep their detection modules running
@@ -83,9 +79,6 @@ struct BftScenarioConfig : ScenarioSettings {
   /// simulator-scale timeout); an explicit non-default value is honoured
   /// everywhere.
   fd::MutenessConfig muteness{};
-  /// Optional override of bft::BftConfig::suspicion_poll_period (µs);
-  /// unset = the runner picks a substrate-appropriate period.
-  std::optional<SimTime> suspicion_poll_period;
   /// kTcp: link faults injected below the framing layer.
   std::vector<LinkFaultSpec> link_faults;
   /// Proposal of p_{i+1}; defaults to 1000 + i when empty.
@@ -105,9 +98,9 @@ struct BftScenarioConfig : ScenarioSettings {
   std::set<std::uint32_t> assume_faulty;
 };
 
-/// `correct`: the processes that were given no fault.  run_stats.verify
-/// sums the correct processes' verified-signature caches (zero when
-/// verify_cache is off).
+/// `correct`: the processes that were given no fault.  Each process
+/// verifies through its own crypto::CachingVerifier; run_stats.verify sums
+/// the correct processes' caches.
 struct BftScenarioResult : ScenarioOutcome {
   /// Decisions of correct processes, keyed by process index.
   std::map<std::uint32_t, bft::VectorDecision> decisions;
@@ -191,12 +184,17 @@ LockstepScenarioResult run_lockstep_scenario(
 struct ClientLoadConfig {
   std::uint32_t count = 2;
   std::uint32_t ops_per_client = 8;
-  /// false: closed loop (one outstanding op per client).  true: open loop
-  /// at `interval` µs per submission, up to `max_outstanding` in flight
-  /// (at most smr::kReplyCacheDepth).
+  /// Read by nothing, like `interval`: every client is a closed loop
+  /// with `max_outstanding` ops in flight.  Both stay only because
+  /// perfbench still sets them; the next benchmark change deletes them
+  /// together with that writer.
   bool open_loop = false;
   SimTime interval = 1'000;
-  std::uint32_t max_outstanding = 16;
+  /// Ops each client keeps in flight (at most smr::kReplyCacheDepth): a
+  /// client refills to this count on start and on every certification.
+  /// The replicas' eligibility window (smr::ClientServiceConfig::
+  /// seq_window) is the same count.
+  std::uint32_t max_outstanding = 1;
   /// Replica-side admission bound (smr::ClientServiceConfig::max_pending).
   std::uint32_t max_pending = 64;
   /// Client retry-backoff base (µs); unset = substrate default
@@ -205,7 +203,7 @@ struct ClientLoadConfig {
   /// Negative-control switch: clients accept the first reply without
   /// certification (adversary harness only — forged replies must land).
   bool trust_first_reply = false;
-  /// Client authentication: sign request bodies / DONE / SEQ_BOUND and
+  /// Client authentication: sign request bodies and SEQ_BOUNDs and
   /// verify them replica-side.  Unset = on exactly when the backend is
   /// Byzantine (forgery in the fault model), off for crash backends.
   /// Explicit false under Byzantine is the body-forgery negative control.

@@ -1,17 +1,14 @@
 #include "fd/muteness_fd.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 
 namespace modubft::fd {
 
 MutenessDetector::MutenessDetector(std::uint32_t n, ProcessId self,
                                    MutenessConfig config)
-    : self_(self), config_(config) {
+    : self_(self) {
   MODUBFT_EXPECTS(self.value < n);
   MODUBFT_EXPECTS(config.initial_timeout > 0);
-  MODUBFT_EXPECTS(config.backoff_factor >= 1.0);
   peers_.resize(n);
   for (Peer& p : peers_) p.timeout = config.initial_timeout;
 }
@@ -21,8 +18,7 @@ void MutenessDetector::on_protocol_message(ProcessId from, SimTime now) {
   Peer& p = peers_[from.value];
   if (p.suspected_now) {
     // The peer was wrongly suspected: widen its allowance.
-    p.timeout = static_cast<SimTime>(
-        std::llround(static_cast<double>(p.timeout) * config_.backoff_factor));
+    p.timeout *= 2;
     p.suspected_now = false;
   }
   p.last_activity = now;

@@ -21,11 +21,9 @@
 namespace modubft::fd {
 
 struct MutenessConfig {
-  /// Initial per-peer silence timeout.
+  /// Initial per-peer silence timeout; it doubles at every false
+  /// suspicion (a suspected peer spoke).
   SimTime initial_timeout = 40'000;
-
-  /// Multiplier applied on a false suspicion (a suspected peer spoke).
-  double backoff_factor = 2.0;
 };
 
 /// Per-process ◇M module.  Fed by the muteness-failure-detection module of
@@ -56,7 +54,6 @@ class MutenessDetector final : public CrashDetector {
 
   ProcessId self_;
   std::vector<Peer> peers_;
-  MutenessConfig config_;
 };
 
 }  // namespace modubft::fd

@@ -44,9 +44,9 @@ std::vector<consensus::Value> default_proposals(
 
 /// The ◇M timeouts and the suspicion poll are simulator-scale by default
 /// (40 ms / 10 ms of *virtual* time).  On the wall-clock substrates the
-/// same numbers race the OS scheduler, so when the caller left them at
-/// the defaults the runner widens them to values the threaded tests have
-/// validated; explicit overrides are honoured everywhere.
+/// same numbers race the OS scheduler, so the runner widens them to values
+/// the threaded tests have validated: the ◇M timeout only when the caller
+/// left it at the default, the poll period always.
 fd::MutenessConfig tune_muteness(fd::MutenessConfig muteness,
                                  runtime::Backend backend) {
   if (backend == runtime::Backend::kSim) return muteness;
@@ -58,14 +58,9 @@ fd::MutenessConfig tune_muteness(fd::MutenessConfig muteness,
   return muteness;
 }
 
-SimTime tune_poll_period(runtime::Backend backend,
-                         const std::optional<SimTime>& override_us) {
-  if (override_us.has_value()) return *override_us;
-  switch (backend) {
-    case runtime::Backend::kSim: return bft::BftConfig{}.suspicion_poll_period;
-    case runtime::Backend::kThreads: return 50'000;
-    case runtime::Backend::kTcp: return 100'000;
-  }
+SimTime poll_period(runtime::Backend backend) {
+  if (backend == runtime::Backend::kThreads) return 50'000;
+  if (backend == runtime::Backend::kTcp) return 100'000;
   return bft::BftConfig{}.suspicion_poll_period;
 }
 
@@ -127,12 +122,10 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
   proto.n = config.n;
   proto.f = config.f;
   proto.prune_nested_next = config.prune;
-  proto.verify_cache = config.verify_cache;
   proto.certification_bound = config.certification_bound;
   proto.stop_on_decide = config.stop_on_decide;
   proto.muteness = tune_muteness(config.muteness, config.substrate);
-  proto.suspicion_poll_period =
-      tune_poll_period(config.substrate, config.suspicion_poll_period);
+  proto.suspicion_poll_period = poll_period(config.substrate);
   proto.validate();
 
   const std::vector<consensus::Value> proposals =
@@ -183,8 +176,10 @@ BftScenarioResult run_bft_scenario(const BftScenarioConfig& config) {
       continue;
     }
 
+    // Each process memoizes its own verdicts (the certificate fast path).
     auto inner = std::make_unique<bft::BftProcess>(
-        proto, proposals[i], keys.signers[i].get(), keys.verifier,
+        proto, proposals[i], keys.signers[i].get(),
+        std::make_shared<crypto::CachingVerifier>(keys.verifier),
         [&result, &decide_mu, i](ProcessId, const bft::VectorDecision& d) {
           std::lock_guard<std::mutex> lock(decide_mu);
           result.decisions.emplace(i, d);
@@ -427,6 +422,8 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   const bool client_auth =
       client_mode && config.clients->authenticate.value_or(
                          config.backend == smr::Backend::kByzantine);
+  const std::uint32_t in_flight =
+      client_mode ? config.clients->max_outstanding : 1u;
 
   // Clients hold the keyring slots after the replicas.  Key derivation is
   // prefix-stable, so a pre-client run's replica keys are unchanged.
@@ -480,10 +477,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
           : (config.substrate == runtime::Backend::kThreads ? 50'000
                                                             : 100'000);
 
-  // Restarted lives of a Byzantine replica share the first life's verify
-  // cache (the cross-restart boundedness satellite exercises this).
-  std::vector<std::shared_ptr<crypto::CachingVerifier>> caches(config.n);
-
   // views[i] always points at the CURRENT life of replica i, and
   // fresh_life[i] says whether that is a restarted one.  A restart factory
   // rewrites both on the node's own thread under views_mu, which the end
@@ -509,9 +502,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.bft.n = config.n;
       rcfg.bft.f = config.f;
       rcfg.bft.muteness = tune_muteness(fd::MutenessConfig{}, config.substrate);
-      rcfg.bft.suspicion_poll_period =
-          tune_poll_period(config.substrate, std::nullopt);
-      rcfg.bft.shared_verify_cache = caches[i];
+      rcfg.bft.suspicion_poll_period = poll_period(config.substrate);
       rcfg.bft.validate();
       rcfg.signer = keys.signers[i].get();
       rcfg.verifier = keys.verifier;
@@ -528,11 +519,9 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.client.num_clients = num_clients;
       rcfg.client.max_pending = config.clients->max_pending;
       rcfg.client.authenticate = client_auth;
-      // The eligibility window must cover the client's outstanding span
-      // (or genuine decisions get deferred): the open-loop cap, or 1 for
-      // the strictly-in-order closed loop.
-      rcfg.client.seq_window =
-          config.clients->open_loop ? config.clients->max_outstanding : 1u;
+      // The eligibility window must cover the ops a client keeps in flight,
+      // or genuine decisions get deferred.
+      rcfg.client.seq_window = in_flight;
       if (client_auth && rcfg.verifier == nullptr) {
         rcfg.verifier = keys.verifier;
       }
@@ -602,11 +591,6 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
 
   for (std::uint32_t i = 0; i < config.n; ++i) {
     const ProcessId id{i};
-    if (config.backend == smr::Backend::kByzantine &&
-        crash_specs[i].restart_at.has_value()) {
-      caches[i] = std::make_shared<crypto::CachingVerifier>(keys.verifier);
-    }
-
     smr::CommitFn on_commit;
     if (i == log_keeper) on_commit = log_commit;
     if (crash_specs[i].after_commit.has_value()) on_commit = kill_on_commit(i);
@@ -651,9 +635,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       ccfg.n = config.n;
       ccfg.f = config.f;
       ccfg.backend = config.backend;
-      ccfg.open_loop = cl.open_loop;
-      ccfg.interval = cl.interval;
-      ccfg.max_outstanding = cl.max_outstanding;
+      ccfg.max_outstanding = in_flight;
       ccfg.retry_base = retry_base;
       ccfg.contact = k % config.n;
       ccfg.trust_first_reply = cl.trust_first_reply;

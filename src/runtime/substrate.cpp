@@ -260,11 +260,11 @@ void ClientSummary::fold(const std::vector<const client::ClientStats*>& all) {
   }
   if (latencies.empty()) return;
   std::sort(latencies.begin(), latencies.end());
+  // Nearest rank: the ⌈q·N⌉-th smallest, clamped to [1, N].
   auto pct = [&](std::uint64_t permille) {
-    const std::size_t idx = std::min(
-        latencies.size() - 1,
-        static_cast<std::size_t>(permille * latencies.size() / 1000));
-    return latencies[idx];
+    const std::size_t rank = std::clamp<std::size_t>(
+        (permille * latencies.size() + 999) / 1000, 1, latencies.size());
+    return latencies[rank - 1];
   };
   p50_us = pct(500);
   p99_us = pct(990);

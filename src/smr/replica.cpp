@@ -100,15 +100,11 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   } else {
     MODUBFT_EXPECTS(config_.signer != nullptr);
     MODUBFT_EXPECTS(config_.verifier != nullptr);
-    // One cache for all the replica's slots: a fresh instance starts with
-    // a warm cache, and the hit/miss statistics survive instance
-    // teardown (the scenario runners read them after the run).
-    if (config_.bft.verify_cache && !config_.bft.shared_verify_cache) {
-      vcache_ = std::make_shared<crypto::CachingVerifier>(config_.verifier);
-      config_.bft.shared_verify_cache = vcache_;
-    } else {
-      vcache_ = config_.bft.shared_verify_cache;
-    }
+    // One cache for this life's slots and units: a fresh instance starts
+    // with a warm cache, and the hit/miss statistics survive instance
+    // teardown (the scenario runners read them after the run).  A
+    // restarted replica is a new Replica, so it starts cold.
+    vcache_ = std::make_shared<crypto::CachingVerifier>(config_.verifier);
   }
   for (Command& cmd : workload) {
     MODUBFT_EXPECTS(cmd.id != 0);  // 0 is the no-op marker
@@ -124,10 +120,6 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   }
   if (config_.checkpoint.interval > 0) {
     ckpt_ = std::make_unique<Checkpointer>(config_, pstats_, verifier);
-    // A restarted replica adopting the verify cache of its previous life
-    // must not inherit stale negative verdicts: positives stay sound,
-    // negatives keyed to pre-restart traffic are flushed.
-    if (ckpt_->recovering() && vcache_) vcache_->flush_negative();
   }
 }
 
@@ -160,7 +152,7 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
         });
   }
   return std::make_unique<bft::BftProcess>(
-      config_.bft, proposal, config_.signer, config_.verifier,
+      config_.bft, proposal, config_.signer, vcache_,
       [this, slot](ProcessId, const bft::VectorDecision& d) {
         std::vector<std::uint64_t> ids;
         for (const auto& entry : d.entries) {

@@ -39,12 +39,12 @@
 // kept as one list of decided ids (the crash value, or the non-null
 // entries of the decided vector), so the commit rules never branch on
 // the back-end; any known non-zero id in it is an anchor.  The Byzantine
-// back-end shares one verified-signature cache across all of the
-// replica's slots, so the certificate fast path compounds across the
-// pipeline.  Every signature is checked on the replica's own thread, in
-// the slot actor's signature and certification modules: a delivery batch
-// is dispatched message by message, in arrival order, by the base
-// sim::Actor::on_batch.
+// back-end builds one verified-signature cache per replica life and hands
+// it to every slot and both units, so the certificate fast path compounds
+// across the pipeline.  Every signature is checked on the replica's own
+// thread, in the slot actor's signature and certification modules: a
+// delivery batch is dispatched message by message, in arrival order, by
+// the base sim::Actor::on_batch.
 //
 // The replica is the slot pipeline.  Three units it owns run the rest,
 // and none of them reads another's state:
@@ -224,8 +224,8 @@ class Replica final : public sim::Actor {
 
   const PipelineStats& pipeline_stats() const { return pstats_; }
 
-  /// The verified-signature cache shared across this replica's slots
-  /// (Byzantine back-end with verify_cache on), else nullptr.
+  /// The verified-signature cache this life shares across its slots and
+  /// units (Byzantine back-end), else nullptr.
   const crypto::CachingVerifier* verify_cache() const {
     return vcache_.get();
   }
@@ -302,7 +302,8 @@ class Replica final : public sim::Actor {
   // Buffered envelopes for not-yet-started slots (bounded; see
   // kMaxFutureSlots and kMaxFuturePerSender).
   std::map<std::uint64_t, std::vector<std::pair<ProcessId, Bytes>>> future_;
-  // Byzantine back-end: one verification cache for every slot instance.
+  // Byzantine back-end: one verification cache for this life's slot
+  // instances and units.
   std::shared_ptr<crypto::CachingVerifier> vcache_;
   PipelineStats pstats_;
   std::atomic<std::uint64_t> live_applied_{0};

@@ -42,7 +42,10 @@ struct Snapshot {
   std::uint64_t cache_misses = 0;
 };
 
-Snapshot run_attack(std::uint64_t seed, bool verify_cache = true) {
+/// Runs the attack with every correct process verifying through the plain
+/// scheme, or (`cached`) through a CachingVerifier of its own, whose
+/// counters the snapshot sums.
+Snapshot run_attack(std::uint64_t seed, bool cached = true) {
   crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(kN, seed);
 
   sim::SimConfig sim_cfg;
@@ -53,7 +56,6 @@ Snapshot run_attack(std::uint64_t seed, bool verify_cache = true) {
   BftConfig proto;
   proto.n = kN;
   proto.f = kF;
-  proto.verify_cache = verify_cache;
 
   Snapshot snap;
   crypto::Sha256 trace;
@@ -64,13 +66,19 @@ Snapshot run_attack(std::uint64_t seed, bool verify_cache = true) {
     trace.update(*d.payload);
   });
   std::vector<const BftProcess*> views(kN, nullptr);
+  std::vector<std::shared_ptr<crypto::CachingVerifier>> caches(kN);
 
   world.set_actor(ProcessId{0},
                   std::make_unique<faults::SplitBrainCoordinator>(
                       kN, keys.signers[0].get(), kQuorum, kN / 2));
   for (std::uint32_t i = 1; i < kN; ++i) {
+    std::shared_ptr<const crypto::Verifier> verifier = keys.verifier;
+    if (cached) {
+      caches[i] = std::make_shared<crypto::CachingVerifier>(keys.verifier);
+      verifier = caches[i];
+    }
     auto proc = std::make_unique<BftProcess>(
-        proto, 1000 + i, keys.signers[i].get(), keys.verifier,
+        proto, 1000 + i, keys.signers[i].get(), std::move(verifier),
         [&snap, i](ProcessId, const VectorDecision& d) {
           snap.decisions.emplace(i, d);
         });
@@ -82,9 +90,11 @@ Snapshot run_attack(std::uint64_t seed, bool verify_cache = true) {
   snap.records.resize(kN);
   for (std::uint32_t i = 1; i < kN; ++i) {
     snap.records[i] = views[i]->nonmuteness().records();
-    if (const crypto::CachingVerifier* cache = views[i]->verify_cache()) {
-      snap.cache_hits += cache->stats().cache_hits;
-      snap.cache_misses += cache->stats().cache_misses;
+    EXPECT_EQ(views[i]->verify_cache(), caches[i].get())
+        << "p" << i + 1 << " must verify through exactly the handed verifier";
+    if (caches[i]) {
+      snap.cache_hits += caches[i]->stats().cache_hits;
+      snap.cache_misses += caches[i]->stats().cache_misses;
     }
   }
   snap.wire_digest = trace.finish();
@@ -160,13 +170,14 @@ TEST(Equivocation, AttackIsDetectedAndMasked) {
 }
 
 // Certificate fast path: the verified-signature cache is an optimization,
-// never a semantic change.  Under the strongest adversary in this suite the
-// cached and uncached runs must be indistinguishable on the wire and in
-// every verdict.
+// never a semantic change.  Under the strongest adversary in this suite a
+// run whose processes are handed plain verifiers and one whose processes
+// are handed caches must be indistinguishable on the wire and in every
+// verdict.
 TEST(Equivocation, VerifyCacheOnOffEquivalentUnderAttack) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    Snapshot on = run_attack(seed, /*verify_cache=*/true);
-    Snapshot off = run_attack(seed, /*verify_cache=*/false);
+    Snapshot on = run_attack(seed, /*cached=*/true);
+    Snapshot off = run_attack(seed, /*cached=*/false);
 
     // Byte-identical traffic: same messages, same order, same encoding.
     EXPECT_EQ(on.wire_digest, off.wire_digest) << "seed " << seed;
@@ -190,8 +201,8 @@ TEST(Equivocation, VerifyCacheOnOffEquivalentUnderAttack) {
       }
     }
 
-    // The cached run actually exercised the cache; the uncached one never
-    // touched it.
+    // The handed caches themselves answered repeated lookups: no second
+    // cache inside the process absorbed them.
     EXPECT_GT(on.cache_hits, 0u) << "seed " << seed;
     EXPECT_EQ(off.cache_hits + off.cache_misses, 0u) << "seed " << seed;
   }

@@ -77,9 +77,9 @@ TEST(ClientChaos, SimPhantomIdsAreSkippedNotParkedOn) {
   // Honest replicas must skip them deterministically — by the eligibility
   // window for the far-future id, by the client's signed SEQ_BOUND for
   // the one just past the script — instead of parking the
-  // commit frontier on a fetch that can never be answered.  The cell runs
-  // its clients open loop: the wide window makes the just-past phantom
-  // eligible early, forcing the refutation path.
+  // commit frontier on a fetch that can never be answered.  The cell's
+  // clients keep 16 ops in flight: the wide window makes the just-past
+  // phantom eligible early, forcing the refutation path.
   const SmrCellOutcome out =
       cell(SmrAttack::kPhantomIds, runtime::Backend::kSim, 23);
   EXPECT_TRUE(out.cell.pass()) << to_json(out.cell);

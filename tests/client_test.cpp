@@ -4,6 +4,8 @@
 //    FETCH/SEQ_BOUND family and the client-command id packing;
 //  * a finished client's last broadcast is a SEQ_BOUND carrying its script
 //    length, and a replica rejects a frame of the unassigned kind 9;
+//  * a client keeps max_outstanding ops in flight: that many REQUESTs on
+//    start, one more per certification, and no timer but retry timers;
 //  * snapshot client-table section: round trip, and byte-identity with
 //    the pre-client encoding when no client has ever been admitted;
 //  * end-to-end closed-loop runs on both backends with the exactly-once
@@ -17,6 +19,7 @@
 //  * inertness: a run without clients reports all-zero client counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -174,19 +177,67 @@ class RecordingContext final : public sim::Context {
   void broadcast(const Bytes& payload) override {
     broadcasts.push_back(payload);
   }
-  std::uint64_t set_timer(SimTime) override { return ++timers_; }
+  std::uint64_t set_timer(SimTime) override { return ++timers_armed; }
   void cancel_timer(std::uint64_t) override {}
   Rng& rng() override { return rng_; }
   void stop() override {}
 
   std::vector<Bytes> sent;
   std::vector<Bytes> broadcasts;
+  std::uint64_t timers_armed = 0;
 
  private:
   ProcessId self_;
-  std::uint64_t timers_ = 0;
   Rng rng_{0};
 };
+
+/// The seq of a REQUEST frame, or 0 for any other frame.
+std::uint64_t request_seq(const Bytes& frame) {
+  Reader r(frame);
+  if (r.u64() != smr::kControlSlot ||
+      static_cast<smr::ControlKind>(r.u8()) != smr::ControlKind::kRequest) {
+    return 0;
+  }
+  return smr::decode_client_request(r).seq;
+}
+
+TEST(ClientInFlight, KeepsMaxOutstandingOpsInFlight) {
+  client::ClientConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  for (int i = 0; i < 6; ++i) {
+    cfg.ops.push_back(
+        {smr::Command::Op::kPut, "k" + std::to_string(i), "v"});
+  }
+  cfg.max_outstanding = 3;
+  client::Client c(cfg);
+  RecordingContext ctx(4);
+
+  // Start: seqs 1..3 go out, each with its retry timer and nothing else.
+  c.on_start(ctx);
+  ASSERT_EQ(ctx.sent.size(), 3u);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    EXPECT_EQ(request_seq(ctx.sent[seq - 1]), seq);
+  }
+  EXPECT_EQ(ctx.timers_armed, 3u);
+
+  // Each certification (f+1 = 2 matching replies) sends exactly one more
+  // REQUEST while the script lasts, and arms only that op's retry timer.
+  for (std::uint64_t seq = 1; seq <= cfg.ops.size(); ++seq) {
+    const client::ClientOp& op = cfg.ops[seq - 1];
+    const Bytes reply = smr::encode_control_reply(
+        {seq, smr::make_client_cmd_id(4, seq), seq, op.op, op.key, op.value});
+    c.on_message(ctx, ProcessId{0}, reply);
+    c.on_message(ctx, ProcessId{1}, reply);
+    const std::uint64_t refills = std::min<std::uint64_t>(seq, 3);
+    ASSERT_EQ(ctx.sent.size(), 3u + refills) << "after seq " << seq;
+    EXPECT_EQ(request_seq(ctx.sent.back()), 3u + refills);
+    EXPECT_EQ(ctx.timers_armed, 3u + refills) << "after seq " << seq;
+  }
+  EXPECT_TRUE(c.finished());
+  EXPECT_EQ(c.stats().submitted, cfg.ops.size());
+  EXPECT_EQ(c.stats().accepted, cfg.ops.size());
+}
 
 TEST(ClientSeqBound, FinishedClientBroadcastsItsScriptLength) {
   const crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(5, 3);
@@ -341,8 +392,6 @@ TEST(ClientService, AggressiveRetriesAreSuppressedNotReExecuted) {
 
 TEST(ClientService, OverloadShedsWithBusyAndBoundsQueue) {
   faults::SmrScenarioConfig sc = client_scenario(smr::Backend::kByzantine, 9);
-  sc.clients->open_loop = true;
-  sc.clients->interval = 200;
   sc.clients->max_outstanding = 8;
   sc.clients->ops_per_client = 12;
   sc.clients->max_pending = 2;  // tiny admission bound: shedding guaranteed
@@ -375,14 +424,10 @@ TEST(ClientService, OpenLoopWindowMustFitTheReplyCache) {
   cfg.n = 4;
   cfg.f = 1;
   cfg.ops = {client::ClientOp{smr::Command::Op::kPut, "k", "v"}};
-  cfg.open_loop = true;
   cfg.max_outstanding = smr::kReplyCacheDepth;
   EXPECT_NO_THROW(client::Client{cfg});
   cfg.max_outstanding = smr::kReplyCacheDepth + 1;
   EXPECT_THROW(client::Client{cfg}, ContractViolation);
-  // A closed loop keeps one op in flight whatever the cap says.
-  cfg.open_loop = false;
-  EXPECT_NO_THROW(client::Client{cfg});
 }
 
 TEST(ClientService, FailoverWhenContactDies) {

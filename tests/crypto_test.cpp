@@ -6,7 +6,6 @@
 #include "crypto/hmac_signer.hpp"
 #include "crypto/rsa64.hpp"
 #include "crypto/sha256.hpp"
-#include "crypto/verify_cache.hpp"
 
 namespace modubft::crypto {
 namespace {
@@ -201,33 +200,6 @@ TEST(Schemes, SignerIdsMatchIndices) {
   for (std::uint32_t i = 0; i < 5; ++i) {
     EXPECT_EQ(sys.signers[i]->id(), (ProcessId{i}));
   }
-}
-
-TEST(VerifyCache, FlushNegativeDropsOnlyNegativeVerdicts) {
-  SignatureSystem sys = HmacScheme{}.make_system(2, 7);
-  CachingVerifier cache(sys.verifier, 16);
-
-  const Bytes good_msg = bytes_of("good");
-  const Signature good_sig = sys.signers[0]->sign(good_msg);
-  const Bytes bad_msg = bytes_of("bad");
-  const Signature bad_sig(good_sig.size(), 0x5a);
-
-  EXPECT_TRUE(cache.verify(ProcessId{0}, good_msg, good_sig));
-  EXPECT_FALSE(cache.verify(ProcessId{0}, bad_msg, bad_sig));
-  EXPECT_FALSE(cache.verify(ProcessId{1}, bad_msg, bad_sig));
-  EXPECT_EQ(cache.size(), 3u);
-
-  // A restarting replica flushes the stale negatives it cached in its
-  // previous life; sound positives survive (a valid signature never
-  // becomes invalid).
-  EXPECT_EQ(cache.flush_negative(), 2u);
-  EXPECT_EQ(cache.size(), 1u);
-  const std::uint64_t misses_before = cache.stats().cache_misses;
-  EXPECT_TRUE(cache.verify(ProcessId{0}, good_msg, good_sig));
-  EXPECT_EQ(cache.stats().cache_misses, misses_before);  // still a hit
-  // The flushed verdicts re-derive on demand.
-  EXPECT_FALSE(cache.verify(ProcessId{0}, bad_msg, bad_sig));
-  EXPECT_GT(cache.stats().cache_misses, misses_before);
 }
 
 }  // namespace

@@ -159,7 +159,6 @@ TEST(MutenessFd, SuspectsMutePeer) {
 TEST(MutenessFd, BackoffOnFalseSuspicion) {
   MutenessConfig cfg;
   cfg.initial_timeout = 5000;
-  cfg.backoff_factor = 2.0;
   MutenessDetector fd(2, ProcessId{0}, cfg);
   fd.on_protocol_message(ProcessId{1}, 0);
   EXPECT_TRUE(fd.suspects(ProcessId{1}, 6000));

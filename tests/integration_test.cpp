@@ -11,6 +11,7 @@
 #include "consensus/chandra_toueg.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/hmac_signer.hpp"
+#include "crypto/verify_cache.hpp"
 #include "faults/scenario.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "sim/simulation.hpp"
@@ -155,8 +156,10 @@ TEST(Robustness, GarbageTrafficCannotCrashOrConfuse) {
     std::map<std::uint32_t, bft::VectorDecision> decisions;
     std::vector<const bft::BftProcess*> views(4, nullptr);
     for (std::uint32_t i = 0; i < 3; ++i) {
+      // Each process memoizes its own verdicts, as the scenario runner's.
       auto proc = std::make_unique<bft::BftProcess>(
-          proto, 100 + i, keys.signers[i].get(), keys.verifier,
+          proto, 100 + i, keys.signers[i].get(),
+          std::make_shared<crypto::CachingVerifier>(keys.verifier),
           [&decisions, i](ProcessId, const bft::VectorDecision& d) {
             decisions.emplace(i, d);
           });
@@ -236,7 +239,9 @@ TEST(LaggardIntegration, DecideReachesProcessStuckInInitPhase) {
   for (std::uint32_t i = 0; i < 4; ++i) {
     world.set_actor(ProcessId{i},
                     std::make_unique<bft::BftProcess>(
-                        proto, 100 + i, keys.signers[i].get(), keys.verifier,
+                        proto, 100 + i, keys.signers[i].get(),
+                        std::make_shared<crypto::CachingVerifier>(
+                            keys.verifier),
                         [&decisions, i](ProcessId, const bft::VectorDecision& d) {
                           decisions.emplace(i, d);
                         }));

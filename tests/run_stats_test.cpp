@@ -8,7 +8,8 @@
 //    seed agree on every key but wall_us;
 //  * after p0 is killed and restarted, the one-replica tallies come from
 //    a replica that ran the whole run, not from p0's second life;
-//  * an overloaded run reports the BUSY frames its replicas sent.
+//  * an overloaded run reports the BUSY frames its replicas sent;
+//  * the client latency percentiles are nearest-rank.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -157,11 +158,20 @@ TEST(RunStats, WitnessTalliesSurviveAKillRestartOfP0) {
   EXPECT_EQ(p.slots_committed, r.committed.at(1));
 }
 
+TEST(RunStats, ClientPercentilesAreNearestRank) {
+  client::ClientStats c;
+  for (SimTime us = 1; us <= 10; ++us) c.latencies_us.push_back(us);
+  runtime::ClientSummary summary;
+  summary.fold({&c});
+  // Rank ⌈q·N⌉ of N = 10: 5, 10 and 10.
+  EXPECT_EQ(summary.p50_us, 5u);
+  EXPECT_EQ(summary.p99_us, 10u);
+  EXPECT_EQ(summary.p999_us, 10u);
+}
+
 TEST(RunStats, OverloadCountsTheBusyFramesReplicasSent) {
   faults::SmrScenarioConfig sc = live_scenario(3);
   sc.crashes.clear();
-  sc.clients->open_loop = true;
-  sc.clients->interval = 200;
   sc.clients->max_outstanding = 8;
   sc.clients->ops_per_client = 12;
   sc.clients->max_pending = 2;  // tiny admission bound: shedding guaranteed

@@ -13,6 +13,7 @@
 #include "bft/bft_consensus.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
+#include "crypto/verify_cache.hpp"
 #include "faults/byzantine.hpp"
 #include "faults/link_fault.hpp"
 #include "transport/tcp_cluster.hpp"
@@ -142,8 +143,10 @@ TEST(TcpChaos, ConsensusSurvivesEveryLinkKilledAcrossSeeds) {
     std::mutex mu;
     std::map<std::uint32_t, bft::VectorDecision> decisions;
     for (std::uint32_t i = 0; i < kN; ++i) {
+      // Each process memoizes its own verdicts, as the scenario runner's.
       auto proc = std::make_unique<bft::BftProcess>(
-          proto, 800 + i, keys.signers[i].get(), keys.verifier,
+          proto, 800 + i, keys.signers[i].get(),
+          std::make_shared<crypto::CachingVerifier>(keys.verifier),
           [&mu, &decisions, i](ProcessId, const bft::VectorDecision& d) {
             std::lock_guard<std::mutex> lock(mu);
             decisions.emplace(i, d);

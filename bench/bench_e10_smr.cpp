@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/hmac_signer.hpp"
-#include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
 #include "smr/replica.hpp"
 
@@ -45,9 +44,6 @@ void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
     bft_cfg.n = n;
     bft_cfg.f = bft::max_tolerated_faults(n);
 
-    std::vector<std::optional<SimTime>> crash_times(n, std::nullopt);
-    if (one_silent) crash_times[n - 1] = SimTime{0};
-
     std::vector<smr::Replica*> replicas(n, nullptr);
     SimTime last_commit = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -57,13 +53,11 @@ void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
       cfg.bft = bft_cfg;
       cfg.signer = keys.signers[i].get();
       cfg.verifier = keys.verifier;
-      cfg.detector =
-          std::make_shared<fd::OracleDetector>(crash_times, fd::OracleConfig{});
       auto replica = std::make_unique<smr::Replica>(
           cfg, workload(kCommands), smr::CommitFn{});
       replicas[i] = replica.get();
       world.set_actor(ProcessId{i}, std::move(replica));
-      if (crash_times[i].has_value()) world.crash_at(ProcessId{i}, 0);
+      if (one_silent && i == n - 1) world.crash_at(ProcessId{i}, 0);
     }
     world.run();
 

@@ -158,6 +158,7 @@ void Client::handle_busy(sim::Context& ctx, ProcessId from, Reader& r) {
   ctx.cancel_timer(p.timer);
   timers_.erase(p.timer);
   arm_retry(ctx, busy.seq, p);
+  p.shed = true;
 }
 
 Bytes Client::seq_bound_frame(std::uint32_t self) const {
@@ -225,6 +226,17 @@ void Client::accept(sim::Context& ctx, std::uint64_t seq,
   timers_.erase(it->second.timer);
   pending_.erase(it);
   log_debug("client ", ctx.id(), " certified seq ", seq);
+  // A certification shows the replicas' queue moves again: a shed op
+  // would otherwise sit out its doubled BUSY backoff (up to 16 ×
+  // retry_base) after the queue drained.  Timeout backoff is kept.
+  for (auto& [shed_seq, p] : pending_) {
+    if (!p.shed) continue;
+    p.shed = false;
+    p.delay = config_.retry_base;
+    ctx.cancel_timer(p.timer);
+    timers_.erase(p.timer);
+    arm_retry(ctx, shed_seq, p);
+  }
   submit_next(ctx);
   maybe_finish(ctx);
 }
@@ -253,6 +265,7 @@ void Client::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   // Timeout: the contact is dead, partitioned, or Byzantine-silent.
   ++stats_.retries;
   ++p.attempts;
+  p.shed = false;
   note_unresponsive(ctx);
   p.delay = std::min<SimTime>(retry_cap_, p.delay * 2);
   send_request(ctx, seq, p);

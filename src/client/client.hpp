@@ -17,7 +17,9 @@
 //              Byzantine one feeding useless frames) still gets rotated
 //              away from, it cannot pin the client by staying "alive";
 //   back off — a BUSY frame (replica shedding load) doubles the current
-//              backoff instead of hammering the loaded replica.
+//              backoff instead of hammering the loaded replica; the next
+//              certification shows the queue moves again, so it re-arms
+//              every shed op's retry at retry_base.
 //
 // Replies never carry authority on their own: a Byzantine contact can
 // drop, delay, or forge them, and the certification rule is what turns
@@ -158,6 +160,7 @@ class Client final : public sim::Actor {
     SimTime sent_at = 0;       // first submission (latency anchor)
     std::uint64_t timer = 0;   // armed retry timer
     SimTime delay = 0;         // current backoff
+    bool shed = false;         // the armed timer came from a BUSY
     std::uint32_t attempts = 0;
     /// Certification tally: exact reply frame bytes → replicas that sent
     /// them.  Byte-equality is the matching rule — correct replicas

@@ -117,6 +117,9 @@ struct FaultSpec {
 /// `*after_commit`, however fast or slow the host runs.  Nothing it would
 /// send from then on leaves, that slot's replies and checkpoint vote
 /// included.  `at` is unused.
+///
+/// Only the substrate acts on a spec: no SMR replica is told of it, and a
+/// survivor learns of the kill from the victim's silence.
 struct CrashSpec {
   ProcessId who;
   /// Microseconds from run start (substrate clock domain).

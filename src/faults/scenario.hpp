@@ -218,9 +218,10 @@ struct SmrScenarioConfig : ScenarioSettings {
   /// together with that writer.
   std::uint64_t slots = 5;
   smr::Backend backend = smr::Backend::kCrashHurfinRaynal;
-  /// Crash backend: replicas halted mid-run (also fed to the oracle ◇S).
+  /// Replicas halted mid-run, on either back-end.  Only the substrate and
+  /// the evaluation read this schedule: no replica is told of it (the
+  /// crash back-end's ◇M finds a crash in the replica's own traffic).
   std::vector<CrashSpec> crashes;
-  fd::OracleConfig oracle{};
   /// Preloaded commands, handed to every replica at construction; defaults
   /// to the canonical 5-command KV workload.  The run ends once every
   /// correct replica applied all of them.  Must stay empty with `clients`

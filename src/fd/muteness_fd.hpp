@@ -11,8 +11,18 @@
 //   * eventual accuracy — under partial synchrony the per-peer timeout,
 //     doubled at every false suspicion, eventually exceeds the true
 //     inter-message bound, so correct processes stop being suspected.
+//
+// Two owners.  The transformed Byzantine protocol gives every consensus
+// instance its own detector, fed that instance's messages and told of its
+// rounds.  The crash back-end of smr::Replica gives each replica life one
+// detector, fed every frame a replica sends it and read by every
+// Hurfin–Raynal slot; a crash is the special case of muteness where the
+// peer stops sending everything.  That replica pauses the detector while
+// it runs no slot (nobody reads it then, and an idle peer has nothing to
+// say), and the paused span is left out of every peer's silence.
 #pragma once
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -40,6 +50,15 @@ class MutenessDetector final : public CrashDetector {
   /// progress.
   void on_new_round(SimTime now);
 
+  /// The querier runs no protocol instance: silence stops counting until
+  /// resume().  A no-op while paused.
+  void pause(SimTime now);
+
+  /// Silence counts again.  The paused span is left out of every peer's
+  /// silence, not restarted: silence built up before the pause still
+  /// counts.  A no-op while running.
+  void resume(SimTime now);
+
   /// True iff `q` is currently suspected mute.
   bool suspects(ProcessId q, SimTime now) override;
 
@@ -47,13 +66,20 @@ class MutenessDetector final : public CrashDetector {
 
  private:
   struct Peer {
-    SimTime last_activity = 0;
+    SimTime last_activity = 0;  // on the running clock
     SimTime timeout = 0;
     bool suspected_now = false;
   };
 
+  /// `now` on a clock that stands still while paused.
+  SimTime running_clock(SimTime now) const {
+    return (paused_at_ ? *paused_at_ : now) - paused_total_;
+  }
+
   ProcessId self_;
   std::vector<Peer> peers_;
+  SimTime paused_total_ = 0;            // length of every finished pause
+  std::optional<SimTime> paused_at_;    // set while paused
 };
 
 }  // namespace modubft::fd

@@ -1,47 +1,20 @@
 #include "fd/oracle_fd.hpp"
 
-#include <limits>
-
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace modubft::fd {
 
-namespace {
-constexpr SimTime kNotYet = std::numeric_limits<SimTime>::max();
-}  // namespace
-
-KillInstants::KillInstants(std::uint32_t n) : at_(n) {
-  for (std::atomic<SimTime>& a : at_) a.store(kNotYet);
-}
-
-void KillInstants::record(ProcessId who, SimTime at) {
-  MODUBFT_EXPECTS(who.value < at_.size() && at != kNotYet);
-  SimTime expected = kNotYet;
-  at_[who.value].compare_exchange_strong(expected, at);
-}
-
-std::optional<SimTime> KillInstants::at(ProcessId who) const {
-  if (who.value >= at_.size()) return std::nullopt;
-  const SimTime t = at_[who.value].load();
-  if (t == kNotYet) return std::nullopt;
-  return t;
-}
-
 OracleDetector::OracleDetector(std::vector<std::optional<SimTime>> crash_times,
-                               OracleConfig config,
-                               std::shared_ptr<const KillInstants> fired)
-    : crash_times_(std::move(crash_times)),
-      config_(config),
-      fired_(std::move(fired)) {
+                               OracleConfig config)
+    : crash_times_(std::move(crash_times)), config_(config) {
   MODUBFT_EXPECTS(config_.mistake_window > 0);
 }
 
 bool OracleDetector::suspects(ProcessId q, SimTime now) {
   if (q.value >= crash_times_.size()) return false;
 
-  std::optional<SimTime> crash = crash_times_[q.value];
-  if (!crash.has_value() && fired_) crash = fired_->at(q);
+  const std::optional<SimTime>& crash = crash_times_[q.value];
   if (crash.has_value() && now >= *crash + config_.detection_lag) {
     return true;  // completeness
   }

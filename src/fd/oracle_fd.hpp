@@ -9,13 +9,13 @@
 //     time window, so runs replay); from `stabilization_time` on, no
 //     correct process is ever suspected (eventually-perfect ⊂ ◇S).
 // This makes failure-detector *quality* an experiment parameter, which is
-// exactly what E1's mistake-rate sweep needs.  A kill that fires on the
-// victim's progress has no instant before the run; the oracle reads it
-// from a shared KillInstants once the kill fired.
+// exactly what the mistake-rate sweeps of E1 and E7 need.  Only the
+// one-shot crash scenarios (faults::run_crash_scenario) and tests that
+// drive a consensus actor directly use it: no deployment knows the crash
+// schedule, so the SMR crash back-end runs a ◇M detector fed by its own
+// traffic instead (fd/muteness_fd.hpp).
 #pragma once
 
-#include <atomic>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -41,39 +41,18 @@ struct OracleConfig {
   std::uint64_t seed = 1;
 };
 
-/// The instants of the kills that fire on the victim's progress
-/// (faults::CrashSpec::after_commit), learned while the run goes.  The
-/// kill hook records each on the victim's thread; every replica's oracle
-/// reads them, on any thread.
-class KillInstants {
- public:
-  explicit KillInstants(std::uint32_t n);
-
-  /// Records that `who` was killed at `at`; the first record wins.
-  void record(ProcessId who, SimTime at);
-  /// The recorded kill instant of `who`, if its kill fired.
-  std::optional<SimTime> at(ProcessId who) const;
-
- private:
-  std::vector<std::atomic<SimTime>> at_;  // kNotYet until recorded
-};
-
 class OracleDetector final : public CrashDetector {
  public:
   /// `crash_times[i]` is the crash instant of p_{i+1}, or nullopt if the
-  /// process never crashes at a set time.  `fired`, when given, holds the
-  /// instants of progress kills: such a process is suspected from its
-  /// kill plus `detection_lag`, as a timed one is.
+  /// process never crashes.
   OracleDetector(std::vector<std::optional<SimTime>> crash_times,
-                 OracleConfig config,
-                 std::shared_ptr<const KillInstants> fired = nullptr);
+                 OracleConfig config);
 
   bool suspects(ProcessId q, SimTime now) override;
 
  private:
   std::vector<std::optional<SimTime>> crash_times_;
   OracleConfig config_;
-  std::shared_ptr<const KillInstants> fired_;
 };
 
 }  // namespace modubft::fd

@@ -46,7 +46,11 @@ std::vector<consensus::Value> default_proposals(
 /// (40 ms / 10 ms of *virtual* time).  On the wall-clock substrates the
 /// same numbers race the OS scheduler, so the runner widens them to values
 /// the threaded tests have validated: the ◇M timeout only when the caller
-/// left it at the default, the poll period always.
+/// left it at the default, the poll period always.  Only the transformed
+/// protocol's detectors, which every instance starts afresh, are widened:
+/// the SMR crash back-end's one detector per replica life learns its
+/// timeouts once, and a 2 s timeout would stall clients behind a crashed
+/// coordinator.
 fd::MutenessConfig tune_muteness(fd::MutenessConfig muteness,
                                  runtime::Backend backend) {
   if (backend == runtime::Backend::kSim) return muteness;
@@ -430,26 +434,17 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   crypto::SignatureSystem keys =
       make_keys(config.scheme, config.n + num_clients, config.seed);
 
-  // crash_times holds the timed kills; killed marks every scheduled kill,
-  // a progress kill (CrashSpec::after_commit) included.
-  std::vector<std::optional<SimTime>> crash_times(config.n);
+  // killed marks every scheduled kill, a progress kill
+  // (CrashSpec::after_commit) included.  Only the substrate and the
+  // evaluation read the schedule: each replica finds crashes in its own
+  // traffic.
   std::vector<CrashSpec> crash_specs(config.n);
   std::vector<bool> killed(config.n, false);
-  // The crash back-end's oracles learn a progress kill's instant from here
-  // once it fired.
-  std::shared_ptr<fd::KillInstants> kill_instants;
   for (const CrashSpec& c : config.crashes) {
     MODUBFT_EXPECTS(c.who.value < config.n);
     MODUBFT_EXPECTS(!c.restart_at.has_value() ||
                     (checkpointing && (c.after_commit.has_value() ||
                                        *c.restart_at > c.at)));
-    if (c.after_commit.has_value()) {
-      if (!kill_instants) {
-        kill_instants = std::make_shared<fd::KillInstants>(config.n);
-      }
-    } else {
-      crash_times[c.who.value] = c.at;
-    }
     killed[c.who.value] = true;
     crash_specs[c.who.value] = c;
   }
@@ -493,12 +488,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
     rcfg.window = config.window;
     rcfg.batch = config.batch;
     rcfg.retry_delay = retry_delay;
-    if (config.backend == smr::Backend::kCrashHurfinRaynal) {
-      fd::OracleConfig oracle = config.oracle;
-      oracle.seed = config.oracle.seed ^ (0x1000 + i);
-      rcfg.detector = std::make_shared<fd::OracleDetector>(
-          crash_times, oracle, kill_instants);
-    } else {
+    if (config.backend == smr::Backend::kByzantine) {
       rcfg.bft.n = config.n;
       rcfg.bft.f = config.f;
       rcfg.bft.muteness = tune_muteness(fd::MutenessConfig{}, config.substrate);
@@ -574,13 +564,13 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
   // the trigger (it commits every slot in order, so that is the trigger
   // slot itself).
   auto kill_on_commit = [&](std::uint32_t i) -> smr::CommitFn {
-    return [&world, &kill_instants, who = ProcessId{i},
+    return [&world, who = ProcessId{i},
             trigger = *crash_specs[i].after_commit,
             fired = false](InstanceId slot, const smr::Command*,
                            const smr::KvStore&) mutable {
       if (fired || slot.value < trigger) return;
       fired = true;
-      kill_instants->record(who, world->kill(who));
+      world->kill(who);
     };
   };
 

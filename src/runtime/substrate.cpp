@@ -62,7 +62,7 @@ class SimSubstrate final : public Substrate {
     crash_scheduled_.erase(spec.who.value);
   }
 
-  SimTime kill(ProcessId who) override {
+  void kill(ProcessId who) override {
     world_->crash_now(who);
     auto it = triggered_restarts_.find(who.value);
     if (it != triggered_restarts_.end()) {
@@ -70,7 +70,6 @@ class SimSubstrate final : public Substrate {
                          std::move(it->second.factory));
       triggered_restarts_.erase(it);
     }
-    return world_->now();
   }
 
   void set_delivery_tap(
@@ -171,7 +170,7 @@ class WallClockSubstrate final : public Substrate {
                           std::move(factory));
   }
 
-  SimTime kill(ProcessId who) override { return cluster_->crash_now(who); }
+  void kill(ProcessId who) override { cluster_->crash_now(who); }
 
   void set_delivery_tap(
       std::function<void(const sim::Delivery&)> tap) override {

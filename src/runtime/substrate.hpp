@@ -223,10 +223,10 @@ class Substrate {
       = 0;
 
   /// The progress-kill hook: halts `who`, whose spec passed to crash()
-  /// carries `after_commit`, at once, and returns the instant in the
-  /// substrate's clock.  Call it only from `who`'s own callback; whatever
-  /// that callback sends afterwards is suppressed.
-  virtual SimTime kill(ProcessId who) = 0;
+  /// carries `after_commit`, at once.  Call it only from `who`'s own
+  /// callback; whatever that callback sends afterwards is suppressed.
+  /// Nothing else learns of the kill: peers find it in their own traffic.
+  virtual void kill(ProcessId who) = 0;
 
   /// Optional observer invoked on every delivery, before the receiving
   /// actor's on_message.  On the threaded backends calls are serialized by

@@ -95,9 +95,7 @@ Replica::Replica(ReplicaConfig config, std::vector<Command> workload,
   MODUBFT_EXPECTS(config_.window >= 1);
   MODUBFT_EXPECTS(config_.batch >= 1);
   MODUBFT_EXPECTS(config_.retry_delay > 0);
-  if (config_.backend == Backend::kCrashHurfinRaynal) {
-    MODUBFT_EXPECTS(config_.detector != nullptr);
-  } else {
+  if (config_.backend == Backend::kByzantine) {
     MODUBFT_EXPECTS(config_.signer != nullptr);
     MODUBFT_EXPECTS(config_.verifier != nullptr);
     // One cache for this life's slots and units: a fresh instance starts
@@ -146,7 +144,7 @@ std::unique_ptr<sim::Actor> Replica::make_instance_actor(std::uint64_t slot) {
   // guaranteed identical across correct replicas.
   if (config_.backend == Backend::kCrashHurfinRaynal) {
     return std::make_unique<consensus::HurfinRaynalActor>(
-        config_.n, proposal, config_.detector,
+        config_.n, proposal, detector_,
         [this, slot](ProcessId, const consensus::Decision& d) {
           decide(slot, {d.value});
         });
@@ -170,6 +168,15 @@ void Replica::decide(std::uint64_t slot, std::vector<std::uint64_t> ids) {
 }
 
 void Replica::on_start(sim::Context& ctx) {
+  if (config_.backend == Backend::kCrashHurfinRaynal) {
+    // A fresh life has heard nobody yet, and it runs no slot.  The default
+    // 40 ms timeout holds on every substrate: it doubles per false
+    // suspicion and this detector lives as long as the replica.
+    detector_ = std::make_shared<fd::MutenessDetector>(
+        config_.n, ctx.id(), fd::MutenessConfig{});
+    detector_->on_new_round(ctx.now());
+    detector_->pause(ctx.now());
+  }
   // A restarted replica fetches a certified checkpoint before touching
   // the window.
   if (ckpt_ && ckpt_->start(ctx, next_commit_)) return;
@@ -301,6 +308,16 @@ void Replica::pump(sim::Context& ctx) {
     }
     if (fill_window(ctx)) progress = true;
   }
+  // Silence counts only while a slot runs: an idle replica reads no
+  // detector, and its peers may be idle too.
+  if (detector_) {
+    if (std::any_of(slots_.begin(), slots_.end(),
+                    [](const auto& s) { return s.second.actor != nullptr; })) {
+      detector_->resume(ctx.now());
+    } else {
+      detector_->pause(ctx.now());
+    }
+  }
 }
 
 void Replica::maybe_checkpoint(sim::Context& ctx) {
@@ -379,6 +396,10 @@ void Replica::route_control(sim::Context& ctx, ProcessId from,
 
 void Replica::on_message(sim::Context& ctx, ProcessId from,
                          const Bytes& payload) {
+  // Any frame from a replica, consensus or control, shows it is not mute.
+  if (detector_ && from.value < config_.n) {
+    detector_->on_protocol_message(from, ctx.now());
+  }
   std::uint64_t slot = 0;
   Bytes inner;
   try {

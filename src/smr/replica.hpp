@@ -46,6 +46,13 @@
 // delivery batch is dispatched message by message, in arrival order, by
 // the base sim::Actor::on_batch.
 //
+// Failure detection.  The crash back-end builds one ◇M detector per
+// replica life (fd/muteness_fd.hpp): every frame a replica sends this one,
+// consensus or control, feeds it, and every Hurfin–Raynal slot reads it.
+// It is paused while the replica runs no slot, and nobody hands a replica
+// the crash schedule.  The Byzantine back-end's slots each run their own
+// ◇M inside the transformed protocol.
+//
 // The replica is the slot pipeline.  Three units it owns run the rest,
 // and none of them reads another's state:
 //   CommandTable   — each command's state (bodies, committed set,
@@ -71,7 +78,7 @@
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/verify_cache.hpp"
-#include "fd/failure_detector.hpp"
+#include "fd/muteness_fd.hpp"
 #include "sim/actor.hpp"
 #include "smr/checkpointer.hpp"
 #include "smr/client_service.hpp"
@@ -110,9 +117,6 @@ struct ReplicaConfig {
   /// per silent retry, capped at 16x) and the missing-body fetch.  Both
   /// re-ask peers for state known to exist somewhere.
   SimTime retry_delay = 20'000;
-
-  // Crash back-end.
-  std::shared_ptr<fd::CrashDetector> detector;
 
   // Byzantine back-end.
   bft::BftConfig bft;
@@ -305,6 +309,8 @@ class Replica final : public sim::Actor {
   // Byzantine back-end: one verification cache for this life's slot
   // instances and units.
   std::shared_ptr<crypto::CachingVerifier> vcache_;
+  // Crash back-end: this life's ◇M, built in on_start (it needs our id).
+  std::shared_ptr<fd::MutenessDetector> detector_;
   PipelineStats pstats_;
   std::atomic<std::uint64_t> live_applied_{0};
 

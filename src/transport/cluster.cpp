@@ -156,7 +156,7 @@ void Cluster::crash_on_trigger(ProcessId id) {
   nodes_[id.value]->crash_on_trigger = true;
 }
 
-SimTime Cluster::crash_now(ProcessId id) {
+void Cluster::crash_now(ProcessId id) {
   MODUBFT_EXPECTS(id.value < config_.n);
   Node& node = *nodes_[id.value];
   MODUBFT_EXPECTS(node.crash_on_trigger);
@@ -166,9 +166,6 @@ SimTime Cluster::crash_now(ProcessId id) {
   if (node.restart_delay.has_value()) {
     node.restart_at = now + *node.restart_delay;
   }
-  return static_cast<SimTime>(
-      std::chrono::duration_cast<std::chrono::microseconds>(now - epoch_)
-          .count());
 }
 
 void Cluster::set_restart(ProcessId id, std::chrono::microseconds after,

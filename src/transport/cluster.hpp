@@ -71,10 +71,10 @@ class Cluster {
   void crash_on_trigger(ProcessId id);
 
   /// The progress-kill hook of a node given to crash_on_trigger: halts it
-  /// now and returns the instant (µs since the run epoch).  Call it only
-  /// from that node's own callback, so no other thread touches its state;
-  /// whatever the callback sends from then on is suppressed.
-  SimTime crash_now(ProcessId id);
+  /// now.  Call it only from that node's own callback, so no other thread
+  /// touches its state; whatever the callback sends from then on is
+  /// suppressed.
+  void crash_now(ProcessId id);
 
   /// Schedules a restart of a node previously given to crash_after or
   /// crash_on_trigger: at `after` (from the run epoch, > the crash

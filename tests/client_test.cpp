@@ -6,6 +6,7 @@
 //    length, and a replica rejects a frame of the unassigned kind 9;
 //  * a client keeps max_outstanding ops in flight: that many REQUESTs on
 //    start, one more per certification, and no timer but retry timers;
+//  * a certification ends a BUSY backoff, not a timeout's;
 //  * snapshot client-table section: round trip, and byte-identity with
 //    the pre-client encoding when no client has ever been admitted;
 //  * end-to-end closed-loop runs on both backends with the exactly-once
@@ -177,7 +178,10 @@ class RecordingContext final : public sim::Context {
   void broadcast(const Bytes& payload) override {
     broadcasts.push_back(payload);
   }
-  std::uint64_t set_timer(SimTime) override { return ++timers_armed; }
+  std::uint64_t set_timer(SimTime delay) override {
+    timer_delays.push_back(delay);
+    return ++timers_armed;
+  }
   void cancel_timer(std::uint64_t) override {}
   Rng& rng() override { return rng_; }
   void stop() override {}
@@ -185,6 +189,7 @@ class RecordingContext final : public sim::Context {
   std::vector<Bytes> sent;
   std::vector<Bytes> broadcasts;
   std::uint64_t timers_armed = 0;
+  std::vector<SimTime> timer_delays;  // of every armed timer, in order
 
  private:
   ProcessId self_;
@@ -237,6 +242,49 @@ TEST(ClientInFlight, KeepsMaxOutstandingOpsInFlight) {
   EXPECT_TRUE(c.finished());
   EXPECT_EQ(c.stats().submitted, cfg.ops.size());
   EXPECT_EQ(c.stats().accepted, cfg.ops.size());
+}
+
+// A BUSY doubles the shed op's backoff (up to 16 × retry_base), and the
+// next certification re-arms that op at retry_base: the queue that shed
+// it moves again.  A timeout's backoff is kept.
+TEST(ClientBackoff, CertificationEndsABusyBackoff) {
+  client::ClientConfig cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  for (int i = 0; i < 3; ++i) {
+    cfg.ops.push_back(
+        {smr::Command::Op::kPut, "k" + std::to_string(i), "v"});
+  }
+  cfg.max_outstanding = 3;
+  client::Client c(cfg);
+  RecordingContext ctx(4);
+  c.on_start(ctx);  // seqs 1..3, timers 1..3
+  auto certify = [&](std::uint64_t seq) {
+    const client::ClientOp& op = cfg.ops[seq - 1];
+    const Bytes reply = smr::encode_control_reply(
+        {seq, smr::make_client_cmd_id(4, seq), seq, op.op, op.key, op.value});
+    c.on_message(ctx, ProcessId{0}, reply);
+    c.on_message(ctx, ProcessId{1}, reply);
+  };
+
+  // Seq 2 is shed four times: its backoff reaches the 16× cap.
+  for (int i = 0; i < 4; ++i) {
+    c.on_message(ctx, ProcessId{0}, smr::encode_control_busy({2, 4}));
+  }
+  ASSERT_EQ(ctx.timers_armed, 7u);
+  EXPECT_GE(ctx.timer_delays.back(), 16 * cfg.retry_base);
+  // Seq 3 times out once: its backoff doubles.
+  c.on_timer(ctx, 3);
+  ASSERT_EQ(ctx.timers_armed, 8u);
+  EXPECT_GE(ctx.timer_delays.back(), 2 * cfg.retry_base);
+
+  // Seq 1 certifies: only seq 2's timer is re-armed, at retry_base plus
+  // at most a quarter of jitter.
+  certify(1);
+  ASSERT_EQ(ctx.timers_armed, 9u);
+  EXPECT_LE(ctx.timer_delays.back(), cfg.retry_base * 5 / 4);
+  EXPECT_EQ(c.stats().busy, 4u);
+  EXPECT_EQ(c.stats().retries, 1u);
 }
 
 TEST(ClientSeqBound, FinishedClientBroadcastsItsScriptLength) {

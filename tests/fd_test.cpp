@@ -1,5 +1,5 @@
 // Unit tests for the failure detectors: oracle ◇S, heartbeat ◇P/◇S,
-// muteness ◇M.
+// muteness ◇M and its idle rule (pause/resume).
 #include <gtest/gtest.h>
 
 #include "fd/heartbeat_fd.hpp"
@@ -190,6 +190,34 @@ TEST(MutenessFd, MuteCompletenessPermanent) {
   fd.on_protocol_message(ProcessId{1}, 0);
   for (SimTime t = 10'000; t < 500'000; t += 7000) {
     EXPECT_TRUE(fd.suspects(ProcessId{1}, t));
+  }
+}
+
+// The idle rule of the SMR crash back-end: its replica pauses the
+// detector while it runs no slot.  A peer that is silent only during the
+// pause is trusted when the querier resumes.
+TEST(MutenessFd, SilenceWhilePausedIsNotCounted) {
+  MutenessDetector fd(2, ProcessId{0}, MutenessConfig{});  // 40 ms
+  fd.on_protocol_message(ProcessId{1}, 10'000);
+  fd.pause(10'000);
+  fd.resume(5'000'000);
+  EXPECT_FALSE(fd.suspects(ProcessId{1}, 5'000'000));
+  EXPECT_FALSE(fd.suspects(ProcessId{1}, 5'040'000));
+  EXPECT_TRUE(fd.suspects(ProcessId{1}, 5'040'001));
+}
+
+// Resuming leaves the pause out of a peer's silence but does not restart
+// it: 30 ms of silence before a pause of any length, and the peer is
+// suspected just after 10 ms more.
+TEST(MutenessFd, SilenceBeforeAPauseStillCounts) {
+  for (SimTime gap : {SimTime{0}, SimTime{1}, SimTime{50'000},
+                      SimTime{10'000'000}}) {
+    MutenessDetector fd(2, ProcessId{0}, MutenessConfig{});  // 40 ms
+    fd.on_protocol_message(ProcessId{1}, 0);
+    fd.pause(30'000);
+    fd.resume(30'000 + gap);
+    EXPECT_FALSE(fd.suspects(ProcessId{1}, 30'000 + gap + 10'000)) << gap;
+    EXPECT_TRUE(fd.suspects(ProcessId{1}, 30'000 + gap + 10'001)) << gap;
   }
 }
 

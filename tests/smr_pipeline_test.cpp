@@ -20,7 +20,6 @@
 #include "consensus/messages.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
-#include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/replica.hpp"
@@ -351,8 +350,6 @@ TEST(SmrPipeline, FloodedFutureSlotStillBuffersACorrectPeersEnvelope) {
   cfg.n = kN;
   cfg.backend = Backend::kCrashHurfinRaynal;
   cfg.window = 1;
-  cfg.detector = std::make_shared<fd::OracleDetector>(
-      std::vector<std::optional<SimTime>>(kN), fd::OracleConfig{});
   Replica replica(cfg, faults::sample_workload(), CommitFn{});
   StubContext stub;
   replica.on_start(stub);  // slot 0 starts; slot 5 is within the horizon

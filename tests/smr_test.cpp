@@ -7,7 +7,6 @@
 #include "crypto/hmac_signer.hpp"
 #include "faults/byzantine.hpp"
 #include "faults/scenario.hpp"
-#include "fd/oracle_fd.hpp"
 #include "sim/simulation.hpp"
 #include "smr/replica.hpp"
 
@@ -60,13 +59,9 @@ void run_crash_smr(std::uint32_t n, std::uint64_t seed,
 
   std::vector<Replica*> replicas(n, nullptr);
   for (std::uint32_t i = 0; i < n; ++i) {
-    fd::OracleConfig oracle;
-    auto detector =
-        std::make_shared<fd::OracleDetector>(crash_times, oracle);
     ReplicaConfig cfg;
     cfg.n = n;
     cfg.backend = Backend::kCrashHurfinRaynal;
-    cfg.detector = detector;
     auto replica =
         std::make_unique<Replica>(cfg, sample_workload(), CommitFn{});
     replicas[i] = replica.get();

@@ -27,6 +27,11 @@ std::vector<Command> workload(std::uint64_t count) {
   return out;
 }
 
+// Each case runs seeds 1..kSeeds, one per iteration: the iteration count is
+// pinned at registration, so every counter is a mean over this fixed seed
+// set and two runs of the binary print the same counters.
+constexpr std::int64_t kSeeds = 20;
+
 void run_case(benchmark::State& state, smr::Backend backend, std::uint32_t n,
               bool one_silent) {
   constexpr std::uint64_t kCommands = 10;
@@ -95,9 +100,11 @@ void register_all() {
                            "/n:" + std::to_string(n) +
                            (silent ? "/one_silent" : "/all_up");
         benchmark::RegisterBenchmark(
-            name.c_str(), [backend, n, silent](benchmark::State& st) {
+            name.c_str(),
+            [backend, n, silent](benchmark::State& st) {
               run_case(st, backend, n, silent);
-            });
+            })
+            ->Iterations(kSeeds);
       }
     }
   }

@@ -16,9 +16,10 @@
 //
 // `--out FILE` switches to a self-timed summary mode instead of the
 // google-benchmark harness: it times the cached and uncached verify pass
-// per (n, rounds) configuration and writes a compact JSON report (the
-// BENCH_e15.json artifact emitted by scripts/run_benches.sh).  All other
-// flags fall through to google-benchmark as before.
+// per (n, rounds) configuration over 5 reps (a fresh workload each) and
+// writes a compact JSON report (the BENCH_e15.json artifact emitted by
+// scripts/run_benches.sh) with each row's median and IQR, `nproc` and the
+// build type.  All other flags fall through to google-benchmark as before.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -30,7 +31,10 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_json.hpp"
+#include "bench_smr.hpp"
 
 #include "bft/analyzer.hpp"
 #include "bft/message.hpp"
@@ -299,13 +303,15 @@ BENCHMARK(BM_EncodeDecide)
 
 // ------------------------------------------------- summary mode (--out)
 
+constexpr int kReps = 5;
+
 struct SummaryRow {
   std::uint32_t n = 0;
   std::uint32_t rounds = 0;
-  double checks_per_sec_uncached = 0;
-  double checks_per_sec_cached = 0;
-  double speedup = 0;
-  crypto::VerifyCacheStats cache;
+  std::vector<double> rep_uncached;  // checks per second, per rep
+  std::vector<double> rep_cached;
+  std::vector<double> rep_speedup;   // cached / uncached within each rep
+  crypto::VerifyCacheStats cache;    // the last rep's cached pass
 };
 
 /// Times repeated verify passes: at least `min_iters` passes and at least
@@ -339,23 +345,36 @@ SummaryRow run_summary(std::uint32_t n, std::uint32_t rounds) {
   SummaryRow row;
   row.n = n;
   row.rounds = rounds;
-
-  Workload w = make_workload(Scheme::kHmac, n, rounds);
-  {
-    bft::CertAnalyzer analyzer(w.n, w.q, w.sys.verifier);
-    row.checks_per_sec_uncached = time_passes(analyzer, w);
-  }
-  {
+  for (int rep = 0; rep < kReps; ++rep) {
+    // A fresh workload per rep: no message carries a digest memoized by an
+    // earlier rep.
+    Workload w = make_workload(Scheme::kHmac, n, rounds);
+    double uncached = 0;
+    {
+      bft::CertAnalyzer analyzer(w.n, w.q, w.sys.verifier);
+      uncached = time_passes(analyzer, w);
+    }
     auto cache =
         std::make_shared<const crypto::CachingVerifier>(w.sys.verifier);
     bft::CertAnalyzer analyzer(w.n, w.q, cache);
-    row.checks_per_sec_cached = time_passes(analyzer, w);
+    const double cached = time_passes(analyzer, w);
+    row.rep_uncached.push_back(uncached);
+    row.rep_cached.push_back(cached);
+    row.rep_speedup.push_back(uncached > 0 ? cached / uncached : 0);
     row.cache = cache->stats();
   }
-  row.speedup = row.checks_per_sec_uncached > 0
-                    ? row.checks_per_sec_cached / row.checks_per_sec_uncached
-                    : 0;
   return row;
+}
+
+/// Adds `key` (the median), `key_q1`, `key_q3`, `key_iqr` and `rep_key`.
+void spread_fields(benchjson::JsonObject& o, const std::string& key,
+                   const std::vector<double>& reps) {
+  const benchsmr::Spread s = benchsmr::spread(reps);
+  o.field(key, s.median)
+      .field(key + "_q1", s.q1)
+      .field(key + "_q3", s.q3)
+      .field(key + "_iqr", s.iqr());
+  o.raw("rep_" + key, benchsmr::reps_json(reps));
 }
 
 int summary_main(const std::string& out) {
@@ -366,36 +385,44 @@ int summary_main(const std::string& out) {
   const std::vector<std::uint32_t> ns = {4, 7, 10};
   const std::vector<std::uint32_t> round_counts = {1, 3, 5};
 
-  std::printf("E15: certificate fast path, cached vs uncached verify\n");
-  std::printf("%3s %7s %18s %18s %8s\n", "n", "rounds", "uncached chk/s",
-              "cached chk/s", "speedup");
+  std::printf("E15: certificate fast path, cached vs uncached verify, "
+              "median of %d reps\n",
+              kReps);
+  std::printf("%3s %7s %18s %18s %8s %8s\n", "n", "rounds", "uncached chk/s",
+              "cached chk/s", "speedup", "IQR");
 
   benchjson::JsonArray rows;
   double headline = 0;  // n = 7, rounds = 5 (deepest witness chain)
   for (std::uint32_t n : ns) {
     for (std::uint32_t rounds : round_counts) {
       const SummaryRow row = run_summary(n, rounds);
-      if (n == 7 && rounds == 5) headline = row.speedup;
-      std::printf("%3u %7u %18.0f %18.0f %7.2fx\n", n, rounds,
-                  row.checks_per_sec_uncached, row.checks_per_sec_cached,
-                  row.speedup);
+      const benchsmr::Spread speedup = benchsmr::spread(row.rep_speedup);
+      if (n == 7 && rounds == 5) headline = speedup.median;
+      std::printf("%3u %7u %18.0f %18.0f %7.2fx %7.2fx\n", n, rounds,
+                  benchsmr::spread(row.rep_uncached).median,
+                  benchsmr::spread(row.rep_cached).median, speedup.median,
+                  speedup.iqr());
       benchjson::JsonObject o;
       o.field("n", static_cast<std::uint64_t>(row.n))
-          .field("rounds", static_cast<std::uint64_t>(row.rounds))
-          .field("checks_per_sec_uncached", row.checks_per_sec_uncached)
-          .field("checks_per_sec_cached", row.checks_per_sec_cached)
-          .field("speedup", row.speedup)
-          .field("cache_hits", row.cache.cache_hits)
+          .field("rounds", static_cast<std::uint64_t>(row.rounds));
+      spread_fields(o, "checks_per_sec_uncached", row.rep_uncached);
+      spread_fields(o, "checks_per_sec_cached", row.rep_cached);
+      spread_fields(o, "speedup", row.rep_speedup);
+      o.field("cache_hits", row.cache.cache_hits)
           .field("cache_misses", row.cache.cache_misses)
           .field("cache_hit_rate", row.cache.hit_rate());
       rows.add(o.str());
     }
   }
-  std::printf("headline speedup (n=7, rounds=5): %.2fx\n", headline);
+  std::printf("headline median speedup (n=7, rounds=5): %.2fx\n", headline);
 
   benchjson::JsonObject report;
   report.field("experiment", "e15_cert_fastpath")
       .field("scheme", "hmac")
+      .field("reps", static_cast<std::uint64_t>(kReps))
+      .field("nproc",
+             static_cast<std::uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)))
+      .field("build_type", MODUBFT_BUILD_TYPE)
       .field("speedup_n7_rounds5", headline);
   report.raw("rows", rows.str());
   benchjson::write_file(out, report.str());

@@ -3,7 +3,7 @@
 # artifacts at the repo root (BENCH_<id>.json per manifest row below).
 #
 # Every binary encodes its acceptance headline in the exit status
-# (e15: cache speedup ≥ 3× at n=7 rounds=10; e17: threads W4B4 ≥ 2× the
+# (e15: median cache speedup ≥ 3× at n=7 rounds=5; e17: threads W4B4 ≥ 2× the
 # W1B1 commits/sec; e18: checkpointing retains ≥ 60% throughput and every
 # kill/restart rejoins; e19: the W4B4 median ≥ 1.5× the W1B1
 # E17-configuration baseline at n=7/n=10 on both wall-clock substrates;

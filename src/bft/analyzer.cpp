@@ -36,22 +36,24 @@ CertAnalyzer::CertAnalyzer(std::uint32_t n, std::uint32_t quorum,
   MODUBFT_EXPECTS(verifier_ != nullptr);
 }
 
-bool CertAnalyzer::signature_ok(const SignedMessage& msg) const {
-  return verifier_->verify(msg.core.sender, signing_bytes(msg.core, msg.cert),
-                           msg.sig);
+bool signature_valid(const crypto::Verifier& verifier,
+                     const crypto::CachingVerifier* cache,
+                     const SignedMessage& msg) {
+  if (cache) {
+    return cache->verify_digest(
+        msg.core.sender, msg.signing_digest(), msg.sig,
+        [&msg] { return signing_bytes(msg.core, msg.cert); });
+  }
+  return verifier.verify(msg.core.sender, signing_bytes(msg.core, msg.cert),
+                         msg.sig);
 }
 
-bool CertAnalyzer::member_signature_ok(const Certificate& parent,
-                                       std::size_t i) const {
-  const SignedMessage& m = parent.member(i);
-  if (m.core.sender.value >= n_) return false;
-  if (cache_) {
-    return cache_->verify_digest(
-        m.core.sender, parent.member_signing_digest(i), m.sig,
-        [&m] { return signing_bytes(m.core, m.cert); });
-  }
-  return verifier_->verify(m.core.sender, signing_bytes(m.core, m.cert),
-                           m.sig);
+bool CertAnalyzer::signature_ok(const SignedMessage& msg) const {
+  return signature_valid(*verifier_, cache_.get(), msg);
+}
+
+bool CertAnalyzer::member_signature_ok(const SignedMessage& m) const {
+  return m.core.sender.value < n_ && signature_ok(m);
 }
 
 Verdict CertAnalyzer::init_wf(const SignedMessage& msg) const {
@@ -93,7 +95,7 @@ Verdict CertAnalyzer::est_wf_depth(const Certificate& cert,
   for (std::size_t i = 0; i < cert.size(); ++i) {
     const SignedMessage& m = cert.member(i);
     if (m.core.kind != BftKind::kInit) continue;
-    if (!member_signature_ok(cert, i)) {
+    if (!member_signature_ok(m)) {
       return Verdict::fail(FaultKind::kBadCertificate,
                            "INIT member with invalid signature");
     }
@@ -124,7 +126,6 @@ Verdict CertAnalyzer::est_wf_depth(const Certificate& cert,
   // Case B: an adoption chain — exactly one CURRENT carrying the same
   // vector, itself well-formed.
   const SignedMessage* chain = nullptr;
-  std::size_t chain_i = 0;
   for (std::size_t i = 0; i < cert.size(); ++i) {
     const SignedMessage& m = cert.member(i);
     if (m.core.kind != BftKind::kCurrent) continue;
@@ -132,12 +133,11 @@ Verdict CertAnalyzer::est_wf_depth(const Certificate& cert,
       return Verdict::fail(FaultKind::kBadCertificate,
                            "ambiguous est evidence (several CURRENTs)");
     chain = &m;
-    chain_i = i;
   }
   if (chain == nullptr)
     return Verdict::fail(FaultKind::kBadCertificate,
                          "insufficient est evidence");
-  if (!member_signature_ok(cert, chain_i))
+  if (!member_signature_ok(*chain))
     return Verdict::fail(FaultKind::kBadCertificate,
                          "CURRENT member with invalid signature");
   if (chain->core.est != v)
@@ -165,7 +165,7 @@ Verdict CertAnalyzer::entry_wf_depth(const Certificate& cert, Round r,
     const SignedMessage& m = cert.member(i);
     if (m.core.kind != BftKind::kNext) continue;
     if (m.core.round != r.prev()) continue;
-    if (!member_signature_ok(cert, i)) {
+    if (!member_signature_ok(m)) {
       return Verdict::fail(FaultKind::kBadCertificate,
                            "NEXT member with invalid signature");
     }
@@ -176,7 +176,6 @@ Verdict CertAnalyzer::entry_wf_depth(const Certificate& cert, Round r,
   // Relay form: a single nested CURRENT of the same round carries the
   // witness transitively.
   const SignedMessage* chain = nullptr;
-  std::size_t chain_i = 0;
   for (std::size_t i = 0; i < cert.size(); ++i) {
     const SignedMessage& m = cert.member(i);
     if (m.core.kind != BftKind::kCurrent) continue;
@@ -184,12 +183,11 @@ Verdict CertAnalyzer::entry_wf_depth(const Certificate& cert, Round r,
       return Verdict::fail(FaultKind::kBadCertificate,
                            "ambiguous round evidence (several CURRENTs)");
     chain = &m;
-    chain_i = i;
   }
   if (chain == nullptr || chain->core.round != r)
     return Verdict::fail(FaultKind::kBadCertificate,
                          "insufficient round evidence");
-  if (!member_signature_ok(cert, chain_i))
+  if (!member_signature_ok(*chain))
     return Verdict::fail(FaultKind::kBadCertificate,
                          "CURRENT member with invalid signature");
   return entry_wf_depth(chain->cert, r, depth + 1);
@@ -230,7 +228,7 @@ Verdict CertAnalyzer::current_wf_depth(const SignedMessage& msg,
         "relayed CURRENT must carry exactly the adopted CURRENT");
   }
   const SignedMessage& adopted = msg.cert.member(0);
-  if (!member_signature_ok(msg.cert, 0))
+  if (!member_signature_ok(adopted))
     return Verdict::fail(FaultKind::kBadCertificate,
                          "adopted CURRENT with invalid signature");
   if (adopted.core.round != msg.core.round)
@@ -263,12 +261,12 @@ Verdict CertAnalyzer::next_wf(const SignedMessage& msg,
     const SignedMessage& m = msg.cert.member(i);
     if (m.core.round != r) continue;  // older-round context is ignorable
     if (m.core.kind == BftKind::kCurrent) {
-      if (!member_signature_ok(msg.cert, i))
+      if (!member_signature_ok(m))
         return Verdict::fail(FaultKind::kBadCertificate,
                              "CURRENT member with invalid signature");
       current_senders.insert(m.core.sender);
     } else if (m.core.kind == BftKind::kNext) {
-      if (!member_signature_ok(msg.cert, i))
+      if (!member_signature_ok(m))
         return Verdict::fail(FaultKind::kBadCertificate,
                              "NEXT member with invalid signature");
       next_senders.insert(m.core.sender);
@@ -325,7 +323,7 @@ Verdict CertAnalyzer::decide_wf(const SignedMessage& msg) const {
                            "DECIDE certificate contains a CURRENT for a "
                            "different vector");
     }
-    if (!member_signature_ok(msg.cert, i))
+    if (!member_signature_ok(m))
       return Verdict::fail(FaultKind::kBadCertificate,
                            "CURRENT member with invalid signature");
     if (Verdict v = current_wf_depth(m, 1); !v) {

@@ -87,17 +87,26 @@ class CertAnalyzer {
                        std::uint32_t depth) const;
   Verdict entry_wf_depth(const Certificate& cert, Round r,
                          std::uint32_t depth) const;
-  /// Verifies the signature of `parent.member(i)`.  When the verifier is a
-  /// CachingVerifier, the lookup uses the parent's memoized signing digest
-  /// for the member, so a previously-verified member costs one hash-map
-  /// probe — no re-encoding, no hashing, no signature arithmetic.
-  bool member_signature_ok(const Certificate& parent, std::size_t i) const;
+  /// Verifies the signature of a certificate member whose sender is in the
+  /// group.  Through a CachingVerifier the lookup uses the member's
+  /// memoized signing digest, so a previously-verified member costs one
+  /// hash-map probe — no re-encoding, no hashing, no signature arithmetic.
+  bool member_signature_ok(const SignedMessage& m) const;
 
   std::uint32_t n_;
   std::uint32_t quorum_;
   std::shared_ptr<const crypto::Verifier> verifier_;
   std::shared_ptr<const crypto::CachingVerifier> cache_;  // verifier_, typed
 };
+
+/// True iff msg.sig is msg.core.sender's signature over
+/// signing_bytes(msg.core, msg.cert).  `cache` is `verifier` when that is a
+/// verified-signature cache, else nullptr; through it the key is the
+/// message's memoized signing digest, so a message checked before costs
+/// one hash-map probe.
+bool signature_valid(const crypto::Verifier& verifier,
+                     const crypto::CachingVerifier* cache,
+                     const SignedMessage& msg);
 
 /// Rotating-coordinator rule shared with the crash protocol.
 ProcessId bft_coordinator_of(Round r, std::uint32_t n);

@@ -41,10 +41,7 @@ void Certificate::replace(std::size_t i, SignedMessage m) {
   invalidate_digests();
 }
 
-void Certificate::invalidate_digests() {
-  digest_cache_.reset();
-  member_sig_digests_.clear();
-}
+void Certificate::invalidate_digests() { digest_cache_.reset(); }
 
 Bytes encode_core(const MessageCore& core) {
   Writer w;
@@ -76,15 +73,9 @@ const crypto::Digest& Certificate::inline_digest() const {
   return *digest_cache_;
 }
 
-const crypto::Digest& Certificate::member_signing_digest(std::size_t i) const {
-  if (member_sig_digests_.size() != members_.size())
-    member_sig_digests_.assign(members_.size(), std::nullopt);
-  std::optional<crypto::Digest>& slot = member_sig_digests_.at(i);
-  if (!slot) {
-    const SignedMessage& m = *members_[i];
-    slot = crypto::sha256(signing_bytes(m.core, m.cert));
-  }
-  return *slot;
+const crypto::Digest& SignedMessage::signing_digest() const {
+  return signing_digest_memo.get(
+      [this] { return crypto::sha256(signing_bytes(core, cert)); });
 }
 
 crypto::Digest cert_digest(const Certificate& cert) {
@@ -150,11 +141,71 @@ MessageCore decode_core_from(Reader r, const DecodeLimits& limits) {
   return core;
 }
 
+// A decode through a MessageMemo: the memo it looks members up in, and the
+// list of messages it decoded afresh.
+struct Interning {
+  MessageMemo& memo;
+  std::vector<MessageMemo::Entry>& fresh;
+};
+
 SignedMessage decode_message_from(Reader& r, const DecodeLimits& limits,
-                                  std::uint32_t depth);
+                                  std::uint32_t depth, Interning* interning);
+
+// Walks the message at r's cursor as decode_message_from would — length
+// prefixes, the pruned flag, member counts and the depth cap — without
+// building anything.
+void skip_message(Reader& r, const DecodeLimits& limits, std::uint32_t depth) {
+  (void)r.nested();  // core
+  if (depth > limits.max_depth) throw SerialError("certificate too deep");
+  if (r.boolean()) {
+    r.skip(crypto::Digest{}.size());
+  } else {
+    const std::uint32_t count = r.seq_len(limits.max_members);
+    for (std::uint32_t i = 0; i < count; ++i)
+      skip_message(r, limits, depth + 1);
+  }
+  (void)r.nested();  // signature
+}
+
+// The bytes of the message at r's cursor, or an empty view where the walk
+// fails; the full decode then raises decode's own error for them.
+std::span<const std::uint8_t> message_bytes(Reader r,
+                                            const DecodeLimits& limits,
+                                            std::uint32_t depth) {
+  const std::uint8_t* start = r.cursor();
+  try {
+    skip_message(r, limits, depth);
+  } catch (const SerialError&) {
+    return {};
+  }
+  return {start, r.cursor()};
+}
+
+MemberPtr decode_member(Reader& r, const DecodeLimits& limits,
+                        std::uint32_t depth, Interning* interning) {
+  if (interning == nullptr) {
+    return std::make_shared<const SignedMessage>(
+        decode_message_from(r, limits, depth, nullptr));
+  }
+  // An interned member's bytes decoded (and passed the canonical check)
+  // before, and the walk applied this position's depth cap to them, so the
+  // interned object is what decoding them here would give.
+  const std::span<const std::uint8_t> bytes = message_bytes(r, limits, depth);
+  if (!bytes.empty()) {
+    if (MemberPtr hit = interning->memo.find(bytes)) {
+      r.skip(bytes.size());
+      return hit;
+    }
+  }
+  const std::uint8_t* start = r.cursor();
+  auto msg = std::make_shared<const SignedMessage>(
+      decode_message_from(r, limits, depth, interning));
+  interning->fresh.push_back({std::string(start, r.cursor()), msg});
+  return msg;
+}
 
 Certificate decode_cert_from(Reader& r, const DecodeLimits& limits,
-                             std::uint32_t depth) {
+                             std::uint32_t depth, Interning* interning) {
   if (depth > limits.max_depth) throw SerialError("certificate too deep");
   Certificate cert;
   cert.pruned = r.boolean();
@@ -165,17 +216,17 @@ Certificate decode_cert_from(Reader& r, const DecodeLimits& limits,
   const std::uint32_t count = r.seq_len(limits.max_members);
   cert.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    cert.add(decode_message_from(r, limits, depth + 1));
+    cert.add(decode_member(r, limits, depth + 1, interning));
   }
   return cert;
 }
 
 SignedMessage decode_message_from(Reader& r, const DecodeLimits& limits,
-                                  std::uint32_t depth) {
+                                  std::uint32_t depth, Interning* interning) {
   SignedMessage msg;
   // The core decodes from a sub-view aliasing the frame — no copy.
   msg.core = decode_core_from(r.nested(), limits);
-  msg.cert = decode_cert_from(r, limits, depth);
+  msg.cert = decode_cert_from(r, limits, depth, interning);
   msg.sig = r.bytes();
   if (msg.sig.size() > limits.max_sig_bytes)
     throw SerialError("oversized signature");
@@ -214,7 +265,7 @@ SignedMessage decode_message(const Bytes& buf, const DecodeLimits& limits) {
   if (buf.size() > limits.max_frame_bytes)
     throw SerialError("frame exceeds size cap");
   Reader r(buf);
-  SignedMessage msg = decode_message_from(r, limits, 0);
+  SignedMessage msg = decode_message_from(r, limits, 0, nullptr);
   r.expect_end();
   return msg;
 }
@@ -232,6 +283,40 @@ DecodeOutcome try_decode_message(const Bytes& buf, const DecodeLimits& limits) {
 
 std::size_t encoded_size(const SignedMessage& msg) {
   return encoded_message_size(msg);
+}
+
+MessageMemo::Decoded MessageMemo::decode(const Bytes& frame) {
+  const DecodeLimits limits;
+  if (frame.size() > limits.max_frame_bytes)
+    throw SerialError("frame exceeds size cap");
+  Decoded out;
+  if ((out.msg = find(frame))) return out;
+  Reader r(frame);
+  Interning interning{*this, out.fresh};
+  out.msg = std::make_shared<const SignedMessage>(
+      decode_message_from(r, limits, 0, &interning));
+  r.expect_end();
+  out.fresh.push_back({std::string(frame.begin(), frame.end()), out.msg});
+  return out;
+}
+
+void MessageMemo::intern(std::vector<Entry> fresh) {
+  for (Entry& e : fresh) map_.try_emplace(std::move(e.bytes), std::move(e.msg));
+}
+
+void MessageMemo::intern(const Bytes& frame, MemberPtr msg) {
+  map_.try_emplace(std::string(frame.begin(), frame.end()), std::move(msg));
+}
+
+MemberPtr MessageMemo::find(std::span<const std::uint8_t> bytes) {
+  const auto it = map_.find(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  if (it == map_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  return it->second;
 }
 
 }  // namespace modubft::bft

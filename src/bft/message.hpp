@@ -34,9 +34,14 @@
 // which the non-muteness module converts into a "faulty sender" verdict.
 #pragma once
 
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -76,15 +81,13 @@ using MemberPtr = std::shared_ptr<const SignedMessage>;
 ///
 /// Members are held behind `shared_ptr<const SignedMessage>` and mutated
 /// only through the narrow API below (`add`, `replace`, `mutate_member`),
-/// every path of which drops the memoized digests.  Two caches ride on that
-/// immutability:
-///
-///   * the certificate's own canonical digest (`cert_digest` becomes O(1)
-///     for an already-hashed member set — `signing_bytes` and `prune` hit
-///     it on every call);
-///   * per-member signing digests — SHA-256(encode_core(core) ‖
-///     cert_digest(cert)) — the key under which the verified-signature
-///     cache (crypto::CachingVerifier) looks a member up without rehashing.
+/// every path of which drops the memoized digest.  That immutability lets
+/// the certificate memoize its own canonical digest, so `cert_digest`,
+/// `signing_bytes` and `prune` are O(1) for an already-hashed member set.
+/// A member's signing digest is memoized on the member itself
+/// (SignedMessage::signing_digest), so every certificate that shares the
+/// member shares that digest too; a slot's MessageMemo makes every decoded
+/// copy of one message the same member.
 ///
 /// Caches are not synchronized: a certificate is owned by one actor at a
 /// time, like all protocol state.  The wire format is untouched — caches
@@ -117,7 +120,8 @@ class Certificate {
   void replace(std::size_t i, SignedMessage m);
 
   /// Rebuilds member `i` as a mutated copy — the only way to "edit" a
-  /// member (used by tamper tests).  Invalidates the memoized digests.
+  /// member (used by tamper tests and attacks).  Invalidates the memoized
+  /// digest; the copy starts without the original's signing digest.
   template <typename Fn>
   void mutate_member(std::size_t i, Fn&& fn) {
     SignedMessage copy = member(i);
@@ -125,7 +129,7 @@ class Certificate {
     replace(i, std::move(copy));
   }
 
-  /// Drops the memoized digests of this certificate (not of nested ones).
+  /// Drops the memoized digest of this certificate (not of nested ones).
   /// Exposed so benchmarks can measure the cold path.
   void invalidate_digests();
 
@@ -136,14 +140,32 @@ class Certificate {
   /// Memoized canonical digest of the inline member set.
   const crypto::Digest& inline_digest() const;
 
-  /// Memoized SHA-256 of member i's signing bytes — the exact preimage its
-  /// signature covers, and the verified-signature cache key.
-  const crypto::Digest& member_signing_digest(std::size_t i) const;
-
  private:
   std::vector<MemberPtr> members_;
   mutable std::optional<crypto::Digest> digest_cache_;
-  mutable std::vector<std::optional<crypto::Digest>> member_sig_digests_;
+};
+
+/// A lazily computed digest that a copy does not inherit: a copied message
+/// may then be edited, and must not carry the original's digest.
+class DigestMemo {
+ public:
+  DigestMemo() = default;
+  DigestMemo(const DigestMemo&) noexcept {}
+  DigestMemo& operator=(const DigestMemo&) noexcept {
+    value_.reset();
+    return *this;
+  }
+
+  /// The memoized digest, computed by `compute()` on first use.
+  template <typename Compute>
+  const crypto::Digest& get(Compute&& compute) const {
+    if (!value_) value_ = compute();
+    return *value_;
+  }
+  bool has_value() const { return value_.has_value(); }
+
+ private:
+  mutable std::optional<crypto::Digest> value_;
 };
 
 /// The signed part of a message, minus certificate and signature.
@@ -163,6 +185,16 @@ struct SignedMessage {
   MessageCore core;
   Certificate cert;
   crypto::Signature sig;
+
+  /// SHA-256 of signing_bytes(core, cert): the exact preimage the signature
+  /// covers, and the verified-signature cache key.  Memoized on first use,
+  /// so call it on a message nobody edits any more — one reached through a
+  /// MemberPtr.  A copy starts without the memo.
+  const crypto::Digest& signing_digest() const;
+
+  /// The memo behind signing_digest(); a signer that already hashed the
+  /// preimage may fill it.
+  DigestMemo signing_digest_memo{};
 };
 
 /// Canonical encoding of a core (the first half of the signing preimage).
@@ -210,6 +242,70 @@ struct DecodeOutcome {
 };
 DecodeOutcome try_decode_message(const Bytes& buf,
                                  const DecodeLimits& limits = {});
+
+/// Decoded messages interned by their exact encoded bytes: one memo per
+/// consensus instance, owned by the instance's signature module.  Equal
+/// bytes decode to equal messages, so every copy of a message — arriving
+/// directly, nested in any number of certificates, or a frame this process
+/// sent — resolves to one immutable object, whose signing digest and
+/// certificate digest are each computed at most once.  Interning changes
+/// no verdict: a hit yields what decoding the same bytes would, and every
+/// check after decoding still runs.  Not synchronized: it belongs to one
+/// actor.
+class MessageMemo {
+ public:
+  /// Lookups by outcome: one per frame, plus one per certificate member
+  /// (at any depth) whose enclosing message missed.
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
+  /// A message and the exact bytes it decoded from.
+  struct Entry {
+    std::string bytes;
+    MemberPtr msg;
+  };
+
+  /// `fresh` lists what decoded afresh, innermost first and the frame
+  /// itself last; it is empty iff the whole frame was interned already.
+  struct Decoded {
+    MemberPtr msg;
+    std::vector<Entry> fresh;
+  };
+
+  /// Decodes `frame` under the default DecodeLimits through the memo: the
+  /// frame, and each certificate member at any depth, resolves to the
+  /// interned object when its exact bytes are interned and decodes afresh
+  /// otherwise.  Interns nothing.  Throws SerialError, with
+  /// decode_message's error, on exactly the frames decode_message rejects.
+  Decoded decode(const Bytes& frame);
+
+  /// Interns what `decode` decoded afresh (Decoded::fresh).  Call it only
+  /// once the frame was accepted.
+  void intern(std::vector<Entry> fresh);
+
+  /// Interns `msg` under its encoding `frame` (a frame this process sent).
+  void intern(const Bytes& frame, MemberPtr msg);
+
+  /// The interned message encoded by exactly `bytes`, or nullptr.  Counts
+  /// a hit or a miss.
+  MemberPtr find(std::span<const std::uint8_t> bytes);
+
+  std::size_t size() const { return map_.size(); }
+  const Stats& stats() const { return stats_; }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view bytes) const {
+      return std::hash<std::string_view>{}(bytes);
+    }
+  };
+
+  std::unordered_map<std::string, MemberPtr, Hash, std::equal_to<>> map_;
+  Stats stats_;
+};
 
 /// Byte size of the encoded form (for the E6 size experiments).  Computed
 /// arithmetically from the structure — no throwaway encode is materialized.

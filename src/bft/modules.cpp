@@ -24,54 +24,76 @@ const char* fault_kind_name(FaultKind k) {
 SignatureModule::SignatureModule(
     const crypto::Signer* signer,
     std::shared_ptr<const crypto::Verifier> verifier)
-    : signer_(signer), verifier_(std::move(verifier)) {
+    : signer_(signer),
+      verifier_(std::move(verifier)),
+      cache_(dynamic_cast<const crypto::CachingVerifier*>(verifier_.get())) {
   MODUBFT_EXPECTS(signer_ != nullptr);
   MODUBFT_EXPECTS(verifier_ != nullptr);
 }
 
-SignatureModule::Inbound SignatureModule::authenticate(
-    ProcessId channel_from, const Bytes& frame) const {
+SignatureModule::Inbound SignatureModule::authenticate(ProcessId channel_from,
+                                                       const Bytes& frame) {
   Inbound in;
+  MessageMemo::Decoded decoded;
   try {
-    in.msg = decode_message(frame);
+    decoded = memo_.decode(frame);
   } catch (const SerialError& e) {
     in.verdict = Verdict::fail(FaultKind::kMalformed,
                                std::string("undecodable frame: ") + e.what());
     return in;
   }
+  const SignedMessage& msg = *decoded.msg;
   // Canonical-form check: exactly one byte string encodes each message.
   // Without it, semantically-ignored bytes (e.g. the value slot of a null
   // vector entry) could carry covert variation through the signature
-  // check, since signatures cover the re-encoded canonical form.
-  if (encode_message(in.msg) != frame) {
+  // check, since signatures cover the re-encoded canonical form.  A frame
+  // interned whole (nothing decoded afresh) passed it when it was
+  // interned, or was encoded here.
+  if (!decoded.fresh.empty() && encode_message(msg) != frame) {
     in.verdict = Verdict::fail(FaultKind::kMalformed,
                                "non-canonical message encoding");
     return in;
   }
   // The identity field must match the channel the message arrived on:
   // channels are point-to-point, so the transport sender is known.
-  if (in.msg.core.sender != channel_from) {
+  if (msg.core.sender != channel_from) {
     in.verdict = Verdict::fail(FaultKind::kIdentityMismatch,
                                "identity field does not match the channel");
     return in;
   }
-  if (!verifier_->verify(in.msg.core.sender,
-                         signing_bytes(in.msg.core, in.msg.cert),
-                         in.msg.sig)) {
+  if (!signature_valid(*verifier_, cache_, msg)) {
     in.verdict =
         Verdict::fail(FaultKind::kBadSignature, "signature verification failed");
     return in;
   }
   in.ok = true;
+  in.msg = std::move(decoded.msg);
+  in.fresh = std::move(decoded.fresh);
   return in;
 }
 
-SignedMessage SignatureModule::sign(MessageCore core, Certificate cert) const {
-  SignedMessage msg;
-  msg.core = std::move(core);
-  msg.cert = std::move(cert);
-  msg.sig = signer_->sign(signing_bytes(msg.core, msg.cert));
-  return msg;
+void SignatureModule::remember(std::vector<MessageMemo::Entry> fresh) {
+  memo_.intern(std::move(fresh));
+}
+
+Bytes SignatureModule::sign(MessageCore core, Certificate cert) {
+  auto msg = std::make_shared<SignedMessage>();
+  msg->core = std::move(core);
+  msg->cert = std::move(cert);
+  const Bytes preimage = signing_bytes(msg->core, msg->cert);
+  msg->sig = signer_->sign(preimage);
+  if (cache_) {
+    // The copy of this broadcast that comes back to this process resolves
+    // to `msg` by its bytes, and its check then hits this entry.  A copy
+    // with any other bytes or signature still misses and is verified.
+    cache_->record_signed(
+        signer_->id(),
+        msg->signing_digest_memo.get([&] { return crypto::sha256(preimage); }),
+        msg->sig);
+  }
+  Bytes frame = encode_message(*msg);
+  memo_.intern(frame, std::move(msg));
+  return frame;
 }
 
 // ------------------------------------------------------------------ muteness

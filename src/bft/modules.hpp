@@ -32,6 +32,13 @@ struct FaultRecord {
 /// "If the signature of the message is inconsistent with the identity field
 /// contained in the message, the message is discarded and its sender ...
 /// is passed to the non-muteness failure detection module."
+///
+/// The module owns its instance's MessageMemo: a frame decodes through it,
+/// the frames the pipeline keeps are interned, and so is every frame the
+/// module signs.  Each distinct message is thus decoded and hashed once per
+/// instance, and through a crypto::CachingVerifier its signature is checked
+/// once per verifier; the process's own signatures are entered into the
+/// cache as they are made, so they are never verified at all.
 class SignatureModule {
  public:
   SignatureModule(const crypto::Signer* signer,
@@ -43,17 +50,34 @@ class SignatureModule {
   /// identity, the signature authenticates the claimed identity).
   struct Inbound {
     bool ok = false;
-    SignedMessage msg;
+    MemberPtr msg;    // meaningful when ok
     Verdict verdict;  // meaningful when !ok
+    /// The messages of an accepted frame that decoded afresh, for
+    /// remember(); empty when !ok.
+    std::vector<MessageMemo::Entry> fresh;
   };
-  Inbound authenticate(ProcessId channel_from, const Bytes& frame) const;
 
-  /// Signs core+cert into a complete wire message.
-  SignedMessage sign(MessageCore core, Certificate cert) const;
+  /// Every check runs on every frame, interned or not.  Interns nothing.
+  Inbound authenticate(ProcessId channel_from, const Bytes& frame);
+
+  /// Interns an accepted frame's messages (Inbound::fresh).  The pipeline
+  /// calls it only for the frames it keeps (delivers or buffers): nothing
+  /// rejected, nothing from a sender in faulty_i and nothing the
+  /// future-round buffer drops grows the memo, so a flooder cannot.
+  void remember(std::vector<MessageMemo::Entry> fresh);
+
+  /// Signs core+cert, interns the result under its encoding, enters the
+  /// signature into the verified-signature cache (when the verifier is
+  /// one), and returns the wire frame.
+  Bytes sign(MessageCore core, Certificate cert);
+
+  const MessageMemo& memo() const { return memo_; }
 
  private:
   const crypto::Signer* signer_;
   std::shared_ptr<const crypto::Verifier> verifier_;
+  const crypto::CachingVerifier* cache_;  // verifier_ when it is a cache
+  MessageMemo memo_;
 };
 
 /// Muteness module: owns the ◇M detector and the suspected set.

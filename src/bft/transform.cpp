@@ -47,8 +47,7 @@ void TransformedActor::enter_round(SimTime now) {
 
 void TransformedActor::emit(sim::Context& ctx, MessageCore core,
                             Certificate cert) {
-  const Bytes frame =
-      encode_message(signature_.sign(std::move(core), std::move(cert)));
+  const Bytes frame = signature_.sign(std::move(core), std::move(cert));
   send_stats_.bytes += static_cast<std::uint64_t>(frame.size()) * ctx.n();
   send_stats_.max_message_bytes =
       std::max<std::uint64_t>(send_stats_.max_message_bytes, frame.size());
@@ -78,9 +77,11 @@ void TransformedActor::on_message(sim::Context& ctx, ProcessId from,
   // Messages already attributed to faulty processes are discarded.
   if (nonmute_.is_faulty(from)) return;
 
-  // From here on the message is shared immutable state: certificates built
-  // from it hold this same allocation instead of deep-copying.
-  MemberPtr msg = std::make_shared<const SignedMessage>(std::move(in.msg));
+  // The message is shared immutable state, one object per distinct byte
+  // string in this instance: certificates built from it hold this same
+  // allocation instead of deep-copying.  Only a message kept here (buffered
+  // or delivered) is interned.
+  const MemberPtr& msg = in.msg;
   const bool round_vote = msg->core.kind == BftKind::kCurrent ||
                           msg->core.kind == BftKind::kNext;
   const std::uint32_t round = protocol_->rp_round().value;
@@ -91,10 +92,12 @@ void TransformedActor::on_message(sim::Context& ctx, ProcessId from,
     if (msg->core.round.value - round > kMaxBufferedRounds) return;
     std::vector<MemberPtr>& slot = future_[msg->core.round.value];
     if (held_from(slot, from) < kMaxBufferedPerSender) {
-      slot.push_back(std::move(msg));
+      signature_.remember(std::move(in.fresh));
+      slot.push_back(msg);
     }
     return;
   }
+  signature_.remember(std::move(in.fresh));
   deliver(ctx, msg);
   drain(ctx);
   if (protocol_->rp_done()) ctx.stop();

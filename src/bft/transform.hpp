@@ -11,7 +11,9 @@
 // The pipeline owns, once for both:
 //   * ingress — decode → signature and identity check → muteness feed →
 //     faulty-set filter → per-peer model → deliver to the protocol, with
-//     every conviction recorded by the one NonMutenessModule;
+//     every conviction recorded by the one NonMutenessModule; the decode
+//     resolves every copy of a message to one interned object
+//     (MessageMemo), so each is hashed once in the instance;
 //   * future-round buffering — CURRENT and NEXT messages for rounds the
 //     receiver has not reached are held back, as shared MemberPtrs, until
 //     the receiver's own quorum evidence legitimizes them (footnote 5
@@ -125,6 +127,10 @@ class TransformedActor : public sim::Actor, private ModuleServices {
   /// Messages from `sender` waiting for round r (at most
   /// kMaxBufferedPerSender).
   std::size_t buffered(Round r, ProcessId sender) const;
+
+  /// The instance's decoded messages, interned by their bytes (the
+  /// signature module's memo).  Exposed for tests.
+  const MessageMemo& message_memo() const { return signature_.memo(); }
 
   /// The verified-signature cache, or nullptr when verification is not
   /// cached.  Exposed for benchmarks and tests.

@@ -162,6 +162,15 @@ class Reader {
     return len;
   }
 
+  /// Advances past `n` bytes without reading them.
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
+
+  /// The next unread byte (one past the end once at_end()).
+  const std::uint8_t* cursor() const { return data_ + pos_; }
+
   bool at_end() const { return pos_ == size_; }
   std::size_t remaining() const { return size_ - pos_; }
 

@@ -1,5 +1,6 @@
 #include "crypto/hmac_signer.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,12 +20,17 @@ Bytes derive_key(std::uint64_t seed, std::uint32_t id) {
   return Bytes(d.begin(), d.end());
 }
 
+// Signer i and the verifier share key i's HmacKey: its pad states are
+// computed once, in make_system, and never written again, so the verifier
+// that every replica thread shares needs no lock.
+using SharedKey = std::shared_ptr<const HmacKey>;
+
 class HmacSigner : public Signer {
  public:
-  HmacSigner(ProcessId id, Bytes key) : id_(id), key_(std::move(key)) {}
+  HmacSigner(ProcessId id, SharedKey key) : id_(id), key_(std::move(key)) {}
 
   Signature sign(const Bytes& message) const override {
-    Digest tag = hmac_sha256(key_, message);
+    Digest tag = key_->mac(message);
     return Bytes(tag.begin(), tag.end());
   }
 
@@ -32,17 +38,17 @@ class HmacSigner : public Signer {
 
  private:
   ProcessId id_;
-  Bytes key_;
+  SharedKey key_;
 };
 
 class HmacVerifier : public Verifier {
  public:
-  explicit HmacVerifier(std::vector<Bytes> keys) : keys_(std::move(keys)) {}
+  explicit HmacVerifier(std::vector<SharedKey> keys) : keys_(std::move(keys)) {}
 
   bool verify(ProcessId signer, const Bytes& message,
               const Signature& sig) const override {
     if (signer.value >= keys_.size()) return false;
-    Digest expected = hmac_sha256(keys_[signer.value], message);
+    Digest expected = keys_[signer.value]->mac(message);
     if (sig.size() != expected.size()) return false;
     Digest given;
     std::copy(sig.begin(), sig.end(), given.begin());
@@ -50,7 +56,7 @@ class HmacVerifier : public Verifier {
   }
 
  private:
-  std::vector<Bytes> keys_;
+  std::vector<SharedKey> keys_;
 };
 
 }  // namespace
@@ -58,11 +64,11 @@ class HmacVerifier : public Verifier {
 SignatureSystem HmacScheme::make_system(std::uint32_t n,
                                         std::uint64_t seed) const {
   SignatureSystem sys;
-  std::vector<Bytes> keys;
+  std::vector<SharedKey> keys;
   for (std::uint32_t i = 0; i < n; ++i) {
-    Bytes key = derive_key(seed, i);
-    keys.push_back(key);
-    sys.signers.push_back(std::make_unique<HmacSigner>(ProcessId{i}, key));
+    keys.push_back(std::make_shared<const HmacKey>(derive_key(seed, i)));
+    sys.signers.push_back(
+        std::make_unique<HmacSigner>(ProcessId{i}, keys.back()));
   }
   sys.verifier = std::make_shared<HmacVerifier>(std::move(keys));
   return sys;

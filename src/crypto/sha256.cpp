@@ -106,17 +106,18 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  const std::uint8_t pad80 = 0x80;
-  update(&pad80, 1);
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
+  // Padding, written straight into the buffer: 0x80, zeros up to byte 56
+  // of a block (spilling into a second block when fewer than 8 bytes are
+  // left), then the 64-bit big-endian bit length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Write the length directly into the buffer and process: update() would
-  // re-count these bytes into total_len_, but total_len_ is no longer used.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   process_block(buffer_.data());
 
   Digest out;

@@ -36,6 +36,19 @@ bool CachingVerifier::verify_digest(
   // Verify outside the lock: the underlying scheme is the expensive part.
   const bool ok = inner_->verify(signer, materialize(), sig);
   std::lock_guard<std::mutex> lock(mu_);
+  store(key, sig, ok);
+  return ok;
+}
+
+void CachingVerifier::record_signed(ProcessId signer,
+                                    const Digest& message_digest,
+                                    const Signature& sig) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  store(Key{signer.value, message_digest}, sig, true);
+}
+
+void CachingVerifier::store(const Key& key, const Signature& sig,
+                            bool ok) const {
   auto it = map_.find(key);
   if (it != map_.end()) {
     // Same (signer, digest) seen with a different signature blob — keep the
@@ -44,16 +57,15 @@ bool CachingVerifier::verify_digest(
     it->second.sig = sig;
     it->second.ok = ok;
     lru_.splice(lru_.begin(), lru_, it->second.lru);
-  } else {
-    lru_.push_front(key);
-    map_.emplace(key, Entry{sig, ok, lru_.begin()});
-    if (map_.size() > capacity_) {
-      map_.erase(lru_.back());
-      lru_.pop_back();
-      ++stats_.cache_evictions;
-    }
+    return;
   }
-  return ok;
+  lru_.push_front(key);
+  map_.emplace(key, Entry{sig, ok, lru_.begin()});
+  if (map_.size() > capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++stats_.cache_evictions;
+  }
 }
 
 VerifyCacheStats CachingVerifier::stats() const {

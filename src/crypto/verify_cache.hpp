@@ -1,12 +1,12 @@
 // Verified-signature cache (certificate fast path).
 //
-// The transformed protocol re-examines the same signed messages over and
-// over: a message verified once at ingress by the signature module shows up
-// again as a member of later certificates, where the certificate analyzer
-// would re-run the same signature verification for every containing
-// message.  CachingVerifier decorates any Verifier with a bounded LRU of
-// verification results so each distinct (signer, signed-bytes, signature)
-// triple is verified by the underlying scheme at most once while cached.
+// The transformed protocol meets the same signed messages over and over: a
+// message checked once at ingress by the signature module shows up again
+// as a member of later certificates, where the certificate analyzer checks
+// it again, in every slot of a replica.  CachingVerifier decorates any
+// Verifier with a bounded LRU of verdicts so each distinct (signer,
+// signed-bytes, signature) triple is verified by the underlying scheme at
+// most once while cached.  A replica life owns one, shared by its slots.
 //
 // Key design — why a hit is sound:
 //
@@ -24,9 +24,12 @@
 // verifier would return: caching is observationally equivalent, which the
 // cache-on/cache-off equivalence tests assert end to end.
 //
-// Callers that already hold the message digest (the Certificate memoizes
-// its members' signing digests) use verify_digest() and skip the hashing
-// entirely — a cache hit then costs one hash-map probe.
+// Callers that already hold the message digest use verify_digest() and
+// skip the hashing: a bft::SignedMessage memoizes its own signing digest,
+// and a slot's signature module interns each decoded message by its bytes,
+// so a hit then costs one hash-map probe.  record_signed() lets a signer
+// enter the signature it just made: the copy of its own broadcast that
+// comes back to it hits instead of running the scheme.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +85,16 @@ class CachingVerifier final : public Verifier {
                      const Signature& sig,
                      const std::function<Bytes()>& materialize) const;
 
+  /// Enters `sig` as `signer`'s valid signature over the message whose
+  /// SHA-256 is `message_digest`, without verifying it.  Only the signer
+  /// that just produced `sig` over exactly those bytes may call this: a
+  /// scheme's own signatures verify.  A later verify_digest with the same
+  /// digest and a byte-identical signature hits; any other signature over
+  /// those bytes still misses and runs the scheme.  Counts neither a hit
+  /// nor a miss.
+  void record_signed(ProcessId signer, const Digest& message_digest,
+                     const Signature& sig) const;
+
   VerifyCacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
@@ -109,6 +122,10 @@ class CachingVerifier final : public Verifier {
     bool ok = false;
     LruList::iterator lru;
   };
+
+  /// Inserts or overwrites `key`'s verdict as most recently used, evicting
+  /// the least recently used entry beyond capacity.  Caller holds mu_.
+  void store(const Key& key, const Signature& sig, bool ok) const;
 
   std::shared_ptr<const Verifier> inner_;
   std::size_t capacity_;

@@ -38,11 +38,11 @@ class ModulesFixture : public ::testing::Test {
 };
 
 TEST_F(ModulesFixture, SignatureRoundTrip) {
-  SignedMessage msg = module_.sign(current_core(1), Certificate{});
-  Bytes frame = encode_message(msg);
+  const Bytes frame = module_.sign(current_core(1), Certificate{});
   SignatureModule::Inbound in = module_.authenticate(ProcessId{1}, frame);
   EXPECT_TRUE(in.ok);
-  EXPECT_EQ(in.msg.core, msg.core);
+  EXPECT_EQ(in.msg->core, current_core(1));
+  EXPECT_EQ(encode_message(*in.msg), frame);
 }
 
 TEST_F(ModulesFixture, RejectsUndecodableFrame) {
@@ -55,25 +55,22 @@ TEST_F(ModulesFixture, RejectsUndecodableFrame) {
 TEST_F(ModulesFixture, RejectsIdentityMismatch) {
   // p2 signs honestly, but the frame arrives on p3's channel: the relayer
   // is impersonating (or replaying) — the channel sender is the culprit.
-  SignedMessage msg = module_.sign(current_core(1), Certificate{});
-  SignatureModule::Inbound in =
-      module_.authenticate(ProcessId{2}, encode_message(msg));
+  const Bytes frame = module_.sign(current_core(1), Certificate{});
+  SignatureModule::Inbound in = module_.authenticate(ProcessId{2}, frame);
   EXPECT_FALSE(in.ok);
   EXPECT_EQ(in.verdict.kind, FaultKind::kIdentityMismatch);
 }
 
 TEST_F(ModulesFixture, RejectsWrongKeySignature) {
   // Claimed sender p3, but signed with p2's key.
-  SignedMessage msg = module_.sign(current_core(2), Certificate{});
-  SignatureModule::Inbound in =
-      module_.authenticate(ProcessId{2}, encode_message(msg));
+  const Bytes frame = module_.sign(current_core(2), Certificate{});
+  SignatureModule::Inbound in = module_.authenticate(ProcessId{2}, frame);
   EXPECT_FALSE(in.ok);
   EXPECT_EQ(in.verdict.kind, FaultKind::kBadSignature);
 }
 
 TEST_F(ModulesFixture, RejectsNonCanonicalFrame) {
-  SignedMessage msg = module_.sign(current_core(1), Certificate{});
-  Bytes frame = encode_message(msg);
+  Bytes frame = module_.sign(current_core(1), Certificate{});
   // Mutate the ignored value slot of the null entry at index 1: the frame
   // still decodes to the same message, but is not the canonical encoding.
   // Core layout: [u32 len][kind u8][sender u32][round u32][init u64]
@@ -112,7 +109,8 @@ TEST_F(ModulesFixture, NonMutenessMonitorPathConvicts) {
   NonMutenessModule nonmute(kN, analyzer, monitors());
 
   // A CURRENT before INIT violates FIFO expectations.
-  SignedMessage msg = module_.sign(current_core(1), Certificate{});
+  const SignedMessage msg =
+      decode_message(module_.sign(current_core(1), Certificate{}));
   Verdict v = nonmute.observe(ProcessId{1}, msg, 7);
   EXPECT_FALSE(v);
   EXPECT_TRUE(nonmute.is_faulty(ProcessId{1}));

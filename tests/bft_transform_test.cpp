@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "bft/bft_consensus.hpp"
 #include "bft/lockstep.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
@@ -353,6 +354,39 @@ TEST(TransformedPipeline, BufferedRoundsDrainInArrivalOrder) {
   EXPECT_TRUE(seen.empty());
   actor->on_timer(ctx, 1);  // enter round 2
   EXPECT_EQ(seen, sent);
+}
+
+TEST(TransformedPipeline, ByteIdenticalDuplicateStillReachesTheMonitor) {
+  // The second copy of p1's INIT resolves to the interned first copy, and
+  // still reaches p1's monitor, which convicts it.  Once p1 is faulty its
+  // frames are still checked but grow the memo no further.
+  crypto::SignatureSystem keys = crypto::HmacScheme{}.make_system(4, 29);
+  BftConfig cfg;
+  BftProcess actor(cfg, 7, keys.signers[0].get(),
+                   std::make_shared<crypto::CachingVerifier>(keys.verifier),
+                   [](ProcessId, const VectorDecision&) {});
+  StubContext ctx;
+  actor.on_start(ctx);
+
+  SignedMessage init;
+  init.core.kind = BftKind::kInit;
+  init.core.sender = ProcessId{1};
+  init.core.init_value = 11;
+  init.sig = keys.signers[1]->sign(signing_bytes(init.core, init.cert));
+  const Bytes frame = encode_message(init);
+
+  actor.on_message(ctx, ProcessId{1}, frame);
+  EXPECT_TRUE(actor.nonmuteness().faulty_set().empty());
+  const MessageMemo::Stats before = actor.message_memo().stats();
+  actor.on_message(ctx, ProcessId{1}, frame);
+  EXPECT_EQ(actor.message_memo().stats().hits, before.hits + 1);
+  ASSERT_EQ(actor.nonmuteness().records().size(), 1u);
+  EXPECT_EQ(actor.nonmuteness().records()[0].culprit, ProcessId{1});
+  EXPECT_EQ(actor.nonmuteness().records()[0].detail, "duplicate INIT");
+
+  const std::size_t interned = actor.message_memo().size();
+  actor.on_message(ctx, ProcessId{1}, signed_vote(keys, 1, 1));
+  EXPECT_EQ(actor.message_memo().size(), interned);
 }
 
 TEST(Lockstep, DeterministicReplay) {

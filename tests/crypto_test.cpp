@@ -50,13 +50,28 @@ TEST(Sha256, StreamingMatchesOneShot) {
 }
 
 TEST(Sha256, BoundaryLengths) {
-  // Exercise the padding edge cases around the 64-byte block boundary.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
-    Bytes data(len, 0x5a);
-    Sha256 ctx;
-    ctx.update(data);
-    Digest streamed = ctx.finish();
-    EXPECT_EQ(streamed, sha256(data)) << "len=" << len;
+  // Known answers (Python's hashlib) for 0x5a repeated `len` times, at the
+  // padding edges: the length field fits after the 0x80 byte up to 55
+  // bytes into a block and spills into a second block from 56 on.
+  const struct {
+    std::size_t len;
+    const char* hex;
+  } kCases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "bbeebd879e1dff6918546dc0c179fdde505f2a21591c9a9c96e36b054ec5af83"},
+      {55, "5f25f149aa92e3e13093aed8216072fae623f35e26ca605b6cce17e04b7ccf44"},
+      {56, "301c69927f1603720c9f847b7e5e3bef77a7b9f75344490fe9039f13c36b842a"},
+      {57, "30ab35131f9b368e840dc65fc1eb832706e748e3c5e44ec40bc19cd1ce5c0dc2"},
+      {63, "939765b120205cbedae2ed31256b1967c38b6bdd9b0220535224cbc0b906d333"},
+      {64, "cc7321cce5e4409bd8077d58422e1214969059bbd40b4eeb0de0a642f40f7282"},
+      {65, "b8de0db62b6c87db61345504a8038bf973d987e8d2111abd8beb407c0bf3d9db"},
+      {119, "a96851d641310ce032ff832b6f08125878deed2a825fe515dd1ba414afe95f7e"},
+      {120, "60ec7f280e45d0c7bf77b70ff16958b1c1701a9fb7faa12b798207cf120ec6ee"},
+      {1000,
+       "8fe15844cfeedd35f5dc30a9fa5ed38afd849dbe4f8dcae5642d934be0afb13d"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(hex_of(sha256(Bytes(c.len, 0x5a))), c.hex) << "len=" << c.len;
   }
 }
 
@@ -93,11 +108,39 @@ TEST(Hmac, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
-TEST(Hmac, LongKeyIsHashedFirst) {
-  Bytes long_key(100, 0x61);
-  Bytes data = bytes_of("payload");
-  // Must not throw and must be deterministic.
-  EXPECT_EQ(hmac_sha256(long_key, data), hmac_sha256(long_key, data));
+// RFC 4231 test case 6: a 131-byte key is hashed before use.
+TEST(Hmac, Rfc4231Case6LongKey) {
+  Bytes key(131, 0xaa);
+  Bytes data =
+      bytes_of("Test Using Larger Than Block-Size Key - Hash Key First");
+  EXPECT_EQ(hex_of(hmac_sha256(key, data)),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// RFC 4231 test case 7: a 131-byte key and data longer than one block.
+TEST(Hmac, Rfc4231Case7LongKeyAndData) {
+  Bytes key(131, 0xaa);
+  Bytes data = bytes_of(
+      "This is a test using a larger than block-size key and a larger than "
+      "block-size data. The key needs to be hashed before being used by the "
+      "HMAC algorithm.");
+  EXPECT_EQ(hex_of(hmac_sha256(key, data)),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+TEST(Hmac, KeyedStateIsReusable) {
+  // One HmacKey absorbs its pads once and serves every later tag: each
+  // call starts from the stored pad states, never from the last message.
+  const HmacKey jefe(bytes_of("Jefe"));
+  const HmacKey long_key(Bytes(131, 0xaa));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(hex_of(jefe.mac(bytes_of("what do ya want for nothing?"))),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+    EXPECT_EQ(
+        hex_of(long_key.mac(
+            bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"))),
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  }
 }
 
 TEST(Hmac, DigestEqualConstantTime) {

@@ -31,6 +31,7 @@
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
+#include "crypto/verify_cache.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/recovery.hpp"
 
@@ -244,7 +245,7 @@ TEST(FuzzDecodeRegression, FrameSizeCapCheckedBeforeParsing) {
 
 TEST(FuzzDecode, SignatureModuleFlagsSenderOnMutatedFrames) {
   const crypto::SignatureSystem keys = test_keys();
-  const bft::SignatureModule module(keys.signers[3].get(), keys.verifier);
+  bft::SignatureModule module(keys.signers[3].get(), keys.verifier);
   const Bytes frame = bft::encode_message(sample_message(keys));
 
   Rng rng(99);
@@ -268,6 +269,56 @@ TEST(FuzzDecode, SignatureModuleFlagsSenderOnMutatedFrames) {
         << bft::fault_kind_name(in.verdict.kind);
   }
   EXPECT_GT(flagged, 0u);
+}
+
+TEST(FuzzDecode, MemoChangesNoVerdict) {
+  // One instance's signature module, with its memo and a verified-signature
+  // cache, sees each mutated frame twice and keeps the accepted ones; a
+  // module whose memo stays empty sees it once.  The genuine frame is
+  // interned first, so mutated frames meet interned members and, when a
+  // mutation changed nothing, are an interned frame.  All three verdicts
+  // are equal, and so is every frame accepted.
+  const crypto::SignatureSystem keys = test_keys();
+  bft::SignatureModule slot(
+      keys.signers[3].get(),
+      std::make_shared<crypto::CachingVerifier>(keys.verifier));
+  bft::SignatureModule plain(keys.signers[3].get(), keys.verifier);
+  const Bytes frame = bft::encode_message(sample_message(keys));
+  const bft::SignatureModule::Inbound genuine =
+      slot.authenticate(ProcessId{0}, frame);
+  ASSERT_TRUE(genuine.ok);
+  slot.remember(genuine.fresh);
+
+  const MutationSpec specs[] = {
+      {.bitflip_prob = 1.0},
+      {.truncate_prob = 1.0},
+      {.splice_prob = 1.0},
+      {.bitflip_prob = 0.5, .truncate_prob = 0.3, .splice_prob = 0.5},
+  };
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    for (const MutationSpec& spec : specs) {
+      const Bytes mutated = mutate_frame(frame, rng, spec);
+      const auto first = slot.authenticate(ProcessId{0}, mutated);
+      slot.remember(first.fresh);
+      const auto second = slot.authenticate(ProcessId{0}, mutated);
+      const auto fresh = plain.authenticate(ProcessId{0}, mutated);
+      for (const auto* in : {&second, &fresh}) {
+        ASSERT_EQ(in->ok, first.ok) << "seed " << seed;
+        EXPECT_EQ(in->verdict.kind, first.verdict.kind) << "seed " << seed;
+        EXPECT_EQ(in->verdict.detail, first.verdict.detail) << "seed " << seed;
+        if (in->ok) {
+          EXPECT_EQ(bft::encode_message(*in->msg), mutated);
+        }
+      }
+      if (first.ok) ++accepted;
+    }
+  }
+  EXPECT_EQ(plain.memo().size(), 0u);
+  // The memo path ran: mutated frames found interned members or frames.
+  EXPECT_GT(slot.memo().stats().hits, 0u);
+  EXPECT_GT(accepted, 0u);
 }
 
 // ------------------------------------------- STATE_RESP (recovery) frames

@@ -195,8 +195,7 @@ TEST(Robustness, MutatedFramesAlwaysRejected) {
   core.round = Round{1};
   core.est = {consensus::Value{5}, std::nullopt, consensus::Value{7},
               std::nullopt};
-  bft::SignedMessage msg = module.sign(core, bft::Certificate{});
-  Bytes frame = bft::encode_message(msg);
+  const Bytes frame = module.sign(core, bft::Certificate{});
 
   // The untouched frame authenticates.
   ASSERT_TRUE(module.authenticate(ProcessId{1}, frame).ok);

@@ -12,12 +12,11 @@
 // Acceptance headline (tracked in BENCH_e17.json, see EXPERIMENTS.md):
 // on the threads substrate, (W=4, B=4) must commit ≥ 2× the commands/sec
 // of the sequential (W=1, B=1) baseline, comparing medians.  Each
-// wall-clock row runs --reps reps (default 5) and records the median and
-// the interquartile range; the report records nproc and the build type
-// next to the rows.
+// wall-clock row runs kReps reps and records the median and the
+// interquartile range; the report records nproc and the build type next
+// to the rows.
 //
-// Usage: bench_e17_pipeline [--out FILE] [--commands N] [--reps R]
-//                           [--budget-ms MS]
+// Usage: bench_e17_pipeline [--out FILE] [--commands N] [--budget-ms MS]
 // Writes the JSON report to FILE (default BENCH_e17.json in the working
 // directory) and prints a human-readable table to stdout.
 #include <cstdio>
@@ -38,6 +37,8 @@ namespace {
 
 using namespace modubft;
 
+constexpr int kReps = 5;  // per wall-clock row
+
 struct RunRow {
   runtime::Backend substrate;
   std::uint32_t window = 1;
@@ -49,13 +50,13 @@ struct RunRow {
 };
 
 RunRow run_config(runtime::Backend substrate, std::uint32_t w,
-                  std::uint32_t b, std::uint64_t commands, int reps,
+                  std::uint32_t b, std::uint64_t commands,
                   std::chrono::milliseconds budget) {
   RunRow row;
   row.substrate = substrate;
   row.window = w;
   row.batch = b;
-  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, kReps); ++rep) {
     faults::SmrScenarioConfig cfg;
     cfg.n = 4;
     cfg.f = 1;
@@ -100,7 +101,6 @@ std::string row_json(const RunRow& row) {
 int main(int argc, char** argv) {
   std::string out = "BENCH_e17.json";
   std::uint64_t commands = 32;
-  int reps = 5;
   std::chrono::milliseconds budget{20'000};
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -114,8 +114,6 @@ int main(int argc, char** argv) {
       out = need("--out");
     } else if (std::strcmp(argv[i], "--commands") == 0) {
       commands = std::strtoull(need("--commands"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(need("--reps"));
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
       budget = std::chrono::milliseconds(
           std::strtoll(need("--budget-ms"), nullptr, 10));
@@ -140,7 +138,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (runtime::Backend substrate : substrates) {
     for (const auto& [w, b] : sweep) {
-      RunRow row = run_config(substrate, w, b, commands, reps, budget);
+      RunRow row = run_config(substrate, w, b, commands, budget);
       all_ok = all_ok && row.ok;
       if (substrate == runtime::Backend::kThreads) {
         if (w == 1 && b == 1) w1b1_threads = row.cps.median;
@@ -163,7 +161,7 @@ int main(int argc, char** argv) {
       .field("n", static_cast<std::uint64_t>(4))
       .field("f", static_cast<std::uint64_t>(1))
       .field("commands", commands)
-      .field("reps", static_cast<std::uint64_t>(reps))
+      .field("reps", static_cast<std::uint64_t>(kReps))
       .field("nproc", static_cast<std::uint64_t>(
                           sysconf(_SC_NPROCESSORS_ONLN)))
       .field("build_type", MODUBFT_BUILD_TYPE)

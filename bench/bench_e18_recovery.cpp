@@ -18,12 +18,11 @@
 //     state transfer on every substrate, and the committed-slot log never
 //     exceeds C+W slots.
 //
-// Each wall-clock row runs --reps reps (default 5) and records the median
-// and the interquartile range; the simulator is deterministic and runs
-// once.  The report records nproc and the build type next to the rows.
+// Each wall-clock row runs kReps reps and records the median and the
+// interquartile range; the simulator is deterministic and runs once.  The
+// report records nproc and the build type next to the rows.
 //
-// Usage: bench_e18_recovery [--out FILE] [--commands N] [--reps R]
-//                           [--budget-ms MS]
+// Usage: bench_e18_recovery [--out FILE] [--commands N] [--budget-ms MS]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +45,7 @@ using namespace modubft;
 constexpr std::uint64_t kInterval = 8;
 constexpr std::uint32_t kWindow = 4;
 constexpr std::uint32_t kBatch = 2;
+constexpr int kReps = 5;  // per wall-clock row
 
 faults::SmrScenarioConfig base_config(runtime::Backend substrate,
                                       std::uint64_t interval,
@@ -78,12 +78,12 @@ struct OverheadRow {
 };
 
 OverheadRow run_overhead(runtime::Backend substrate, std::uint64_t interval,
-                         std::uint64_t commands, int reps,
+                         std::uint64_t commands,
                          std::chrono::milliseconds budget) {
   OverheadRow row;
   row.substrate = substrate;
   row.interval = interval;
-  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, kReps); ++rep) {
     faults::SmrScenarioConfig cfg =
         base_config(substrate, interval, commands,
                     18 + static_cast<std::uint64_t>(rep), budget);
@@ -115,7 +115,7 @@ struct RecoveryRow {
 };
 
 RecoveryRow run_recovery(runtime::Backend substrate, std::uint64_t commands,
-                         int reps, std::chrono::milliseconds budget) {
+                         std::chrono::milliseconds budget) {
   RecoveryRow row;
   row.substrate = substrate;
   const SimTime kill = substrate == runtime::Backend::kSim ? 1'500
@@ -124,7 +124,7 @@ RecoveryRow run_recovery(runtime::Backend substrate, std::uint64_t commands,
   const SimTime back = substrate == runtime::Backend::kSim ? 3'000
                        : substrate == runtime::Backend::kTcp ? 80'000
                                                              : 60'000;
-  for (int rep = 0; rep < benchsmr::reps_on(substrate, reps); ++rep) {
+  for (int rep = 0; rep < benchsmr::reps_on(substrate, kReps); ++rep) {
     faults::SmrScenarioConfig cfg =
         base_config(substrate, kInterval, commands,
                     18 + static_cast<std::uint64_t>(rep), budget);
@@ -148,7 +148,6 @@ RecoveryRow run_recovery(runtime::Backend substrate, std::uint64_t commands,
 int main(int argc, char** argv) {
   std::string out = "BENCH_e18.json";
   std::uint64_t commands = 200;
-  int reps = 5;
   std::chrono::milliseconds budget{20'000};
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -162,8 +161,6 @@ int main(int argc, char** argv) {
       out = need("--out");
     } else if (std::strcmp(argv[i], "--commands") == 0) {
       commands = std::strtoull(need("--commands"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(need("--reps"));
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
       budget = std::chrono::milliseconds(
           std::strtoll(need("--budget-ms"), nullptr, 10));
@@ -191,7 +188,7 @@ int main(int argc, char** argv) {
     double baseline = 0;
     for (std::uint64_t interval : {std::uint64_t{0}, kInterval}) {
       OverheadRow row =
-          run_overhead(substrate, interval, commands, reps, budget);
+          run_overhead(substrate, interval, commands, budget);
       all_ok = all_ok && row.ok;
       double retained = 1.0;
       if (interval == 0) {
@@ -227,7 +224,7 @@ int main(int argc, char** argv) {
   benchjson::JsonArray recovery_rows;
   bool all_recovered = true;
   for (runtime::Backend substrate : substrates) {
-    RecoveryRow row = run_recovery(substrate, commands, reps, budget);
+    RecoveryRow row = run_recovery(substrate, commands, budget);
     all_ok = all_ok && row.ok;
     all_recovered = all_recovered && row.recovered;
     std::printf("%-8s %12.0f %10.1f %9llu %4s\n",
@@ -263,7 +260,7 @@ int main(int argc, char** argv) {
       .field("checkpoint_interval", kInterval)
       .field("window", static_cast<std::uint64_t>(kWindow))
       .field("batch", static_cast<std::uint64_t>(kBatch))
-      .field("reps", static_cast<std::uint64_t>(reps))
+      .field("reps", static_cast<std::uint64_t>(kReps))
       .field("nproc", static_cast<std::uint64_t>(
                           sysconf(_SC_NPROCESSORS_ONLN)))
       .field("build_type", MODUBFT_BUILD_TYPE)

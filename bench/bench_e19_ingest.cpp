@@ -15,17 +15,17 @@
 //
 // Acceptance (tracked in BENCH_e19.json, encoded in the exit status): at
 // every (substrate, n) cell, the median commands/sec of W=4/B=4 is
-// ≥ 1.5× the median of the W=1/B=1 baseline.  Each row runs --reps reps
-// (default 5) and records the median and the interquartile range; the
-// report records nproc and the build type.
+// ≥ 1.5× the median of the W=1/B=1 baseline.  Each row runs kReps reps
+// and records the median and the interquartile range; the report records
+// nproc and the build type.
 //
 // Every run also re-checks correctness: all_committed, stores_agree, and
 // the two rows of a cell must end with byte-identical stores — a
 // throughput number from a diverged run is meaningless and fails the
 // bench.
 //
-// Usage: bench_e19_ingest [--out FILE] [--commands N] [--reps R]
-//                         [--budget-ms MS] [--scheme hmac|rsa64]
+// Usage: bench_e19_ingest [--out FILE] [--commands N] [--budget-ms MS]
+//                         [--scheme hmac|rsa64]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +44,8 @@
 namespace {
 
 using namespace modubft;
+
+constexpr int kReps = 5;  // per row
 
 struct CellConfig {
   runtime::Backend substrate;
@@ -68,11 +70,11 @@ struct RunRow {
   faults::SmrScenarioResult last;
 };
 
-RunRow run_cell(const CellConfig& cell, std::uint64_t commands, int reps,
+RunRow run_cell(const CellConfig& cell, std::uint64_t commands,
                 std::chrono::milliseconds budget) {
   RunRow row;
   row.cfg = cell;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     faults::SmrScenarioConfig cfg;
     cfg.n = cell.n;
     cfg.f = cell.f;
@@ -122,7 +124,6 @@ std::string row_json(const RunRow& row) {
 int main(int argc, char** argv) {
   std::string out = "BENCH_e19.json";
   std::uint64_t commands = 32;
-  int reps = 5;
   std::chrono::milliseconds budget{30'000};
   faults::Scheme scheme = faults::Scheme::kRsa64;
   for (int i = 1; i < argc; ++i) {
@@ -137,8 +138,6 @@ int main(int argc, char** argv) {
       out = need("--out");
     } else if (std::strcmp(argv[i], "--commands") == 0) {
       commands = std::strtoull(need("--commands"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(need("--reps"));
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
       budget = std::chrono::milliseconds(
           std::strtoll(need("--budget-ms"), nullptr, 10));
@@ -177,10 +176,10 @@ int main(int argc, char** argv) {
     for (const auto& [n, f] : groups) {
       const RunRow base =
           run_cell({substrate, n, f, 1, 1, "e17_baseline", scheme}, commands,
-                   reps, budget);
+                   budget);
       const RunRow piped =
           run_cell({substrate, n, f, 4, 4, "w4b4_pipeline", scheme},
-                   commands, reps, budget);
+                   commands, budget);
       for (const RunRow* row : {&base, &piped}) {
         all_ok = all_ok && row->ok;
         std::printf("%-8s %3u %-14s %3u %3u %14.1f %10.1f %4s\n",
@@ -221,7 +220,7 @@ int main(int argc, char** argv) {
       .field("protocol", "byzantine")
       .field("scheme", scheme_name(scheme))
       .field("commands", commands)
-      .field("reps", static_cast<std::uint64_t>(reps))
+      .field("reps", static_cast<std::uint64_t>(kReps))
       .field("nproc", static_cast<std::uint64_t>(
                           sysconf(_SC_NPROCESSORS_ONLN)))
       .field("build_type", MODUBFT_BUILD_TYPE)

@@ -593,9 +593,9 @@ int run_smr(int argc, char** argv) {
   if (load.count > 0 && commands > 0) {
     usage("--commands and --clients are exclusive");
   }
-  if (in_flight < 1 || in_flight > smr::kReplyCacheDepth) {
+  if (in_flight < 1 || in_flight > smr::StateLimits{}.max_cached_replies) {
     usage(("--in-flight must be in [1, " +
-           std::to_string(smr::kReplyCacheDepth) + "]")
+           std::to_string(smr::StateLimits{}.max_cached_replies) + "]")
               .c_str());
   }
   for (const faults::CrashSpec& c : cfg.crashes) {

@@ -91,6 +91,9 @@ CellOutcome run_attack_cell(std::uint32_t n, std::uint32_t f,
   };
   cell.violations = audit.violations;
   cell.audit = audit.stats;
+  for (std::uint32_t a : evidence.attackers) {
+    if (result.declared_faulty.count(a) > 0) cell.convicted.insert(a);
+  }
   return cell;
 }
 
@@ -328,7 +331,11 @@ std::string to_json(const CellOutcome& cell) {
        << ",\"bad_signature\":" << a.bad_signature
        << ",\"decide_frames\":" << a.decide_frames
        << ",\"wf_currents\":" << a.wf_currents
-       << ",\"equivocations\":" << a.equivocations << "}";
+       << ",\"equivocations\":" << a.equivocations << "},\"convicted\":[";
+    for (std::uint32_t id : cell.convicted) {
+      os << (id == *cell.convicted.begin() ? "\"p" : ",\"p") << id + 1 << "\"";
+    }
+    os << "]";
   }
   if (!cell.minimized.empty()) {
     os << ",\"minimized\":\"" << cell.minimized << "\"";

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +62,10 @@ struct CellOutcome {
   std::vector<Violation> violations;
   /// Consensus cells: the wire auditor's counters.
   std::optional<AuditStats> audit;
+  /// Consensus cells: the attackers some correct process declared faulty.
+  /// A record of detection, not a check: an undetected attack passes if
+  /// it is harmless.
+  std::set<std::uint32_t> convicted;
   /// Failing consensus cells: the smallest attack that still fails.
   std::string minimized;
 

@@ -470,7 +470,6 @@ Bytes forged_state_resp(
     const std::vector<const crypto::Signer*>& coalition) {
   smr::Snapshot fake;
   fake.slot = claim_slot;
-  fake.applied = claim_slot;
   fake.data = {{"forged", "state"}};
 
   smr::StateResp resp;

@@ -18,10 +18,6 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
   MODUBFT_EXPECTS(config_.contact < config_.n);
   MODUBFT_EXPECTS(config_.retry_base > 0);
   MODUBFT_EXPECTS(config_.max_outstanding >= 1);
-  // Duplicate replay is complete only while every op in flight still has
-  // its REPLY in the replicas' bounded cache: a retry of an evicted seq
-  // would never certify.
-  MODUBFT_EXPECTS(config_.max_outstanding <= smr::kReplyCacheDepth);
   retry_cap_ = config_.retry_base * 16;
   contact_ = config_.contact;
 }

@@ -71,7 +71,8 @@ struct ClientConfig {
 
   /// Operations kept in flight: the client submits this many on start
   /// and one more on every certification (1 = the strict closed loop).
-  /// At most smr::kReplyCacheDepth.
+  /// The replicas' seq_window must be at least this count: it bounds the
+  /// seqs they commit ahead and the replies they cache per client.
   std::uint32_t max_outstanding = 1;
 
   /// Retry backoff: delay starts at retry_base and doubles per attempt,

@@ -190,10 +190,11 @@ struct ClientLoadConfig {
   /// together with that writer.
   bool open_loop = false;
   SimTime interval = 1'000;
-  /// Ops each client keeps in flight (at most smr::kReplyCacheDepth): a
-  /// client refills to this count on start and on every certification.
-  /// The replicas' eligibility window (smr::ClientServiceConfig::
-  /// seq_window) is the same count.
+  /// Ops each client keeps in flight: a client refills to this count on
+  /// start and on every certification.  The replicas' eligibility window
+  /// (smr::ClientServiceConfig::seq_window), which also sizes their reply
+  /// cache, is the same count, so it is at most
+  /// smr::StateLimits{}.max_cached_replies.
   std::uint32_t max_outstanding = 1;
   /// Replica-side admission bound (smr::ClientServiceConfig::max_pending).
   std::uint32_t max_pending = 64;

@@ -510,7 +510,7 @@ SmrScenarioResult run_smr_scenario(const SmrScenarioConfig& config) {
       rcfg.client.max_pending = config.clients->max_pending;
       rcfg.client.authenticate = client_auth;
       // The eligibility window must cover the ops a client keeps in flight,
-      // or genuine decisions get deferred.
+      // or genuine decisions get deferred; it also sizes the reply cache.
       rcfg.client.seq_window = in_flight;
       if (client_auth && rcfg.verifier == nullptr) {
         rcfg.verifier = keys.verifier;

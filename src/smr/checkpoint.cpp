@@ -32,7 +32,6 @@ Command::Op read_op(Reader& r) {
 Bytes encode_snapshot(const Snapshot& snap) {
   Writer w;
   w.u64(snap.slot);
-  w.u64(snap.applied);
   w.u32(static_cast<std::uint32_t>(snap.data.size()));
   for (const auto& [key, value] : snap.data) {
     w.str(key);
@@ -40,18 +39,13 @@ Bytes encode_snapshot(const Snapshot& snap) {
   }
   w.u32(static_cast<std::uint32_t>(snap.committed_ids.size()));
   for (std::uint64_t id : snap.committed_ids) w.u64(id);
-  // Client-table section, appended only when non-empty: a pre-client
-  // snapshot (or a run without clients) encodes byte-identically to the
-  // PR 6 format, so old digests — and the wire-format pin tests — hold.
-  if (!snap.clients.empty()) {
-    w.u32(static_cast<std::uint32_t>(snap.clients.size()));
-    for (const auto& [client, replies] : snap.clients) {
-      w.u32(client);
-      w.u32(static_cast<std::uint32_t>(replies.size()));
-      for (const auto& [seq, frame] : replies) {
-        w.u64(seq);
-        w.bytes(frame);
-      }
+  w.u32(static_cast<std::uint32_t>(snap.clients.size()));
+  for (const auto& [client, replies] : snap.clients) {
+    w.u32(client);
+    w.u32(static_cast<std::uint32_t>(replies.size()));
+    for (const auto& [seq, frame] : replies) {
+      w.u64(seq);
+      w.bytes(frame);
     }
   }
   return std::move(w).take();
@@ -64,7 +58,6 @@ Snapshot decode_snapshot(const Bytes& buf, const StateLimits& limits) {
   Reader r(buf);
   Snapshot snap;
   snap.slot = r.u64();
-  snap.applied = r.u64();
   const std::uint32_t entries = r.seq_len(limits.max_store_entries);
   for (std::uint32_t i = 0; i < entries; ++i) {
     std::string key = r.str();
@@ -85,30 +78,24 @@ Snapshot decode_snapshot(const Bytes& buf, const StateLimits& limits) {
     snap.committed_ids.insert(snap.committed_ids.end(), id);
     prev = id;
   }
-  // Optional trailing client-table section (absent in pre-client
-  // encodings; its presence is detected by remaining bytes, and the
-  // canonical form bans an empty section — encode never emits one).
-  if (!r.at_end()) {
-    const std::uint32_t clients = r.seq_len(limits.max_clients);
-    if (clients == 0) throw SerialError("empty snapshot client section");
-    std::uint64_t prev_client = 0;
-    for (std::uint32_t i = 0; i < clients; ++i) {
-      const std::uint32_t client = r.u32();
-      if (i > 0 && client <= prev_client) {
-        throw SerialError("snapshot clients not strictly ascending");
+  const std::uint32_t clients = r.seq_len(limits.max_clients);
+  std::uint64_t prev_client = 0;
+  for (std::uint32_t i = 0; i < clients; ++i) {
+    const std::uint32_t client = r.u32();
+    if (i > 0 && client <= prev_client) {
+      throw SerialError("snapshot clients not strictly ascending");
+    }
+    prev_client = client;
+    const std::uint32_t replies = r.seq_len(limits.max_cached_replies);
+    auto& table = snap.clients[client];
+    std::uint64_t prev_seq = 0;
+    for (std::uint32_t j = 0; j < replies; ++j) {
+      const std::uint64_t seq = r.u64();
+      if (seq == 0 || (j > 0 && seq <= prev_seq)) {
+        throw SerialError("snapshot reply seqs not strictly ascending");
       }
-      prev_client = client;
-      const std::uint32_t replies = r.seq_len(limits.max_cached_replies);
-      auto& table = snap.clients[client];
-      std::uint64_t prev_seq = 0;
-      for (std::uint32_t j = 0; j < replies; ++j) {
-        const std::uint64_t seq = r.u64();
-        if (seq == 0 || (j > 0 && seq <= prev_seq)) {
-          throw SerialError("snapshot reply seqs not strictly ascending");
-        }
-        prev_seq = seq;
-        table.emplace_hint(table.end(), seq, r.bytes());
-      }
+      prev_seq = seq;
+      table.emplace_hint(table.end(), seq, r.bytes());
     }
   }
   r.expect_end();

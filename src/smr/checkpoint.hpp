@@ -90,17 +90,15 @@ constexpr std::uint64_t seq_of_cmd(std::uint64_t id) {
 }
 
 /// A replica's full service state at a slot boundary: everything needed to
-/// resume committing from `slot` (the KV map, the applied-command counter,
-/// and the set of already-committed command ids that defines "pending").
-/// When the client/service layer is active the snapshot also carries the
-/// per-client reply cache (client id → seq → encoded REPLY control frame),
-/// so a restarted replica can keep suppressing duplicates and replaying
-/// cached replies for requests it committed before the crash.  The section
-/// is appended only when non-empty, which keeps pre-client snapshot
-/// encodings byte-identical.
+/// resume committing from `slot` — the KV map, the set of already-committed
+/// command ids that defines "pending" (its size is the applied count), and
+/// the per-client reply cache (client id → seq → encoded REPLY control
+/// frame), so a restarted replica can keep suppressing duplicates and
+/// replaying cached replies for requests it committed before the crash.
+/// Every section is always encoded, the client section empty in a run
+/// without clients (layout: docs/RECOVERY.md).
 struct Snapshot {
   std::uint64_t slot = 0;
-  std::uint64_t applied = 0;
   std::map<std::string, std::string> data;
   std::set<std::uint64_t> committed_ids;
   std::map<std::uint32_t, std::map<std::uint64_t, Bytes>> clients;
@@ -117,7 +115,8 @@ struct StateLimits {
   std::uint32_t max_batch = 1u << 12;
   std::uint32_t max_snapshot_bytes = 64u << 20;
   std::uint32_t max_clients = 1u << 12;
-  std::uint32_t max_cached_replies = 1u << 10;  // per client
+  /// Per client; also the largest ClientServiceConfig::seq_window.
+  std::uint32_t max_cached_replies = 1u << 10;
 };
 
 Bytes encode_snapshot(const Snapshot& snap);

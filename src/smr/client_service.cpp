@@ -10,7 +10,10 @@ namespace modubft::smr {
 ClientService::ClientService(const ReplicaConfig& config, CommandTable& table,
                              const crypto::Verifier* verifier)
     : config_(config), table_(table), verifier_(verifier) {
-  MODUBFT_EXPECTS(config.client.seq_window >= 1);
+  // The reply cache holds seq_window replies per client: a deeper cache
+  // would write snapshots a peer's decoder rejects.
+  MODUBFT_EXPECTS(config.client.seq_window >= 1 &&
+                  config.client.seq_window <= StateLimits{}.max_cached_replies);
   // Authenticated mode needs client public keys: the verifier must cover
   // process ids [n, n + num_clients).
   MODUBFT_EXPECTS(!config.client.authenticate || verifier != nullptr);
@@ -115,9 +118,8 @@ void ClientService::reply(sim::Context& ctx, std::uint64_t slot,
   auto ins = cache.emplace(seq, encode_control_reply(reply)).first;
   ctx.send(ProcessId{client}, ins->second);
   ++stats_.replies_sent;
-  while (cache.size() > kReplyCacheDepth) {
-    cache.erase(cache.begin());  // oldest seq first
-  }
+  // Keep the client's seq_window highest seqs.
+  while (cache.size() > config_.client.seq_window) cache.erase(cache.begin());
 }
 
 bool ClientService::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
@@ -219,9 +221,11 @@ ClientService::Next ClientService::on_request(sim::Context& ctx,
   const std::uint64_t id = make_client_cmd_id(from.value, req.seq);
   if (table_.committed(id)) {
     // Exactly-once: already applied.  Replay the cached reply — the retry
-    // means the client has not certified yet.  A reply evicted from the
-    // bounded cache is simply not replayed; the client's outstanding
-    // window is required to stay within the cache bound (docs/CLIENT.md).
+    // means the client has not certified yet.  Every replica that
+    // committed the op sent its REPLY then, so over reliable channels a
+    // replay only answers a retry that outran those replies.  The cache
+    // keeps the client's seq_window highest committed seqs; an evicted
+    // seq is not replayed (docs/CLIENT.md).
     ++stats_.duplicates;
     auto t = replies_.find(from.value);
     if (t != replies_.end()) {

@@ -11,9 +11,10 @@
 // of being re-admitted — and the cache itself is part of the certified
 // snapshot, so the contract survives a crash/restart.
 //
-// The reply cache is a deterministic function of (committed log, bounded
-// cache policy), which is what lets it live inside the checkpoint digest:
-// correct replicas at the same frontier carry byte-identical caches.
+// The reply cache keeps each client's seq_window highest committed seqs:
+// a deterministic function of (committed log, seq_window), which is what
+// lets it live inside the checkpoint digest — correct replicas at the
+// same frontier carry byte-identical caches.
 //
 // ClientService owns control kinds 4–10 (REPLY and BUSY are client-bound),
 // the client commit rule, the verified seq bounds and the missing-body
@@ -39,14 +40,9 @@ namespace modubft::smr {
 
 struct ReplicaConfig;
 
-/// Cached replies retained per client (oldest seq evicted first).  A
-/// client's outstanding window must stay at or below this bound for
-/// duplicate replay to be complete.
-inline constexpr std::uint32_t kReplyCacheDepth = 64;
-
 /// Knobs for the replica-side client service.  num_clients == 0 disables
-/// the whole layer: no client control frames are sent or accepted, and
-/// the wire traffic is byte-identical to a pre-client build.
+/// the whole layer: no client control frames are sent or accepted, and a
+/// snapshot's client section stays empty.
 struct ClientServiceConfig {
   /// Clients occupy process ids [n, n + num_clients).  0 = off.
   std::uint32_t num_clients = 0;
@@ -71,6 +67,9 @@ struct ClientServiceConfig {
   /// at least the client's outstanding window (or genuine commands get
   /// deferred, which is safe but slow); it caps how many fabricated
   /// future seqs per client a Byzantine proposer can park the frontier on.
+  /// It also sizes the reply cache: each client's seq_window highest
+  /// committed seqs.  At most StateLimits{}.max_cached_replies, so every
+  /// replica can decode every snapshot.
   std::uint32_t seq_window = 16;
 };
 
@@ -161,7 +160,8 @@ class ClientService {
   /// frontier commit and the suffix replay alike.
   bool bodies_ready(sim::Context& ctx, const std::vector<std::uint64_t>& ids);
   /// Answers the owning client of a just-committed command and caches the
-  /// reply for duplicate replay.
+  /// reply for duplicate replay, evicting the client's lowest cached seq
+  /// beyond seq_window.
   void reply(sim::Context& ctx, std::uint64_t slot, const Command& cmd);
   /// Frontier progress retires the in-flight fetch; the armed retry timer
   /// finds nothing to re-ask and disarms itself.

@@ -324,7 +324,6 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
   if (!ckpt_ || !ckpt_->due(next_commit_)) return;
   Snapshot snap;
   snap.slot = next_commit_;
-  snap.applied = store_.applied_count();
   snap.data = store_.contents();
   snap.committed_ids = table_.committed_ids();
   if (client_) snap.clients = client_->replies();
@@ -333,9 +332,10 @@ void Replica::maybe_checkpoint(sim::Context& ctx) {
 
 void Replica::advance_recovery(sim::Context& ctx) {
   if (std::optional<Snapshot> snap = ckpt_->adopt(next_commit_)) {
-    store_.install(std::move(snap->data), snap->applied);
-    // The table re-derives the pending index and the eligibility anchor
-    // from the installed committed set.
+    // Every committed id was applied once, so the set's size is the
+    // applied count; the table re-derives the pending index and the
+    // eligibility anchor from the same set.
+    store_.install(std::move(snap->data), snap->committed_ids.size());
     table_.install(std::move(snap->committed_ids));
     if (client_) client_->install(std::move(snap->clients));
     advance_frontier(snap->slot);

@@ -2,7 +2,8 @@
 //
 // Runs a small (attack × substrate × seed) grid through the campaign
 // runner with the safety auditor tapped into every cell and asserts the
-// paper's invariants hold on every substrate; proves the auditor has teeth
+// paper's invariants hold on every substrate; pins which sim cells
+// convict their attacker; proves the auditor has teeth
 // by aiming it at the deliberately broken protocol double (negative
 // control); unit-tests the failing-attack minimizer against a synthetic
 // predicate; and pins the delivery-tap payload-copy contract on the
@@ -12,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "adversary/attack.hpp"
@@ -74,6 +77,41 @@ TEST(AdversaryCampaign, SimGridHoldsEveryInvariant) {
         return adversary::find_smr_attack(c.attack).has_value();
       });
   EXPECT_EQ(smr_cells, 3 * adversary::smr_attack_catalog().size());
+}
+
+TEST(AdversaryCampaign, SimCellsRecordWhichAttackersWereConvicted) {
+  // A cell passes when an attack is detected or harmless, so its checks
+  // cannot see a detection module that stopped convicting.  The cells'
+  // `convicted` record can: pin the seeds on which each attack's attacker
+  // lands in some correct process's faulty set today.  An attack absent
+  // here never convicts on these seeds.
+  adversary::CampaignConfig cfg;
+  cfg.seeds = 3;
+  cfg.negative_control = false;
+  const std::vector<AttackSpec> catalog = adversary::attack_catalog(4, 1);
+  for (const AttackSpec& a : catalog) cfg.attacks.push_back(a.name);
+  const adversary::CampaignReport report = adversary::run_campaign(cfg);
+  ASSERT_EQ(report.cells_run, 3 * catalog.size());
+
+  std::map<std::string, std::vector<std::uint64_t>> convicting;
+  for (const CellOutcome& cell : report.cells) {
+    if (cell.convicted.empty()) continue;
+    EXPECT_EQ(cell.convicted,
+              adversary::find_attack(catalog, cell.attack)->attackers())
+        << adversary::to_json(cell);
+    convicting[cell.attack].push_back(cell.seed);
+  }
+  const std::map<std::string, std::vector<std::uint64_t>> expected = {
+      {"corrupt-vector", {1, 2, 3}},   {"wrong-round", {1, 2, 3}},
+      {"substitute-next", {1, 2, 3}},  {"bad-signature", {1, 2, 3}},
+      {"strip-certificate", {1, 2, 3}}, {"forge-cert", {1, 2, 3}},
+      {"equivocate", {1, 2, 3}},       {"split-brain", {1, 2, 3}},
+      {"duplicate-current", {1}},      {"premature-decide", {1}},
+      {"fuzz-bitflip", {1, 2, 3}},     {"fuzz-truncate", {1, 2, 3}},
+      {"fuzz-splice", {1, 2, 3}},      {"fuzz-reorder", {2, 3}},
+      {"fuzz-storm", {1, 2, 3}},
+  };
+  EXPECT_EQ(convicting, expected);
 }
 
 TEST(AdversaryCampaign, UnknownAttacksAndEmptyGridsFail) {

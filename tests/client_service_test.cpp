@@ -8,13 +8,19 @@
 //    bound frame itself (the client's signed SEQ_BOUND when
 //    authenticating), and without a bound it gets no answer;
 //  * with the queue full, a REQUEST for an id the parked frontier is
-//    fetching is admitted, not shed.
+//    fetching is admitted, not shed;
+//  * the reply cache keeps each client's seq_window highest committed
+//    seqs: a retry of a cached seq is replayed, an evicted one is only
+//    counted as a duplicate, and a seq_window deeper than a snapshot may
+//    carry is rejected.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "smr/replica.hpp"
 
@@ -50,19 +56,22 @@ class RecordingContext final : public sim::Context {
   Rng rng_{0};
 };
 
-ReplicaConfig two_clients(std::uint32_t max_pending) {
+ReplicaConfig two_clients(std::uint32_t max_pending,
+                          std::uint32_t seq_window) {
   ReplicaConfig config;
   config.n = kN;
   config.client.num_clients = 2;
   config.client.max_pending = max_pending;
+  config.client.seq_window = seq_window;
   return config;
 }
 
 /// Replica 0's client service: two clients, unauthenticated (channels are
 /// trusted, so no keys are needed), admission bound `max_pending`.
 struct Harness {
-  explicit Harness(std::uint32_t max_pending)
-      : config(two_clients(max_pending)) {}
+  explicit Harness(std::uint32_t max_pending,
+                   std::uint32_t seq_window = ClientServiceConfig{}.seq_window)
+      : config(two_clients(max_pending, seq_window)) {}
 
   /// Delivers one complete control frame from `from`.
   ClientService::Next deliver(std::uint32_t from, const Bytes& frame) {
@@ -180,6 +189,47 @@ TEST(ClientServiceBounds, FullQueueAdmitsTheBodyTheFrontierIsFetching) {
   const auto batch = h.service.commit_batch(h.ctx, {wanted});
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(*batch, std::vector<std::uint64_t>{wanted});
+}
+
+TEST(ClientServiceReplies, CacheKeepsTheSeqWindowHighestCommittedSeqs) {
+  Harness h(/*max_pending=*/2, /*seq_window=*/3);
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    ASSERT_EQ(h.request(kClientA, seq), ClientService::Next::kPump);
+    const Command* cmd = h.table.commit(make_client_cmd_id(kClientA, seq));
+    ASSERT_NE(cmd, nullptr);
+    h.service.reply(h.ctx, seq, *cmd);
+  }
+  EXPECT_EQ(h.service.stats().replies_sent, 5u);
+  const std::map<std::uint64_t, Bytes>& cache =
+      h.service.replies().at(kClientA);
+  std::vector<std::uint64_t> cached;
+  for (const auto& [seq, frame] : cache) cached.push_back(seq);
+  EXPECT_EQ(cached, (std::vector<std::uint64_t>{3, 4, 5}));
+
+  // A retry of seq 5 is answered from the cache...
+  h.ctx.out.clear();
+  EXPECT_EQ(h.request(kClientA, 5), ClientService::Next::kNone);
+  ASSERT_EQ(h.ctx.out.size(), 1u);
+  ASSERT_TRUE(h.ctx.out[0].first.has_value());
+  EXPECT_EQ(h.ctx.out[0].first->value, kClientA);
+  EXPECT_EQ(h.ctx.out[0].second, cache.at(5));
+  EXPECT_EQ(h.service.stats().replays, 1u);
+  // ...while evicted seq 2 is a duplicate that gets no answer.
+  EXPECT_EQ(h.request(kClientA, 2), ClientService::Next::kNone);
+  EXPECT_EQ(h.ctx.out.size(), 1u);
+  EXPECT_EQ(h.service.stats().duplicates, 2u);
+  EXPECT_EQ(h.service.stats().replays, 1u);
+}
+
+TEST(ClientServiceReplies, SeqWindowMustFitTheSnapshotDecoder) {
+  // Every replica must decode every snapshot, so the cache a seq_window
+  // sizes cannot exceed the decoder's per-client reply cap.
+  CommandTable table;
+  ReplicaConfig config =
+      two_clients(/*max_pending=*/2, StateLimits{}.max_cached_replies);
+  EXPECT_NO_THROW((ClientService{config, table, nullptr}));
+  config.client.seq_window = StateLimits{}.max_cached_replies + 1;
+  EXPECT_THROW((ClientService{config, table, nullptr}), ContractViolation);
 }
 
 }  // namespace

@@ -7,8 +7,7 @@
 //  * a client keeps max_outstanding ops in flight: that many REQUESTs on
 //    start, one more per certification, and no timer but retry timers;
 //  * a certification ends a BUSY backoff, not a timeout's;
-//  * snapshot client-table section: round trip, and byte-identity with
-//    the pre-client encoding when no client has ever been admitted;
+//  * snapshot client-table section: round trip, empty or not;
 //  * end-to-end closed-loop runs on both backends with the exactly-once
 //    audit (every accepted reply matches the committed log);
 //  * duplicate suppression: aggressive client retries produce replica-side
@@ -16,12 +15,14 @@
 //  * overload protection: a tiny admission bound sheds with BUSY and the
 //    queue peak respects the bound, while every operation still settles;
 //  * failover: a client whose contact replica dies rotates to a live one;
-//  * the outstanding window may not outgrow the replicas' reply cache;
+//  * a replica mute in every third slot, but not on its control frames,
+//    delays those slots and stalls none;
 //  * inertness: a run without clients reports all-zero client counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "common/serial.hpp"
 #include "crypto/hmac_signer.hpp"
 #include "faults/scenario.hpp"
+#include "sim/actor.hpp"
 #include "smr/checkpoint.hpp"
 #include "smr/replica.hpp"
 
@@ -348,29 +350,26 @@ TEST(ClientSeqBound, ReplicaRejectsTheUnassignedKind9) {
   EXPECT_EQ(replica.client_service_stats().bounds_recorded, 1u);
 }
 
-TEST(ClientWire, SnapshotClientSectionRoundTripsAndEmptyIsByteIdentical) {
+TEST(ClientWire, SnapshotClientSectionRoundTrips) {
   smr::Snapshot snap;
   snap.slot = 8;
-  snap.applied = 12;
   snap.data = {{"a", "1"}};
   for (std::uint64_t id = 1; id <= 12; ++id) snap.committed_ids.insert(id);
 
-  // No client ever admitted: the encoding must be byte-identical to the
-  // pre-client format (no trailing section at all).
+  // No client ever admitted: the section is there, and empty.
   const Bytes bare = smr::encode_snapshot(snap);
   const smr::Snapshot bare_back = smr::decode_snapshot(bare, {});
   EXPECT_TRUE(bare_back.clients.empty());
+  EXPECT_EQ(smr::encode_snapshot(bare_back), bare);
 
   smr::Snapshot with = snap;
   with.clients[4][smr::make_client_cmd_id(4, 1)] = Bytes{0x01, 0x02};
   with.clients[5][smr::make_client_cmd_id(5, 1)] = Bytes{0x03};
   with.clients[5][smr::make_client_cmd_id(5, 2)] = Bytes{};
   const Bytes full = smr::encode_snapshot(with);
-  EXPECT_GT(full.size(), bare.size());
-  ASSERT_EQ(Bytes(full.begin(), full.begin() + bare.size()), bare)
-      << "client section must be a pure suffix of the pre-client encoding";
   const smr::Snapshot back = smr::decode_snapshot(full, {});
   EXPECT_EQ(back.clients, with.clients);
+  EXPECT_EQ(smr::encode_snapshot(back), full);
 }
 
 // ------------------------------------------------------------ end to end
@@ -464,18 +463,74 @@ TEST(ClientService, OverloadShedsWithBusyAndBoundsQueue) {
   EXPECT_TRUE(adversary::audit_client_replies(r).empty());
 }
 
-TEST(ClientService, OpenLoopWindowMustFitTheReplyCache) {
-  // A retried seq is answered from the replicas' bounded reply cache; with
-  // more ops in flight than the cache holds, a retry could find its REPLY
-  // evicted and never certify.  Such a window is rejected up front.
-  client::ClientConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
-  cfg.ops = {client::ClientOp{smr::Command::Op::kPut, "k", "v"}};
-  cfg.max_outstanding = smr::kReplyCacheDepth;
-  EXPECT_NO_THROW(client::Client{cfg});
-  cfg.max_outstanding = smr::kReplyCacheDepth + 1;
-  EXPECT_THROW(client::Client{cfg}, ContractViolation);
+/// Runs the honest replica it wraps, but drops every consensus frame the
+/// replica sends for a slot with slot % 3 == 1.  Its control frames
+/// (replies, relays, checkpoint votes) still pass.
+class SlotMuter final : public sim::Actor {
+ public:
+  explicit SlotMuter(std::unique_ptr<sim::Actor> inner)
+      : inner_(std::move(inner)) {}
+
+  void on_start(sim::Context& ctx) override {
+    MutedContext muted(ctx);
+    inner_->on_start(muted);
+  }
+  void on_message(sim::Context& ctx, ProcessId from,
+                  const Bytes& payload) override {
+    MutedContext muted(ctx);
+    inner_->on_message(muted, from, payload);
+  }
+  void on_timer(sim::Context& ctx, std::uint64_t timer_id) override {
+    MutedContext muted(ctx);
+    inner_->on_timer(muted, timer_id);
+  }
+
+ private:
+  class MutedContext final : public sim::ForwardingContext {
+   public:
+    using ForwardingContext::ForwardingContext;
+    void send(ProcessId to, Bytes payload) override {
+      if (!muted(payload)) base_.send(to, std::move(payload));
+    }
+    void broadcast(const Bytes& payload) override {
+      if (!muted(payload)) base_.broadcast(payload);
+    }
+  };
+
+  static bool muted(const Bytes& payload) {
+    if (payload.size() < 8) return false;
+    Reader r(payload);
+    const std::uint64_t slot = r.u64();
+    return slot != smr::kControlSlot && slot % 3 == 1;
+  }
+
+  std::unique_ptr<sim::Actor> inner_;
+};
+
+// Each slot runs its own muteness detector, so a replica that stays silent
+// in some slots only, while its control frames keep flowing, costs each
+// such slot one detector timeout and stalls none.  A detector shared by
+// the replica's slots must keep counting a peer's silence per slot.
+TEST(ClientService, ReplicaMuteInSomeSlotsCannotStallTheFrontier) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    faults::SmrScenarioConfig sc =
+        client_scenario(smr::Backend::kByzantine, seed);
+    sc.checkpoint_interval = 8;
+    sc.clients->ops_per_client = 20;
+    sc.assume_faulty = {0};
+    sc.wrap_actor = [](ProcessId id, std::unique_ptr<sim::Actor> inner)
+        -> std::unique_ptr<sim::Actor> {
+      if (id.value != 0) return inner;
+      return std::make_unique<SlotMuter>(std::move(inner));
+    };
+    const faults::SmrScenarioResult r = faults::run_smr_scenario(sc);
+    EXPECT_TRUE(r.clean);
+    EXPECT_EQ(r.clients_done.size(), 2u);
+    EXPECT_EQ(r.run_stats.client.accepted, 40u);
+    EXPECT_TRUE(r.stores_agree);
+    EXPECT_TRUE(adversary::audit_client_replies(r).empty());
+  }
 }
 
 TEST(ClientService, FailoverWhenContactDies) {

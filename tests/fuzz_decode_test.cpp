@@ -328,7 +328,6 @@ TEST(FuzzDecode, MemoChangesNoVerdict) {
 Bytes sample_state_resp_body(const crypto::SignatureSystem& keys) {
   smr::Snapshot snap;
   snap.slot = 8;
-  snap.applied = 14;
   snap.data = {{"alpha", "1"}, {"beta", "2"}};
   for (std::uint64_t id = 1; id <= 14; ++id) snap.committed_ids.insert(id);
 

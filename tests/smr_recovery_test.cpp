@@ -46,7 +46,6 @@ crypto::SignatureSystem test_keys() {
 smr::Snapshot sample_snapshot() {
   smr::Snapshot snap;
   snap.slot = 8;
-  snap.applied = 14;
   snap.data = {{"alpha", "1"}, {"beta", "2"}, {"gamma", ""}};
   for (std::uint64_t id = 1; id <= 14; ++id) snap.committed_ids.insert(id);
   return snap;
@@ -87,12 +86,28 @@ TEST(Checkpoint, SnapshotCodecRoundTrip) {
   const Bytes buf = smr::encode_snapshot(snap);
   const smr::Snapshot back = smr::decode_snapshot(buf, smr::StateLimits{});
   EXPECT_EQ(back.slot, snap.slot);
-  EXPECT_EQ(back.applied, snap.applied);
   EXPECT_EQ(back.data, snap.data);
   EXPECT_EQ(back.committed_ids, snap.committed_ids);
   // Canonical: re-encoding the decoded value is byte-identical, so every
   // correct replica at the same frontier votes for the same digest.
   EXPECT_EQ(smr::encode_snapshot(back), buf);
+}
+
+TEST(Checkpoint, SnapshotEncodingKnownAnswer) {
+  // One format, pinned: slot, store, committed ids and the client section
+  // (here one client with one cached reply).  The answer was computed
+  // with Python's struct and hashlib from the layout in docs/RECOVERY.md.
+  smr::Snapshot snap;
+  snap.slot = 8;
+  snap.data = {{"alpha", "1"}, {"beta", "2"}};
+  snap.committed_ids = {3, smr::make_client_cmd_id(4, 1)};
+  snap.clients[4][1] = Bytes{0xab, 0xcd};
+  const Bytes buf = smr::encode_snapshot(snap);
+  EXPECT_EQ(buf.size(), 85u);
+  EXPECT_EQ(to_hex(crypto::digest_bytes(smr::snapshot_digest(buf))),
+            "e3885c860c6a815be417f9154b99bf302e9885361318bac7f2c23a840e650bdf");
+  EXPECT_EQ(smr::decode_snapshot(buf, smr::StateLimits{}).clients,
+            snap.clients);
 }
 
 TEST(Checkpoint, GenesisDigestIsRecomputable) {

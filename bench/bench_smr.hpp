@@ -1,4 +1,4 @@
-// SMR rate helpers shared by the SMR benchmark binaries (e17, e18, e19).
+// SMR rate and rep-spread helpers shared by the benchmark binaries.
 #pragma once
 
 #include <algorithm>

@@ -8,13 +8,12 @@
 //   scenario_cli bft   --n 7 --f 2 --seed 3 --fault 1:corrupt-vector
 //                      --fault 4:mute [--substrate sim|threads|tcp]
 //                      [--rsa] [--no-prune] [--turbulent] [--audit]
-//                      [--budget-ms 20000]
+//                      [--kill 0.05] [--truncate P] [--flip 0.02]
+//                      [--delay P] [--budget-ms 20000]
 //   scenario_cli crash --n 5 --seed 1 --protocol hr|ct --crash 1:0
 //                      [--substrate sim|threads|tcp] [--mistakes 0.2]
 //   scenario_cli lockstep --n 4 --f 1 --rounds 5 --seed 1 --crash 4:0
 //                      [--substrate sim|threads|tcp] [--budget-ms 20000]
-//   scenario_cli tcp   --n 4 --f 1 --seed 3 --kill 0.05 --flip 0.02
-//                      [--fault 1:corrupt-vector] [--budget-ms 30000]
 //   scenario_cli campaign --n 4 --f 1 --seeds 8 [--attacks a,b,...]
 //                      [--substrates sim,threads,tcp] [--base-seed 1]
 //                      [--out report.json] [--no-negative-control]
@@ -62,10 +61,11 @@
 //
 // --substrate selects the execution backend (runtime::Backend): the
 // deterministic simulator (default), the threaded in-memory cluster, or
-// the TCP loopback cluster — the scenario itself is unchanged.  The `tcp`
-// mode is the TCP substrate plus link faults injected below the framing
-// layer: --kill/--truncate/--flip/--delay set the per-frame probability of
-// each fault on every directed link, absorbed by the resilient transport.
+// the TCP loopback cluster — the scenario itself is unchanged.  On TCP,
+// `bft` also injects link faults below the framing layer:
+// --kill/--truncate/--flip/--delay set the per-frame probability of each
+// fault on every directed link, absorbed by the resilient transport, and
+// the run-stats line counts each fault injected and recovered.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -91,7 +91,6 @@
 #include "faults/scenario.hpp"
 #include "runtime/substrate.hpp"
 #include "sim/trace.hpp"
-#include "transport/tcp_cluster.hpp"
 #include "common/serial.hpp"
 #include "crypto/sha256.hpp"
 
@@ -104,16 +103,15 @@ using namespace modubft;
             << "usage: scenario_cli bft   --n N --f F [--seed S] "
                "[--substrate sim|threads|tcp] [--fault P:BEHAVIOR]... "
                "[--rsa] [--no-prune] [--turbulent] "
-               "[--audit] [--trace FILE] [--budget-ms MS]\n"
+               "[--audit] [--trace FILE] [--budget-ms MS] "
+               "[--kill P] [--truncate P] [--flip P] [--delay P] "
+               "(link faults: tcp only)\n"
             << "       scenario_cli crash --n N [--seed S] [--protocol hr|ct] "
                "[--substrate sim|threads|tcp] "
                "[--crash P:TIME_US]... [--mistakes PROB]\n"
             << "       scenario_cli lockstep --n N --f F [--rounds R] "
                "[--seed S] [--substrate sim|threads|tcp] "
                "[--crash P:TIME_US]... [--budget-ms MS]\n"
-            << "       scenario_cli tcp   --n N --f F [--seed S] "
-               "[--kill P] [--truncate P] [--flip P] [--delay P] "
-               "[--fault P:BEHAVIOR]... [--budget-ms MS]\n"
             << "       scenario_cli campaign --n N --f F [--seeds K] "
                "[--attacks A,B,...] [--substrates sim,threads,tcp] "
                "[--base-seed S] [--out FILE] [--no-negative-control] "
@@ -172,6 +170,7 @@ int run_bft(int argc, char** argv) {
   faults::BftScenarioConfig cfg;
   cfg.n = 0;
   std::string trace_path;
+  faults::LinkFaultSpec link;
 
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -201,6 +200,14 @@ int run_bft(int argc, char** argv) {
       cfg.stop_on_decide = false;
     } else if (arg == "--trace") {
       trace_path = next();
+    } else if (arg == "--kill") {
+      link.kill_prob = std::stod(next());
+    } else if (arg == "--truncate") {
+      link.truncate_prob = std::stod(next());
+    } else if (arg == "--flip") {
+      link.flip_prob = std::stod(next());
+    } else if (arg == "--delay") {
+      link.delay_prob = std::stod(next());
     } else if (arg == "--fault") {
       std::string spec = next();
       auto colon = spec.find(':');
@@ -217,6 +224,13 @@ int run_bft(int argc, char** argv) {
     }
   }
   if (cfg.n == 0) usage("--n is required");
+  if (link.kill_prob > 0 || link.truncate_prob > 0 || link.flip_prob > 0 ||
+      link.delay_prob > 0) {
+    if (cfg.substrate != runtime::Backend::kTcp) {
+      usage("--kill, --truncate, --flip and --delay need --substrate tcp");
+    }
+    cfg.link_faults = {link};
+  }
   if (cfg.f > bft::max_tolerated_faults(cfg.n)) {
     std::cerr << "note: F=" << cfg.f << " exceeds min((n-1)/2, (n-1)/3) = "
               << bft::max_tolerated_faults(cfg.n)
@@ -416,90 +430,6 @@ int run_lockstep(int argc, char** argv) {
   std::cout << "run stats:           "
             << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
   return r.all_correct_finished && r.no_false_accusations ? 0 : 1;
-}
-
-int run_tcp(int argc, char** argv) {
-  // The TCP substrate via the generic runner, plus link chaos: everything
-  // the hand-wired version did, in one BftScenarioConfig.
-  faults::BftScenarioConfig cfg;
-  cfg.n = 0;
-  cfg.substrate = runtime::Backend::kTcp;
-  cfg.budget = std::chrono::milliseconds(30'000);
-  faults::LinkFaultSpec link;
-
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value after " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--n") {
-      cfg.n = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--f") {
-      cfg.f = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
-    } else if (arg == "--kill") {
-      link.kill_prob = std::stod(next());
-    } else if (arg == "--truncate") {
-      link.truncate_prob = std::stod(next());
-    } else if (arg == "--flip") {
-      link.flip_prob = std::stod(next());
-    } else if (arg == "--delay") {
-      link.delay_prob = std::stod(next());
-    } else if (arg == "--budget-ms") {
-      cfg.budget = std::chrono::milliseconds(std::stoull(next()));
-    } else if (arg == "--fault") {
-      std::string spec = next();
-      auto colon = spec.find(':');
-      if (colon == std::string::npos) usage("fault must be P:BEHAVIOR");
-      const auto pid = std::stoul(spec.substr(0, colon));
-      auto behavior = parse_behavior(spec.substr(colon + 1));
-      if (!behavior || pid < 1) usage("unknown fault behaviour or process");
-      faults::FaultSpec fs;
-      fs.who = ProcessId{static_cast<std::uint32_t>(pid - 1)};
-      fs.behavior = *behavior;
-      cfg.faults.push_back(fs);
-    } else {
-      usage(("unknown flag " + arg).c_str());
-    }
-  }
-  if (cfg.n == 0) usage("--n is required");
-  if (cfg.f > bft::max_tolerated_faults(cfg.n)) {
-    usage("F exceeds min((n-1)/2,(n-1)/3)");
-  }
-  const bool any_link_fault = link.kill_prob > 0 || link.truncate_prob > 0 ||
-                              link.flip_prob > 0 || link.delay_prob > 0;
-  if (any_link_fault) cfg.link_faults = {link};
-
-  faults::BftScenarioResult r = faults::run_bft_scenario(cfg);
-
-  std::size_t correct_decided = 0;
-  for (std::uint32_t i : r.correct) correct_decided += r.decisions.count(i);
-
-  const transport::TcpLinkStats& stats = r.run_stats.link;
-  std::cout << "protocol:            transformed BFT over loopback TCP\n"
-            << "n / F / quorum:      " << cfg.n << " / " << cfg.f << " / "
-            << cfg.n - cfg.f << "\n"
-            << "decided:             " << correct_decided << "/"
-            << r.correct.size() << " correct processes\n"
-            << "agreement:           " << (r.agreement ? "yes" : "NO") << "\n"
-            << "clean shutdown:      " << (r.clean ? "yes" : "NO") << " ("
-            << r.unstopped.size() << " unstopped)\n"
-            << "frames / bytes sent: " << r.run_stats.link.frames_sent << " / "
-            << r.run_stats.link.bytes_sent << "\n"
-            << "link faults:         kills " << stats.kills_injected
-            << ", truncates " << stats.truncates_injected << ", flips "
-            << stats.flips_injected << ", delays " << stats.delays_injected
-            << "\n"
-            << "recovery:            reconnects " << stats.reconnects
-            << ", retransmits " << stats.retransmits << ", checksum drops "
-            << stats.checksum_failures << ", dups suppressed "
-            << stats.dup_suppressed << "\n"
-            << "degraded links:      " << stats.degraded << "\n"
-            << "run stats:           "
-            << runtime::to_json(cfg.substrate, r.run_stats) << "\n";
-  return correct_decided == r.correct.size() && r.agreement ? 0 : 1;
 }
 
 /// SHA-256 of a store in canonical form: every key and value
@@ -791,11 +721,9 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "bft") == 0) return run_bft(argc, argv);
   if (std::strcmp(argv[1], "crash") == 0) return run_crash(argc, argv);
   if (std::strcmp(argv[1], "lockstep") == 0) return run_lockstep(argc, argv);
-  if (std::strcmp(argv[1], "tcp") == 0) return run_tcp(argc, argv);
   if (std::strcmp(argv[1], "campaign") == 0) {
     return run_campaign_mode(argc, argv);
   }
   if (std::strcmp(argv[1], "smr") == 0) return run_smr(argc, argv);
-  usage("mode must be 'bft', 'crash', 'lockstep', 'tcp', 'campaign' or "
-        "'smr'");
+  usage("mode must be 'bft', 'crash', 'lockstep', 'campaign' or 'smr'");
 }

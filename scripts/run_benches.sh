@@ -3,18 +3,17 @@
 # artifacts at the repo root (BENCH_<id>.json per manifest row below).
 #
 # Every binary encodes its acceptance headline in the exit status
-# (e15: median cache speedup ≥ 3× at n=7 rounds=5; e17: threads W4B4 ≥ 2× the
-# W1B1 commits/sec; e18: checkpointing retains ≥ 60% throughput and every
-# kill/restart rejoins; e19: the W4B4 median ≥ 1.5× the W1B1
-# E17-configuration baseline at n=7/n=10 on both wall-clock substrates;
-# e20: every rep of every client
+# (e15: median cache speedup ≥ 3× at n=7 rounds=5; e17: the W4B4 median
+# commits/sec ≥ 2× the W1B1 median on threads at n=4, and ≥ 1.5× at n=7
+# and n=10 on threads and tcp; e18: checkpointing retains ≥ 60% throughput
+# and every kill/restart rejoins; e20: every rep of every client
 # cell settles its whole script exactly once and every overload rep sheds
 # with BUSY while queue_peak stays within n × max_pending), so this
 # script fails loudly on a regression.
 #
 # Usage: scripts/run_benches.sh [--only eNN] [build-dir]
 #   scripts/run_benches.sh               # every manifest row
-#   scripts/run_benches.sh --only e19    # just the ingest-path bench
+#   scripts/run_benches.sh --only e17    # just the pipelining bench
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,7 +23,7 @@ BUILD_DIR=build
 while [[ $# -ge 1 ]]; do
   case "$1" in
     --only)
-      [[ $# -ge 2 ]] || { echo "--only needs an experiment id (e.g. e19)" >&2; exit 2; }
+      [[ $# -ge 2 ]] || { echo "--only needs an experiment id (e.g. e17)" >&2; exit 2; }
       ONLY="$2"
       shift 2
       ;;
@@ -42,7 +41,6 @@ MANIFEST=(
   "e15 bench_e15_cert_fastpath"
   "e17 bench_e17_pipeline"
   "e18 bench_e18_recovery"
-  "e19 bench_e19_ingest"
   "e20 bench_e20_client"
 )
 

@@ -31,8 +31,7 @@ namespace {
 /// One process (index 1 — never the round-1 coordinator, so the honest
 /// protocol still drives rounds) running a single Behavior.
 AttackSpec behavior_attack(std::string name, std::string paper_class,
-                           std::string description, Behavior behavior,
-                           bool expect_detection, Round from_round = Round{1}) {
+                           std::string description, Behavior behavior) {
   AttackSpec a;
   a.name = std::move(name);
   a.paper_class = std::move(paper_class);
@@ -40,9 +39,7 @@ AttackSpec behavior_attack(std::string name, std::string paper_class,
   FaultSpec spec;
   spec.who = ProcessId{1};
   spec.behavior = behavior;
-  spec.from_round = from_round;
   a.faults.push_back(spec);
-  a.expect_detection = expect_detection;
   return a;
 }
 
@@ -54,8 +51,6 @@ AttackSpec fuzz_attack(std::string name, std::string description,
   a.description = std::move(description);
   a.fuzzed.insert(1);
   a.mutation = mutation;
-  // Decoder/signature rejection is deterministic for garbage frames.
-  a.expect_detection = true;
   return a;
 }
 
@@ -77,86 +72,84 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
   {
     AttackSpec a = behavior_attack(
         "crash", "muteness", "process halts silently early in the run",
-        Behavior::kCrash, false);
+        Behavior::kCrash);
     a.faults[0].at = 5'000;  // µs after start: mid-preliminary-phase
     all.push_back(std::move(a));
   }
   all.push_back(behavior_attack("mute", "muteness",
                                 "alive but stops sending from round 1 on",
-                                Behavior::kMute, false));
+                                Behavior::kMute));
   all.push_back(behavior_attack(
       "selective-mute", "muteness",
       "drops messages to the lower half of the group, talks to the rest",
-      Behavior::kSelectiveMute, false));
+      Behavior::kSelectiveMute));
 
   // --- value corruption --------------------------------------------------
   all.push_back(behavior_attack("corrupt-vector", "value corruption",
                                 "corrupts the estimate vector in CURRENTs",
-                                Behavior::kCorruptVector, true));
+                                Behavior::kCorruptVector));
   all.push_back(behavior_attack("wrong-round", "value corruption",
                                 "relabels round-r messages as round r+1",
-                                Behavior::kWrongRound, true));
+                                Behavior::kWrongRound));
   all.push_back(behavior_attack(
       "future-round", "value corruption",
       "relabels messages five rounds ahead, flooding future-round buffers",
-      Behavior::kFutureRound, true));
+      Behavior::kFutureRound));
   all.push_back(behavior_attack(
       "lie-init", "value corruption",
       "proposes an irrelevant initial value (undetectable by design)",
-      Behavior::kLieInit, false));
+      Behavior::kLieInit));
 
   // --- duplication / replay ---------------------------------------------
   all.push_back(behavior_attack("duplicate-current", "duplication",
                                 "sends every CURRENT twice",
-                                Behavior::kDuplicateCurrent, true));
+                                Behavior::kDuplicateCurrent));
   all.push_back(behavior_attack("duplicate-next", "duplication",
                                 "sends every NEXT twice",
-                                Behavior::kDuplicateNext, true));
+                                Behavior::kDuplicateNext));
   all.push_back(behavior_attack(
       "stale-replay", "duplication",
       "replays its first signed frame verbatim alongside later sends",
-      Behavior::kStaleReplay, true));
+      Behavior::kStaleReplay));
 
   // --- spurious / substituted statements ---------------------------------
   all.push_back(behavior_attack(
       "spurious-current", "spurious statement",
       "broadcasts CURRENT although not the coordinator",
-      Behavior::kSpuriousCurrent, true));
+      Behavior::kSpuriousCurrent));
   all.push_back(behavior_attack("substitute-next", "substitution",
                                 "sends NEXT where the program says CURRENT",
-                                Behavior::kSubstituteNext, true));
-  all.push_back(behavior_attack(
-      "premature-decide", "substitution",
-      "broadcasts DECIDE without a deciding quorum", Behavior::kPrematureDecide,
-      true));
+                                Behavior::kSubstituteNext));
+  all.push_back(behavior_attack("premature-decide", "substitution",
+                                "broadcasts DECIDE without a deciding quorum",
+                                Behavior::kPrematureDecide));
 
   // --- forged signatures --------------------------------------------------
   all.push_back(behavior_attack("bad-signature", "forged signature",
                                 "flips a bit in outgoing signatures",
-                                Behavior::kBadSignature, true));
+                                Behavior::kBadSignature));
 
   // --- corrupted certificates ---------------------------------------------
   all.push_back(behavior_attack("strip-certificate", "corrupted certificate",
                                 "strips certificates from outgoing messages",
-                                Behavior::kStripCertificate, true));
+                                Behavior::kStripCertificate));
   all.push_back(behavior_attack(
       "truncate-cert", "corrupted certificate",
       "drops half the members from outgoing certificates",
-      Behavior::kTruncateCert, true));
+      Behavior::kTruncateCert));
   all.push_back(behavior_attack(
       "replay-cert", "corrupted certificate",
       "attaches its first certificate to every later message",
-      Behavior::kReplayCert, true));
+      Behavior::kReplayCert));
   all.push_back(behavior_attack(
       "forge-cert", "corrupted certificate",
-      "tampers a certificate member it cannot re-sign", Behavior::kForgeCert,
-      true));
+      "tampers a certificate member it cannot re-sign", Behavior::kForgeCert));
 
   // --- equivocation --------------------------------------------------------
   all.push_back(behavior_attack("equivocate", "equivocation",
                                 "coordinator sends different vectors to "
                                 "different halves of the group",
-                                Behavior::kEquivocate, true));
+                                Behavior::kEquivocate));
   {
     AttackSpec a;
     a.name = "split-brain";
@@ -167,7 +160,6 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
     spec.who = ProcessId{0};
     spec.behavior = Behavior::kSplitBrain;
     a.faults.push_back(spec);
-    a.expect_detection = true;
     all.push_back(std::move(a));
   }
 
@@ -194,12 +186,8 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
     MutationSpec m;
     m.duplicate_prob = 0.3;
     m.reorder_prob = 0.3;
-    AttackSpec a = fuzz_attack(
-        "fuzz-reorder", "duplicates and reorders frames (FIFO violation)", m);
-    // Authentic frames out of order: the state machine may or may not
-    // object, but nothing here is a signature/decode failure.
-    a.expect_detection = false;
-    all.push_back(std::move(a));
+    all.push_back(fuzz_attack(
+        "fuzz-reorder", "duplicates and reorders frames (FIFO violation)", m));
   }
   {
     MutationSpec m;
@@ -230,7 +218,6 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
     a.faults.push_back(mute);
     a.min_f = 2;
     a.min_n = 6;
-    a.expect_detection = true;
     all.push_back(std::move(a));
   }
   {
@@ -248,7 +235,6 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
     a.mutation.truncate_prob = 0.1;
     a.min_f = 2;
     a.min_n = 6;
-    a.expect_detection = true;
     all.push_back(std::move(a));
   }
   {
@@ -267,7 +253,6 @@ std::vector<AttackSpec> attack_catalog(std::uint32_t n, std::uint32_t f) {
     a.faults.push_back(cert);
     a.min_f = 2;
     a.min_n = 6;
-    a.expect_detection = true;
     all.push_back(std::move(a));
   }
 

@@ -43,10 +43,6 @@ struct AttackSpec {
   /// Smallest group / resilience the attack makes sense for.
   std::uint32_t min_n = 4;
   std::uint32_t min_f = 1;
-  /// True when the methodology assigns a detection module to this class —
-  /// recorded in campaign cells; the auditor itself only requires
-  /// "detected or harmless" (an undetected attack must not break safety).
-  bool expect_detection = false;
 
   /// All compromised process indices (fault carriers ∪ fuzzed).
   std::set<std::uint32_t> attackers() const;

@@ -135,7 +135,9 @@ class SmrAttacker final : public sim::Actor {
     void send(ProcessId to, Bytes payload) override {
       if (!is_control_frame(payload)) {
         owner_.phantom_init(payload);
-        owner_.burn(base_, payload);
+        // A replica sends each consensus frame to every replica, itself
+        // included: its self-copy marks the frame, so one burn per frame.
+        if (to == base_.id()) owner_.burn(base_, payload);
       } else if (owner_.intercept(base_, to, payload)) {
         return;
       }

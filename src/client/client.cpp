@@ -41,7 +41,7 @@ void Client::submit_next(sim::Context& ctx) {
     p.delay = config_.retry_base;
     ++stats_.submitted;
     auto it = pending_.emplace(seq, std::move(p)).first;
-    send_request(ctx, seq, it->second);
+    send_request(ctx, seq);
     arm_retry(ctx, seq, it->second);
   }
 }
@@ -61,8 +61,7 @@ smr::ClientRequest Client::build_request(std::uint32_t self,
   return req;
 }
 
-void Client::send_request(sim::Context& ctx, std::uint64_t seq, Pending& p) {
-  (void)p;
+void Client::send_request(sim::Context& ctx, std::uint64_t seq) {
   ctx.send(ProcessId{contact_},
            smr::encode_control_request(build_request(ctx.id().value, seq)));
 }
@@ -260,11 +259,10 @@ void Client::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
 
   // Timeout: the contact is dead, partitioned, or Byzantine-silent.
   ++stats_.retries;
-  ++p.attempts;
   p.shed = false;
   note_unresponsive(ctx);
   p.delay = std::min<SimTime>(retry_cap_, p.delay * 2);
-  send_request(ctx, seq, p);
+  send_request(ctx, seq);
   arm_retry(ctx, seq, p);
 }
 

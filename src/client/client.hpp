@@ -162,7 +162,6 @@ class Client final : public sim::Actor {
     std::uint64_t timer = 0;   // armed retry timer
     SimTime delay = 0;         // current backoff
     bool shed = false;         // the armed timer came from a BUSY
-    std::uint32_t attempts = 0;
     /// Certification tally: exact reply frame bytes → replicas that sent
     /// them.  Byte-equality is the matching rule — correct replicas
     /// produce identical frames, so f+1 distinct senders on one key is a
@@ -177,7 +176,7 @@ class Client final : public sim::Actor {
   /// a replica's CMD_FETCH for a seq we have not submitted yet.
   smr::ClientRequest build_request(std::uint32_t self,
                                    std::uint64_t seq) const;
-  void send_request(sim::Context& ctx, std::uint64_t seq, Pending& p);
+  void send_request(sim::Context& ctx, std::uint64_t seq);
   void arm_retry(sim::Context& ctx, std::uint64_t seq, Pending& p);
   void handle_reply(sim::Context& ctx, ProcessId from, Reader& r,
                     const Bytes& payload);

@@ -229,8 +229,8 @@ struct SmrScenarioConfig : ScenarioSettings {
   /// set: the client commit rule commits client command ids only.
   std::vector<smr::Command> workload;
   /// Signature scheme (Byzantine back-end and checkpoint certificates).
-  /// kRsa64 puts the run in the verification-dominated regime (bench
-  /// E19); kHmac is the cheap default.
+  /// kRsa64 puts the run in the verification-dominated regime (E17's
+  /// n = 7 and n = 10 rows); kHmac is the cheap default.
   Scheme scheme = Scheme::kHmac;
   /// Pipeline window W (concurrent consensus instances per replica).
   std::uint32_t window = 1;

@@ -10,8 +10,6 @@
 // read this set"), so the interface is a pure query.
 #pragma once
 
-#include <set>
-
 #include "common/ids.hpp"
 
 namespace modubft::fd {
@@ -23,15 +21,6 @@ class CrashDetector {
 
   /// True iff this module currently suspects `q` at time `now`.
   virtual bool suspects(ProcessId q, SimTime now) = 0;
-
-  /// The full suspected set at `now` (default: query each process).
-  virtual std::set<ProcessId> suspected_set(std::uint32_t n, SimTime now) {
-    std::set<ProcessId> out;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (suspects(ProcessId{i}, now)) out.insert(ProcessId{i});
-    }
-    return out;
-  }
 };
 
 }  // namespace modubft::fd

@@ -3,7 +3,7 @@
 // Protocols are written once against (Actor, Context) and run unchanged on
 // the deterministic simulator (sim::Simulation), on the threaded in-memory
 // transport (transport::NodeRuntime), and under decorating wrappers
-// (heartbeat multiplexers, Byzantine mutators, the five-module BFT
+// (Byzantine mutators, the SMR slot multiplexer, the five-module BFT
 // pipeline).  Context is therefore an abstract interface: wrappers
 // implement it to intercept sends, and each runtime provides its own
 // concrete binding.

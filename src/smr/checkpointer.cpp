@@ -77,7 +77,7 @@ void Checkpointer::take(sim::Context& ctx, const Snapshot& snap) {
       bft::checkpoint_signing_bytes(vote.slot, vote.digest));
   log_debug("SMR ", ctx.id(), " checkpoint at slot ", vote.slot);
   // Includes self: our own vote is recorded on RX.
-  ctx.broadcast(encode_control_vote(vote));
+  send_to_replicas(ctx, config_.n, encode_control_vote(vote));
 }
 
 void Checkpointer::record(std::uint64_t slot, std::vector<std::uint64_t> ids) {
@@ -162,7 +162,7 @@ void Checkpointer::on_state_req(sim::Context& ctx, ProcessId from,
 }
 
 void Checkpointer::request_state(sim::Context& ctx, std::uint64_t frontier) {
-  ctx.broadcast(encode_control_state_req(frontier));
+  send_to_replicas(ctx, config_.n, encode_control_state_req(frontier));
   ++stats_.state_reqs;
 }
 

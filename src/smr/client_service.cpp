@@ -126,9 +126,8 @@ bool ClientService::on_timer(sim::Context& ctx, std::uint64_t timer_id) {
   if (fetch_timer_ == 0 || timer_id != fetch_timer_) return false;
   fetch_timer_ = 0;
   if (!last_fetch_.empty()) {
-    // Frontier (or suffix replay) still parked: re-ask everyone.
-    ctx.broadcast(encode_control_fetch(last_fetch_));
-    ++stats_.fetches_sent;
+    // Frontier (or suffix replay) still parked: ask again.
+    send_fetch(ctx);
     fetch_timer_ = ctx.set_timer(config_.retry_delay);
   }
   return true;
@@ -201,10 +200,22 @@ void ClientService::request_bodies(sim::Context& ctx,
                                    const std::vector<std::uint64_t>& missing) {
   if (missing != last_fetch_) {
     last_fetch_ = missing;
-    ctx.broadcast(encode_control_fetch(missing));
-    ++stats_.fetches_sent;
+    send_fetch(ctx);
   }
   if (fetch_timer_ == 0) fetch_timer_ = ctx.set_timer(config_.retry_delay);
+}
+
+void ClientService::send_fetch(sim::Context& ctx) {
+  // The replicas, and each missing id's owning client: it serves any seq
+  // of its own script and refutes the rest.
+  const Bytes frame = encode_control_fetch(last_fetch_);
+  send_to_replicas(ctx, config_.n, frame);
+  std::set<std::uint32_t> owners;
+  for (std::uint64_t id : last_fetch_) {
+    if (is_client(client_of_cmd(id))) owners.insert(client_of_cmd(id));
+  }
+  for (std::uint32_t client : owners) ctx.send(ProcessId{client}, frame);
+  ++stats_.fetches_sent;
 }
 
 ClientService::Next ClientService::on_request(sim::Context& ctx,
@@ -256,7 +267,7 @@ ClientService::Next ClientService::on_request(sim::Context& ctx,
   }
   admit(body, std::nullopt);
   ++stats_.admitted;
-  ctx.broadcast(encode_control_relay(body));
+  send_to_replicas(ctx, config_.n, encode_control_relay(body));
   ++stats_.relays_sent;
   return Next::kPump;
 }

@@ -81,10 +81,10 @@ struct ClientServiceStats {
   std::uint64_t replays = 0;     ///< cached replies re-sent to retriers
   std::uint64_t admitted = 0;    ///< commands admitted into pending
   std::uint64_t sheds = 0;       ///< REQUESTs rejected with BUSY (one each)
-  std::uint64_t relays_sent = 0;       ///< CMD_RELAY broadcasts (admitter)
+  std::uint64_t relays_sent = 0;       ///< CMD_RELAYs sent (admitter)
   std::uint64_t relays_received = 0;   ///< CMD_RELAY bodies ingested
   std::uint64_t relays_dropped = 0;    ///< relayed bodies over capacity
-  std::uint64_t fetches_sent = 0;      ///< CMD_FETCH broadcasts
+  std::uint64_t fetches_sent = 0;      ///< CMD_FETCHes sent (one per fetch)
   std::uint64_t fetches_served = 0;    ///< bodies answered to fetchers
   std::uint64_t replies_sent = 0;      ///< REPLY frames sent on commit
   std::uint64_t parked_commits = 0;    ///< frontier stalls awaiting bodies
@@ -225,14 +225,17 @@ class ClientService {
   /// than the one held: decided ids beyond it just became ineligible, so a
   /// frontier (or suffix replay) parked on one can commit without it.
   Next record_bound(std::uint32_t client, std::uint64_t bound, Bytes frame);
-  /// Broadcasts CMD_FETCH for missing bodies (deduplicated against the
+  /// Sends CMD_FETCH for missing bodies (deduplicated against the
   /// in-flight fetch) and arms the retry timer.
   void request_bodies(sim::Context& ctx,
                       const std::vector<std::uint64_t>& missing);
+  /// Sends the in-flight fetch to every replica and to the owning client
+  /// of each of its ids.
+  void send_fetch(sim::Context& ctx);
 
   Next on_request(sim::Context& ctx, ProcessId from, Reader& r);
-  /// Ingests one relayed command body (CMD_RELAY broadcast or a CMD_FETCH
-  /// answer — same frame) from replica `from`.  Authenticates the body and
+  /// Ingests one relayed command body (CMD_RELAY or a CMD_FETCH answer —
+  /// same frame) from replica `from`.  Authenticates the body and
   /// enforces the admission bounds before storing anything.
   Next on_relay(ProcessId from, Reader& r);
   void on_fetch(sim::Context& ctx, ProcessId from, Reader& r);

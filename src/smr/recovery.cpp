@@ -12,10 +12,8 @@ RecoveryModule::RecoveryModule(RecoveryConfig config)
                   config_.cert_quorum == 0);
 }
 
-bool RecoveryModule::verify_resp(ProcessId from, const StateResp& resp,
-                                 crypto::Digest* digest_out) const {
-  (void)from;
-  const crypto::Digest digest = snapshot_digest(resp.snapshot);
+bool RecoveryModule::verify_resp(const StateResp& resp,
+                                 const crypto::Digest& digest) const {
   if (resp.ckpt_slot == 0) {
     // Genesis needs no certificate, but the bytes must be exactly the
     // canonical empty state — anything else is a fabrication.
@@ -31,7 +29,6 @@ bool RecoveryModule::verify_resp(ProcessId from, const StateResp& resp,
       return false;
     }
   }
-  *digest_out = digest;
   return true;
 }
 
@@ -39,10 +36,8 @@ bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
   std::optional<StateResp> resp = try_decode_state_resp(body, StateLimits{});
   if (!resp.has_value()) return false;
 
-  if (!config_.trust_unverified) {
-    crypto::Digest digest{};
-    if (!verify_resp(from, *resp, &digest)) return false;
-  }
+  const crypto::Digest digest = snapshot_digest(resp->snapshot);
+  if (!config_.trust_unverified && !verify_resp(*resp, digest)) return false;
 
   // The snapshot decodes under the same limits the wire decoder applied;
   // its internal slot field must match the certified slot (it is part of
@@ -60,7 +55,7 @@ bool RecoveryModule::ingest(ProcessId from, const Bytes& body) {
     inst.snapshot = std::move(snap);
     inst.encoded = resp->snapshot;
     inst.cert.slot = resp->ckpt_slot;
-    inst.cert.digest = snapshot_digest(resp->snapshot);
+    inst.cert.digest = digest;
     inst.cert.sigs = resp->cert_sigs;
     best_ = std::move(inst);
   }

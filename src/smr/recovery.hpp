@@ -73,8 +73,9 @@ class RecoveryModule {
   void prune_below(std::uint64_t frontier);
 
  private:
-  bool verify_resp(ProcessId from, const StateResp& resp,
-                   crypto::Digest* digest_out) const;
+  /// True iff `resp`'s snapshot, whose digest is `digest`, is genesis or
+  /// carries a valid checkpoint certificate.
+  bool verify_resp(const StateResp& resp, const crypto::Digest& digest) const;
   void record_suffix(ProcessId from, const StateResp& resp);
 
   RecoveryConfig config_;

@@ -49,6 +49,10 @@ std::optional<std::string> KvStore::get(const std::string& key) const {
   return it->second;
 }
 
+void send_to_replicas(sim::Context& ctx, std::uint32_t n, const Bytes& frame) {
+  for (std::uint32_t i = 0; i < n; ++i) ctx.send(ProcessId{i}, frame);
+}
+
 /// Wraps the slot's consensus actor: tags outgoing traffic with the slot
 /// number, tracks its timers, and turns the actor's stop() into an
 /// instance-local flag (the replica itself keeps running).
@@ -62,7 +66,7 @@ class Replica::SlotContext final : public sim::ForwardingContext {
   }
 
   void broadcast(const Bytes& payload) override {
-    base_.broadcast(frame(payload));
+    send_to_replicas(base_, owner_.config_.n, frame(payload));
   }
 
   std::uint64_t set_timer(SimTime delay) override {

@@ -65,6 +65,11 @@
 // The replica routes each control frame to its unit and applies what the
 // unit returns: a commit batch or a parked frontier, an installable
 // snapshot or a quorum-agreed suffix batch.
+//
+// Addressing.  The paper broadcasts to Π, the replicas.  A client run's
+// world also holds the clients (process ids n and up), so a replica never
+// calls Context::broadcast: the slot pipeline and both units send every
+// replica-bound frame through send_to_replicas.
 #pragma once
 
 #include <atomic>
@@ -101,6 +106,9 @@ inline constexpr std::uint32_t kMaxFutureSlots = 32;
 /// replica was seen to park at most 3 (docs/SMR.md has the measurement
 /// and the memory bound).
 inline constexpr std::uint32_t kMaxFuturePerSender = 64;
+
+/// Sends `frame` to replicas [0, n), this one included.
+void send_to_replicas(sim::Context& ctx, std::uint32_t n, const Bytes& frame);
 
 struct ReplicaConfig {
   std::uint32_t n = 0;

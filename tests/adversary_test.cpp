@@ -10,7 +10,7 @@
 #include "bft/bft_consensus.hpp"
 #include "consensus/hurfin_raynal.hpp"
 #include "crypto/hmac_signer.hpp"
-#include "fd/heartbeat_fd.hpp"
+#include "muteness_feed.hpp"
 #include "sim/simulation.hpp"
 
 namespace modubft {
@@ -87,10 +87,16 @@ TEST(TimingAdversary, DelayExpiresAtDeadline) {
 }
 
 TEST(TimingAdversary, CausesFalseSuspicionThenRecovery) {
-  fd::HeartbeatConfig hb;
-  hb.period = 5'000;
-  hb.initial_timeout = 25'000;
-
+  // p2 sends p1 a frame every 5 ms; p1's ◇M hears p2 only through them.
+  class Pinger final : public sim::Actor {
+   public:
+    void on_start(sim::Context& ctx) override { ctx.set_timer(5'000); }
+    void on_timer(sim::Context& ctx, std::uint64_t) override {
+      ctx.send(ProcessId{0}, {1});
+      ctx.set_timer(5'000);
+    }
+    void on_message(sim::Context&, ProcessId, const Bytes&) override {}
+  };
   class Idle final : public sim::Actor {
    public:
     void on_message(sim::Context&, ProcessId, const Bytes&) override {}
@@ -101,13 +107,12 @@ TEST(TimingAdversary, CausesFalseSuspicionThenRecovery) {
   cfg.seed = 3;
   cfg.max_time = 2'000'000;
   sim::Simulation world(cfg);
-  auto d0 = std::make_shared<fd::HeartbeatDetector>(2, ProcessId{0}, hb);
-  auto d1 = std::make_shared<fd::HeartbeatDetector>(2, ProcessId{1}, hb);
-  world.set_actor(ProcessId{0}, std::make_unique<fd::HeartbeatWrapper>(
-                                    std::make_unique<Idle>(), d0, hb));
-  world.set_actor(ProcessId{1}, std::make_unique<fd::HeartbeatWrapper>(
-                                    std::make_unique<Idle>(), d1, hb));
-  // Strangle p2's heartbeats towards p1 for 300ms.
+  auto d0 = std::make_shared<fd::MutenessDetector>(2, ProcessId{0},
+                                                   fd::MutenessConfig{});
+  world.set_actor(ProcessId{0},
+                  std::make_unique<MutenessFeed>(std::make_unique<Idle>(), d0));
+  world.set_actor(ProcessId{1}, std::make_unique<Pinger>());
+  // Strangle p2's frames towards p1 for 300ms.
   world.delay_channel(ProcessId{1}, ProcessId{0}, 100'000, 300'000);
 
   bool suspected_during_attack = false;
@@ -130,22 +135,21 @@ TEST(TimingAdversary, HurfinRaynalSafeUnderSlowCoordinator) {
     cfg.seed = seed;
     sim::Simulation world(cfg);
 
-    // ◇S with aggressive timing: heartbeat detectors.
-    fd::HeartbeatConfig hb;
-    hb.period = 4'000;
-    hb.initial_timeout = 20'000;
+    // Aggressive timing: a 20 ms ◇M fed by each process's own traffic.
+    fd::MutenessConfig aggressive;
+    aggressive.initial_timeout = 20'000;
 
     std::map<std::uint32_t, consensus::Decision> decisions;
     for (std::uint32_t i = 0; i < 5; ++i) {
-      auto det = std::make_shared<fd::HeartbeatDetector>(5, ProcessId{i}, hb);
+      auto det =
+          std::make_shared<fd::MutenessDetector>(5, ProcessId{i}, aggressive);
       auto inner = std::make_unique<consensus::HurfinRaynalActor>(
           5, 100 + i, det,
           [&decisions, i](ProcessId, const consensus::Decision& d) {
             decisions.emplace(i, d);
           });
       world.set_actor(ProcessId{i},
-                      std::make_unique<fd::HeartbeatWrapper>(std::move(inner),
-                                                             det, hb));
+                      std::make_unique<MutenessFeed>(std::move(inner), det));
     }
     world.delay_process(ProcessId{0}, 80'000, 200'000);
     world.run();

@@ -402,10 +402,11 @@ TEST(ClientService, ClosedLoopByzantineHappyPath) {
   EXPECT_GT(r.run_stats.client.p50_us, 0u);
   EXPECT_GE(r.run_stats.client.p999_us, r.run_stats.client.p50_us);
   // Byzantine backend defaults to authenticated mode: honest traffic
-  // never trips the signature check, and each client's final SEQ_BOUND is
-  // recorded as its standing seq bound on every correct replica.
+  // never trips the signature check.  (The run ends as the last client
+  // finishes, before its final SEQ_BOUND lands, so the recorded bounds are
+  // checked in a run that outlives the clients:
+  // Recovery.LateRecovererInAClientRunCatchesUp.)
   EXPECT_EQ(r.run_stats.client.auth_rejects, 0u);
-  EXPECT_GT(r.run_stats.client.bounds_recorded, 0u);
 }
 
 TEST(ClientService, CrashBackendMajorityCertification) {

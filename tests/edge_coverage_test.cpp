@@ -1,11 +1,10 @@
-// Last-mile edge coverage: TCP frame caps, scenario proposal plumbing,
-// and detector accessors.
+// Last-mile edge coverage: TCP frame caps and scenario proposal
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "faults/scenario.hpp"
-#include "fd/heartbeat_fd.hpp"
 #include "transport/tcp_cluster.hpp"
 
 namespace modubft {
@@ -92,18 +91,6 @@ TEST(ScenarioEdge, DeliveryTapObservesScenario) {
   faults::BftScenarioResult r = faults::run_bft_scenario(cfg);
   EXPECT_TRUE(r.termination);
   EXPECT_EQ(taps, r.run_stats.net.messages_delivered);
-}
-
-TEST(DetectorEdge, HeartbeatSuspectedSetAndTimeouts) {
-  fd::HeartbeatConfig cfg;
-  cfg.initial_timeout = 1000;
-  fd::HeartbeatDetector fd(3, ProcessId{0}, cfg);
-  fd.record_alive(ProcessId{1}, 0);
-  fd.record_alive(ProcessId{2}, 2000);
-  auto set = fd.suspected_set(3, 2500);
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.count(ProcessId{1}));
-  EXPECT_EQ(fd.timeout_of(ProcessId{2}), SimTime{1000});
 }
 
 TEST(ScenarioEdge, CrashScenarioRejectsWrongCrashArity) {

@@ -1,6 +1,7 @@
 // Cross-module integration tests:
-//   * Hurfin–Raynal consensus driven by the *heartbeat* ◇S detector (the
-//     real implementation, not the oracle) end to end;
+//   * Hurfin–Raynal and Chandra–Toueg consensus driven by a ◇M detector
+//     fed by every frame the process receives (the SMR crash back-end's
+//     rule; no oracle) end to end;
 //   * protocol robustness against garbage traffic (a frame-fuzzing peer);
 //   * the full stack under combined stress (turbulence + Byzantine +
 //     crash).
@@ -13,24 +14,24 @@
 #include "crypto/hmac_signer.hpp"
 #include "crypto/verify_cache.hpp"
 #include "faults/scenario.hpp"
-#include "fd/heartbeat_fd.hpp"
+#include "muteness_feed.hpp"
 #include "sim/simulation.hpp"
 
 namespace modubft {
 namespace {
 
 // ---------------------------------------------------------------------
-// Hurfin–Raynal over heartbeat-◇S.
+// Hurfin–Raynal over a traffic-fed ◇M.
 // ---------------------------------------------------------------------
 
-struct HeartbeatRun {
+struct MutenessRun {
   std::map<std::uint32_t, consensus::Decision> decisions;
   sim::RunOutcome outcome;
 };
 
-HeartbeatRun run_hr_with_heartbeats(std::uint32_t n, std::uint64_t seed,
-                                    std::vector<std::optional<SimTime>> crashes,
-                                    sim::LatencyModel latency) {
+MutenessRun run_hr_over_muteness(std::uint32_t n, std::uint64_t seed,
+                                 std::vector<std::optional<SimTime>> crashes,
+                                 sim::LatencyModel latency) {
   crashes.resize(n);
   sim::SimConfig cfg;
   cfg.n = n;
@@ -38,41 +39,36 @@ HeartbeatRun run_hr_with_heartbeats(std::uint32_t n, std::uint64_t seed,
   cfg.latency = latency;
   sim::Simulation world(cfg);
 
-  HeartbeatRun run;
-  fd::HeartbeatConfig hb;
-  hb.period = 5'000;
-  hb.initial_timeout = 30'000;
-
+  MutenessRun run;
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto detector =
-        std::make_shared<fd::HeartbeatDetector>(n, ProcessId{i}, hb);
+    auto detector = std::make_shared<fd::MutenessDetector>(
+        n, ProcessId{i}, fd::MutenessConfig{});
     auto inner = std::make_unique<consensus::HurfinRaynalActor>(
         n, 100 + i, detector,
         [&run, i](ProcessId, const consensus::Decision& d) {
           run.decisions.emplace(i, d);
         });
-    world.set_actor(ProcessId{i},
-                    std::make_unique<fd::HeartbeatWrapper>(
-                        std::move(inner), detector, hb));
+    world.set_actor(ProcessId{i}, std::make_unique<MutenessFeed>(
+                                      std::move(inner), detector));
     if (crashes[i].has_value()) world.crash_at(ProcessId{i}, *crashes[i]);
   }
   run.outcome = world.run();
   return run;
 }
 
-TEST(HeartbeatIntegration, FailureFreeDecides) {
-  HeartbeatRun run = run_hr_with_heartbeats(5, 1, {}, sim::calm_network());
+TEST(MutenessIntegration, FailureFreeDecides) {
+  MutenessRun run = run_hr_over_muteness(5, 1, {}, sim::calm_network());
   ASSERT_EQ(run.decisions.size(), 5u);
   for (auto& [i, d] : run.decisions) {
     EXPECT_EQ(d.value, run.decisions.begin()->second.value);
   }
 }
 
-TEST(HeartbeatIntegration, DetectsCrashedCoordinator) {
+TEST(MutenessIntegration, DetectsCrashedCoordinator) {
   std::vector<std::optional<SimTime>> crashes(5, std::nullopt);
   crashes[0] = SimTime{0};
-  HeartbeatRun run =
-      run_hr_with_heartbeats(5, 2, crashes, sim::calm_network());
+  MutenessRun run =
+      run_hr_over_muteness(5, 2, crashes, sim::calm_network());
   ASSERT_EQ(run.decisions.size(), 4u);
   for (auto& [i, d] : run.decisions) {
     EXPECT_EQ(d.value, run.decisions.begin()->second.value);
@@ -80,24 +76,24 @@ TEST(HeartbeatIntegration, DetectsCrashedCoordinator) {
   }
 }
 
-TEST(HeartbeatIntegration, SurvivesTurbulence) {
-  // Before GST the network stalls messages; the adaptive timeouts must
-  // recover without violating agreement.
-  HeartbeatRun run =
-      run_hr_with_heartbeats(5, 3, {}, sim::turbulent_until(150'000));
+TEST(MutenessIntegration, SurvivesTurbulence) {
+  // Before GST the network stalls messages; the timeouts, doubled at
+  // every false suspicion, must recover without violating agreement.
+  MutenessRun run =
+      run_hr_over_muteness(5, 3, {}, sim::turbulent_until(150'000));
   ASSERT_EQ(run.decisions.size(), 5u);
   for (auto& [i, d] : run.decisions) {
     EXPECT_EQ(d.value, run.decisions.begin()->second.value);
   }
 }
 
-TEST(HeartbeatIntegration, MidRunCrashWithMinorityFaulty) {
+TEST(MutenessIntegration, MidRunCrashWithMinorityFaulty) {
   std::vector<std::optional<SimTime>> crashes(7, std::nullopt);
   crashes[0] = SimTime{0};
   crashes[1] = SimTime{60'000};
   crashes[2] = SimTime{120'000};
-  HeartbeatRun run =
-      run_hr_with_heartbeats(7, 4, crashes, sim::calm_network());
+  MutenessRun run =
+      run_hr_over_muteness(7, 4, crashes, sim::calm_network());
   // Processes crashing late may well decide before their crash instant;
   // the four never-crashing ones must decide, and all deciders must agree.
   EXPECT_GE(run.decisions.size(), 4u);
@@ -257,28 +253,24 @@ TEST(LaggardIntegration, DecideReachesProcessStuckInInitPhase) {
   EXPECT_GT(decisions.at(3).time, decisions.at(0).time + 300'000);
 }
 
-// Chandra-Toueg driven by the heartbeat detector (rather than the oracle).
-TEST(HeartbeatIntegration, ChandraTouegOverHeartbeats) {
+// Chandra-Toueg driven by the traffic-fed ◇M (rather than the oracle).
+TEST(MutenessIntegration, ChandraTouegOverMuteness) {
   sim::SimConfig cfg;
   cfg.n = 5;
   cfg.seed = 21;
   sim::Simulation world(cfg);
 
-  fd::HeartbeatConfig hb;
-  hb.period = 5'000;
-  hb.initial_timeout = 30'000;
-
   std::map<std::uint32_t, consensus::Decision> decisions;
   for (std::uint32_t i = 0; i < 5; ++i) {
-    auto det = std::make_shared<fd::HeartbeatDetector>(5, ProcessId{i}, hb);
+    auto det = std::make_shared<fd::MutenessDetector>(5, ProcessId{i},
+                                                      fd::MutenessConfig{});
     auto inner = std::make_unique<consensus::ChandraTouegActor>(
         5, 300 + i, det,
         [&decisions, i](ProcessId, const consensus::Decision& d) {
           decisions.emplace(i, d);
         });
     world.set_actor(ProcessId{i},
-                    std::make_unique<fd::HeartbeatWrapper>(std::move(inner),
-                                                           det, hb));
+                    std::make_unique<MutenessFeed>(std::move(inner), det));
   }
   world.crash_at(ProcessId{0}, 0);  // round-1 coordinator dies at start
   world.run();

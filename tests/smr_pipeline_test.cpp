@@ -586,15 +586,20 @@ std::vector<std::string> frame_kinds(const std::vector<Bytes>& frames) {
 // with every signed message leaving inline (docs/INGEST.md): the replica
 // sends its own INIT from on_start, the round-1 coordinator CURRENT
 // triggered by the quorum-completing INIT, then the CMD_RELAY admitting
-// the client's command behind it.
+// the client's command behind it.  Each goes to the 4 replicas, one send
+// each, and none to the client.
 TEST(SmrBatchDispatch, OnBatchEmitsInArrivalOrder) {
   for (bool client_request : {false, true}) {
     SCOPED_TRACE(client_request ? "INITs + REQUEST" : "INITs");
-    std::vector<std::string> expected = {"INIT", "CURRENT"};
+    std::vector<std::string> kinds = {"INIT", "CURRENT"};
     if (client_request) {
-      expected.push_back(
+      kinds.push_back(
           "control " +
           std::to_string(static_cast<int>(ControlKind::kCmdRelay)));
+    }
+    std::vector<std::string> expected;
+    for (const std::string& kind : kinds) {
+      expected.insert(expected.end(), 4, kind);
     }
     EXPECT_EQ(frame_kinds(dispatch_init_batch(client_request)), expected);
   }

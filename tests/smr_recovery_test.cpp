@@ -308,6 +308,10 @@ TEST(Recovery, LateRecovererInAClientRunCatchesUp) {
     EXPECT_EQ(r.clients_done.size(), 2u) << byz;
     EXPECT_EQ(r.run_stats.client.accepted, 16u) << byz;
     EXPECT_GT(r.run_stats.virtual_time, 500'000u) << byz;
+    // The run outlives the clients, so each client's final SEQ_BOUND is
+    // recorded by the 3 replicas that were up when it finished; p1's new
+    // life never hears it.
+    EXPECT_EQ(r.run_stats.client.bounds_recorded, 6u) << byz;
   }
 }
 
